@@ -9,6 +9,11 @@ photons give Per(|M|^2) / prod_i s_i! (input factorials must not divide
 the distinguishable law or the full distribution would no longer sum
 to one for inputs with multiply occupied modes).
 
+Every permanent comes from one kernel, :func:`_permanent_batch`: Glynn's
+formula evaluated as dense matrix products for a whole stack of
+submatrices, with temporaries chunked to ``_CHUNK_BYTES`` (64 MB) for any
+table size. It supports n <= ``MAX_PERMANENT_SIZE`` = 20.
+
 The four-photon source is a two-pair SPDC mixture over the branches
 |1111>, |2002> and |0220> in the occupation order (n4, n1, n2, n3) with
 branch weights (alpha, beta, gamma) = (R, R^2, 1).
@@ -16,16 +21,17 @@ branch weights (alpha, beta, gamma) = (R, R^2, 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, NumericalError
 
 MAX_PERMANENT_SIZE = 20
-_BATCH_PERMANENT_MAX = 6
+_CHUNK_BYTES = 64 * 2**20   # complex temporaries of one kernel step
 
 SPDC_BRANCHES = ("1111", "2002", "0220")
 
@@ -123,62 +129,50 @@ def spdc_branch_pattern(branch: str, input_modes, m: int) -> FockPattern:
 def permanent(a) -> complex:
     """Exact permanent of a square complex matrix via Glynn's formula.
 
-    Gray-code iteration over the 2^(n-1) sign vectors keeps the running
-    column sums, so the cost is O(2^n n). Matrices up to 20 x 20 are
-    supported.
+    The cost is O(2^n n^2); matrices up to 20 x 20 are supported.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("permanent is defined for square matrices")
-    n = a.shape[0]
-    if n < 1:
+    if a.shape[0] < 1:
         raise ValueError("permanent needs at least a 1 x 1 matrix")
-    if n > MAX_PERMANENT_SIZE:
-        raise CapacityError(f"permanent limited to n <= {MAX_PERMANENT_SIZE}, got {n}")
-    if n == 1:
-        return complex(a[0, 0])
-    # delta_0 is pinned to +1; bit b of the Gray code toggles delta_{b+1}
-    sums = a.sum(axis=0)
-    total = np.prod(sums)
-    sign = 1
-    gray = 0
-    for k in range(1, 1 << (n - 1)):
-        new_gray = k ^ (k >> 1)
-        changed = new_gray ^ gray
-        row = changed.bit_length()  # flipped delta index in 1..n-1
-        if new_gray & changed:
-            sums = sums - 2.0 * a[row]
-        else:
-            sums = sums + 2.0 * a[row]
-        sign = -sign
-        total += sign * np.prod(sums)
-        gray = new_gray
-    return complex(total / 2 ** (n - 1))
+    return complex(_permanent_batch(a[None])[0])
 
 
-_PERM_INDEX_CACHE: dict = {}
+@functools.lru_cache(maxsize=None)
+def _glynn_signs(n: int):
+    """The 2^(n-1) sign vectors with delta_0 = +1, and their products."""
+    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    delta = np.ones((1 << (n - 1), n), dtype=np.int8)
+    delta[:, 1:] -= 2 * bits.astype(np.int8)
+    return delta, delta.prod(axis=1)
 
 
-def _permutation_indices(n: int) -> np.ndarray:
-    if n not in _PERM_INDEX_CACHE:
-        _PERM_INDEX_CACHE[n] = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    return _PERM_INDEX_CACHE[n]
+def _permanent_batch(mats) -> np.ndarray:
+    """Permanents of a (K, n, n) stack via Glynn's formula.
 
-
-def _permanent_batch(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a (..., n, n) stack via the permutation sum (small n).
-
-    Vectorized hot path for the validation counters; agrees with
-    :func:`permanent` and is cross-checked against it in the tests.
+    Per(A) = 2^(1-n) sum_delta (prod_i delta_i) prod_j sum_i delta_i A_ij.
+    For each column j the sums over all sign vectors are one matrix
+    product; their (n, S, K) array is chunked over signs and patterns.
     """
     mats = np.asarray(mats)
-    n = mats.shape[-1]
-    if n > _BATCH_PERMANENT_MAX:
-        raise CapacityError(f"batched permanent limited to n <= {_BATCH_PERMANENT_MAX}")
-    perms = _permutation_indices(n)                      # (n!, n)
-    rows = np.arange(n)
-    terms = mats[..., rows[None, :], perms]              # (..., n!, n)
-    return terms.prod(axis=-1).sum(axis=-1)
+    k, n = mats.shape[0], mats.shape[-1]
+    if n > MAX_PERMANENT_SIZE:
+        raise CapacityError(f"permanent limited to n <= {MAX_PERMANENT_SIZE}, got {n}")
+    delta, parity = _glynn_signs(n)
+    pairs = max(1, _CHUNK_BYTES // (16 * n))     # (sign, pattern) pairs per step
+    s_step = min(len(delta), pairs)
+    k_step = max(1, pairs // s_step)
+    out = np.zeros(k, dtype=complex)
+    for k0 in range(0, k, k_step):
+        cols = mats[k0:k0 + k_step].transpose(2, 1, 0)        # (n, n, Kc)
+        for s0 in range(0, len(delta), s_step):
+            sums = delta[s0:s0 + s_step] @ cols                 # (n, Sc, Kc)
+            prod = sums[0]
+            for col in sums[1:]:
+                prod *= col
+            out[k0:k0 + k_step] += parity[s0:s0 + s_step] @ prod
+    return out / (1 << (n - 1))
 
 
 def scattering_submatrix(u, input_pattern: FockPattern, output_pattern: FockPattern) -> np.ndarray:
@@ -199,12 +193,16 @@ def output_probability(u, input_pattern: FockPattern, output_pattern: FockPatter
                        statistics: str = "indistinguishable") -> float:
     """Probability of one output pattern for the given photon statistics."""
     sub = scattering_submatrix(u, input_pattern, output_pattern)
-    s_fact = _occupation_factorial(output_pattern)
+    return float(_probabilities(sub[None], statistics, _occupation_factorial(output_pattern),
+                                _occupation_factorial(input_pattern))[0])
+
+
+def _probabilities(subs, statistics: str, s_facts, t_fact) -> np.ndarray:
+    """Probabilities of a (K, n, n) stack of scattering submatrices."""
     if statistics == "indistinguishable":
-        t_fact = _occupation_factorial(input_pattern)
-        return float(abs(permanent(sub)) ** 2 / (s_fact * t_fact))
+        return np.abs(_permanent_batch(subs)) ** 2 / (s_facts * t_fact)
     if statistics == "distinguishable":
-        return float(permanent(np.abs(sub) ** 2).real / s_fact)
+        return _permanent_batch(np.abs(subs) ** 2).real / s_facts
     raise ConfigurationError(f"unknown statistics {statistics!r}")
 
 
@@ -267,12 +265,21 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
     carry their raw probabilities plus the total enumerated mass.
     """
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ConfigurationError(f"U must be square, got shape {u.shape}")
     m = u.shape[0]
     n = input_pattern.n
-    modes = tuple(range(m)) if outputs is None else tuple(sorted(outputs))
-    if statistics not in ("indistinguishable", "distinguishable"):
-        raise ConfigurationError(f"unknown statistics {statistics!r}")
-    in_cols = input_pattern.modes()
+    if input_pattern.m != m:
+        raise ConfigurationError(f"input pattern has {input_pattern.m} modes, U has {m}")
+    if n == 0:
+        raise ConfigurationError("input pattern carries no photons")
+    modes = tuple(range(m)) if outputs is None else tuple(sorted(int(o) for o in outputs))
+    if len(set(modes)) != len(modes) or not all(0 <= o < m for o in modes):
+        raise ConfigurationError(f"outputs must be distinct modes in 0..{m - 1}")
+    if not modes or (collision_free and n > len(modes)):
+        raise ConfigurationError(
+            f"{n} photons do not fit collision-free into {len(modes)} outputs")
+    in_cols = np.asarray(input_pattern.modes())
     t_fact = _occupation_factorial(input_pattern)
     if collision_free:
         lists = _enumerate_mode_lists(n, modes)
@@ -282,22 +289,34 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
         s_facts = np.array([
             math.prod(math.factorial(c) for c in np.bincount(row).tolist())
             for row in lists])
-    subs = u[lists[:, :, None], np.asarray(in_cols)[None, None, :]]  # (K, n, n)
-    if n <= _BATCH_PERMANENT_MAX:
-        if statistics == "indistinguishable":
-            probs = np.abs(_permanent_batch(subs)) ** 2 / (s_facts * t_fact)
-        else:
-            probs = _permanent_batch(np.abs(subs) ** 2).real / s_facts
-    else:
-        probs = np.empty(len(lists))
-        for k, sub in enumerate(subs):
-            if statistics == "indistinguishable":
-                probs[k] = abs(permanent(sub)) ** 2 / (s_facts[k] * t_fact)
-            else:
-                probs[k] = permanent(np.abs(sub) ** 2).real / s_facts[k]
+    probs = np.empty(len(lists))
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    for k0 in range(0, len(lists), step):
+        subs = u[lists[k0:k0 + step, :, None], in_cols[None, None, :]]  # (Kc, n, n)
+        probs[k0:k0 + step] = _probabilities(subs, statistics, s_facts[k0:k0 + step], t_fact)
     probs = np.maximum(probs, 0.0)
     return ProbabilityTable(m, n, input_pattern, statistics, collision_free,
                             modes, lists, probs, float(probs.sum()), branch_label)
+
+
+def _invert(probs, uniforms) -> np.ndarray:
+    """Indices drawn by inverting the CDF of ``probs`` at ``uniforms``."""
+    probs = np.asarray(probs, dtype=float)
+    total = probs.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise NumericalError(f"cannot sample a table of total mass {total}")
+    cdf = np.cumsum(probs / total)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, uniforms, side="right")
+
+
+def _draw_events(table: ProbabilityTable, uniforms, indices):
+    """Events of the given indices, drawn from ``table`` at ``uniforms``."""
+    in_modes = table.input.modes()
+    flag = table.statistics == "distinguishable"
+    return [SampleEvent(int(i), table.branch_label, in_modes,
+                        tuple(int(x) for x in table.mode_lists[k]), flag)
+            for i, k in zip(indices, _invert(table.probs, uniforms))]
 
 
 def sample(table: ProbabilityTable, rng_seed, count: int,
@@ -305,19 +324,14 @@ def sample(table: ProbabilityTable, rng_seed, count: int,
     """Draw ``count`` i.i.d. outcomes from a table by exact inversion.
 
     Deterministic per seed. Collision-free tables are sampled conditionally
-    on their enumerated support.
+    on their enumerated support. A table whose mass is zero or not finite
+    raises :class:`NumericalError`.
     """
     if count < 0:
         raise ConfigurationError("count must be nonnegative")
     rng = np.random.default_rng([int(rng_seed), 1])
-    cdf = np.cumsum(table.normalized_probs())
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(count), side="right")
-    in_modes = table.input.modes()
-    flag = table.statistics == "distinguishable"
-    return [SampleEvent(index_offset + i, table.branch_label, in_modes,
-                        tuple(int(x) for x in table.mode_lists[k]), flag)
-            for i, k in enumerate(draws)]
+    return _draw_events(table, rng.random(count),
+                        range(index_offset, index_offset + count))
 
 
 def spdc_branch_tables(u, input_modes, statistics: str = "indistinguishable",
@@ -345,24 +359,14 @@ def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int
     tables = spdc_branch_tables(u, input_modes, statistics, outputs)
     rng_branch = np.random.default_rng([int(rng_seed), 0])
     rng_out = np.random.default_rng([int(rng_seed), 1])
-    branch_cdf = np.cumsum(weights.normalized)
-    branch_cdf[-1] = 1.0
-    branch_ids = np.searchsorted(branch_cdf, rng_branch.random(count), side="right")
-    cdfs, mode_lists, in_modes = {}, {}, {}
-    for b, table in tables.items():
-        cdf = np.cumsum(table.normalized_probs())
-        cdf[-1] = 1.0
-        cdfs[b] = cdf
-        mode_lists[b] = table.mode_lists
-        in_modes[b] = table.input.modes()
-    flag = statistics == "distinguishable"
+    branch_ids = _invert(weights.normalized, rng_branch.random(count))
+    uniforms = rng_out.random(count)
     events = []
-    for i, bid in enumerate(branch_ids):
-        branch = SPDC_BRANCHES[bid]
-        k = int(np.searchsorted(cdfs[branch], rng_out.random(), side="right"))
-        events.append(SampleEvent(i, branch, in_modes[branch],
-                                  tuple(int(x) for x in mode_lists[branch][k]), flag))
-    return events
+    for bid, branch in enumerate(SPDC_BRANCHES):
+        drawn = np.flatnonzero(branch_ids == bid)
+        if len(drawn):
+            events += _draw_events(tables[branch], uniforms[drawn], drawn)
+    return sorted(events, key=lambda ev: ev.index)
 
 
 def spdc_mixture_table(u, weights: SourceWeights, input_modes,

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .haarstats import Histogram, haar_unitary
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
-                           _occupation_factorial, _permanent_batch,
-                           output_probability, spdc_branch_pattern)
+                           _occupation_factorial, _probabilities,
+                           spdc_branch_pattern)
 
 
 @dataclass
@@ -48,17 +48,16 @@ class ValidationTrace:
 
 
 def _trace_from_steps(steps, test_kind, n_rejected) -> ValidationTrace:
-    steps = np.asarray(steps, dtype=int)
-    counters = np.cumsum(steps)
+    """Counter trajectory with the least-squares line of counter k against
+    k = 1..K in closed form; a lone counter gives slope = counter."""
+    counters = np.cumsum(np.asarray(steps, dtype=int))
     if len(counters) >= 2:
-        k = np.arange(1, len(counters) + 1)
-        slope, intercept = np.polyfit(k, counters, 1)
-    elif len(counters) == 1:
-        slope, intercept = float(counters[0]), 0.0
+        k = np.arange(1, len(counters) + 1) - (len(counters) + 1) / 2
+        slope = float(k @ counters / (k @ k))
+        intercept = float(counters.mean() - slope * (len(counters) + 1) / 2)
     else:
-        slope, intercept = 0.0, 0.0
-    return ValidationTrace(counters, test_kind, float(slope), float(intercept),
-                           n_rejected)
+        slope, intercept = float(counters.sum()), 0.0
+    return ValidationTrace(counters, test_kind, slope, intercept, n_rejected)
 
 
 def _group_by_input(events):
@@ -93,16 +92,26 @@ def run_uniform_test(events, u, n: int, m: int) -> ValidationTrace:
     return _trace_from_steps(steps[keep], "uniform", int((~keep).sum()))
 
 
-def _distinguishable_steps(events, u):
-    """+1/-1 steps of the C counter; 0 flags a skipped (d = 0) event."""
+def _distinguishable_steps(events, u, mixture=None):
+    """+1/-1 steps of the C counter; 0 flags a skipped (d = 0) event.
+
+    ``mixture`` lists (weight, input columns) pairs that score every
+    event; by default each event is scored with its own recorded input.
+    """
     u = np.asarray(u, dtype=complex)
     steps = np.zeros(len(events), dtype=int)
-    for cols, idxs in _group_by_input(events).items():
-        t_fact = _occupation_factorial(FockPattern.from_modes(cols, u.shape[0]))
+    if mixture is None:
+        groups = [(idxs, [(1.0, cols)]) for cols, idxs in _group_by_input(events).items()]
+    else:
+        groups = [(list(range(len(events))), mixture)] if events else []
+    for idxs, inputs in groups:
         outs = np.array([events[i].output for i in idxs], dtype=np.intp)
-        subs = u[outs[:, :, None], np.array(cols, dtype=np.intp)[None, None, :]]
-        q = np.abs(_permanent_batch(subs)) ** 2 / t_fact
-        d = _permanent_batch(np.abs(subs) ** 2).real
+        q = d = 0.0
+        for w, cols in inputs:
+            t_fact = _occupation_factorial(FockPattern.from_modes(cols, u.shape[0]))
+            subs = u[outs[:, :, None], np.array(cols, dtype=np.intp)[None, None, :]]
+            q = q + w * _probabilities(subs, "indistinguishable", 1.0, t_fact)
+            d = d + w * _probabilities(subs, "distinguishable", 1.0, t_fact)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
         local = np.where(np.isnan(ratio), 0, np.where(ratio >= 1.0, 1, -1))
@@ -123,29 +132,16 @@ def run_distinguishable_test(events, u, input_pattern: FockPattern | None = None
     Events with d = 0 are skipped and tallied.
     """
     u = np.asarray(u, dtype=complex)
+    mixture = None
     if weights is not None:
         if input_modes is None or len(input_modes) != 4:
             raise ConfigurationError(
                 "mixture scoring needs the 4 designated input modes")
-        patterns = [spdc_branch_pattern(b, input_modes, u.shape[0])
-                    for b in SPDC_BRANCHES]
-        steps = []
-        skipped = 0
-        for ev in events:
-            out = FockPattern.from_modes(ev.output, u.shape[0])
-            q = sum(w * output_probability(u, pat, out, "indistinguishable")
-                    for w, pat in zip(weights.normalized, patterns))
-            d = sum(w * output_probability(u, pat, out, "distinguishable")
-                    for w, pat in zip(weights.normalized, patterns))
-            if d == 0:
-                skipped += 1
-                continue
-            steps.append(1 if q / d >= 1.0 else -1)
-        return _trace_from_steps(steps, "distinguishable", skipped)
-    if input_pattern is not None:
-        events = [ev.__class__(ev.index, ev.branch, input_pattern.modes(),
-                               ev.output, ev.distinguishable) for ev in events]
-    steps = _distinguishable_steps(events, u)
+        mixture = [(w, spdc_branch_pattern(b, input_modes, u.shape[0]).modes())
+                   for w, b in zip(weights.normalized, SPDC_BRANCHES)]
+    elif input_pattern is not None:
+        mixture = [(1.0, input_pattern.modes())]
+    steps = _distinguishable_steps(events, u, mixture)
     return _trace_from_steps(steps[steps != 0], "distinguishable",
                              int((steps == 0).sum()))
 
@@ -170,15 +166,6 @@ class WrongUnitaryEnsemble:
     mean: float
     stddev: float
     z_score: float
-
-
-def _slope_of_steps(steps) -> float:
-    steps = steps[steps != 0]
-    if len(steps) < 2:
-        return 0.0
-    counters = np.cumsum(steps)
-    k = np.arange(1, len(counters) + 1)
-    return float(np.polyfit(k, counters, 1)[0])
 
 
 def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int,
@@ -206,7 +193,8 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     def score(u):
         if test_kind == "uniform":
             return run_uniform_test(events, u, n, m).slope
-        return _slope_of_steps(_distinguishable_steps(events, u))
+        steps = _distinguishable_steps(events, u)
+        return _trace_from_steps(steps[steps != 0], test_kind, 0).slope
 
     true_slope = score(true_u)
     slopes = np.array([score(haar_unitary(m_full, s).entries) for s in seeds])

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from photonlat.errors import CapacityError, ConfigurationError
+from photonlat.errors import CapacityError, ConfigurationError, NumericalError
 from photonlat.haarstats import haar_unitary
 from photonlat.interference import (FockPattern, _permanent_batch,
                                     distribution, enumerate_patterns,
@@ -61,13 +63,52 @@ class TestPermanent:
         with pytest.raises(CapacityError):
             permanent(np.eye(21))
 
-    def test_batch_agrees_with_scalar(self):
+    def test_batch_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
-        for n in (1, 2, 3, 4, 5):
+        for n in range(1, 9):
             mats = rng.normal(size=(10, n, n)) + 1j * rng.normal(size=(10, n, n))
             batch = _permanent_batch(mats)
             for k in range(10):
-                assert abs(batch[k] - permanent(mats[k])) < 1e-10 * max(1.0, abs(batch[k]))
+                want = naive_permanent(mats[k])
+                assert abs(batch[k] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def _stack_scale(mats):
+    """Per |A| bounds |Per A| and the rounding error of any of its terms."""
+    return _permanent_batch(np.abs(mats)).real
+
+
+@st.composite
+def square_matrices(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+class TestPermanentProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(a=square_matrices(), data=st.data())
+    def test_row_column_permutation_and_transpose_invariance(self, a, data):
+        n = a.shape[0]
+        rows = np.array(data.draw(st.permutations(range(n))))
+        cols = np.array(data.draw(st.permutations(range(n))))
+        got = _permanent_batch(np.stack([a, a[rows], a[:, cols], a[rows][:, cols], a.T]))
+        assert np.all(np.abs(got - got[0]) <= 1e-12 * _stack_scale(a[None])[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=square_matrices(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_linearity_in_one_row(self, a, seed, data):
+        n = a.shape[0]
+        r = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+        b = a.copy()
+        b[r] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        mixed = a.copy()
+        mixed[r] = x * a[r] + y * b[r]
+        per_a, per_b, per_mixed = _permanent_batch(np.stack([a, b, mixed]))
+        scale = abs(x) * _stack_scale(a[None])[0] + abs(y) * _stack_scale(b[None])[0]
+        assert abs(per_mixed - (x * per_a + y * per_b)) <= 1e-12 * scale
 
 
 class TestScatteringSubmatrix:
@@ -213,6 +254,31 @@ class TestDistribution:
             assert table.probs[k] == pytest.approx(
                 output_probability(u, inp, table.pattern(k)), abs=1e-12)
 
+    @pytest.mark.parametrize("u_cols, modes, m, outputs", [
+        pytest.param(8, (), 8, None, id="no-photons"),
+        pytest.param(8, (0, 1, 2), 8, (4, 5), id="more-photons-than-outputs"),
+        pytest.param(8, (0, 1), 8, (0, 1, 8), id="output-out-of-range"),
+        pytest.param(8, (0, 1), 8, (-1, 0, 1), id="negative-output"),
+        pytest.param(8, (0, 1), 8, (0, 1, 1, 2), id="duplicate-outputs"),
+        pytest.param(8, (0, 1), 6, None, id="pattern-modes-differ-from-u"),
+        pytest.param(6, (0, 1), 8, None, id="nonsquare-u"),
+    ])
+    def test_rejects_bad_input(self, u_cols, modes, m, outputs):
+        u = haar_unitary(8, 0).entries[:, :u_cols]
+        with pytest.raises(ConfigurationError):
+            distribution(u, FockPattern.from_modes(modes, m), outputs=outputs)
+
+    def test_six_photons_on_31_outputs(self, device_unitary):
+        outputs = [i for i in range(32) if i != 31]
+        inp = FockPattern.from_modes((10, 11, 12, 19, 20, 21), 32)
+        table = distribution(device_unitary, inp, outputs=outputs)
+        assert len(table.probs) == math.comb(31, 6)
+        assert 0.0 < table.total_mass <= 1.0
+        for k in np.random.default_rng(3).choice(len(table.probs), 20, replace=False):
+            sub = scattering_submatrix(device_unitary, inp, table.pattern(k))
+            assert table.probs[k] == pytest.approx(abs(naive_permanent(sub)) ** 2,
+                                                   rel=1e-9, abs=1e-18)
+
     def test_reduced_outputs(self):
         u = haar_unitary(6, 7).entries
         table = distribution(u, FockPattern((1, 1, 1, 0, 0, 0)),
@@ -237,6 +303,14 @@ class TestSample:
         events = sample(table, rng_seed=1, count=100000)
         counts = np.bincount([ev.output[0] for ev in events], minlength=4)
         assert np.all(np.abs(counts / 1e5 - 0.25) < 0.01)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero-mass", "nan"])
+    def test_bad_table_mass_raises(self, bad):
+        table = distribution(haar_unitary(4, 2).entries, FockPattern((1, 1, 0, 0)))
+        table.probs[:] = 0.0
+        table.probs[0] = bad
+        with pytest.raises(NumericalError):
+            sample(table, rng_seed=0, count=10)
 
     def test_deterministic_per_seed(self):
         u = haar_unitary(8, 9).entries

@@ -114,6 +114,22 @@ class TestDistinguishableTest:
         assert per_branch.slope > 0
         assert marginal.n_events == 400
 
+    def test_mixture_scoring_matches_per_event_probabilities(self, device_unitary):
+        u = device_unitary
+        weights = itf.spdc_weights(1.7)
+        events = itf.spdc_sample(u, weights, "indistinguishable", 9, 60, INPUTS4)
+        trace = val.run_distinguishable_test(events, u, weights=weights,
+                                             input_modes=INPUTS4)
+        patterns = [itf.spdc_branch_pattern(b, INPUTS4, 32) for b in itf.SPDC_BRANCHES]
+        want = []
+        for ev in events:
+            out = itf.FockPattern.from_modes(ev.output, 32)
+            q, d = (sum(w * itf.output_probability(u, pat, out, stats)
+                        for w, pat in zip(weights.normalized, patterns))
+                    for stats in ("indistinguishable", "distinguishable"))
+            want.append(1 if q >= d else -1)
+        assert np.array_equal(trace.counters, np.cumsum(want))
+
 
 class TestWrongUnitaryEnsemble:
     def test_zscore_above_three_for_faithful_stream(self, device_unitary, streams):
@@ -154,6 +170,14 @@ class TestWrongUnitaryEnsemble:
 
 
 class TestNormalization:
+    def test_trace_line_matches_polyfit(self):
+        steps = np.random.default_rng(4).choice([-1, 1], size=777)
+        trace = val._trace_from_steps(steps, "uniform", 0)
+        slope, intercept = np.polyfit(np.arange(1, 778), np.cumsum(steps), 1)
+        assert trace.slope == pytest.approx(slope, rel=1e-12)
+        assert trace.intercept == pytest.approx(intercept, rel=1e-12)
+        assert val._trace_from_steps([-1], "uniform", 0).slope == -1.0
+
     def test_normalize_trace(self, device_unitary, streams):
         bs = val.run_distinguishable_test(streams["bs"], device_unitary)
         ref = val.run_distinguishable_test(streams["dist"], device_unitary)
