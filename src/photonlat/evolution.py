@@ -11,8 +11,17 @@ heater window edges). Within a smooth segment two integrators are
 available: a fourth-order commutator-free Magnus scheme (default) and the
 plain midpoint exponential rule, which is second-order accurate and kept
 for convergence diagnostics. Every slice exponential is built from an
-eigendecomposition of a Hermitian matrix, so unitarity holds to roundoff
-regardless of step size.
+eigendecomposition of a real symmetric matrix, so unitarity holds to
+roundoff regardless of step size.
+
+Every slice Hamiltonian is H = G + diag(K @ P): G holds the couplings, K
+the detuning per unit heater power and P the heater powers. One private
+integrator builds G, K and the step plan once per chip, and multiplies
+each run of slices without an active heater window into one matrix, since
+those slices do not depend on P. Each power setting then costs one batched
+``eigh`` over the heated slices, applied straight to the columns it needs:
+:func:`propagate` carries all m columns, and heater-setting ensembles
+(``haarstats.device_submatrix_ensemble``) carry only their input columns.
 """
 
 from __future__ import annotations
@@ -30,6 +39,14 @@ _GL1 = 0.5 - math.sqrt(3.0) / 6.0
 _GL2 = 0.5 + math.sqrt(3.0) / 6.0
 _CF_A1 = 0.25 - math.sqrt(3.0) / 6.0
 _CF_A2 = 0.25 + math.sqrt(3.0) / 6.0
+
+# Per integrator: the Hamiltonian sample points as fractions of a step, and
+# for each slice exponential of a step, in the order they act, its weights
+# on the Hamiltonians at those points.
+_SCHEMES = {
+    "cf4": ((_GL1, _GL2), ((_CF_A2, _CF_A1), (_CF_A1, _CF_A2))),
+    "midpoint": ((0.5,), ((1.0,),)),
+}
 
 
 @dataclass(frozen=True)
@@ -71,18 +88,11 @@ def assemble_hamiltonian(layout: WaveguideLayout, model: CouplingModel,
     at the instantaneous pair distance for retained pairs. Real symmetric by
     construction, returned as a complex array.
     """
-    from .lattice import heater_detunings
-
     _check_bank_matches_layout(layout, bank)
-    i_idx, j_idx = layout.coupled_pairs(model)
-    p = layout.positions_at(z)
-    d = np.hypot(p[i_idx, 0] - p[j_idx, 0], p[i_idx, 1] - p[j_idx, 1])
-    c = coupling_coefficient(d, model)
-    h = np.zeros((layout.m, layout.m), dtype=complex)
-    h[i_idx, j_idx] = c
-    h[j_idx, i_idx] = c
-    h[np.diag_indices(layout.m)] = k0 + heater_detunings(bank, layout, z)
-    return h
+    z = [float(z)]
+    h = _with_detunings(_coupling_stack(layout, model, z, k0),
+                        bank.kernels(layout, z), bank.powers)
+    return h[0].astype(complex)
 
 
 def _segment_edges(layout: WaveguideLayout, bank: HeaterBank):
@@ -91,60 +101,107 @@ def _segment_edges(layout: WaveguideLayout, bank: HeaterBank):
     return edges[(edges >= 0.0) & (edges <= layout.length)]
 
 
-def _batched_hamiltonians(layout, model, bank, z_values, k0):
-    """Stack of H(z) for all sample points, built with vectorized geometry.
+def _coupling_stack(layout, model, z_values, k0) -> np.ndarray:
+    """Power-independent part G of H at each z: real (nz, m, m).
 
-    Couplings and detunings are real, so the stack is real symmetric; the
-    slice exponentials exploit this.
+    Couplings at the instantaneous pair distances off the diagonal, k0 on it.
     """
     i_idx, j_idx = layout.coupled_pairs(model)
-    pos = layout.positions_at(np.asarray(z_values))        # (nz, m, 2)
+    pos = layout.positions_at(np.asarray(z_values, dtype=float))   # (nz, m, 2)
     d = np.hypot(pos[:, i_idx, 0] - pos[:, j_idx, 0],
                  pos[:, i_idx, 1] - pos[:, j_idx, 1])
-    c = model.c0 * np.exp(-(d - model.d0) / model.kappa)   # (nz, npairs)
-    nz = len(z_values)
-    h = np.zeros((nz, layout.m, layout.m))
-    h[:, i_idx, j_idx] = c
-    h[:, j_idx, i_idx] = c
-    # active heater windows per sample point
-    z = np.asarray(z_values)[:, None]
-    active = (bank.z_spans[None, :, 0] <= z) & (z < bank.z_spans[None, :, 1])
-    if np.any(active) and np.any(bank.powers > 0):
-        dx = pos[:, :, 0][:, :, None] - bank.positions[None, None, :, 0]
-        dy = pos[:, :, 1][:, :, None] - bank.positions[None, None, :, 1]
-        kern = np.exp(-(dx * dx + dy * dy) / (2.0 * bank.kernel_width ** 2))
-        weights = active[:, None, :] * bank.powers[None, None, :]
-        det = bank.alpha_t * (kern * weights).sum(axis=2)  # (nz, m)
-    else:
-        det = np.zeros((nz, layout.m))
+    c = coupling_coefficient(d, model)                            # (nz, npairs)
+    g = np.zeros((len(pos), layout.m, layout.m))
+    g[:, i_idx, j_idx] = c
+    g[:, j_idx, i_idx] = c
     diag = np.arange(layout.m)
-    h[:, diag, diag] = k0 + det
+    g[:, diag, diag] = k0
+    return g
+
+
+def _with_detunings(g, kern, powers) -> np.ndarray:
+    """H = G + diag(K @ P) for a stack of G (n, m, m) and K (n, m, n_heaters)."""
+    h = g.copy()
+    diag = np.arange(g.shape[-1])
+    h[:, diag, diag] += kern @ powers
     return h
 
 
-def _expi_batch(h_stack, dz_stack):
-    """exp(i H dz) for a stack of Hermitian matrices, unitary to roundoff.
+def _apply_slices(vecs, phases, x):
+    """x <- exp(i H_k dz_k) x for k in order, with H_k = V_k diag(w_k) V_k^T.
 
-    Real-symmetric stacks take the faster real eigendecomposition path.
+    ``phases`` holds exp(i w_k dz_k). V_k is real, so both products run as
+    real matrix products on the float view of the complex columns.
     """
-    w, v = np.linalg.eigh(h_stack)
-    phase = np.exp(1j * w * dz_stack[:, None])
-    if np.isrealobj(v):
-        return (v * phase[:, None, :]) @ np.swapaxes(v, -1, -2)
-    return (v * phase[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    for v, ph in zip(vecs, phases):
+        y = (v.T @ x.view(float)).view(complex)
+        y *= ph[:, None]
+        x = (v @ y.view(float)).view(complex)
+    return x
 
 
-def _ordered_product(slices):
-    """Product slices[-1] @ ... @ slices[0] via pairwise tree reduction."""
-    mats = slices
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        paired = mats[1 : 2 * (n // 2) : 2] @ mats[0 : 2 * (n // 2) : 2]
-        if n % 2:
-            mats = np.concatenate([paired, mats[-1:]], axis=0)
-        else:
-            mats = paired
-    return mats[0]
+class _Propagator:
+    """What propagating one chip costs whatever the heater powers are.
+
+    Holds the step plan, G and K of every heated slice exponential in z
+    order, and the product of each run of unheated slices (K = 0 there, so
+    those exponentials are the same for every power vector).
+    :meth:`columns` propagates chosen input columns under one power vector.
+    """
+
+    def __init__(self, layout: WaveguideLayout, model: CouplingModel,
+                 bank: HeaterBank, n_steps: int, k0: float, method: str):
+        if n_steps < 1:
+            raise ConfigurationError("n_steps must be at least 1")
+        if method not in _SCHEMES:
+            raise ConfigurationError(f"unknown integrator {method!r}")
+        if bank.positions.ndim != 2 or bank.positions.shape[1] != 2:
+            raise ConfigurationError("heater bank positions must be (n, 2)")
+        _check_bank_matches_layout(layout, bank)
+        nodes, weights = (np.asarray(a) for a in _SCHEMES[method])
+        edges = _segment_edges(layout, bank)
+        seg_len = np.diff(edges)
+        seg_steps = np.maximum(1, np.rint(n_steps * seg_len / layout.length).astype(int))
+        seg_dz = seg_len / seg_steps
+        starts = np.concatenate([z0 + dz * np.arange(ns)
+                                 for z0, dz, ns in zip(edges[:-1], seg_dz, seg_steps)])
+        dz = np.repeat(seg_dz, seg_steps)
+        z = (starts[:, None] + dz[:, None] * nodes).ravel()       # (steps * nodes,)
+        m, shape = layout.m, (len(starts), len(nodes))
+        # slice exponentials step by step, each a weighted sum of node Hamiltonians
+        g = np.einsum("en,snij->seij", weights,
+                      _coupling_stack(layout, model, z, k0).reshape(shape + (m, m)))
+        kern = np.einsum("en,snij->seij", weights,
+                         bank.kernels(layout, z).reshape(shape + (m, -1)))
+        g = g.reshape(-1, m, m)
+        kern = kern.reshape(len(g), m, -1)
+        dz = np.repeat(dz, len(weights))
+        heated = np.any(kern != 0, axis=(1, 2))
+        hot = np.r_[0, np.cumsum(heated)]      # heated exponentials before each one
+        w, v = np.linalg.eigh(g[~heated])
+        fixed_phases = np.exp(1j * w * dz[~heated, None])
+        cuts = np.r_[0, np.flatnonzero(np.diff(heated)) + 1, len(heated)]
+        self.runs = []          # slice of the heated stack, or a fixed product
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if heated[a]:
+                self.runs.append(slice(hot[a], hot[b]))
+            else:
+                cold = slice(a - hot[a], b - hot[b])
+                self.runs.append(_apply_slices(v[cold], fixed_phases[cold],
+                                               np.eye(m, dtype=complex)))
+        self.g, self.kern, self.dz = g[heated], kern[heated], dz[heated]
+
+    def columns(self, powers, x) -> np.ndarray:
+        """U x for the circuit under heater ``powers``, x of shape (m, k)."""
+        w, v = np.linalg.eigh(_with_detunings(self.g, self.kern, powers))
+        phases = np.exp(1j * w * self.dz[:, None])
+        x = np.ascontiguousarray(x, dtype=complex)
+        for run in self.runs:
+            if isinstance(run, slice):
+                x = _apply_slices(v[run], phases[run], x)
+            else:
+                x = run @ x
+        return x
 
 
 def propagate(layout: WaveguideLayout, model: CouplingModel, bank: HeaterBank,
@@ -158,46 +215,6 @@ def propagate(layout: WaveguideLayout, model: CouplingModel, bank: HeaterBank,
     exponentials per step, default) or "midpoint" (second order, one
     exponential per step).
     """
-    if n_steps < 1:
-        raise ConfigurationError("n_steps must be at least 1")
-    if method not in ("cf4", "midpoint"):
-        raise ConfigurationError(f"unknown integrator {method!r}")
-    if bank.positions.ndim != 2 or bank.positions.shape[1] != 2:
-        raise ConfigurationError("heater bank positions must be (n, 2)")
-    _check_bank_matches_layout(layout, bank)
-    edges = _segment_edges(layout, bank)
-    seg_len = np.diff(edges)
-    seg_steps = np.maximum(1, np.rint(n_steps * seg_len / layout.length).astype(int))
-
-    z_nodes, dz_list = [], []
-    for (z0, length, ns) in zip(edges[:-1], seg_len, seg_steps):
-        dz = length / ns
-        starts = z0 + dz * np.arange(ns)
-        if method == "midpoint":
-            z_nodes.append(starts + 0.5 * dz)
-        else:
-            z_nodes.append(starts + _GL1 * dz)
-            z_nodes.append(starts + _GL2 * dz)
-        dz_list.append(np.full(ns, dz))
-    dz_all = np.concatenate(dz_list)
-
-    if method == "midpoint":
-        h = _batched_hamiltonians(layout, model, bank, np.concatenate(z_nodes), k0)
-        slices = _expi_batch(h, dz_all)
-    else:
-        # interleaved Gauss nodes per segment: reorder to (step, node) pairs
-        h1_parts, h2_parts = [], []
-        for a, b in zip(z_nodes[0::2], z_nodes[1::2]):
-            h1_parts.append(a)
-            h2_parts.append(b)
-        h1 = _batched_hamiltonians(layout, model, bank, np.concatenate(h1_parts), k0)
-        h2 = _batched_hamiltonians(layout, model, bank, np.concatenate(h2_parts), k0)
-        first = _expi_batch(_CF_A2 * h1 + _CF_A1 * h2, dz_all)
-        second = _expi_batch(_CF_A1 * h1 + _CF_A2 * h2, dz_all)
-        # per step the 'second' factor acts after 'first': interleave in z order
-        slices = np.empty((2 * len(dz_all),) + first.shape[1:], dtype=complex)
-        slices[0::2] = first
-        slices[1::2] = second
-
-    u = _ordered_product(slices)
+    chip = _Propagator(layout, model, bank, n_steps, k0, method)
+    u = chip.columns(bank.powers, np.eye(layout.m, dtype=complex))
     return UnitaryMatrix(layout.m, u, unitarity_defect(u))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .evolution import UnitaryMatrix, unitarity_defect
+from .evolution import UnitaryMatrix, _Propagator, unitarity_defect
 
 DEFAULT_BINS = 25
 
@@ -141,16 +141,17 @@ def device_submatrix_ensemble(layout, model, bank, inputs, n_matrices: int,
     Heater powers are drawn uniformly over ``power_range`` per matrix, the
     circuit is propagated, and the rows addressed by ``inputs`` are taken;
     this is the reconfigurable-device ensemble the Haar histograms are
-    compared against.
+    compared against. The power-independent part of the propagation is
+    built once per call, and each setting carries only the input columns.
     """
-    from .evolution import propagate
-
     rng = np.random.default_rng(rng_seed)
+    chip = _Propagator(layout, model, bank, n_steps, 0.0, "cf4")
+    columns = np.eye(layout.m, dtype=complex)[:, list(inputs)]
     subs = []
     for _ in range(n_matrices):
         powers = rng.uniform(power_range[0], power_range[1], bank.n_heaters)
-        u = propagate(layout, model, bank.with_powers(powers), n_steps=n_steps)
-        subs.append(u.entries[:, list(inputs)].T.copy())
+        powers = bank.with_powers(powers).powers      # the bank checks them
+        subs.append(chip.columns(powers, columns).T.copy())
     return subs
 
 

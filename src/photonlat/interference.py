@@ -12,7 +12,9 @@ to one for inputs with multiply occupied modes).
 Every permanent comes from one kernel, :func:`_permanent_batch`: Glynn's
 formula evaluated as dense matrix products for a whole stack of
 submatrices, with temporaries chunked to ``_CHUNK_BYTES`` (64 MB) for any
-table size. It supports n <= ``MAX_PERMANENT_SIZE`` = 20.
+table size. It supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns
+are counted before they are enumerated, and a table whose own arrays would
+exceed ``MAX_TABLE_BYTES`` (256 MB) raises :class:`CapacityError`.
 
 The four-photon source is a two-pair SPDC mixture over the branches
 |1111>, |2002> and |0220> in the occupation order (n4, n1, n2, n3) with
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import CapacityError, ConfigurationError, NumericalError
 
 MAX_PERMANENT_SIZE = 20
+MAX_TABLE_BYTES = 256 * 2**20  # mode lists, probabilities and factorials of one table
 _CHUNK_BYTES = 64 * 2**20   # complex temporaries of one kernel step
 
 SPDC_BRANCHES = ("1111", "2002", "0220")
@@ -206,13 +209,22 @@ def _probabilities(subs, statistics: str, s_facts, t_fact) -> np.ndarray:
     raise ConfigurationError(f"unknown statistics {statistics!r}")
 
 
-def _enumerate_mode_lists(n: int, outputs) -> np.ndarray:
-    """(K, n) sorted mode index lists over ``outputs``, collision-free."""
-    return np.array(list(itertools.combinations(outputs, n)), dtype=np.intp)
+def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
+    """(K, n) sorted mode index lists over ``outputs``, in lexicographic order.
 
-
-def _enumerate_multisets(n: int, outputs) -> np.ndarray:
-    return np.array(list(itertools.combinations_with_replacement(outputs, n)), dtype=np.intp)
+    K is counted before anything is enumerated, and a table whose mode
+    lists, probabilities and factorials would exceed ``MAX_TABLE_BYTES``
+    raises :class:`CapacityError`.
+    """
+    k = math.comb(len(outputs) + (0 if collision_free else n - 1), n)
+    if k * (n + 2) * 8 > MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"{k} output patterns of {n} photons exceed the "
+            f"{MAX_TABLE_BYTES >> 20} MB table limit")
+    combos = itertools.combinations if collision_free else itertools.combinations_with_replacement
+    flat = np.fromiter(itertools.chain.from_iterable(combos(outputs, n)),
+                       dtype=np.intp, count=k * n)
+    return flat.reshape(k, n)
 
 
 def enumerate_patterns(m: int, n: int, collision_free: bool = True, outputs=None):
@@ -223,11 +235,7 @@ def enumerate_patterns(m: int, n: int, collision_free: bool = True, outputs=None
     occupied (used when one detector is sacrificed as a trigger).
     """
     modes = tuple(range(m)) if outputs is None else tuple(sorted(outputs))
-    if collision_free:
-        lists = _enumerate_mode_lists(n, modes)
-    else:
-        lists = _enumerate_multisets(n, modes)
-    return [FockPattern.from_modes(row, m) for row in lists]
+    return [FockPattern.from_modes(row, m) for row in _mode_lists(n, modes, collision_free)]
 
 
 @dataclass
@@ -281,11 +289,10 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
             f"{n} photons do not fit collision-free into {len(modes)} outputs")
     in_cols = np.asarray(input_pattern.modes())
     t_fact = _occupation_factorial(input_pattern)
+    lists = _mode_lists(n, modes, collision_free)
     if collision_free:
-        lists = _enumerate_mode_lists(n, modes)
         s_facts = np.ones(len(lists))
     else:
-        lists = _enumerate_multisets(n, modes)
         s_facts = np.array([
             math.prod(math.factorial(c) for c in np.bincount(row).tolist())
             for row in lists])
@@ -356,6 +363,8 @@ def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int
     a degenerate weight vector reproduces plain :func:`sample` of the
     corresponding branch bit for bit.
     """
+    if count < 0:
+        raise ConfigurationError("count must be nonnegative")
     tables = spdc_branch_tables(u, input_modes, statistics, outputs)
     rng_branch = np.random.default_rng([int(rng_seed), 0])
     rng_out = np.random.default_rng([int(rng_seed), 1])

@@ -199,6 +199,9 @@ class HeaterBank:
         if self.positions.shape[0] != self.z_spans.shape[0] or \
                 self.positions.shape[0] != self.powers.shape[0]:
             raise ConfigurationError("heater arrays must have matching lengths")
+        for name in ("positions", "z_spans", "powers", "kernel_width", "alpha_t"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigurationError(f"heater {name} must be finite")
         if np.any(self.powers < 0):
             raise ConfigurationError("heater powers must be nonnegative")
         if self.kernel_width <= 0 or self.alpha_t <= 0:
@@ -216,6 +219,21 @@ class HeaterBank:
     def z_breakpoints(self):
         """Sorted unique z values where the active heater set changes."""
         return np.unique(self.z_spans.ravel())
+
+    def kernels(self, layout: "WaveguideLayout", z_values) -> np.ndarray:
+        """Detuning per unit power, shape (nz, m, n_heaters), in mm^-1 per mW.
+
+        Entry [k, i, r] is alpha_t * exp(-dist_i,r(z_k)^2 / (2 width^2)) where
+        heater r's window covers z_k and 0 elsewhere, so the detunings at
+        z_k are ``kernels(...)[k] @ powers`` for any power vector.
+        """
+        z = np.asarray(z_values, dtype=float)
+        pos = layout.positions_at(z)                                 # (nz, m, 2)
+        dx = pos[:, :, None, 0] - self.positions[None, None, :, 0]
+        dy = pos[:, :, None, 1] - self.positions[None, None, :, 1]
+        active = (self.z_spans[:, 0] <= z[:, None]) & (z[:, None] < self.z_spans[:, 1])
+        kern = np.exp(-(dx * dx + dy * dy) / (2.0 * self.kernel_width ** 2))
+        return self.alpha_t * kern * active[:, None, :]
 
 
 def default_heater_bank(layout: WaveguideLayout, powers=None,
@@ -266,14 +284,7 @@ def heater_detunings(bank: HeaterBank, layout: WaveguideLayout, z):
     z = float(z)
     if not 0.0 <= z <= layout.length:
         raise ConfigurationError("z outside [0, L]")
-    p = layout.positions_at(z)
-    active = (bank.z_spans[:, 0] <= z) & (z < bank.z_spans[:, 1])
-    if not np.any(active):
-        return np.zeros(layout.m)
-    dx = p[:, 0][:, None] - bank.positions[active, 0][None, :]
-    dy = p[:, 1][:, None] - bank.positions[active, 1][None, :]
-    kern = np.exp(-(dx * dx + dy * dy) / (2.0 * bank.kernel_width ** 2))
-    return bank.alpha_t * kern @ bank.powers[active]
+    return bank.kernels(layout, [z])[0] @ bank.powers
 
 
 def symmetry_permutations(spec: LatticeSpec):

@@ -270,6 +270,24 @@ def test_haar_device_ensemble(tmp_path):
     assert (out / "device_moduli_hist.csv").exists()
 
 
+def test_haar_device_rerun_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, {"haar": {"n_matrices": 3, "columns": 6},
+                                  "evolution": {"n_steps": 64}})
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert run("haar", "--config", cfg, "--out", out, "--device") == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert "device_moduli_hist.csv" in names
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_non_finite_heater_power_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {"heaters": {"powers_mw": [float("nan")] * 16}})
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
+
+
 def test_missing_seed_exits_2(tmp_path):
     path = tmp_path / "noseed.json"
     path.write_text(json.dumps({"sampling": {"count": 5}}))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from photonlat.errors import ConfigurationError
 from photonlat.evolution import (assemble_hamiltonian, propagate,
@@ -148,6 +150,26 @@ def test_bank_layout_mismatch_rejected(device):
         assemble_hamiltonian(short, model, bank, z=5.0)
     with pytest.raises(ConfigurationError):
         propagate(short, model, bank, n_steps=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 8),
+       pitch=st.floats(8.0, 20.0), shift=st.floats(0.0, 0.49),
+       length=st.floats(24.0, 60.0), knots=st.integers(2, 10),
+       seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 64),
+       method=st.sampled_from(["cf4", "midpoint"]))
+def test_propagate_unitary_over_random_lattices(rows, cols, pitch, shift, length,
+                                                knots, seed, n_steps, method):
+    assume(rows * cols >= 2)
+    layout = build_lattice(LatticeSpec(rows=rows, cols=cols, pitch=pitch,
+                                       max_shift=shift * pitch,
+                                       coupling_length=length,
+                                       n_modulation_knots=knots, seed=seed))
+    powers = np.random.default_rng(seed).uniform(0.0, 500.0, 16)
+    bank = default_heater_bank(layout, powers)
+    u = propagate(layout, CouplingModel(), bank, n_steps=n_steps, method=method)
+    assert u.entries.shape == (layout.m, layout.m)
+    assert u.unitarity_defect <= 1e-9
 
 
 def test_propagation_deterministic(device):

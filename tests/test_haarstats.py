@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest
 
 from photonlat.errors import ConfigurationError
+from photonlat.evolution import propagate
 from photonlat.haarstats import (Histogram, column_similarity_distribution,
+                                 device_submatrix_ensemble,
                                  ensemble_moduli_phase_histograms, gauge_fix_phases,
                                  haar_columns, haar_unitary, histogram_overlap,
                                  pairwise_similarities, similarity)
+from photonlat.lattice import (CouplingModel, HeaterBank, LatticeSpec,
+                               build_lattice, default_heater_bank)
 
 
 class TestHistogram:
@@ -124,7 +130,6 @@ class TestColumnSimilarity:
 
 class TestDeviceEnsemble:
     def test_submatrices_from_random_settings(self, device):
-        from photonlat.haarstats import device_submatrix_ensemble
         layout, model, bank, _ = device
         subs = device_submatrix_ensemble(layout, model, bank, (11, 12, 19),
                                          n_matrices=3, rng_seed=5, n_steps=96)
@@ -133,6 +138,33 @@ class TestDeviceEnsemble:
             assert s.shape == (3, 32)
             assert np.allclose((np.abs(s) ** 2).sum(axis=1), 1.0, atol=1e-9)
         assert not np.allclose(subs[0], subs[1])
+
+    @pytest.mark.parametrize("inputs", [(0, 3, 5), (4,)])
+    @settings(max_examples=25, deadline=None)
+    @given(lattice_seed=st.integers(0, 2**32 - 1),
+           heaters=st.sampled_from(["all", "zero", "one"]),
+           on=st.integers(0, 15),
+           power_range=st.tuples(st.floats(0.0, 500.0), st.floats(0.0, 500.0)),
+           n_steps=st.integers(1, 40), rng_seed=st.integers(0, 2**32 - 1))
+    def test_matches_propagate(self, inputs, lattice_seed, heaters, on,
+                               power_range, n_steps, rng_seed):
+        layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=lattice_seed))
+        model = CouplingModel()
+        bank = default_heater_bank(layout)
+        lo, hi = sorted(power_range)
+        if heaters == "zero":
+            lo = hi = 0.0
+        elif heaters == "one":       # a bank of one heater: only it is ever on
+            bank = HeaterBank(bank.positions[on:on + 1], bank.z_spans[on:on + 1],
+                              bank.powers[on:on + 1], bank.kernel_width, bank.alpha_t)
+        subs = device_submatrix_ensemble(layout, model, bank, inputs, 3, rng_seed,
+                                         power_range=(lo, hi), n_steps=n_steps)
+        rng = np.random.default_rng(rng_seed)
+        for sub in subs:
+            setting = bank.with_powers(rng.uniform(lo, hi, bank.n_heaters))
+            u = propagate(layout, model, setting, n_steps=n_steps).entries
+            assert sub.shape == (len(inputs), layout.m)
+            assert np.abs(sub - u[:, list(inputs)].T).max() <= 1e-12
 
     def test_reproducibility_similarity_scale(self, device_unitary):
         # repeated intensity measurements of one column at experimental

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,19 @@ class TestDistribution:
             assert table.probs[k] == pytest.approx(abs(naive_permanent(sub)) ** 2,
                                                    rel=1e-9, abs=1e-18)
 
+    @pytest.mark.parametrize("collision_free", [True, False])
+    def test_table_too_large_rejected_before_enumeration(self, collision_free):
+        # C(32, 16) = 6.0e8 patterns: counted, not enumerated
+        inp = FockPattern.from_modes(range(16), 32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                distribution(np.eye(32), inp, collision_free=collision_free)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_reduced_outputs(self):
         u = haar_unitary(6, 7).entries
         table = distribution(u, FockPattern((1, 1, 1, 0, 0, 0)),
@@ -403,6 +417,11 @@ class TestSpdc:
                 occ = mix.pattern(k).occupations
                 oracle[k] += wt * dist[occ]
         assert np.abs(mix.probs - oracle).max() < 1e-10
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="count must be nonnegative"):
+            spdc_sample(np.eye(32), spdc_weights(1.0), "indistinguishable",
+                        0, -1, (11, 12, 19, 20))
 
     def test_spdc_requires_four_inputs(self, device_unitary):
         with pytest.raises(ConfigurationError):

@@ -133,6 +133,23 @@ def test_heater_bank_validation():
         HeaterBank(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("powers", [np.nan, 1.0]),
+    ("powers", [np.nan, np.nan]),
+    ("powers", [np.inf, 1.0]),
+    ("positions", [[np.nan, 0.0], [10.0, 0.0]]),
+    ("z_spans", [[0.0, np.inf], [1.0, 2.0]]),
+    ("kernel_width", np.nan),
+    ("alpha_t", np.inf),
+])
+def test_heater_bank_rejects_non_finite(field, value):
+    args = {"positions": [[0.0, 0.0], [10.0, 0.0]],
+            "z_spans": [[0.0, 1.0], [1.0, 2.0]], "powers": [1.0, 1.0]}
+    args[field] = value
+    with pytest.raises(ConfigurationError):
+        HeaterBank(**args)
+
+
 def test_heater_bank_arrangement():
     layout = build_lattice(LatticeSpec(seed=0))
     bank = default_heater_bank(layout)
