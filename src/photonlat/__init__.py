@@ -24,8 +24,8 @@ from .lattice import (CouplingModel, HeaterBank, LatticeSpec, WaveguideLayout,
                       heater_detunings, symmetry_permutations)
 from .reconstruction import (DipFit, HomDataset, ReconstructedSubmatrix,
                              default_input_pairs, default_scan_positions,
-                             dip_profile, fit_dip, gauge_distance, hom_plateau,
-                             hom_visibility, reconstruct_moduli,
+                             dip_profile, dip_residuals, fit_dip, gauge_distance,
+                             hom_plateau, hom_visibility, reconstruct_moduli,
                              reconstruct_phases, refine_chi2, simulate_dip_scan,
                              simulate_hom_dataset, submatrix_rows)
 from .validation import (ValidationTrace, WrongUnitaryEnsemble, normalize_trace,

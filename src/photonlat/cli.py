@@ -394,19 +394,14 @@ def cmd_reconstruct(args) -> int:
     else:
         gauge_note = " (no ground truth)"
 
-    rows = []
-    t = refined.matrix()
-    for p in range(dataset.n_pairs):
-        hr, kr = dataset.pair_row_indices(p)
-        h, k = dataset.input_pairs[p]
-        for d in np.nonzero(dataset.valid[p])[0]:
-            i, j = int(dataset.out_i[d]), int(dataset.out_j[d])
-            amp = t[hr, i] * t[kr, j] + t[hr, j] * t[kr, i]
-            target = dataset.plateaus[p, d] * (1 + dataset.visibilities[p, d])
-            resid = (target - abs(amp) ** 2) / dataset.errors[p, d]
-            rows.append((h, k, i, j, float(dataset.plateaus[p, d]),
-                         float(dataset.visibilities[p, d]),
-                         float(dataset.errors[p, d]), float(resid)))
+    v = dataset.valid
+    residuals = reconstruction.dip_residuals(refined.phases, refined.moduli, dataset)
+    rows = [(*dataset.input_pairs[p], i, j, a, vis, eps, r)
+            for p, i, j, a, vis, eps, r in zip(
+                dataset.dip_pair.tolist(), dataset.dip_i.tolist(),
+                dataset.dip_j.tolist(), dataset.plateaus[v].tolist(),
+                dataset.visibilities[v].tolist(), dataset.errors[v].tolist(),
+                residuals.tolist())]
     _write_csv(out / "residuals.csv",
                ["input_h", "input_k", "output_i", "output_j", "a", "V", "eps",
                 "residual"], rows)

@@ -144,9 +144,13 @@ def device_submatrix_ensemble(layout, model, bank, inputs, n_matrices: int,
     compared against. The power-independent part of the propagation is
     built once per call, and each setting carries only the input columns.
     """
+    inputs = list(inputs)
+    if len(set(inputs)) != len(inputs) or not all(0 <= r < layout.m for r in inputs):
+        raise ConfigurationError(
+            f"inputs {inputs} must be distinct modes in [0, {layout.m})")
     rng = np.random.default_rng(rng_seed)
     chip = _Propagator(layout, model, bank, n_steps, 0.0, "cf4")
-    columns = np.eye(layout.m, dtype=complex)[:, list(inputs)]
+    columns = np.eye(layout.m, dtype=complex)[:, inputs]
     subs = []
     for _ in range(n_matrices):
         powers = rng.uniform(power_range[0], power_range[1], bank.n_heaters)

@@ -17,6 +17,13 @@ conjugate), and a final chi-square polish over the phases.
 Reconstructed submatrices use the gauge where the first input row and
 first output column carry zero phase; only the phase quadruples above
 are physical, and comparisons go through them.
+
+Every stage works on the dip index that :class:`HomDataset` builds once:
+flat arrays of (pair, rows h k, outputs i j) over all valid dips. One
+kernel, ``_pair_sums``, evaluates x_hi x_kj + x_hj x_ki over it, with
+x = |T|^2 for the plateaus and x = T for the amplitudes; the simulated
+truth, the moduli fit and its Jacobian, and the chi-square residuals of
+:func:`dip_residuals` all go through it.
 """
 
 from __future__ import annotations
@@ -43,11 +50,19 @@ def submatrix_rows(u, inputs) -> np.ndarray:
     return u[:, list(inputs)].T.copy()
 
 
+def _pair_sums(x, h, k, i, j):
+    """Two-photon sum x[h, i] x[k, j] + x[h, j] x[k, i] over rows h, k.
+
+    With x = |T|^2 it is the plateau a, with x = T the indistinguishable
+    amplitude; the indices broadcast, so one call covers every dip.
+    """
+    return x[h, i] * x[k, j] + x[h, j] * x[k, i]
+
+
 def hom_plateau(u, h: int, k: int, i: int, j: int) -> float:
     """Distinguishable two-photon coincidence probability a_ij^hk."""
     u = np.asarray(u, dtype=complex)
-    rho2 = np.abs(u) ** 2
-    return float(rho2[i, h] * rho2[j, k] + rho2[j, h] * rho2[i, k])
+    return float(_pair_sums(np.abs(u.T) ** 2, h, k, i, j))
 
 
 def hom_visibility(u, h: int, k: int, i: int, j: int) -> float:
@@ -64,8 +79,7 @@ def hom_visibility(u, h: int, k: int, i: int, j: int) -> float:
     if a == 0.0:
         raise UndefinedVisibilityError(
             f"plateau vanishes for inputs ({h},{k}) outputs ({i},{j})")
-    amp = u[i, h] * u[j, k] + u[j, h] * u[i, k]
-    return float((a - abs(amp) ** 2) / a)
+    return float((a - abs(_pair_sums(u.T, h, k, i, j)) ** 2) / a)
 
 
 def dip_profile(x, a, v, x0, sigma):
@@ -131,9 +145,11 @@ def fit_dip(positions, counts, sigma=None, max_nfev: int = 20000) -> DipFit:
     """Weighted least-squares fit of a dip scan to the Gaussian profile.
 
     Poisson weights sqrt(max(counts, 1)) are assumed unless ``sigma``
-    overrides them; uncertainties come from the fit covariance. A scan too
-    flat to pin the dip position and width falls back to fitting (a, V)
-    with those two frozen at their initial estimates.
+    overrides them; uncertainties come from the fit covariance. A scan that
+    cannot pin the dip position and width falls back to fitting (a, V)
+    with those two frozen at their initial estimates: the full fit did not
+    converge, or put the centre outside the scan, or the width below the
+    mean point spacing or above half the scanned range.
     """
     x = np.asarray(positions, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -142,12 +158,17 @@ def fit_dip(positions, counts, sigma=None, max_nfev: int = 20000) -> DipFit:
     if sigma is None:
         sigma = np.sqrt(np.maximum(y, 1.0))
     p0 = _dip_p0(x, y)
+    lo, hi = x.min(), x.max()
+    spacing = (hi - lo) / (len(x) - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OptimizeWarning)
         try:
             popt, pcov = curve_fit(dip_profile, x, y, p0=p0, sigma=sigma,
                                    absolute_sigma=True, maxfev=max_nfev)
         except RuntimeError:
+            popt = None
+        if popt is None or not (lo <= popt[2] <= hi
+                                and spacing <= abs(popt[3]) <= (hi - lo) / 2):
             x00, s0 = p0[2], p0[3]
             try:
                 popt2, pcov2 = curve_fit(
@@ -167,6 +188,18 @@ def fit_dip(positions, counts, sigma=None, max_nfev: int = 20000) -> DipFit:
                   pcov)
 
 
+def _pair_row_indices(rows, input_pairs) -> np.ndarray:
+    """(n_pairs, 2) row indices of input pairs given by label."""
+    labels = list(rows)
+    for pair in input_pairs:
+        if len(pair) != 2 or not all(label in labels for label in pair):
+            raise ConfigurationError(f"input pair {pair} must name two of rows {labels}")
+        if pair[0] == pair[1]:
+            raise ConfigurationError(f"input pair {pair} repeats a row")
+    return np.array([(labels.index(h), labels.index(k)) for h, k in input_pairs],
+                    dtype=int).reshape(-1, 2)
+
+
 @dataclass
 class HomDataset:
     """Fitted plateaus and visibilities for a set of input pairs.
@@ -176,6 +209,11 @@ class HomDataset:
     unordered output pairs in upper-triangle order; ``valid`` masks dips
     whose plateau vanished (visibility undefined there). ``errors`` is the
     uncertainty of the dip minimum a (1 + V), ``plateau_errors`` that of a.
+
+    The dip index lists every valid dip once, pair-major (the order of
+    ``np.nonzero(valid)`` and of ``array[valid]``): ``dip_pair`` is its
+    pair, ``dip_h``, ``dip_k`` its two rows and ``dip_i``, ``dip_j`` its
+    two outputs.
     """
 
     n_outputs: int
@@ -192,13 +230,32 @@ class HomDataset:
     def __post_init__(self):
         if self.va_errors is None:
             self.va_errors = self.errors
+        self.valid = np.asarray(self.valid, dtype=bool)
+        self._pair_rows = _pair_row_indices(self.rows, self.input_pairs)
         self.out_i, self.out_j = np.triu_indices(self.n_outputs, k=1)
+        shape = (self.n_pairs, len(self.out_i))
+        for name in ("plateaus", "visibilities", "errors", "plateau_errors",
+                     "va_errors", "valid"):
+            if np.shape(getattr(self, name)) != shape:
+                raise ConfigurationError(
+                    f"{name} has shape {np.shape(getattr(self, name))}, expected "
+                    f"{shape} for {self.n_pairs} pair(s) and {self.n_outputs} outputs")
+        if self.intensities is not None and \
+                np.shape(self.intensities) != (self.n_rows, self.n_outputs):
+            raise ConfigurationError("intensities must have one row per input row")
         self._flat = np.full((self.n_outputs, self.n_outputs), -1, dtype=int)
         self._flat[self.out_i, self.out_j] = np.arange(len(self.out_i))
         self._flat[self.out_j, self.out_i] = np.arange(len(self.out_i))
-        labels = list(self.rows)
-        self._pair_rows = tuple(
-            (labels.index(h), labels.index(k)) for (h, k) in self.input_pairs)
+        self.dip_pair, dip = np.nonzero(self.valid)
+        self.dip_h, self.dip_k = self._pair_rows[self.dip_pair].T
+        self.dip_i, self.dip_j = self.out_i[dip], self.out_j[dip]
+        v = self.valid
+        if not (np.isfinite(self.plateaus[v]).all()
+                and np.isfinite(self.visibilities[v]).all()):
+            raise ConfigurationError("valid dips need finite plateaus and visibilities")
+        for name in ("errors", "plateau_errors", "va_errors"):
+            if not (getattr(self, name)[v] > 0).all():
+                raise ConfigurationError(f"{name} of valid dips must be > 0")
 
     @property
     def n_pairs(self) -> int:
@@ -209,7 +266,8 @@ class HomDataset:
         return len(self.rows)
 
     def pair_row_indices(self, p: int):
-        return self._pair_rows[p]
+        hr, kr = self._pair_rows[p]
+        return int(hr), int(kr)
 
     def flat_index(self, i: int, j: int) -> int:
         k = int(self._flat[i, j])
@@ -237,45 +295,49 @@ class HomDataset:
     @classmethod
     def from_dict(cls, doc: dict) -> "HomDataset":
         intens = doc.get("intensities")
-        return cls(int(doc["n_outputs"]), tuple(doc["rows"]),
-                   tuple(tuple(p) for p in doc["input_pairs"]),
-                   np.asarray(doc["plateaus"], dtype=float),
-                   np.asarray(doc["visibilities"], dtype=float),
-                   np.asarray(doc["errors"], dtype=float),
-                   np.asarray(doc["plateau_errors"], dtype=float),
-                   np.asarray(doc["valid"], dtype=bool),
-                   None if intens is None else np.asarray(intens, dtype=float),
-                   np.asarray(doc["va_errors"], dtype=float))
+        try:
+            fields = (int(doc["n_outputs"]), tuple(doc["rows"]),
+                      tuple(tuple(p) for p in doc["input_pairs"]),
+                      np.asarray(doc["plateaus"], dtype=float),
+                      np.asarray(doc["visibilities"], dtype=float),
+                      np.asarray(doc["errors"], dtype=float),
+                      np.asarray(doc["plateau_errors"], dtype=float),
+                      np.asarray(doc["valid"], dtype=bool),
+                      None if intens is None else np.asarray(intens, dtype=float),
+                      np.asarray(doc["va_errors"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed HOM dataset: {exc!r}") from exc
+        return cls(*fields)
 
 
-def _pair_connectivity(n_rows: int, pair_rows) -> bool:
-    seen = {0}
-    edges = list(pair_rows)
+def _spanning_tree(dataset: HomDataset):
+    """Edges (pair, parent row, child row) that reach every row from row 0.
+
+    Pairs are scanned in order, repeatedly, and a pair joins the tree when
+    exactly one of its rows is reached; the other pairs serve only the
+    chi-square.
+    """
+    edges, reached = [], {0}
     grew = True
     while grew:
         grew = False
-        for (a, b) in edges:
-            if a in seen and b not in seen:
-                seen.add(b); grew = True
-            elif b in seen and a not in seen:
-                seen.add(a); grew = True
-    return len(seen) == n_rows
+        for p in range(dataset.n_pairs):
+            hr, kr = dataset.pair_row_indices(p)
+            if (hr in reached) != (kr in reached):
+                parent, child = (hr, kr) if hr in reached else (kr, hr)
+                edges.append((p, parent, child))
+                reached.add(child)
+                grew = True
+    if len(reached) != dataset.n_rows:
+        raise UnderdeterminedError(
+            f"{dataset.n_pairs} input pair(s) cannot determine {dataset.n_rows} rows; "
+            "need a connected set of at least n_rows - 1 pairs")
+    return edges
 
 
 def default_input_pairs(inputs):
     """Chain every input to the first one: (0,1), (0,2), ... by label."""
     return tuple((inputs[0], inputs[r]) for r in range(1, len(inputs)))
-
-
-def _true_dip_arrays(t_rows, hr, kr, iu, ju):
-    """Plateaus and scan-convention visibilities (Q - a)/a; a dip is V < 0."""
-    q = np.abs(t_rows) ** 2
-    a = q[hr, iu] * q[kr, ju] + q[hr, ju] * q[kr, iu]
-    amp = t_rows[hr, iu] * t_rows[kr, ju] + t_rows[hr, ju] * t_rows[kr, iu]
-    valid = a > 0
-    v = np.zeros_like(a)
-    v[valid] = (np.abs(amp[valid]) ** 2 - a[valid]) / a[valid]
-    return a, v, valid
 
 
 def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
@@ -294,79 +356,66 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     """
     u = np.asarray(u, dtype=complex)
     t_rows = submatrix_rows(u, inputs)
-    n_rows, n_out = t_rows.shape
+    n_out = t_rows.shape[1]
     if input_pairs is None:
         input_pairs = default_input_pairs(inputs)
-    labels = list(inputs)
-    pair_rows = [(labels.index(h), labels.index(k)) for (h, k) in input_pairs]
+    pair_rows = _pair_row_indices(inputs, input_pairs)
     iu, ju = np.triu_indices(n_out, k=1)
-    n_dips = len(iu)
     noiseless = mean_plateau_counts is None
 
-    a_true = np.empty((len(pair_rows), n_dips))
-    v_true = np.empty_like(a_true)
-    valid = np.empty(a_true.shape, dtype=bool)
-    for p, (hr, kr) in enumerate(pair_rows):
-        a_true[p], v_true[p], valid[p] = _true_dip_arrays(t_rows, hr, kr, iu, ju)
+    # true plateaus and scan-convention visibilities (Q - a)/a, all pairs
+    hr, kr = pair_rows[:, :1], pair_rows[:, 1:]
+    q_true = np.abs(t_rows) ** 2
+    a_true = _pair_sums(q_true, hr, kr, iu, ju)
+    amp = _pair_sums(t_rows, hr, kr, iu, ju)
+    valid = a_true > 0
+    v_true = np.zeros_like(a_true)
+    v_true[valid] = (np.abs(amp[valid]) ** 2 - a_true[valid]) / a_true[valid]
     v_true *= visibility_scale
 
-    exposure = 1.0 if noiseless else \
+    scale = 1.0 if noiseless else \
         float(mean_plateau_counts) * valid.sum() / a_true[valid].sum()
     positions = default_scan_positions(0.0, dip_sigma, n_scan_points)
     rng = np.random.default_rng(rng_seed)
 
-    plateaus = np.zeros_like(a_true)
-    visibilities = np.zeros_like(a_true)
-    errors = np.ones_like(a_true)
-    plateau_errors = np.ones_like(a_true)
-    va_errors = np.ones_like(a_true)
+    fits = []
     scans = {} if keep_scans else None
-    for p in range(len(pair_rows)):
-        for d in range(n_dips):
-            if not valid[p, d]:
-                continue
-            mc = None if noiseless else exposure * a_true[p, d]
-            counts = simulate_dip_scan(
-                a_true[p, d] if noiseless else 1.0, v_true[p, d], 0.0, dip_sigma,
-                positions,
-                None if noiseless else mc,
-                rng_seed=rng.integers(2 ** 63))
-            fit = fit_dip(positions, counts)
-            scale = 1.0 if noiseless else exposure
-            a_est = fit.a / scale
-            v_est = fit.v
-            if noiseless:
-                a_err = err_min = err_va = 0.0
-            elif not np.isfinite(fit.cov[:2, :2]).all():
-                # singular fit (flat dip): no usable uncertainty
-                a_err = err_min = err_va = math.inf
-            else:
-                a_err = fit.a_err / scale
-                # uncertainties of a (1 + V) and of a V from the covariance
-                var_min = (fit.cov[0, 0] * (1 + v_est) ** 2
-                           + fit.a ** 2 * fit.cov[1, 1]
-                           + 2 * fit.a * (1 + v_est) * fit.cov[0, 1]) / scale ** 2
-                var_va = (fit.cov[0, 0] * v_est ** 2 + fit.a ** 2 * fit.cov[1, 1]
-                          + 2 * fit.a * v_est * fit.cov[0, 1]) / scale ** 2
-                err_min = math.sqrt(max(var_min, 0.0))
-                err_va = math.sqrt(max(var_va, 0.0))
-            plateaus[p, d] = a_est
-            visibilities[p, d] = v_est
-            plateau_errors[p, d] = a_err
-            errors[p, d] = err_min
-            va_errors[p, d] = err_va
-            if keep_scans:
-                scans[(input_pairs[p], (int(iu[d]), int(ju[d])))] = (positions, counts)
+    for p, d in zip(*np.nonzero(valid)):
+        counts = simulate_dip_scan(
+            a_true[p, d] if noiseless else 1.0, v_true[p, d], 0.0, dip_sigma,
+            positions, None if noiseless else scale * a_true[p, d],
+            rng_seed=rng.integers(2 ** 63))
+        fits.append(fit_dip(positions, counts))
+        if keep_scans:
+            scans[(input_pairs[p], (int(iu[d]), int(ju[d])))] = (positions, counts)
 
-    # floor the uncertainties at a fraction of the typical plateau: the
-    # absolute measurement noise does not shrink with the dip size
-    if valid.any():
-        floor = max(ERROR_FLOOR * plateaus[valid].mean(), 1e-15)
-        plateau_errors[valid] = np.maximum(plateau_errors[valid], floor)
-        errors[valid] = np.maximum(errors[valid], floor)
-        va_errors[valid] = np.maximum(va_errors[valid], floor)
+    a_fit, v_fit, a_err = np.array([(f.a, f.v, f.a_err) for f in fits]).reshape(-1, 3).T
+    cov = np.array([f.cov[:2, :2] for f in fits]).reshape(-1, 2, 2)
+    c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
 
-    q_true = np.abs(t_rows) ** 2
+    def std_of_a_times(w):
+        # float_power is libm pow, as Python's float ** is; w ** 2 squares
+        # exactly and would move the last bits of the written errors
+        with np.errstate(invalid="ignore"):
+            var = (c00 * np.float_power(w, 2) + np.float_power(a_fit, 2) * c11
+                   + 2 * a_fit * w * c01) / scale ** 2
+        return np.sqrt(np.maximum(var, 0.0))
+
+    # uncertainties of a, of the dip minimum a (1 + V) and of a V: none for
+    # a singular (flat-dip) fit, zero without noise
+    errs = np.stack([a_err / scale, std_of_a_times(1 + v_fit), std_of_a_times(v_fit)])
+    errs[:, ~np.isfinite(cov).all(axis=(1, 2))] = math.inf
+    if noiseless:
+        errs[:] = 0.0
+    # floor them at a fraction of the typical plateau: the absolute
+    # measurement noise does not shrink with the dip size
+    if fits:
+        errs = np.maximum(errs, max(ERROR_FLOOR * (a_fit / scale).mean(), 1e-15))
+    plateaus, visibilities = np.zeros((2,) + a_true.shape)
+    plateaus[valid], visibilities[valid] = a_fit / scale, v_fit
+    plateau_errors, errors, va_errors = np.ones((3,) + a_true.shape)
+    plateau_errors[valid], errors[valid], va_errors[valid] = errs
+
     if noiseless:
         intensities = q_true.copy()
     else:
@@ -380,14 +429,6 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     return dataset
 
 
-def _check_determined(dataset: HomDataset):
-    if dataset.n_pairs < dataset.n_rows - 1 or \
-            not _pair_connectivity(dataset.n_rows, dataset._pair_rows):
-        raise UnderdeterminedError(
-            f"{dataset.n_pairs} input pair(s) cannot determine {dataset.n_rows} rows; "
-            "need a connected set of at least n_rows - 1 pairs")
-
-
 def reconstruct_moduli(dataset: HomDataset, normalization: bool = True,
                        norm_tolerance: float = 1e-4) -> np.ndarray:
     """Moduli minimizing the plateau chi-square, via squared moduli q >= 0.
@@ -399,48 +440,34 @@ def reconstruct_moduli(dataset: HomDataset, normalization: bool = True,
     residual unless ``normalization`` is disabled. Intensity rows, when
     present, supply the starting point.
     """
-    _check_determined(dataset)
+    _spanning_tree(dataset)   # raises when the pairs leave a row unconnected
     n_rows, n_out = dataset.n_rows, dataset.n_outputs
-    iu, ju = dataset.out_i, dataset.out_j
     if dataset.intensities is not None:
         q0 = np.clip(np.asarray(dataset.intensities, dtype=float), 0.0, None)
     else:
         q0 = np.full((n_rows, n_out), 1.0 / n_out)
-
-    pair_rows = [dataset.pair_row_indices(p) for p in range(dataset.n_pairs)]
-    data = []
-    for p, (hr, kr) in enumerate(pair_rows):
-        sel = dataset.valid[p]
-        data.append((hr, kr, iu[sel], ju[sel], dataset.plateaus[p, sel],
-                     dataset.plateau_errors[p, sel]))
+    h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
+    a_meas = dataset.plateaus[dataset.valid]
+    eps = dataset.plateau_errors[dataset.valid]
+    norm_jac = np.kron(np.eye(n_rows), np.ones(n_out)) / norm_tolerance
 
     def residuals(x):
         q = x.reshape(n_rows, n_out)
-        res = []
-        for hr, kr, ii, jj, a_meas, eps in data:
-            model = q[hr, ii] * q[kr, jj] + q[hr, jj] * q[kr, ii]
-            res.append((model - a_meas) / eps)
+        res = (_pair_sums(q, h, k, i, j) - a_meas) / eps
         if normalization:
-            res.append((q.sum(axis=1) - 1.0) / norm_tolerance)
-        return np.concatenate(res)
+            res = np.concatenate([res, (q.sum(axis=1) - 1.0) / norm_tolerance])
+        return res
 
     def jacobian(x):
+        # the four columns of a row are distinct because h != k and i != j
         q = x.reshape(n_rows, n_out)
-        blocks = []
-        for hr, kr, ii, jj, _a, eps in data:
-            jac = np.zeros((len(ii), n_rows * n_out))
-            rows = np.arange(len(ii))
-            jac[rows, hr * n_out + ii] += q[kr, jj] / eps
-            jac[rows, kr * n_out + jj] += q[hr, ii] / eps
-            jac[rows, hr * n_out + jj] += q[kr, ii] / eps
-            jac[rows, kr * n_out + ii] += q[hr, jj] / eps
-            blocks.append(jac)
-        if normalization:
-            jac = np.zeros((n_rows, n_rows * n_out))
-            for r in range(n_rows):
-                jac[r, r * n_out:(r + 1) * n_out] = 1.0 / norm_tolerance
-            blocks.append(jac)
-        return np.vstack(blocks)
+        jac = np.zeros((len(h), n_rows * n_out))
+        rows = np.arange(len(h))
+        jac[rows, h * n_out + i] = q[k, j] / eps
+        jac[rows, k * n_out + j] = q[h, i] / eps
+        jac[rows, h * n_out + j] = q[k, i] / eps
+        jac[rows, k * n_out + i] = q[h, j] / eps
+        return np.vstack([jac, norm_jac]) if normalization else jac
 
     result = least_squares(residuals, q0.ravel(), jac=jacobian,
                            bounds=(0.0, np.inf), method="trf", xtol=1e-14,
@@ -471,21 +498,22 @@ class ReconstructedSubmatrix:
         return self.moduli * np.exp(1j * self.phases)
 
 
-def _chi2_residuals(theta, moduli, dataset: HomDataset):
+def dip_residuals(theta, moduli, dataset: HomDataset) -> np.ndarray:
+    """Weighted dip residuals [a (1 + V) - |T_hi T_kj + T_hj T_ki|^2] / eps.
+
+    T = moduli exp(i theta); one entry per valid dip, in the order of the
+    dataset's dip index. Their sum of squares is the chi-square that
+    :func:`refine_chi2` minimizes.
+    """
     t = moduli * np.exp(1j * theta)
-    res = []
-    for p in range(dataset.n_pairs):
-        hr, kr = dataset.pair_row_indices(p)
-        sel = dataset.valid[p]
-        ii, jj = dataset.out_i[sel], dataset.out_j[sel]
-        amp = t[hr, ii] * t[kr, jj] + t[hr, jj] * t[kr, ii]
-        target = dataset.plateaus[p, sel] * (1.0 + dataset.visibilities[p, sel])
-        res.append((target - np.abs(amp) ** 2) / dataset.errors[p, sel])
-    return np.concatenate(res)
+    amp = _pair_sums(t, dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j)
+    v = dataset.valid
+    target = dataset.plateaus[v] * (1.0 + dataset.visibilities[v])
+    return (target - np.abs(amp) ** 2) / dataset.errors[v]
 
 
 def _chi2_cost(theta, moduli, dataset) -> float:
-    r = _chi2_residuals(theta, moduli, dataset)
+    r = dip_residuals(theta, moduli, dataset)
     return float(r @ r)
 
 
@@ -600,31 +628,11 @@ def reconstruct_phases(dataset: HomDataset, moduli) -> ReconstructedSubmatrix:
     and comparisons must be conjugation-invariant (see
     :func:`gauge_distance`).
     """
-    _check_determined(dataset)
+    edges = _spanning_tree(dataset)
     moduli = np.asarray(moduli, dtype=float)
     n_rows, n_out = moduli.shape
-    # spanning tree over rows via the measured pairs
-    tree = []          # (parent_row, child_row, psi vector)
-    solved = {0}
-    remaining = list(range(dataset.n_pairs))
-    while remaining:
-        progress = False
-        for p in list(remaining):
-            hr, kr = dataset.pair_row_indices(p)
-            if hr in solved and kr in solved:
-                remaining.remove(p)   # non-tree pair, used only by the chi-square
-                continue
-            if hr in solved or kr in solved:
-                parent, child = (hr, kr) if hr in solved else (kr, hr)
-                psi = _solve_row_difference(dataset, p, moduli)
-                tree.append((parent, child, psi))
-                solved.add(child)
-                remaining.remove(p)
-                progress = True
-        if not progress:
-            break
-    if len(solved) != n_rows:
-        raise UnderdeterminedError("input pairs do not connect all rows")
+    tree = [(parent, child, _solve_row_difference(dataset, p, moduli))
+            for p, parent, child in edges]
 
     best = None
     for signs in range(1 << len(tree)):
@@ -660,7 +668,7 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
         return theta
 
     def fun(x):
-        return _chi2_residuals(unpack(x), moduli, dataset)
+        return dip_residuals(unpack(x), moduli, dataset)
 
     x0 = candidate.phases[free].ravel()
     cost0 = _chi2_cost(candidate.phases, moduli, dataset)

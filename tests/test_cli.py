@@ -172,6 +172,73 @@ def test_reconstruct_noiseless(simulated, tmp_path):
     assert len(residual_lines) > 900
 
 
+def test_reconstruct_noisy_residuals_sum_to_chi2(simulated, tmp_path):
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, {"reconstruction": {"noise": "poisson"}})
+    out = tmp_path / "rec"
+    assert run("reconstruct", "--config", cfg, "--unitary", upath,
+               "--out", out) == 0
+    lines = (out / "residuals.csv").read_text().splitlines()
+    assert lines[0].endswith(",residual")
+    chi2 = sum(float(line.rsplit(",", 1)[1]) ** 2 for line in lines[1:])
+    doc = json.loads((out / "reconstructed.json").read_text())
+    assert chi2 == pytest.approx(doc["chi2"], rel=1e-9)
+
+
+def test_reconstruct_unresolved_dip_seed_exits_0(tmp_path):
+    # at this noise seed one shallow dip's full fit runs to a width twice
+    # the scan; taken at face value, that fit fails the |cos| consistency check
+    cfg = write_config(tmp_path, {"reconstruction": {"noise": "poisson"}})
+    chip = tmp_path / "chip.json"
+    chip.write_text(json.dumps({"seed": 12345}))
+    assert run("simulate", "--config", chip, "--out", tmp_path / "sim") == 0
+    assert run("reconstruct", "--config", cfg, "--unitary",
+               tmp_path / "sim" / "unitary.json", "--out", tmp_path / "rec",
+               "--seed", 2385068500624044428) == 0
+
+
+@pytest.fixture(scope="module")
+def dataset_doc(simulated):
+    tmp, cfg, upath = simulated
+    out = tmp / "rec_doc"
+    assert run("reconstruct", "--config", cfg, "--unitary", upath,
+               "--out", out) == 0
+    return json.loads((out / "hom_dataset.json").read_text())
+
+
+@pytest.mark.parametrize("case", ["unknown_label", "repeated_row", "short_rows",
+                                  "too_many_outputs", "nan_plateau",
+                                  "inf_visibility", "zero_error", "missing_key",
+                                  "flat_pairs"])
+def test_reconstruct_malformed_dataset_exits_2(simulated, dataset_doc, tmp_path, case):
+    _, cfg, _ = simulated
+    doc = json.loads(json.dumps(dataset_doc))
+    d = doc["valid"][0].index(1)
+    h = doc["rows"][0]
+    if case == "unknown_label":
+        doc["input_pairs"][0] = [h, 99]
+    elif case == "repeated_row":
+        doc["input_pairs"][0] = [h, h]
+    elif case == "short_rows":
+        doc["plateaus"] = [row[:-1] for row in doc["plateaus"]]
+    elif case == "too_many_outputs":
+        doc["n_outputs"] = 40
+    elif case == "nan_plateau":
+        doc["plateaus"][0][d] = float("nan")
+    elif case == "inf_visibility":
+        doc["visibilities"][0][d] = float("inf")
+    elif case == "zero_error":
+        doc["errors"][0][d] = 0.0
+    elif case == "missing_key":
+        del doc["va_errors"]
+    else:
+        doc["input_pairs"] = [h, doc["rows"][1]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("reconstruct", "--config", cfg, "--dataset", path,
+               "--out", tmp_path / "rec") == 2
+
+
 def test_reconstruct_missing_pair_exits_2(simulated, tmp_path):
     _, _, upath = simulated
     cfg = write_config(tmp_path, {

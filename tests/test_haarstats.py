@@ -166,6 +166,14 @@ class TestDeviceEnsemble:
             assert sub.shape == (len(inputs), layout.m)
             assert np.abs(sub - u[:, list(inputs)].T).max() <= 1e-12
 
+    @pytest.mark.parametrize("inputs", [(7,), (-1,), (6,), (0, 2, 0)])
+    def test_bad_inputs_rejected(self, inputs):
+        layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
+        with pytest.raises(ConfigurationError):
+            device_submatrix_ensemble(layout, CouplingModel(),
+                                      default_heater_bank(layout), inputs, 1, 0,
+                                      n_steps=4)
+
     def test_reproducibility_similarity_scale(self, device_unitary):
         # repeated intensity measurements of one column at experimental
         # count rates agree at the few-per-mille level

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlat.errors import (ConfigurationError, UndefinedVisibilityError,
                               UnderdeterminedError)
@@ -9,7 +11,7 @@ from photonlat.haarstats import haar_unitary
 from photonlat.interference import FockPattern, output_probability
 from photonlat.reconstruction import (HomDataset, ReconstructedSubmatrix,
                                       default_scan_positions, dip_profile,
-                                      fit_dip, gauge_distance, hom_plateau,
+                                      dip_residuals, fit_dip, gauge_distance, hom_plateau,
                                       hom_visibility, reconstruct_moduli,
                                       reconstruct_phases, refine_chi2,
                                       simulate_dip_scan, simulate_hom_dataset,
@@ -103,6 +105,19 @@ class TestFitDip:
         assert fit.a == pytest.approx(0.25, abs=1e-9)
         assert fit.v == pytest.approx(0.0, abs=1e-6)
 
+    def test_flat_noisy_scan_keeps_dip_inside_scan(self):
+        # a full fit of this scan collapses to a width below the point
+        # spacing; the frozen fallback must take over
+        x = default_scan_positions()
+        counts = np.array([1684, 1666, 1580, 1702, 1629, 1655, 1674, 1616, 1573,
+                           1627, 1562, 1655, 1602, 1651, 1692, 1637, 1703, 1676,
+                           1666, 1651, 1593], dtype=float)
+        fit = fit_dip(x, counts)
+        assert x.min() <= fit.x0 <= x.max()
+        assert fit.sigma >= (x.max() - x.min()) / (len(x) - 1)
+        assert fit.sigma <= (x.max() - x.min()) / 2
+        assert not np.isfinite(fit.cov[2:, 2:]).any()
+
     def test_too_few_positions_rejected(self):
         with pytest.raises(ConfigurationError):
             fit_dip(np.arange(5.0), np.ones(5))
@@ -119,6 +134,49 @@ class TestFitDip:
             if abs(fit.v - (-0.6)) <= 3 * fit.v_err:
                 hits += 1
         assert hits / trials >= 0.99
+
+
+class TestDipIndex:
+    def test_index_and_residuals_match_per_dip_loop(self, device_unitary):
+        inputs = (11, 12, 19)
+        ds = simulate_hom_dataset(device_unitary, inputs,
+                                  input_pairs=((11, 12), (19, 11), (12, 19)))
+        truth = submatrix_rows(device_unitary, inputs)
+        dips, expected = [], []
+        for p, (h, k) in enumerate(ds.input_pairs):
+            hr, kr = inputs.index(h), inputs.index(k)
+            for d in np.nonzero(ds.valid[p])[0]:
+                i, j = int(ds.out_i[d]), int(ds.out_j[d])
+                dips.append((p, hr, kr, i, j))
+                assert ds.plateaus[p, d] == pytest.approx(
+                    hom_plateau(device_unitary, h, k, i, j), abs=1e-9)
+                amp = truth[hr, i] * truth[kr, j] + truth[hr, j] * truth[kr, i]
+                target = ds.plateaus[p, d] * (1 + ds.visibilities[p, d])
+                expected.append((target - abs(amp) ** 2) / ds.errors[p, d])
+        index = zip(ds.dip_pair, ds.dip_h, ds.dip_k, ds.dip_i, ds.dip_j)
+        assert [tuple(map(int, dip)) for dip in index] == dips
+        got = dip_residuals(np.angle(truth), np.abs(truth), ds)
+        assert np.allclose(got, expected, rtol=1e-9, atol=1e-6)
+
+    @pytest.mark.parametrize("change", [
+        {"input_pairs": ((11, 99),)}, {"input_pairs": ((11, 11),)},
+        {"input_pairs": ((11, 12, 19),)},
+        {"n_outputs": 40}, {"plateaus": "short"}, {"plateaus": np.nan},
+        {"visibilities": np.inf}, {"errors": 0.0}, {"va_errors": -1.0},
+        {"intensities": "short"},
+    ])
+    def test_malformed_dataset_rejected(self, device_unitary, change):
+        doc = simulate_hom_dataset(device_unitary, (11, 12)).to_dict()
+        d = doc["valid"][0].index(1)
+        for key, val in change.items():
+            if val == "short":
+                doc[key] = [row[:-1] for row in doc[key]]
+            elif isinstance(val, float):
+                doc[key][0][d] = val
+            else:
+                doc[key] = val
+        with pytest.raises(ConfigurationError):
+            HomDataset.from_dict(doc)
 
 
 class TestModuli:
@@ -253,6 +311,21 @@ class TestGaugeDistance:
         rec = ReconstructedSubmatrix(inputs, bumped, phases)
         mr, _ = gauge_distance(rec, submatrix_rows(device_unitary, inputs))
         assert mr == pytest.approx(1e-3 / math.sqrt(3 * 32), rel=1e-6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(2, 12),
+           flips=st.integers(0, 3))
+    def test_invariant_under_phases_and_row_conjugation(self, seed, n_cols, flips):
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal((3, n_cols)) + 1j * rng.standard_normal((3, n_cols))
+        moduli, phases = gauge_fixed_truth(ref.T, range(3))
+        signs = np.array([1.0, -1.0 if flips & 1 else 1.0, -1.0 if flips & 2 else 1.0])
+        rec = ReconstructedSubmatrix((0, 1, 2), moduli, signs[:, None] * phases)
+        row_phase = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, 1)))
+        col_phase = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(1, n_cols)))
+        mr, pr = gauge_distance(rec, ref * row_phase * col_phase)
+        assert mr < 1e-12
+        assert pr <= 1e-9
 
     def test_shape_mismatch_rejected(self, device_unitary):
         moduli, phases = gauge_fixed_truth(device_unitary, (11, 12, 19))
