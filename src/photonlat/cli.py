@@ -22,7 +22,7 @@ import numpy as np
 from . import footprint as fp
 from . import haarstats, interference, reconstruction, validation
 from .errors import ConfigurationError, NumericalError
-from .evolution import propagate, unitarity_defect
+from .evolution import MAX_UNITARITY_DEFECT, propagate, unitarity_defect
 from .lattice import CouplingModel, LatticeSpec, build_lattice, default_heater_bank
 
 STREAM_NAMES = ("lattice", "powers", "sampling", "noise", "ensemble")
@@ -166,6 +166,15 @@ def _write_histogram_csv(path, hist: haarstats.Histogram) -> None:
     _write_csv(path, ["edge_low", "edge_high", "mass"], rows)
 
 
+def _count(config, section, key, limit) -> int:
+    """``config[section][key]``, checked to be a whole number in 1..limit."""
+    value = config[section][key]
+    if not isinstance(value, int) or not 1 <= value <= limit:
+        raise ConfigurationError(
+            f"{section}.{key} = {value!r} must be a whole number in 1..{limit}")
+    return value
+
+
 def _kept_outputs(config):
     m = config["lattice"]["rows"] * config["lattice"]["cols"]
     n = config["photons"]["n"]
@@ -193,8 +202,9 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     u = device_unitary(config)
     defect = unitarity_defect(u)
-    if defect > 1e-9:
-        raise NumericalError(f"unitarity defect {defect:.3e} exceeds 1e-9")
+    if defect > MAX_UNITARITY_DEFECT:
+        raise NumericalError(
+            f"unitarity defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
     write_unitary(out / "unitary.json", u, config)
     print(f"wrote {out / 'unitary.json'} (defect {defect:.3e})")
     return 0
@@ -327,7 +337,6 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rec_cfg = config["reconstruction"]
-    n_rows = rec_cfg["n_rows"]
 
     scans = None
     if args.dataset is not None:
@@ -340,7 +349,8 @@ def cmd_reconstruct(args) -> int:
         if args.unitary is None:
             raise ConfigurationError("reconstruct needs --unitary or --dataset")
         u = read_unitary(args.unitary)
-        inputs = config["inputs"][:n_rows]
+        inputs = config["inputs"][:_count(config, "reconstruction", "n_rows",
+                                          len(config["inputs"]))]
         pairs = rec_cfg.get("input_pairs")
         if pairs is not None:
             pairs = tuple((int(h), int(k)) for h, k in pairs)
@@ -414,10 +424,12 @@ def cmd_haar(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     hcfg = config["haar"]
-    m, rows = hcfg["m"], hcfg["rows"]
+    m = hcfg["m"]
+    # --device takes its rows from the configured inputs
+    rows = _count(config, "haar", "rows",
+                  min(m, len(config["inputs"])) if args.device else m)
     seeds = stream_seed(config["seed"], "ensemble").spawn(hcfg["n_matrices"] + 3)
-    subs = [haarstats.haar_unitary(m, s).entries[:rows, :]
-            for s in seeds[:hcfg["n_matrices"]]]
+    subs = haarstats._haar_batch(m, seeds[:hcfg["n_matrices"]])[:, :rows, :]
     mod_hist, phase_hist = haarstats.ensemble_moduli_phase_histograms(subs)
     sim_hist = haarstats.column_similarity_distribution(
         m, hcfg["columns"], seeds[-3], n_bins=hcfg["similarity_pairs_bins"])

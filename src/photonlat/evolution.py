@@ -34,6 +34,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .lattice import CouplingModel, HeaterBank, WaveguideLayout, coupling_coefficient
 
+MAX_UNITARITY_DEFECT = 1e-9   # largest defect accepted of a circuit unitary
+
 # Gauss-Legendre nodes and the CF4 combination weights
 _GL1 = 0.5 - math.sqrt(3.0) / 6.0
 _GL2 = 0.5 + math.sqrt(3.0) / 6.0

@@ -47,19 +47,27 @@ class Histogram:
         return cls(edges, counts / total)
 
 
-def haar_unitary(m: int, rng_seed) -> UnitaryMatrix:
-    """Haar-distributed m x m unitary via QR of a complex Ginibre matrix.
+def _haar_batch(m: int, seeds) -> np.ndarray:
+    """(E, m, m) Haar unitaries, one per seed, by one stacked QR of complex
+    Ginibre matrices.
 
     The R-diagonal phases are divided out so the distribution is exactly
     invariant under one-sided multiplication by fixed unitaries.
     """
     if m < 1:
         raise ConfigurationError("m must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+    z = np.empty((len(seeds), m, m), dtype=complex)
+    for e, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[e] = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(m: int, rng_seed) -> UnitaryMatrix:
+    """Haar-distributed m x m unitary: one draw of :func:`_haar_batch`."""
+    q = _haar_batch(m, [rng_seed])[0]
     return UnitaryMatrix(m, q, unitarity_defect(q))
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, NumericalError
+from .evolution import MAX_UNITARITY_DEFECT, unitarity_defect
 
 MAX_PERMANENT_SIZE = 20
 MAX_TABLE_BYTES = 256 * 2**20  # mode lists, probabilities and factorials of one table
@@ -123,6 +124,8 @@ def spdc_branch_pattern(branch: str, input_modes, m: int) -> FockPattern:
         raise ConfigurationError("SPDC source needs 4 designated input modes")
     if branch not in SPDC_BRANCHES:
         raise ConfigurationError(f"unknown SPDC branch {branch!r}")
+    if not all(0 <= mode < m for mode in input_modes):
+        raise ConfigurationError(f"input modes {list(input_modes)} must lie in [0, {m})")
     occ = [0] * m
     for mode, count in zip(input_modes, (int(ch) for ch in branch)):
         occ[mode] += count
@@ -270,11 +273,17 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
     """Exact probability table over enumerated output patterns.
 
     With collisions included the table sums to one; collision-free tables
-    carry their raw probabilities plus the total enumerated mass.
+    carry their raw probabilities plus the total enumerated mass. A U that
+    is not unitary to ``MAX_UNITARITY_DEFECT`` (1e-9), or not finite, raises
+    :class:`ConfigurationError`.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ConfigurationError(f"U must be square, got shape {u.shape}")
+    defect = unitarity_defect(u)
+    if not defect <= MAX_UNITARITY_DEFECT:
+        raise ConfigurationError(
+            f"U is not unitary: defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
     m = u.shape[0]
     n = input_pattern.n
     if input_pattern.m != m:

@@ -15,6 +15,16 @@ hypothesis. Rescoring one event stream against an ensemble of
 Haar-random unitaries that do not match the circuit yields the
 wrong-unitary slope histogram used to benchmark the reconstruction: a
 faithful stream scores several standard deviations above it.
+
+Both tests and the ensemble share one kernel, :func:`_counter_steps`. It
+builds the event index once (the kept events of each input group and
+their output array; an event whose output does not carry its input's
+photon number is rejected and tallied) and scores an (E, m, m) stack of
+unitaries: W as one row-sum array and one gather-and-product per input
+group, C through :func:`interference._probabilities` on the gathered
+submatrices, chunked over unitaries to ``_CHUNK_BYTES`` / 16 (4 MB) of
+submatrices per step. Modes that are not whole numbers in [0, m) and a
+non-square U raise :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .haarstats import Histogram, haar_unitary
-from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
+from .haarstats import Histogram, _haar_batch
+from .interference import (_CHUNK_BYTES, SPDC_BRANCHES, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
                            spdc_branch_pattern)
 
@@ -60,63 +70,81 @@ def _trace_from_steps(steps, test_kind, n_rejected) -> ValidationTrace:
     return ValidationTrace(counters, test_kind, slope, intercept, n_rejected)
 
 
-def _group_by_input(events):
-    groups = {}
-    for idx, ev in enumerate(events):
-        groups.setdefault(tuple(ev.input_modes), []).append(idx)
-    return groups
+def _square(u) -> np.ndarray:
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ConfigurationError(f"U must be square, got shape {u.shape}")
+    return u
+
+
+def _modes(modes, m: int, what: str) -> np.ndarray:
+    modes = np.asarray(modes)
+    if modes.size and (modes.dtype.kind not in "iu" or modes.min() < 0 or modes.max() >= m):
+        raise ConfigurationError(f"{what} modes must be whole numbers in [0, {m})")
+    return modes.astype(np.intp)
+
+
+def _counter_steps(events, us, test_kind: str, n: int | None = None,
+                   m: int | None = None, inputs=None) -> np.ndarray:
+    """(E, K) counter steps of K events against an (E, m, m) unitary stack.
+
+    The event index is built once: events are grouped by the inputs that
+    score them, ``inputs`` as (weight, input columns) pairs for every event
+    or by default each event's own recorded input, and an event whose
+    output does not carry as many photons as those inputs (and, in the W
+    test, n) is rejected. W steps +1 where P >= (n/m)^n, C steps +1 where
+    L = q/d >= 1, both -1 otherwise; 0 marks an event that does not count,
+    a rejected one or, in the C test, one with d <= 0. The gathered C
+    submatrices are chunked over unitaries to ``_CHUNK_BYTES`` / 16 bytes
+    per step, which keeps the rescoring's peak memory flat.
+    """
+    m_u = us.shape[-1]
+    steps = np.zeros((len(us), len(events)), dtype=int)
+    by_input = {}
+    for i, ev in enumerate(events):
+        by_input.setdefault(tuple(ev.input_modes) if inputs is None else None, []).append(i)
+    for key, idxs in by_input.items():
+        scored = [(w, _modes(c, m_u, "input"))
+                  for w, c in ([(1.0, key)] if inputs is None else inputs)]
+        n_in = len(scored[0][1])
+        idx = np.array([i for i in idxs if len(events[i].output) == n_in
+                        and (test_kind != "uniform" or n == n_in)], dtype=np.intp)
+        if n_in == 0 or len(idx) == 0:
+            continue
+        outs = _modes([events[i].output for i in idx], m_u, "output").reshape(len(idx), n_in)
+        if test_kind == "uniform":
+            p = (np.abs(us[:, :, scored[0][1]]) ** 2).sum(axis=2)[:, outs].prod(axis=2)
+            steps[:, idx] = np.where(p >= (n / m) ** n, 1, -1)
+            continue
+        t_facts = [_occupation_factorial(FockPattern.from_modes(c, m_u)) for _, c in scored]
+        per_step = max(1, _CHUNK_BYTES // (16 * 16 * n_in * outs.size * len(scored)))
+        for e0 in range(0, len(us), per_step):
+            subs = [(w, t_fact,
+                     us[e0:e0 + per_step, outs[:, :, None], cols].reshape(-1, n_in, n_in))
+                    for (w, cols), t_fact in zip(scored, t_facts)]
+            q, d = (sum(w * _probabilities(sub, stats, 1.0, t_fact) for w, t_fact, sub in subs)
+                    for stats in ("indistinguishable", "distinguishable"))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
+            local = np.where(np.isnan(ratio), 0, np.where(ratio >= 1.0, 1, -1))
+            steps[e0:e0 + per_step, idx] = local.reshape(-1, len(idx))
+    return steps
+
+
+def _trace(steps, test_kind) -> ValidationTrace:
+    return _trace_from_steps(steps[steps != 0], test_kind, int((steps == 0).sum()))
 
 
 def run_uniform_test(events, u, n: int, m: int) -> ValidationTrace:
     """Counter W of the uniform-sampler likelihood test.
 
-    Events whose output does not carry exactly n photons are rejected and
-    tallied. ``m`` is the number of modes entering the benchmark
-    (n/m)^n, i.e. the detected modes of the run (31 when one output is
-    sacrificed as the trigger).
+    Events whose output or recorded input does not carry exactly n
+    photons are rejected and tallied. ``m`` is the number of modes
+    entering the benchmark (n/m)^n, i.e. the detected modes of the run
+    (31 when one output is sacrificed as the trigger).
     """
-    u = np.asarray(u, dtype=complex)
-    threshold = (n / m) ** n
-    steps = np.zeros(len(events), dtype=int)
-    keep = np.zeros(len(events), dtype=bool)
-    for cols, idxs in _group_by_input(events).items():
-        row_sum = (np.abs(u[:, list(cols)]) ** 2).sum(axis=1)
-        outs = np.array([events[i].output for i in idxs
-                         if len(events[i].output) == n], dtype=np.intp)
-        ok = [i for i in idxs if len(events[i].output) == n]
-        if len(ok) == 0:
-            continue
-        p = row_sum[outs].prod(axis=1)
-        steps[ok] = np.where(p >= threshold, 1, -1)
-        keep[ok] = True
-    return _trace_from_steps(steps[keep], "uniform", int((~keep).sum()))
-
-
-def _distinguishable_steps(events, u, mixture=None):
-    """+1/-1 steps of the C counter; 0 flags a skipped (d = 0) event.
-
-    ``mixture`` lists (weight, input columns) pairs that score every
-    event; by default each event is scored with its own recorded input.
-    """
-    u = np.asarray(u, dtype=complex)
-    steps = np.zeros(len(events), dtype=int)
-    if mixture is None:
-        groups = [(idxs, [(1.0, cols)]) for cols, idxs in _group_by_input(events).items()]
-    else:
-        groups = [(list(range(len(events))), mixture)] if events else []
-    for idxs, inputs in groups:
-        outs = np.array([events[i].output for i in idxs], dtype=np.intp)
-        q = d = 0.0
-        for w, cols in inputs:
-            t_fact = _occupation_factorial(FockPattern.from_modes(cols, u.shape[0]))
-            subs = u[outs[:, :, None], np.array(cols, dtype=np.intp)[None, None, :]]
-            q = q + w * _probabilities(subs, "indistinguishable", 1.0, t_fact)
-            d = d + w * _probabilities(subs, "distinguishable", 1.0, t_fact)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
-        local = np.where(np.isnan(ratio), 0, np.where(ratio >= 1.0, 1, -1))
-        steps[idxs] = local
-    return steps
+    u = _square(u)
+    return _trace(_counter_steps(events, u[None], "uniform", n, m)[0], "uniform")
 
 
 def run_distinguishable_test(events, u, input_pattern: FockPattern | None = None,
@@ -129,9 +157,11 @@ def run_distinguishable_test(events, u, input_pattern: FockPattern | None = None
     ``weights`` together with the four designated ``input_modes`` scores
     each event against the branch-weighted SPDC mixture instead, which is
     what an experiment without per-event branch knowledge has to do.
-    Events with d = 0 are skipped and tallied.
+    Events whose output does not carry the photon number of the inputs
+    scoring them are rejected, and events with d = 0 skipped; both are
+    tallied in ``n_rejected``.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _square(u)
     mixture = None
     if weights is not None:
         if input_modes is None or len(input_modes) != 4:
@@ -141,9 +171,8 @@ def run_distinguishable_test(events, u, input_pattern: FockPattern | None = None
                    for w, b in zip(weights.normalized, SPDC_BRANCHES)]
     elif input_pattern is not None:
         mixture = [(1.0, input_pattern.modes())]
-    steps = _distinguishable_steps(events, u, mixture)
-    return _trace_from_steps(steps[steps != 0], "distinguishable",
-                             int((steps == 0).sum()))
+    return _trace(_counter_steps(events, u[None], "distinguishable", inputs=mixture)[0],
+                  "distinguishable")
 
 
 def normalize_trace(trace: ValidationTrace, reference: ValidationTrace) -> ValidationTrace:
@@ -177,29 +206,24 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     Returns the slope histogram (normalized to ``reference_slope`` when
     given, as in a distinguishable-data normalization), the ensemble mean
     and standard deviation, and the z-score of the true-unitary slope
-    against the ensemble.
+    against the ensemble. The ensemble is drawn as one (E, m, m) stack
+    from the spawned seeds of ``rng_seed`` and rescored, together with
+    the true unitary, in one call of the scoring kernel.
     """
     if ensemble_size < 2:
         raise ConfigurationError(
             "z-score needs an ensemble of at least 2 unitaries")
     if test_kind not in ("uniform", "distinguishable"):
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
-    true_u = np.asarray(true_u, dtype=complex)
-    m_full = true_u.shape[0]
+    true_u = _square(true_u)
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
-    seeds = rng_seed.spawn(ensemble_size)
-
-    def score(u):
-        if test_kind == "uniform":
-            return run_uniform_test(events, u, n, m).slope
-        steps = _distinguishable_steps(events, u)
-        return _trace_from_steps(steps[steps != 0], test_kind, 0).slope
-
-    true_slope = score(true_u)
-    slopes = np.array([score(haar_unitary(m_full, s).entries) for s in seeds])
+    us = np.concatenate([true_u[None],
+                         _haar_batch(true_u.shape[0], rng_seed.spawn(ensemble_size))])
+    true_slope, *slopes = (_trace(row, test_kind).slope
+                           for row in _counter_steps(events, us, test_kind, n, m))
     scale = abs(reference_slope) if reference_slope else 1.0
-    norm_slopes = slopes / scale
+    norm_slopes = np.array(slopes) / scale
     mean = float(norm_slopes.mean())
     std = float(norm_slopes.std(ddof=1))
     if std == 0:

@@ -156,6 +156,22 @@ def test_validate_photon_mismatch_exits_2(simulated, tmp_path):
     assert code == 2
 
 
+def test_validate_out_of_range_output_exits_2(simulated, tmp_path):
+    tmp, cfg, upath = simulated
+    sdir = tmp_path / "samples"
+    run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
+        "--events", 30)
+    lines = (sdir / "samples.jsonl").read_text().splitlines()
+    rec = json.loads(lines[5])
+    rec["output"] = [1, 3, 40]
+    lines[5] = json.dumps(rec, sort_keys=True)
+    (sdir / "samples.jsonl").write_text("\n".join(lines) + "\n")
+    for test in ("uniform", "distinguishable"):
+        assert run("validate", "--config", cfg, "--unitary", upath,
+                   "--samples", sdir / "samples.jsonl", "--out", tmp_path / "v",
+                   "--test", test, "--ensemble", 10) == 2
+
+
 def test_reconstruct_noiseless(simulated, tmp_path):
     _, cfg, upath = simulated
     out = tmp_path / "rec"
@@ -236,6 +252,14 @@ def test_reconstruct_malformed_dataset_exits_2(simulated, dataset_doc, tmp_path,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run("reconstruct", "--config", cfg, "--dataset", path,
+               "--out", tmp_path / "rec") == 2
+
+
+@pytest.mark.parametrize("n_rows", [5, -1, 0])
+def test_reconstruct_row_count_beyond_inputs_exits_2(simulated, tmp_path, n_rows):
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, {"reconstruction": {"n_rows": n_rows}})
+    assert run("reconstruct", "--config", cfg, "--unitary", upath,
                "--out", tmp_path / "rec") == 2
 
 
@@ -335,6 +359,13 @@ def test_haar_device_ensemble(tmp_path):
     for key in ("moduli_overlap", "phase_overlap", "column_similarity_overlap"):
         assert 0.0 <= overlaps[key] <= 1.0
     assert (out / "device_moduli_hist.csv").exists()
+
+
+@pytest.mark.parametrize("rows, device", [(5, True), (0, False), (-1, False), (33, False)])
+def test_haar_row_count_out_of_range_exits_2(tmp_path, rows, device):
+    cfg = write_config(tmp_path, {"haar": {"rows": rows}})
+    flags = ["--device"] if device else []
+    assert run("haar", "--config", cfg, "--out", tmp_path / "haar", *flags) == 2
 
 
 def test_haar_device_rerun_byte_identical(tmp_path):

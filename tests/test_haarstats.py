@@ -6,7 +6,7 @@ from scipy.stats import chisquare, kstest
 
 from photonlat.errors import ConfigurationError
 from photonlat.evolution import propagate
-from photonlat.haarstats import (Histogram, column_similarity_distribution,
+from photonlat.haarstats import (Histogram, _haar_batch, column_similarity_distribution,
                                  device_submatrix_ensemble,
                                  ensemble_moduli_phase_histograms, gauge_fix_phases,
                                  haar_columns, haar_unitary, histogram_overlap,
@@ -45,6 +45,11 @@ class TestHaarUnitary:
         a = haar_unitary(6, rng_seed=11).entries
         b = haar_unitary(6, rng_seed=11).entries
         assert np.array_equal(a, b)
+
+    def test_stacked_draw_matches_per_seed(self):
+        seeds = np.random.SeedSequence(9).spawn(25)
+        stack = _haar_batch(12, seeds)
+        assert np.array_equal(stack, [haar_unitary(12, s).entries for s in seeds])
 
     def test_mean_squared_modulus(self):
         m, n_samples = 32, 1000

@@ -112,6 +112,18 @@ class TestPermanentProperties:
         assert abs(per_mixed - (x * per_a + y * per_b)) <= 1e-12 * scale
 
 
+class TestDistributionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           statistics=st.sampled_from(["indistinguishable", "distinguishable"]),
+           data=st.data())
+    def test_table_with_collisions_has_unit_mass(self, m, seed, statistics, data):
+        modes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+        table = distribution(haar_unitary(m, seed).entries, FockPattern.from_modes(modes, m),
+                             statistics=statistics, collision_free=False)
+        assert abs(table.total_mass - 1.0) <= 1e-10
+
+
 class TestScatteringSubmatrix:
     def test_single_photon_each_mode_is_u(self):
         u = rand_complex(2, 0)
@@ -268,6 +280,17 @@ class TestDistribution:
         u = haar_unitary(8, 0).entries[:, :u_cols]
         with pytest.raises(ConfigurationError):
             distribution(u, FockPattern.from_modes(modes, m), outputs=outputs)
+
+    @pytest.mark.parametrize("bad", ["scaled", "nan"])
+    def test_rejects_non_unitary(self, bad):
+        # unchecked, 2U gives a table of mass 64 and a NaN entry one of mass NaN
+        u = haar_unitary(8, 0).entries
+        if bad == "scaled":
+            u = 2 * u
+        else:
+            u[3, 1] = np.nan
+        with pytest.raises(ConfigurationError):
+            distribution(u, FockPattern.from_modes((0, 1, 2), 8), collision_free=False)
 
     def test_six_photons_on_31_outputs(self, device_unitary):
         outputs = [i for i in range(32) if i != 31]

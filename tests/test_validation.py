@@ -114,6 +114,12 @@ class TestDistinguishableTest:
         assert per_branch.slope > 0
         assert marginal.n_events == 400
 
+    @pytest.mark.parametrize("modes", [(11, 12, 19, 32), (11, 12, 19, -1)])
+    def test_mixture_input_modes_out_of_range_rejected(self, device_unitary, streams, modes):
+        with pytest.raises(ConfigurationError):
+            val.run_distinguishable_test(streams["bs"], device_unitary,
+                                         weights=itf.spdc_weights(1.0), input_modes=modes)
+
     def test_mixture_scoring_matches_per_event_probabilities(self, device_unitary):
         u = device_unitary
         weights = itf.spdc_weights(1.7)
@@ -129,6 +135,42 @@ class TestDistinguishableTest:
                     for stats in ("indistinguishable", "distinguishable"))
             want.append(1 if q >= d else -1)
         assert np.array_equal(trace.counters, np.cumsum(want))
+
+
+def score(test, events, u):
+    if test == "uniform":
+        return val.run_uniform_test(events, u, 3, 32)
+    return val.run_distinguishable_test(events, u)
+
+
+@pytest.mark.parametrize("test", ["uniform", "distinguishable"])
+class TestInputChecks:
+    @pytest.mark.parametrize("inp, out", [
+        pytest.param((0, 1, 2), (0, 1, -1), id="negative-output"),
+        pytest.param((0, 1, 2), (0, 1, 32), id="output-beyond-m"),
+        pytest.param((0, 1, 2), (0, 1, 2.5), id="fractional-output"),
+        pytest.param((0, 1, -1), (0, 1, 2), id="negative-input"),
+        pytest.param((0, 1, 32), (0, 1, 2), id="input-beyond-m"),
+    ])
+    def test_out_of_range_modes_rejected(self, test, inp, out):
+        u = haar_unitary(32, rng_seed=1).entries
+        events = [itf.SampleEvent(0, "fock", (0, 1, 2), (3, 4, 5), False),
+                  itf.SampleEvent(1, "fock", inp, out, False)]
+        with pytest.raises(ConfigurationError):
+            score(test, events, u)
+
+    def test_nonsquare_u_rejected(self, test):
+        u = haar_unitary(8, rng_seed=1).entries[:, :5]
+        with pytest.raises(ConfigurationError):
+            score(test, [itf.SampleEvent(0, "fock", (0, 1, 2), (0, 1, 2), False)], u)
+
+    def test_wrong_photon_number_rejected(self, test, device_unitary, streams):
+        events = streams["bs"][:50] + [
+            itf.SampleEvent(9998, "fock", INPUTS3, (1, 2), False),
+            itf.SampleEvent(9999, "fock", INPUTS3, (1, 2, 3, 4), False)]
+        trace = score(test, events, device_unitary)
+        assert trace.n_rejected - score(test, streams["bs"][:50], device_unitary).n_rejected == 2
+        assert trace.n_events + trace.n_rejected == 52
 
 
 class TestWrongUnitaryEnsemble:
@@ -162,6 +204,35 @@ class TestWrongUnitaryEnsemble:
         with pytest.raises(ConfigurationError):
             val.wrong_unitary_slope_histogram(streams["bs"][:50], device_unitary,
                                               "uniform", 3, 31, 1, rng_seed=0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["uniform", "distinguishable"])
+    def test_slopes_equal_per_unitary_rescoring(self, device_unitary, n, kind):
+        u = device_unitary
+        if n == 3:
+            table = itf.distribution(u, itf.FockPattern.from_modes(INPUTS3, 32),
+                                     outputs=OUTPUTS31)
+            events, m = itf.sample(table, rng_seed=12, count=1000), 31
+        else:
+            events, m = itf.spdc_sample(u, itf.spdc_weights(1.0), "indistinguishable",
+                                        12, 1000, INPUTS4), 32
+
+        def slope(v):
+            if kind == "uniform":
+                return val.run_uniform_test(events, v, n, m).slope
+            return val.run_distinguishable_test(events, v).slope
+
+        # 40 unitaries span several C chunks of the stack at 1000 events
+        ens = val.wrong_unitary_slope_histogram(events, u, kind, n, m, 40, rng_seed=13)
+        seeds = np.random.SeedSequence(13).spawn(40)
+        assert ens.true_slope == slope(u)
+        assert np.array_equal(ens.slopes, [slope(haar_unitary(32, s).entries) for s in seeds])
+
+    def test_nonsquare_u_rejected(self, streams):
+        u = haar_unitary(8, rng_seed=1).entries[:, :5]
+        with pytest.raises(ConfigurationError):
+            val.wrong_unitary_slope_histogram(streams["bs"][:50], u, "uniform",
+                                              3, 31, 10, rng_seed=0)
 
     def test_unknown_kind_rejected(self, device_unitary, streams):
         with pytest.raises(ConfigurationError):
