@@ -37,7 +37,7 @@ DEFAULT_CONFIG = {
     "inputs": [11, 12, 19, 20],
     "dropped_output": 31,
     "photons": {"n": 3, "statistics": "indistinguishable", "spdc_ratio": 1.0},
-    "evolution": {"n_steps": 1024, "k0": 0.0, "method": "cf4"},
+    "evolution": {"n_steps": 1024},
     "sampling": {"count": 1000},
     "reconstruction": {"n_rows": 3, "noise": "none", "mean_plateau_counts": 1e4,
                        "input_pairs": None},
@@ -49,23 +49,34 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(defaults, override):
-    out = dict(defaults)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
+NOISE_MODELS = ("none", "poisson")
+
+
+def _merge(defaults, override, where="config"):
+    """``defaults`` overridden by ``override``, every section a new dict.
+
+    The schema is closed: a key that ``defaults`` lacks, or a section that
+    is not an object, raises.
+    """
+    if not isinstance(override, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    for key in override:
+        if key not in defaults:
+            raise ConfigurationError(f"unknown config key {where}.{key}")
+    return {key: _merge(val, override.get(key, {}), f"{where}.{key}")
+            if isinstance(val, dict) else override.get(key, val)
+            for key, val in defaults.items()}
 
 
 def load_config(path, seed_override=None) -> dict:
+    """The config file merged over ``DEFAULT_CONFIG``, whose keys, plus the
+    top-level ``seed``, are the only ones accepted."""
     with open(path) as fh:
         user = json.load(fh)
-    config = _merge(DEFAULT_CONFIG, user)
+    config = _merge({**DEFAULT_CONFIG, "seed": None}, user)
     if seed_override is not None:
         config["seed"] = int(seed_override)
-    if "seed" not in config:
+    if config["seed"] is None:
         raise ConfigurationError("config must set an explicit 64-bit 'seed'")
     m = config["lattice"]["rows"] * config["lattice"]["cols"]
     for mode in config["inputs"]:
@@ -121,9 +132,7 @@ def build_device(config):
 
 def device_unitary(config) -> np.ndarray:
     layout, model, bank = build_device(config)
-    evo = config["evolution"]
-    return propagate(layout, model, bank, n_steps=evo["n_steps"], k0=evo["k0"],
-                     method=evo["method"]).entries
+    return propagate(layout, model, bank, n_steps=config["evolution"]["n_steps"]).entries
 
 
 def write_unitary(path, u: np.ndarray, config) -> None:
@@ -166,7 +175,7 @@ def _write_histogram_csv(path, hist: haarstats.Histogram) -> None:
     _write_csv(path, ["edge_low", "edge_high", "mass"], rows)
 
 
-def _count(config, section, key, limit) -> int:
+def _count(config, section, key, limit=math.inf) -> int:
     """``config[section][key]``, checked to be a whole number in 1..limit."""
     value = config[section][key]
     if not isinstance(value, int) or not 1 <= value <= limit:
@@ -196,6 +205,24 @@ def _fixed_input_pattern(config) -> interference.FockPattern:
     raise ConfigurationError("photons.n must be 3 or 4 for sampling runs")
 
 
+def _draw_stream(config, u, statistics, seed, count, collision_free=True):
+    """``count`` events of the configured source through ``u``: the SPDC
+    two-pair mixture for n = 4, the fixed Fock input otherwise."""
+    outputs = _kept_outputs(config)
+    if config["photons"]["n"] == 4:
+        if not collision_free:
+            raise ConfigurationError(
+                "the SPDC mixture sampler is defined on the collision-free "
+                "subspace only")
+        weights = interference.spdc_weights(config["photons"]["spdc_ratio"])
+        return interference.spdc_sample(u, weights, statistics, seed, count,
+                                        config["inputs"], outputs=outputs)
+    table = interference.distribution(u, _fixed_input_pattern(config),
+                                      statistics=statistics,
+                                      collision_free=collision_free, outputs=outputs)
+    return interference.sample(table, seed, count)
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config, args.seed)
     out = Path(args.out)
@@ -220,23 +247,8 @@ def cmd_sample(args) -> int:
     n = config["photons"]["n"]
     statistics = config["photons"]["statistics"]
     count = config["sampling"]["count"]
-    seed = _stream_int(config["seed"], "sampling")
-    outputs = _kept_outputs(config)
-    collision_free = args.collision_free != "false"
-    if n == 4:
-        if not collision_free:
-            raise ConfigurationError(
-                "the SPDC mixture sampler is defined on the collision-free "
-                "subspace only")
-        weights = interference.spdc_weights(config["photons"]["spdc_ratio"])
-        events = interference.spdc_sample(u, weights, statistics, seed, count,
-                                          config["inputs"], outputs=outputs)
-    else:
-        table = interference.distribution(u, _fixed_input_pattern(config),
-                                          statistics=statistics,
-                                          collision_free=collision_free,
-                                          outputs=outputs)
-        events = interference.sample(table, seed, count)
+    events = _draw_stream(config, u, statistics, _stream_int(config["seed"], "sampling"),
+                          count, collision_free=args.collision_free != "false")
     path = out / "samples.jsonl"
     with open(path, "w") as fh:
         header = {"record": "header", "config_sha256": config_hash(config),
@@ -253,14 +265,25 @@ def cmd_sample(args) -> int:
 
 
 def read_samples(path, config):
-    """Events from a JSONL file, input modes rebuilt from branch labels."""
+    """Events from a JSONL file, input modes rebuilt from branch labels.
+
+    The file must start with the header ``sample`` writes, and its
+    ``config_sha256`` must be the hash of ``config`` with ``sampling.count``
+    set to the header's event count, which is what ``sample --events`` hashes.
+    """
     m = config["lattice"]["rows"] * config["lattice"]["cols"]
     events = []
     with open(path) as fh:
+        header = json.loads(fh.readline() or "{}")
+        if not isinstance(header, dict) or header.get("record") != "header":
+            raise ConfigurationError(f"{path} does not start with a sample header")
+        written = {**config, "sampling": {**config["sampling"],
+                                          "count": header.get("events")}}
+        if header.get("config_sha256") != config_hash(written):
+            raise ConfigurationError(
+                f"{path} was sampled under a different config or seed")
         for line in fh:
             rec = json.loads(line)
-            if rec.get("record") == "header":
-                continue
             branch = rec["branch"]
             if branch in interference.SPDC_BRANCHES:
                 pattern = interference.spdc_branch_pattern(branch, config["inputs"], m)
@@ -288,18 +311,8 @@ def cmd_validate(args) -> int:
         trace = validation.run_distinguishable_test(events, u)
 
     # paired distinguishable stream on the same circuit for normalization
-    seed_noise = _stream_int(config["seed"], "noise")
-    outputs = _kept_outputs(config)
-    if n == 4:
-        weights = interference.spdc_weights(config["photons"]["spdc_ratio"])
-        ref_events = interference.spdc_sample(u, weights, "distinguishable",
-                                              seed_noise, len(events),
-                                              config["inputs"], outputs=outputs)
-    else:
-        ref_table = interference.distribution(u, _fixed_input_pattern(config),
-                                              statistics="distinguishable",
-                                              collision_free=True, outputs=outputs)
-        ref_events = interference.sample(ref_table, seed_noise, len(events))
+    ref_events = _draw_stream(config, u, "distinguishable",
+                              _stream_int(config["seed"], "noise"), len(events))
     if args.test == "uniform":
         ref_trace = validation.run_uniform_test(ref_events, u, n, m_eff)
     else:
@@ -334,9 +347,12 @@ def cmd_validate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     config = load_config(args.config, args.seed)
+    rec_cfg = config["reconstruction"]
+    if rec_cfg["noise"] not in NOISE_MODELS:
+        raise ConfigurationError(
+            f"reconstruction.noise = {rec_cfg['noise']!r} must be one of {NOISE_MODELS}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rec_cfg = config["reconstruction"]
 
     scans = None
     if args.dataset is not None:
@@ -421,15 +437,20 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_haar(args) -> int:
     config = load_config(args.config, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     hcfg = config["haar"]
     m = hcfg["m"]
+    lattice_m = config["lattice"]["rows"] * config["lattice"]["cols"]
+    if args.device and m != lattice_m:
+        raise ConfigurationError(
+            f"haar.m = {m!r} must equal the lattice's {lattice_m} modes with --device")
     # --device takes its rows from the configured inputs
     rows = _count(config, "haar", "rows",
                   min(m, len(config["inputs"])) if args.device else m)
-    seeds = stream_seed(config["seed"], "ensemble").spawn(hcfg["n_matrices"] + 3)
-    subs = haarstats._haar_batch(m, seeds[:hcfg["n_matrices"]])[:, :rows, :]
+    n_matrices = _count(config, "haar", "n_matrices")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    seeds = stream_seed(config["seed"], "ensemble").spawn(n_matrices + 3)
+    subs = haarstats._haar_batch(m, seeds[:n_matrices])[:, :rows, :]
     mod_hist, phase_hist = haarstats.ensemble_moduli_phase_histograms(subs)
     sim_hist = haarstats.column_similarity_distribution(
         m, hcfg["columns"], seeds[-3], n_bins=hcfg["similarity_pairs_bins"])
@@ -439,7 +460,7 @@ def cmd_haar(args) -> int:
     if args.device:
         layout, model, bank = build_device(config)
         dev_subs = haarstats.device_submatrix_ensemble(
-            layout, model, bank, config["inputs"][:rows], hcfg["n_matrices"],
+            layout, model, bank, config["inputs"][:rows], n_matrices,
             seeds[-2], power_range=tuple(config["heaters"]["power_range_mw"]),
             n_steps=config["evolution"]["n_steps"])
         dev_mod, dev_phase = haarstats.ensemble_moduli_phase_histograms(dev_subs)
@@ -448,9 +469,8 @@ def cmd_haar(args) -> int:
             layout, model, bank, config["inputs"][:1], hcfg["columns"],
             seeds[-1], power_range=tuple(config["heaters"]["power_range_mw"]),
             n_steps=config["evolution"]["n_steps"])
-        q_cols = np.array([np.abs(c[0]) ** 2 for c in cols])
-        sims = np.clip(haarstats.pairwise_similarities(q_cols), 0.0, 1.0)
-        dev_sim = haarstats.Histogram.from_samples(sims, sim_hist.bin_edges)
+        dev_sim = haarstats.similarity_histogram(np.abs(cols[:, 0]) ** 2,
+                                                 sim_hist.bin_edges)
         _write_histogram_csv(out / "device_moduli_hist.csv", dev_mod)
         _write_histogram_csv(out / "device_phase_hist.csv", dev_phase)
         _write_histogram_csv(out / "device_column_similarity_hist.csv", dev_sim)

@@ -1,18 +1,18 @@
 """Coupled-mode Hamiltonian assembly and propagation to the circuit unitary.
 
 The mode amplitudes obey da/dz = i H(z) a with H(z) Hermitian: diagonal
-entries are the propagation-constant detunings (plus an optional common
-offset k0 that only contributes a global phase), off-diagonal entries the
+entries are the propagation-constant detunings, off-diagonal entries the
 distance-dependent couplings. The circuit unitary is the z-ordered product
 of slice exponentials over [0, L].
 
 Integration is split at every z where H is not smooth (modulation knots,
-heater window edges). Within a smooth segment two integrators are
-available: a fourth-order commutator-free Magnus scheme (default) and the
-plain midpoint exponential rule, which is second-order accurate and kept
-for convergence diagnostics. Every slice exponential is built from an
-eigendecomposition of a real symmetric matrix, so unitarity holds to
-roundoff regardless of step size.
+heater window edges). Within a smooth segment there is one integrator, the
+fourth-order commutator-free Magnus scheme CF4 of Blanes & Moan (2006):
+two slice exponentials per step, each a weighted sum of H at the two
+Gauss-Legendre nodes. Its convergence check is the step-halving test of
+acceptance criterion 2 (512 against 1024 steps). Every slice exponential
+is built from an eigendecomposition of a real symmetric matrix, so
+unitarity holds to roundoff regardless of step size.
 
 Every slice Hamiltonian is H = G + diag(K @ P): G holds the couplings, K
 the detuning per unit heater power and P the heater powers. One private
@@ -36,19 +36,12 @@ from .lattice import CouplingModel, HeaterBank, WaveguideLayout, coupling_coeffi
 
 MAX_UNITARITY_DEFECT = 1e-9   # largest defect accepted of a circuit unitary
 
-# Gauss-Legendre nodes and the CF4 combination weights
-_GL1 = 0.5 - math.sqrt(3.0) / 6.0
-_GL2 = 0.5 + math.sqrt(3.0) / 6.0
-_CF_A1 = 0.25 - math.sqrt(3.0) / 6.0
-_CF_A2 = 0.25 + math.sqrt(3.0) / 6.0
-
-# Per integrator: the Hamiltonian sample points as fractions of a step, and
-# for each slice exponential of a step, in the order they act, its weights
-# on the Hamiltonians at those points.
-_SCHEMES = {
-    "cf4": ((_GL1, _GL2), ((_CF_A2, _CF_A1), (_CF_A1, _CF_A2))),
-    "midpoint": ((0.5,), ((1.0,),)),
-}
+# CF4: the Gauss-Legendre nodes as fractions of a step, and for each of the
+# two slice exponentials of a step, in the order they act, its weights on
+# the Hamiltonians at those nodes.
+_R3 = math.sqrt(3.0) / 6.0
+_CF4_NODES = np.array([0.5 - _R3, 0.5 + _R3])
+_CF4_WEIGHTS = np.array([[0.25 + _R3, 0.25 - _R3], [0.25 - _R3, 0.25 + _R3]])
 
 
 @dataclass(frozen=True)
@@ -58,11 +51,6 @@ class UnitaryMatrix:
     m: int
     entries: np.ndarray
     unitarity_defect: float
-
-    @classmethod
-    def from_array(cls, entries) -> "UnitaryMatrix":
-        entries = np.asarray(entries, dtype=complex)
-        return cls(entries.shape[0], entries, unitarity_defect(entries))
 
 
 def unitarity_defect(u) -> float:
@@ -83,16 +71,16 @@ def _check_bank_matches_layout(layout: WaveguideLayout, bank: HeaterBank) -> Non
 
 
 def assemble_hamiltonian(layout: WaveguideLayout, model: CouplingModel,
-                         bank: HeaterBank, z, k0: float = 0.0) -> np.ndarray:
+                         bank: HeaterBank, z) -> np.ndarray:
     """Hermitian coupled-mode matrix H(z) in mm^-1.
 
-    H_ii = k0 + dk_i(z) from the heater bank, H_ij the coupling coefficient
+    H_ii = dk_i(z) from the heater bank, H_ij the coupling coefficient
     at the instantaneous pair distance for retained pairs. Real symmetric by
     construction, returned as a complex array.
     """
     _check_bank_matches_layout(layout, bank)
     z = [float(z)]
-    h = _with_detunings(_coupling_stack(layout, model, z, k0),
+    h = _with_detunings(_coupling_stack(layout, model, z),
                         bank.kernels(layout, z), bank.powers)
     return h[0].astype(complex)
 
@@ -103,11 +91,9 @@ def _segment_edges(layout: WaveguideLayout, bank: HeaterBank):
     return edges[(edges >= 0.0) & (edges <= layout.length)]
 
 
-def _coupling_stack(layout, model, z_values, k0) -> np.ndarray:
-    """Power-independent part G of H at each z: real (nz, m, m).
-
-    Couplings at the instantaneous pair distances off the diagonal, k0 on it.
-    """
+def _coupling_stack(layout, model, z_values) -> np.ndarray:
+    """Power-independent part G of H at each z: real (nz, m, m), the
+    couplings at the instantaneous pair distances off the diagonal."""
     i_idx, j_idx = layout.coupled_pairs(model)
     pos = layout.positions_at(np.asarray(z_values, dtype=float))   # (nz, m, 2)
     d = np.hypot(pos[:, i_idx, 0] - pos[:, j_idx, 0],
@@ -116,8 +102,6 @@ def _coupling_stack(layout, model, z_values, k0) -> np.ndarray:
     g = np.zeros((len(pos), layout.m, layout.m))
     g[:, i_idx, j_idx] = c
     g[:, j_idx, i_idx] = c
-    diag = np.arange(layout.m)
-    g[:, diag, diag] = k0
     return g
 
 
@@ -152,15 +136,12 @@ class _Propagator:
     """
 
     def __init__(self, layout: WaveguideLayout, model: CouplingModel,
-                 bank: HeaterBank, n_steps: int, k0: float, method: str):
+                 bank: HeaterBank, n_steps: int):
         if n_steps < 1:
             raise ConfigurationError("n_steps must be at least 1")
-        if method not in _SCHEMES:
-            raise ConfigurationError(f"unknown integrator {method!r}")
         if bank.positions.ndim != 2 or bank.positions.shape[1] != 2:
             raise ConfigurationError("heater bank positions must be (n, 2)")
         _check_bank_matches_layout(layout, bank)
-        nodes, weights = (np.asarray(a) for a in _SCHEMES[method])
         edges = _segment_edges(layout, bank)
         seg_len = np.diff(edges)
         seg_steps = np.maximum(1, np.rint(n_steps * seg_len / layout.length).astype(int))
@@ -168,16 +149,16 @@ class _Propagator:
         starts = np.concatenate([z0 + dz * np.arange(ns)
                                  for z0, dz, ns in zip(edges[:-1], seg_dz, seg_steps)])
         dz = np.repeat(seg_dz, seg_steps)
-        z = (starts[:, None] + dz[:, None] * nodes).ravel()       # (steps * nodes,)
-        m, shape = layout.m, (len(starts), len(nodes))
+        z = (starts[:, None] + dz[:, None] * _CF4_NODES).ravel()  # (steps * 2,)
+        m, shape = layout.m, (len(starts), 2)
         # slice exponentials step by step, each a weighted sum of node Hamiltonians
-        g = np.einsum("en,snij->seij", weights,
-                      _coupling_stack(layout, model, z, k0).reshape(shape + (m, m)))
-        kern = np.einsum("en,snij->seij", weights,
+        g = np.einsum("en,snij->seij", _CF4_WEIGHTS,
+                      _coupling_stack(layout, model, z).reshape(shape + (m, m)))
+        kern = np.einsum("en,snij->seij", _CF4_WEIGHTS,
                          bank.kernels(layout, z).reshape(shape + (m, -1)))
         g = g.reshape(-1, m, m)
         kern = kern.reshape(len(g), m, -1)
-        dz = np.repeat(dz, len(weights))
+        dz = np.repeat(dz, 2)
         heated = np.any(kern != 0, axis=(1, 2))
         hot = np.r_[0, np.cumsum(heated)]      # heated exponentials before each one
         w, v = np.linalg.eigh(g[~heated])
@@ -207,16 +188,12 @@ class _Propagator:
 
 
 def propagate(layout: WaveguideLayout, model: CouplingModel, bank: HeaterBank,
-              n_steps: int = 1024, k0: float = 0.0,
-              method: str = "cf4") -> UnitaryMatrix:
+              n_steps: int = 1024) -> UnitaryMatrix:
     """Integrate H(z) over the coupling region into the circuit unitary.
 
-    ``n_steps`` is the total step budget, distributed over the smooth
+    ``n_steps`` is the total CF4 step budget, distributed over the smooth
     segments proportionally to their length (at least one step each).
-    ``method`` selects the integrator: "cf4" (fourth order, two slice
-    exponentials per step, default) or "midpoint" (second order, one
-    exponential per step).
     """
-    chip = _Propagator(layout, model, bank, n_steps, k0, method)
+    chip = _Propagator(layout, model, bank, n_steps)
     u = chip.columns(bank.powers, np.eye(layout.m, dtype=complex))
     return UnitaryMatrix(layout.m, u, unitarity_defect(u))

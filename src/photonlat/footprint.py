@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-LATTICE_KINDS = ("linear", "square", "triangular")
 FAN_ARRANGEMENTS = ("linear", "grid")
 
 
@@ -34,18 +33,12 @@ class FootprintParams:
     p: float = 0.06          # waveguide pitch in the mesh, mm
     p_f: float = 0.127       # fiber array pitch, mm
     c: float = 1.0           # coupling rate, mm^-1
-    m: int = 32
     b: float = 2.0           # spreading constant of the 2D minimum length
-    lattice_kind: str = "triangular"
     fan_arrangement: str = "linear"
 
     def __post_init__(self):
         if min(self.r_min, self.p, self.p_f, self.c, self.b) <= 0:
             raise ConfigurationError("lengths, rates and B must be positive")
-        if self.m < 2:
-            raise ConfigurationError("m must be at least 2")
-        if self.lattice_kind not in LATTICE_KINDS:
-            raise ConfigurationError(f"unknown lattice kind {self.lattice_kind!r}")
         if self.fan_arrangement not in FAN_ARRANGEMENTS:
             raise ConfigurationError(f"unknown fan arrangement {self.fan_arrangement!r}")
 

@@ -104,6 +104,13 @@ def pairwise_similarities(columns) -> np.ndarray:
     return gram[iu, ju] ** 2
 
 
+def similarity_histogram(columns, bin_edges) -> Histogram:
+    """Histogram of the similarities of all unordered pairs of probability
+    vectors, clipped to [0, 1] against roundoff."""
+    return Histogram.from_samples(np.clip(pairwise_similarities(columns), 0.0, 1.0),
+                                  bin_edges)
+
+
 def column_similarity_distribution(m: int, ensemble_size: int, rng_seed,
                                    n_bins: int = DEFAULT_BINS) -> Histogram:
     """Similarity histogram over pairs of independent Haar columns.
@@ -113,11 +120,8 @@ def column_similarity_distribution(m: int, ensemble_size: int, rng_seed,
     """
     if ensemble_size < 2:
         raise ConfigurationError("need at least two columns to form a pair")
-    cols = haar_columns(m, ensemble_size, rng_seed)
-    sims = pairwise_similarities(cols)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    counts, _ = np.histogram(np.clip(sims, 0.0, 1.0), bins=edges)
-    return Histogram(edges, counts / counts.sum())
+    return similarity_histogram(haar_columns(m, ensemble_size, rng_seed),
+                                np.linspace(0.0, 1.0, n_bins + 1))
 
 
 def histogram_overlap(h1: Histogram, h2: Histogram) -> float:
@@ -128,16 +132,16 @@ def histogram_overlap(h1: Histogram, h2: Histogram) -> float:
     return float(np.minimum(h1.masses, h2.masses).sum())
 
 
-def gauge_fix_phases(sub: np.ndarray) -> np.ndarray:
+def gauge_fix_phases(sub) -> np.ndarray:
     """Phases with the first row and first column rotated to zero.
 
-    Returns the (rows, cols) phase array of sub after multiplying each row
-    and column by the unit phases that null row 0 and column 0; only the
-    remaining (rows-1) x (cols-1) block carries information.
+    Returns the (..., rows, cols) phase array of a submatrix or a stack of
+    them after multiplying each row and column by the unit phases that null
+    row 0 and column 0; only the remaining (rows-1) x (cols-1) block
+    carries information.
     """
-    sub = np.asarray(sub, dtype=complex)
-    theta = np.angle(sub)
-    fixed = theta - theta[0:1, :] - theta[:, 0:1] + theta[0, 0]
+    theta = np.angle(np.asarray(sub, dtype=complex))
+    fixed = theta - theta[..., 0:1, :] - theta[..., :, 0:1] + theta[..., 0:1, 0:1]
     return np.angle(np.exp(1j * fixed))
 
 
@@ -149,41 +153,37 @@ def device_submatrix_ensemble(layout, model, bank, inputs, n_matrices: int,
     Heater powers are drawn uniformly over ``power_range`` per matrix, the
     circuit is propagated, and the rows addressed by ``inputs`` are taken;
     this is the reconfigurable-device ensemble the Haar histograms are
-    compared against. The power-independent part of the propagation is
-    built once per call, and each setting carries only the input columns.
+    compared against, returned as one (n_matrices, len(inputs), m) array.
+    The power-independent part of the propagation is built once per call,
+    and each setting carries only the input columns.
     """
     inputs = list(inputs)
     if len(set(inputs)) != len(inputs) or not all(0 <= r < layout.m for r in inputs):
         raise ConfigurationError(
             f"inputs {inputs} must be distinct modes in [0, {layout.m})")
+    if n_matrices < 1:
+        raise ConfigurationError("n_matrices must be at least 1")
     rng = np.random.default_rng(rng_seed)
-    chip = _Propagator(layout, model, bank, n_steps, 0.0, "cf4")
+    chip = _Propagator(layout, model, bank, n_steps)
     columns = np.eye(layout.m, dtype=complex)[:, inputs]
-    subs = []
-    for _ in range(n_matrices):
+    subs = np.empty((n_matrices, len(inputs), layout.m), dtype=complex)
+    for sub in subs:
         powers = rng.uniform(power_range[0], power_range[1], bank.n_heaters)
         powers = bank.with_powers(powers).powers      # the bank checks them
-        subs.append(chip.columns(powers, columns).T.copy())
+        sub[:] = chip.columns(powers, columns).T
     return subs
 
 
 def ensemble_moduli_phase_histograms(submatrices, n_bins: int = DEFAULT_BINS):
     """Pooled squared-moduli and gauge-fixed phase histograms of an ensemble.
 
-    Moduli pool every entry and are binned on [0, 1]; phases are pooled
-    over the gauge-free block only (the reference row and column are zero
-    by construction) and binned on (-pi, pi].
+    ``submatrices`` is a (E, rows, cols) stack. Moduli pool every entry and
+    are binned on [0, 1]; phases are pooled over the gauge-free block only
+    (the reference row and column are zero by construction) and binned on
+    (-pi, pi].
     """
-    moduli, phases = [], []
-    for sub in submatrices:
-        sub = np.asarray(sub, dtype=complex)
-        moduli.append((np.abs(sub) ** 2).ravel())
-        phases.append(gauge_fix_phases(sub)[1:, 1:].ravel())
-    moduli = np.concatenate(moduli)
-    phases = np.concatenate(phases)
-    edges_m = np.linspace(0.0, 1.0, n_bins + 1)
-    counts_m, _ = np.histogram(np.clip(moduli, 0.0, 1.0), bins=edges_m)
-    edges_p = np.linspace(-np.pi, np.pi, n_bins + 1)
-    counts_p, _ = np.histogram(phases, bins=edges_p)
-    return (Histogram(edges_m, counts_m / counts_m.sum()),
-            Histogram(edges_p, counts_p / counts_p.sum()))
+    subs = np.asarray(submatrices, dtype=complex)
+    return (Histogram.from_samples(np.clip(np.abs(subs) ** 2, 0.0, 1.0).ravel(),
+                                   np.linspace(0.0, 1.0, n_bins + 1)),
+            Histogram.from_samples(gauge_fix_phases(subs)[..., 1:, 1:].ravel(),
+                                   np.linspace(-np.pi, np.pi, n_bins + 1)))

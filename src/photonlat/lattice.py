@@ -96,14 +96,10 @@ class WaveguideLayout:
     Built by :func:`build_lattice`; immutable after construction.
     """
 
-    def __init__(self, base_positions, knot_z, knot_offsets, lattice_kind,
-                 pitch, max_shift):
+    def __init__(self, base_positions, knot_z, knot_offsets):
         self.base_positions = np.asarray(base_positions, dtype=float)
         self.knot_z = np.asarray(knot_z, dtype=float)
         self.knot_offsets = np.asarray(knot_offsets, dtype=float)
-        self.lattice_kind = lattice_kind
-        self.pitch = float(pitch)
-        self.max_shift = float(max_shift)
         self.m = self.base_positions.shape[0]
         self.length = float(self.knot_z[-1])
 
@@ -169,8 +165,7 @@ def build_lattice(spec: LatticeSpec) -> WaveguideLayout:
     radius = rng.uniform(0.0, spec.max_shift, size=(spec.m, spec.n_modulation_knots))
     angle = rng.uniform(0.0, 2.0 * math.pi, size=(spec.m, spec.n_modulation_knots))
     offsets = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
-    kind = "triangular" if spec.rows > 1 else "linear"
-    return WaveguideLayout(base, knot_z, offsets, kind, spec.pitch, spec.max_shift)
+    return WaveguideLayout(base, knot_z, offsets)
 
 
 @dataclass

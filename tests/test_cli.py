@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonlat.cli import main, read_unitary
+from photonlat.cli import load_config, main, read_unitary
 
 BASE_CONFIG = {
     "seed": 20240131,
@@ -395,3 +395,64 @@ def test_missing_seed_exits_2(tmp_path):
 def test_out_of_range_input_mode_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"inputs": [11, 12, 19, 40]})
     assert run("footprint", "--config", cfg, "--out", tmp_path / "f") == 2
+
+
+@pytest.mark.parametrize("extra", [
+    {"lattise": {"rows": 4}},                    # unknown section
+    {"evolution": {"nsteps": 8}},                # unknown key in a section
+    {"evolution": {"method": "midpoint"}},       # removed integrator choice
+    {"evolution": {"k0": 0.7}},                  # removed diagonal offset
+    {"evolution": 8},                            # section that is not an object
+], ids=["unknown_section", "unknown_key", "method", "k0", "non_object_section"])
+def test_config_key_outside_schema_exits_2(tmp_path, extra):
+    cfg = write_config(tmp_path, extra)
+    assert run("footprint", "--config", cfg, "--out", tmp_path / "f") == 2
+
+
+def test_unknown_noise_model_exits_2(simulated, tmp_path):
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, {"reconstruction": {"noise": "gaussian"}})
+    out = tmp_path / "rec"
+    assert run("reconstruct", "--config", cfg, "--unitary", upath, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_haar_without_matrices_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {"haar": {"n_matrices": 0}})
+    out = tmp_path / "haar"
+    assert run("haar", "--config", cfg, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_haar_device_size_other_than_lattice_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {"haar": {"m": 16}})
+    out = tmp_path / "haar"
+    assert run("haar", "--config", cfg, "--out", out, "--device") == 2
+    assert not out.exists()
+
+
+def test_validate_checks_sample_provenance(simulated, tmp_path):
+    _, cfg, upath = simulated
+    sdir = tmp_path / "samples"
+    assert run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
+               "--events", 40) == 0
+    samples = sdir / "samples.jsonl"
+
+    def validate(path, *extra):
+        return run("validate", "--config", cfg, "--unitary", upath, "--samples", path,
+                   "--out", tmp_path / "v", "--ensemble", 10, *extra)
+
+    assert validate(samples) == 0               # an --events stream still validates
+    assert validate(samples, "--seed", 999) == 2
+    headless = tmp_path / "headless.jsonl"
+    headless.write_text("".join(samples.read_text().splitlines(True)[1:]))
+    assert validate(headless) == 2
+
+
+def test_sample_events_leave_the_defaults_alone(simulated, tmp_path):
+    _, _, upath = simulated
+    cfg = tmp_path / "bare.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    assert run("sample", "--config", cfg, "--unitary", upath, "--out", tmp_path / "s",
+               "--events", 7) == 0
+    assert load_config(cfg)["sampling"]["count"] == 1000

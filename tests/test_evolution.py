@@ -99,17 +99,6 @@ def test_fine_step_reference(device):
     assert np.abs(u.entries - ref.entries).max() < 1e-8
 
 
-def test_midpoint_second_order_convergence(device):
-    layout, model, bank, _ = device
-    ref = propagate(layout, model, bank, n_steps=8192)
-    e1 = np.abs(propagate(layout, model, bank, n_steps=256,
-                          method="midpoint").entries - ref.entries).max()
-    e2 = np.abs(propagate(layout, model, bank, n_steps=512,
-                          method="midpoint").entries - ref.entries).max()
-    ratio = e1 / e2
-    assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
-
-
 def test_energy_conservation(device):
     u = device[3].entries
     rng = np.random.default_rng(3)
@@ -128,19 +117,10 @@ def test_mirror_symmetry_commutes_without_detuning():
     assert np.abs(p @ u @ p.T - u).max() < 1e-9
 
 
-def test_global_phase_only_from_k0(device):
-    layout, model, bank, u = device
-    u_k0 = propagate(layout, model, bank, n_steps=512, k0=0.7)
-    phase = np.exp(1j * 0.7 * layout.length)
-    assert np.abs(u_k0.entries - phase * u.entries).max() < 1e-8
-
-
 def test_propagate_rejects_bad_arguments(device):
     layout, model, bank, _ = device
     with pytest.raises(ConfigurationError):
         propagate(layout, model, bank, n_steps=0)
-    with pytest.raises(ConfigurationError):
-        propagate(layout, model, bank, n_steps=8, method="euler")
 
 
 def test_bank_layout_mismatch_rejected(device):
@@ -156,10 +136,9 @@ def test_bank_layout_mismatch_rejected(device):
 @given(rows=st.integers(1, 4), cols=st.integers(1, 8),
        pitch=st.floats(8.0, 20.0), shift=st.floats(0.0, 0.49),
        length=st.floats(24.0, 60.0), knots=st.integers(2, 10),
-       seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 64),
-       method=st.sampled_from(["cf4", "midpoint"]))
+       seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 64))
 def test_propagate_unitary_over_random_lattices(rows, cols, pitch, shift, length,
-                                                knots, seed, n_steps, method):
+                                                knots, seed, n_steps):
     assume(rows * cols >= 2)
     layout = build_lattice(LatticeSpec(rows=rows, cols=cols, pitch=pitch,
                                        max_shift=shift * pitch,
@@ -167,7 +146,7 @@ def test_propagate_unitary_over_random_lattices(rows, cols, pitch, shift, length
                                        n_modulation_knots=knots, seed=seed))
     powers = np.random.default_rng(seed).uniform(0.0, 500.0, 16)
     bank = default_heater_bank(layout, powers)
-    u = propagate(layout, CouplingModel(), bank, n_steps=n_steps, method=method)
+    u = propagate(layout, CouplingModel(), bank, n_steps=n_steps)
     assert u.entries.shape == (layout.m, layout.m)
     assert u.unitarity_defect <= 1e-9
 

@@ -178,7 +178,3 @@ class TestCompareLayouts:
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             FootprintParams(r_min=-1.0)
-        with pytest.raises(ConfigurationError):
-            FootprintParams(lattice_kind="weird")
-        with pytest.raises(ConfigurationError):
-            FootprintParams(m=1)
