@@ -12,7 +12,8 @@ from .haarstats import (Histogram, column_similarity_distribution,
                         device_submatrix_ensemble,
                         ensemble_moduli_phase_histograms, gauge_fix_phases,
                         haar_columns, haar_unitary, histogram_overlap,
-                        pairwise_similarities, similarity)
+                        pairwise_similarities, random_heater_powers,
+                        similarity)
 from .interference import (FockPattern, ProbabilityTable, SampleEvent,
                            SourceWeights, distribution, enumerate_patterns,
                            output_probability, permanent, sample,

@@ -178,7 +178,7 @@ def _write_histogram_csv(path, hist: haarstats.Histogram) -> None:
 def _count(config, section, key, limit=math.inf) -> int:
     """``config[section][key]``, checked to be a whole number in 1..limit."""
     value = config[section][key]
-    if not isinstance(value, int) or not 1 <= value <= limit:
+    if type(value) is not int or not 1 <= value <= limit:    # JSON true is no count
         raise ConfigurationError(
             f"{section}.{key} = {value!r} must be a whole number in 1..{limit}")
     return value
@@ -264,15 +264,39 @@ def cmd_sample(args) -> int:
     return 0
 
 
+EVENT_KEYS = frozenset(("branch", "distinguishable", "index", "output"))
+EVENT_BRANCHES = interference.SPDC_BRANCHES + ("fock",)
+
+
+def _check_event(rec, n: int, m: int, where: str) -> None:
+    """Raise unless ``rec`` is an event record ``sample`` could have written:
+    an int index, a known branch, n int output modes in [0, m) and a bool
+    distinguishable flag. ``type(...) is int`` also rejects booleans."""
+    if not isinstance(rec, dict) or not EVENT_KEYS <= rec.keys():
+        raise ConfigurationError(
+            f"{where}: malformed event record {rec!r}: needs the keys {sorted(EVENT_KEYS)}")
+    output = rec["output"]
+    if type(rec["index"]) is not int or rec["branch"] not in EVENT_BRANCHES or \
+            type(rec["distinguishable"]) is not bool or type(output) is not list or \
+            len(output) != n or not all(type(k) is int and 0 <= k < m for k in output):
+        raise ConfigurationError(
+            f"{where}: malformed event record {rec!r}: needs an int index, a branch "
+            f"in {EVENT_BRANCHES}, {n} int output modes in [0, {m}) and a bool "
+            "distinguishable")
+
+
 def read_samples(path, config):
     """Events from a JSONL file, input modes rebuilt from branch labels.
 
     The file must start with the header ``sample`` writes, and its
     ``config_sha256`` must be the hash of ``config`` with ``sampling.count``
     set to the header's event count, which is what ``sample --events`` hashes.
+    Every event record is checked, and the file must hold exactly the
+    header's count of them.
     """
     m = config["lattice"]["rows"] * config["lattice"]["cols"]
-    events = []
+    n = config["photons"]["n"]
+    events, input_modes = [], {}        # input modes per branch label
     with open(path) as fh:
         header = json.loads(fh.readline() or "{}")
         if not isinstance(header, dict) or header.get("record") != "header":
@@ -282,16 +306,20 @@ def read_samples(path, config):
         if header.get("config_sha256") != config_hash(written):
             raise ConfigurationError(
                 f"{path} was sampled under a different config or seed")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             rec = json.loads(line)
+            _check_event(rec, n, m, f"{path} line {line_no}")
             branch = rec["branch"]
-            if branch in interference.SPDC_BRANCHES:
-                pattern = interference.spdc_branch_pattern(branch, config["inputs"], m)
-            else:
-                pattern = _fixed_input_pattern(config)
+            if branch not in input_modes:
+                pattern = interference.spdc_branch_pattern(branch, config["inputs"], m) \
+                    if branch in interference.SPDC_BRANCHES else _fixed_input_pattern(config)
+                input_modes[branch] = pattern.modes()
             events.append(interference.SampleEvent(
-                rec["index"], branch, pattern.modes(), tuple(rec["output"]),
+                rec["index"], branch, input_modes[branch], tuple(rec["output"]),
                 rec["distinguishable"]))
+    if len(events) != header.get("events"):
+        raise ConfigurationError(
+            f"{path} holds {len(events)} events, its header says {header.get('events')}")
     return events
 
 
@@ -301,8 +329,6 @@ def cmd_validate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     u = read_unitary(args.unitary)
     events = read_samples(args.samples, config)
-    if events and len(events[0].output) != config["photons"]["n"]:
-        raise ConfigurationError("sample photon number does not match config")
     n = config["photons"]["n"]
     m_eff = len(_kept_outputs(config))
     if args.test == "uniform":
@@ -459,17 +485,17 @@ def cmd_haar(args) -> int:
     _write_histogram_csv(out / "column_similarity_hist.csv", sim_hist)
     if args.device:
         layout, model, bank = build_device(config)
-        dev_subs = haarstats.device_submatrix_ensemble(
-            layout, model, bank, config["inputs"][:rows], n_matrices,
-            seeds[-2], power_range=tuple(config["heaters"]["power_range_mw"]),
+        # one batch: the histogram settings, then one setting per similarity column
+        power_range = tuple(config["heaters"]["power_range_mw"])
+        powers = np.concatenate([
+            haarstats.random_heater_powers(bank, n_matrices, seeds[-2], power_range),
+            haarstats.random_heater_powers(bank, hcfg["columns"], seeds[-1], power_range)])
+        subs = haarstats.device_submatrix_ensemble(
+            layout, model, bank, config["inputs"][:rows], powers,
             n_steps=config["evolution"]["n_steps"])
+        dev_subs, cols = subs[:n_matrices], subs[n_matrices:, 0]
         dev_mod, dev_phase = haarstats.ensemble_moduli_phase_histograms(dev_subs)
-        # column-similarity ensemble: one input column per random setting
-        cols = haarstats.device_submatrix_ensemble(
-            layout, model, bank, config["inputs"][:1], hcfg["columns"],
-            seeds[-1], power_range=tuple(config["heaters"]["power_range_mw"]),
-            n_steps=config["evolution"]["n_steps"])
-        dev_sim = haarstats.similarity_histogram(np.abs(cols[:, 0]) ** 2,
+        dev_sim = haarstats.similarity_histogram(np.abs(cols) ** 2,
                                                  sim_hist.bin_edges)
         _write_histogram_csv(out / "device_moduli_hist.csv", dev_mod)
         _write_histogram_csv(out / "device_phase_hist.csv", dev_phase)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .evolution import UnitaryMatrix, _Propagator, unitarity_defect
+from .errors import ConfigurationError, NumericalError
+from .evolution import MAX_UNITARITY_DEFECT, UnitaryMatrix, _Propagator, unitarity_defect
 
 DEFAULT_BINS = 25
 
@@ -145,33 +145,49 @@ def gauge_fix_phases(sub) -> np.ndarray:
     return np.angle(np.exp(1j * fixed))
 
 
-def device_submatrix_ensemble(layout, model, bank, inputs, n_matrices: int,
-                              rng_seed, power_range=(0.0, 500.0),
-                              n_steps: int = 512):
-    """Input-row submatrices of the device under random heater settings.
+def random_heater_powers(bank, n: int, rng_seed,
+                         power_range=(0.0, 500.0)) -> np.ndarray:
+    """(n, n_heaters) heater settings drawn uniformly over ``power_range``,
+    setting after setting from one generator seeded with ``rng_seed``."""
+    if n < 1:
+        raise ConfigurationError("need at least one heater setting")
+    rng = np.random.default_rng(rng_seed)
+    return rng.uniform(power_range[0], power_range[1], (n, bank.n_heaters))
 
-    Heater powers are drawn uniformly over ``power_range`` per matrix, the
-    circuit is propagated, and the rows addressed by ``inputs`` are taken;
-    this is the reconfigurable-device ensemble the Haar histograms are
-    compared against, returned as one (n_matrices, len(inputs), m) array.
-    The power-independent part of the propagation is built once per call,
-    and each setting carries only the input columns.
+
+def device_submatrix_ensemble(layout, model, bank, inputs, powers,
+                              n_steps: int = 512):
+    """Input-row submatrices of the device under a stack of heater settings.
+
+    ``powers`` holds one row of heater powers per setting, e.g. from
+    :func:`random_heater_powers`. The circuit is propagated under every
+    setting and the rows addressed by ``inputs`` are taken; this is the
+    reconfigurable-device ensemble the Haar histograms are compared
+    against, returned as one (E, len(inputs), m) array. The chip is built
+    once per call, and all settings carry only the input columns through
+    it in one batch. Raises ``NumericalError`` when a column's squared
+    norm is off 1 by more than ``MAX_UNITARITY_DEFECT``.
     """
     inputs = list(inputs)
-    if len(set(inputs)) != len(inputs) or not all(0 <= r < layout.m for r in inputs):
+    if not inputs or len(set(inputs)) != len(inputs) or \
+            not all(0 <= r < layout.m for r in inputs):
         raise ConfigurationError(
-            f"inputs {inputs} must be distinct modes in [0, {layout.m})")
-    if n_matrices < 1:
-        raise ConfigurationError("n_matrices must be at least 1")
-    rng = np.random.default_rng(rng_seed)
+            f"inputs {inputs} must be one or more distinct modes in [0, {layout.m})")
+    powers = np.asarray(powers, dtype=float)
+    if powers.ndim != 2 or len(powers) < 1 or powers.shape[1] != bank.n_heaters:
+        raise ConfigurationError(
+            f"powers must be an (E, {bank.n_heaters}) stack with E >= 1, "
+            f"not {powers.shape}")
+    if not np.all(np.isfinite(powers)) or np.any(powers < 0):
+        raise ConfigurationError("heater powers must be finite and nonnegative")
     chip = _Propagator(layout, model, bank, n_steps)
-    columns = np.eye(layout.m, dtype=complex)[:, inputs]
-    subs = np.empty((n_matrices, len(inputs), layout.m), dtype=complex)
-    for sub in subs:
-        powers = rng.uniform(power_range[0], power_range[1], bank.n_heaters)
-        powers = bank.with_powers(powers).powers      # the bank checks them
-        sub[:] = chip.columns(powers, columns).T
-    return subs
+    cols = chip.columns(powers, np.eye(layout.m, dtype=complex)[:, inputs])
+    defect = float(np.abs((np.abs(cols) ** 2).sum(axis=1) - 1.0).max())
+    if defect > MAX_UNITARITY_DEFECT:
+        raise NumericalError(
+            f"device ensemble column-norm defect {defect:.3e} exceeds "
+            f"{MAX_UNITARITY_DEFECT:g}")
+    return cols.transpose(0, 2, 1)
 
 
 def ensemble_moduli_phase_histograms(submatrices, n_bins: int = DEFAULT_BINS):

@@ -3,13 +3,15 @@
 These deliberately avoid the library's algorithms: the permanent is the
 plain n! permutation sum, multi-photon statistics come from
 first-quantized state-vector evolution (symmetric tensors, no
-permanents), and distinguishable statistics from per-photon convolution.
+permanents), distinguishable statistics from per-photon convolution, and
+circuit propagation from dense matrix exponentials.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 
 def naive_permanent(a):
@@ -82,3 +84,13 @@ def distinguishable_distribution(u, input_occ):
                 new[key] = new.get(key, 0.0) + p * p_one[i]
         table = new
     return table
+
+
+def ordered_exponential(hamiltonians, steps):
+    """expm(i H_K dz_K) ... expm(i H_1 dz_1): the z-ordered product of
+    dense slice exponentials, the first slice acting first."""
+    hamiltonians = [np.asarray(h, dtype=complex) for h in hamiltonians]
+    u = np.eye(len(hamiltonians[0]), dtype=complex)
+    for h, dz in zip(hamiltonians, steps):
+        u = expm(1j * dz * h) @ u
+    return u

@@ -456,3 +456,67 @@ def test_sample_events_leave_the_defaults_alone(simulated, tmp_path):
     assert run("sample", "--config", cfg, "--unitary", upath, "--out", tmp_path / "s",
                "--events", 7) == 0
     assert load_config(cfg)["sampling"]["count"] == 1000
+
+
+def _sampled_stream(simulated, tmp_path, events):
+    tmp, cfg, upath = simulated
+    sdir = tmp_path / "samples"
+    assert run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
+               "--events", events) == 0
+    return sdir / "samples.jsonl"
+
+
+def _validate(simulated, samples, tmp_path):
+    _, cfg, upath = simulated
+    return run("validate", "--config", cfg, "--unitary", upath, "--samples", samples,
+               "--out", tmp_path / "v", "--ensemble", 10)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("branch", None), ("index", None), ("output", None), ("distinguishable", None),
+    ("index", "4"), ("branch", "1234"), ("distinguishable", 0),
+    ("output", [1, 3]), ("output", [1, 3, True]), ("output", [1, 3, 5.0]),
+], ids=["no_branch", "no_index", "no_output", "no_distinguishable", "str_index",
+        "unknown_branch", "int_flag", "short_output", "bool_mode", "float_mode"])
+def test_malformed_event_record_exits_2(simulated, tmp_path, capsys, key, value):
+    samples = _sampled_stream(simulated, tmp_path, 30)
+    lines = samples.read_text().splitlines()
+    rec = json.loads(lines[5])
+    if value is None:
+        del rec[key]
+    else:
+        rec[key] = value
+    lines[5] = json.dumps(rec, sort_keys=True)
+    samples.write_text("\n".join(lines) + "\n")
+    assert _validate(simulated, samples, tmp_path) == 2
+    assert "line 6: malformed event record" in capsys.readouterr().err
+
+
+def test_truncated_sample_stream_exits_2(simulated, tmp_path):
+    samples = _sampled_stream(simulated, tmp_path, 300)
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_text("".join(samples.read_text().splitlines(True)[:100]))
+    assert _validate(simulated, samples, tmp_path) == 0
+    assert _validate(simulated, truncated, tmp_path) == 2
+
+
+@pytest.mark.parametrize("section, key", [
+    ("haar", "n_matrices"), ("haar", "rows"), ("reconstruction", "n_rows")])
+def test_boolean_count_exits_2(simulated, tmp_path, capsys, section, key):
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, {section: {key: True}})
+    if section == "haar":
+        argv = ("haar", "--config", cfg, "--out", tmp_path / "haar")
+    else:
+        argv = ("reconstruct", "--config", cfg, "--unitary", upath,
+                "--out", tmp_path / "rec")
+    assert run(*argv) == 2
+    assert f"{section}.{key} = True" in capsys.readouterr().err
+
+
+def test_haar_device_column_norm_defect_exits_3(tmp_path, monkeypatch):
+    from photonlat import haarstats
+    monkeypatch.setattr(haarstats, "MAX_UNITARITY_DEFECT", 0.0)
+    cfg = write_config(tmp_path, {"haar": {"n_matrices": 2, "columns": 3},
+                                  "evolution": {"n_steps": 32}})
+    assert run("haar", "--config", cfg, "--out", tmp_path / "haar", "--device") == 3

@@ -1,16 +1,21 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from photonlat.errors import ConfigurationError
+from photonlat.errors import CapacityError, ConfigurationError
 from photonlat.evolution import (assemble_hamiltonian, propagate,
                                  unitarity_defect)
-from photonlat.haarstats import haar_unitary
+from photonlat.haarstats import (device_submatrix_ensemble, haar_unitary,
+                                 random_heater_powers)
 from photonlat.lattice import (CouplingModel, LatticeSpec, build_lattice,
                                default_heater_bank, symmetry_permutations)
 
 from conftest import make_device
+from oracles import ordered_exponential
 
 
 def two_mode_device(pitch=11.0, length=36.0):
@@ -155,3 +160,93 @@ def test_propagation_deterministic(device):
     layout, model, bank, u = device
     again = propagate(layout, model, bank, n_steps=512)
     assert np.array_equal(u.entries, again.entries)
+
+
+# CF4 (Blanes & Moan 2006): Gauss-Legendre nodes as fractions of a step, and
+# the node weights of each of the two slice exponentials in the order they act
+R3 = np.sqrt(3.0) / 6.0
+CF4_NODES = (0.5 - R3, 0.5 + R3)
+CF4_WEIGHTS = ((0.25 + R3, 0.25 - R3), (0.25 - R3, 0.25 + R3))
+
+
+def cf4_slices(layout, model, bank, n_steps):
+    """Slice Hamiltonians and widths of CF4 with ``n_steps`` steps shared
+    out over the smooth segments (at least one each), built from H(z)."""
+    edges = np.unique(np.concatenate([layout.knot_z, bank.z_spans.ravel(),
+                                      [0.0, layout.length]]))
+    edges = edges[(edges >= 0.0) & (edges <= layout.length)]
+    hamiltonians, steps = [], []
+    for z0, z1 in zip(edges[:-1], edges[1:]):
+        n = max(1, int(np.rint(n_steps * (z1 - z0) / layout.length)))
+        dz = (z1 - z0) / n
+        for k in range(n):
+            h = [assemble_hamiltonian(layout, model, bank, z0 + dz * (k + c))
+                 for c in CF4_NODES]
+            for w in CF4_WEIGHTS:
+                hamiltonians.append(w[0] * h[0] + w[1] * h[1])
+                steps.append(dz)
+    return hamiltonians, steps
+
+
+def stress_device():
+    """A dense, long 32-mode chip at full heater power, where one CF4 step
+    per segment gives slices with ||H dz||_1 > 1."""
+    layout = build_lattice(LatticeSpec(rows=4, cols=8, pitch=8.0,
+                                       coupling_length=60.0, seed=3))
+    return layout, CouplingModel(), default_heater_bank(layout, np.full(16, 500.0))
+
+
+def evolution_log(caplog):
+    """(heated, fixed, max theta, p min, p max, substeps, defect) of the one
+    record the integrator logged."""
+    [record] = [r for r in caplog.records if r.name == "photonlat.evolution"]
+    caplog.clear()
+    found = re.search(r"(\d+) heated and (\d+) fixed slices, max theta (\S+), "
+                      r"Taylor order p (\d+)\.\.(\d+), (\d+) substeps, "
+                      r"column-norm defect (\S+)", record.getMessage())
+    return tuple(float(v) for v in found.groups())
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 64])
+def test_propagate_and_ensemble_match_ordered_expm(device, n_steps):
+    layout, model, bank, _ = device
+    want = ordered_exponential(*cf4_slices(layout, model, bank, n_steps))
+    u = propagate(layout, model, bank, n_steps=n_steps).entries
+    assert np.abs(u - want).max() <= 1e-12
+    inputs = [11, 12, 19]
+    powers = random_heater_powers(bank, 2, rng_seed=n_steps)
+    subs = device_submatrix_ensemble(layout, model, bank, inputs, powers, n_steps)
+    for sub, setting in zip(subs, powers):
+        want = ordered_exponential(*cf4_slices(layout, model,
+                                               bank.with_powers(setting), n_steps))
+        assert np.abs(sub - want[:, inputs].T).max() <= 1e-12
+
+
+def test_substepped_slices_match_ordered_expm(caplog):
+    layout, model, bank = stress_device()
+    with caplog.at_level(logging.DEBUG, logger="photonlat.evolution"):
+        u = propagate(layout, model, bank, n_steps=1).entries
+    heated, fixed, theta, _, _, substeps, _ = evolution_log(caplog)
+    assert theta > 1.0 and substeps > heated + fixed
+    want = ordered_exponential(*cf4_slices(layout, model, bank, 1))
+    assert np.abs(u - want).max() <= 1e-12
+
+
+def test_integrator_logs_what_it_did(device, caplog):
+    layout, model, bank, u = device
+    with caplog.at_level(logging.DEBUG, logger="photonlat.evolution"):
+        propagate(layout, model, bank, n_steps=512)
+        heated, fixed, theta, p_min, p_max, substeps, defect = evolution_log(caplog)
+        device_submatrix_ensemble(layout, model, bank, [11, 12],
+                                  random_heater_powers(bank, 3, rng_seed=1), 512)
+        assert evolution_log(caplog)[:2] == (heated, fixed)
+    assert heated > 0 and fixed > 0
+    assert 0.0 < theta <= 1.0 and substeps == heated + fixed
+    assert 1 <= p_min <= p_max <= 19
+    assert defect <= 1e-12
+
+
+def test_slice_beyond_the_substep_budget_raises(device):
+    layout, model, bank, _ = device
+    with pytest.raises(CapacityError):
+        propagate(layout, model, bank.with_powers(np.full(16, 1e7)), n_steps=1024)

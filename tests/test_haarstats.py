@@ -10,7 +10,8 @@ from photonlat.haarstats import (Histogram, _haar_batch, column_similarity_distr
                                  device_submatrix_ensemble,
                                  ensemble_moduli_phase_histograms, gauge_fix_phases,
                                  haar_columns, haar_unitary, histogram_overlap,
-                                 pairwise_similarities, similarity)
+                                 pairwise_similarities, random_heater_powers,
+                                 similarity)
 from photonlat.lattice import (CouplingModel, HeaterBank, LatticeSpec,
                                build_lattice, default_heater_bank)
 
@@ -137,7 +138,8 @@ class TestDeviceEnsemble:
     def test_submatrices_from_random_settings(self, device):
         layout, model, bank, _ = device
         subs = device_submatrix_ensemble(layout, model, bank, (11, 12, 19),
-                                         n_matrices=3, rng_seed=5, n_steps=96)
+                                         random_heater_powers(bank, 3, rng_seed=5),
+                                         n_steps=96)
         assert len(subs) == 3
         for s in subs:
             assert s.shape == (3, 32)
@@ -162,8 +164,10 @@ class TestDeviceEnsemble:
         elif heaters == "one":       # a bank of one heater: only it is ever on
             bank = HeaterBank(bank.positions[on:on + 1], bank.z_spans[on:on + 1],
                               bank.powers[on:on + 1], bank.kernel_width, bank.alpha_t)
-        subs = device_submatrix_ensemble(layout, model, bank, inputs, 3, rng_seed,
-                                         power_range=(lo, hi), n_steps=n_steps)
+        subs = device_submatrix_ensemble(
+            layout, model, bank, inputs,
+            random_heater_powers(bank, 3, rng_seed, power_range=(lo, hi)),
+            n_steps=n_steps)
         rng = np.random.default_rng(rng_seed)
         for sub in subs:
             setting = bank.with_powers(rng.uniform(lo, hi, bank.n_heaters))
@@ -174,10 +178,35 @@ class TestDeviceEnsemble:
     @pytest.mark.parametrize("inputs", [(7,), (-1,), (6,), (0, 2, 0)])
     def test_bad_inputs_rejected(self, inputs):
         layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
+        bank = default_heater_bank(layout)
         with pytest.raises(ConfigurationError):
-            device_submatrix_ensemble(layout, CouplingModel(),
-                                      default_heater_bank(layout), inputs, 1, 0,
-                                      n_steps=4)
+            device_submatrix_ensemble(layout, CouplingModel(), bank, inputs,
+                                      random_heater_powers(bank, 1, 0), n_steps=4)
+
+    @pytest.mark.parametrize("powers", [np.zeros(16), np.zeros((0, 16)), np.zeros((2, 15)),
+                                        np.full((2, 16), -1.0), np.full((2, 16), np.nan)],
+                             ids=["one_setting_1d", "no_settings", "wrong_heater_count",
+                                  "negative", "nan"])
+    def test_bad_power_stack_rejected(self, powers):
+        layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
+        with pytest.raises(ConfigurationError):
+            device_submatrix_ensemble(layout, CouplingModel(), default_heater_bank(layout),
+                                      (0, 1), powers, n_steps=4)
+
+    def test_no_inputs_rejected(self):
+        layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
+        bank = default_heater_bank(layout)
+        with pytest.raises(ConfigurationError):
+            device_submatrix_ensemble(layout, CouplingModel(), bank, (),
+                                      random_heater_powers(bank, 1, 0), n_steps=4)
+
+    def test_random_heater_powers_draw_setting_after_setting(self):
+        bank = default_heater_bank(build_lattice(LatticeSpec(rows=2, cols=3, seed=1)))
+        rng = np.random.default_rng(9)
+        want = [rng.uniform(10.0, 300.0, bank.n_heaters) for _ in range(4)]
+        assert np.array_equal(random_heater_powers(bank, 4, 9, (10.0, 300.0)), want)
+        with pytest.raises(ConfigurationError):
+            random_heater_powers(bank, 0, 9)
 
     def test_reproducibility_similarity_scale(self, device_unitary):
         # repeated intensity measurements of one column at experimental
