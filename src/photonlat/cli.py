@@ -119,10 +119,17 @@ def build_device(config):
                           kappa=cpl["kappa_um"],
                           max_distance=cpl["max_distance_um"])
     heat = config["heaters"]
+    power_range = heat["power_range_mw"]
+    if type(power_range) is not list or len(power_range) != 2 or \
+            not all(map(_is_number, power_range)) or \
+            not 0 <= power_range[0] <= power_range[1]:
+        raise ConfigurationError(
+            f"heaters.power_range_mw = {power_range!r} must be two finite numbers "
+            "[lo, hi] with 0 <= lo <= hi")
     if heat.get("powers_mw") is not None:
         powers = np.asarray(heat["powers_mw"], dtype=float)
     else:
-        lo, hi = heat["power_range_mw"]
+        lo, hi = power_range
         rng = np.random.default_rng(stream_seed(config["seed"], "powers"))
         powers = rng.uniform(lo, hi, size=16)
     bank = default_heater_bank(layout, powers,
@@ -132,7 +139,8 @@ def build_device(config):
 
 def device_unitary(config) -> np.ndarray:
     layout, model, bank = build_device(config)
-    return propagate(layout, model, bank, n_steps=config["evolution"]["n_steps"]).entries
+    return propagate(layout, model, bank,
+                     n_steps=_count(config, "evolution", "n_steps")).entries
 
 
 def write_unitary(path, u: np.ndarray, config) -> None:
@@ -184,6 +192,11 @@ def _count(config, section, key, limit=math.inf) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; ``type(...)`` also rejects booleans."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _kept_outputs(config):
     m = config["lattice"]["rows"] * config["lattice"]["cols"]
     n = config["photons"]["n"]
@@ -225,13 +238,13 @@ def _draw_stream(config, u, statistics, seed, count, collision_free=True):
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     u = device_unitary(config)
     defect = unitarity_defect(u)
     if defect > MAX_UNITARITY_DEFECT:
         raise NumericalError(
             f"unitarity defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_unitary(out / "unitary.json", u, config)
     print(f"wrote {out / 'unitary.json'} (defect {defect:.3e})")
     return 0
@@ -377,8 +390,6 @@ def cmd_reconstruct(args) -> int:
     if rec_cfg["noise"] not in NOISE_MODELS:
         raise ConfigurationError(
             f"reconstruction.noise = {rec_cfg['noise']!r} must be one of {NOISE_MODELS}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     scans = None
     if args.dataset is not None:
@@ -393,14 +404,25 @@ def cmd_reconstruct(args) -> int:
         u = read_unitary(args.unitary)
         inputs = config["inputs"][:_count(config, "reconstruction", "n_rows",
                                           len(config["inputs"]))]
-        pairs = rec_cfg.get("input_pairs")
+        pairs = rec_cfg["input_pairs"]
         if pairs is not None:
-            pairs = tuple((int(h), int(k)) for h, k in pairs)
+            if type(pairs) is not list or not all(
+                    type(pair) is list and len(pair) == 2
+                    and all(type(label) is int for label in pair) for pair in pairs):
+                raise ConfigurationError(
+                    f"reconstruction.input_pairs = {pairs!r} must be a list of "
+                    "[h, k] pairs of input modes")
+            pairs = tuple(map(tuple, pairs))
         noiseless = rec_cfg["noise"] == "none"
+        counts = rec_cfg["mean_plateau_counts"]
+        if not noiseless and not (_is_number(counts) and counts > 0):
+            raise ConfigurationError(
+                f"reconstruction.mean_plateau_counts = {counts!r} must be a finite "
+                "number > 0 under Poisson noise")
         result = reconstruction.simulate_hom_dataset(
             u, inputs, input_pairs=pairs,
             rng_seed=_stream_int(config["seed"], "noise"),
-            mean_plateau_counts=None if noiseless else rec_cfg["mean_plateau_counts"],
+            mean_plateau_counts=None if noiseless else counts,
             keep_scans=args.scans)
         dataset, scans = result if args.scans else (result, None)
         truth = reconstruction.submatrix_rows(u, inputs)
@@ -411,6 +433,8 @@ def cmd_reconstruct(args) -> int:
     if not refined.converged:
         print("warning: chi-square refinement stagnated", file=sys.stderr)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     doc = {
         "rows": list(refined.rows),
         "gauge": refined.gauge,
@@ -473,13 +497,15 @@ def cmd_haar(args) -> int:
     rows = _count(config, "haar", "rows",
                   min(m, len(config["inputs"])) if args.device else m)
     n_matrices = _count(config, "haar", "n_matrices")
+    columns = _count(config, "haar", "columns")
+    n_steps = _count(config, "evolution", "n_steps") if args.device else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = stream_seed(config["seed"], "ensemble").spawn(n_matrices + 3)
     subs = haarstats._haar_batch(m, seeds[:n_matrices])[:, :rows, :]
     mod_hist, phase_hist = haarstats.ensemble_moduli_phase_histograms(subs)
     sim_hist = haarstats.column_similarity_distribution(
-        m, hcfg["columns"], seeds[-3], n_bins=hcfg["similarity_pairs_bins"])
+        m, columns, seeds[-3], n_bins=hcfg["similarity_pairs_bins"])
     _write_histogram_csv(out / "moduli_hist.csv", mod_hist)
     _write_histogram_csv(out / "phase_hist.csv", phase_hist)
     _write_histogram_csv(out / "column_similarity_hist.csv", sim_hist)
@@ -489,10 +515,9 @@ def cmd_haar(args) -> int:
         power_range = tuple(config["heaters"]["power_range_mw"])
         powers = np.concatenate([
             haarstats.random_heater_powers(bank, n_matrices, seeds[-2], power_range),
-            haarstats.random_heater_powers(bank, hcfg["columns"], seeds[-1], power_range)])
+            haarstats.random_heater_powers(bank, columns, seeds[-1], power_range)])
         subs = haarstats.device_submatrix_ensemble(
-            layout, model, bank, config["inputs"][:rows], powers,
-            n_steps=config["evolution"]["n_steps"])
+            layout, model, bank, config["inputs"][:rows], powers, n_steps=n_steps)
         dev_subs, cols = subs[:n_matrices], subs[n_matrices:, 0]
         dev_mod, dev_phase = haarstats.ensemble_moduli_phase_histograms(dev_subs)
         dev_sim = haarstats.similarity_histogram(np.abs(cols) ** 2,

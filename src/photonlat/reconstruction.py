@@ -9,10 +9,13 @@ coincidence probability) and dips with visibility
 
 so the plateaus pin the moduli and the visibilities the phase quadruples.
 Reconstruction proceeds in three stages: a weighted least-squares fit of
-the squared moduli to the plateaus, an analytic phase extraction by
-arccos with sign chaining (which leaves one sign candidate per
-reconstructed row: two-photon data cannot tell a row from its
-conjugate), and a final chi-square polish over the phases.
+the squared moduli to the plateaus, an analytic phase extraction, and a
+final chi-square polish over the phases. Per input pair the visibilities
+give cos(psi_i - psi_j) for every output pair, with psi the phase
+difference of the pair's two rows; that matrix is Re(z z^H) with
+z_j = exp(i psi_j), rank 2, so one eigendecomposition recovers psi up to
+a sign (two-photon data cannot tell a row from its conjugate), and the
+signs are searched exhaustively.
 
 Reconstructed submatrices use the gauge where the first input row and
 first output column carry zero phase; only the phase quadruples above
@@ -28,6 +31,7 @@ truth, the moduli fit and its Jacobian, and the chi-square residuals of
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -42,6 +46,8 @@ DEFAULT_SCAN_POINTS = 21
 DEFAULT_SCAN_SPAN = 3.0      # scan half-width in units of the dip sigma
 DEFAULT_DIP_SIGMA = 30.0     # delay-line sigma, um
 ERROR_FLOOR = 1e-6           # relative floor on plateau-scale uncertainties
+
+log = logging.getLogger(__name__)
 
 
 def submatrix_rows(u, inputs) -> np.ndarray:
@@ -243,9 +249,6 @@ class HomDataset:
         if self.intensities is not None and \
                 np.shape(self.intensities) != (self.n_rows, self.n_outputs):
             raise ConfigurationError("intensities must have one row per input row")
-        self._flat = np.full((self.n_outputs, self.n_outputs), -1, dtype=int)
-        self._flat[self.out_i, self.out_j] = np.arange(len(self.out_i))
-        self._flat[self.out_j, self.out_i] = np.arange(len(self.out_i))
         self.dip_pair, dip = np.nonzero(self.valid)
         self.dip_h, self.dip_k = self._pair_rows[self.dip_pair].T
         self.dip_i, self.dip_j = self.out_i[dip], self.out_j[dip]
@@ -268,12 +271,6 @@ class HomDataset:
     def pair_row_indices(self, p: int):
         hr, kr = self._pair_rows[p]
         return int(hr), int(kr)
-
-    def flat_index(self, i: int, j: int) -> int:
-        k = int(self._flat[i, j])
-        if k < 0:
-            raise ConfigurationError("output pair must have i != j")
-        return k
 
     def to_dict(self) -> dict:
         """JSON-serializable form (arrays as nested lists)."""
@@ -517,133 +514,90 @@ def _chi2_cost(theta, moduli, dataset) -> float:
     return float(r @ r)
 
 
-def _cos_quadruples(dataset: HomDataset, p: int, moduli):
-    """Measured cos(quadruple) per dip of pair p, with a validity mask.
+def _row_differences(dataset: HomDataset, edges, moduli) -> np.ndarray:
+    """psi_j = theta_child,j - theta_parent,j per tree edge, each up to a
+    global sign; (n_edges, n_outputs), psi_0 = 0 by the column gauge.
 
-    Returns (cos values clamped to [-1, 1], conditioning sigma, usable mask);
-    raises when a clamped value exceeds 1 beyond its uncertainty.
+    An edge's dips measure c_ij = cos(psi_i - psi_j) = Re(z z^H)_ij with
+    z_j = exp(i psi_j), a rank-2 matrix, so the top two eigenvectors of the
+    measured cosines give z up to a global phase and a conjugation (the
+    real-part case of angular synchronisation, Singer 2011). Unusable dips
+    enter as 0; a well-conditioned |c| beyond 1 raises. Each edge is
+    oriented so that psi is positive at its column of largest |sin psi|.
     """
-    hr, kr = dataset.pair_row_indices(p)
-    iu, ju = dataset.out_i, dataset.out_j
-    denom = (moduli[hr, iu] * moduli[kr, ju] * moduli[hr, ju] * moduli[kr, iu])
-    usable = dataset.valid[p] & (denom > 0)
-    c = np.zeros(len(iu))
-    sig = np.full(len(iu), np.inf)
-    # scan convention: Q = a (1 + V) = a + 2 rho^4 cos(quadruple)
-    va = dataset.visibilities[p] * dataset.plateaus[p]
-    c[usable] = va[usable] / (2.0 * denom[usable])
-    sig[usable] = dataset.va_errors[p, usable] / (2.0 * denom[usable])
-    tol = np.maximum(1e-6, 5.0 * sig)
+    n_out = dataset.n_outputs
+    edge_of = np.full(dataset.n_pairs, -1)
+    edge_of[[p for p, _, _ in edges]] = np.arange(len(edges))
+    e = edge_of[dataset.dip_pair]
+    tree = e >= 0            # only the dips of tree pairs enter the solve
+    e, h, k = e[tree], dataset.dip_h[tree], dataset.dip_k[tree]
+    i, j = dataset.dip_i[tree], dataset.dip_j[tree]
+    v = dataset.valid
+    denom = 2.0 * moduli[h, i] * moduli[k, j] * moduli[h, j] * moduli[k, i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # scan convention: Q = a (1 + V) = a + 2 rho^4 cos(quadruple)
+        c = np.where(denom > 0, (dataset.visibilities[v] * dataset.plateaus[v])[tree]
+                     / denom, 0.0)
+        sig = np.where(denom > 0, dataset.va_errors[v][tree] / denom, np.inf)
     # only well-conditioned dips can testify against the model; the rest
     # are clamped and deferred to the chi-square refinement
-    bad = usable & (sig <= 0.05) & (np.abs(c) > 1.0 + tol)
-    if np.any(bad):
+    bad = (sig <= 0.05) & (np.abs(c) > 1.0 + np.maximum(1e-6, 5.0 * sig))
+    if bad.any():
         worst = int(np.argmax(np.where(bad, np.abs(c), 0.0)))
         raise InconsistentDataError(
-            f"|cos| = {abs(c[worst]):.6f} beyond tolerance for pair index {p}, "
-            f"outputs ({iu[worst]}, {ju[worst]})")
-    c = np.clip(c, -1.0, 1.0)
-    usable &= sig <= 0.5
-    return c, sig, usable
-
-
-def _solve_row_difference(dataset: HomDataset, p: int, moduli):
-    """Signed psi_j = theta_child,j - theta_parent,j for pair p, up to a
-    global sign; psi_0 = 0 by the column gauge."""
-    n_out = dataset.n_outputs
-    c, sig, usable = _cos_quadruples(dataset, p, moduli)
-    flat = dataset.flat_index
-    psi = np.zeros(n_out)
-    known = np.zeros(n_out, dtype=bool)
-    known[0] = True
-    # magnitudes from the dips against the gauge column
-    mag = np.full(n_out, np.nan)
-    for j in range(1, n_out):
-        d = flat(0, j)
-        if usable[d]:
-            mag[j] = math.acos(c[d])
-    have_mag = ~np.isnan(mag)
-    # pick the best-conditioned reference with a well-separated phase
-    weights = np.where(have_mag, np.abs(np.sin(np.where(have_mag, mag, 0.0))), -1.0)
-    if weights.max() <= 0:
-        # all phases are ~0 or pi: signs are irrelevant
-        psi[have_mag] = mag[have_mag]
-        known |= have_mag
-    else:
-        jref = int(np.argmax(weights))
-        psi[jref] = mag[jref]
-        known[jref] = True
-        anchors = [jref]
-        for j in range(1, n_out):
-            if j == jref or not have_mag[j]:
-                continue
-            s = 1.0
-            for anc in anchors:
-                d = flat(j, anc)
-                if usable[d]:
-                    plus = abs(math.cos(mag[j] - psi[anc]) - c[d])
-                    minus = abs(math.cos(-mag[j] - psi[anc]) - c[d])
-                    s = 1.0 if plus <= minus else -1.0
-                    break
-            psi[j] = s * mag[j]
-            known[j] = True
-            if len(anchors) < 4 and abs(math.sin(psi[j])) > 0.3:
-                anchors.append(j)
-    # columns whose gauge dip was unusable: chain through solved anchors
-    for j in range(1, n_out):
-        if known[j]:
-            continue
-        cands = []
-        for anc in np.nonzero(known)[0]:
-            if anc == j:
-                continue
-            d = flat(j, anc)
-            if usable[d]:
-                cands.append((sig[d], anc, math.acos(c[d])))
-        if not cands:
-            psi[j] = 0.0   # left to the chi-square refinement
-            continue
-        cands.sort()
-        _, anc, delta = cands[0]
-        options = (psi[anc] + delta, psi[anc] - delta)
-        if len(cands) > 1:
-            _, anc2, delta2 = cands[1]
-            mis = [abs(math.cos(opt - psi[anc2]) - math.cos(delta2))
-                   for opt in options]
-            psi[j] = options[int(np.argmin(mis))]
-        else:
-            psi[j] = options[0]
-        known[j] = True
-    return np.angle(np.exp(1j * psi))
+            f"|cos| = {abs(c[worst]):.6f} beyond tolerance for pair index "
+            f"{edges[e[worst]][0]}, outputs ({i[worst]}, {j[worst]})")
+    usable = sig <= 0.5
+    gram = np.zeros((len(edges), n_out, n_out))
+    gram[:, np.arange(n_out), np.arange(n_out)] = 1.0
+    gram[e[usable], i[usable], j[usable]] = gram[e[usable], j[usable], i[usable]] = \
+        np.clip(c[usable], -1.0, 1.0)
+    lam, vec = np.linalg.eigh(gram)
+    w = vec[..., -2:] * np.sqrt(np.maximum(lam[:, None, -2:], 0.0))
+    z = w[..., 0] + 1j * w[..., -1]      # w[..., -1] is w[..., 1] unless n_out is 1
+    psi = np.angle(z * np.conj(z[:, :1]))
+    psi *= np.where(np.take_along_axis(
+        psi, np.abs(np.sin(psi)).argmax(axis=1)[:, None], axis=1) < 0, -1.0, 1.0)
+    if log.isEnabledFor(logging.DEBUG):
+        used = np.bincount(e[usable], minlength=len(edges))
+        clamped = np.bincount(e[usable & (np.abs(c) > 1.0)], minlength=len(edges))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest = np.abs(lam[:, :-2]).max(axis=1, initial=0.0) / lam[:, -2:].min(axis=1)
+        for n, (p, _, _) in enumerate(edges):
+            log.debug("pair %s: %d dips used, %d entered as 0, %d clamped to "
+                      "|c| <= 1, |lambda_3|/lambda_2 %.3g", dataset.input_pairs[p],
+                      used[n], len(dataset.out_i) - used[n], clamped[n], rest[n])
+    return psi
 
 
 def reconstruct_phases(dataset: HomDataset, moduli) -> ReconstructedSubmatrix:
-    """Analytic phase recovery with exhaustive per-row sign candidates.
+    """Rank-2 spectral phase recovery with exhaustive per-row sign candidates.
 
     Rows are solved along a spanning tree of the measured input pairs;
-    each tree edge yields a phase-difference vector known up to one global
-    sign, and all sign assignments are scored by the chi-square of
-    :func:`refine_chi2`, returning the best. For a tree of pairs the
-    conjugate candidates tie exactly; the tie is broken deterministically
-    and comparisons must be conjugation-invariant (see
-    :func:`gauge_distance`).
+    each tree edge's cosines cos(psi_i - psi_j) form a rank-2 matrix whose
+    top two eigenvectors give the phase-difference vector psi up to one
+    global sign (see :func:`_row_differences`). All sign assignments are
+    scored by the chi-square of :func:`refine_chi2`, returning the best.
+    For a tree of pairs the conjugate candidates tie exactly; the tie is
+    broken deterministically and comparisons must be
+    conjugation-invariant (see :func:`gauge_distance`).
     """
     edges = _spanning_tree(dataset)
     moduli = np.asarray(moduli, dtype=float)
     n_rows, n_out = moduli.shape
-    tree = [(parent, child, _solve_row_difference(dataset, p, moduli))
-            for p, parent, child in edges]
+    psi = _row_differences(dataset, edges, moduli)
 
     best = None
-    for signs in range(1 << len(tree)):
+    for signs in range(1 << len(edges)):
         theta = np.zeros((n_rows, n_out))
-        for e, (parent, child, psi) in enumerate(tree):
+        for e, (_, parent, child) in enumerate(edges):
             s = -1.0 if (signs >> e) & 1 else 1.0
-            theta[child] = theta[parent] + s * psi
+            theta[child] = theta[parent] + s * psi[e]
         cost = _chi2_cost(theta, moduli, dataset)
         if best is None or cost < best[0] - 1e-12:
             best = (cost, theta)
     cost, theta = best
+    log.debug("%d sign candidates scored, best chi2 %.6g", 1 << len(edges), cost)
     theta = np.angle(np.exp(1j * theta))
     theta[0, :] = 0.0
     theta[:, 0] = 0.0

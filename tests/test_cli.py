@@ -520,3 +520,36 @@ def test_haar_device_column_norm_defect_exits_3(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"haar": {"n_matrices": 2, "columns": 3},
                                   "evolution": {"n_steps": 32}})
     assert run("haar", "--config", cfg, "--out", tmp_path / "haar", "--device") == 3
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0])
+@pytest.mark.parametrize("command, section, key", [
+    ("simulate", "evolution", "n_steps"), ("haar", "evolution", "n_steps"),
+    ("haar", "haar", "columns")])
+def test_non_count_exits_2(tmp_path, capsys, command, section, key, value):
+    cfg = write_config(tmp_path, {section: {key: value}})
+    flags = ["--device"] if command == "haar" else []
+    assert run(command, "--config", cfg, "--out", tmp_path / "out", *flags) == 2
+    assert f"{section}.{key} = {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("power_range", [[0, "a"], [0], [500, 0], [-1, 5]])
+def test_bad_power_range_exits_2(tmp_path, capsys, power_range):
+    cfg = write_config(tmp_path, {"heaters": {"power_range_mw": power_range}})
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
+    assert "heaters.power_range_mw" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input_pairs", [[11]]), ("input_pairs", [[11, "x"]]), ("input_pairs", [[11, True]]),
+    ("input_pairs", [11, 12]), ("mean_plateau_counts", -5), ("mean_plateau_counts", 0),
+    ("mean_plateau_counts", "1e4")])
+def test_bad_reconstruction_setting_exits_2(simulated, tmp_path, capsys, key, value):
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, {"reconstruction": {"noise": "poisson", key: value}})
+    assert run("reconstruct", "--config", cfg, "--unitary", upath,
+               "--out", tmp_path / "rec") == 2
+    assert f"reconstruction.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()

@@ -1,4 +1,7 @@
+import logging
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +250,64 @@ class TestPhases:
         signs_true = np.sign(np.cos(phases_t))
         relevant = moduli_t > 1e-3
         assert np.array_equal(signs_got[relevant], signs_true[relevant])
+
+    @pytest.mark.parametrize("missing", ["outputs_0_5", "random_30_percent"])
+    def test_missing_dips_still_refine_to_truth(self, device_unitary, missing):
+        inputs = (11, 12, 19)
+        ds = simulate_hom_dataset(device_unitary, inputs)
+        valid = ds.valid.copy()
+        if missing == "outputs_0_5":
+            valid[:, (ds.out_i == 0) & (ds.out_j == 5)] = False
+        else:
+            n_dips = len(ds.out_i)
+            drop = np.random.default_rng(0).choice(n_dips, int(0.3 * n_dips),
+                                                   replace=False)
+            valid[:, drop] = False
+        ds = replace(ds, valid=valid)
+        refined = refine_chi2(reconstruct_phases(ds, reconstruct_moduli(ds)), ds)
+        _, phase_rmse = gauge_distance(refined, submatrix_rows(device_unitary, inputs))
+        assert phase_rmse < 1e-6
+
+    def test_phases_do_not_depend_on_eigenvector_signs(self, device_unitary,
+                                                       monkeypatch):
+        # negating one eigenvector reflects the recovered phases; the
+        # orientation rule must undo it bit for bit
+        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                  mean_plateau_counts=1e4)
+        moduli = reconstruct_moduli(ds)
+        want = reconstruct_phases(ds, moduli).phases
+        eigh = np.linalg.eigh
+
+        def reflected_eigh(a):
+            lam, vec = eigh(a)
+            vec[..., -1] *= -1.0
+            return lam, vec
+
+        monkeypatch.setattr(np.linalg, "eigh", reflected_eigh)
+        assert np.array_equal(reconstruct_phases(ds, moduli).phases, want)
+
+    def test_phase_recovery_logs_what_it_did(self, device_unitary, caplog):
+        inputs = (11, 12, 19)
+        ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
+                                  mean_plateau_counts=1e4)
+        with caplog.at_level(logging.DEBUG, logger="photonlat.reconstruction"):
+            candidate = reconstruct_phases(ds, reconstruct_moduli(ds))
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "photonlat.reconstruction"]
+        assert len(messages) == 3
+        n_dips = len(ds.out_i)
+        for (h, k), message in zip(ds.input_pairs, messages):
+            used, zero, clamped, ratio = re.search(
+                rf"pair \({h}, {k}\): (\d+) dips used, (\d+) entered as 0, "
+                r"(\d+) clamped to \|c\| <= 1, \|lambda_3\|/lambda_2 (\S+)",
+                message).groups()
+            assert int(used) + int(zero) == n_dips and int(used) > 0.9 * n_dips
+            assert 0 < int(clamped) < int(used)      # 1e4 counts push some |c| past 1
+            assert 0.0 <= float(ratio) < 0.5
+        scored, chi2 = re.search(r"(\d+) sign candidates scored, best chi2 (\S+)",
+                                 messages[2]).groups()
+        assert int(scored) == 4
+        assert float(chi2) == pytest.approx(candidate.chi2, rel=1e-5)
 
     def test_single_pair_for_three_rows_underdetermined(self, device_unitary):
         ds = simulate_hom_dataset(device_unitary, (11, 12, 19),
