@@ -254,14 +254,14 @@ def cmd_sample(args) -> int:
     config = load_config(args.config, args.seed)
     if args.events is not None:
         config["sampling"]["count"] = args.events
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     u = read_unitary(args.unitary)
     n = config["photons"]["n"]
     statistics = config["photons"]["statistics"]
     count = config["sampling"]["count"]
     events = _draw_stream(config, u, statistics, _stream_int(config["seed"], "sampling"),
                           count, collision_free=args.collision_free != "false")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "samples.jsonl"
     with open(path, "w") as fh:
         header = {"record": "header", "config_sha256": config_hash(config),
@@ -338,8 +338,6 @@ def read_samples(path, config):
 
 def cmd_validate(args) -> int:
     config = load_config(args.config, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     u = read_unitary(args.unitary)
     events = read_samples(args.samples, config)
     n = config["photons"]["n"]
@@ -364,6 +362,8 @@ def cmd_validate(args) -> int:
         stream_seed(config["seed"], "ensemble"),
         reference_slope=ref_trace.slope if ref_trace.slope != 0 else None)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trace.csv", ["k", "counter"],
                list(enumerate(trace.counters.tolist(), start=1)))
     _write_histogram_csv(out / "slope_histogram.csv", ensemble.histogram)
@@ -539,14 +539,14 @@ def cmd_haar(args) -> int:
 
 def cmd_footprint(args) -> int:
     config = load_config(args.config, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fcfg = config["footprint"]
     params = fp.FootprintParams(r_min=fcfg["r_min_mm"], p=fcfg["p_mm"],
                                 p_f=fcfg["p_f_mm"], c=fcfg["c_per_mm"],
                                 b=fcfg["b"],
                                 fan_arrangement=fcfg["fan_arrangement"])
     rows = fp.compare_layouts(fcfg["m_values"], params)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "footprint.csv",
                ["m", "L_clements_mm", "L_spread_planar_mm",
                 "L_spread_triangular_mm", "L_fan_mm"],

@@ -8,6 +8,8 @@ coincidence probability) and dips with visibility
       = -(2 rho_ih rho_jk rho_jh rho_ik / a) cos(th_ih + th_jk - th_jh - th_ik)
 
 so the plateaus pin the moduli and the visibilities the phase quadruples.
+All dips of a campaign are fitted as one stack: one vectorised
+Levenberg-Marquardt over the (n_dips, n_points) scans.
 Reconstruction proceeds in three stages: a weighted least-squares fit of
 the squared moduli to the plateaus, an analytic phase extraction, and a
 final chi-square polish over the phases. Per input pair the visibilities
@@ -33,11 +35,10 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, least_squares
+from scipy.optimize import least_squares
 
 from .errors import (ConfigurationError, FitError, InconsistentDataError,
                      UndefinedVisibilityError, UnderdeterminedError)
@@ -46,6 +47,10 @@ DEFAULT_SCAN_POINTS = 21
 DEFAULT_SCAN_SPAN = 3.0      # scan half-width in units of the dip sigma
 DEFAULT_DIP_SIGMA = 30.0     # delay-line sigma, um
 ERROR_FLOOR = 1e-6           # relative floor on plateau-scale uncertainties
+FTOL = XTOL = 1.49012e-8     # MINPACK's (and curve_fit's) default tolerances
+MAX_LM_ITERATIONS = 100      # a dip fit still moving after this falls back
+_EPS = np.finfo(float).eps
+_DWARF = np.finfo(float).tiny
 
 log = logging.getLogger(__name__)
 
@@ -128,70 +133,260 @@ class DipFit:
     cov: np.ndarray
 
 
-def _dip_p0(x, y):
-    mid = 0.5 * (x.min() + x.max())
-    n_outer = max(2, len(x) // 4)
-    outer = np.argsort(-np.abs(x - mid))[:n_outer]
-    a0 = float(np.mean(y[outer]))
-    if a0 <= 0:
-        a0 = max(float(np.mean(y)), 1e-12)
-    dev = y - a0
-    ext = int(np.argmax(np.abs(dev)))
-    v0 = float(dev[ext] / a0)
-    x00 = float(x[ext])
-    half = np.abs(dev) >= 0.5 * abs(dev[ext])
-    if abs(dev[ext]) > 0 and half.sum() >= 2:
-        s0 = max((x[half].max() - x[half].min()) / 2.355, (x.max() - x.min()) / 50.0)
-    else:
-        s0 = (x.max() - x.min()) / 6.0
-    return a0, v0, x00, float(s0)
+def _dip_p0(x, y) -> np.ndarray:
+    """Initial (a, V, x0, sigma) per row of the (D, n) scans ``y`` at the
+    shared positions ``x``: the outer-quarter plateau, the extremum, and
+    the half-maximum width, with fallbacks for flat or empty scans."""
+    span = x.max() - x.min()
+    outer = np.argsort(-np.abs(x - 0.5 * (x.min() + x.max())))[:max(2, len(x) // 4)]
+    a0 = y[:, outer].mean(axis=1)
+    a0 = np.where(a0 > 0, a0, np.maximum(y.mean(axis=1), 1e-12))
+    dev = y - a0[:, None]
+    ext = np.abs(dev).argmax(axis=1)
+    peak = np.take_along_axis(dev, ext[:, None], axis=1)[:, 0]
+    half = np.abs(dev) >= 0.5 * np.abs(peak)[:, None]
+    width = np.where(half, x, -np.inf).max(axis=1) - np.where(half, x, np.inf).min(axis=1)
+    s0 = np.where((np.abs(peak) > 0) & (half.sum(axis=1) >= 2),
+                  np.maximum(width / 2.355, span / 50.0), span / 6.0)
+    return np.stack([a0, peak / a0, x[ext], s0], axis=1)
 
 
-def fit_dip(positions, counts, sigma=None, max_nfev: int = 20000) -> DipFit:
-    """Weighted least-squares fit of a dip scan to the Gaussian profile.
+def _dip_model(x, p):
+    """Profiles (D, n) of :func:`dip_profile` for parameter rows ``p`` (D, 4)
+    and their analytic Jacobian (D, n, 4) in (a, V, x0, sigma)."""
+    a, v, x0, s = (p[:, c, None] for c in range(4))
+    u = (x - x0) / s
+    g = np.exp(-0.5 * u * u)
+    avg = a * v * g
+    return a * (1.0 + v * g), np.stack([1.0 + v * g, a * g, avg * u / s, avg * u * u / s],
+                                       axis=-1)
 
-    Poisson weights sqrt(max(counts, 1)) are assumed unless ``sigma``
-    overrides them; uncertainties come from the fit covariance. A scan that
-    cannot pin the dip position and width falls back to fitting (a, V)
-    with those two frozen at their initial estimates: the full fit did not
-    converge, or put the centre outside the scan, or the width below the
-    mean point spacing or above half the scanned range.
+
+def _covariance(jtj) -> np.ndarray:
+    """(J^T J)^-1 per entry of a (D, k, k) stack; all-inf where J^T J is
+    singular (a zero column, or rank-deficient to working precision).
+
+    The inverse goes through the eigendecomposition of the unit-diagonal
+    scaled matrix, so a singular entry cannot raise for the whole stack.
     """
-    x = np.asarray(positions, dtype=float)
-    y = np.asarray(counts, dtype=float)
+    d = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
+    singular = (d == 0).any(axis=1)
+    d = np.where(d == 0, 1.0, d)
+    lam, vec = np.linalg.eigh(jtj / (d[:, :, None] * d[:, None, :]))
+    singular |= lam[:, 0] <= jtj.shape[-1] * _EPS * lam[:, -1]
+    lam = np.where(singular[:, None], 1.0, lam)
+    cov = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1) / (d[:, :, None] * d[:, None, :])
+    cov[singular] = np.inf
+    return cov
+
+
+def _trust_region_step(mu, c, delta, par):
+    """MINPACK's ``lmpar`` on a stack, in the eigenbasis of the scaled J^T J.
+
+    ``mu`` (k, 4) are the eigenvalues (ascending) and ``c`` (k, 4) the
+    scaled gradient in that basis; returns the damping ``par`` and the
+    scaled step q = -c / (mu + par) whose norm is within 10% of the trust
+    radius ``delta``, or the Gauss-Newton step (par = 0) when that fits.
+    Rank-deficient directions take no Gauss-Newton step, as in MINPACK.
+    """
+    singular = mu <= 4.0 * _EPS * mu[:, -1:]
+    safe = np.where(singular, 1.0, mu)
+    q = np.where(singular, 0.0, -c / safe)
+    norm = np.sqrt((q * q).sum(axis=1))
+    fp = norm - delta
+    newton = fp <= 0.1 * delta
+    # bounds on par, then Newton iterations on ||q(par)|| = delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = np.where(singular.any(axis=1), 0.0,
+                         fp / delta * norm ** 2 / (q * q / safe).sum(axis=1))
+        gnorm = np.sqrt((c * c).sum(axis=1))
+        upper = gnorm / delta
+        upper = np.where(upper == 0, _DWARF / np.minimum(delta, 0.1), upper)
+        par = np.minimum(np.maximum(par, lower), upper)
+        par = np.where(par == 0, gnorm / norm, par)
+    searching = ~newton
+    for it in range(10):
+        if not searching.any():
+            break
+        par = np.where(searching & (par == 0), np.maximum(_DWARF, 1e-3 * upper), par)
+        qs = -c / (mu + par[:, None])
+        norm_s = np.sqrt((qs * qs).sum(axis=1))
+        prev, fp_s = fp, norm_s - delta
+        q = np.where(searching[:, None], qs, q)
+        fp = np.where(searching, fp_s, fp)
+        searching &= ~((np.abs(fp_s) <= 0.1 * delta)
+                       | ((lower == 0) & (fp_s <= prev) & (prev < 0)) | (it == 9))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correction = fp_s / delta * norm_s ** 2 / (qs * qs / (mu + par[:, None])).sum(axis=1)
+        lower = np.where(searching & (fp_s > 0), np.maximum(lower, par), lower)
+        upper = np.where(searching & (fp_s < 0), np.minimum(upper, par), upper)
+        par = np.where(searching, np.maximum(lower, par + correction), par)
+    return np.where(newton, 0.0, par), q
+
+
+def _fit_dips(positions, counts):
+    """Fit every row of the (D, n) scans ``counts`` at the shared
+    ``positions``; returns params (D, 4) in (a, V, x0, sigma) with sigma
+    >= 0, and covariances (D, 4, 4).
+
+    One Levenberg-Marquardt (More 1978, the trust-region form MINPACK and
+    so ``curve_fit`` implement) runs on the whole stack: Poisson weights
+    1/sqrt(max(counts, 1)), the analytic Jacobian of :func:`dip_profile`,
+    the 4x4 normal equations scaled by the running maximum of diag(J^T J)
+    (1 for a zero column, so flat dips stay solvable), per-dip damping
+    and trust radius, and MINPACK's default ftol and xtol stopping rules.
+    Each iteration works only on the dips still moving. A dip that does
+    not converge within ``MAX_LM_ITERATIONS``, or puts its centre outside
+    the scan or its width below the point spacing or above half the
+    scanned range, falls back to the fit of (a, V) with x0 and sigma
+    frozen at their initial estimates: linear in (a, aV), so one batched
+    weighted 2x2 solve. A fallback's x0 and sigma rows and columns of the
+    covariance are NaN; a singular J^T J gives an infinite covariance.
+    """
+    x, y = positions, counts
+    n_dips, n_points = y.shape
+    w = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    p0 = _dip_p0(x, y)
+
+    def evaluate(rows, p):
+        f, jac = _dip_model(x, p)
+        r = (f - y[rows]) * w[rows]
+        jac *= w[rows, :, None]
+        return (r * r).sum(axis=1), jac.transpose(0, 2, 1) @ jac, \
+            np.einsum("dni,dn->di", jac, r)
+
+    p = p0.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cost, jtj, grad = evaluate(np.arange(n_dips), p)
+        scale = np.diagonal(jtj, axis1=1, axis2=2).copy()
+        scale[scale == 0] = 1.0
+        delta = 100.0 * np.sqrt((scale * p * p).sum(axis=1))
+        delta[delta == 0] = 100.0
+        par = np.zeros(n_dips)
+        first = np.ones(n_dips, dtype=bool)        # no step accepted yet
+        iterations = np.zeros(n_dips, dtype=int)
+        converged = cost == 0
+        active = np.flatnonzero(~converged)
+        stale = active                             # dips whose point moved
+        mu, vec = np.zeros((n_dips, 4)), np.zeros((n_dips, 4, 4))
+        for _ in range(MAX_LM_ITERATIONS):
+            if not active.size:
+                break
+            d = np.sqrt(scale[stale])
+            mu[stale], vec[stale] = np.linalg.eigh(jtj[stale] / (d[:, :, None] * d[:, None, :]))
+            k = active
+            d = np.sqrt(scale[k])
+            c = np.einsum("dji,dj->di", vec[k], grad[k] / d)
+            par[k], qe = _trust_region_step(mu[k], c, delta[k], par[k])
+            q = np.einsum("dij,dj->di", vec[k], qe)
+            qnorm = np.sqrt((q * q).sum(axis=1))
+            delta[k] = np.where(first[k], np.minimum(delta[k], qnorm), delta[k])
+            step = q / d
+            cost_t, jtj_t, grad_t = evaluate(k, p[k] + step)
+            # MINPACK's actual and predicted relative reductions
+            actual = np.where(0.1 * np.sqrt(cost_t) < np.sqrt(cost[k]),
+                              1.0 - cost_t / cost[k], -1.0)
+            gauss = (mu[k] * qe * qe).sum(axis=1) / cost[k]
+            damped = par[k] * qnorm ** 2 / cost[k]
+            predicted = gauss + 2.0 * damped
+            ratio = np.where(predicted != 0, actual / predicted, 0.0)
+            dirder = -(gauss + damped)
+            shrink = np.where(actual >= 0, 0.5, 0.5 * dirder / (dirder + 0.5 * actual))
+            shrink = np.where((0.1 * np.sqrt(cost_t) >= np.sqrt(cost[k])) | (shrink < 0.1),
+                              0.1, shrink)
+            poor = ratio <= 0.25
+            grow = ~poor & ((par[k] == 0) | (ratio >= 0.75))
+            delta[k] = np.where(poor, shrink * np.minimum(delta[k], qnorm / 0.1),
+                                np.where(grow, qnorm / 0.5, delta[k]))
+            par[k] = np.where(poor, par[k] / shrink, np.where(grow, 0.5 * par[k], par[k]))
+            # a step that leaves the finite model (sigma -> 0) is not taken
+            ok = (ratio >= 1e-4) & np.isfinite(jtj_t).all(axis=(1, 2))
+            moved = k[ok]
+            p[moved] += step[ok]
+            cost[moved], jtj[moved], grad[moved] = cost_t[ok], jtj_t[ok], grad_t[ok]
+            scale[moved] = np.maximum(scale[moved], np.diagonal(jtj_t[ok], axis1=1, axis2=2))
+            first[moved] = False
+            iterations[k] += 1
+            done = ((np.abs(actual) <= FTOL) & (predicted <= FTOL) & (ratio <= 2.0)) \
+                | (delta[k] <= XTOL * np.sqrt((scale[k] * p[k] ** 2).sum(axis=1))) \
+                | (cost[k] == 0)
+            converged[k[done]] = True
+            active, stale = k[~done], k[ok & ~done]
+    cov = _covariance(jtj)
+
+    lo, hi = x.min(), x.max()
+    spacing = (hi - lo) / (n_points - 1)
+    width = np.abs(p[:, 3])
+    triggers = {"not converged": ~converged,
+                "x0 outside the scan": converged & ~((lo <= p[:, 2]) & (p[:, 2] <= hi)),
+                "sigma below the spacing": converged & (width < spacing),
+                "sigma above half the range": converged & (width > (hi - lo) / 2)}
+    fb = np.flatnonzero(np.logical_or.reduce(list(triggers.values())))
+    if fb.size:
+        x0, s = p0[fb, 2:3], p0[fb, 3:4]
+        g = np.exp(-((x - x0) ** 2) / (2.0 * s ** 2))
+        wf = w[fb]
+        basis = np.stack([wf, wf * g], axis=-1)              # columns for a and a V
+        m = basis.transpose(0, 2, 1) @ basis
+        rhs = np.einsum("fni,fn->fi", basis, wf * y[fb])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+            a = (m[:, 1, 1] * rhs[:, 0] - m[:, 0, 1] * rhs[:, 1]) / det
+            v = (m[:, 0, 0] * rhs[:, 1] - m[:, 0, 1] * rhs[:, 0]) / det / a
+        bad = ~(np.isfinite(a) & np.isfinite(v))
+        if bad.any():
+            raise FitError("dip fit with frozen x0 and sigma has no finite solution",
+                           diagnostics={"p0": tuple(p0[fb[bad][0]]), "n_points": n_points,
+                                        "n_failed": int(bad.sum())})
+        p[fb] = np.column_stack([a, v, p0[fb, 2], p0[fb, 3]])
+        jac2 = np.stack([wf * (1.0 + v[:, None] * g), wf * a[:, None] * g], axis=-1)
+        cov[fb] = np.nan
+        cov[fb, :2, :2] = _covariance(jac2.transpose(0, 2, 1) @ jac2)
+    p[:, 3] = np.abs(p[:, 3])
+
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("%d dip fits, up to %d LM iterations, %d at the cap of %d; %d "
+                  "fallbacks (%s); %d non-finite covariances", n_dips,
+                  iterations.max(initial=0), (iterations == MAX_LM_ITERATIONS).sum(),
+                  MAX_LM_ITERATIONS, fb.size,
+                  ", ".join(f"{name} {mask.sum()}" for name, mask in triggers.items()),
+                  (~np.isfinite(cov[:, :2, :2]).all(axis=(1, 2))).sum())
+    return p, cov
+
+
+def fit_dip(positions, counts) -> DipFit:
+    """Weighted least-squares fit of one dip scan to the Gaussian profile.
+
+    A one-row stack of :func:`_fit_dips`, the fitter that
+    :func:`simulate_hom_dataset` runs once on a whole campaign: a
+    Levenberg-Marquardt fit of (a, V, x0, sigma) with Poisson weights
+    sqrt(max(counts, 1)), uncertainties from the covariance (J^T J)^-1 at
+    the solution, infinite where that is singular. A scan that cannot pin
+    the dip position and width falls back to fitting (a, V) with those two
+    frozen at their initial estimates, and NaN uncertainties for them: the
+    full fit did not converge, or put the centre outside the scan, or the
+    width below the mean point spacing or above half the scanned range.
+    Positions and counts must be 1-D, finite and of equal length (at
+    least 8), counts >= 0, and the positions must span a positive range.
+    """
+    try:
+        x = np.asarray(positions, dtype=float)
+        y = np.asarray(counts, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"scan positions and counts must be numbers: {exc}") from exc
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ConfigurationError(
+            f"positions {x.shape} and counts {y.shape} must be 1-D and of equal length")
     if len(x) < 8:
         raise ConfigurationError("need at least 8 scan positions")
-    if sigma is None:
-        sigma = np.sqrt(np.maximum(y, 1.0))
-    p0 = _dip_p0(x, y)
-    lo, hi = x.min(), x.max()
-    spacing = (hi - lo) / (len(x) - 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        try:
-            popt, pcov = curve_fit(dip_profile, x, y, p0=p0, sigma=sigma,
-                                   absolute_sigma=True, maxfev=max_nfev)
-        except RuntimeError:
-            popt = None
-        if popt is None or not (lo <= popt[2] <= hi
-                                and spacing <= abs(popt[3]) <= (hi - lo) / 2):
-            x00, s0 = p0[2], p0[3]
-            try:
-                popt2, pcov2 = curve_fit(
-                    lambda xx, a, v: dip_profile(xx, a, v, x00, s0),
-                    x, y, p0=p0[:2], sigma=sigma, absolute_sigma=True,
-                    maxfev=max_nfev)
-            except RuntimeError as exc:
-                raise FitError("dip fit did not converge",
-                               diagnostics={"p0": p0, "n_points": len(x)}) from exc
-            popt = np.array([popt2[0], popt2[1], x00, s0])
-            pcov = np.full((4, 4), np.nan)
-            pcov[:2, :2] = pcov2
-    errs = np.sqrt(np.abs(np.diag(pcov)))
-    a, v, x0, sig = popt
-    return DipFit(float(a), float(v), float(x0), float(abs(sig)),
-                  float(errs[0]), float(errs[1]), float(errs[2]), float(errs[3]),
-                  pcov)
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and (y >= 0).all()):
+        raise ConfigurationError("scan positions and counts must be finite, counts >= 0")
+    if not x.max() > x.min():
+        raise ConfigurationError("scan positions must span a positive range")
+    (a, v, x0, sig), cov = (arr[0] for arr in _fit_dips(x, y[None, :]))
+    errs = np.sqrt(np.abs(np.diag(cov)))
+    return DipFit(float(a), float(v), float(x0), float(sig),
+                  float(errs[0]), float(errs[1]), float(errs[2]), float(errs[3]), cov)
 
 
 def _pair_row_indices(rows, input_pairs) -> np.ndarray:
@@ -375,19 +570,14 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     positions = default_scan_positions(0.0, dip_sigma, n_scan_points)
     rng = np.random.default_rng(rng_seed)
 
-    fits = []
-    scans = {} if keep_scans else None
-    for p, d in zip(*np.nonzero(valid)):
-        counts = simulate_dip_scan(
-            a_true[p, d] if noiseless else 1.0, v_true[p, d], 0.0, dip_sigma,
-            positions, None if noiseless else scale * a_true[p, d],
-            rng_seed=rng.integers(2 ** 63))
-        fits.append(fit_dip(positions, counts))
-        if keep_scans:
-            scans[(input_pairs[p], (int(iu[d]), int(ju[d])))] = (positions, counts)
-
-    a_fit, v_fit, a_err = np.array([(f.a, f.v, f.a_err) for f in fits]).reshape(-1, 3).T
-    cov = np.array([f.cov[:2, :2] for f in fits]).reshape(-1, 2, 2)
+    dips = list(zip(*np.nonzero(valid)))
+    counts = np.array([simulate_dip_scan(
+        a_true[p, d] if noiseless else 1.0, v_true[p, d], 0.0, dip_sigma,
+        positions, None if noiseless else scale * a_true[p, d],
+        rng_seed=rng.integers(2 ** 63)) for p, d in dips]).reshape(-1, len(positions))
+    params, cov = _fit_dips(positions, counts)
+    a_fit, v_fit = params[:, 0], params[:, 1]
+    cov = cov[:, :2, :2]
     c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
 
     def std_of_a_times(w):
@@ -400,14 +590,18 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
 
     # uncertainties of a, of the dip minimum a (1 + V) and of a V: none for
     # a singular (flat-dip) fit, zero without noise
-    errs = np.stack([a_err / scale, std_of_a_times(1 + v_fit), std_of_a_times(v_fit)])
+    errs = np.stack([np.sqrt(np.abs(c00)) / scale, std_of_a_times(1 + v_fit),
+                     std_of_a_times(v_fit)])
     errs[:, ~np.isfinite(cov).all(axis=(1, 2))] = math.inf
     if noiseless:
         errs[:] = 0.0
     # floor them at a fraction of the typical plateau: the absolute
     # measurement noise does not shrink with the dip size
-    if fits:
-        errs = np.maximum(errs, max(ERROR_FLOOR * (a_fit / scale).mean(), 1e-15))
+    if dips:
+        floor = max(ERROR_FLOOR * (a_fit / scale).mean(), 1e-15)
+        log.debug("%d of %d dip uncertainties raised to the floor %.3g",
+                  (errs < floor).sum(), errs.size, floor)
+        errs = np.maximum(errs, floor)
     plateaus, visibilities = np.zeros((2,) + a_true.shape)
     plateaus[valid], visibilities[valid] = a_fit / scale, v_fit
     plateau_errors, errors, va_errors = np.ones((3,) + a_true.shape)
@@ -422,7 +616,8 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
                          visibilities, errors, plateau_errors, valid, intensities,
                          va_errors)
     if keep_scans:
-        return dataset, scans
+        return dataset, {(input_pairs[p], (int(iu[d]), int(ju[d]))): (positions, row)
+                         for (p, d), row in zip(dips, counts)}
     return dataset
 
 

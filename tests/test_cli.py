@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -553,3 +554,17 @@ def test_bad_reconstruction_setting_exits_2(simulated, tmp_path, capsys, key, va
                "--out", tmp_path / "rec") == 2
     assert f"reconstruction.{key}" in capsys.readouterr().err
     assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "sample", "footprint"])
+def test_rejected_input_leaves_no_out_directory(simulated, tmp_path, command):
+    _, cfg, upath = simulated
+    argv = {
+        "validate": ["--config", cfg, "--unitary", upath, "--samples", os.devnull],
+        "sample": ["--config", cfg, "--unitary", tmp_path / "nonexistent.json"],
+        "footprint": ["--config", write_config(
+            tmp_path, {"footprint": {"fan_arrangement": "weird"}})],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, *argv, "--out", out) == 2
+    assert not out.exists()

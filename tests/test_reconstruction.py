@@ -12,13 +12,16 @@ from photonlat.errors import (ConfigurationError, UndefinedVisibilityError,
                               UnderdeterminedError)
 from photonlat.haarstats import haar_unitary
 from photonlat.interference import FockPattern, output_probability
-from photonlat.reconstruction import (HomDataset, ReconstructedSubmatrix,
+from photonlat.reconstruction import (MAX_LM_ITERATIONS, HomDataset,
+                                      ReconstructedSubmatrix, _fit_dips,
                                       default_scan_positions, dip_profile,
                                       dip_residuals, fit_dip, gauge_distance, hom_plateau,
                                       hom_visibility, reconstruct_moduli,
                                       reconstruct_phases, refine_chi2,
                                       simulate_dip_scan, simulate_hom_dataset,
                                       submatrix_rows)
+
+from oracles import curve_fit_dip
 
 BS = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
 
@@ -137,6 +140,103 @@ class TestFitDip:
             if abs(fit.v - (-0.6)) <= 3 * fit.v_err:
                 hits += 1
         assert hits / trials >= 0.99
+
+    @pytest.mark.parametrize("positions, counts", [
+        (default_scan_positions(), np.ones(10)),                       # lengths differ
+        (default_scan_positions(), np.r_[np.nan, np.ones(20)]),         # NaN count
+        (default_scan_positions(), np.r_[-1.0, np.ones(20)]),           # negative count
+        (np.r_[np.inf, default_scan_positions()[1:]], np.ones(21)),      # infinite position
+        (default_scan_positions()[:, None], np.ones(21)),             # 2-D positions
+        (np.full(21, 5.0), np.ones(21)),                                # zero scan range
+        (default_scan_positions(), ["a"] * 21),                         # not numbers
+    ])
+    def test_malformed_scan_rejected(self, positions, counts):
+        with pytest.raises(ConfigurationError):
+            fit_dip(positions, counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(1e-3, 1.0),
+           v=st.one_of(st.floats(-1.0, -0.05), st.floats(0.05, 1.0)),
+           x0=st.floats(-30.0, 30.0), sigma=st.floats(20.0, 45.0))
+    def test_noiseless_round_trip_recovers_every_parameter(self, a, v, x0, sigma):
+        x = default_scan_positions()
+        fit = fit_dip(x, dip_profile(x, a, v, x0, sigma))
+        assert fit.a == pytest.approx(a, rel=1e-6)
+        assert fit.v == pytest.approx(v, rel=1e-6)
+        # x0 may be 0: relative to the width
+        assert fit.x0 == pytest.approx(x0, rel=1e-6, abs=1e-6 * sigma)
+        assert fit.sigma == pytest.approx(sigma, rel=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2 ** 32), min_size=2, max_size=12),
+           pick=st.integers(0, 11))
+    def test_dip_fit_does_not_depend_on_its_stack(self, seeds, pick):
+        x = default_scan_positions()
+        rngs = [np.random.default_rng(s) for s in seeds]
+        counts = np.array([simulate_dip_scan(rng.uniform(0.2, 1.0), rng.uniform(-1.0, 0.3),
+                                             rng.uniform(-20.0, 20.0), rng.uniform(20.0, 40.0),
+                                             x, 1e4, rng_seed=rng.integers(2 ** 63))
+                           for rng in rngs])
+        pick %= len(seeds)
+        params, cov = _fit_dips(x, counts)
+        alone = fit_dip(x, counts[pick])
+        errors = np.sqrt(np.abs(np.diag(cov[pick])))
+        np.testing.assert_allclose([alone.a, alone.v, alone.x0, alone.sigma], params[pick],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose([alone.a_err, alone.v_err, alone.x0_err, alone.sigma_err],
+                                   errors, rtol=1e-12, atol=0)
+
+    def test_campaign_agrees_with_curve_fit(self, device_unitary):
+        _, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                        mean_plateau_counts=1e4, keep_scans=True)
+        x = default_scan_positions()
+        counts = np.array([c for _, c in scans.values()])
+        assert counts.shape == (992, len(x))
+        params, cov = _fit_dips(x, counts)
+        oracle = [curve_fit_dip(x, c) for c in counts]
+        assert all(fit is not None for fit in oracle)
+        want = np.array([p for p, _ in oracle])
+        want_err = np.sqrt(np.abs(np.diagonal(np.array([c for _, c in oracle]),
+                                              axis1=1, axis2=2)))
+        err = np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))
+        full, want_full = np.isfinite(err[:, 2]), np.isfinite(want_err[:, 2])
+        assert (full == want_full).mean() >= 0.99
+        both = full & want_full
+        shift = (np.abs(params - want) / want_err)[both].max(axis=1)
+        assert (shift <= 1e-2).mean() >= 0.99
+        with np.errstate(invalid="ignore"):
+            rel = np.abs(err - want_err) / want_err
+        agree = (np.isnan(err) == np.isnan(want_err)).all(axis=1) & \
+            (np.nan_to_num(rel) <= 1e-3).all(axis=1)
+        assert agree.mean() >= 0.99
+
+    def test_dip_fits_log_what_they_did(self, device_unitary, caplog):
+        inputs = (11, 12, 19)
+        with caplog.at_level(logging.DEBUG, logger="photonlat.reconstruction"):
+            _, scans = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
+                                            mean_plateau_counts=1e4, keep_scans=True)
+            simulate_hom_dataset(device_unitary, inputs)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "photonlat.reconstruction"]
+        assert len(messages) == 4
+        fits, most, capped, cap, fallbacks, *triggers, singular = map(int, re.search(
+            r"(\d+) dip fits, up to (\d+) LM iterations, (\d+) at the cap of (\d+); "
+            r"(\d+) fallbacks \(not converged (\d+), x0 outside the scan (\d+), "
+            r"sigma below the spacing (\d+), sigma above half the range (\d+)\); "
+            r"(\d+) non-finite covariances", messages[0]).groups())
+        x = default_scan_positions()
+        _, cov = _fit_dips(x, np.array([c for _, c in scans.values()]))
+        assert fits == 992 and cap == MAX_LM_ITERATIONS and 1 <= most <= cap
+        assert triggers[0] <= capped
+        assert fallbacks == np.isnan(cov[:, 2, 2]).sum()
+        assert 0 < fallbacks <= sum(triggers) and fallbacks < 0.05 * fits
+        assert singular == 0
+        floored, total = map(int, re.search(r"(\d+) of (\d+) dip uncertainties raised "
+                                            r"to the floor", messages[1]).groups())
+        assert total == 3 * fits and floored < total
+        # the noiseless campaign: 1e-6 of the mean plateau for every uncertainty
+        assert re.search(rf"{3 * fits} of {3 * fits} dip uncertainties raised",
+                         messages[3])
 
 
 class TestDipIndex:
