@@ -16,12 +16,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import footprint as fp
 from . import haarstats, interference, reconstruction, validation
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, is_finite, is_whole
 from .evolution import MAX_UNITARITY_DEFECT, propagate, unitarity_defect
 from .lattice import CouplingModel, LatticeSpec, build_lattice, default_heater_bank
 
@@ -49,42 +50,117 @@ DEFAULT_CONFIG = {
 }
 
 
-NOISE_MODELS = ("none", "poisson")
+class Kind(NamedTuple):
+    """The values one config key accepts, and the text ending "must be ..."."""
+    accepts: Callable[[Any], bool]
+    text: str
 
 
-def _merge(defaults, override, where="config"):
-    """``defaults`` overridden by ``override``, every section a new dict.
+def _whole(lo, hi=math.inf) -> Kind:
+    return Kind(lambda v: is_whole(v) and lo <= v <= hi, f"a whole number in {lo}..{hi}")
 
-    The schema is closed: a key that ``defaults`` lacks, or a section that
-    is not an object, raises.
-    """
+
+def _choice(*options) -> Kind:
+    # compared with their types too: JSON 3.0 is no photon number, true no 1
+    return Kind(lambda v: any(type(v) is type(o) and v == o for o in options),
+                f"one of {options}")
+
+
+def _list(kind: Kind, length=None) -> Kind:
+    return Kind(lambda v: type(v) is list and length in (None, len(v))
+                and all(map(kind.accepts, v)),
+                f"a list of {length or 'any number of'} items, each {kind.text}")
+
+
+def _nullable(kind: Kind) -> Kind:
+    return Kind(lambda v: v is None or kind.accepts(v), f"null or {kind.text}")
+
+
+_POSITIVE = Kind(lambda v: is_finite(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = Kind(lambda v: is_finite(v) and v >= 0, "a finite number >= 0")
+_COUNT, _MODE = _whole(1), _whole(0)
+
+# the kind of every key of DEFAULT_CONFIG, plus the top-level seed
+SCHEMA = {
+    "seed": _whole(0, 2 ** 64 - 1),
+    "lattice": {"rows": _COUNT, "cols": _COUNT, "pitch_um": _POSITIVE,
+                "max_shift_um": _NONNEGATIVE, "coupling_length_mm": _POSITIVE,
+                "n_modulation_knots": _whole(2)},
+    "coupling": {"c0_per_mm": _POSITIVE, "d0_um": _POSITIVE, "kappa_um": _POSITIVE,
+                 "max_distance_um": _POSITIVE},
+    "heaters": {"powers_mw": _nullable(_list(_NONNEGATIVE, 16)),
+                "power_range_mw": _list(_NONNEGATIVE, 2), "kernel_width_um": _POSITIVE},
+    "inputs": _list(_MODE),
+    "dropped_output": _nullable(_MODE),
+    "photons": {"n": _choice(3, 4),
+                "statistics": _choice("indistinguishable", "distinguishable"),
+                "spdc_ratio": _NONNEGATIVE},
+    "evolution": {"n_steps": _COUNT},
+    "sampling": {"count": _whole(0)},
+    "reconstruction": {"n_rows": _whole(2), "noise": _choice("none", "poisson"),
+                       "mean_plateau_counts": _POSITIVE,
+                       "input_pairs": _nullable(_list(_list(_MODE, 2)))},
+    # the phase histograms need a gauge-free block, so at least 2 rows
+    "haar": {"m": _whole(2), "rows": _whole(2), "n_matrices": _COUNT,
+             "columns": _whole(2), "similarity_pairs_bins": _COUNT},
+    "footprint": {"r_min_mm": _POSITIVE, "p_mm": _POSITIVE, "p_f_mm": _POSITIVE,
+                  "c_per_mm": _POSITIVE, "b": _POSITIVE,
+                  "fan_arrangement": _choice(*fp.FAN_ARRANGEMENTS),
+                  "m_values": _list(_whole(2))},
+}
+
+
+def _lattice_m(config) -> int:
+    return config["lattice"]["rows"] * config["lattice"]["cols"]
+
+
+# rules between keys, checked after every key has its kind: (key, whether
+# its value v holds in config c, what it must be, formatted with m)
+CROSS_KEY_RULES = (
+    ("inputs", lambda v, c: len(set(v)) == len(v) and all(k < _lattice_m(c) for k in v),
+     "distinct modes below the lattice's m = {m}"),
+    ("dropped_output", lambda v, c: v is None or v < _lattice_m(c),
+     "null or a mode below the lattice's m = {m}"),
+    ("heaters.power_range_mw", lambda v, c: v[0] <= v[1], "[lo, hi] with lo <= hi"),
+    ("haar.rows", lambda v, c: v <= c["haar"]["m"], "at most haar.m"),
+)
+
+
+def _merge(schema, defaults, override, where=""):
+    """``defaults`` overridden by ``override``, every section a new dict and
+    every leaf of its ``schema`` kind. A key ``schema`` lacks, or a section
+    that is not an object, raises: the schema is closed."""
     if not isinstance(override, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
+        raise ConfigurationError(f"{where.rstrip('.') or 'config'} must be a JSON object")
     for key in override:
-        if key not in defaults:
-            raise ConfigurationError(f"unknown config key {where}.{key}")
-    return {key: _merge(val, override.get(key, {}), f"{where}.{key}")
-            if isinstance(val, dict) else override.get(key, val)
-            for key, val in defaults.items()}
+        if key not in schema:
+            raise ConfigurationError(f"unknown config key {where}{key}")
+    merged = {}
+    for key, kind in schema.items():
+        value = override.get(key, defaults[key])
+        if isinstance(kind, dict):
+            value = _merge(kind, defaults[key], value, f"{where}{key}.")
+        elif not kind.accepts(value):
+            raise ConfigurationError(f"{where}{key} = {value!r} must be {kind.text}")
+        merged[key] = value
+    return merged
 
 
 def load_config(path, seed_override=None) -> dict:
     """The config file merged over ``DEFAULT_CONFIG``, whose keys, plus the
-    top-level ``seed``, are the only ones accepted."""
+    top-level ``seed``, are the only ones accepted, each of the kind
+    ``SCHEMA`` gives it and all of them within ``CROSS_KEY_RULES``."""
     with open(path) as fh:
         user = json.load(fh)
-    config = _merge({**DEFAULT_CONFIG, "seed": None}, user)
-    if seed_override is not None:
-        config["seed"] = int(seed_override)
-    if config["seed"] is None:
-        raise ConfigurationError("config must set an explicit 64-bit 'seed'")
-    m = config["lattice"]["rows"] * config["lattice"]["cols"]
-    for mode in config["inputs"]:
-        if not 0 <= mode < m:
-            raise ConfigurationError(f"input mode {mode} out of range for m={m}")
-    dropped = config.get("dropped_output")
-    if dropped is not None and not 0 <= dropped < m:
-        raise ConfigurationError(f"dropped output {dropped} out of range for m={m}")
+    if seed_override is not None and isinstance(user, dict):
+        user = {**user, "seed": seed_override}
+    config = _merge(SCHEMA, {**DEFAULT_CONFIG, "seed": None}, user)
+    for key, holds, text in CROSS_KEY_RULES:
+        section, _, leaf = key.rpartition(".")
+        value = (config[section] if section else config)[leaf]
+        if not holds(value, config):
+            raise ConfigurationError(
+                f"{key} = {value!r} must be {text.format(m=_lattice_m(config))}")
     return config
 
 
@@ -119,17 +195,10 @@ def build_device(config):
                           kappa=cpl["kappa_um"],
                           max_distance=cpl["max_distance_um"])
     heat = config["heaters"]
-    power_range = heat["power_range_mw"]
-    if type(power_range) is not list or len(power_range) != 2 or \
-            not all(map(_is_number, power_range)) or \
-            not 0 <= power_range[0] <= power_range[1]:
-        raise ConfigurationError(
-            f"heaters.power_range_mw = {power_range!r} must be two finite numbers "
-            "[lo, hi] with 0 <= lo <= hi")
-    if heat.get("powers_mw") is not None:
+    if heat["powers_mw"] is not None:
         powers = np.asarray(heat["powers_mw"], dtype=float)
     else:
-        lo, hi = power_range
+        lo, hi = heat["power_range_mw"]
         rng = np.random.default_rng(stream_seed(config["seed"], "powers"))
         powers = rng.uniform(lo, hi, size=16)
     bank = default_heater_bank(layout, powers,
@@ -139,8 +208,7 @@ def build_device(config):
 
 def device_unitary(config) -> np.ndarray:
     layout, model, bank = build_device(config)
-    return propagate(layout, model, bank,
-                     n_steps=_count(config, "evolution", "n_steps")).entries
+    return propagate(layout, model, bank, n_steps=config["evolution"]["n_steps"]).entries
 
 
 def write_unitary(path, u: np.ndarray, config) -> None:
@@ -161,12 +229,18 @@ def write_unitary(path, u: np.ndarray, config) -> None:
 
 
 def read_unitary(path) -> np.ndarray:
+    """The matrix of a file ``write_unitary`` wrote: a whole ``m`` and an
+    (m, m) list of finite [re, im] entries."""
     with open(path) as fh:
         doc = json.load(fh)
-    entries = np.asarray(doc["entries"], dtype=float)
-    if entries.shape != (doc["m"], doc["m"], 2):
-        raise ConfigurationError("malformed unitary file")
-    return entries[..., 0] + 1j * entries[..., 1]
+    try:
+        entries = np.asarray(doc["entries"], dtype=float)
+        if is_whole(doc["m"]) and entries.shape == (doc["m"], doc["m"], 2) and \
+                np.isfinite(entries).all():
+            return entries[..., 0] + 1j * entries[..., 1]
+    except (KeyError, TypeError, ValueError):    # no object, no key, no numbers
+        pass
+    raise ConfigurationError(f"{path} is not a unitary file: malformed m or entries")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -183,39 +257,23 @@ def _write_histogram_csv(path, hist: haarstats.Histogram) -> None:
     _write_csv(path, ["edge_low", "edge_high", "mass"], rows)
 
 
-def _count(config, section, key, limit=math.inf) -> int:
-    """``config[section][key]``, checked to be a whole number in 1..limit."""
-    value = config[section][key]
-    if type(value) is not int or not 1 <= value <= limit:    # JSON true is no count
-        raise ConfigurationError(
-            f"{section}.{key} = {value!r} must be a whole number in 1..{limit}")
-    return value
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; ``type(...)`` also rejects booleans."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def _kept_outputs(config):
-    m = config["lattice"]["rows"] * config["lattice"]["cols"]
-    n = config["photons"]["n"]
-    dropped = config.get("dropped_output")
-    if n == 3 and dropped is not None:
+    m = _lattice_m(config)
+    dropped = config["dropped_output"]
+    if config["photons"]["n"] == 3 and dropped is not None:
         return [i for i in range(m) if i != dropped]
     return list(range(m))
 
 
 def _fixed_input_pattern(config) -> interference.FockPattern:
-    m = config["lattice"]["rows"] * config["lattice"]["cols"]
-    inputs = config["inputs"]
-    n = config["photons"]["n"]
-    if n == 3:
-        # the first source mode is the heralding trigger and never enters
-        return interference.FockPattern.from_modes(inputs[1:4], m)
-    if n == 4:
-        return interference.FockPattern.from_modes(inputs, m)
-    raise ConfigurationError("photons.n must be 3 or 4 for sampling runs")
+    inputs, n = config["inputs"], config["photons"]["n"]
+    # for n = 3 the first source mode is the heralding trigger and never enters
+    modes = inputs[1:4] if n == 3 else inputs
+    if len(modes) != n:
+        raise ConfigurationError(
+            f"inputs = {inputs} must hold {'at least' if n == 3 else 'exactly'} 4 "
+            f"modes for photons.n = {n}")
+    return interference.FockPattern.from_modes(modes, _lattice_m(config))
 
 
 def _draw_stream(config, u, statistics, seed, count, collision_free=True):
@@ -307,7 +365,7 @@ def read_samples(path, config):
     Every event record is checked, and the file must hold exactly the
     header's count of them.
     """
-    m = config["lattice"]["rows"] * config["lattice"]["cols"]
+    m = _lattice_m(config)
     n = config["photons"]["n"]
     events, input_modes = [], {}        # input modes per branch label
     with open(path) as fh:
@@ -387,10 +445,6 @@ def cmd_validate(args) -> int:
 def cmd_reconstruct(args) -> int:
     config = load_config(args.config, args.seed)
     rec_cfg = config["reconstruction"]
-    if rec_cfg["noise"] not in NOISE_MODELS:
-        raise ConfigurationError(
-            f"reconstruction.noise = {rec_cfg['noise']!r} must be one of {NOISE_MODELS}")
-
     scans = None
     if args.dataset is not None:
         # previously fitted dip data; no ground truth available
@@ -402,27 +456,17 @@ def cmd_reconstruct(args) -> int:
         if args.unitary is None:
             raise ConfigurationError("reconstruct needs --unitary or --dataset")
         u = read_unitary(args.unitary)
-        inputs = config["inputs"][:_count(config, "reconstruction", "n_rows",
-                                          len(config["inputs"]))]
+        n_rows = rec_cfg["n_rows"]
+        if n_rows > len(config["inputs"]):
+            raise ConfigurationError(f"reconstruction.n_rows = {n_rows} must be at "
+                                     f"most the {len(config['inputs'])} configured inputs")
+        inputs = config["inputs"][:n_rows]
         pairs = rec_cfg["input_pairs"]
-        if pairs is not None:
-            if type(pairs) is not list or not all(
-                    type(pair) is list and len(pair) == 2
-                    and all(type(label) is int for label in pair) for pair in pairs):
-                raise ConfigurationError(
-                    f"reconstruction.input_pairs = {pairs!r} must be a list of "
-                    "[h, k] pairs of input modes")
-            pairs = tuple(map(tuple, pairs))
-        noiseless = rec_cfg["noise"] == "none"
-        counts = rec_cfg["mean_plateau_counts"]
-        if not noiseless and not (_is_number(counts) and counts > 0):
-            raise ConfigurationError(
-                f"reconstruction.mean_plateau_counts = {counts!r} must be a finite "
-                "number > 0 under Poisson noise")
         result = reconstruction.simulate_hom_dataset(
-            u, inputs, input_pairs=pairs,
+            u, inputs, input_pairs=None if pairs is None else tuple(map(tuple, pairs)),
             rng_seed=_stream_int(config["seed"], "noise"),
-            mean_plateau_counts=None if noiseless else counts,
+            mean_plateau_counts=None if rec_cfg["noise"] == "none"
+            else rec_cfg["mean_plateau_counts"],
             keep_scans=args.scans)
         dataset, scans = result if args.scans else (result, None)
         truth = reconstruction.submatrix_rows(u, inputs)
@@ -488,17 +532,16 @@ def cmd_reconstruct(args) -> int:
 def cmd_haar(args) -> int:
     config = load_config(args.config, args.seed)
     hcfg = config["haar"]
-    m = hcfg["m"]
-    lattice_m = config["lattice"]["rows"] * config["lattice"]["cols"]
-    if args.device and m != lattice_m:
-        raise ConfigurationError(
-            f"haar.m = {m!r} must equal the lattice's {lattice_m} modes with --device")
+    m, rows = hcfg["m"], hcfg["rows"]
+    n_matrices, columns = hcfg["n_matrices"], hcfg["columns"]
+    if args.device and m != _lattice_m(config):
+        raise ConfigurationError(f"haar.m = {m} must equal the lattice's "
+                                 f"{_lattice_m(config)} modes with --device")
     # --device takes its rows from the configured inputs
-    rows = _count(config, "haar", "rows",
-                  min(m, len(config["inputs"])) if args.device else m)
-    n_matrices = _count(config, "haar", "n_matrices")
-    columns = _count(config, "haar", "columns")
-    n_steps = _count(config, "evolution", "n_steps") if args.device else None
+    if args.device and rows > len(config["inputs"]):
+        raise ConfigurationError(
+            f"haar.rows = {rows} must be at most the {len(config['inputs'])} "
+            "configured inputs with --device")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = stream_seed(config["seed"], "ensemble").spawn(n_matrices + 3)
@@ -517,7 +560,8 @@ def cmd_haar(args) -> int:
             haarstats.random_heater_powers(bank, n_matrices, seeds[-2], power_range),
             haarstats.random_heater_powers(bank, columns, seeds[-1], power_range)])
         subs = haarstats.device_submatrix_ensemble(
-            layout, model, bank, config["inputs"][:rows], powers, n_steps=n_steps)
+            layout, model, bank, config["inputs"][:rows], powers,
+            n_steps=config["evolution"]["n_steps"])
         dev_subs, cols = subs[:n_matrices], subs[n_matrices:, 0]
         dev_mod, dev_phase = haarstats.ensemble_moduli_phase_histograms(dev_subs)
         dev_sim = haarstats.similarity_histogram(np.abs(cols) ** 2,

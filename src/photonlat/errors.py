@@ -3,8 +3,14 @@
 Two families matter for callers: configuration problems (bad specs,
 dimension mismatches, under-determined inputs) and numerical failures
 (fit non-convergence, inconsistent interference data). The CLI maps the
-former to exit code 2 and the latter to exit code 3.
+former to exit code 2 and the latter to exit code 3. The value
+predicates and ``check_fields`` below serve the config schema and the
+library's parameter dataclasses alike.
 """
+
+import dataclasses
+import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -37,3 +43,29 @@ class InconsistentDataError(NumericalError):
 
 class UndefinedVisibilityError(ValueError):
     """HOM visibility is undefined because the dip plateau vanishes."""
+
+
+def is_whole(value) -> bool:
+    """An integer; ``True`` is an ``int`` to Python, but not here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite real number; booleans excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+_FIELD_KINDS = {"float": (is_finite, "a finite number"), "int": (is_whole, "a whole number")}
+
+
+def check_fields(obj) -> None:
+    """Raise ``ConfigurationError`` naming the first field of the dataclass
+    ``obj`` that is declared ``float`` but is no finite real, or declared
+    ``int`` but is no integer."""
+    for field in dataclasses.fields(obj):
+        kind = _FIELD_KINDS.get(getattr(field.type, "__name__", field.type))
+        value = getattr(obj, field.name)
+        if kind and not kind[0](value):
+            raise ConfigurationError(
+                f"{type(obj).__name__}.{field.name} = {value!r} must be {kind[1]}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 
 FAN_ARRANGEMENTS = ("linear", "grid")
 
@@ -37,6 +37,7 @@ class FootprintParams:
     fan_arrangement: str = "linear"
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.r_min, self.p, self.p_f, self.c, self.b) <= 0:
             raise ConfigurationError("lengths, rates and B must be positive")
         if self.fan_arrangement not in FAN_ARRANGEMENTS:

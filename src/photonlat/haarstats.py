@@ -190,7 +190,7 @@ def device_submatrix_ensemble(layout, model, bank, inputs, powers,
     return cols.transpose(0, 2, 1)
 
 
-def ensemble_moduli_phase_histograms(submatrices, n_bins: int = DEFAULT_BINS):
+def ensemble_moduli_phase_histograms(submatrices):
     """Pooled squared-moduli and gauge-fixed phase histograms of an ensemble.
 
     ``submatrices`` is a (E, rows, cols) stack. Moduli pool every entry and
@@ -200,6 +200,6 @@ def ensemble_moduli_phase_histograms(submatrices, n_bins: int = DEFAULT_BINS):
     """
     subs = np.asarray(submatrices, dtype=complex)
     return (Histogram.from_samples(np.clip(np.abs(subs) ** 2, 0.0, 1.0).ravel(),
-                                   np.linspace(0.0, 1.0, n_bins + 1)),
+                                   np.linspace(0.0, 1.0, DEFAULT_BINS + 1)),
             Histogram.from_samples(gauge_fix_phases(subs)[..., 1:, 1:].ravel(),
-                                   np.linspace(-np.pi, np.pi, n_bins + 1)))
+                                   np.linspace(-np.pi, np.pi, DEFAULT_BINS + 1)))

@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 
 _SQRT3 = math.sqrt(3.0)
+
+# geometry and calibration of the device's heater bank (default_heater_bank)
+HEATERS_PER_SIDE = 8
+HEATER_LENGTH = 3.0          # mm
+HEATER_STANDOFF = 30.0       # um
+SURFACE_HEIGHT = 30.0        # um
+CALIBRATION_POWER = 500.0    # mW
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,7 @@ class LatticeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
             raise ConfigurationError("lattice needs at least two waveguides")
         if self.pitch <= 0:
@@ -72,6 +80,7 @@ class CouplingModel:
     truncation: float = 1e-4     # mm^-1
 
     def __post_init__(self):
+        check_fields(self)
         if self.c0 <= 0 or self.kappa <= 0:
             raise ConfigurationError("c0 and kappa must be positive")
         if self.max_distance <= 0:
@@ -232,44 +241,41 @@ class HeaterBank:
 
 
 def default_heater_bank(layout: WaveguideLayout, powers=None,
-                        n_per_side: int = 8, heater_length: float = 3.0,
-                        standoff: float = 30.0, surface_height: float = 30.0,
-                        kernel_width: float = 50.0,
-                        calibration_power: float = 500.0) -> HeaterBank:
+                        kernel_width: float = 50.0) -> HeaterBank:
     """16 heaters in two rows at the sides of the coupling region.
 
-    Each side carries ``n_per_side`` resistors of ``heater_length`` mm whose
-    windows tile [0, L] with even gaps. Heaters sit ``standoff`` um outside
-    the lattice in x and ``surface_height`` um above it in y (the chip
-    surface). ``alpha_t`` is calibrated so a single heater driven at
-    ``calibration_power`` mW imprints a phase of 2*pi on its nearest
+    Each side carries ``HEATERS_PER_SIDE`` resistors of ``HEATER_LENGTH`` mm
+    whose windows tile [0, L] with even gaps. Heaters sit ``HEATER_STANDOFF``
+    um outside the lattice in x and ``SURFACE_HEIGHT`` um above it in y (the
+    chip surface). ``alpha_t`` is calibrated so a single heater driven at
+    ``CALIBRATION_POWER`` mW imprints a phase of 2*pi on its nearest
     waveguide over one window.
     """
     base = layout.base_positions
-    x_left = base[:, 0].min() - standoff
-    x_right = base[:, 0].max() + standoff
-    y_surf = base[:, 1].max() + surface_height
+    x_left = base[:, 0].min() - HEATER_STANDOFF
+    x_right = base[:, 0].max() + HEATER_STANDOFF
+    y_surf = base[:, 1].max() + SURFACE_HEIGHT
     L = layout.length
-    pitch_z = L / n_per_side
-    gap = (pitch_z - heater_length) / 2.0
+    pitch_z = L / HEATERS_PER_SIDE
+    gap = (pitch_z - HEATER_LENGTH) / 2.0
     if gap < 0:
         raise ConfigurationError("heaters do not fit in the coupling region")
     pos, spans = [], []
     for x_side in (x_left, x_right):
-        for r in range(n_per_side):
+        for r in range(HEATERS_PER_SIDE):
             z0 = r * pitch_z + gap
             pos.append((x_side, y_surf))
-            spans.append((z0, z0 + heater_length))
+            spans.append((z0, z0 + HEATER_LENGTH))
     pos = np.array(pos)
     spans = np.array(spans)
-    n = 2 * n_per_side
+    n = 2 * HEATERS_PER_SIDE
     if powers is None:
         powers = np.zeros(n)
     # nearest approach of any ideal waveguide to a heater fixes the calibration
     d2 = ((base[:, None, 0] - pos[None, :, 0]) ** 2
           + (base[:, None, 1] - pos[None, :, 1]) ** 2)
     kernel_max = float(np.exp(-d2.min() / (2.0 * kernel_width ** 2)))
-    alpha_t = 2.0 * math.pi / (calibration_power * kernel_max * heater_length)
+    alpha_t = 2.0 * math.pi / (CALIBRATION_POWER * kernel_max * HEATER_LENGTH)
     return HeaterBank(pos, spans, np.asarray(powers, dtype=float),
                       kernel_width, alpha_t)
 

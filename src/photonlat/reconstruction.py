@@ -46,6 +46,8 @@ from .errors import (ConfigurationError, FitError, InconsistentDataError,
 DEFAULT_SCAN_POINTS = 21
 DEFAULT_SCAN_SPAN = 3.0      # scan half-width in units of the dip sigma
 DEFAULT_DIP_SIGMA = 30.0     # delay-line sigma, um
+INTENSITY_COUNTS = 1e5       # counts per unit intensity of the noisy single-photon rows
+NORM_TOLERANCE = 1e-4        # weight 1/tolerance of the unit-row-norm residuals
 ERROR_FLOOR = 1e-6           # relative floor on plateau-scale uncertainties
 FTOL = XTOL = 1.49012e-8     # MINPACK's (and curve_fit's) default tolerances
 MAX_LM_ITERATIONS = 100      # a dip fit still moving after this falls back
@@ -534,9 +536,6 @@ def default_input_pairs(inputs):
 
 def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
                          mean_plateau_counts=None, visibility_scale: float = 1.0,
-                         intensity_counts: float = 1e5,
-                         dip_sigma: float = DEFAULT_DIP_SIGMA,
-                         n_scan_points: int = DEFAULT_SCAN_POINTS,
                          keep_scans: bool = False):
     """Simulate and fit the full dip-scan campaign for ``inputs``.
 
@@ -567,12 +566,12 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
 
     scale = 1.0 if noiseless else \
         float(mean_plateau_counts) * valid.sum() / a_true[valid].sum()
-    positions = default_scan_positions(0.0, dip_sigma, n_scan_points)
+    positions = default_scan_positions()
     rng = np.random.default_rng(rng_seed)
 
     dips = list(zip(*np.nonzero(valid)))
     counts = np.array([simulate_dip_scan(
-        a_true[p, d] if noiseless else 1.0, v_true[p, d], 0.0, dip_sigma,
+        a_true[p, d] if noiseless else 1.0, v_true[p, d], 0.0, DEFAULT_DIP_SIGMA,
         positions, None if noiseless else scale * a_true[p, d],
         rng_seed=rng.integers(2 ** 63)) for p, d in dips]).reshape(-1, len(positions))
     params, cov = _fit_dips(positions, counts)
@@ -610,8 +609,8 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     if noiseless:
         intensities = q_true.copy()
     else:
-        counts_int = rng.poisson(intensity_counts * q_true)
-        intensities = counts_int / intensity_counts
+        counts_int = rng.poisson(INTENSITY_COUNTS * q_true)
+        intensities = counts_int / INTENSITY_COUNTS
     dataset = HomDataset(n_out, tuple(inputs), tuple(input_pairs), plateaus,
                          visibilities, errors, plateau_errors, valid, intensities,
                          va_errors)
@@ -621,16 +620,14 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     return dataset
 
 
-def reconstruct_moduli(dataset: HomDataset, normalization: bool = True,
-                       norm_tolerance: float = 1e-4) -> np.ndarray:
+def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
     """Moduli minimizing the plateau chi-square, via squared moduli q >= 0.
 
     The model a = q_ih q_jk + q_jh q_ik is fitted to all valid plateaus,
     weighted by their uncertainties. Because each pair's plateaus are
     invariant under q_h -> s q_h, q_k -> q_k / s, the physical unit row
     norm (each row spans all outputs of a unitary) is imposed as an extra
-    residual unless ``normalization`` is disabled. Intensity rows, when
-    present, supply the starting point.
+    residual. Intensity rows, when present, supply the starting point.
     """
     _spanning_tree(dataset)   # raises when the pairs leave a row unconnected
     n_rows, n_out = dataset.n_rows, dataset.n_outputs
@@ -641,14 +638,12 @@ def reconstruct_moduli(dataset: HomDataset, normalization: bool = True,
     h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
     a_meas = dataset.plateaus[dataset.valid]
     eps = dataset.plateau_errors[dataset.valid]
-    norm_jac = np.kron(np.eye(n_rows), np.ones(n_out)) / norm_tolerance
+    norm_jac = np.kron(np.eye(n_rows), np.ones(n_out)) / NORM_TOLERANCE
 
     def residuals(x):
         q = x.reshape(n_rows, n_out)
-        res = (_pair_sums(q, h, k, i, j) - a_meas) / eps
-        if normalization:
-            res = np.concatenate([res, (q.sum(axis=1) - 1.0) / norm_tolerance])
-        return res
+        return np.concatenate([(_pair_sums(q, h, k, i, j) - a_meas) / eps,
+                               (q.sum(axis=1) - 1.0) / NORM_TOLERANCE])
 
     def jacobian(x):
         # the four columns of a row are distinct because h != k and i != j
@@ -659,7 +654,7 @@ def reconstruct_moduli(dataset: HomDataset, normalization: bool = True,
         jac[rows, k * n_out + j] = q[h, i] / eps
         jac[rows, h * n_out + j] = q[k, i] / eps
         jac[rows, k * n_out + i] = q[h, j] / eps
-        return np.vstack([jac, norm_jac]) if normalization else jac
+        return np.vstack([jac, norm_jac])
 
     result = least_squares(residuals, q0.ravel(), jac=jacobian,
                            bounds=(0.0, np.inf), method="trf", xtol=1e-14,

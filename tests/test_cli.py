@@ -1,11 +1,15 @@
 import json
+import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photonlat.cli import load_config, main, read_unitary
+from photonlat.cli import DEFAULT_CONFIG, SCHEMA, config_hash, load_config, main, read_unitary
 
 BASE_CONFIG = {
     "seed": 20240131,
@@ -568,3 +572,94 @@ def test_rejected_input_leaves_no_out_directory(simulated, tmp_path, command):
     out = tmp_path / "out"
     assert run(command, *argv, "--out", out) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [{}, [1], {"m": "a", "entries": []}, {"m": 2}],
+                         ids=["empty", "list", "str_m", "no_entries"])
+def test_malformed_unitary_file_exits_2(simulated, tmp_path, capsys, doc):
+    _, cfg, _ = simulated
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "s"
+    assert run("sample", "--config", cfg, "--unitary", bad, "--out", out) == 2
+    assert "is not a unitary file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each of these once reached a raw error (exit 1), ran on a wrong value
+# (exit 0) or exited 2 with a message about something else
+@pytest.mark.parametrize("command, extra, flags, key", [
+    ("simulate", {"lattice": {"pitch_um": "x"}}, [], "lattice.pitch_um"),
+    ("simulate", {"seed": "abc"}, [], "seed"),
+    ("simulate", {"seed": -1}, [], "seed"),
+    ("simulate", {}, ["--seed", -1], "seed"),
+    ("sample", {"sampling": {"count": 2.5}}, [], "sampling.count"),
+    ("footprint", {"footprint": {"m_values": ["a"]}}, [], "footprint.m_values"),
+    ("simulate", {"heaters": {"kernel_width_um": "a"}}, [], "heaters.kernel_width_um"),
+    ("simulate", {"lattice": {"n_modulation_knots": 2.5}}, [],
+     "lattice.n_modulation_knots"),
+    ("footprint", {"footprint": {"b": "x"}}, [], "footprint.b"),
+    ("sample", {"photons": {"n": 4, "spdc_ratio": "x"}}, [], "photons.spdc_ratio"),
+    ("simulate", {"inputs": 5}, [], "inputs"),
+    ("simulate", {"inputs": "abc"}, [], "inputs"),
+    ("simulate", {"coupling": {"c0_per_mm": math.nan}}, [], "coupling.c0_per_mm"),
+    ("sample", {"dropped_output": True}, [], "dropped_output"),
+    ("simulate", {"inputs": [1.5]}, [], "inputs"),
+    ("simulate", {"seed": 1.5}, [], "seed"),
+    ("footprint", {"photons": {"n": 5}}, [], "photons.n"),
+    ("simulate", {"lattice": {"rows": True}}, [], "lattice.rows"),
+    ("haar", {"haar": {"similarity_pairs_bins": 0}}, [], "haar.similarity_pairs_bins"),
+    ("reconstruct", {"reconstruction": {"n_rows": 1}}, [], "reconstruction.n_rows"),
+    ("sample", {"inputs": [11, 12]}, [], "inputs"),
+    ("sample", {"inputs": [11, 11, 12, 19], "photons": {"n": 4}}, [], "inputs"),
+])
+def test_probed_config_value_exits_2_naming_its_key(simulated, tmp_path, capsys,
+                                                     command, extra, flags, key):
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, extra)
+    unitary = ["--unitary", upath] if command in ("sample", "reconstruct") else []
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", out, *unitary, *flags) == 2
+    assert f"configuration error: {key} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _leaves(tree, prefix=()):
+    for key, val in tree.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def test_schema_mirrors_the_defaults():
+    def shape(tree):
+        return {k: shape(v) if isinstance(v, dict) else None for k, v in tree.items()}
+    assert shape(SCHEMA) == shape({**DEFAULT_CONFIG, "seed": None})
+
+
+@settings(max_examples=120, deadline=None)
+@given(leaf=st.sampled_from(sorted(_leaves(SCHEMA))),
+       value=st.sampled_from(["x", True, math.nan, -1, 2.5, [], {}]))
+def test_any_wrong_kind_value_exits_2_or_runs(leaf, value):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    section = config
+    for key in leaf[:-1]:
+        section = section.setdefault(key, {})
+    section[leaf[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        code = run("footprint", "--config", path, "--out", out)
+        assert code in (0, 2)
+        assert code == 0 or not out.exists()
+
+
+@pytest.mark.parametrize("config, digest", [
+    (BASE_CONFIG, "7b1621e78070ed4b1daac56707a9770bd6f3244180ab4f914992466513e8a54c"),
+    ({"seed": 5}, "110a89828900337cae86227c0d3ad1861c8d59a37722dd0a959b634f995b9c21"),
+])
+def test_config_hash_is_pinned(tmp_path, config, digest):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert config_hash(load_config(path)) == digest

@@ -178,3 +178,10 @@ class TestCompareLayouts:
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             FootprintParams(r_min=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("r_min", math.nan), ("p", math.inf), ("p_f", -math.inf), ("c", True),
+        ("b", "2")])
+    def test_non_finite_or_boolean_param_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=rf"^FootprintParams\.{field} = "):
+            FootprintParams(**{field: value})

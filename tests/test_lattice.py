@@ -61,6 +61,22 @@ def test_invalid_spec_rejected(bad):
         LatticeSpec(**bad)
 
 
+@pytest.mark.parametrize("cls, bad", [
+    (CouplingModel, dict(c0=np.nan)),
+    (CouplingModel, dict(kappa=np.inf)),
+    (CouplingModel, dict(d0=True)),
+    (LatticeSpec, dict(coupling_length=np.inf)),
+    (LatticeSpec, dict(rows=True, cols=2)),
+    (LatticeSpec, dict(pitch=np.nan)),
+    (LatticeSpec, dict(n_modulation_knots=2.5)),
+], ids=["c0_nan", "kappa_inf", "d0_bool", "length_inf", "rows_bool", "pitch_nan",
+        "knots_float"])
+def test_non_finite_or_boolean_field_rejected(cls, bad):
+    (field,) = set(bad) - {"cols"}
+    with pytest.raises(ConfigurationError, match=rf"^{cls.__name__}\.{field} = "):
+        cls(**bad)
+
+
 def test_coupling_coefficient_definition():
     model = CouplingModel(c0=0.2, d0=11.0, kappa=3.0)
     assert coupling_coefficient(11.0, model) == pytest.approx(0.2)
