@@ -9,12 +9,14 @@ photons give Per(|M|^2) / prod_i s_i! (input factorials must not divide
 the distinguishable law or the full distribution would no longer sum
 to one for inputs with multiply occupied modes).
 
-Every permanent comes from one kernel, :func:`_permanent_batch`: Glynn's
-formula evaluated as dense matrix products for a whole stack of
-submatrices, with temporaries chunked to ``_CHUNK_BYTES`` (64 MB) for any
-table size. It supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns
+Every permanent comes from one kernel, :func:`_permanents`: Glynn's
+formula as dense matrix products over the submatrices that output mode
+lists gather from a stack of unitaries, gathered one block at a time
+with each step's temporaries held to ``_STEP_BYTES`` (4 MB) for any table
+size. It supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns
 are counted before they are enumerated, and a table whose own arrays would
-exceed ``MAX_TABLE_BYTES`` (256 MB) raises :class:`CapacityError`.
+exceed ``MAX_TABLE_BYTES`` (256 MB) raises :class:`CapacityError`, as does
+any other stack over that limit (:func:`_check_table_bytes`).
 
 The four-photon source is a two-pair SPDC mixture over the branches
 |1111>, |2002> and |0220> in the occupation order (n4, n1, n2, n3) with
@@ -30,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, NumericalError
+from .errors import CapacityError, ConfigurationError, NumericalError, is_whole
 from .evolution import MAX_UNITARITY_DEFECT, unitarity_defect
 
 MAX_PERMANENT_SIZE = 20
 MAX_TABLE_BYTES = 256 * 2**20  # mode lists, probabilities and factorials of one table
-_CHUNK_BYTES = 64 * 2**20   # complex temporaries of one kernel step
+_STEP_BYTES = 4 * 2**20     # complex temporaries of one kernel step
 
 SPDC_BRANCHES = ("1111", "2002", "0220")
 
@@ -55,6 +57,8 @@ class FockPattern:
     def from_modes(cls, modes, m) -> "FockPattern":
         occ = [0] * m
         for mode in modes:
+            if not (is_whole(mode) and 0 <= mode < m):
+                raise ConfigurationError(f"mode {mode!r} must be a whole number in [0, {m})")
             occ[mode] += 1
         return cls(tuple(occ))
 
@@ -139,9 +143,9 @@ def permanent(a) -> complex:
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("permanent is defined for square matrices")
+        raise ConfigurationError("permanent is defined for square matrices")
     if a.shape[0] < 1:
-        raise ValueError("permanent needs at least a 1 x 1 matrix")
+        raise ConfigurationError("permanent needs at least a 1 x 1 matrix")
     return complex(_permanent_batch(a[None])[0])
 
 
@@ -154,38 +158,51 @@ def _glynn_signs(n: int):
     return delta, delta.prod(axis=1)
 
 
-def _permanent_batch(mats) -> np.ndarray:
-    """Permanents of a (K, n, n) stack via Glynn's formula.
-
+def _permanents(us, rows, cols) -> np.ndarray:
+    """(E, P) permanents of ``us[e][rows[p]][:, cols]`` for an (E, m, m)
+    stack ``us`` and (P, n) output mode lists ``rows``, by Glynn's formula
     Per(A) = 2^(1-n) sum_delta (prod_i delta_i) prod_j sum_i delta_i A_ij.
+
     For each column j the sums over all sign vectors are one matrix
-    product; their (n, S, K) array is chunked over signs and patterns.
+    product. The input columns are taken once; each step gathers the rows
+    of one block of unitaries x patterns and takes one block of signs, its
+    (n, signs, submatrices) sums held to ``_STEP_BYTES``.
     """
-    mats = np.asarray(mats)
-    k, n = mats.shape[0], mats.shape[-1]
+    n = len(cols)
     if n > MAX_PERMANENT_SIZE:
         raise CapacityError(f"permanent limited to n <= {MAX_PERMANENT_SIZE}, got {n}")
+    taken = np.asarray(us)[:, :, cols]                              # (E, m, n)
     delta, parity = _glynn_signs(n)
-    pairs = max(1, _CHUNK_BYTES // (16 * n))     # (sign, pattern) pairs per step
+    pairs = max(1, _STEP_BYTES // (16 * n))     # (sign, submatrix) pairs per step
     s_step = min(len(delta), pairs)
-    k_step = max(1, pairs // s_step)
-    out = np.zeros(k, dtype=complex)
-    for k0 in range(0, k, k_step):
-        cols = mats[k0:k0 + k_step].transpose(2, 1, 0)        # (n, n, Kc)
-        for s0 in range(0, len(delta), s_step):
-            sums = delta[s0:s0 + s_step] @ cols                 # (n, Sc, Kc)
-            prod = sums[0]
-            for col in sums[1:]:
-                prod *= col
-            out[k0:k0 + k_step] += parity[s0:s0 + s_step] @ prod
+    p_step = max(1, min(len(rows), pairs // s_step))
+    e_step = max(1, pairs // (s_step * p_step))
+    out = np.zeros((len(taken), len(rows)), dtype=complex)
+    for e0 in range(0, len(taken), e_step):
+        for p0 in range(0, len(rows), p_step):
+            acc = out[e0:e0 + e_step, p0:p0 + p_step]              # a view into out
+            subs = np.take(taken[e0:e0 + e_step], rows[p0:p0 + p_step], axis=1)
+            subs = subs.reshape(-1, n, n).transpose(2, 1, 0)        # (n, n, Kc)
+            for s0 in range(0, len(delta), s_step):
+                sums = delta[s0:s0 + s_step] @ subs                 # (n, Sc, Kc)
+                prod = sums[0]
+                for col in sums[1:]:
+                    prod *= col
+                acc += (parity[s0:s0 + s_step] @ prod).reshape(acc.shape)
     return out / (1 << (n - 1))
+
+
+def _permanent_batch(mats) -> np.ndarray:
+    """Permanents of a (K, n, n) stack: :func:`_permanents` of each whole matrix."""
+    whole = np.arange(np.shape(mats)[-1])
+    return _permanents(mats, whole[None], whole)[:, 0]
 
 
 def scattering_submatrix(u, input_pattern: FockPattern, output_pattern: FockPattern) -> np.ndarray:
     """n x n submatrix with rows from output occupations, columns from inputs."""
     u = np.asarray(u)
     if input_pattern.n != output_pattern.n:
-        raise ValueError("input and output photon numbers differ")
+        raise ConfigurationError("input and output photon numbers differ")
     rows = output_pattern.modes()
     cols = input_pattern.modes()
     return u[np.ix_(rows, cols)]
@@ -195,21 +212,50 @@ def _occupation_factorial(pattern: FockPattern) -> float:
     return math.prod(math.factorial(o) for o in pattern.occupations if o > 1)
 
 
+def _checked_unitary(u, *patterns) -> np.ndarray:
+    """``u`` as a complex array, rejected with :class:`ConfigurationError`
+    unless it is square, finite and unitary to ``MAX_UNITARITY_DEFECT``
+    (1e-9) and each pattern has its m modes."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ConfigurationError(f"U must be square, got shape {u.shape}")
+    defect = unitarity_defect(u)
+    if not defect <= MAX_UNITARITY_DEFECT:
+        raise ConfigurationError(
+            f"U is not unitary: defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
+    for pattern in patterns:
+        if pattern.m != len(u):
+            raise ConfigurationError(f"pattern has {pattern.m} modes, U has {len(u)}")
+    return u
+
+
 def output_probability(u, input_pattern: FockPattern, output_pattern: FockPattern,
                        statistics: str = "indistinguishable") -> float:
-    """Probability of one output pattern for the given photon statistics."""
-    sub = scattering_submatrix(u, input_pattern, output_pattern)
-    return float(_probabilities(sub[None], statistics, _occupation_factorial(output_pattern),
-                                _occupation_factorial(input_pattern))[0])
+    """Probability of one output pattern for the given photon statistics.
+
+    U is checked as in :func:`distribution`.
+    """
+    u = _checked_unitary(u, input_pattern, output_pattern)
+    if input_pattern.n != output_pattern.n or input_pattern.n == 0:
+        raise ConfigurationError("input and output must carry the same nonzero photon number")
+    return float(_probabilities(u[None], [output_pattern.modes()], input_pattern.modes(),
+                                statistics, _occupation_factorial(output_pattern),
+                                _occupation_factorial(input_pattern))[0, 0])
 
 
-def _probabilities(subs, statistics: str, s_facts, t_fact) -> np.ndarray:
-    """Probabilities of a (K, n, n) stack of scattering submatrices."""
+def _probabilities(us, rows, cols, statistics: str, s_facts, t_fact) -> np.ndarray:
+    """(E, P) probabilities of the submatrices :func:`_permanents` gathers."""
     if statistics == "indistinguishable":
-        return np.abs(_permanent_batch(subs)) ** 2 / (s_facts * t_fact)
+        return np.abs(_permanents(us, rows, cols)) ** 2 / (s_facts * t_fact)
     if statistics == "distinguishable":
-        return _permanent_batch(np.abs(subs) ** 2).real / s_facts
+        return _permanents(np.abs(us) ** 2, rows, cols).real / s_facts
     raise ConfigurationError(f"unknown statistics {statistics!r}")
+
+
+def _check_table_bytes(nbytes: int, what: str) -> None:
+    """Raise :class:`CapacityError` for arrays over ``MAX_TABLE_BYTES``."""
+    if nbytes > MAX_TABLE_BYTES:
+        raise CapacityError(f"{what} exceed the {MAX_TABLE_BYTES >> 20} MB table limit")
 
 
 def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
@@ -220,10 +266,7 @@ def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
     raises :class:`CapacityError`.
     """
     k = math.comb(len(outputs) + (0 if collision_free else n - 1), n)
-    if k * (n + 2) * 8 > MAX_TABLE_BYTES:
-        raise CapacityError(
-            f"{k} output patterns of {n} photons exceed the "
-            f"{MAX_TABLE_BYTES >> 20} MB table limit")
+    _check_table_bytes(k * (n + 2) * 8, f"{k} output patterns of {n} photons")
     combos = itertools.combinations if collision_free else itertools.combinations_with_replacement
     flat = np.fromiter(itertools.chain.from_iterable(combos(outputs, n)),
                        dtype=np.intp, count=k * n)
@@ -277,17 +320,9 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
     is not unitary to ``MAX_UNITARITY_DEFECT`` (1e-9), or not finite, raises
     :class:`ConfigurationError`.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ConfigurationError(f"U must be square, got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if not defect <= MAX_UNITARITY_DEFECT:
-        raise ConfigurationError(
-            f"U is not unitary: defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
+    u = _checked_unitary(u, input_pattern)
     m = u.shape[0]
     n = input_pattern.n
-    if input_pattern.m != m:
-        raise ConfigurationError(f"input pattern has {input_pattern.m} modes, U has {m}")
     if n == 0:
         raise ConfigurationError("input pattern carries no photons")
     modes = tuple(range(m)) if outputs is None else tuple(sorted(int(o) for o in outputs))
@@ -296,8 +331,6 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
     if not modes or (collision_free and n > len(modes)):
         raise ConfigurationError(
             f"{n} photons do not fit collision-free into {len(modes)} outputs")
-    in_cols = np.asarray(input_pattern.modes())
-    t_fact = _occupation_factorial(input_pattern)
     lists = _mode_lists(n, modes, collision_free)
     if collision_free:
         s_facts = np.ones(len(lists))
@@ -305,12 +338,8 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
         s_facts = np.array([
             math.prod(math.factorial(c) for c in np.bincount(row).tolist())
             for row in lists])
-    probs = np.empty(len(lists))
-    step = max(1, _CHUNK_BYTES // (16 * n * n))
-    for k0 in range(0, len(lists), step):
-        subs = u[lists[k0:k0 + step, :, None], in_cols[None, None, :]]  # (Kc, n, n)
-        probs[k0:k0 + step] = _probabilities(subs, statistics, s_facts[k0:k0 + step], t_fact)
-    probs = np.maximum(probs, 0.0)
+    probs = np.maximum(_probabilities(u[None], lists, input_pattern.modes(), statistics,
+                                      s_facts, _occupation_factorial(input_pattern))[0], 0.0)
     return ProbabilityTable(m, n, input_pattern, statistics, collision_free,
                             modes, lists, probs, float(probs.sum()), branch_label)
 

@@ -21,10 +21,11 @@ builds the event index once (the kept events of each input group and
 their output array; an event whose output does not carry its input's
 photon number is rejected and tallied) and scores an (E, m, m) stack of
 unitaries: W as one row-sum array and one gather-and-product per input
-group, C through :func:`interference._probabilities` on the gathered
-submatrices, chunked over unitaries to ``_CHUNK_BYTES`` / 16 (4 MB) of
-submatrices per step. Modes that are not whole numbers in [0, m) and a
-non-square U raise :class:`ConfigurationError`.
+group, C as one :func:`interference._probabilities` call per scored input
+over the whole stack, whose permanent kernel sizes its own steps. Modes
+that are not whole numbers in [0, m) and a non-square U raise
+:class:`ConfigurationError`; an ensemble whose stack would exceed the
+table limit raises :class:`CapacityError` before it is drawn.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .haarstats import Histogram, _haar_batch
-from .interference import (_CHUNK_BYTES, SPDC_BRANCHES, FockPattern, SourceWeights,
-                           _occupation_factorial, _probabilities,
+from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
+                           _check_table_bytes, _occupation_factorial, _probabilities,
                            spdc_branch_pattern)
 
 
@@ -94,9 +95,8 @@ def _counter_steps(events, us, test_kind: str, n: int | None = None,
     output does not carry as many photons as those inputs (and, in the W
     test, n) is rejected. W steps +1 where P >= (n/m)^n, C steps +1 where
     L = q/d >= 1, both -1 otherwise; 0 marks an event that does not count,
-    a rejected one or, in the C test, one with d <= 0. The gathered C
-    submatrices are chunked over unitaries to ``_CHUNK_BYTES`` / 16 bytes
-    per step, which keeps the rescoring's peak memory flat.
+    a rejected one or, in the C test, one with d <= 0. Each scored input
+    is one kernel call over the whole stack.
     """
     m_u = us.shape[-1]
     steps = np.zeros((len(us), len(events)), dtype=int)
@@ -116,18 +116,13 @@ def _counter_steps(events, us, test_kind: str, n: int | None = None,
             p = (np.abs(us[:, :, scored[0][1]]) ** 2).sum(axis=2)[:, outs].prod(axis=2)
             steps[:, idx] = np.where(p >= (n / m) ** n, 1, -1)
             continue
-        t_facts = [_occupation_factorial(FockPattern.from_modes(c, m_u)) for _, c in scored]
-        per_step = max(1, _CHUNK_BYTES // (16 * 16 * n_in * outs.size * len(scored)))
-        for e0 in range(0, len(us), per_step):
-            subs = [(w, t_fact,
-                     us[e0:e0 + per_step, outs[:, :, None], cols].reshape(-1, n_in, n_in))
-                    for (w, cols), t_fact in zip(scored, t_facts)]
-            q, d = (sum(w * _probabilities(sub, stats, 1.0, t_fact) for w, t_fact, sub in subs)
-                    for stats in ("indistinguishable", "distinguishable"))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
-            local = np.where(np.isnan(ratio), 0, np.where(ratio >= 1.0, 1, -1))
-            steps[e0:e0 + per_step, idx] = local.reshape(-1, len(idx))
+        q, d = (sum(w * _probabilities(us, outs, cols, stats, 1.0,
+                                       _occupation_factorial(FockPattern.from_modes(cols, m_u)))
+                    for w, cols in scored)
+                for stats in ("indistinguishable", "distinguishable"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
+        steps[:, idx] = np.where(np.isnan(ratio), 0, np.where(ratio >= 1.0, 1, -1))
     return steps
 
 
@@ -147,16 +142,15 @@ def run_uniform_test(events, u, n: int, m: int) -> ValidationTrace:
     return _trace(_counter_steps(events, u[None], "uniform", n, m)[0], "uniform")
 
 
-def run_distinguishable_test(events, u, input_pattern: FockPattern | None = None,
-                             weights: SourceWeights | None = None,
+def run_distinguishable_test(events, u, weights: SourceWeights | None = None,
                              input_modes=None) -> ValidationTrace:
     """Counter C of the distinguishable-sampler likelihood test.
 
     By default every event is scored with its own recorded input branch.
-    Passing ``input_pattern`` overrides the inputs for all events. Passing
-    ``weights`` together with the four designated ``input_modes`` scores
-    each event against the branch-weighted SPDC mixture instead, which is
-    what an experiment without per-event branch knowledge has to do.
+    Passing ``weights`` together with the four designated ``input_modes``
+    scores each event against the branch-weighted SPDC mixture instead,
+    which is what an experiment without per-event branch knowledge has
+    to do.
     Events whose output does not carry the photon number of the inputs
     scoring them are rejected, and events with d = 0 skipped; both are
     tallied in ``n_rejected``.
@@ -169,8 +163,6 @@ def run_distinguishable_test(events, u, input_pattern: FockPattern | None = None
                 "mixture scoring needs the 4 designated input modes")
         mixture = [(w, spdc_branch_pattern(b, input_modes, u.shape[0]).modes())
                    for w, b in zip(weights.normalized, SPDC_BRANCHES)]
-    elif input_pattern is not None:
-        mixture = [(1.0, input_pattern.modes())]
     return _trace(_counter_steps(events, u[None], "distinguishable", inputs=mixture)[0],
                   "distinguishable")
 
@@ -216,10 +208,13 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     if test_kind not in ("uniform", "distinguishable"):
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
     true_u = _square(true_u)
+    m_u = true_u.shape[0]
+    _check_table_bytes((ensemble_size + 1) * m_u * m_u * 16,
+                       f"{ensemble_size + 1} unitaries of {m_u} modes")
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     us = np.concatenate([true_u[None],
-                         _haar_batch(true_u.shape[0], rng_seed.spawn(ensemble_size))])
+                         _haar_batch(m_u, rng_seed.spawn(ensemble_size))])
     true_slope, *slopes = (_trace(row, test_kind).slope
                            for row in _counter_steps(events, us, test_kind, n, m))
     scale = abs(reference_slope) if reference_slope else 1.0

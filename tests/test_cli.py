@@ -161,6 +161,18 @@ def test_validate_photon_mismatch_exits_2(simulated, tmp_path):
     assert code == 2
 
 
+def test_validate_ensemble_over_table_limit_exits_2(simulated, tmp_path, capsys):
+    tmp, cfg, upath = simulated
+    sdir = tmp_path / "samples"
+    run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
+        "--events", 30)
+    assert run("validate", "--config", cfg, "--unitary", upath,
+               "--samples", sdir / "samples.jsonl", "--out", tmp_path / "v",
+               "--ensemble", 16384) == 2
+    assert "table limit" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_validate_out_of_range_output_exits_2(simulated, tmp_path):
     tmp, cfg, upath = simulated
     sdir = tmp_path / "samples"

@@ -1,15 +1,17 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from photonlat import interference as itf
 from photonlat.errors import CapacityError, ConfigurationError, NumericalError
 from photonlat.haarstats import haar_unitary
-from photonlat.interference import (FockPattern, _permanent_batch,
+from photonlat.interference import (FockPattern, _permanent_batch, _permanents,
                                     distribution, enumerate_patterns,
                                     output_probability, permanent, sample,
                                     scattering_submatrix, spdc_branch_pattern,
@@ -112,6 +114,46 @@ class TestPermanentProperties:
         assert abs(per_mixed - (x * per_a + y * per_b)) <= 1e-12 * scale
 
 
+class TestGatheredPermanents:
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.integers(1, 6), p=st.integers(1, 6), n=st.integers(1, 6),
+           extra_modes=st.integers(0, 3), step_bytes=st.integers(1, 2**12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(e=1, p=6, n=4, extra_modes=2, step_bytes=200, seed=0)
+    @example(e=6, p=1, n=6, extra_modes=0, step_bytes=1, seed=1)
+    def test_equal_permanents_of_the_gathered_stack(self, e, p, n, extra_modes,
+                                                    step_bytes, seed):
+        # small steps end blocks of unitaries, patterns and signs mid-stack
+        m = n + extra_modes
+        rng = np.random.default_rng(seed)
+        us = rng.normal(size=(e, m, m)) + 1j * rng.normal(size=(e, m, m))
+        rows = rng.integers(0, m, size=(p, n))
+        cols = rng.integers(0, m, size=n)
+        stack = us[:, rows[:, :, None], cols].reshape(e * p, n, n)
+        want = _permanent_batch(stack).reshape(e, p)
+        with mock.patch.object(itf, "_STEP_BYTES", step_bytes):
+            got = _permanents(us, rows, cols)
+        assert got.shape == (e, p)
+        assert np.all(np.abs(got - want) <= 1e-12 * _stack_scale(stack).reshape(e, p))
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: FockPattern.from_modes((12, 19, -1), 32), id="negative-mode"),
+        pytest.param(lambda: FockPattern.from_modes((12, 19, 32), 32), id="mode-beyond-m"),
+        pytest.param(lambda: FockPattern.from_modes((True,), 32), id="boolean-mode"),
+        pytest.param(lambda: FockPattern.from_modes((1.5,), 32), id="fractional-mode"),
+        pytest.param(lambda: permanent(np.ones((2, 3))), id="nonsquare-permanent"),
+        pytest.param(lambda: permanent(np.ones((0, 0))), id="empty-permanent"),
+        pytest.param(lambda: scattering_submatrix(np.eye(3), FockPattern((1, 0, 0)),
+                                                  FockPattern((1, 1, 0))),
+                     id="photon-number-mismatch"),
+    ])
+    def test_bad_input_raises_configuration_error(self, call):
+        with pytest.raises(ConfigurationError):
+            call()
+
+
 class TestDistributionProperties:
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
@@ -202,6 +244,17 @@ class TestOutputProbability:
             for pat in enumerate_patterns(5, 3, collision_free=False):
                 p = output_probability(u, inp, pat, "distinguishable")
                 assert abs(p - oracle[pat.occupations]) < 1e-10
+
+    @pytest.mark.parametrize("bad", ["ones", "nonsquare", "nan", "pattern-modes"])
+    def test_rejects_what_distribution_rejects(self, bad):
+        # unchecked, the all-ones matrix gives a "probability" of 4
+        u = {"ones": np.ones((6, 6)), "nonsquare": haar_unitary(6, 2).entries[:, :5],
+             "nan": np.full((6, 6), np.nan), "pattern-modes": np.eye(8)}[bad]
+        pat = FockPattern((1, 1, 0, 0, 0, 0))
+        with pytest.raises(ConfigurationError):
+            distribution(u, pat)
+        with pytest.raises(ConfigurationError):
+            output_probability(u, pat, pat)
 
     def test_zero_transmission_law(self):
         u = np.eye(4, dtype=complex)
@@ -315,6 +368,18 @@ class TestDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_five_photon_table_peaks_near_its_own_arrays(self):
+        inp = FockPattern.from_modes((10, 11, 12, 19, 20), 32)
+        u = haar_unitary(32, 15).entries
+        tracemalloc.start()
+        try:
+            table = distribution(u, inp, outputs=range(31))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.probs) == math.comb(31, 5)
+        assert peak <= 4 * (table.mode_lists.nbytes + table.probs.nbytes)
 
     def test_reduced_outputs(self):
         u = haar_unitary(6, 7).entries

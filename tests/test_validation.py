@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 from photonlat import interference as itf
 from photonlat import validation as val
-from photonlat.errors import ConfigurationError
+from photonlat.errors import CapacityError, ConfigurationError
 from photonlat.haarstats import haar_unitary
 
 INPUTS4 = (11, 12, 19, 20)
@@ -238,6 +240,19 @@ class TestWrongUnitaryEnsemble:
         with pytest.raises(ConfigurationError):
             val.wrong_unitary_slope_histogram(streams["bs"][:50], device_unitary,
                                               "bayes", 3, 31, 10, rng_seed=0)
+
+    def test_ensemble_too_large_rejected_before_drawing(self, device_unitary, streams):
+        # 16,384 + 1 unitaries of 32 modes: 256 MB and 16 kB over the table limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                val.wrong_unitary_slope_histogram(streams["bs"][:50], device_unitary,
+                                                  "distinguishable", 3, 31, 16384,
+                                                  rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestNormalization:
