@@ -278,7 +278,9 @@ def _fixed_input_pattern(config) -> interference.FockPattern:
 
 def _draw_stream(config, u, statistics, seed, count, collision_free=True):
     """``count`` events of the configured source through ``u``: the SPDC
-    two-pair mixture for n = 4, the fixed Fock input otherwise."""
+    two-pair mixture for n = 4, the fixed Fock input otherwise. ``count``
+    is checked before any table is built."""
+    interference.check_event_count(count, config["photons"]["n"])
     outputs = _kept_outputs(config)
     if config["photons"]["n"] == 4:
         if not collision_free:
@@ -492,8 +494,8 @@ def cmd_reconstruct(args) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "hom_dataset.json", "w") as fh:
-        json.dump(dataset.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+        # one string: json.dumps runs the C encoder, json.dump to a file does not
+        fh.write(json.dumps(dataset.to_dict(), sort_keys=True) + "\n")
     if scans is not None:
         rows = []
         for ((h, k), (i, j)), (positions, counts) in scans.items():

@@ -5,12 +5,16 @@ dimension mismatches, under-determined inputs) and numerical failures
 (fit non-convergence, inconsistent interference data). The CLI maps the
 former to exit code 2 and the latter to exit code 3. The value
 predicates and ``check_fields`` below serve the config schema and the
-library's parameter dataclasses alike.
+library's parameter dataclasses alike. ``MAX_TABLE_BYTES`` is the one
+memory budget: :func:`check_table_bytes` raises :class:`CapacityError`
+before a call allocates arrays beyond it.
 """
 
 import dataclasses
 import math
 import numbers
+
+MAX_TABLE_BYTES = 256 * 2**20  # the arrays one call may hold: a table, a stack, a step plan
 
 
 class ConfigurationError(ValueError):
@@ -45,9 +49,17 @@ class UndefinedVisibilityError(ValueError):
     """HOM visibility is undefined because the dip plateau vanishes."""
 
 
+def check_table_bytes(nbytes: int, what: str) -> None:
+    """Raise :class:`CapacityError` for arrays over ``MAX_TABLE_BYTES``."""
+    if nbytes > MAX_TABLE_BYTES:
+        raise CapacityError(f"{what} exceed the {MAX_TABLE_BYTES >> 20} MB table limit")
+
+
 def is_whole(value) -> bool:
     """An integer; ``True`` is an ``int`` to Python, but not here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int first: the ABC check costs about 1 us, once per occupation
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def is_finite(value) -> bool:

@@ -23,7 +23,8 @@ against ``MAX_UNITARITY_DEFECT`` (1e-9); the measured defect is 2e-14 to
 3e-14 there. The cost grows with theta, so a slice that would need more
 than ``MAX_SUBSTEPS`` (100) substeps raises ``CapacityError``: on the
 default chip at 1024 steps, heater powers above about 1e6 mW, 2000 times
-the calibrated 500 mW.
+the calibrated 500 mW. So does a step plan whose G and K slices exceed
+``errors.MAX_TABLE_BYTES``: about 10,900 steps on the default chip.
 
 Every slice Hamiltonian is H = G + diag(K @ P): G holds the couplings, K
 the detuning per unit heater power and P the heater powers. One private
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, check_table_bytes
 from .lattice import CouplingModel, HeaterBank, WaveguideLayout, coupling_coefficient
 
 log = logging.getLogger(__name__)
@@ -185,6 +186,10 @@ class _Propagator:
         edges = _segment_edges(layout, bank)
         seg_len = np.diff(edges)
         seg_steps = np.maximum(1, np.rint(n_steps * seg_len / layout.length).astype(int))
+        steps = int(seg_steps.sum())
+        # G (m, m) and K (m, n_heaters) of the two slices of every step
+        check_table_bytes(16 * steps * layout.m * (layout.m + len(bank.powers)),
+                          f"the G and K slices of {steps} CF4 steps")
         seg_dz = seg_len / seg_steps
         starts = np.concatenate([z0 + dz * np.arange(ns)
                                  for z0, dz, ns in zip(edges[:-1], seg_dz, seg_steps)])

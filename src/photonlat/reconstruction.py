@@ -27,8 +27,13 @@ Every stage works on the dip index that :class:`HomDataset` builds once:
 flat arrays of (pair, rows h k, outputs i j) over all valid dips. One
 kernel, ``_pair_sums``, evaluates x_hi x_kj + x_hj x_ki over it, with
 x = |T|^2 for the plateaus and x = T for the amplitudes; the simulated
-truth, the moduli fit and its Jacobian, and the chi-square residuals of
-:func:`dip_residuals` all go through it.
+truth, the moduli fit, and the chi-square residuals of
+:func:`dip_residuals` all go through it. Both least-squares fits, of the
+moduli and of the phases, take analytic Jacobians: a dip depends on four
+entries of the submatrix, and one helper, ``_dip_jacobian``, places its
+four derivatives in their columns. Both stop at ``least_squares``'
+default tolerances (1e-8), far below the statistical errors of the fitted
+values, and log what they did at DEBUG on ``photonlat.reconstruction.fits``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ _EPS = np.finfo(float).eps
 _DWARF = np.finfo(float).tiny
 
 log = logging.getLogger(__name__)
+fit_log = logging.getLogger(__name__ + ".fits")   # the least-squares fits
 
 
 def submatrix_rows(u, inputs) -> np.ndarray:
@@ -569,11 +575,17 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     positions = default_scan_positions()
     rng = np.random.default_rng(rng_seed)
 
+    # one profile stack; each dip keeps its own Poisson stream, seeded by
+    # one draw of ``rng`` per dip, so it is simulate_dip_scan at that seed
     dips = list(zip(*np.nonzero(valid)))
-    counts = np.array([simulate_dip_scan(
-        a_true[p, d] if noiseless else 1.0, v_true[p, d], 0.0, DEFAULT_DIP_SIGMA,
-        positions, None if noiseless else scale * a_true[p, d],
-        rng_seed=rng.integers(2 ** 63)) for p, d in dips]).reshape(-1, len(positions))
+    a_dip, v_dip = a_true[valid], v_true[valid]
+    seeds = rng.integers(2 ** 63, size=len(dips))
+    counts = dip_profile(positions, (a_dip if noiseless else np.ones_like(a_dip))[:, None],
+                         v_dip[:, None], 0.0, DEFAULT_DIP_SIGMA)
+    if not noiseless:
+        counts = np.array([np.random.default_rng(seed).poisson(row) for seed, row in
+                           zip(seeds, (scale * a_dip)[:, None] * counts)],
+                          dtype=float).reshape(counts.shape)
     params, cov = _fit_dips(positions, counts)
     a_fit, v_fit = params[:, 0], params[:, 1]
     cov = cov[:, :2, :2]
@@ -628,6 +640,8 @@ def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
     invariant under q_h -> s q_h, q_k -> q_k / s, the physical unit row
     norm (each row spans all outputs of a unitary) is imposed as an extra
     residual. Intensity rows, when present, supply the starting point.
+    The fit takes the analytic Jacobian and ``least_squares``' default
+    tolerances.
     """
     _spanning_tree(dataset)   # raises when the pairs leave a row unconnected
     n_rows, n_out = dataset.n_rows, dataset.n_outputs
@@ -638,6 +652,7 @@ def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
     h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
     a_meas = dataset.plateaus[dataset.valid]
     eps = dataset.plateau_errors[dataset.valid]
+    columns = np.arange(n_rows * n_out).reshape(n_rows, n_out)
     norm_jac = np.kron(np.eye(n_rows), np.ones(n_out)) / NORM_TOLERANCE
 
     def residuals(x):
@@ -646,20 +661,41 @@ def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
                                (q.sum(axis=1) - 1.0) / NORM_TOLERANCE])
 
     def jacobian(x):
-        # the four columns of a row are distinct because h != k and i != j
         q = x.reshape(n_rows, n_out)
-        jac = np.zeros((len(h), n_rows * n_out))
-        rows = np.arange(len(h))
-        jac[rows, h * n_out + i] = q[k, j] / eps
-        jac[rows, k * n_out + j] = q[h, i] / eps
-        jac[rows, h * n_out + j] = q[k, i] / eps
-        jac[rows, k * n_out + i] = q[h, j] / eps
+        jac = _dip_jacobian(dataset, columns, q[k, j] / eps, q[h, i] / eps,
+                            q[k, i] / eps, q[h, j] / eps)
         return np.vstack([jac, norm_jac])
 
     result = least_squares(residuals, q0.ravel(), jac=jacobian,
-                           bounds=(0.0, np.inf), method="trf", xtol=1e-14,
-                           ftol=1e-14, gtol=1e-14)
+                           bounds=(0.0, np.inf), method="trf")
+    start = residuals(q0.ravel())
+    _log_fit("moduli", result, start @ start)
     return np.sqrt(result.x.reshape(n_rows, n_out))
+
+
+def _dip_jacobian(dataset: HomDataset, columns, d_hi, d_kj, d_hj, d_ki) -> np.ndarray:
+    """(n_dips, n_cols) Jacobian over the dataset's dip index from each
+    dip's derivatives by entries (h, i), (k, j), (h, j), (k, i) of a
+    (n_rows, n_outputs) parameter matrix.
+
+    ``columns`` maps each entry to its column; n_cols is its largest
+    value + 1, and entries mapped to -1 are held fixed and dropped. A
+    dip's four entries are distinct, because h != k and i != j.
+    """
+    n_cols = int(columns.max()) + 1
+    jac = np.zeros((len(dataset.dip_h), n_cols + 1))      # column -1 collects the fixed
+    dips = np.arange(len(dataset.dip_h))
+    h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
+    for r, c, d in ((h, i, d_hi), (k, j, d_kj), (h, j, d_hj), (k, i, d_ki)):
+        jac[dips, columns[r, c]] = d
+    return jac[:, :n_cols]
+
+
+def _log_fit(name: str, result, chi2_start: float) -> None:
+    """One DEBUG line on what a ``least_squares`` fit did."""
+    fit_log.debug("%s fit: %d evaluations, %d Jacobians, status %d, chi2 %.6g -> %.6g",
+                  name, result.nfev, result.njev, result.status, chi2_start,
+                  2.0 * result.cost)
 
 
 @dataclass
@@ -697,6 +733,22 @@ def dip_residuals(theta, moduli, dataset: HomDataset) -> np.ndarray:
     v = dataset.valid
     target = dataset.plateaus[v] * (1.0 + dataset.visibilities[v])
     return (target - np.abs(amp) ** 2) / dataset.errors[v]
+
+
+def _phase_jacobian(theta, moduli, dataset: HomDataset, columns) -> np.ndarray:
+    """Jacobian of :func:`dip_residuals` in the phases, with the columns
+    of :func:`_dip_jacobian`.
+
+    With P1 = T_hi T_kj and P2 = T_hj T_ki, d|P1 + P2|^2 / d theta is
+    -2 Im(conj(P1 + P2) P1) for theta_hi and theta_kj, and the same with
+    P2 for theta_hj and theta_ki; the residual carries -1 / eps of it.
+    """
+    t = moduli * np.exp(1j * theta)
+    h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
+    p1, p2 = t[h, i] * t[k, j], t[h, j] * t[k, i]
+    scale = 2.0 * np.conj(p1 + p2) / dataset.errors[dataset.valid]
+    d1, d2 = (scale * p1).imag, (scale * p2).imag
+    return _dip_jacobian(dataset, columns, d1, d1, d2, d2)
 
 
 def _chi2_cost(theta, moduli, dataset) -> float:
@@ -799,12 +851,17 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
 
     The objective sums [a (1 + V) - |U_ih U_jk + U_jh U_ik|^2]^2 / eps^2
     over all valid dips; the reported chi-square never exceeds the
-    candidate's. A stagnating optimizer returns its best iterate with
-    ``converged=False``.
+    candidate's. The free phases are those outside the gauge row and
+    column; the fit takes their analytic Jacobian (:func:`_phase_jacobian`)
+    and stops at ``least_squares``' default tolerances, which the chi-square
+    resolves; roundoff does not decide when it stops. A stagnating
+    optimizer returns its best iterate with ``converged=False``.
     """
     moduli = candidate.moduli
     n_rows, n_out = moduli.shape
     free = (slice(1, None), slice(1, None))
+    columns = np.full((n_rows, n_out), -1)
+    columns[free] = np.arange((n_rows - 1) * (n_out - 1)).reshape(n_rows - 1, n_out - 1)
 
     def unpack(x):
         theta = np.zeros((n_rows, n_out))
@@ -814,10 +871,13 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
     def fun(x):
         return dip_residuals(unpack(x), moduli, dataset)
 
+    def jacobian(x):
+        return _phase_jacobian(unpack(x), moduli, dataset, columns)
+
     x0 = candidate.phases[free].ravel()
     cost0 = _chi2_cost(candidate.phases, moduli, dataset)
-    result = least_squares(fun, x0, method="trf", xtol=1e-15, ftol=1e-15,
-                           gtol=1e-15, max_nfev=2000)
+    result = least_squares(fun, x0, jac=jacobian, method="trf", max_nfev=2000)
+    _log_fit("phase", result, cost0)
     theta = np.angle(np.exp(1j * unpack(result.x)))
     cost = _chi2_cost(theta, moduli, dataset)
     if cost > cost0:

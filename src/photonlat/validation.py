@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_table_bytes
 from .haarstats import Histogram, _haar_batch
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
-                           _check_table_bytes, _occupation_factorial, _probabilities,
+                           _occupation_factorial, _probabilities,
                            spdc_branch_pattern)
 
 
@@ -209,8 +209,8 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
     true_u = _square(true_u)
     m_u = true_u.shape[0]
-    _check_table_bytes((ensemble_size + 1) * m_u * m_u * 16,
-                       f"{ensemble_size + 1} unitaries of {m_u} modes")
+    check_table_bytes((ensemble_size + 1) * m_u * m_u * 16,
+                      f"{ensemble_size + 1} unitaries of {m_u} modes")
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     us = np.concatenate([true_u[None],

@@ -4,8 +4,9 @@ These deliberately avoid the library's algorithms: the permanent is the
 plain n! permutation sum, multi-photon statistics come from
 first-quantized state-vector evolution (symmetric tensors, no
 permanents), distinguishable statistics from per-photon convolution,
-circuit propagation from dense matrix exponentials, and HOM dip fits from
-one MINPACK ``curve_fit`` per scan.
+circuit propagation from dense matrix exponentials, HOM dip fits from
+one MINPACK ``curve_fit`` per scan, and Jacobians from central
+differences.
 """
 
 import itertools
@@ -161,3 +162,15 @@ def curve_fit_dip(positions, counts, max_nfev=20000):
     popt = np.array(popt, dtype=float)
     popt[3] = abs(popt[3])
     return popt, pcov
+
+
+def finite_difference_jacobian(fun, x, step=1e-6):
+    """Central-difference Jacobian of the vector function ``fun`` at ``x``:
+    column c is (fun(x + step e_c) - fun(x - step e_c)) / (2 step)."""
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for c in range(len(x)):
+        e = np.zeros_like(x)
+        e[c] = step
+        columns.append((np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * step))
+    return np.column_stack(columns)

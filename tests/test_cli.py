@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,25 @@ def test_validate_ensemble_over_table_limit_exits_2(simulated, tmp_path, capsys)
                "--ensemble", 16384) == 2
     assert "table limit" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", {"evolution": {"n_steps": 10 ** 11}}),
+    ("sample", {"sampling": {"count": 10 ** 12}})])
+def test_huge_count_exits_2_before_allocating(simulated, tmp_path, capsys, command, extra):
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, extra)
+    unitary = ["--unitary", upath] if command == "sample" else []
+    tracemalloc.start()
+    try:
+        code = run(command, "--config", cfg, *unitary, "--out", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "table limit" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_out_of_range_output_exits_2(simulated, tmp_path):

@@ -148,10 +148,23 @@ class TestTypedErrors:
         pytest.param(lambda: scattering_submatrix(np.eye(3), FockPattern((1, 0, 0)),
                                                   FockPattern((1, 1, 0))),
                      id="photon-number-mismatch"),
+        pytest.param(lambda: scattering_submatrix(np.eye(3), FockPattern((0, 0, 0, 1)),
+                                                  FockPattern((0, 0, 0, 1))),
+                     id="patterns-beyond-m"),
+        pytest.param(lambda: scattering_submatrix(np.eye(3), FockPattern((0, 1)),
+                                                  FockPattern((1, 0))),
+                     id="patterns-short-of-m"),
     ])
     def test_bad_input_raises_configuration_error(self, call):
         with pytest.raises(ConfigurationError):
             call()
+
+
+@pytest.mark.parametrize("occupations", [(1.5, 0, 0), (True, 0, 0), (1, False, 0),
+                                         (-1, 1, 0), (1, "1", 0), (np.float64(1.0), 0)])
+def test_bad_occupation_rejected(occupations):
+    with pytest.raises(ConfigurationError, match="must be a whole number >= 0"):
+        FockPattern(occupations)
 
 
 class TestDistributionProperties:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonlat import reconstruction
 from photonlat.errors import (ConfigurationError, UndefinedVisibilityError,
                               UnderdeterminedError)
 from photonlat.haarstats import haar_unitary
 from photonlat.interference import FockPattern, output_probability
-from photonlat.reconstruction import (MAX_LM_ITERATIONS, HomDataset,
-                                      ReconstructedSubmatrix, _fit_dips,
+from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, MAX_LM_ITERATIONS, HomDataset,
+                                      ReconstructedSubmatrix, _fit_dips, _phase_jacobian,
                                       default_scan_positions, dip_profile,
                                       dip_residuals, fit_dip, gauge_distance, hom_plateau,
                                       hom_visibility, reconstruct_moduli,
@@ -21,7 +22,7 @@ from photonlat.reconstruction import (MAX_LM_ITERATIONS, HomDataset,
                                       simulate_dip_scan, simulate_hom_dataset,
                                       submatrix_rows)
 
-from oracles import curve_fit_dip
+from oracles import curve_fit_dip, finite_difference_jacobian
 
 BS = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
 
@@ -239,6 +240,24 @@ class TestFitDip:
                          messages[3])
 
 
+    def test_campaign_scans_are_per_dip_seeded_scans(self, device_unitary):
+        # each dip draws its Poisson counts from its own seed, taken in dip
+        # order from the campaign seed
+        ds, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                         mean_plateau_counts=1e4, keep_scans=True)
+        assert len(scans) == ds.valid.sum()
+        seeds = np.random.default_rng(3).integers(2 ** 63, size=len(scans))
+        plateaus = np.array([hom_plateau(device_unitary, h, k, i, j)
+                             for (h, k), (i, j) in scans])
+        exposure = 1e4 * len(plateaus) / plateaus.sum()
+        for seed, a, ((h, k), (i, j)), (x, row) in zip(seeds, plateaus, scans,
+                                                        scans.values()):
+            v = -hom_visibility(device_unitary, h, k, i, j)
+            want = simulate_dip_scan(1.0, v, 0.0, DEFAULT_DIP_SIGMA, x, exposure * a,
+                                     rng_seed=seed)
+            assert np.array_equal(row, want)
+
+
 class TestDipIndex:
     def test_index_and_residuals_match_per_dip_loop(self, device_unitary):
         inputs = (11, 12, 19)
@@ -449,6 +468,76 @@ class TestRefine:
         refined = refine_chi2(flipped, ds)
         _, phase_rmse = gauge_distance(refined, submatrix_rows(device_unitary, inputs))
         assert phase_rmse < 1e-6
+
+
+    @pytest.mark.parametrize("n_invalid", [0, 60])
+    def test_phase_jacobian_matches_finite_differences(self, device_unitary, n_invalid):
+        inputs = (11, 12, 19)
+        ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=5, mean_plateau_counts=1e4,
+                                  input_pairs=((11, 12), (11, 19), (12, 19)))
+        rng = np.random.default_rng(n_invalid)
+        if n_invalid:
+            doc = ds.to_dict()
+            for flat in rng.choice(ds.valid.size, n_invalid, replace=False):
+                doc["valid"][flat // ds.valid.shape[1]][flat % ds.valid.shape[1]] = 0
+            ds = HomDataset.from_dict(doc)
+            assert ds.valid.sum() == ds.valid.size - n_invalid
+        # dips on the gauge row and the gauge column are in the index
+        assert (ds.dip_h == 0).any() and (ds.dip_i == 0).any()
+        moduli = reconstruct_moduli(ds)
+        theta = rng.uniform(-np.pi, np.pi, moduli.shape)
+        full = np.arange(moduli.size).reshape(moduli.shape)
+        free = np.full(moduli.shape, -1)
+        free[1:, 1:] = np.arange((moduli.shape[0] - 1) * (moduli.shape[1] - 1)).reshape(
+            free[1:, 1:].shape)
+        for columns in (full, free):
+            mask = columns >= 0
+
+            def residuals(x):
+                th = theta.copy()
+                th[mask] = x
+                return dip_residuals(th, moduli, ds)
+
+            want = finite_difference_jacobian(residuals, theta[mask])
+            got = _phase_jacobian(theta, moduli, ds, columns)
+            assert got.shape == want.shape == (ds.valid.sum(), mask.sum())
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_fits_take_analytic_jacobians_and_default_tolerances(self, device_unitary,
+                                                                 monkeypatch):
+        calls = []
+        least_squares = reconstruction.least_squares
+
+        def spy(fun, x0, **kwargs):
+            calls.append(kwargs)
+            return least_squares(fun, x0, **kwargs)
+
+        monkeypatch.setattr(reconstruction, "least_squares", spy)
+        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
+                                  mean_plateau_counts=1e4)
+        refine_chi2(reconstruct_phases(ds, reconstruct_moduli(ds)), ds)
+        assert len(calls) == 2
+        for kwargs in calls:
+            assert callable(kwargs["jac"])
+            assert not {"xtol", "ftol", "gtol"} & kwargs.keys()
+
+    def test_fits_log_what_they_did(self, device_unitary, caplog):
+        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                  mean_plateau_counts=1e4)
+        with caplog.at_level(logging.DEBUG, logger="photonlat.reconstruction"):
+            candidate = reconstruct_phases(ds, reconstruct_moduli(ds))
+            refined = refine_chi2(candidate, ds)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "photonlat.reconstruction.fits"]
+        assert len(messages) == 2
+        fits = [re.search(r"(\w+) fit: (\d+) evaluations, (\d+) Jacobians, status (-?\d+), "
+                          r"chi2 (\S+) -> (\S+)", message).groups() for message in messages]
+        assert [fit[0] for fit in fits] == ["moduli", "phase"]
+        for _, nfev, njev, status, before, after in fits:
+            assert 1 <= int(njev) <= int(nfev) and 1 <= int(status) <= 4
+            assert float(after) <= float(before)
+        assert float(fits[1][4]) == pytest.approx(candidate.chi2, rel=1e-5)
+        assert float(fits[1][5]) == pytest.approx(refined.chi2, rel=1e-5)
 
 
 class TestGaugeDistance:
