@@ -6,12 +6,20 @@ byte-identical across reruns. All randomness flows from the single
 heater powers, sampling, measurement noise, ensembles) so stages can be
 rerun independently. Exit codes: 0 success, 2 configuration or
 precondition error, 3 numerical failure.
+
+A command ``cmd_x(config, args)`` takes the config ``main`` loaded and
+returns ``(files, summary)``: ``files`` maps each output file name to its
+text, one string for a JSON document and an iterable of lines for a CSV
+or JSONL file, built from results already computed; ``summary`` is one
+line for stdout. ``main`` makes ``--out`` and writes the files only after
+the command returns, so a command that fails leaves no ``--out`` behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -211,25 +219,8 @@ def device_unitary(config) -> np.ndarray:
     return propagate(layout, model, bank, n_steps=config["evolution"]["n_steps"]).entries
 
 
-def write_unitary(path, u: np.ndarray, config) -> None:
-    u = np.asarray(u, dtype=complex)
-    doc = {
-        "m": u.shape[0],
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in u],
-        "provenance": {
-            "config_sha256": config_hash(config),
-            "seed": config["seed"],
-            "n_steps": config["evolution"]["n_steps"],
-            "unitarity_defect": unitarity_defect(u),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_unitary(path) -> np.ndarray:
-    """The matrix of a file ``write_unitary`` wrote: a whole ``m`` and an
+    """The matrix of a ``unitary.json`` that ``simulate`` wrote: a whole ``m`` and an
     (m, m) list of finite [re, im] entries."""
     with open(path) as fh:
         doc = json.load(fh)
@@ -243,18 +234,22 @@ def read_unitary(path) -> np.ndarray:
     raise ConfigurationError(f"{path} is not a unitary file: malformed m or entries")
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+def _json_text(doc) -> str:
+    """The text of a JSON output: indented, keys sorted, one final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_histogram_csv(path, hist: haarstats.Histogram) -> None:
-    rows = [(float(lo), float(hi), float(mass))
-            for lo, hi, mass in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses)]
-    _write_csv(path, ["edge_low", "edge_high", "mass"], rows)
+def _csv_lines(header, rows):
+    """The lines of a CSV output; floats by ``repr``, so they read back exactly."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+
+
+def _histogram_csv(hist: haarstats.Histogram):
+    edges = hist.bin_edges.tolist()
+    return _csv_lines(("edge_low", "edge_high", "mass"),
+                      zip(edges[:-1], edges[1:], hist.masses.tolist()))
 
 
 def _kept_outputs(config):
@@ -296,22 +291,26 @@ def _draw_stream(config, u, statistics, seed, count, collision_free=True):
     return interference.sample(table, seed, count)
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config, args.seed)
+def cmd_simulate(config, args):
     u = device_unitary(config)
     defect = unitarity_defect(u)
     if defect > MAX_UNITARITY_DEFECT:
         raise NumericalError(
             f"unitarity defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_unitary(out / "unitary.json", u, config)
-    print(f"wrote {out / 'unitary.json'} (defect {defect:.3e})")
-    return 0
+    doc = {
+        "m": u.shape[0],
+        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in u],
+        "provenance": {
+            "config_sha256": config_hash(config),
+            "seed": config["seed"],
+            "n_steps": config["evolution"]["n_steps"],
+            "unitarity_defect": defect,
+        },
+    }
+    return {"unitary.json": _json_text(doc)}, f"unitarity defect {defect:.3e}"
 
 
-def cmd_sample(args) -> int:
-    config = load_config(args.config, args.seed)
+def cmd_sample(config, args):
     if args.events is not None:
         config["sampling"]["count"] = args.events
     u = read_unitary(args.unitary)
@@ -320,21 +319,14 @@ def cmd_sample(args) -> int:
     count = config["sampling"]["count"]
     events = _draw_stream(config, u, statistics, _stream_int(config["seed"], "sampling"),
                           count, collision_free=args.collision_free != "false")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "samples.jsonl"
-    with open(path, "w") as fh:
-        header = {"record": "header", "config_sha256": config_hash(config),
-                  "seed": config["seed"], "events": count,
-                  "photons": n, "statistics": statistics}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ev in events:
-            fh.write(json.dumps({"index": ev.index, "branch": ev.branch,
-                                 "output": list(ev.output),
-                                 "distinguishable": ev.distinguishable},
-                                sort_keys=True) + "\n")
-    print(f"wrote {path} ({len(events)} events)")
-    return 0
+    header = {"record": "header", "config_sha256": config_hash(config),
+              "seed": config["seed"], "events": count,
+              "photons": n, "statistics": statistics}
+    records = itertools.chain([header], (
+        {"index": ev.index, "branch": ev.branch, "output": list(ev.output),
+         "distinguishable": ev.distinguishable} for ev in events))
+    lines = (json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    return {"samples.jsonl": lines}, f"{len(events)} events"
 
 
 EVENT_KEYS = frozenset(("branch", "distinguishable", "index", "output"))
@@ -396,24 +388,18 @@ def read_samples(path, config):
     return events
 
 
-def cmd_validate(args) -> int:
-    config = load_config(args.config, args.seed)
+def cmd_validate(config, args):
     u = read_unitary(args.unitary)
     events = read_samples(args.samples, config)
     n = config["photons"]["n"]
     m_eff = len(_kept_outputs(config))
-    if args.test == "uniform":
-        trace = validation.run_uniform_test(events, u, n, m_eff)
-    else:
-        trace = validation.run_distinguishable_test(events, u)
-
+    score = {"uniform": lambda evs: validation.run_uniform_test(evs, u, n, m_eff),
+             "distinguishable": lambda evs: validation.run_distinguishable_test(evs, u),
+             }[args.test]
+    trace = score(events)
     # paired distinguishable stream on the same circuit for normalization
-    ref_events = _draw_stream(config, u, "distinguishable",
-                              _stream_int(config["seed"], "noise"), len(events))
-    if args.test == "uniform":
-        ref_trace = validation.run_uniform_test(ref_events, u, n, m_eff)
-    else:
-        ref_trace = validation.run_distinguishable_test(ref_events, u)
+    ref_trace = score(_draw_stream(config, u, "distinguishable",
+                                   _stream_int(config["seed"], "noise"), len(events)))
     if ref_trace.slope != 0:
         trace = validation.normalize_trace(trace, ref_trace)
 
@@ -422,11 +408,6 @@ def cmd_validate(args) -> int:
         stream_seed(config["seed"], "ensemble"),
         reference_slope=ref_trace.slope if ref_trace.slope != 0 else None)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trace.csv", ["k", "counter"],
-               list(enumerate(trace.counters.tolist(), start=1)))
-    _write_histogram_csv(out / "slope_histogram.csv", ensemble.histogram)
     summary = {
         "test": args.test,
         "n_events": trace.n_events,
@@ -437,26 +418,27 @@ def cmd_validate(args) -> int:
         "ensemble_std": ensemble.stddev,
         "z_score": ensemble.z_score,
     }
-    with open(out / "zscore.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"{args.test} test: slope {trace.slope:.4f}, z = {ensemble.z_score:.2f}")
-    return 0
+    files = {
+        "trace.csv": _csv_lines(("k", "counter"),
+                                enumerate(trace.counters.tolist(), start=1)),
+        "slope_histogram.csv": _histogram_csv(ensemble.histogram),
+        "zscore.json": _json_text(summary),
+    }
+    return files, f"{args.test} test: slope {trace.slope:.4f}, z = {ensemble.z_score:.2f}"
 
 
-def cmd_reconstruct(args) -> int:
-    config = load_config(args.config, args.seed)
+def cmd_reconstruct(config, args):
     rec_cfg = config["reconstruction"]
-    scans = None
+    files = {}
     if args.dataset is not None:
+        if args.scans:
+            raise ConfigurationError("--scans needs --unitary: a --dataset holds no scans")
         # previously fitted dip data; no ground truth available
         with open(args.dataset) as fh:
             dataset = reconstruction.HomDataset.from_dict(json.load(fh))
         truth = None
         inputs = dataset.rows
     else:
-        if args.unitary is None:
-            raise ConfigurationError("reconstruct needs --unitary or --dataset")
         u = read_unitary(args.unitary)
         n_rows = rec_cfg["n_rows"]
         if n_rows > len(config["inputs"]):
@@ -470,7 +452,15 @@ def cmd_reconstruct(args) -> int:
             mean_plateau_counts=None if rec_cfg["noise"] == "none"
             else rec_cfg["mean_plateau_counts"],
             keep_scans=args.scans)
-        dataset, scans = result if args.scans else (result, None)
+        if args.scans:
+            dataset, scans = result
+            files["dip_scans.csv"] = _csv_lines(
+                ("input_h", "input_k", "output_i", "output_j", "position", "counts"),
+                ((h, k, i, j, float(x), float(c))
+                 for ((h, k), (i, j)), (positions, counts) in scans.items()
+                 for x, c in zip(positions, counts)))
+        else:
+            dataset = result
         truth = reconstruction.submatrix_rows(u, inputs)
 
     moduli = reconstruction.reconstruct_moduli(dataset)
@@ -479,9 +469,7 @@ def cmd_reconstruct(args) -> int:
     if not refined.converged:
         print("warning: chi-square refinement stagnated", file=sys.stderr)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = {
+    files["reconstructed.json"] = _json_text({
         "rows": list(refined.rows),
         "gauge": refined.gauge,
         "moduli": [list(map(float, row)) for row in refined.moduli],
@@ -489,50 +477,31 @@ def cmd_reconstruct(args) -> int:
         "chi2": refined.chi2,
         "converged": refined.converged,
         "provenance": {"config_sha256": config_hash(config), "seed": config["seed"]},
-    }
-    with open(out / "reconstructed.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "hom_dataset.json", "w") as fh:
-        # one string: json.dumps runs the C encoder, json.dump to a file does not
-        fh.write(json.dumps(dataset.to_dict(), sort_keys=True) + "\n")
-    if scans is not None:
-        rows = []
-        for ((h, k), (i, j)), (positions, counts) in scans.items():
-            rows.extend((h, k, i, j, float(x), float(c))
-                        for x, c in zip(positions, counts))
-        _write_csv(out / "dip_scans.csv",
-                   ["input_h", "input_k", "output_i", "output_j", "position",
-                    "counts"], rows)
-
+    })
+    # one string: json.dumps without an indent runs the C encoder
+    files["hom_dataset.json"] = json.dumps(dataset.to_dict(), sort_keys=True) + "\n"
     if truth is not None:
         moduli_rmse, phase_rmse = reconstruction.gauge_distance(refined, truth)
-        with open(out / "gauge_distance.json", "w") as fh:
-            json.dump({"moduli_rmse": moduli_rmse,
-                       "phase_quadruple_rmse": phase_rmse},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        files["gauge_distance.json"] = _json_text(
+            {"moduli_rmse": moduli_rmse, "phase_quadruple_rmse": phase_rmse})
         gauge_note = f": moduli RMSE {moduli_rmse:.3e}, phase RMSE {phase_rmse:.3e} rad"
     else:
         gauge_note = " (no ground truth)"
 
     v = dataset.valid
     residuals = reconstruction.dip_residuals(refined.phases, refined.moduli, dataset)
-    rows = [(*dataset.input_pairs[p], i, j, a, vis, eps, r)
-            for p, i, j, a, vis, eps, r in zip(
-                dataset.dip_pair.tolist(), dataset.dip_i.tolist(),
-                dataset.dip_j.tolist(), dataset.plateaus[v].tolist(),
-                dataset.visibilities[v].tolist(), dataset.errors[v].tolist(),
-                residuals.tolist())]
-    _write_csv(out / "residuals.csv",
-               ["input_h", "input_k", "output_i", "output_j", "a", "V", "eps",
-                "residual"], rows)
-    print(f"reconstructed {len(inputs)}x{dataset.n_outputs} rows{gauge_note}")
-    return 0
+    files["residuals.csv"] = _csv_lines(
+        ("input_h", "input_k", "output_i", "output_j", "a", "V", "eps", "residual"),
+        ((*dataset.input_pairs[p], i, j, a, vis, eps, r)
+         for p, i, j, a, vis, eps, r in zip(
+             dataset.dip_pair.tolist(), dataset.dip_i.tolist(),
+             dataset.dip_j.tolist(), dataset.plateaus[v].tolist(),
+             dataset.visibilities[v].tolist(), dataset.errors[v].tolist(),
+             residuals.tolist())))
+    return files, f"reconstructed {len(inputs)}x{dataset.n_outputs} rows{gauge_note}"
 
 
-def cmd_haar(args) -> int:
-    config = load_config(args.config, args.seed)
+def cmd_haar(config, args):
     hcfg = config["haar"]
     m, rows = hcfg["m"], hcfg["rows"]
     n_matrices, columns = hcfg["n_matrices"], hcfg["columns"]
@@ -544,62 +513,49 @@ def cmd_haar(args) -> int:
         raise ConfigurationError(
             f"haar.rows = {rows} must be at most the {len(config['inputs'])} "
             "configured inputs with --device")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = stream_seed(config["seed"], "ensemble").spawn(n_matrices + 3)
-    subs = haarstats._haar_batch(m, seeds[:n_matrices])[:, :rows, :]
-    mod_hist, phase_hist = haarstats.ensemble_moduli_phase_histograms(subs)
-    sim_hist = haarstats.column_similarity_distribution(
-        m, columns, seeds[-3], n_bins=hcfg["similarity_pairs_bins"])
-    _write_histogram_csv(out / "moduli_hist.csv", mod_hist)
-    _write_histogram_csv(out / "phase_hist.csv", phase_hist)
-    _write_histogram_csv(out / "column_similarity_hist.csv", sim_hist)
+    # children 0 .. n_matrices - 1 draw the matrices, the next three the rest
+    ensemble = stream_seed(config["seed"], "ensemble")
+    subs = haarstats._haar_batch(m, ensemble, n_matrices)[:, :rows, :]
+    columns_seed, *powers_seeds = ensemble.spawn(3)
+    hists = dict(zip(("moduli", "phase"), haarstats.ensemble_moduli_phase_histograms(subs)))
+    hists["column_similarity"] = haarstats.column_similarity_distribution(
+        m, columns, columns_seed, n_bins=hcfg["similarity_pairs_bins"])
+    files = {}
     if args.device:
         layout, model, bank = build_device(config)
         # one batch: the histogram settings, then one setting per similarity column
         power_range = tuple(config["heaters"]["power_range_mw"])
         powers = np.concatenate([
-            haarstats.random_heater_powers(bank, n_matrices, seeds[-2], power_range),
-            haarstats.random_heater_powers(bank, columns, seeds[-1], power_range)])
+            haarstats.random_heater_powers(bank, count, seed, power_range)
+            for count, seed in zip((n_matrices, columns), powers_seeds)])
         subs = haarstats.device_submatrix_ensemble(
             layout, model, bank, config["inputs"][:rows], powers,
             n_steps=config["evolution"]["n_steps"])
         dev_subs, cols = subs[:n_matrices], subs[n_matrices:, 0]
-        dev_mod, dev_phase = haarstats.ensemble_moduli_phase_histograms(dev_subs)
-        dev_sim = haarstats.similarity_histogram(np.abs(cols) ** 2,
-                                                 sim_hist.bin_edges)
-        _write_histogram_csv(out / "device_moduli_hist.csv", dev_mod)
-        _write_histogram_csv(out / "device_phase_hist.csv", dev_phase)
-        _write_histogram_csv(out / "device_column_similarity_hist.csv", dev_sim)
-        overlaps = {
-            "moduli_overlap": haarstats.histogram_overlap(dev_mod, mod_hist),
-            "phase_overlap": haarstats.histogram_overlap(dev_phase, phase_hist),
-            "column_similarity_overlap": haarstats.histogram_overlap(dev_sim, sim_hist),
-        }
-        with open(out / "overlap.json", "w") as fh:
-            json.dump(overlaps, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(f"wrote Haar histograms for m={m} to {out}")
-    return 0
+        device = dict(zip(("moduli", "phase"),
+                          haarstats.ensemble_moduli_phase_histograms(dev_subs)))
+        device["column_similarity"] = haarstats.similarity_histogram(
+            np.abs(cols) ** 2, hists["column_similarity"].bin_edges)
+        files["overlap.json"] = _json_text(
+            {f"{kind}_overlap": haarstats.histogram_overlap(hist, hists[kind])
+             for kind, hist in device.items()})
+        hists.update({f"device_{kind}": hist for kind, hist in device.items()})
+    files.update({f"{name}_hist.csv": _histogram_csv(hist) for name, hist in hists.items()})
+    return files, f"Haar histograms for m={m}"
 
 
-def cmd_footprint(args) -> int:
-    config = load_config(args.config, args.seed)
+def cmd_footprint(config, args):
     fcfg = config["footprint"]
     params = fp.FootprintParams(r_min=fcfg["r_min_mm"], p=fcfg["p_mm"],
                                 p_f=fcfg["p_f_mm"], c=fcfg["c_per_mm"],
                                 b=fcfg["b"],
                                 fan_arrangement=fcfg["fan_arrangement"])
     rows = fp.compare_layouts(fcfg["m_values"], params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "footprint.csv",
-               ["m", "L_clements_mm", "L_spread_planar_mm",
-                "L_spread_triangular_mm", "L_fan_mm"],
-               [(m, float(a), float(b_), float(c), float(d))
-                for (m, a, b_, c, d) in rows])
-    print(f"wrote {out / 'footprint.csv'}")
-    return 0
+    lines = _csv_lines(("m", "L_clements_mm", "L_spread_planar_mm",
+                        "L_spread_triangular_mm", "L_fan_mm"),
+                       [(m, float(a), float(b_), float(c), float(d))
+                        for (m, a, b_, c, d) in rows])
+    return {"footprint.csv": lines}, f"{len(rows)} mode counts"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,9 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="HOM-based submatrix reconstruction")
     common(p)
-    p.add_argument("--unitary", default=None)
-    p.add_argument("--dataset", default=None,
-                   help="reconstruct from a fitted HomDataset JSON instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--unitary")
+    source.add_argument("--dataset",
+                        help="reconstruct from a fitted HomDataset JSON instead")
     p.add_argument("--scans", action="store_true",
                    help="also write the simulated dip scans as CSV")
     p.set_defaults(func=cmd_reconstruct)
@@ -658,16 +615,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        files, summary = args.func(load_config(args.config, args.seed), args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(out / name, "w", newline="") as fh:
+                fh.writelines((text,) if isinstance(text, str) else text)
     except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    print(f"wrote {', '.join(files)} to {out}: {summary}")
+    return 0
 
 
 if __name__ == "__main__":

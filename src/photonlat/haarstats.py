@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, check_table_bytes
 from .evolution import MAX_UNITARITY_DEFECT, UnitaryMatrix, _Propagator, unitarity_defect
 
 DEFAULT_BINS = 25
@@ -47,7 +47,19 @@ class Histogram:
         return cls(edges, counts / total)
 
 
-def _haar_batch(m: int, seeds) -> np.ndarray:
+def _haar_batch(m: int, parent: np.random.SeedSequence, count: int) -> np.ndarray:
+    """(count, m, m) Haar unitaries, one per child seed spawned from ``parent``.
+
+    Raises ``CapacityError`` before it spawns a seed when the four stacks
+    the QR holds at once (Ginibre, its working copy, Q and R) would exceed
+    ``MAX_TABLE_BYTES``.
+    """
+    check_table_bytes(4 * 16 * count * m * m,
+                      f"{count} Haar unitaries of {m} modes")
+    return _haar_stack(m, parent.spawn(count))
+
+
+def _haar_stack(m: int, seeds) -> np.ndarray:
     """(E, m, m) Haar unitaries, one per seed, by one stacked QR of complex
     Ginibre matrices.
 
@@ -66,8 +78,8 @@ def _haar_batch(m: int, seeds) -> np.ndarray:
 
 
 def haar_unitary(m: int, rng_seed) -> UnitaryMatrix:
-    """Haar-distributed m x m unitary: one draw of :func:`_haar_batch`."""
-    q = _haar_batch(m, [rng_seed])[0]
+    """Haar-distributed m x m unitary: one draw of :func:`_haar_stack`."""
+    q = _haar_stack(m, [rng_seed])[0]
     return UnitaryMatrix(m, q, unitarity_defect(q))
 
 
@@ -96,11 +108,20 @@ def similarity(p, q) -> float:
 
 
 def pairwise_similarities(columns) -> np.ndarray:
-    """Similarities of all unordered pairs of probability vectors."""
+    """Similarities of all unordered pairs of probability vectors.
+
+    Raises ``CapacityError`` before it allocates when what it holds at once
+    would exceed ``MAX_TABLE_BYTES``: the columns and their roots, the Gram
+    matrix, its two pair-index arrays and the pair values before and after
+    squaring.
+    """
     cols = np.asarray(columns, dtype=float)
+    n = len(cols)
+    check_table_bytes(8 * (2 * cols.size + n * n + 2 * n * (n - 1)),
+                      f"the pair similarities of {n} columns")
     root = np.sqrt(cols)
     gram = root @ root.T
-    iu, ju = np.triu_indices(len(cols), k=1)
+    iu, ju = np.triu_indices(n, k=1)
     return gram[iu, ju] ** 2
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import (ConfigurationError, FitError, InconsistentDataError,
-                     UndefinedVisibilityError, UnderdeterminedError)
+                     UndefinedVisibilityError, UnderdeterminedError, is_whole)
 
 DEFAULT_SCAN_POINTS = 21
 DEFAULT_SCAN_SPAN = 3.0      # scan half-width in units of the dip sigma
@@ -441,14 +441,15 @@ class HomDataset:
             self.va_errors = self.errors
         self.valid = np.asarray(self.valid, dtype=bool)
         self._pair_rows = _pair_row_indices(self.rows, self.input_pairs)
-        self.out_i, self.out_j = np.triu_indices(self.n_outputs, k=1)
-        shape = (self.n_pairs, len(self.out_i))
+        # shapes first: the output-pair index is as large as n_outputs says
+        shape = (self.n_pairs, self.n_outputs * (self.n_outputs - 1) // 2)
         for name in ("plateaus", "visibilities", "errors", "plateau_errors",
                      "va_errors", "valid"):
             if np.shape(getattr(self, name)) != shape:
                 raise ConfigurationError(
                     f"{name} has shape {np.shape(getattr(self, name))}, expected "
                     f"{shape} for {self.n_pairs} pair(s) and {self.n_outputs} outputs")
+        self.out_i, self.out_j = np.triu_indices(self.n_outputs, k=1)
         if self.intensities is not None and \
                 np.shape(self.intensities) != (self.n_rows, self.n_outputs):
             raise ConfigurationError("intensities must have one row per input row")
@@ -493,20 +494,35 @@ class HomDataset:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "HomDataset":
+    def from_dict(cls, doc) -> "HomDataset":
+        """The dataset of a ``to_dict`` document: a JSON object whose
+        ``n_outputs`` is a whole number >= 2 and whose ``valid`` flags are
+        each 0, 1 or a boolean."""
+        if not isinstance(doc, dict):
+            raise ConfigurationError(
+                f"malformed HOM dataset: a {type(doc).__name__}, not a JSON object")
         intens = doc.get("intensities")
         try:
-            fields = (int(doc["n_outputs"]), tuple(doc["rows"]),
+            n_outputs, valid = doc["n_outputs"], doc["valid"]
+            flags = all(type(v) in (int, bool) and v in (0, 1)
+                        for row in valid for v in row)
+            fields = (n_outputs, tuple(doc["rows"]),
                       tuple(tuple(p) for p in doc["input_pairs"]),
                       np.asarray(doc["plateaus"], dtype=float),
                       np.asarray(doc["visibilities"], dtype=float),
                       np.asarray(doc["errors"], dtype=float),
                       np.asarray(doc["plateau_errors"], dtype=float),
-                      np.asarray(doc["valid"], dtype=bool),
+                      np.asarray(valid, dtype=bool),
                       None if intens is None else np.asarray(intens, dtype=float),
                       np.asarray(doc["va_errors"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed HOM dataset: {exc!r}") from exc
+        if not (is_whole(n_outputs) and n_outputs >= 2):
+            raise ConfigurationError(f"malformed HOM dataset: n_outputs = {n_outputs!r} "
+                                     "must be a whole number >= 2")
+        if not flags:
+            raise ConfigurationError(
+                "malformed HOM dataset: valid flags must be 0, 1, true or false")
         return cls(*fields)
 
 

@@ -25,7 +25,8 @@ group, C as one :func:`interference._probabilities` call per scored input
 over the whole stack, whose permanent kernel sizes its own steps. Modes
 that are not whole numbers in [0, m) and a non-square U raise
 :class:`ConfigurationError`; an ensemble whose stack would exceed the
-table limit raises :class:`CapacityError` before it is drawn.
+table limit raises :class:`CapacityError` (from
+:func:`haarstats._haar_batch`) before it is drawn.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_table_bytes
+from .errors import ConfigurationError
 from .haarstats import Histogram, _haar_batch
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
@@ -208,13 +209,10 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     if test_kind not in ("uniform", "distinguishable"):
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
     true_u = _square(true_u)
-    m_u = true_u.shape[0]
-    check_table_bytes((ensemble_size + 1) * m_u * m_u * 16,
-                      f"{ensemble_size + 1} unitaries of {m_u} modes")
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     us = np.concatenate([true_u[None],
-                         _haar_batch(m_u, rng_seed.spawn(ensemble_size))])
+                         _haar_batch(true_u.shape[0], rng_seed, ensemble_size)])
     true_slope, *slopes = (_trace(row, test_kind).slope
                            for row in _counter_steps(events, us, test_kind, n, m))
     scale = abs(reference_slope) if reference_slope else 1.0

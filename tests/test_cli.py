@@ -262,7 +262,8 @@ def dataset_doc(simulated):
 @pytest.mark.parametrize("case", ["unknown_label", "repeated_row", "short_rows",
                                   "too_many_outputs", "nan_plateau",
                                   "inf_visibility", "zero_error", "missing_key",
-                                  "flat_pairs"])
+                                  "flat_pairs", "list_doc", "float_n_outputs", "valid_2",
+                                  "huge_n_outputs"])
 def test_reconstruct_malformed_dataset_exits_2(simulated, dataset_doc, tmp_path, case):
     _, cfg, _ = simulated
     doc = json.loads(json.dumps(dataset_doc))
@@ -284,12 +285,38 @@ def test_reconstruct_malformed_dataset_exits_2(simulated, dataset_doc, tmp_path,
         doc["errors"][0][d] = 0.0
     elif case == "missing_key":
         del doc["va_errors"]
+    elif case == "list_doc":
+        doc = []
+    elif case == "float_n_outputs":
+        doc["n_outputs"] += 0.7
+    elif case == "valid_2":
+        doc["valid"][0][d] = 2
+    elif case == "huge_n_outputs":
+        # so large that an output-pair index built before the shape check
+        # fails to allocate at once rather than filling memory
+        doc["n_outputs"] = 2 ** 40
     else:
         doc["input_pairs"] = [h, doc["rows"][1]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run("reconstruct", "--config", cfg, "--dataset", path,
                "--out", tmp_path / "rec") == 2
+    assert not (tmp_path / "rec").exists()
+
+
+def test_reconstruct_source_flags_exit_2(simulated, dataset_doc, tmp_path):
+    _, cfg, upath = simulated
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(dataset_doc))
+    out = tmp_path / "rec"
+    for flags in (["--unitary", upath, "--dataset", dataset], []):
+        with pytest.raises(SystemExit) as exc:
+            run("reconstruct", "--config", cfg, "--out", out, *flags)
+        assert exc.value.code == 2
+    # a dataset holds fitted dips, not the scans --scans would write
+    assert run("reconstruct", "--config", cfg, "--out", out,
+               "--dataset", dataset, "--scans") == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_rows", [5, -1, 0])
@@ -557,6 +584,16 @@ def test_haar_device_column_norm_defect_exits_3(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"haar": {"n_matrices": 2, "columns": 3},
                                   "evolution": {"n_steps": 32}})
     assert run("haar", "--config", cfg, "--out", tmp_path / "haar", "--device") == 3
+    assert not (tmp_path / "haar").exists()
+
+
+@pytest.mark.parametrize("key, value", [("n_matrices", 2 * 10 ** 6), ("columns", 40000)])
+def test_haar_over_table_limit_exits_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {"haar": {key: value}})
+    out = tmp_path / "out"
+    assert run("haar", "--config", cfg, "--out", out) == 2
+    assert "table limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [2.5, True, 0])
@@ -592,7 +629,7 @@ def test_bad_reconstruction_setting_exits_2(simulated, tmp_path, capsys, key, va
     assert not (tmp_path / "rec").exists()
 
 
-@pytest.mark.parametrize("command", ["validate", "sample", "footprint"])
+@pytest.mark.parametrize("command", ["validate", "sample", "footprint", "haar"])
 def test_rejected_input_leaves_no_out_directory(simulated, tmp_path, command):
     _, cfg, upath = simulated
     argv = {
@@ -600,6 +637,9 @@ def test_rejected_input_leaves_no_out_directory(simulated, tmp_path, command):
         "sample": ["--config", cfg, "--unitary", tmp_path / "nonexistent.json"],
         "footprint": ["--config", write_config(
             tmp_path, {"footprint": {"fan_arrangement": "weird"}})],
+        # the heaters do not fit, found only after the Haar histograms are drawn
+        "haar": ["--config", write_config(
+            tmp_path, {"lattice": {"coupling_length_mm": 20}}, "haar.json"), "--device"],
     }[command]
     out = tmp_path / "out"
     assert run(command, *argv, "--out", out) == 2

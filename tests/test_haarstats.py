@@ -48,8 +48,8 @@ class TestHaarUnitary:
         assert np.array_equal(a, b)
 
     def test_stacked_draw_matches_per_seed(self):
+        stack = _haar_batch(12, np.random.SeedSequence(9), 25)
         seeds = np.random.SeedSequence(9).spawn(25)
-        stack = _haar_batch(12, seeds)
         assert np.array_equal(stack, [haar_unitary(12, s).entries for s in seeds])
 
     def test_mean_squared_modulus(self):

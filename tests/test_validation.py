@@ -242,7 +242,7 @@ class TestWrongUnitaryEnsemble:
                                               "bayes", 3, 31, 10, rng_seed=0)
 
     def test_ensemble_too_large_rejected_before_drawing(self, device_unitary, streams):
-        # 16,384 + 1 unitaries of 32 modes: 256 MB and 16 kB over the table limit
+        # 16,384 unitaries of 32 modes: the QR's four stacks would hold 1 GB
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
