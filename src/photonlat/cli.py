@@ -623,7 +623,10 @@ def main(argv=None) -> int:
         for name, text in files.items():
             with open(out / name, "w", newline="") as fh:
                 fh.writelines((text,) if isinstance(text, str) else text)
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # a path that names the wrong kind of file is a configuration error; any
+    # other OSError, a failed write say, is not
+    except (ConfigurationError, FileNotFoundError, FileExistsError, NotADirectoryError,
+            IsADirectoryError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,4 +1,4 @@
-"""Coupled-mode Hamiltonian assembly and propagation to the circuit unitary.
+"""Coupled-mode propagation to the circuit unitary.
 
 The mode amplitudes obey da/dz = i H(z) a with H(z) Hermitian: diagonal
 entries are the propagation-constant detunings, off-diagonal entries the
@@ -82,28 +82,6 @@ def unitarity_defect(u) -> float:
     return float(np.abs(gram - np.eye(u.shape[0])).max())
 
 
-def _check_bank_matches_layout(layout: WaveguideLayout, bank: HeaterBank) -> None:
-    if bank.z_spans.size and (bank.z_spans.min() < -1e-9 or
-                              bank.z_spans.max() > layout.length + 1e-9):
-        raise ConfigurationError(
-            "heater bank z-spans extend beyond the coupling region; the bank "
-            "was built for a different layout")
-
-
-def assemble_hamiltonian(layout: WaveguideLayout, model: CouplingModel,
-                         bank: HeaterBank, z) -> np.ndarray:
-    """Hermitian coupled-mode matrix H(z) in mm^-1.
-
-    H_ii = dk_i(z) from the heater bank, H_ij the coupling coefficient
-    at the instantaneous pair distance for retained pairs. Real symmetric by
-    construction, returned as a complex array.
-    """
-    _check_bank_matches_layout(layout, bank)
-    z = [float(z)]
-    detunings = bank.kernels(layout, z)[0] @ bank.powers
-    return (_coupling_stack(layout, model, z)[0] + np.diag(detunings)).astype(complex)
-
-
 def _segment_edges(layout: WaveguideLayout, bank: HeaterBank):
     edges = np.concatenate([layout.knot_z, bank.z_breakpoints(), [0.0, layout.length]])
     edges = np.unique(edges)
@@ -182,7 +160,11 @@ class _Propagator:
             raise ConfigurationError("n_steps must be at least 1")
         if bank.positions.ndim != 2 or bank.positions.shape[1] != 2:
             raise ConfigurationError("heater bank positions must be (n, 2)")
-        _check_bank_matches_layout(layout, bank)
+        if bank.z_spans.size and (bank.z_spans.min() < -1e-9 or
+                                  bank.z_spans.max() > layout.length + 1e-9):
+            raise ConfigurationError(
+                "heater bank z-spans extend beyond the coupling region; the bank "
+                "was built for a different layout")
         edges = _segment_edges(layout, bank)
         seg_len = np.diff(edges)
         seg_steps = np.maximum(1, np.rint(n_steps * seg_len / layout.length).astype(int))

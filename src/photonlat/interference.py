@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CapacityError, ConfigurationError, NumericalError, check_table_bytes,
-                     is_whole)
+                     is_finite, is_whole)
 from .evolution import MAX_UNITARITY_DEFECT, unitarity_defect
 
 MAX_PERMANENT_SIZE = 20
@@ -71,10 +71,6 @@ class FockPattern:
     def n(self) -> int:
         return sum(self.occupations)
 
-    @property
-    def collision_free(self) -> bool:
-        return all(o <= 1 for o in self.occupations)
-
     def modes(self) -> tuple:
         """Sorted mode indices with multiplicity."""
         out = []
@@ -93,15 +89,6 @@ class SourceWeights:
     gamma: float
     normalized: tuple
 
-    @classmethod
-    def from_ratio(cls, r: float) -> "SourceWeights":
-        if r < 0:
-            raise ConfigurationError("pair-rate ratio R must be nonnegative")
-        alpha, beta, gamma = r, r * r, 1.0
-        total = alpha + beta + gamma
-        return cls(r, alpha, beta, gamma,
-                   (alpha / total, beta / total, gamma / total))
-
 
 @dataclass(frozen=True)
 class SampleEvent:
@@ -115,8 +102,13 @@ class SampleEvent:
 
 
 def spdc_weights(r: float) -> SourceWeights:
-    """Weights (alpha, beta, gamma) = (R, R^2, 1) of the SPDC branch mixture."""
-    return SourceWeights.from_ratio(r)
+    """Weights (alpha, beta, gamma) = (R, R^2, 1) of the SPDC branch mixture
+    for a finite pair-rate ratio R >= 0."""
+    if not (is_finite(r) and r >= 0):
+        raise ConfigurationError(f"pair-rate ratio R = {r!r} must be a finite number >= 0")
+    alpha, beta, gamma = r, r * r, 1.0
+    total = alpha + beta + gamma
+    return SourceWeights(r, alpha, beta, gamma, (alpha / total, beta / total, gamma / total))
 
 
 def spdc_branch_pattern(branch: str, input_modes, m: int) -> FockPattern:
@@ -199,20 +191,6 @@ def _permanent_batch(mats) -> np.ndarray:
     return _permanents(mats, whole[None], whole)[:, 0]
 
 
-def scattering_submatrix(u, input_pattern: FockPattern, output_pattern: FockPattern) -> np.ndarray:
-    """n x n submatrix with rows from output occupations, columns from inputs.
-
-    Both patterns must have U's m modes; U need not be unitary.
-    """
-    u = np.asarray(u)
-    _check_modes(u, input_pattern, output_pattern)
-    if input_pattern.n != output_pattern.n:
-        raise ConfigurationError("input and output photon numbers differ")
-    rows = output_pattern.modes()
-    cols = input_pattern.modes()
-    return u[np.ix_(rows, cols)]
-
-
 def _occupation_factorial(pattern: FockPattern) -> float:
     return math.prod(math.factorial(o) for o in pattern.occupations if o > 1)
 
@@ -228,15 +206,10 @@ def _checked_unitary(u, *patterns) -> np.ndarray:
     if not defect <= MAX_UNITARITY_DEFECT:
         raise ConfigurationError(
             f"U is not unitary: defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
-    _check_modes(u, *patterns)
-    return u
-
-
-def _check_modes(u, *patterns) -> None:
-    """Raise :class:`ConfigurationError` unless each pattern has U's m modes."""
     for pattern in patterns:
         if pattern.m != len(u):
             raise ConfigurationError(f"pattern has {pattern.m} modes, U has {len(u)}")
+    return u
 
 
 def output_probability(u, input_pattern: FockPattern, output_pattern: FockPattern,
@@ -277,17 +250,6 @@ def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
     return flat.reshape(k, n)
 
 
-def enumerate_patterns(m: int, n: int, collision_free: bool = True, outputs=None):
-    """All output patterns in lexicographic order of their mode lists.
-
-    Collision-free gives the C(m, n) subsets, otherwise all
-    C(m + n - 1, n) multisets. ``outputs`` restricts the modes that can be
-    occupied (used when one detector is sacrificed as a trigger).
-    """
-    modes = tuple(range(m)) if outputs is None else tuple(sorted(outputs))
-    return [FockPattern.from_modes(row, m) for row in _mode_lists(n, modes, collision_free)]
-
-
 @dataclass
 class ProbabilityTable:
     """Output-pattern probabilities for one input state and statistics.
@@ -309,9 +271,6 @@ class ProbabilityTable:
 
     def pattern(self, k: int) -> FockPattern:
         return FockPattern.from_modes(self.mode_lists[k], self.m)
-
-    def normalized_probs(self) -> np.ndarray:
-        return self.probs / self.probs.sum()
 
 
 def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguishable",

@@ -14,7 +14,7 @@ coefficients vary continuously along z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,12 +132,6 @@ class WaveguideLayout:
             return pos[0]
         return pos
 
-    def pairwise_distances(self, z):
-        """(m, m) matrix of transverse distances at scalar z (um)."""
-        p = self.positions_at(z)
-        diff = p[:, None, :] - p[None, :, :]
-        return np.hypot(diff[..., 0], diff[..., 1])
-
     def coupled_pairs(self, model: CouplingModel):
         """Index arrays (i, j), i < j, of pairs retained by the coupling model.
 
@@ -215,11 +209,6 @@ class HeaterBank:
     def n_heaters(self) -> int:
         return len(self.powers)
 
-    def with_powers(self, powers) -> "HeaterBank":
-        return HeaterBank(self.positions.copy(), self.z_spans.copy(),
-                          np.asarray(powers, dtype=float),
-                          self.kernel_width, self.alpha_t)
-
     def z_breakpoints(self):
         """Sorted unique z values where the active heater set changes."""
         return np.unique(self.z_spans.ravel())
@@ -278,14 +267,6 @@ def default_heater_bank(layout: WaveguideLayout, powers=None,
     alpha_t = 2.0 * math.pi / (CALIBRATION_POWER * kernel_max * HEATER_LENGTH)
     return HeaterBank(pos, spans, np.asarray(powers, dtype=float),
                       kernel_width, alpha_t)
-
-
-def heater_detunings(bank: HeaterBank, layout: WaveguideLayout, z):
-    """Propagation-constant detunings dk_i(z) in mm^-1 at scalar z."""
-    z = float(z)
-    if not 0.0 <= z <= layout.length:
-        raise ConfigurationError("z outside [0, L]")
-    return bank.kernels(layout, [z])[0] @ bank.powers
 
 
 def symmetry_permutations(spec: LatticeSpec):

@@ -40,17 +40,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import (ConfigurationError, FitError, InconsistentDataError,
-                     UndefinedVisibilityError, UnderdeterminedError, is_whole)
+                     UndefinedVisibilityError, UnderdeterminedError, is_finite, is_whole)
 
-DEFAULT_SCAN_POINTS = 21
-DEFAULT_SCAN_SPAN = 3.0      # scan half-width in units of the dip sigma
 DEFAULT_DIP_SIGMA = 30.0     # delay-line sigma, um
+# the delay positions of every simulated dip scan: 21 points over +-3 sigma
+SCAN_POSITIONS = np.linspace(-3.0 * DEFAULT_DIP_SIGMA, 3.0 * DEFAULT_DIP_SIGMA, 21)
+SCAN_POSITIONS.flags.writeable = False
 INTENSITY_COUNTS = 1e5       # counts per unit intensity of the noisy single-photon rows
 NORM_TOLERANCE = 1e-4        # weight 1/tolerance of the unit-row-norm residuals
 ERROR_FLOOR = 1e-6           # relative floor on plateau-scale uncertainties
@@ -64,9 +65,17 @@ fit_log = logging.getLogger(__name__ + ".fits")   # the least-squares fits
 
 
 def submatrix_rows(u, inputs) -> np.ndarray:
-    """Rows of the transfer submatrix: T[r, i] = U[i, inputs[r]]."""
+    """Rows of the transfer submatrix: T[r, i] = U[i, inputs[r]].
+
+    ``inputs`` must be distinct whole numbers in [0, m) for U's m columns.
+    """
     u = np.asarray(u, dtype=complex)
-    return u[:, list(inputs)].T.copy()
+    m = u.shape[-1]
+    inputs = list(inputs)
+    if not all(is_whole(mode) and 0 <= mode < m for mode in inputs) \
+            or len(set(inputs)) != len(inputs):
+        raise ConfigurationError(f"inputs {inputs} must be distinct whole numbers in [0, {m})")
+    return u[:, inputs].T.copy()
 
 
 def _pair_sums(x, h, k, i, j):
@@ -105,25 +114,6 @@ def dip_profile(x, a, v, x0, sigma):
     """Expected coincidence profile a (1 + V exp(-(x-x0)^2 / 2 sigma^2))."""
     x = np.asarray(x, dtype=float)
     return a * (1.0 + v * np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2)))
-
-
-def default_scan_positions(x0: float = 0.0, sigma: float = DEFAULT_DIP_SIGMA,
-                           n_points: int = DEFAULT_SCAN_POINTS,
-                           span: float = DEFAULT_SCAN_SPAN) -> np.ndarray:
-    return x0 + np.linspace(-span * sigma, span * sigma, n_points)
-
-
-def simulate_dip_scan(a, v, x0, sigma, positions, mean_counts, rng_seed=0):
-    """Counts per delay position; Poisson around mean_counts * f(x).
-
-    ``mean_counts = inf`` (or None) switches to noiseless mode and returns
-    f(x) itself.
-    """
-    f = dip_profile(positions, a, v, x0, sigma)
-    if mean_counts is None or math.isinf(mean_counts):
-        return f
-    rng = np.random.default_rng(rng_seed)
-    return rng.poisson(mean_counts * f).astype(float)
 
 
 @dataclass(frozen=True)
@@ -562,11 +552,16 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     """Simulate and fit the full dip-scan campaign for ``inputs``.
 
     ``mean_plateau_counts = None`` runs noiselessly (exact profiles, exact
-    intensities); otherwise the exposure is set so an average dip plateaus
-    near that many counts per point and every scan is Poisson noisy.
-    Returns the fitted :class:`HomDataset` (plus the raw scans when
-    ``keep_scans`` is set).
+    intensities); otherwise it must be finite and > 0, and the exposure is
+    set so an average dip plateaus near that many counts per point and
+    every scan is Poisson noisy. ``inputs`` are checked as in
+    :func:`submatrix_rows`. Returns the fitted :class:`HomDataset` (plus
+    the raw scans at :data:`SCAN_POSITIONS` when ``keep_scans`` is set).
     """
+    if not (mean_plateau_counts is None
+            or (is_finite(mean_plateau_counts) and mean_plateau_counts > 0)):
+        raise ConfigurationError(f"mean_plateau_counts = {mean_plateau_counts!r} "
+                                 "must be None or a finite number > 0")
     u = np.asarray(u, dtype=complex)
     t_rows = submatrix_rows(u, inputs)
     n_out = t_rows.shape[1]
@@ -588,21 +583,20 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
 
     scale = 1.0 if noiseless else \
         float(mean_plateau_counts) * valid.sum() / a_true[valid].sum()
-    positions = default_scan_positions()
     rng = np.random.default_rng(rng_seed)
 
-    # one profile stack; each dip keeps its own Poisson stream, seeded by
-    # one draw of ``rng`` per dip, so it is simulate_dip_scan at that seed
+    # one profile stack; each dip draws its Poisson counts from its own
+    # generator, seeded by one draw of ``rng`` per dip in dip order
     dips = list(zip(*np.nonzero(valid)))
     a_dip, v_dip = a_true[valid], v_true[valid]
     seeds = rng.integers(2 ** 63, size=len(dips))
-    counts = dip_profile(positions, (a_dip if noiseless else np.ones_like(a_dip))[:, None],
+    counts = dip_profile(SCAN_POSITIONS, (a_dip if noiseless else np.ones_like(a_dip))[:, None],
                          v_dip[:, None], 0.0, DEFAULT_DIP_SIGMA)
     if not noiseless:
         counts = np.array([np.random.default_rng(seed).poisson(row) for seed, row in
                            zip(seeds, (scale * a_dip)[:, None] * counts)],
                           dtype=float).reshape(counts.shape)
-    params, cov = _fit_dips(positions, counts)
+    params, cov = _fit_dips(SCAN_POSITIONS, counts)
     a_fit, v_fit = params[:, 0], params[:, 1]
     cov = cov[:, :2, :2]
     c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
@@ -643,7 +637,7 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
                          visibilities, errors, plateau_errors, valid, intensities,
                          va_errors)
     if keep_scans:
-        return dataset, {(input_pairs[p], (int(iu[d]), int(ju[d]))): (positions, row)
+        return dataset, {(input_pairs[p], (int(iu[d]), int(ju[d]))): (SCAN_POSITIONS, row)
                          for (p, d), row in zip(dips, counts)}
     return dataset
 

@@ -31,12 +31,11 @@ table limit raises :class:`CapacityError` (from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_whole
 from .haarstats import Histogram, _haar_batch
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
@@ -77,6 +76,13 @@ def _square(u) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ConfigurationError(f"U must be square, got shape {u.shape}")
     return u
+
+
+def _check_sizes(n, m) -> None:
+    """Raise unless the photon number n and mode count m of the W test's
+    benchmark (n/m)^n are whole numbers >= 1."""
+    if not all(is_whole(v) and v >= 1 for v in (n, m)):
+        raise ConfigurationError(f"n = {n!r} and m = {m!r} must be whole numbers >= 1")
 
 
 def _modes(modes, m: int, what: str) -> np.ndarray:
@@ -137,8 +143,10 @@ def run_uniform_test(events, u, n: int, m: int) -> ValidationTrace:
     Events whose output or recorded input does not carry exactly n
     photons are rejected and tallied. ``m`` is the number of modes
     entering the benchmark (n/m)^n, i.e. the detected modes of the run
-    (31 when one output is sacrificed as the trigger).
+    (31 when one output is sacrificed as the trigger). Both must be whole
+    numbers >= 1.
     """
+    _check_sizes(n, m)
     u = _square(u)
     return _trace(_counter_steps(events, u[None], "uniform", n, m)[0], "uniform")
 
@@ -201,13 +209,16 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     and standard deviation, and the z-score of the true-unitary slope
     against the ensemble. The ensemble is drawn as one (E, m, m) stack
     from the spawned seeds of ``rng_seed`` and rescored, together with
-    the true unitary, in one call of the scoring kernel.
+    the true unitary, in one call of the scoring kernel. The uniform test
+    checks n and m as :func:`run_uniform_test` does.
     """
     if ensemble_size < 2:
         raise ConfigurationError(
             "z-score needs an ensemble of at least 2 unitaries")
     if test_kind not in ("uniform", "distinguishable"):
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
+    if test_kind == "uniform":
+        _check_sizes(n, m)
     true_u = _square(true_u)
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)

@@ -4,7 +4,8 @@ These deliberately avoid the library's algorithms: the permanent is the
 plain n! permutation sum, multi-photon statistics come from
 first-quantized state-vector evolution (symmetric tensors, no
 permanents), distinguishable statistics from per-photon convolution,
-circuit propagation from dense matrix exponentials, HOM dip fits from
+circuit propagation from dense matrix exponentials of an H(z) assembled
+entry by entry from the lattice primitives, HOM dip fits from
 one MINPACK ``curve_fit`` per scan, and Jacobians from central
 differences.
 """
@@ -16,6 +17,8 @@ import warnings
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
+
+from photonlat.lattice import coupling_coefficient
 
 
 def naive_permanent(a):
@@ -88,6 +91,24 @@ def distinguishable_distribution(u, input_occ):
                 new[key] = new.get(key, 0.0) + p * p_one[i]
         table = new
     return table
+
+
+def scattering_submatrix(u, input_pattern, output_pattern):
+    """n x n submatrix of U: rows from the output occupations, columns from
+    the input occupations, each mode repeated as often as it is occupied."""
+    return np.asarray(u)[np.ix_(output_pattern.modes(), input_pattern.modes())]
+
+
+def hamiltonian(layout, model, bank, z):
+    """Coupled-mode H(z) in mm^-1, entry by entry: the heater detunings
+    ``bank.kernels(layout, [z])[0] @ bank.powers`` on the diagonal, and for
+    each pair the coupling model retains the coupling coefficient at the
+    pair's distance at z."""
+    pos = layout.positions_at(float(z))
+    h = np.diag(bank.kernels(layout, [float(z)])[0] @ bank.powers).astype(complex)
+    for i, j in zip(*layout.coupled_pairs(model)):
+        h[i, j] = h[j, i] = coupling_coefficient(math.dist(pos[i], pos[j]), model)
+    return h
 
 
 def ordered_exponential(hamiltonians, steps):

@@ -646,6 +646,25 @@ def test_rejected_input_leaves_no_out_directory(simulated, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path", ["out_is_file", "out_under_file", "config_is_dir",
+                                  "unitary_is_dir"])
+def test_path_of_the_wrong_kind_exits_2(simulated, tmp_path, capsys, path):
+    # unmapped, these exited 1 with a raw FileExistsError, NotADirectoryError
+    # and IsADirectoryError
+    _, cfg, upath = simulated
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = {"out_is_file": blocker, "out_under_file": blocker / "sub"}.get(path,
+                                                                          tmp_path / "out")
+    config = tmp_path if path == "config_is_dir" else cfg
+    unitary = tmp_path if path == "unitary_is_dir" else upath
+    assert run("sample", "--config", config, "--unitary", unitary, "--events", 5,
+               "--out", out) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
+    assert not out.is_dir()
+
+
 @pytest.mark.parametrize("doc", [{}, [1], {"m": "a", "entries": []}, {"m": 2}],
                          ids=["empty", "list", "str_m", "no_entries"])
 def test_malformed_unitary_file_exits_2(simulated, tmp_path, capsys, doc):

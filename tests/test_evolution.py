@@ -1,5 +1,6 @@
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonlat.errors import CapacityError, ConfigurationError
-from photonlat.evolution import (assemble_hamiltonian, propagate,
-                                 unitarity_defect)
+from photonlat.evolution import _coupling_stack, propagate, unitarity_defect
 from photonlat.haarstats import (device_submatrix_ensemble, haar_unitary,
                                  random_heater_powers)
 from photonlat.lattice import (CouplingModel, LatticeSpec, build_lattice,
                                default_heater_bank, symmetry_permutations)
 
 from conftest import make_device
-from oracles import ordered_exponential
+from oracles import hamiltonian, ordered_exponential
 
 
 def two_mode_device(pitch=11.0, length=36.0):
@@ -44,9 +44,16 @@ def test_unitarity_defect_rejects_nonsquare():
         unitarity_defect(np.ones((2, 3)))
 
 
+def slice_hamiltonian(layout, model, bank, z):
+    """H(z) = G + diag(K @ P) from the two parts the integrator builds its
+    slices from."""
+    detunings = bank.kernels(layout, [z])[0] @ bank.powers
+    return _coupling_stack(layout, model, [z])[0] + np.diag(detunings)
+
+
 def test_hamiltonian_hermitian_and_sparse(device):
     layout, model, bank, _ = device
-    h = assemble_hamiltonian(layout, model, bank, z=10.0)
+    h = slice_hamiltonian(layout, model, bank, 10.0)
     assert np.array_equal(h, h.conj().T)
     neighbours = (np.abs(h) > 0).sum(axis=1) - (np.abs(np.diag(h)) > 0)
     assert neighbours.max() <= 6     # triangular-lattice sparsity
@@ -56,8 +63,8 @@ def test_hamiltonian_constant_for_ideal_lattice_zero_power():
     layout = build_lattice(LatticeSpec(max_shift=0.0, seed=2))
     model = CouplingModel()
     bank = default_heater_bank(layout, np.zeros(16))
-    h1 = assemble_hamiltonian(layout, model, bank, z=3.0)
-    h2 = assemble_hamiltonian(layout, model, bank, z=29.0)
+    h1 = slice_hamiltonian(layout, model, bank, 3.0)
+    h2 = slice_hamiltonian(layout, model, bank, 29.0)
     assert np.allclose(h1, h2, atol=1e-15)
     off = h1[~np.eye(32, dtype=bool)]
     vals = off[np.abs(off) > 0]
@@ -66,7 +73,7 @@ def test_hamiltonian_constant_for_ideal_lattice_zero_power():
 
 def test_two_mode_hamiltonian_off_diagonal():
     layout, model, bank = two_mode_device()
-    h = assemble_hamiltonian(layout, model, bank, z=0.0)
+    h = slice_hamiltonian(layout, model, bank, 0.0)
     assert h[0, 1] == pytest.approx(model.c0)
     assert h[1, 0] == pytest.approx(model.c0)
 
@@ -132,8 +139,6 @@ def test_bank_layout_mismatch_rejected(device):
     layout, model, bank, _ = device
     short = build_lattice(LatticeSpec(coupling_length=20.0, seed=0))
     with pytest.raises(ConfigurationError):
-        assemble_hamiltonian(short, model, bank, z=5.0)
-    with pytest.raises(ConfigurationError):
         propagate(short, model, bank, n_steps=8)
 
 
@@ -171,7 +176,8 @@ CF4_WEIGHTS = ((0.25 + R3, 0.25 - R3), (0.25 - R3, 0.25 + R3))
 
 def cf4_slices(layout, model, bank, n_steps):
     """Slice Hamiltonians and widths of CF4 with ``n_steps`` steps shared
-    out over the smooth segments (at least one each), built from H(z)."""
+    out over the smooth segments (at least one each), built from the
+    oracle H(z)."""
     edges = np.unique(np.concatenate([layout.knot_z, bank.z_spans.ravel(),
                                       [0.0, layout.length]]))
     edges = edges[(edges >= 0.0) & (edges <= layout.length)]
@@ -180,7 +186,7 @@ def cf4_slices(layout, model, bank, n_steps):
         n = max(1, int(np.rint(n_steps * (z1 - z0) / layout.length)))
         dz = (z1 - z0) / n
         for k in range(n):
-            h = [assemble_hamiltonian(layout, model, bank, z0 + dz * (k + c))
+            h = [hamiltonian(layout, model, bank, z0 + dz * (k + c))
                  for c in CF4_NODES]
             for w in CF4_WEIGHTS:
                 hamiltonians.append(w[0] * h[0] + w[1] * h[1])
@@ -218,7 +224,7 @@ def test_propagate_and_ensemble_match_ordered_expm(device, n_steps):
     subs = device_submatrix_ensemble(layout, model, bank, inputs, powers, n_steps)
     for sub, setting in zip(subs, powers):
         want = ordered_exponential(*cf4_slices(layout, model,
-                                               bank.with_powers(setting), n_steps))
+                                               replace(bank, powers=setting), n_steps))
         assert np.abs(sub - want[:, inputs].T).max() <= 1e-12
 
 
@@ -249,4 +255,4 @@ def test_integrator_logs_what_it_did(device, caplog):
 def test_slice_beyond_the_substep_budget_raises(device):
     layout, model, bank, _ = device
     with pytest.raises(CapacityError):
-        propagate(layout, model, bank.with_powers(np.full(16, 1e7)), n_steps=1024)
+        propagate(layout, model, replace(bank, powers=np.full(16, 1e7)), n_steps=1024)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,7 +172,7 @@ class TestDeviceEnsemble:
             n_steps=n_steps)
         rng = np.random.default_rng(rng_seed)
         for sub in subs:
-            setting = bank.with_powers(rng.uniform(lo, hi, bank.n_heaters))
+            setting = replace(bank, powers=rng.uniform(lo, hi, bank.n_heaters))
             u = propagate(layout, model, setting, n_steps=n_steps).entries
             assert sub.shape == (len(inputs), layout.m)
             assert np.abs(sub - u[:, list(inputs)].T).max() <= 1e-12

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -11,15 +12,13 @@ from scipy.stats import chisquare
 from photonlat import interference as itf
 from photonlat.errors import CapacityError, ConfigurationError, NumericalError
 from photonlat.haarstats import haar_unitary
-from photonlat.interference import (FockPattern, _permanent_batch, _permanents,
-                                    distribution, enumerate_patterns,
-                                    output_probability, permanent, sample,
-                                    scattering_submatrix, spdc_branch_pattern,
-                                    spdc_mixture_table, spdc_sample,
-                                    spdc_weights)
+from photonlat.interference import (FockPattern, _mode_lists, _permanent_batch,
+                                    _permanents, distribution, output_probability,
+                                    permanent, sample, spdc_branch_pattern,
+                                    spdc_mixture_table, spdc_sample, spdc_weights)
 
 from oracles import (distinguishable_distribution, naive_permanent,
-                     statevector_distribution)
+                     scattering_submatrix, statevector_distribution)
 
 BS = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
 
@@ -145,14 +144,14 @@ class TestTypedErrors:
         pytest.param(lambda: FockPattern.from_modes((1.5,), 32), id="fractional-mode"),
         pytest.param(lambda: permanent(np.ones((2, 3))), id="nonsquare-permanent"),
         pytest.param(lambda: permanent(np.ones((0, 0))), id="empty-permanent"),
-        pytest.param(lambda: scattering_submatrix(np.eye(3), FockPattern((1, 0, 0)),
-                                                  FockPattern((1, 1, 0))),
+        pytest.param(lambda: output_probability(np.eye(3), FockPattern((1, 0, 0)),
+                                                FockPattern((1, 1, 0))),
                      id="photon-number-mismatch"),
-        pytest.param(lambda: scattering_submatrix(np.eye(3), FockPattern((0, 0, 0, 1)),
-                                                  FockPattern((0, 0, 0, 1))),
+        pytest.param(lambda: output_probability(np.eye(3), FockPattern((0, 0, 0, 1)),
+                                                FockPattern((0, 0, 0, 1))),
                      id="patterns-beyond-m"),
-        pytest.param(lambda: scattering_submatrix(np.eye(3), FockPattern((0, 1)),
-                                                  FockPattern((1, 0))),
+        pytest.param(lambda: output_probability(np.eye(3), FockPattern((0, 1)),
+                                                FockPattern((1, 0))),
                      id="patterns-short-of-m"),
     ])
     def test_bad_input_raises_configuration_error(self, call):
@@ -179,17 +178,31 @@ class TestDistributionProperties:
         assert abs(table.total_mass - 1.0) <= 1e-10
 
 
+def gathered_permanent(u, input_pattern, output_pattern):
+    """The permanent kernel's value for rows from the output occupations
+    and columns from the input occupations of U."""
+    return _permanents(u[None], np.array([output_pattern.modes()]),
+                       list(input_pattern.modes()))[0, 0]
+
+
 class TestScatteringSubmatrix:
+    """The kernel gathers the scattering submatrix that the oracle builds."""
+
     def test_single_photon_each_mode_is_u(self):
         u = rand_complex(2, 0)
         pat = FockPattern((1, 1))
         assert np.array_equal(scattering_submatrix(u, pat, pat), u)
+        assert gathered_permanent(u, pat, pat) == pytest.approx(naive_permanent(u),
+                                                                rel=1e-12)
 
     def test_input_collision_duplicates_column(self):
         u = rand_complex(2, 1)
-        sub = scattering_submatrix(u, FockPattern((2, 0)), FockPattern((1, 1)))
+        inp, out = FockPattern((2, 0)), FockPattern((1, 1))
+        sub = scattering_submatrix(u, inp, out)
         expected = np.array([[u[0, 0], u[0, 0]], [u[1, 0], u[1, 0]]])
         assert np.array_equal(sub, expected)
+        assert gathered_permanent(u, inp, out) == pytest.approx(
+            naive_permanent(expected), rel=1e-12)
 
     def test_spdc_branch_columns(self):
         u = rand_complex(32, 2)
@@ -198,12 +211,15 @@ class TestScatteringSubmatrix:
         out = FockPattern.from_modes((0, 1, 2, 3), 32)
         sub = scattering_submatrix(u, pat, out)
         # branch 2002 populates the n4 and n3 source modes: waveguides 11, 20
-        assert np.array_equal(sub, u[np.ix_((0, 1, 2, 3), (11, 11, 20, 20))])
+        expected = u[np.ix_((0, 1, 2, 3), (11, 11, 20, 20))]
+        assert np.array_equal(sub, expected)
+        assert gathered_permanent(u, pat, out) == pytest.approx(
+            naive_permanent(expected), rel=1e-12)
 
     def test_photon_number_mismatch(self):
-        u = rand_complex(3, 3)
+        u = haar_unitary(3, 3).entries
         with pytest.raises(ValueError):
-            scattering_submatrix(u, FockPattern((1, 0, 0)), FockPattern((1, 1, 0)))
+            output_probability(u, FockPattern((1, 0, 0)), FockPattern((1, 1, 0)))
 
 
 class TestOutputProbability:
@@ -237,24 +253,25 @@ class TestOutputProbability:
         u = haar_unitary(6, 12).entries
         inp = FockPattern((1, 1, 1, 0, 0, 0))
         oracle = statevector_distribution(u, inp.occupations)
-        for pat in enumerate_patterns(6, 3, collision_free=False):
-            p = output_probability(u, inp, pat)
-            assert abs(p - oracle[pat.occupations]) < 1e-10
+        for occ, want in oracle.items():
+            p = output_probability(u, inp, FockPattern(occ))
+            assert abs(p - want) < 1e-10
 
     def test_collision_input_matches_statevector_oracle(self):
         u = haar_unitary(6, 13).entries
         inp = FockPattern((2, 0, 0, 2, 0, 0))
         oracle = statevector_distribution(u, inp.occupations)
-        for pat in enumerate_patterns(6, 4, collision_free=False)[:40]:
-            p = output_probability(u, inp, pat)
-            assert abs(p - oracle[pat.occupations]) < 1e-10
+        for occ, want in itertools.islice(oracle.items(), 40):
+            p = output_probability(u, inp, FockPattern(occ))
+            assert abs(p - want) < 1e-10
 
     def test_distinguishable_matches_convolution_oracle(self):
         u = haar_unitary(5, 14).entries
         for occ in ((1, 1, 1, 0, 0), (2, 0, 1, 0, 0)):
             inp = FockPattern(occ)
             oracle = distinguishable_distribution(u, occ)
-            for pat in enumerate_patterns(5, 3, collision_free=False):
+            for modes in itertools.combinations_with_replacement(range(5), 3):
+                pat = FockPattern.from_modes(modes, 5)
                 p = output_probability(u, inp, pat, "distinguishable")
                 assert abs(p - oracle[pat.occupations]) < 1e-10
 
@@ -278,17 +295,18 @@ class TestOutputProbability:
 
 class TestEnumerate:
     def test_collision_free_counts(self):
-        assert len(enumerate_patterns(32, 3)) == 4960
-        assert len(enumerate_patterns(32, 4)) == 35960
+        assert len(_mode_lists(3, range(32), collision_free=True)) == 4960
+        assert len(_mode_lists(4, range(32), collision_free=True)) == 35960
 
     def test_multiset_small_case(self):
-        pats = enumerate_patterns(2, 2, collision_free=False)
+        lists = _mode_lists(2, range(2), collision_free=False)
+        pats = [FockPattern.from_modes(row, 2) for row in lists]
         assert [p.occupations for p in pats] == [(2, 0), (1, 1), (0, 2)]
 
     def test_lexicographic_order(self):
-        pats = enumerate_patterns(4, 2)
-        modes = [p.modes() for p in pats]
+        modes = _mode_lists(2, range(4), collision_free=True).tolist()
         assert modes == sorted(modes)
+        assert modes == [list(c) for c in itertools.combinations(range(4), 2)]
 
 
 class TestDistribution:
@@ -444,7 +462,7 @@ class TestSample:
         counts = np.zeros(len(table.probs))
         for ev in events:
             counts[keys[ev.output]] += 1
-        tv = 0.5 * np.abs(counts / count - table.normalized_probs()).sum()
+        tv = 0.5 * np.abs(counts / count - table.probs / table.probs.sum()).sum()
         assert tv <= 3.0 * np.sqrt(len(table.probs) / count)
 
     def test_device_table_chi_square(self, device_unitary):
@@ -454,7 +472,7 @@ class TestSample:
         counts = np.zeros(len(table.probs))
         for ev in events:
             counts[keys[ev.output]] += 1
-        p = table.normalized_probs()
+        p = table.probs / table.probs.sum()
         # pool tail outcomes so expected counts stay reasonable
         mask = p * 1e5 >= 5
         f_obs = np.append(counts[mask], counts[~mask].sum())
@@ -478,6 +496,12 @@ class TestSpdc:
     def test_negative_r_rejected(self):
         with pytest.raises(ConfigurationError):
             spdc_weights(-0.5)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, True, "1.0"])
+    def test_non_finite_or_non_number_r_rejected(self, r):
+        # unchecked, NaN and inf gave NaN branch weights
+        with pytest.raises(ConfigurationError, match="pair-rate ratio"):
+            spdc_weights(r)
 
     def test_branch_patterns(self):
         inputs = (4, 5, 6, 7)

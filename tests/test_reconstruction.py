@@ -13,18 +13,23 @@ from photonlat.errors import (ConfigurationError, UndefinedVisibilityError,
                               UnderdeterminedError)
 from photonlat.haarstats import haar_unitary
 from photonlat.interference import FockPattern, output_probability
-from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, MAX_LM_ITERATIONS, HomDataset,
-                                      ReconstructedSubmatrix, _fit_dips, _phase_jacobian,
-                                      default_scan_positions, dip_profile,
-                                      dip_residuals, fit_dip, gauge_distance, hom_plateau,
+from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, MAX_LM_ITERATIONS, SCAN_POSITIONS,
+                                      HomDataset, ReconstructedSubmatrix, _fit_dips,
+                                      _phase_jacobian, dip_profile, dip_residuals,
+                                      fit_dip, gauge_distance, hom_plateau,
                                       hom_visibility, reconstruct_moduli,
                                       reconstruct_phases, refine_chi2,
-                                      simulate_dip_scan, simulate_hom_dataset,
-                                      submatrix_rows)
+                                      simulate_hom_dataset, submatrix_rows)
 
 from oracles import curve_fit_dip, finite_difference_jacobian
 
 BS = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+
+
+def poisson_scan(a, v, x0, sigma, positions, mean_counts, rng_seed):
+    """Counts per delay position, Poisson around mean_counts * dip_profile."""
+    f = dip_profile(positions, a, v, x0, sigma)
+    return np.random.default_rng(rng_seed).poisson(mean_counts * f).astype(float)
 
 
 def gauge_fixed_truth(u, inputs):
@@ -75,39 +80,76 @@ class TestHomQuantities:
 
 class TestDipScan:
     def test_flat_scan_at_zero_visibility(self):
-        x = default_scan_positions()
-        counts = simulate_dip_scan(0.4, 0.0, 0.0, 30.0, x, mean_counts=5000,
-                                   rng_seed=1)
+        counts = poisson_scan(0.4, 0.0, 0.0, 30.0, SCAN_POSITIONS, mean_counts=5000,
+                              rng_seed=1)
         assert counts.std() < 5 * math.sqrt(2000)
         assert counts.mean() == pytest.approx(5000 * 0.4, rel=0.05)
 
     def test_far_tail_reaches_plateau(self):
         x = np.array([-300.0, 300.0])   # beyond 6 sigma
-        f = simulate_dip_scan(0.5, -0.9, 0.0, 30.0, x, mean_counts=None)
+        f = dip_profile(x, 0.5, -0.9, 0.0, 30.0)
         assert np.allclose(f, 0.5, atol=1e-7)
 
     def test_noiseless_mode_reproduces_profile_exactly(self):
-        x = default_scan_positions()
-        f = simulate_dip_scan(0.37, -0.62, 5.0, 25.0, x, mean_counts=math.inf)
-        assert np.array_equal(f, dip_profile(x, 0.37, -0.62, 5.0, 25.0))
+        # the 4-mode Fourier matrix has entries +-1/2 and +-i/2, so every
+        # plateau and visibility is exact in binary and rounds alike however
+        # it is evaluated
+        u = np.array([[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]) / 2
+        _, scans = simulate_hom_dataset(u, (0, 1, 2), keep_scans=True)
+        assert len(scans) == 2 * 6
+        for ((h, k), (i, j)), (x, f) in scans.items():
+            a = hom_plateau(u, h, k, i, j)
+            v = -hom_visibility(u, h, k, i, j)
+            assert x is SCAN_POSITIONS
+            assert np.array_equal(f, dip_profile(x, a, v, 0.0, DEFAULT_DIP_SIGMA))
 
-    def test_poisson_scan_deterministic_per_seed(self):
-        x = default_scan_positions()
-        a = simulate_dip_scan(0.4, -0.5, 0.0, 30.0, x, 1e4, rng_seed=3)
-        b = simulate_dip_scan(0.4, -0.5, 0.0, 30.0, x, 1e4, rng_seed=3)
-        assert np.array_equal(a, b)
+    def test_poisson_scan_deterministic_per_seed(self, device_unitary):
+        def scans(seed):
+            return simulate_hom_dataset(device_unitary, (11, 12), rng_seed=seed,
+                                        mean_plateau_counts=1e4, keep_scans=True)[1]
+        a, b, c = scans(3), scans(3), scans(4)
+        assert a.keys() == b.keys() == c.keys()
+        assert all(np.array_equal(a[key][1], b[key][1]) for key in a)
+        assert not all(np.array_equal(a[key][1], c[key][1]) for key in a)
+
+
+class TestCampaignInputs:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_input_list_rejected(self, data):
+        # unchecked, input -1 reconstructed mode m - 1 under the label -1,
+        # and input 9 of a 6-mode U raised a raw IndexError
+        m = 6
+        u = haar_unitary(m, 0).entries
+        inputs = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=4,
+                                    unique=True))
+        bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=m),
+                                  st.sampled_from(inputs), st.booleans(), st.floats(),
+                                  st.just("1")))
+        inputs.insert(data.draw(st.integers(0, len(inputs))), bad)
+        with pytest.raises(ConfigurationError, match="must be distinct whole numbers"):
+            submatrix_rows(u, inputs)
+        with pytest.raises(ConfigurationError, match="must be distinct whole numbers"):
+            simulate_hom_dataset(u, inputs)
+
+    @pytest.mark.parametrize("counts", [0, 0.0, -5, math.nan, math.inf, True, "1e4"])
+    def test_bad_mean_plateau_counts_rejected(self, counts):
+        # unchecked, 0 raised FitError and -5 or NaN numpy's raw ValueError
+        with pytest.raises(ConfigurationError, match="mean_plateau_counts"):
+            simulate_hom_dataset(haar_unitary(6, 0).entries, (0, 1),
+                                 mean_plateau_counts=counts)
 
 
 class TestFitDip:
     def test_noiseless_round_trip(self):
-        x = default_scan_positions()
-        f = simulate_dip_scan(0.5, -0.8, 0.0, 30.0, x, mean_counts=None)
+        x = SCAN_POSITIONS
+        f = dip_profile(x, 0.5, -0.8, 0.0, 30.0)
         fit = fit_dip(x, f)
         assert fit.a == pytest.approx(0.5, abs=1e-6)
         assert fit.v == pytest.approx(-0.8, abs=1e-6)
 
     def test_flat_noiseless_scan_gives_zero_visibility(self):
-        x = default_scan_positions()
+        x = SCAN_POSITIONS
         fit = fit_dip(x, np.full_like(x, 0.25))
         assert fit.a == pytest.approx(0.25, abs=1e-9)
         assert fit.v == pytest.approx(0.0, abs=1e-6)
@@ -115,7 +157,7 @@ class TestFitDip:
     def test_flat_noisy_scan_keeps_dip_inside_scan(self):
         # a full fit of this scan collapses to a width below the point
         # spacing; the frozen fallback must take over
-        x = default_scan_positions()
+        x = SCAN_POSITIONS
         counts = np.array([1684, 1666, 1580, 1702, 1629, 1655, 1674, 1616, 1573,
                            1627, 1562, 1655, 1602, 1651, 1692, 1637, 1703, 1676,
                            1666, 1651, 1593], dtype=float)
@@ -130,26 +172,26 @@ class TestFitDip:
             fit_dip(np.arange(5.0), np.ones(5))
 
     def test_poisson_coverage(self):
-        x = default_scan_positions()
+        x = SCAN_POSITIONS
         rng = np.random.default_rng(8)
         hits = 0
         trials = 1000
         for _ in range(trials):
-            counts = simulate_dip_scan(1.0, -0.6, 0.0, 30.0, x, 1e4,
-                                       rng_seed=rng.integers(2 ** 63))
+            counts = poisson_scan(1.0, -0.6, 0.0, 30.0, x, 1e4,
+                                  rng_seed=rng.integers(2 ** 63))
             fit = fit_dip(x, counts)
             if abs(fit.v - (-0.6)) <= 3 * fit.v_err:
                 hits += 1
         assert hits / trials >= 0.99
 
     @pytest.mark.parametrize("positions, counts", [
-        (default_scan_positions(), np.ones(10)),                       # lengths differ
-        (default_scan_positions(), np.r_[np.nan, np.ones(20)]),         # NaN count
-        (default_scan_positions(), np.r_[-1.0, np.ones(20)]),           # negative count
-        (np.r_[np.inf, default_scan_positions()[1:]], np.ones(21)),      # infinite position
-        (default_scan_positions()[:, None], np.ones(21)),             # 2-D positions
+        (SCAN_POSITIONS, np.ones(10)),                                  # lengths differ
+        (SCAN_POSITIONS, np.r_[np.nan, np.ones(20)]),                   # NaN count
+        (SCAN_POSITIONS, np.r_[-1.0, np.ones(20)]),                     # negative count
+        (np.r_[np.inf, SCAN_POSITIONS[1:]], np.ones(21)),               # infinite position
+        (SCAN_POSITIONS[:, None], np.ones(21)),                         # 2-D positions
         (np.full(21, 5.0), np.ones(21)),                                # zero scan range
-        (default_scan_positions(), ["a"] * 21),                         # not numbers
+        (SCAN_POSITIONS, ["a"] * 21),                                   # not numbers
     ])
     def test_malformed_scan_rejected(self, positions, counts):
         with pytest.raises(ConfigurationError):
@@ -160,7 +202,7 @@ class TestFitDip:
            v=st.one_of(st.floats(-1.0, -0.05), st.floats(0.05, 1.0)),
            x0=st.floats(-30.0, 30.0), sigma=st.floats(20.0, 45.0))
     def test_noiseless_round_trip_recovers_every_parameter(self, a, v, x0, sigma):
-        x = default_scan_positions()
+        x = SCAN_POSITIONS
         fit = fit_dip(x, dip_profile(x, a, v, x0, sigma))
         assert fit.a == pytest.approx(a, rel=1e-6)
         assert fit.v == pytest.approx(v, rel=1e-6)
@@ -172,11 +214,11 @@ class TestFitDip:
     @given(seeds=st.lists(st.integers(0, 2 ** 32), min_size=2, max_size=12),
            pick=st.integers(0, 11))
     def test_dip_fit_does_not_depend_on_its_stack(self, seeds, pick):
-        x = default_scan_positions()
+        x = SCAN_POSITIONS
         rngs = [np.random.default_rng(s) for s in seeds]
-        counts = np.array([simulate_dip_scan(rng.uniform(0.2, 1.0), rng.uniform(-1.0, 0.3),
-                                             rng.uniform(-20.0, 20.0), rng.uniform(20.0, 40.0),
-                                             x, 1e4, rng_seed=rng.integers(2 ** 63))
+        counts = np.array([poisson_scan(rng.uniform(0.2, 1.0), rng.uniform(-1.0, 0.3),
+                                        rng.uniform(-20.0, 20.0), rng.uniform(20.0, 40.0),
+                                        x, 1e4, rng_seed=rng.integers(2 ** 63))
                            for rng in rngs])
         pick %= len(seeds)
         params, cov = _fit_dips(x, counts)
@@ -190,7 +232,7 @@ class TestFitDip:
     def test_campaign_agrees_with_curve_fit(self, device_unitary):
         _, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
                                         mean_plateau_counts=1e4, keep_scans=True)
-        x = default_scan_positions()
+        x = SCAN_POSITIONS
         counts = np.array([c for _, c in scans.values()])
         assert counts.shape == (992, len(x))
         params, cov = _fit_dips(x, counts)
@@ -225,7 +267,7 @@ class TestFitDip:
             r"(\d+) fallbacks \(not converged (\d+), x0 outside the scan (\d+), "
             r"sigma below the spacing (\d+), sigma above half the range (\d+)\); "
             r"(\d+) non-finite covariances", messages[0]).groups())
-        x = default_scan_positions()
+        x = SCAN_POSITIONS
         _, cov = _fit_dips(x, np.array([c for _, c in scans.values()]))
         assert fits == 992 and cap == MAX_LM_ITERATIONS and 1 <= most <= cap
         assert triggers[0] <= capped
@@ -253,8 +295,8 @@ class TestFitDip:
         for seed, a, ((h, k), (i, j)), (x, row) in zip(seeds, plateaus, scans,
                                                         scans.values()):
             v = -hom_visibility(device_unitary, h, k, i, j)
-            want = simulate_dip_scan(1.0, v, 0.0, DEFAULT_DIP_SIGMA, x, exposure * a,
-                                     rng_seed=seed)
+            want = np.random.default_rng(seed).poisson(
+                exposure * a * dip_profile(x, 1.0, v, 0.0, DEFAULT_DIP_SIGMA))
             assert np.array_equal(row, want)
 
 

@@ -62,6 +62,19 @@ class TestUniformTest:
         assert trace.n_rejected == 1
         assert trace.n_events == 50
 
+    @pytest.mark.parametrize("n, m", [(3, 0), (3, -6), (0, 31), (3, 2.5), (True, 31),
+                                      (3, float("nan"))],
+                             ids=["m_zero", "m_negative", "n_zero", "m_fraction", "n_bool",
+                                  "m_nan"])
+    def test_sizes_must_be_whole_numbers_from_1(self, device_unitary, streams, n, m):
+        # unchecked, m = 0 divided by zero and m = -6 gave slope 1.0
+        events = streams["bs"][:20]
+        with pytest.raises(ConfigurationError, match="whole numbers >= 1"):
+            val.run_uniform_test(events, device_unitary, n, m)
+        with pytest.raises(ConfigurationError, match="whole numbers >= 1"):
+            val.wrong_unitary_slope_histogram(events, device_unitary, "uniform", n, m,
+                                              ensemble_size=5, rng_seed=0)
+
     def test_determinism(self, device_unitary, streams):
         t1 = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
         t2 = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
