@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, check_table_bytes
+from .errors import CapacityError, ConfigurationError, check_square, check_table_bytes, check_whole
 from .lattice import CouplingModel, HeaterBank, WaveguideLayout, coupling_coefficient
 
 log = logging.getLogger(__name__)
@@ -75,9 +75,7 @@ class UnitaryMatrix:
 
 def unitarity_defect(u) -> float:
     """max |(U^dag U - I)_ij| for a square matrix."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("unitarity defect is defined for square matrices")
+    u = check_square(u, "U")
     gram = u.conj().T @ u
     return float(np.abs(gram - np.eye(u.shape[0])).max())
 
@@ -156,8 +154,7 @@ class _Propagator:
 
     def __init__(self, layout: WaveguideLayout, model: CouplingModel,
                  bank: HeaterBank, n_steps: int):
-        if n_steps < 1:
-            raise ConfigurationError("n_steps must be at least 1")
+        check_whole(n_steps, "n_steps", 1)
         if bank.positions.ndim != 2 or bank.positions.shape[1] != 2:
             raise ConfigurationError("heater bank positions must be (n, 2)")
         if bank.z_spans.size and (bank.z_spans.min() < -1e-9 or

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields
+from .errors import ConfigurationError, check_fields, check_whole
 
 FAN_ARRANGEMENTS = ("linear", "grid")
 
@@ -69,8 +69,7 @@ def coupler_length(c: float) -> float:
 
 def clements_length(m: int, r_min: float, p: float, c: float) -> float:
     """Length of the m-mode Clements mesh: (m-1) S-bends plus m couplers."""
-    if m < 2:
-        raise ConfigurationError("m must be at least 2")
+    check_whole(m, "m", 2)
     return (m - 1) * sbend_length(r_min, p) + m * coupler_length(c)
 
 
@@ -121,8 +120,7 @@ def min_spread_length(lattice_kind: str, m: int, c: float, b: float = 2.0) -> fl
     Planar: m / (2c). Square lattice: B sqrt(m) / (2c). Triangular lattice:
     half the square value thanks to the doubled group velocity.
     """
-    if m < 2:
-        raise ConfigurationError("m must be at least 2")
+    check_whole(m, "m", 2)
     if c <= 0 or b <= 0:
         raise ConfigurationError("need c > 0 and B > 0")
     if lattice_kind == "linear":
@@ -142,8 +140,7 @@ def fan_length(m: int, r_min: float, p_f: float, arrangement: str = "linear") ->
     columns caps the elongation at p_f (ceil(sqrt(m)) - 1) / 2, so the
     length grows only as the fourth root of m.
     """
-    if m < 2:
-        raise ConfigurationError("m must be at least 2")
+    check_whole(m, "m", 2)
     if arrangement == "linear":
         return (math.pi / 2.0) * math.sqrt((m - 1) * r_min * p_f)
     if arrangement == "grid":
@@ -170,15 +167,12 @@ def compare_layouts(m_values, params: FootprintParams, check_scaling: bool = Tru
     m in [8, 1024] are verified to be 1.00 +/- 0.02 (Clements) and
     0.50 +/- 0.02 (triangular spreading length).
     """
-    rows = []
-    for m in m_values:
-        rows.append((
-            int(m),
-            clements_length(m, params.r_min, params.p, params.c),
-            min_spread_length("linear", m, params.c),
-            min_spread_length("triangular", m, params.c, params.b),
-            fan_length(m, params.r_min, params.p_f, params.fan_arrangement),
-        ))
+    rows = [(int(check_whole(m, "m", 2)),
+             clements_length(m, params.r_min, params.p, params.c),
+             min_spread_length("linear", m, params.c),
+             min_spread_length("triangular", m, params.c, params.b),
+             fan_length(m, params.r_min, params.p_f, params.fan_arrangement))
+            for m in m_values]
     if check_scaling:
         slope_clem, slope_tri = scaling_exponents(params)
         if abs(slope_clem - 1.0) > 0.02 or abs(slope_tri - 0.5) > 0.02:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, check_table_bytes
+from .errors import (ConfigurationError, NumericalError, check_modes, check_table_bytes,
+                     check_whole)
 from .evolution import MAX_UNITARITY_DEFECT, UnitaryMatrix, _Propagator, unitarity_defect
 
 DEFAULT_BINS = 25
@@ -66,8 +67,7 @@ def _haar_stack(m: int, seeds) -> np.ndarray:
     The R-diagonal phases are divided out so the distribution is exactly
     invariant under one-sided multiplication by fixed unitaries.
     """
-    if m < 1:
-        raise ConfigurationError("m must be at least 1")
+    check_whole(m, "m", 1)
     z = np.empty((len(seeds), m, m), dtype=complex)
     for e, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -89,6 +89,8 @@ def haar_columns(m: int, n_columns: int, rng_seed) -> np.ndarray:
     A Haar column is a uniformly random unit vector, i.e. a normalized
     complex Gaussian vector, so columns are sampled directly without QR.
     """
+    check_whole(m, "m", 1)
+    check_whole(n_columns, "n_columns", 1)
     rng = np.random.default_rng(rng_seed)
     v = rng.standard_normal((n_columns, m)) ** 2 + rng.standard_normal((n_columns, m)) ** 2
     return v / v.sum(axis=1, keepdims=True)
@@ -139,8 +141,8 @@ def column_similarity_distribution(m: int, ensemble_size: int, rng_seed,
     ``ensemble_size`` columns are drawn and all unordered pairs compared,
     binned uniformly on [0, 1].
     """
-    if ensemble_size < 2:
-        raise ConfigurationError("need at least two columns to form a pair")
+    check_whole(ensemble_size, "ensemble_size", 2)
+    check_whole(n_bins, "n_bins", 1)
     return similarity_histogram(haar_columns(m, ensemble_size, rng_seed),
                                 np.linspace(0.0, 1.0, n_bins + 1))
 
@@ -170,8 +172,7 @@ def random_heater_powers(bank, n: int, rng_seed,
                          power_range=(0.0, 500.0)) -> np.ndarray:
     """(n, n_heaters) heater settings drawn uniformly over ``power_range``,
     setting after setting from one generator seeded with ``rng_seed``."""
-    if n < 1:
-        raise ConfigurationError("need at least one heater setting")
+    check_whole(n, "n", 1)
     rng = np.random.default_rng(rng_seed)
     return rng.uniform(power_range[0], power_range[1], (n, bank.n_heaters))
 
@@ -189,11 +190,9 @@ def device_submatrix_ensemble(layout, model, bank, inputs, powers,
     it in one batch. Raises ``NumericalError`` when a column's squared
     norm is off 1 by more than ``MAX_UNITARITY_DEFECT``.
     """
-    inputs = list(inputs)
-    if not inputs or len(set(inputs)) != len(inputs) or \
-            not all(0 <= r < layout.m for r in inputs):
-        raise ConfigurationError(
-            f"inputs {inputs} must be one or more distinct modes in [0, {layout.m})")
+    inputs = list(check_modes(inputs, layout.m, "inputs", distinct=True))
+    if not inputs:
+        raise ConfigurationError("inputs must name at least one mode")
     powers = np.asarray(powers, dtype=float)
     if powers.ndim != 2 or len(powers) < 1 or powers.shape[1] != bank.n_heaters:
         raise ConfigurationError(

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapacityError, ConfigurationError, NumericalError, check_table_bytes,
-                     is_finite, is_whole)
+from .errors import (CapacityError, ConfigurationError, NumericalError, check_modes,
+                     check_square, check_table_bytes, check_whole, is_finite)
 from .evolution import MAX_UNITARITY_DEFECT, unitarity_defect
 
 MAX_PERMANENT_SIZE = 20
@@ -49,17 +49,13 @@ class FockPattern:
     occupations: tuple
 
     def __post_init__(self):
-        for o in self.occupations:
-            if not (is_whole(o) and o >= 0):
-                raise ConfigurationError(f"occupation {o!r} must be a whole number >= 0")
-        object.__setattr__(self, "occupations", tuple(int(o) for o in self.occupations))
+        object.__setattr__(self, "occupations", tuple(
+            int(check_whole(o, "occupation", 0)) for o in self.occupations))
 
     @classmethod
     def from_modes(cls, modes, m) -> "FockPattern":
         occ = [0] * m
-        for mode in modes:
-            if not (is_whole(mode) and 0 <= mode < m):
-                raise ConfigurationError(f"mode {mode!r} must be a whole number in [0, {m})")
+        for mode in check_modes(modes, m, "modes"):
             occ[mode] += 1
         return cls(tuple(occ))
 
@@ -115,14 +111,13 @@ def spdc_branch_pattern(branch: str, input_modes, m: int) -> FockPattern:
     """Input Fock pattern of an SPDC branch on the designated waveguides.
 
     ``input_modes`` maps the four source modes, in the occupation order
-    (n4, n1, n2, n3), to waveguide indices.
+    (n4, n1, n2, n3), to four distinct waveguide indices.
     """
+    input_modes = check_modes(input_modes, m, "SPDC input modes", distinct=True)
     if len(input_modes) != 4:
         raise ConfigurationError("SPDC source needs 4 designated input modes")
     if branch not in SPDC_BRANCHES:
         raise ConfigurationError(f"unknown SPDC branch {branch!r}")
-    if not all(0 <= mode < m for mode in input_modes):
-        raise ConfigurationError(f"input modes {list(input_modes)} must lie in [0, {m})")
     occ = [0] * m
     for mode, count in zip(input_modes, (int(ch) for ch in branch)):
         occ[mode] += count
@@ -134,9 +129,7 @@ def permanent(a) -> complex:
 
     The cost is O(2^n n^2); matrices up to 20 x 20 are supported.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigurationError("permanent is defined for square matrices")
+    a = check_square(a, "permanent argument")
     if a.shape[0] < 1:
         raise ConfigurationError("permanent needs at least a 1 x 1 matrix")
     return complex(_permanent_batch(a[None])[0])
@@ -199,9 +192,7 @@ def _checked_unitary(u, *patterns) -> np.ndarray:
     """``u`` as a complex array, rejected with :class:`ConfigurationError`
     unless it is square, finite and unitary to ``MAX_UNITARITY_DEFECT``
     (1e-9) and each pattern has its m modes."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ConfigurationError(f"U must be square, got shape {u.shape}")
+    u = check_square(u, "U")
     defect = unitarity_defect(u)
     if not defect <= MAX_UNITARITY_DEFECT:
         raise ConfigurationError(
@@ -288,9 +279,8 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
     n = input_pattern.n
     if n == 0:
         raise ConfigurationError("input pattern carries no photons")
-    modes = tuple(range(m)) if outputs is None else tuple(sorted(int(o) for o in outputs))
-    if len(set(modes)) != len(modes) or not all(0 <= o < m for o in modes):
-        raise ConfigurationError(f"outputs must be distinct modes in 0..{m - 1}")
+    modes = tuple(range(m)) if outputs is None else tuple(
+        sorted(int(o) for o in check_modes(outputs, m, "outputs", distinct=True)))
     if not modes or (collision_free and n > len(modes)):
         raise ConfigurationError(
             f"{n} photons do not fit collision-free into {len(modes)} outputs")
@@ -328,36 +318,32 @@ def _draw_events(table: ProbabilityTable, uniforms, indices):
 
 
 def check_event_count(count, n: int) -> None:
-    """Raise :class:`ConfigurationError` for a negative ``count``, and
-    :class:`CapacityError` when ``count`` events of n photons would exceed
-    ``MAX_TABLE_BYTES``: each holds a uniform, an index and a
-    :class:`SampleEvent`, 224 + 8 n bytes at their peak (measured with
+    """Raise :class:`ConfigurationError` for a ``count`` that is no whole
+    number >= 0, and :class:`CapacityError` when ``count`` events of n
+    photons would exceed ``MAX_TABLE_BYTES``: each holds a uniform, an index
+    and a :class:`SampleEvent`, 224 + 8 n bytes at their peak (measured with
     tracemalloc at n = 3 and 4)."""
-    if count < 0:
-        raise ConfigurationError("count must be nonnegative")
+    check_whole(count, "count", 0)
     check_table_bytes(count * (224 + 8 * n), f"{count} events of {n} photons")
 
 
-def sample(table: ProbabilityTable, rng_seed, count: int,
-           index_offset: int = 0):
+def sample(table: ProbabilityTable, rng_seed, count: int):
     """Draw ``count`` i.i.d. outcomes from a table by exact inversion.
 
-    Deterministic per seed. Collision-free tables are sampled conditionally
-    on their enumerated support. A table whose mass is zero or not finite
-    raises :class:`NumericalError`; ``count`` is checked by
-    :func:`check_event_count`.
+    Deterministic per seed, a whole number >= 0. Collision-free tables are
+    sampled conditionally on their enumerated support. A table whose mass
+    is zero or not finite raises :class:`NumericalError`; ``count`` is
+    checked by :func:`check_event_count`.
     """
     check_event_count(count, table.n)
-    rng = np.random.default_rng([int(rng_seed), 1])
-    return _draw_events(table, rng.random(count),
-                        range(index_offset, index_offset + count))
+    rng = np.random.default_rng([check_whole(rng_seed, "rng_seed", 0), 1])
+    return _draw_events(table, rng.random(count), range(count))
 
 
 def spdc_branch_tables(u, input_modes, statistics: str = "indistinguishable",
                        outputs=None):
     """Collision-free output tables of the three SPDC branches."""
-    u = np.asarray(u, dtype=complex)
-    m = u.shape[0]
+    m = len(check_square(u, "U"))
     tables = {}
     for branch in SPDC_BRANCHES:
         pattern = spdc_branch_pattern(branch, input_modes, m)
@@ -373,13 +359,14 @@ def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int
 
     The output stream consumes its own named substream of ``rng_seed``, so
     a degenerate weight vector reproduces plain :func:`sample` of the
-    corresponding branch bit for bit. ``count`` is checked by
-    :func:`check_event_count` before any table is built.
+    corresponding branch bit for bit. ``count`` and ``rng_seed`` are
+    checked as in :func:`sample`, before any table is built.
     """
     check_event_count(count, 4)
+    check_whole(rng_seed, "rng_seed", 0)
     tables = spdc_branch_tables(u, input_modes, statistics, outputs)
-    rng_branch = np.random.default_rng([int(rng_seed), 0])
-    rng_out = np.random.default_rng([int(rng_seed), 1])
+    rng_branch = np.random.default_rng([rng_seed, 0])
+    rng_out = np.random.default_rng([rng_seed, 1])
     branch_ids = _invert(weights.normalized, rng_branch.random(count))
     uniforms = rng_out.random(count)
     events = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields
+from .errors import ConfigurationError, check_fields, check_whole
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -54,8 +54,7 @@ class LatticeSpec:
                 "never swap lattice sites")
         if self.coupling_length <= 0:
             raise ConfigurationError("coupling_length must be positive")
-        if self.n_modulation_knots < 2:
-            raise ConfigurationError("need at least two modulation knots")
+        check_whole(self.n_modulation_knots, "n_modulation_knots", 2)
 
     @property
     def m(self) -> int:

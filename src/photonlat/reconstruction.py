@@ -46,7 +46,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import (ConfigurationError, FitError, InconsistentDataError,
-                     UndefinedVisibilityError, UnderdeterminedError, is_finite, is_whole)
+                     UndefinedVisibilityError, UnderdeterminedError, check_modes, check_whole,
+                     is_finite)
 
 DEFAULT_DIP_SIGMA = 30.0     # delay-line sigma, um
 # the delay positions of every simulated dip scan: 21 points over +-3 sigma
@@ -70,11 +71,7 @@ def submatrix_rows(u, inputs) -> np.ndarray:
     ``inputs`` must be distinct whole numbers in [0, m) for U's m columns.
     """
     u = np.asarray(u, dtype=complex)
-    m = u.shape[-1]
-    inputs = list(inputs)
-    if not all(is_whole(mode) and 0 <= mode < m for mode in inputs) \
-            or len(set(inputs)) != len(inputs):
-        raise ConfigurationError(f"inputs {inputs} must be distinct whole numbers in [0, {m})")
+    inputs = list(check_modes(inputs, u.shape[-1], "inputs", distinct=True))
     return u[:, inputs].T.copy()
 
 
@@ -507,9 +504,7 @@ class HomDataset:
                       np.asarray(doc["va_errors"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed HOM dataset: {exc!r}") from exc
-        if not (is_whole(n_outputs) and n_outputs >= 2):
-            raise ConfigurationError(f"malformed HOM dataset: n_outputs = {n_outputs!r} "
-                                     "must be a whole number >= 2")
+        check_whole(n_outputs, "malformed HOM dataset: n_outputs", 2)
         if not flags:
             raise ConfigurationError(
                 "malformed HOM dataset: valid flags must be 0, 1, true or false")

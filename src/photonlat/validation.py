@@ -23,9 +23,9 @@ photon number is rejected and tallied) and scores an (E, m, m) stack of
 unitaries: W as one row-sum array and one gather-and-product per input
 group, C as one :func:`interference._probabilities` call per scored input
 over the whole stack, whose permanent kernel sizes its own steps. Modes
-that are not whole numbers in [0, m) and a non-square U raise
-:class:`ConfigurationError`; an ensemble whose stack would exceed the
-table limit raises :class:`CapacityError` (from
+(a group's outputs as one array), U, n, m and the ensemble size are
+checked by the checkers of :mod:`errors`; an ensemble whose stack would
+exceed the table limit raises :class:`CapacityError` (from
 :func:`haarstats._haar_batch`) before it is drawn.
 """
 
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, is_whole
-from .haarstats import Histogram, _haar_batch
+from .errors import ConfigurationError, check_modes, check_square, check_whole
+from .haarstats import DEFAULT_BINS, Histogram, _haar_batch
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
                            spdc_branch_pattern)
@@ -71,27 +71,6 @@ def _trace_from_steps(steps, test_kind, n_rejected) -> ValidationTrace:
     return ValidationTrace(counters, test_kind, slope, intercept, n_rejected)
 
 
-def _square(u) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ConfigurationError(f"U must be square, got shape {u.shape}")
-    return u
-
-
-def _check_sizes(n, m) -> None:
-    """Raise unless the photon number n and mode count m of the W test's
-    benchmark (n/m)^n are whole numbers >= 1."""
-    if not all(is_whole(v) and v >= 1 for v in (n, m)):
-        raise ConfigurationError(f"n = {n!r} and m = {m!r} must be whole numbers >= 1")
-
-
-def _modes(modes, m: int, what: str) -> np.ndarray:
-    modes = np.asarray(modes)
-    if modes.size and (modes.dtype.kind not in "iu" or modes.min() < 0 or modes.max() >= m):
-        raise ConfigurationError(f"{what} modes must be whole numbers in [0, {m})")
-    return modes.astype(np.intp)
-
-
 def _counter_steps(events, us, test_kind: str, n: int | None = None,
                    m: int | None = None, inputs=None) -> np.ndarray:
     """(E, K) counter steps of K events against an (E, m, m) unitary stack.
@@ -111,14 +90,14 @@ def _counter_steps(events, us, test_kind: str, n: int | None = None,
     for i, ev in enumerate(events):
         by_input.setdefault(tuple(ev.input_modes) if inputs is None else None, []).append(i)
     for key, idxs in by_input.items():
-        scored = [(w, _modes(c, m_u, "input"))
+        scored = [(w, np.asarray(check_modes(c, m_u, "input modes"), dtype=np.intp))
                   for w, c in ([(1.0, key)] if inputs is None else inputs)]
         n_in = len(scored[0][1])
         idx = np.array([i for i in idxs if len(events[i].output) == n_in
                         and (test_kind != "uniform" or n == n_in)], dtype=np.intp)
         if n_in == 0 or len(idx) == 0:
             continue
-        outs = _modes([events[i].output for i in idx], m_u, "output").reshape(len(idx), n_in)
+        outs = check_modes(np.array([events[i].output for i in idx]), m_u, "output modes")
         if test_kind == "uniform":
             p = (np.abs(us[:, :, scored[0][1]]) ** 2).sum(axis=2)[:, outs].prod(axis=2)
             steps[:, idx] = np.where(p >= (n / m) ** n, 1, -1)
@@ -146,8 +125,9 @@ def run_uniform_test(events, u, n: int, m: int) -> ValidationTrace:
     (31 when one output is sacrificed as the trigger). Both must be whole
     numbers >= 1.
     """
-    _check_sizes(n, m)
-    u = _square(u)
+    check_whole(n, "n", 1)
+    check_whole(m, "m", 1)
+    u = check_square(u, "U")
     return _trace(_counter_steps(events, u[None], "uniform", n, m)[0], "uniform")
 
 
@@ -164,7 +144,7 @@ def run_distinguishable_test(events, u, weights: SourceWeights | None = None,
     scoring them are rejected, and events with d = 0 skipped; both are
     tallied in ``n_rejected``.
     """
-    u = _square(u)
+    u = check_square(u, "U")
     mixture = None
     if weights is not None:
         if input_modes is None or len(input_modes) != 4:
@@ -200,26 +180,25 @@ class WrongUnitaryEnsemble:
 
 def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int,
                                   ensemble_size: int, rng_seed,
-                                  reference_slope: float | None = None,
-                                  n_bins: int = 25) -> WrongUnitaryEnsemble:
+                                  reference_slope: float | None = None) -> WrongUnitaryEnsemble:
     """Rescore one stream against an ensemble of Haar-random unitaries.
 
-    Returns the slope histogram (normalized to ``reference_slope`` when
-    given, as in a distinguishable-data normalization), the ensemble mean
-    and standard deviation, and the z-score of the true-unitary slope
-    against the ensemble. The ensemble is drawn as one (E, m, m) stack
-    from the spawned seeds of ``rng_seed`` and rescored, together with
-    the true unitary, in one call of the scoring kernel. The uniform test
-    checks n and m as :func:`run_uniform_test` does.
+    Returns the slope histogram in ``DEFAULT_BINS`` bins (normalized to
+    ``reference_slope`` when given, as in a distinguishable-data
+    normalization), the ensemble mean and standard deviation, and the
+    z-score of the true-unitary slope against the ensemble. The ensemble
+    is drawn as one (E, m, m) stack from the spawned seeds of ``rng_seed``
+    and rescored, together with the true unitary, in one call of the
+    scoring kernel. ``ensemble_size`` must be a whole number >= 2; the
+    uniform test checks n and m as :func:`run_uniform_test` does.
     """
-    if ensemble_size < 2:
-        raise ConfigurationError(
-            "z-score needs an ensemble of at least 2 unitaries")
+    check_whole(ensemble_size, "ensemble_size", 2)
     if test_kind not in ("uniform", "distinguishable"):
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
     if test_kind == "uniform":
-        _check_sizes(n, m)
-    true_u = _square(true_u)
+        check_whole(n, "n", 1)
+        check_whole(m, "m", 1)
+    true_u = check_square(true_u, "U")
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     us = np.concatenate([true_u[None],
@@ -235,7 +214,7 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     z = float((true_slope / scale - mean) / std)
     lo, hi = norm_slopes.min(), norm_slopes.max()
     pad = max((hi - lo) * 0.05, 1e-9)
-    edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
+    edges = np.linspace(lo - pad, hi + pad, DEFAULT_BINS + 1)
     hist = Histogram.from_samples(norm_slopes, edges)
     return WrongUnitaryEnsemble(test_kind, true_slope / scale, norm_slopes,
                                 hist, mean, std, z)

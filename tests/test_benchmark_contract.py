@@ -3,12 +3,16 @@
 ``perfbench/layertrace.py`` looks up every (module, function) pair of its
 ``TRACED`` table by name, and ``perfbench/workloads.py`` calls package
 and ``cli`` functions as attributes, so a library name deleted under them
-breaks every benchmark run. These tests read both files without importing
-them and resolve each name they use.
+breaks every benchmark run. The hooks of layertrace.py's ``_HOOKS`` read
+arguments of the traced call by name and attributes of its result, so a
+renamed parameter or field breaks ``--trace 1``. These tests read both
+files without importing them and resolve each name they use.
 """
 
 import ast
 import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,39 @@ def test_workload_names_resolve(holder, package, expected):
     names = workload_names(holder)
     assert names >= expected
     assert all(callable(getattr(package, name)) for name in names)
+
+
+def hooks():
+    """(traced key, argument names, result attributes) of each ``_HOOKS``
+    entry of layertrace.py: the names its hook reads as
+    ``bound.arguments["..."]`` and as ``result.<attribute>``."""
+    tree = _tree("layertrace.py")
+    body = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    consts = {t.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Constant) for t in node.targets}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "_HOOKS" for t in node.targets))
+    for key, hook in zip(table.keys, table.values):
+        key = consts[key.id] if isinstance(key, ast.Name) else key.value
+        nodes = list(ast.walk(body[hook.id]))
+        # ``bound.arguments`` itself, or a local name bound to it
+        aliases = {t.id for node in nodes if isinstance(node, ast.Assign)
+                   and getattr(node.value, "attr", None) == "arguments"
+                   for t in node.targets}
+        arguments = {node.slice.value for node in nodes if isinstance(node, ast.Subscript)
+                     and (getattr(node.value, "attr", None) == "arguments"
+                          or getattr(node.value, "id", None) in aliases)}
+        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id == "result"}
+        yield key, arguments, attributes
+
+
+@pytest.mark.parametrize("key, arguments, attributes",
+                         [pytest.param(*hook, id=hook[0]) for hook in hooks()])
+def test_hook_reads_what_the_traced_function_has(key, arguments, attributes):
+    module, function = key.split(".")
+    fn = getattr(importlib.import_module(f"photonlat.{module}"), function)
+    assert arguments <= inspect.signature(fn).parameters.keys()
+    returned = typing.get_type_hints(fn)["return"] if attributes else None
+    for name in attributes:
+        assert hasattr(returned, name) or name in getattr(returned, "__dataclass_fields__", {})

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from photonlat import evolution, footprint, haarstats, lattice, reconstruction, validation
 from photonlat import interference as itf
 from photonlat.errors import CapacityError, ConfigurationError, NumericalError
 from photonlat.haarstats import haar_unitary
@@ -157,6 +160,166 @@ class TestTypedErrors:
     def test_bad_input_raises_configuration_error(self, call):
         with pytest.raises(ConfigurationError):
             call()
+
+
+M = 6   # modes of the small chip and unitary the argument checks run on
+
+
+@functools.cache
+def _context():
+    """A 6-mode Haar U with a 3-photon table and stream, a 2 x 3 chip and
+    a HOM dataset document, each a valid value of an argument under test."""
+    u = haar_unitary(M, 0).entries
+    table = distribution(u, FockPattern.from_modes((0, 1, 2), M))
+    layout = lattice.build_lattice(lattice.LatticeSpec(rows=2, cols=3, seed=1))
+    return dict(u=u, table=table, events=sample(table, 1, 20), layout=layout,
+                model=lattice.CouplingModel(), bank=lattice.default_heater_bank(layout),
+                hom=reconstruction.simulate_hom_dataset(u, (0, 1, 2)).to_dict())
+
+
+def _bad_whole(lo):
+    """Values that are no whole number >= lo: floats (NaN and whole-valued
+    ones included), booleans and integers below lo."""
+    return st.one_of(st.floats(), st.booleans(), st.integers(max_value=lo - 1))
+
+
+def _bad_modes(size, distinct, booleans=True):
+    """``size`` modes of [0, M), one replaced by a float, a negative, a
+    mode >= M, a boolean (unless ``booleans`` is off) or, with
+    ``distinct``, the first replaced by another of the modes."""
+    bad = st.one_of([st.floats(), st.integers(max_value=-1), st.integers(min_value=M)]
+                    + [st.booleans()] * booleans)
+
+    def corrupt(modes):
+        lists = st.tuples(st.integers(0, size - 1), bad).map(
+            lambda iv: modes[:iv[0]] + [iv[1]] + modes[iv[0] + 1:])
+        if distinct:
+            lists |= st.sampled_from(modes[1:]).map(lambda mode: [mode] + modes[1:])
+        return lists
+    return st.lists(st.integers(0, M - 1), min_size=size, max_size=size,
+                    unique=True).flatmap(corrupt)
+
+
+def _non_square():
+    """Arrays of ones that are no square matrix: two unequal sides, or
+    fewer or more than two."""
+    shapes = st.one_of(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda s: s[0] != s[1]), st.lists(st.integers(1, 3), max_size=3).filter(
+        lambda s: len(s) != 2))
+    return shapes.map(np.ones)
+
+
+def _with_event(field):
+    def call(c, v):
+        event = dataclasses.replace(c["events"][0], **{field: tuple(v)})
+        return validation.run_distinguishable_test([event], c["u"])
+    return call
+
+
+# (argument, its bad values, the call taking the bad value in its place). The
+# inputs of submatrix_rows and simulate_hom_dataset and the uniform test's n
+# and m have their own tests in test_reconstruction.py and test_validation.py.
+ARGUMENT_CHECKS = {
+    "FockPattern.from_modes/modes": (_bad_modes(3, False),
+                                     lambda c, v: FockPattern.from_modes(v, M)),
+    "spdc_branch_pattern/input_modes": (_bad_modes(4, True),
+                                        lambda c, v: spdc_branch_pattern("1111", v, M)),
+    "run_distinguishable_test/input_modes": (
+        _bad_modes(4, True), lambda c, v: validation.run_distinguishable_test(
+            c["events"], c["u"], spdc_weights(1.0), input_modes=v)),
+    "distribution/outputs": (_bad_modes(4, True),
+                             lambda c, v: distribution(c["u"], c["table"].input, outputs=v)),
+    "device_submatrix_ensemble/inputs": (
+        _bad_modes(2, True), lambda c, v: haarstats.device_submatrix_ensemble(
+            c["layout"], c["model"], c["bank"], v, c["bank"].powers[None])),
+    "SampleEvent/input_modes": (_bad_modes(3, False), _with_event("input_modes")),
+    # an event's output is checked within the array of its group's outputs,
+    # where numpy has already made a boolean among integers an integer
+    "SampleEvent/output": (_bad_modes(3, False, booleans=False), _with_event("output")),
+    "haar_unitary/m": (_bad_whole(1), lambda c, v: haar_unitary(v, 1)),
+    "haar_columns/m": (_bad_whole(1), lambda c, v: haarstats.haar_columns(v, 3, 1)),
+    "haar_columns/n_columns": (_bad_whole(1), lambda c, v: haarstats.haar_columns(M, v, 1)),
+    "column_similarity_distribution/ensemble_size": (
+        _bad_whole(2), lambda c, v: haarstats.column_similarity_distribution(M, v, 1)),
+    "column_similarity_distribution/n_bins": (
+        _bad_whole(1), lambda c, v: haarstats.column_similarity_distribution(M, 5, 1, v)),
+    "random_heater_powers/n": (_bad_whole(1),
+                               lambda c, v: haarstats.random_heater_powers(c["bank"], v, 1)),
+    "propagate/n_steps": (_bad_whole(1), lambda c, v: evolution.propagate(
+        c["layout"], c["model"], c["bank"], n_steps=v)),
+    "sample/count": (_bad_whole(0), lambda c, v: sample(c["table"], 1, v)),
+    "sample/rng_seed": (_bad_whole(0), lambda c, v: sample(c["table"], v, 5)),
+    "spdc_sample/count": (_bad_whole(0), lambda c, v: spdc_sample(
+        c["u"], spdc_weights(1.0), "indistinguishable", 1, v, (0, 1, 2, 3))),
+    "spdc_sample/rng_seed": (_bad_whole(0), lambda c, v: spdc_sample(
+        c["u"], spdc_weights(1.0), "indistinguishable", v, 5, (0, 1, 2, 3))),
+    "wrong_unitary_slope_histogram/ensemble_size": (
+        _bad_whole(2), lambda c, v: validation.wrong_unitary_slope_histogram(
+            c["events"], c["u"], "distinguishable", 3, M, v, 0)),
+    "clements_length/m": (_bad_whole(2),
+                          lambda c, v: footprint.clements_length(v, 30.0, 0.06, 1.0)),
+    "min_spread_length/m": (_bad_whole(2),
+                            lambda c, v: footprint.min_spread_length("square", v, 1.0)),
+    "fan_length/m": (_bad_whole(2), lambda c, v: footprint.fan_length(v, 30.0, 0.127)),
+    "compare_layouts/m_values": (_bad_whole(2), lambda c, v: footprint.compare_layouts(
+        [v], footprint.FootprintParams(), check_scaling=False)),
+    "HomDataset.from_dict/n_outputs": (_bad_whole(2), lambda c, v:
+                                       reconstruction.HomDataset.from_dict(
+                                           {**c["hom"], "n_outputs": v})),
+    "permanent/a": (_non_square(), lambda c, v: permanent(v)),
+    "unitarity_defect/u": (_non_square(), lambda c, v: evolution.unitarity_defect(v)),
+    "output_probability/u": (_non_square(), lambda c, v: output_probability(
+        v, c["table"].input, c["table"].input)),
+    "distribution/u": (_non_square(), lambda c, v: distribution(v, c["table"].input)),
+    "spdc_sample/u": (_non_square(), lambda c, v: spdc_sample(
+        v, spdc_weights(1.0), "indistinguishable", 1, 5, (0, 1, 2, 3))),
+    "run_uniform_test/u": (_non_square(), lambda c, v: validation.run_uniform_test(
+        c["events"], v, 3, M)),
+    "run_distinguishable_test/u": (_non_square(), lambda c, v:
+                                   validation.run_distinguishable_test(c["events"], v)),
+    "wrong_unitary_slope_histogram/true_u": (
+        _non_square(), lambda c, v: validation.wrong_unitary_slope_histogram(
+            c["events"], v, "distinguishable", 3, M, 5, 0)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=st.sampled_from(sorted(ARGUMENT_CHECKS)).flatmap(
+    lambda key: st.tuples(st.just(key), ARGUMENT_CHECKS[key][0])))
+@example(drawn=("FockPattern.from_modes/modes", 3))
+@example(drawn=("distribution/outputs", [0.5, 1, 2, 3]))
+@example(drawn=("distribution/outputs", [True, 2, 3, 4]))
+@example(drawn=("spdc_branch_pattern/input_modes", (0.5, 1, 2, 3)))
+@example(drawn=("spdc_branch_pattern/input_modes", (1, 1, 2, 3)))
+@example(drawn=("spdc_branch_pattern/input_modes", (True, 2, 3, 4)))
+@example(drawn=("run_distinguishable_test/input_modes", (1, 1, 2, 3)))
+@example(drawn=("device_submatrix_ensemble/inputs", [1.5]))
+@example(drawn=("device_submatrix_ensemble/inputs", [True, 2]))
+@example(drawn=("propagate/n_steps", 2.5))
+@example(drawn=("propagate/n_steps", True))
+@example(drawn=("random_heater_powers/n", 2.5))
+@example(drawn=("column_similarity_distribution/ensemble_size", 2.5))
+@example(drawn=("haar_unitary/m", 2.5))
+@example(drawn=("sample/count", 2.5))
+@example(drawn=("sample/count", True))
+@example(drawn=("spdc_sample/count", 2.5))
+@example(drawn=("wrong_unitary_slope_histogram/ensemble_size", 2.5))
+@example(drawn=("wrong_unitary_slope_histogram/ensemble_size", math.nan))
+@example(drawn=("unitarity_defect/u", np.ones((2, 3))))
+@example(drawn=("compare_layouts/m_values", 2.5))
+@example(drawn=("compare_layouts/m_values", math.nan))
+@example(drawn=("compare_layouts/m_values", math.inf))
+@example(drawn=("haar_columns/m", 0))
+@example(drawn=("sample/rng_seed", 2.7))
+@example(drawn=("sample/rng_seed", -1))
+@example(drawn=("sample/rng_seed", math.nan))
+@example(drawn=("spdc_sample/rng_seed", 2.7))
+def test_bad_argument_raises_configuration_error(drawn):
+    """Every entry point rejects a bad mode list, whole count or square
+    matrix with ConfigurationError, never with another exception."""
+    key, bad = drawn
+    with pytest.raises(ConfigurationError):
+        ARGUMENT_CHECKS[key][1](_context(), bad)
 
 
 @pytest.mark.parametrize("occupations", [(1.5, 0, 0), (True, 0, 0), (1, False, 0),
@@ -544,7 +707,7 @@ class TestSpdc:
         assert np.abs(mix.probs - oracle).max() < 1e-10
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ConfigurationError, match="count must be nonnegative"):
+        with pytest.raises(ConfigurationError, match="count must be a whole number >= 0"):
             spdc_sample(np.eye(32), spdc_weights(1.0), "indistinguishable",
                         0, -1, (11, 12, 19, 20))
 

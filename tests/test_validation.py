@@ -69,9 +69,9 @@ class TestUniformTest:
     def test_sizes_must_be_whole_numbers_from_1(self, device_unitary, streams, n, m):
         # unchecked, m = 0 divided by zero and m = -6 gave slope 1.0
         events = streams["bs"][:20]
-        with pytest.raises(ConfigurationError, match="whole numbers >= 1"):
+        with pytest.raises(ConfigurationError, match="must be a whole number >= 1"):
             val.run_uniform_test(events, device_unitary, n, m)
-        with pytest.raises(ConfigurationError, match="whole numbers >= 1"):
+        with pytest.raises(ConfigurationError, match="must be a whole number >= 1"):
             val.wrong_unitary_slope_histogram(events, device_unitary, "uniform", n, m,
                                               ensemble_size=5, rng_seed=0)
 
