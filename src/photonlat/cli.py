@@ -528,10 +528,12 @@ def cmd_haar(config, args):
         powers = np.concatenate([
             haarstats.random_heater_powers(bank, count, seed, power_range)
             for count, seed in zip((n_matrices, columns), powers_seeds)])
-        subs = haarstats.device_submatrix_ensemble(
-            layout, model, bank, config["inputs"][:rows], powers,
+        # the histogram settings read every row, the similarity settings one
+        inputs = config["inputs"][:rows]
+        read = haarstats.device_submatrix_ensemble(
+            layout, model, bank, [inputs] * n_matrices + [inputs[:1]] * columns, powers,
             n_steps=config["evolution"]["n_steps"])
-        dev_subs, cols = subs[:n_matrices], subs[n_matrices:, 0]
+        dev_subs, cols = np.array(read[:n_matrices]), np.concatenate(read[n_matrices:])
         device = dict(zip(("moduli", "phase"),
                           haarstats.ensemble_moduli_phase_histograms(dev_subs)))
         device["column_similarity"] = haarstats.similarity_histogram(

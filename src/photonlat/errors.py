@@ -5,11 +5,11 @@ dimension mismatches, under-determined inputs) and numerical failures
 (fit non-convergence, inconsistent interference data). The CLI maps the
 former to exit code 2 and the latter to exit code 3. The value
 predicates and ``check_fields`` below serve the config schema and the
-library's parameter dataclasses alike; ``check_whole``, ``check_modes``
-and ``check_square`` are the one rule for a count, a mode list and a
-matrix U, each naming the argument it rejects. ``MAX_TABLE_BYTES`` is the
-one memory budget: :func:`check_table_bytes` raises :class:`CapacityError`
-before a call allocates arrays beyond it.
+library's parameter dataclasses alike; ``check_whole``, ``check_seed``,
+``check_modes`` and ``check_square`` are the one rule for a count, a seed,
+a mode list and a matrix U, each naming the argument it rejects.
+``MAX_TABLE_BYTES`` is the one memory budget: :func:`check_table_bytes`
+raises :class:`CapacityError` before a call allocates arrays beyond it.
 """
 
 import dataclasses
@@ -94,6 +94,14 @@ def check_whole(value, what: str, lo: int):
     if not (is_whole(value) and value >= lo):
         raise ConfigurationError(f"{what} must be a whole number >= {lo}, got {value!r}")
     return value
+
+
+def check_seed(seed):
+    """``seed``, unless it is neither a ``numpy.random.SeedSequence`` nor a
+    whole number >= 0."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return check_whole(seed, "rng_seed", 0)
 
 
 def check_modes(modes, m: int, what: str, distinct: bool = False):

@@ -28,16 +28,30 @@ the calibrated 500 mW. So does a step plan whose G and K slices exceed
 
 Every slice Hamiltonian is H = G + diag(K @ P): G holds the couplings, K
 the detuning per unit heater power and P the heater powers. One private
-integrator builds G, K and the step plan once per chip, and multiplies
+integrator builds G dz, K and the step plan once per chip, and multiplies
 each run of slices without an active heater window into one matrix, since
-those slices do not depend on P. A stack of S power settings then costs
-one pass over the heated slices that carries every setting's columns as
-one (m, S * k) array, with H never formed as a stack: :func:`propagate`
-carries all m columns under one setting, and heater-setting ensembles
-(``haarstats.device_submatrix_ensemble``) carry only their input columns
-under all settings at once. The integrator logs, at DEBUG level on the
-``photonlat.evolution`` logger, the slice counts, the largest theta, the
-range of p, the substeps and the column-norm defect of every pass.
+those slices do not depend on P. It then propagates a list of (setting,
+column) pairs under a stack of power settings in one pass over the heated
+slices, carrying exactly those J columns as one (m, J) array, with H never
+formed as a stack: :func:`propagate` is the case of one setting with all
+m columns, and heater-setting ensembles
+(``haarstats.device_submatrix_ensemble``) carry only the input columns
+each setting is read for. Every pass pays the fixed cost of each heated
+slice once, so columns are never split over several passes.
+
+Before any column moves, every heated slice is planned: the detunings of
+a block of slices under all settings in use come from one product, and
+theta, s and p of the whole block follow in one vectorised step, so a
+slice beyond ``MAX_SUBSTEPS`` raises first. Each block's detunings are
+held to ``_BLOCK_BYTES`` (4 MB), so memory stays flat however many
+settings or columns a pass carries. Each Taylor term is one real product
+of G with the float view of the columns plus in-place elementwise passes
+over preallocated buffers; the unheated run products are built by the
+same kernel. The integrator logs, at DEBUG level on the
+``photonlat.evolution`` logger, the columns carried and settings used, the
+slice counts, the largest theta, the range of p, the substeps, the real G
+products of the pass (one per Taylor term of a heated slice) and the
+column-norm defect of every pass.
 """
 
 from __future__ import annotations
@@ -104,52 +118,56 @@ def _coupling_stack(layout, model, z_values) -> np.ndarray:
 # theta^p / p! <= 1e-16, increasing in p (t_19 > 1)
 _ORDER_BOUNDS = np.array([(1e-16 * math.factorial(p)) ** (1.0 / p) for p in range(1, 31)])
 
+# the detunings, and their copy for the float view, one block of heated
+# slices holds at once
+_BLOCK_BYTES = 4 * 2**20
 
-def _slice_action(g, gnorm, d, dz, x):
-    """exp(i (G + diag d) dz) x by a truncated Taylor series.
 
-    ``g`` is one real (m, m) slice with ``gnorm`` its column sums of |G|,
-    ``d`` the real (m, S) detunings of S power settings (None where no
-    heater is on), and ``x`` the complex (m, S, k) columns carried under
-    each setting. theta = ||(G + diag d) dz||_1 (G has a zero diagonal),
-    maximised over the settings, splits the slice into s = ceil(theta)
-    equal substeps, and each substep sums the series to the least order p
-    with (theta/s)^p / p! <= 1e-16. More than ``MAX_SUBSTEPS`` substeps
-    raise ``CapacityError``. G is real, so its products run as real matrix
-    products on the float view of the columns.
-    Returns the new columns and (theta, p, s).
-    """
-    radius = gnorm if d is None else gnorm[:, None] + np.abs(d)
-    theta = dz * float(radius.max())
-    s = max(1, math.ceil(theta))
-    if s > MAX_SUBSTEPS:
+def _orders(theta):
+    """Substeps s = max(1, ceil(theta)) and Taylor orders p, the least with
+    (theta/s)^p / p! <= 1e-16, of slices with norms ``theta``. More than
+    ``MAX_SUBSTEPS`` substeps in any slice raise ``CapacityError``."""
+    worst = theta.max(initial=0.0)
+    if worst > MAX_SUBSTEPS:
         raise CapacityError(
-            f"a slice with ||H dz||_1 = {theta:.3g} needs {s} Taylor substeps, more "
-            f"than {MAX_SUBSTEPS}: use more steps or lower heater powers")
-    p = int(np.searchsorted(_ORDER_BOUNDS, theta / s)) + 1
-    h = dz / s
-    gh = g * h
-    dh = None if d is None else (d * h)[:, :, None]
-    m, n = x.shape[0], x[0].size
+            f"a slice with ||H dz||_1 = {worst:.3g} needs {math.ceil(worst)} Taylor "
+            f"substeps, more than {MAX_SUBSTEPS}: use more steps or lower heater powers")
+    s = np.maximum(1.0, np.ceil(theta))
+    return s.astype(int), np.searchsorted(_ORDER_BOUNDS, theta / s) + 1
+
+
+def _taylor(gdz, dh, s, p, x, term, y):
+    """x <- exp(i (G + diag d) dz) x in place, by s substeps of the order-p
+    Taylor series.
+
+    ``gdz`` is the real (m, m) G dz and ``dh`` the real (m, 2 J) detunings
+    d h of each carried column, each entry twice to match the float view of
+    the columns (None where no heater is on), with h = dz / s.
+    ``x``, ``term`` and ``y`` are complex (m, J) buffers; G is real, so its
+    product runs as one real matrix product on their float views. A term
+    costs that product and four in-place elementwise passes.
+    """
+    gh = gdz if s == 1 else gdz / s
+    xf, tf, yf = x.view(float), term.view(float), y.view(float)
     for _ in range(s):
-        term, x = x, x.copy()
+        np.copyto(term, x)
         for j in range(1, p + 1):
-            y = (gh @ term.reshape(m, n).view(float)).view(complex).reshape(term.shape)
+            np.matmul(gh, tf, out=yf)
             if dh is not None:
-                y += dh * term
-            term = y * (1j / j)
-            x += term
-    return x, (theta, p, s)
+                tf *= dh
+                yf += tf
+            np.multiply(y, 1j / j, out=term)
+            xf += tf
 
 
 class _Propagator:
     """What propagating one chip costs whatever the heater powers are.
 
-    Holds the step plan, G, K and dz of every heated slice in z order, and
-    the product of each run of unheated slices (K = 0 there, so those
-    exponentials are the same for every power vector), built by the same
-    Taylor action applied to the identity. :meth:`columns` propagates
-    chosen input columns under a whole stack of power vectors at once.
+    Holds the step plan and, for every heated slice in z order, G dz, the
+    column sums of |G|, K and dz, plus the product of each run of unheated
+    slices (K = 0 there, so those exponentials are the same for every
+    power vector), built by the same Taylor kernel applied to the identity.
+    :meth:`columns` propagates (setting, column) pairs in one pass.
     """
 
     def __init__(self, layout: WaveguideLayout, model: CouplingModel,
@@ -176,61 +194,110 @@ class _Propagator:
         z = (starts[:, None] + dz[:, None] * _CF4_NODES).ravel()  # (steps * 2,)
         m, shape = layout.m, (len(starts), 2)
         # slice exponentials step by step, each a weighted sum of node
-        # Hamiltonians; K first, as its temporaries are the largest
-        kern = np.einsum("en,snij->seij", _CF4_WEIGHTS,
-                         bank.kernels(layout, z).reshape(shape + (m, -1)))
+        # Hamiltonians; G and its norms first, as G's temporaries are the
+        # largest and should not coexist with K
         g = np.einsum("en,snij->seij", _CF4_WEIGHTS,
                       _coupling_stack(layout, model, z).reshape(shape + (m, m)))
         g = g.reshape(-1, m, m)
+        gnorm = np.abs(g).sum(axis=1)           # column sums of |G|, (slices, m)
+        kern = np.einsum("en,snij->seij", _CF4_WEIGHTS,
+                         bank.kernels(layout, z).reshape(shape + (m, -1)))
         kern = kern.reshape(len(g), m, -1)
         dz = np.repeat(dz, 2)
-        gnorm = np.abs(g).sum(axis=1)           # column sums of |G|, (slices, m)
+        gdz = np.multiply(g, dz[:, None, None], out=g)
         heated = np.any(kern != 0, axis=(1, 2))
+        fixed = ~heated
+        # (theta, s, p) of every unheated slice
+        theta = dz[fixed] * gnorm[fixed].max(axis=1)
+        self.fixed_plan = (theta, *_orders(theta))
+        orders = zip(*(a.tolist() for a in self.fixed_plan[1:]))   # (s, p) in z order
         hot = np.r_[0, np.cumsum(heated)]      # heated slices before each one
         cuts = np.r_[0, np.flatnonzero(np.diff(heated)) + 1, len(heated)]
-        self.fixed_orders = []  # (theta, p, s) of every unheated slice
+        x, term, y = (np.empty((m, m), dtype=complex) for _ in range(3))
         self.runs = []          # slice of the heated stack, or a fixed product
         for a, b in zip(cuts[:-1], cuts[1:]):
             if heated[a]:
                 self.runs.append(slice(hot[a], hot[b]))
                 continue
-            x = np.eye(m, dtype=complex)[:, None, :]
+            x[:] = np.eye(m)
             for k in range(a, b):
-                x, order = _slice_action(g[k], gnorm[k], None, dz[k], x)
-                self.fixed_orders.append(order)
-            self.runs.append(x[:, 0, :])
-        self.g, self.kern = g[heated], kern[heated]
+                _taylor(gdz[k], None, *next(orders), x, term, y)
+            self.runs.append(x.copy())
+        self.m = m
+        self.gdz, self.kern = gdz[heated], kern[heated]
         self.gnorm, self.dz = gnorm[heated], dz[heated]
 
-    def columns(self, powers, x) -> np.ndarray:
-        """U x under each row of ``powers`` (S, n_heaters), x of shape (m, k).
+    def _blocks(self, n_cols):
+        """Consecutive slices of the heated stack whose (B, m, n_cols)
+        detunings and their (B, m, 2 n_cols) copy fit in ``_BLOCK_BYTES``."""
+        size = max(1, _BLOCK_BYTES // (24 * self.m * n_cols))
+        return [slice(a, a + size) for a in range(0, len(self.dz), size)]
 
-        Returns the (S, m, k) stack. The S settings are carried as one
-        (m, S * k) array; detunings are formed one slice at a time.
+    def _detunings(self, block, powers):
+        """(B, m, S) detunings of a block of heated slices under S settings,
+        as one product."""
+        kern = self.kern[block]
+        return (kern.reshape(-1, kern.shape[-1]) @ powers.T).reshape(len(kern), self.m, -1)
+
+    def plan(self, powers):
+        """(theta, s, p) of every heated slice under the settings ``powers``
+        (S, n_heaters): theta = ||(G + diag d) dz||_1, maximised over the
+        settings, s = max(1, ceil(theta)) substeps and p the least Taylor
+        order with (theta/s)^p / p! <= 1e-16. Raises ``CapacityError``
+        when a slice needs more than ``MAX_SUBSTEPS`` substeps."""
+        theta = np.empty(len(self.dz))
+        for block in self._blocks(len(powers)):
+            dmax = np.abs(self._detunings(block, powers)).max(axis=2)
+            theta[block] = self.dz[block] * (self.gnorm[block] + dmax).max(axis=1)
+        return (theta, *_orders(theta))
+
+    def columns(self, powers, pairs) -> np.ndarray:
+        """Column c of U under setting ``powers[e]`` for every (e, c) of
+        ``pairs``, as one complex (m, J) array in the order of the pairs.
+
+        ``powers`` is the (S, n_heaters) stack; a setting may appear in any
+        number of pairs, in any order. Every slice is planned first, so a
+        slice beyond ``MAX_SUBSTEPS`` raises before any column moves. Then
+        one pass carries all J columns, with the detunings of each column's
+        setting formed a block of slices at a time.
         """
         powers = np.asarray(powers, dtype=float)
-        x = np.asarray(x, dtype=complex)
-        (m, k), n_set = x.shape, len(powers)
-        y = np.repeat(x[:, None, :], n_set, axis=1)
-        orders = []
+        setting, column = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+        used = np.unique(setting)
+        theta, s, p = self.plan(powers[used])
+        on = powers[setting]                    # (J, n_heaters)
+        h = self.dz / s
+        x = np.zeros((self.m, len(column)), dtype=complex)
+        x[column, np.arange(len(column))] = 1.0
+        term, y = np.empty_like(x), np.empty_like(x)
+        s_list, p_list = s.tolist(), p.tolist()
+
+        def heated_detunings():
+            for block in self._blocks(len(on)):
+                d = self._detunings(block, on)
+                d *= h[block, None, None]
+                # each entry twice over, for the float view of the columns
+                yield from np.repeat(d, 2, axis=2)
+
+        dh = heated_detunings()
         for run in self.runs:
             if isinstance(run, slice):
                 for i in range(run.start, run.stop):
-                    y, order = _slice_action(self.g[i], self.gnorm[i],
-                                             self.kern[i] @ powers.T, self.dz[i], y)
-                    orders.append(order)
+                    _taylor(self.gdz[i], next(dh), s_list[i], p_list[i], x, term, y)
             else:
-                y = (run @ y.reshape(m, -1)).reshape(y.shape)
+                np.matmul(run, x, out=y)
+                x, y = y, x
         if log.isEnabledFor(logging.DEBUG):
-            theta, p, s = np.array(orders + self.fixed_orders).reshape(-1, 3).T
-            defect = np.abs((np.abs(y) ** 2).sum(axis=0) -
-                            (np.abs(x) ** 2).sum(axis=0)).max()
-            log.debug("%d settings x %d columns: %d heated and %d fixed slices, "
-                      "max theta %.3g, Taylor order p %d..%d, %d substeps, "
-                      "column-norm defect %.2e", n_set, k, len(orders),
-                      len(self.fixed_orders), theta.max(),
-                      p.min(), p.max(), s.sum(), defect)
-        return y.transpose(1, 0, 2)
+            fixed_theta, fixed_s, fixed_p = self.fixed_plan
+            all_p = np.r_[p, fixed_p]
+            defect = np.abs((np.abs(x) ** 2).sum(axis=0) - 1.0).max()
+            log.debug("%d columns carried under %d settings: %d heated and %d fixed "
+                      "slices, max theta %.3g, Taylor order p %d..%d, %d substeps, "
+                      "%d real G products, column-norm defect %.2e",
+                      x.shape[1], len(used), len(s), len(fixed_s),
+                      np.r_[theta, fixed_theta].max(), all_p.min(), all_p.max(),
+                      s.sum() + fixed_s.sum(), (s * p).sum(), defect)
+        return x
 
 
 def propagate(layout: WaveguideLayout, model: CouplingModel, bank: HeaterBank,
@@ -241,5 +308,5 @@ def propagate(layout: WaveguideLayout, model: CouplingModel, bank: HeaterBank,
     segments proportionally to their length (at least one step each).
     """
     chip = _Propagator(layout, model, bank, n_steps)
-    u = chip.columns(bank.powers[None], np.eye(layout.m, dtype=complex))[0]
+    u = chip.columns(bank.powers[None], [(0, c) for c in range(layout.m)])
     return UnitaryMatrix(layout.m, u, unitarity_defect(u))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, NumericalError, check_modes, check_table_bytes,
-                     check_whole)
+from .errors import (ConfigurationError, NumericalError, check_modes, check_seed,
+                     check_table_bytes, check_whole)
 from .evolution import MAX_UNITARITY_DEFECT, UnitaryMatrix, _Propagator, unitarity_defect
 
 DEFAULT_BINS = 25
@@ -79,7 +79,7 @@ def _haar_stack(m: int, seeds) -> np.ndarray:
 
 def haar_unitary(m: int, rng_seed) -> UnitaryMatrix:
     """Haar-distributed m x m unitary: one draw of :func:`_haar_stack`."""
-    q = _haar_stack(m, [rng_seed])[0]
+    q = _haar_stack(m, [check_seed(rng_seed)])[0]
     return UnitaryMatrix(m, q, unitarity_defect(q))
 
 
@@ -91,7 +91,7 @@ def haar_columns(m: int, n_columns: int, rng_seed) -> np.ndarray:
     """
     check_whole(m, "m", 1)
     check_whole(n_columns, "n_columns", 1)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_seed(rng_seed))
     v = rng.standard_normal((n_columns, m)) ** 2 + rng.standard_normal((n_columns, m)) ** 2
     return v / v.sum(axis=1, keepdims=True)
 
@@ -173,26 +173,29 @@ def random_heater_powers(bank, n: int, rng_seed,
     """(n, n_heaters) heater settings drawn uniformly over ``power_range``,
     setting after setting from one generator seeded with ``rng_seed``."""
     check_whole(n, "n", 1)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_seed(rng_seed))
     return rng.uniform(power_range[0], power_range[1], (n, bank.n_heaters))
 
 
 def device_submatrix_ensemble(layout, model, bank, inputs, powers,
-                              n_steps: int = 512):
-    """Input-row submatrices of the device under a stack of heater settings.
+                              n_steps: int = 512) -> list:
+    """Input rows of the device under a stack of heater settings.
 
     ``powers`` holds one row of heater powers per setting, e.g. from
-    :func:`random_heater_powers`. The circuit is propagated under every
-    setting and the rows addressed by ``inputs`` are taken; this is the
+    :func:`random_heater_powers`, and ``inputs`` one list of distinct input
+    modes per setting: the rows of U read under that setting. This is the
     reconfigurable-device ensemble the Haar histograms are compared
-    against, returned as one (E, len(inputs), m) array. The chip is built
-    once per call, and all settings carry only the input columns through
-    it in one batch. Raises ``NumericalError`` when a column's squared
-    norm is off 1 by more than ``MAX_UNITARITY_DEFECT``.
+    against; a setting whose rows are pooled into a submatrix histogram
+    names every input, one that only feeds a column statistic names one.
+    Returns one (len(inputs[e]), m) array per setting.
+
+    The chip is built once per call, and one pass of
+    ``evolution._Propagator.columns`` carries exactly the (setting, input)
+    pairs asked for: every heated slice is planned first, then its
+    detunings are formed a block of slices at a time. Raises
+    ``NumericalError`` when a row's squared norm is off 1 by more than
+    ``MAX_UNITARITY_DEFECT``.
     """
-    inputs = list(check_modes(inputs, layout.m, "inputs", distinct=True))
-    if not inputs:
-        raise ConfigurationError("inputs must name at least one mode")
     powers = np.asarray(powers, dtype=float)
     if powers.ndim != 2 or len(powers) < 1 or powers.shape[1] != bank.n_heaters:
         raise ConfigurationError(
@@ -200,14 +203,21 @@ def device_submatrix_ensemble(layout, model, bank, inputs, powers,
             f"not {powers.shape}")
     if not np.all(np.isfinite(powers)) or np.any(powers < 0):
         raise ConfigurationError("heater powers must be finite and nonnegative")
+    if not isinstance(inputs, (list, tuple, np.ndarray)) or len(inputs) != len(powers):
+        raise ConfigurationError(
+            f"inputs must hold one mode list per setting, {len(powers)} in all")
+    inputs = [check_modes(modes, layout.m, "inputs", distinct=True) for modes in inputs]
+    if not all(len(modes) for modes in inputs):
+        raise ConfigurationError("inputs must name at least one mode per setting")
+    pairs = [(e, mode) for e, modes in enumerate(inputs) for mode in modes]
     chip = _Propagator(layout, model, bank, n_steps)
-    cols = chip.columns(powers, np.eye(layout.m, dtype=complex)[:, inputs])
-    defect = float(np.abs((np.abs(cols) ** 2).sum(axis=1) - 1.0).max())
+    rows = chip.columns(powers, pairs).T
+    defect = float(np.abs((np.abs(rows) ** 2).sum(axis=1) - 1.0).max())
     if defect > MAX_UNITARITY_DEFECT:
         raise NumericalError(
             f"device ensemble column-norm defect {defect:.3e} exceeds "
             f"{MAX_UNITARITY_DEFECT:g}")
-    return cols.transpose(0, 2, 1)
+    return np.split(rows, np.cumsum([len(modes) for modes in inputs])[:-1])
 
 
 def ensemble_moduli_phase_histograms(submatrices):

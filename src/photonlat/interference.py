@@ -54,7 +54,7 @@ class FockPattern:
 
     @classmethod
     def from_modes(cls, modes, m) -> "FockPattern":
-        occ = [0] * m
+        occ = [0] * check_whole(m, "m", 1)
         for mode in check_modes(modes, m, "modes"):
             occ[mode] += 1
         return cls(tuple(occ))

@@ -221,11 +221,14 @@ class HeaterBank:
         """
         z = np.asarray(z_values, dtype=float)
         pos = layout.positions_at(z)                                 # (nz, m, 2)
-        dx = pos[:, :, None, 0] - self.positions[None, None, :, 0]
-        dy = pos[:, :, None, 1] - self.positions[None, None, :, 1]
         active = (self.z_spans[:, 0] <= z[:, None]) & (z[:, None] < self.z_spans[:, 1])
-        kern = np.exp(-(dx * dx + dy * dy) / (2.0 * self.kernel_width ** 2))
-        return self.alpha_t * kern * active[:, None, :]
+        k, r = np.nonzero(active)     # the exponential only where a window is on
+        dx = pos[k, :, 0] - self.positions[r, None, 0]               # (n_active, m)
+        dy = pos[k, :, 1] - self.positions[r, None, 1]
+        kern = np.zeros((len(z), layout.m, self.n_heaters))
+        kern[k, :, r] = self.alpha_t * np.exp(-(dx * dx + dy * dy) /
+                                              (2.0 * self.kernel_width ** 2))
+        return kern
 
 
 def default_heater_bank(layout: WaveguideLayout, powers=None,

@@ -46,8 +46,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import (ConfigurationError, FitError, InconsistentDataError,
-                     UndefinedVisibilityError, UnderdeterminedError, check_modes, check_whole,
-                     is_finite)
+                     UndefinedVisibilityError, UnderdeterminedError, check_modes, check_seed,
+                     check_whole, is_finite)
 
 DEFAULT_DIP_SIGMA = 30.0     # delay-line sigma, um
 # the delay positions of every simulated dip scan: 21 points over +-3 sigma
@@ -557,6 +557,7 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
             or (is_finite(mean_plateau_counts) and mean_plateau_counts > 0)):
         raise ConfigurationError(f"mean_plateau_counts = {mean_plateau_counts!r} "
                                  "must be None or a finite number > 0")
+    check_seed(rng_seed)
     u = np.asarray(u, dtype=complex)
     t_rows = submatrix_rows(u, inputs)
     n_out = t_rows.shape[1]

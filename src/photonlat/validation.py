@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_modes, check_square, check_whole
+from .errors import ConfigurationError, check_modes, check_seed, check_square, check_whole
 from .haarstats import DEFAULT_BINS, Histogram, _haar_batch
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
@@ -199,6 +199,7 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
         check_whole(n, "n", 1)
         check_whole(m, "m", 1)
     true_u = check_square(true_u, "U")
+    rng_seed = check_seed(rng_seed)
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     us = np.concatenate([true_u[None],

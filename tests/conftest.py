@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,15 @@ def device():
 @pytest.fixture(scope="session")
 def device_unitary(device):
     return device[3].entries
+
+
+def evolution_log(caplog):
+    """(columns, settings, heated, fixed, max theta, p min, p max, substeps,
+    G products, defect) of the one record the integrator logged."""
+    [record] = [r for r in caplog.records if r.name == "photonlat.evolution"]
+    caplog.clear()
+    found = re.fullmatch(r"(\d+) columns carried under (\d+) settings: (\d+) heated and "
+                         r"(\d+) fixed slices, max theta (\S+), Taylor order p (\d+)\.\.(\d+), "
+                         r"(\d+) substeps, (\d+) real G products, column-norm defect (\S+)",
+                         record.getMessage())
+    return tuple(float(v) for v in found.groups())

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import tempfile
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlat.cli import DEFAULT_CONFIG, SCHEMA, config_hash, load_config, main, read_unitary
+
+from conftest import evolution_log
 
 BASE_CONFIG = {
     "seed": 20240131,
@@ -414,11 +417,14 @@ def test_reconstruct_from_dataset_file(simulated, tmp_path):
     assert not (second / "gauge_distance.json").exists()
 
 
-def test_haar_device_ensemble(tmp_path):
+def test_haar_device_ensemble(tmp_path, caplog):
     cfg = write_config(tmp_path, {"haar": {"n_matrices": 4, "columns": 10},
                                   "evolution": {"n_steps": 96}})
     out = tmp_path / "haar_dev"
-    assert run("haar", "--config", cfg, "--out", out, "--device") == 0
+    with caplog.at_level(logging.DEBUG, logger="photonlat.evolution"):
+        assert run("haar", "--config", cfg, "--out", out, "--device") == 0
+    # one pass: 3 rows under each histogram setting, input 0 under the rest
+    assert evolution_log(caplog)[:2] == (3 * 4 + 10, 4 + 10)
     overlaps = json.loads((out / "overlap.json").read_text())
     for key in ("moduli_overlap", "phase_overlap", "column_similarity_overlap"):
         assert 0.0 <= overlaps[key] <= 1.0

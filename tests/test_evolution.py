@@ -1,5 +1,5 @@
 import logging
-import re
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,14 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from photonlat import evolution
 from photonlat.errors import CapacityError, ConfigurationError
-from photonlat.evolution import _coupling_stack, propagate, unitarity_defect
+from photonlat.evolution import _coupling_stack, _Propagator, propagate, unitarity_defect
 from photonlat.haarstats import (device_submatrix_ensemble, haar_unitary,
                                  random_heater_powers)
 from photonlat.lattice import (CouplingModel, LatticeSpec, build_lattice,
                                default_heater_bank, symmetry_permutations)
 
-from conftest import make_device
+from conftest import evolution_log, make_device
 from oracles import hamiltonian, ordered_exponential
 
 
@@ -202,17 +203,6 @@ def stress_device():
     return layout, CouplingModel(), default_heater_bank(layout, np.full(16, 500.0))
 
 
-def evolution_log(caplog):
-    """(heated, fixed, max theta, p min, p max, substeps, defect) of the one
-    record the integrator logged."""
-    [record] = [r for r in caplog.records if r.name == "photonlat.evolution"]
-    caplog.clear()
-    found = re.search(r"(\d+) heated and (\d+) fixed slices, max theta (\S+), "
-                      r"Taylor order p (\d+)\.\.(\d+), (\d+) substeps, "
-                      r"column-norm defect (\S+)", record.getMessage())
-    return tuple(float(v) for v in found.groups())
-
-
 @pytest.mark.parametrize("n_steps", [1, 2, 7, 64])
 def test_propagate_and_ensemble_match_ordered_expm(device, n_steps):
     layout, model, bank, _ = device
@@ -221,7 +211,7 @@ def test_propagate_and_ensemble_match_ordered_expm(device, n_steps):
     assert np.abs(u - want).max() <= 1e-12
     inputs = [11, 12, 19]
     powers = random_heater_powers(bank, 2, rng_seed=n_steps)
-    subs = device_submatrix_ensemble(layout, model, bank, inputs, powers, n_steps)
+    subs = device_submatrix_ensemble(layout, model, bank, [inputs] * 2, powers, n_steps)
     for sub, setting in zip(subs, powers):
         want = ordered_exponential(*cf4_slices(layout, model,
                                                replace(bank, powers=setting), n_steps))
@@ -232,7 +222,7 @@ def test_substepped_slices_match_ordered_expm(caplog):
     layout, model, bank = stress_device()
     with caplog.at_level(logging.DEBUG, logger="photonlat.evolution"):
         u = propagate(layout, model, bank, n_steps=1).entries
-    heated, fixed, theta, _, _, substeps, _ = evolution_log(caplog)
+    _, _, heated, fixed, theta, _, _, substeps, _, _ = evolution_log(caplog)
     assert theta > 1.0 and substeps > heated + fixed
     want = ordered_exponential(*cf4_slices(layout, model, bank, 1))
     assert np.abs(u - want).max() <= 1e-12
@@ -242,13 +232,17 @@ def test_integrator_logs_what_it_did(device, caplog):
     layout, model, bank, u = device
     with caplog.at_level(logging.DEBUG, logger="photonlat.evolution"):
         propagate(layout, model, bank, n_steps=512)
-        heated, fixed, theta, p_min, p_max, substeps, defect = evolution_log(caplog)
-        device_submatrix_ensemble(layout, model, bank, [11, 12],
+        (columns, n_settings, heated, fixed, theta, p_min, p_max, substeps, products,
+         defect) = evolution_log(caplog)
+        device_submatrix_ensemble(layout, model, bank, [[11, 12], [11], [12, 11]],
                                   random_heater_powers(bank, 3, rng_seed=1), 512)
-        assert evolution_log(caplog)[:2] == (heated, fixed)
+        assert evolution_log(caplog)[:4] == (5, 3, heated, fixed)
+    assert (columns, n_settings) == (32, 1)
     assert heated > 0 and fixed > 0
     assert 0.0 < theta <= 1.0 and substeps == heated + fixed
     assert 1 <= p_min <= p_max <= 19
+    # one real G product per Taylor term of every heated slice
+    assert heated * p_min <= products <= heated * p_max
     assert defect <= 1e-12
 
 
@@ -256,3 +250,65 @@ def test_slice_beyond_the_substep_budget_raises(device):
     layout, model, bank, _ = device
     with pytest.raises(CapacityError):
         propagate(layout, model, replace(bank, powers=np.full(16, 1e7)), n_steps=1024)
+
+
+def small_chip(seed, n_steps):
+    """A 6-mode chip with the 16 default heaters and its propagator."""
+    layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=seed))
+    model, bank = CouplingModel(), default_heater_bank(layout)
+    return layout, model, bank, _Propagator(layout, model, bank, n_steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 24),
+       n_settings=st.integers(1, 4), data=st.data())
+def test_pairs_match_each_settings_propagate(seed, n_steps, n_settings, data):
+    """Any (setting, column) pairs, settings repeated, skipped or out of
+    order, give the columns of each setting's own propagate."""
+    layout, model, bank, chip = small_chip(seed, n_steps)
+    powers = np.random.default_rng(seed).uniform(0.0, 500.0, (n_settings, bank.n_heaters))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n_settings - 1),
+                                         st.integers(0, layout.m - 1)), min_size=1, max_size=12))
+    got = chip.columns(powers, pairs)
+    assert got.shape == (layout.m, len(pairs))
+    want = [propagate(layout, model, replace(bank, powers=setting), n_steps).entries
+            for setting in powers]
+    for j, (e, c) in enumerate(pairs):
+        assert np.abs(got[:, j] - want[e][:, c]).max() <= 1e-13
+
+
+def per_slice_plan(chip, powers):
+    """(theta, s, p) of each heated slice, one slice at a time: theta =
+    ||(G + diag d) dz||_1 over all settings, s = max(1, ceil(theta)) and p
+    the least order with (theta/s)^p / p! <= 1e-16."""
+    plan = []
+    for kern, gnorm, dz in zip(chip.kern, chip.gnorm, chip.dz):
+        theta = dz * float((gnorm[:, None] + np.abs(kern @ powers.T)).max())
+        s = max(1, math.ceil(theta))
+        p = next(p for p in range(1, 40) if (theta / s) ** p / math.factorial(p) <= 1e-16)
+        plan.append((theta, s, p))
+    return np.array(plan).T
+
+
+def test_vectorised_plan_matches_per_slice_rule():
+    layout, model, bank = stress_device()
+    chip = _Propagator(layout, model, bank, n_steps=1)
+    # the full-power setting last: a plan read from the first setting
+    # alone would come out too small
+    powers = np.vstack([random_heater_powers(bank, 2, rng_seed=4), bank.powers])
+    theta, s, p = chip.plan(powers)
+    want_theta, want_s, want_p = per_slice_plan(chip, powers)
+    assert want_s.max() > 1                 # the chip has substepped slices
+    assert np.allclose(theta, want_theta, rtol=1e-14, atol=0)
+    assert np.array_equal(s, want_s) and np.array_equal(p, want_p)
+
+
+def test_substep_budget_checked_before_any_column_moves(device, monkeypatch):
+    layout, model, bank, _ = device
+    chip = _Propagator(layout, model, bank, 64)
+    calls = []
+    monkeypatch.setattr(evolution, "_taylor", lambda *args: calls.append(args))
+    powers = np.vstack([bank.powers, np.full(16, 1e9)])
+    with pytest.raises(CapacityError):
+        chip.columns(powers, [(0, 0), (1, 0)])
+    assert calls == []

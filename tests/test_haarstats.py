@@ -139,7 +139,7 @@ class TestColumnSimilarity:
 class TestDeviceEnsemble:
     def test_submatrices_from_random_settings(self, device):
         layout, model, bank, _ = device
-        subs = device_submatrix_ensemble(layout, model, bank, (11, 12, 19),
+        subs = device_submatrix_ensemble(layout, model, bank, [(11, 12, 19)] * 3,
                                          random_heater_powers(bank, 3, rng_seed=5),
                                          n_steps=96)
         assert len(subs) == 3
@@ -167,7 +167,7 @@ class TestDeviceEnsemble:
             bank = HeaterBank(bank.positions[on:on + 1], bank.z_spans[on:on + 1],
                               bank.powers[on:on + 1], bank.kernel_width, bank.alpha_t)
         subs = device_submatrix_ensemble(
-            layout, model, bank, inputs,
+            layout, model, bank, [inputs] * 3,
             random_heater_powers(bank, 3, rng_seed, power_range=(lo, hi)),
             n_steps=n_steps)
         rng = np.random.default_rng(rng_seed)
@@ -182,7 +182,7 @@ class TestDeviceEnsemble:
         layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
         bank = default_heater_bank(layout)
         with pytest.raises(ConfigurationError):
-            device_submatrix_ensemble(layout, CouplingModel(), bank, inputs,
+            device_submatrix_ensemble(layout, CouplingModel(), bank, [inputs],
                                       random_heater_powers(bank, 1, 0), n_steps=4)
 
     @pytest.mark.parametrize("powers", [np.zeros(16), np.zeros((0, 16)), np.zeros((2, 15)),
@@ -193,13 +193,33 @@ class TestDeviceEnsemble:
         layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
         with pytest.raises(ConfigurationError):
             device_submatrix_ensemble(layout, CouplingModel(), default_heater_bank(layout),
-                                      (0, 1), powers, n_steps=4)
+                                      [(0, 1)] * 2, powers, n_steps=4)
+
+    def test_each_setting_reads_its_own_rows(self):
+        layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=4))
+        model, bank = CouplingModel(), default_heater_bank(layout)
+        powers = random_heater_powers(bank, 3, rng_seed=2)
+        inputs = [(0, 3, 5), (4,), (5, 0)]
+        rows = device_submatrix_ensemble(layout, model, bank, inputs, powers, n_steps=12)
+        for sub, modes, setting in zip(rows, inputs, powers):
+            u = propagate(layout, model, replace(bank, powers=setting), n_steps=12).entries
+            assert sub.shape == (len(modes), layout.m)
+            assert np.abs(sub - u[:, list(modes)].T).max() <= 1e-13
+
+    @pytest.mark.parametrize("inputs", [[(0, 1)], [(0, 1)] * 3, 5, "ab"],
+                             ids=["too_few", "too_many", "not_a_list", "string"])
+    def test_one_mode_list_per_setting(self, inputs):
+        layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
+        bank = default_heater_bank(layout)
+        with pytest.raises(ConfigurationError):
+            device_submatrix_ensemble(layout, CouplingModel(), bank, inputs,
+                                      random_heater_powers(bank, 2, 0), n_steps=4)
 
     def test_no_inputs_rejected(self):
         layout = build_lattice(LatticeSpec(rows=2, cols=3, seed=1))
         bank = default_heater_bank(layout)
         with pytest.raises(ConfigurationError):
-            device_submatrix_ensemble(layout, CouplingModel(), bank, (),
+            device_submatrix_ensemble(layout, CouplingModel(), bank, [()],
                                       random_heater_powers(bank, 1, 0), n_steps=4)
 
     def test_random_heater_powers_draw_setting_after_setting(self):

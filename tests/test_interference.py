@@ -222,6 +222,7 @@ def _with_event(field):
 ARGUMENT_CHECKS = {
     "FockPattern.from_modes/modes": (_bad_modes(3, False),
                                      lambda c, v: FockPattern.from_modes(v, M)),
+    "FockPattern.from_modes/m": (_bad_whole(1), lambda c, v: FockPattern.from_modes((0,), v)),
     "spdc_branch_pattern/input_modes": (_bad_modes(4, True),
                                         lambda c, v: spdc_branch_pattern("1111", v, M)),
     "run_distinguishable_test/input_modes": (
@@ -231,12 +232,22 @@ ARGUMENT_CHECKS = {
                              lambda c, v: distribution(c["u"], c["table"].input, outputs=v)),
     "device_submatrix_ensemble/inputs": (
         _bad_modes(2, True), lambda c, v: haarstats.device_submatrix_ensemble(
-            c["layout"], c["model"], c["bank"], v, c["bank"].powers[None])),
+            c["layout"], c["model"], c["bank"], [v], c["bank"].powers[None])),
     "SampleEvent/input_modes": (_bad_modes(3, False), _with_event("input_modes")),
     # an event's output is checked within the array of its group's outputs,
     # where numpy has already made a boolean among integers an integer
     "SampleEvent/output": (_bad_modes(3, False, booleans=False), _with_event("output")),
     "haar_unitary/m": (_bad_whole(1), lambda c, v: haar_unitary(v, 1)),
+    "haar_unitary/rng_seed": (_bad_whole(0), lambda c, v: haar_unitary(M, v)),
+    "haar_columns/rng_seed": (_bad_whole(0), lambda c, v: haarstats.haar_columns(M, 3, v)),
+    "random_heater_powers/rng_seed": (
+        _bad_whole(0), lambda c, v: haarstats.random_heater_powers(c["bank"], 2, v)),
+    "simulate_hom_dataset/rng_seed": (
+        _bad_whole(0), lambda c, v: reconstruction.simulate_hom_dataset(c["u"], (0, 1, 2),
+                                                                        rng_seed=v)),
+    "wrong_unitary_slope_histogram/rng_seed": (
+        _bad_whole(0), lambda c, v: validation.wrong_unitary_slope_histogram(
+            c["events"], c["u"], "distinguishable", 3, M, 5, v)),
     "haar_columns/m": (_bad_whole(1), lambda c, v: haarstats.haar_columns(v, 3, 1)),
     "haar_columns/n_columns": (_bad_whole(1), lambda c, v: haarstats.haar_columns(M, v, 1)),
     "column_similarity_distribution/ensemble_size": (
@@ -314,6 +325,13 @@ ARGUMENT_CHECKS = {
 @example(drawn=("sample/rng_seed", -1))
 @example(drawn=("sample/rng_seed", math.nan))
 @example(drawn=("spdc_sample/rng_seed", 2.7))
+@example(drawn=("haar_unitary/rng_seed", -1))
+@example(drawn=("haar_unitary/rng_seed", 2.5))
+@example(drawn=("haar_columns/rng_seed", math.nan))
+@example(drawn=("random_heater_powers/rng_seed", 2.5))
+@example(drawn=("simulate_hom_dataset/rng_seed", 2.5))
+@example(drawn=("wrong_unitary_slope_histogram/rng_seed", -1))
+@example(drawn=("FockPattern.from_modes/m", 2.5))
 def test_bad_argument_raises_configuration_error(drawn):
     """Every entry point rejects a bad mode list, whole count or square
     matrix with ConfigurationError, never with another exception."""
