@@ -513,9 +513,9 @@ def cmd_haar(config, args):
         raise ConfigurationError(
             f"haar.rows = {rows} must be at most the {len(config['inputs'])} "
             "configured inputs with --device")
-    # children 0 .. n_matrices - 1 draw the matrices, the next three the rest
+    # children 0 .. n_matrices - 1 draw the rows (Haar U^T is Haar), the next three the rest
     ensemble = stream_seed(config["seed"], "ensemble")
-    subs = haarstats._haar_batch(m, ensemble, n_matrices)[:, :rows, :]
+    subs = haarstats._haar_columns(m, rows, ensemble, n_matrices).transpose(0, 2, 1)
     columns_seed, *powers_seeds = ensemble.spawn(3)
     hists = dict(zip(("moduli", "phase"), haarstats.ensemble_moduli_phase_histograms(subs)))
     hists["column_similarity"] = haarstats.column_similarity_distribution(

@@ -8,7 +8,6 @@ similarity measure used to quantify reproducibility.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,52 +47,38 @@ class Histogram:
         return cls(edges, counts / total)
 
 
-def _haar_batch(m: int, parent: np.random.SeedSequence, count: int) -> np.ndarray:
-    """(count, m, m) Haar unitaries, one per child seed spawned from ``parent``.
+def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
+    """(E, m, k): the first k columns of one Haar unitary per seed, ``seed``
+    itself (E = 1) or, given ``count``, each of ``count`` children spawned
+    from it; k is a whole number in 1..m.
 
-    Raises ``CapacityError`` before it spawns a seed when the four stacks
-    the QR holds at once (Ginibre, its working copy, Q and R) would exceed
-    ``MAX_TABLE_BYTES``.
-    """
-    check_table_bytes(4 * 16 * count * m * m,
-                      f"{count} Haar unitaries of {m} modes")
-    return _haar_stack(m, parent.spawn(count))
-
-
-def _haar_stack(m: int, seeds) -> np.ndarray:
-    """(E, m, m) Haar unitaries, one per seed, by one stacked QR of complex
-    Ginibre matrices.
-
-    The R-diagonal phases are divided out so the distribution is exactly
-    invariant under one-sided multiplication by fixed unitaries.
+    They are the Q of one stacked QR of m x k complex Ginibre matrices with
+    the R-diagonal phases divided out (Mezzadri, Notices AMS 54, 592 (2007)).
+    ``CapacityError`` is raised before a seed is spawned when the QR's four
+    stacks (Ginibre, its copy, Q and R) would exceed ``MAX_TABLE_BYTES``.
     """
     check_whole(m, "m", 1)
-    z = np.empty((len(seeds), m, m), dtype=complex)
-    for e, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z[e] = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+    if not check_whole(k, "k", 1) <= m:
+        raise ConfigurationError(f"k = {k} must be at most m = {m}")
+    seed = check_seed(seed)
+    n_draws = 1 if count is None else check_whole(count, "count", 1)
+    check_table_bytes(64 * n_draws * m * k, f"{n_draws} Haar draws of {k} columns of {m} modes")
+    if count is not None:
+        seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    seeds = [seed] if count is None else seed.spawn(count)
+    z = np.empty((n_draws, m, k), dtype=complex)
+    for e, child in enumerate(seeds):
+        rng = np.random.default_rng(child)
+        z[e] = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
 
 
 def haar_unitary(m: int, rng_seed) -> UnitaryMatrix:
-    """Haar-distributed m x m unitary: one draw of :func:`_haar_stack`."""
-    q = _haar_stack(m, [check_seed(rng_seed)])[0]
+    """Haar-distributed m x m unitary: :func:`_haar_columns` at k = m of ``rng_seed``."""
+    q = _haar_columns(m, m, rng_seed)[0]
     return UnitaryMatrix(m, q, unitarity_defect(q))
-
-
-def haar_columns(m: int, n_columns: int, rng_seed) -> np.ndarray:
-    """Squared-moduli vectors of independent Haar columns, shape (n, m).
-
-    A Haar column is a uniformly random unit vector, i.e. a normalized
-    complex Gaussian vector, so columns are sampled directly without QR.
-    """
-    check_whole(m, "m", 1)
-    check_whole(n_columns, "n_columns", 1)
-    rng = np.random.default_rng(check_seed(rng_seed))
-    v = rng.standard_normal((n_columns, m)) ** 2 + rng.standard_normal((n_columns, m)) ** 2
-    return v / v.sum(axis=1, keepdims=True)
 
 
 def similarity(p, q) -> float:
@@ -138,13 +123,14 @@ def column_similarity_distribution(m: int, ensemble_size: int, rng_seed,
                                    n_bins: int = DEFAULT_BINS) -> Histogram:
     """Similarity histogram over pairs of independent Haar columns.
 
-    ``ensemble_size`` columns are drawn and all unordered pairs compared,
+    ``ensemble_size`` columns are drawn, :func:`_haar_columns` at k = 1 over
+    as many children of ``rng_seed``, and all unordered pairs compared,
     binned uniformly on [0, 1].
     """
     check_whole(ensemble_size, "ensemble_size", 2)
     check_whole(n_bins, "n_bins", 1)
-    return similarity_histogram(haar_columns(m, ensemble_size, rng_seed),
-                                np.linspace(0.0, 1.0, n_bins + 1))
+    columns = _haar_columns(m, 1, rng_seed, ensemble_size)[:, :, 0]
+    return similarity_histogram(np.abs(columns) ** 2, np.linspace(0.0, 1.0, n_bins + 1))
 
 
 def histogram_overlap(h1: Histogram, h2: Histogram) -> float:

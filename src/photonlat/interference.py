@@ -145,7 +145,7 @@ def _glynn_signs(n: int):
 
 
 def _permanents(us, rows, cols) -> np.ndarray:
-    """(E, P) permanents of ``us[e][rows[p]][:, cols]`` for an (E, m, m)
+    """(E, P) permanents of ``us[e][rows[p]][:, cols]`` for an (E, m, k)
     stack ``us`` and (P, n) output mode lists ``rows``, by Glynn's formula
     Per(A) = 2^(1-n) sum_delta (prod_i delta_i) prod_j sum_i delta_i A_ij.
 

@@ -17,16 +17,11 @@ wrong-unitary slope histogram used to benchmark the reconstruction: a
 faithful stream scores several standard deviations above it.
 
 Both tests and the ensemble share one kernel, :func:`_counter_steps`. It
-builds the event index once (the kept events of each input group and
-their output array; an event whose output does not carry its input's
-photon number is rejected and tallied) and scores an (E, m, m) stack of
-unitaries: W as one row-sum array and one gather-and-product per input
-group, C as one :func:`interference._probabilities` call per scored input
-over the whole stack, whose permanent kernel sizes its own steps. Modes
-(a group's outputs as one array), U, n, m and the ensemble size are
-checked by the checkers of :mod:`errors`; an ensemble whose stack would
-exceed the table limit raises :class:`CapacityError` (from
-:func:`haarstats._haar_batch`) before it is drawn.
+builds the event index once and scores an (E, m, k) stack of unitary
+columns: all of U, or the ensemble's draws of the input modes. Arguments
+are checked by the checkers of :mod:`errors`; an ensemble whose draw and
+scoring arrays would exceed the table limit raises :class:`CapacityError`
+before it is drawn.
 """
 
 from __future__ import annotations
@@ -35,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_modes, check_seed, check_square, check_whole
-from .haarstats import DEFAULT_BINS, Histogram, _haar_batch
+from .errors import (ConfigurationError, check_modes, check_square, check_table_bytes,
+                     check_whole)
+from .haarstats import DEFAULT_BINS, Histogram, _haar_columns
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
                            spdc_branch_pattern)
@@ -72,11 +68,12 @@ def _trace_from_steps(steps, test_kind, n_rejected) -> ValidationTrace:
 
 
 def _counter_steps(events, us, test_kind: str, n: int | None = None,
-                   m: int | None = None, inputs=None) -> np.ndarray:
-    """(E, K) counter steps of K events against an (E, m, m) unitary stack.
+                   m: int | None = None, inputs=None, modes=None) -> np.ndarray:
+    """(E, K) counter steps of K events against an (E, m, k) stack of the
+    columns ``modes`` (sorted, all m by default) of E unitaries.
 
     The event index is built once: events are grouped by the inputs that
-    score them, ``inputs`` as (weight, input columns) pairs for every event
+    score them, ``inputs`` as (weight, input modes) pairs for every event
     or by default each event's own recorded input, and an event whose
     output does not carry as many photons as those inputs (and, in the W
     test, n) is rejected. W steps +1 where P >= (n/m)^n, C steps +1 where
@@ -84,27 +81,31 @@ def _counter_steps(events, us, test_kind: str, n: int | None = None,
     a rejected one or, in the C test, one with d <= 0. Each scored input
     is one kernel call over the whole stack.
     """
-    m_u = us.shape[-1]
+    m_u = us.shape[1]
+    modes = np.arange(m_u) if modes is None else modes
     steps = np.zeros((len(us), len(events)), dtype=int)
     by_input = {}
     for i, ev in enumerate(events):
         by_input.setdefault(tuple(ev.input_modes) if inputs is None else None, []).append(i)
     for key, idxs in by_input.items():
-        scored = [(w, np.asarray(check_modes(c, m_u, "input modes"), dtype=np.intp))
+        scored = [(w, check_modes(c, m_u, "input modes"))
                   for w, c in ([(1.0, key)] if inputs is None else inputs)]
         n_in = len(scored[0][1])
         idx = np.array([i for i in idxs if len(events[i].output) == n_in
                         and (test_kind != "uniform" or n == n_in)], dtype=np.intp)
         if n_in == 0 or len(idx) == 0:
             continue
-        outs = check_modes(np.array([events[i].output for i in idx]), m_u, "output modes")
+        # mode by mode, so that no boolean passes as a mode
+        outs = np.array(check_modes([k for i in idx for k in events[i].output], m_u,
+                                    "output modes"), dtype=np.intp).reshape(len(idx), n_in)
         if test_kind == "uniform":
-            p = (np.abs(us[:, :, scored[0][1]]) ** 2).sum(axis=2)[:, outs].prod(axis=2)
+            cols = np.searchsorted(modes, scored[0][1])
+            p = (np.abs(us[:, :, cols]) ** 2).sum(axis=2)[:, outs].prod(axis=2)
             steps[:, idx] = np.where(p >= (n / m) ** n, 1, -1)
             continue
-        q, d = (sum(w * _probabilities(us, outs, cols, stats, 1.0,
-                                       _occupation_factorial(FockPattern.from_modes(cols, m_u)))
-                    for w, cols in scored)
+        q, d = (sum(w * _probabilities(us, outs, np.searchsorted(modes, c), stats, 1.0,
+                                       _occupation_factorial(FockPattern.from_modes(c, m_u)))
+                    for w, c in scored)
                 for stats in ("indistinguishable", "distinguishable"))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
@@ -186,11 +187,15 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     Returns the slope histogram in ``DEFAULT_BINS`` bins (normalized to
     ``reference_slope`` when given, as in a distinguishable-data
     normalization), the ensemble mean and standard deviation, and the
-    z-score of the true-unitary slope against the ensemble. The ensemble
-    is drawn as one (E, m, m) stack from the spawned seeds of ``rng_seed``
-    and rescored, together with the true unitary, in one call of the
-    scoring kernel. ``ensemble_size`` must be a whole number >= 2; the
-    uniform test checks n and m as :func:`run_uniform_test` does.
+    z-score of the true-unitary slope against the ensemble. Only the
+    columns scored are drawn, the sorted union of the events' input modes
+    from the spawned seeds of ``rng_seed`` (:func:`haarstats._haar_columns`),
+    and rescored with those of the true unitary in one call of the scoring
+    kernel. ``ensemble_size`` must be a whole number >= 2; the uniform test
+    checks n and m as :func:`run_uniform_test` does. ``CapacityError`` is
+    raised before the draw when it and the scoring arrays would exceed
+    ``MAX_TABLE_BYTES``; these hold 32 + 8 n bytes per (member, event) for
+    the longest output's n (tracemalloc measured at most 48 at n = 3 and 4).
     """
     check_whole(ensemble_size, "ensemble_size", 2)
     if test_kind not in ("uniform", "distinguishable"):
@@ -199,13 +204,19 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
         check_whole(n, "n", 1)
         check_whole(m, "m", 1)
     true_u = check_square(true_u, "U")
-    rng_seed = check_seed(rng_seed)
-    if not isinstance(rng_seed, np.random.SeedSequence):
-        rng_seed = np.random.SeedSequence(rng_seed)
-    us = np.concatenate([true_u[None],
-                         _haar_batch(true_u.shape[0], rng_seed, ensemble_size)])
+    m_u = len(true_u)
+    # a set, so a stream of any length holds only its few modes
+    modes = sorted(check_modes({mode for ev in events for mode in ev.input_modes},
+                               m_u, "input modes"))
+    if not modes:
+        raise ConfigurationError("the events name no input modes to score")
+    check_table_bytes(64 * ensemble_size * m_u * len(modes) + (ensemble_size + 1) * len(events)
+                      * (32 + 8 * max(len(ev.output) for ev in events)),
+                      f"{ensemble_size} Haar draws scoring {len(events)} events")
+    us = np.concatenate([true_u[None, :, modes],
+                         _haar_columns(m_u, len(modes), rng_seed, ensemble_size)])
     true_slope, *slopes = (_trace(row, test_kind).slope
-                           for row in _counter_steps(events, us, test_kind, n, m))
+                           for row in _counter_steps(events, us, test_kind, n, m, modes=modes))
     scale = abs(reference_slope) if reference_slope else 1.0
     norm_slopes = np.array(slopes) / scale
     mean = float(norm_slopes.mean())

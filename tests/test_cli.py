@@ -170,9 +170,10 @@ def test_validate_ensemble_over_table_limit_exits_2(simulated, tmp_path, capsys)
     sdir = tmp_path / "samples"
     run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
         "--events", 30)
+    # 65,536 draws of 3 columns of 32 modes: the QR's four stacks would hold 403 MB
     assert run("validate", "--config", cfg, "--unitary", upath,
                "--samples", sdir / "samples.jsonl", "--out", tmp_path / "v",
-               "--ensemble", 16384) == 2
+               "--ensemble", 65536) == 2
     assert "table limit" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
 

@@ -8,10 +8,10 @@ from scipy.stats import chisquare, kstest
 
 from photonlat.errors import ConfigurationError
 from photonlat.evolution import propagate
-from photonlat.haarstats import (Histogram, _haar_batch, column_similarity_distribution,
+from photonlat.haarstats import (Histogram, _haar_columns, column_similarity_distribution,
                                  device_submatrix_ensemble,
                                  ensemble_moduli_phase_histograms, gauge_fix_phases,
-                                 haar_columns, haar_unitary, histogram_overlap,
+                                 haar_unitary, histogram_overlap,
                                  pairwise_similarities, random_heater_powers,
                                  similarity)
 from photonlat.lattice import (CouplingModel, HeaterBank, LatticeSpec,
@@ -50,9 +50,20 @@ class TestHaarUnitary:
         assert np.array_equal(a, b)
 
     def test_stacked_draw_matches_per_seed(self):
-        stack = _haar_batch(12, np.random.SeedSequence(9), 25)
+        stack = _haar_columns(12, 12, np.random.SeedSequence(9), 25)
         seeds = np.random.SeedSequence(9).spawn(25)
         assert np.array_equal(stack, [haar_unitary(12, s).entries for s in seeds])
+
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    def test_column_draw_orthonormal(self, k):
+        cols = _haar_columns(12, k, 9, 25)
+        assert cols.shape == (25, 12, k)
+        gram = np.conj(cols.transpose(0, 2, 1)) @ cols
+        assert np.abs(gram - np.eye(k)).max() < 1e-12
+
+    def test_integer_seed_spawns_like_its_sequence(self):
+        assert np.array_equal(_haar_columns(8, 2, 9, 5),
+                              _haar_columns(8, 2, np.random.SeedSequence(9), 5))
 
     def test_mean_squared_modulus(self):
         m, n_samples = 32, 1000
@@ -113,14 +124,14 @@ class TestColumnSimilarity:
         h = column_similarity_distribution(1, ensemble_size=10, rng_seed=0)
         assert h.masses[-1] == pytest.approx(1.0)
 
-    def test_haar_columns_normalized(self):
-        cols = haar_columns(32, 50, rng_seed=1)
-        assert np.allclose(cols.sum(axis=1), 1.0)
+    def test_single_column_draws_normalized(self):
+        cols = np.abs(_haar_columns(32, 1, 1, 50)[:, :, 0]) ** 2
+        assert np.abs(cols.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_reproducible_mean_across_seeds(self):
         means = []
         for seed in (0, 1, 2):
-            cols = haar_columns(32, 150, rng_seed=seed)
+            cols = np.abs(_haar_columns(32, 1, seed, 150)[:, :, 0]) ** 2
             means.append(pairwise_similarities(cols).mean())
         grand = np.mean(means)
         assert np.std(means) < 0.05 * grand
@@ -286,15 +297,17 @@ class TestEnsembleHistograms:
 
     def test_moduli_histogram_matches_haar_marginal(self):
         m = 32
-        subs = [haar_unitary(m, rng_seed=100 + s).entries[:3] for s in range(60)]
-        mod_hist, _ = ensemble_moduli_phase_histograms(subs)
-        edges = mod_hist.bin_edges
-        # |U_ij|^2 ~ Beta(1, m-1): CDF(x) = 1 - (1 - x)^(m-1)
-        cdf = 1.0 - (1.0 - np.clip(edges, 0, 1)) ** (m - 1)
-        expected = np.diff(cdf)
-        n = 60 * 3 * m
-        keep = expected * n >= 5
-        f_obs = np.append(mod_hist.masses[keep] * n, mod_hist.masses[~keep].sum() * n)
-        f_exp = np.append(expected[keep] * n, expected[~keep].sum() * n)
-        stat = chisquare(f_obs, f_exp * f_obs.sum() / f_exp.sum())
-        assert stat.pvalue > 0.01
+        # rows of whole unitaries, and the k = 3 column draw as rows
+        for subs in ([haar_unitary(m, rng_seed=100 + s).entries[:3] for s in range(60)],
+                     _haar_columns(m, 3, 100, 60).transpose(0, 2, 1)):
+            mod_hist, _ = ensemble_moduli_phase_histograms(subs)
+            edges = mod_hist.bin_edges
+            # |U_ij|^2 ~ Beta(1, m-1): CDF(x) = 1 - (1 - x)^(m-1)
+            cdf = 1.0 - (1.0 - np.clip(edges, 0, 1)) ** (m - 1)
+            expected = np.diff(cdf)
+            n = 60 * 3 * m
+            keep = expected * n >= 5
+            f_obs = np.append(mod_hist.masses[keep] * n, mod_hist.masses[~keep].sum() * n)
+            f_exp = np.append(expected[keep] * n, expected[~keep].sum() * n)
+            stat = chisquare(f_obs, f_exp * f_obs.sum() / f_exp.sum())
+            assert stat.pvalue > 0.01

@@ -183,12 +183,12 @@ def _bad_whole(lo):
     return st.one_of(st.floats(), st.booleans(), st.integers(max_value=lo - 1))
 
 
-def _bad_modes(size, distinct, booleans=True):
+def _bad_modes(size, distinct):
     """``size`` modes of [0, M), one replaced by a float, a negative, a
-    mode >= M, a boolean (unless ``booleans`` is off) or, with
-    ``distinct``, the first replaced by another of the modes."""
-    bad = st.one_of([st.floats(), st.integers(max_value=-1), st.integers(min_value=M)]
-                    + [st.booleans()] * booleans)
+    mode >= M, a boolean or, with ``distinct``, the first replaced by
+    another of the modes."""
+    bad = st.one_of(st.floats(), st.integers(max_value=-1), st.integers(min_value=M),
+                    st.booleans())
 
     def corrupt(modes):
         lists = st.tuples(st.integers(0, size - 1), bad).map(
@@ -234,12 +234,11 @@ ARGUMENT_CHECKS = {
         _bad_modes(2, True), lambda c, v: haarstats.device_submatrix_ensemble(
             c["layout"], c["model"], c["bank"], [v], c["bank"].powers[None])),
     "SampleEvent/input_modes": (_bad_modes(3, False), _with_event("input_modes")),
-    # an event's output is checked within the array of its group's outputs,
-    # where numpy has already made a boolean among integers an integer
-    "SampleEvent/output": (_bad_modes(3, False, booleans=False), _with_event("output")),
+    "SampleEvent/output": (_bad_modes(3, False), _with_event("output")),
     "haar_unitary/m": (_bad_whole(1), lambda c, v: haar_unitary(v, 1)),
     "haar_unitary/rng_seed": (_bad_whole(0), lambda c, v: haar_unitary(M, v)),
-    "haar_columns/rng_seed": (_bad_whole(0), lambda c, v: haarstats.haar_columns(M, 3, v)),
+    "column_similarity_distribution/rng_seed": (
+        _bad_whole(0), lambda c, v: haarstats.column_similarity_distribution(M, 5, v)),
     "random_heater_powers/rng_seed": (
         _bad_whole(0), lambda c, v: haarstats.random_heater_powers(c["bank"], 2, v)),
     "simulate_hom_dataset/rng_seed": (
@@ -248,8 +247,10 @@ ARGUMENT_CHECKS = {
     "wrong_unitary_slope_histogram/rng_seed": (
         _bad_whole(0), lambda c, v: validation.wrong_unitary_slope_histogram(
             c["events"], c["u"], "distinguishable", 3, M, 5, v)),
-    "haar_columns/m": (_bad_whole(1), lambda c, v: haarstats.haar_columns(v, 3, 1)),
-    "haar_columns/n_columns": (_bad_whole(1), lambda c, v: haarstats.haar_columns(M, v, 1)),
+    "column_similarity_distribution/m": (
+        _bad_whole(1), lambda c, v: haarstats.column_similarity_distribution(v, 5, 1)),
+    "_haar_columns/k": (_bad_whole(1) | st.integers(min_value=M + 1),
+                        lambda c, v: haarstats._haar_columns(M, v, 1, 3)),
     "column_similarity_distribution/ensemble_size": (
         _bad_whole(2), lambda c, v: haarstats.column_similarity_distribution(M, v, 1)),
     "column_similarity_distribution/n_bins": (
@@ -300,6 +301,7 @@ ARGUMENT_CHECKS = {
 @example(drawn=("FockPattern.from_modes/modes", 3))
 @example(drawn=("distribution/outputs", [0.5, 1, 2, 3]))
 @example(drawn=("distribution/outputs", [True, 2, 3, 4]))
+@example(drawn=("SampleEvent/output", [True, 2, 3]))
 @example(drawn=("spdc_branch_pattern/input_modes", (0.5, 1, 2, 3)))
 @example(drawn=("spdc_branch_pattern/input_modes", (1, 1, 2, 3)))
 @example(drawn=("spdc_branch_pattern/input_modes", (True, 2, 3, 4)))
@@ -320,14 +322,15 @@ ARGUMENT_CHECKS = {
 @example(drawn=("compare_layouts/m_values", 2.5))
 @example(drawn=("compare_layouts/m_values", math.nan))
 @example(drawn=("compare_layouts/m_values", math.inf))
-@example(drawn=("haar_columns/m", 0))
+@example(drawn=("column_similarity_distribution/m", 0))
+@example(drawn=("_haar_columns/k", M + 1))
 @example(drawn=("sample/rng_seed", 2.7))
 @example(drawn=("sample/rng_seed", -1))
 @example(drawn=("sample/rng_seed", math.nan))
 @example(drawn=("spdc_sample/rng_seed", 2.7))
 @example(drawn=("haar_unitary/rng_seed", -1))
 @example(drawn=("haar_unitary/rng_seed", 2.5))
-@example(drawn=("haar_columns/rng_seed", math.nan))
+@example(drawn=("column_similarity_distribution/rng_seed", math.nan))
 @example(drawn=("random_heater_powers/rng_seed", 2.5))
 @example(drawn=("simulate_hom_dataset/rng_seed", 2.5))
 @example(drawn=("wrong_unitary_slope_histogram/rng_seed", -1))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from photonlat import errors
 from photonlat import interference as itf
 from photonlat import validation as val
 from photonlat.errors import CapacityError, ConfigurationError
-from photonlat.haarstats import haar_unitary
+from photonlat.haarstats import _haar_columns, haar_unitary
 
 INPUTS4 = (11, 12, 19, 20)
 INPUTS3 = INPUTS4[1:]
@@ -74,6 +75,13 @@ class TestUniformTest:
         with pytest.raises(ConfigurationError, match="must be a whole number >= 1"):
             val.wrong_unitary_slope_histogram(events, device_unitary, "uniform", n, m,
                                               ensemble_size=5, rng_seed=0)
+
+    def test_boolean_output_rejected(self):
+        # numpy would cast (True, 2, 3) into the integer array (1, 2, 3)
+        u = haar_unitary(6, rng_seed=0).entries
+        with pytest.raises(ConfigurationError, match="output modes"):
+            val.run_uniform_test([itf.SampleEvent(0, "fock", (0, 1, 2), (True, 2, 3), False)],
+                                 u, 3, 6)
 
     def test_determinism(self, device_unitary, streams):
         t1 = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
@@ -239,9 +247,16 @@ class TestWrongUnitaryEnsemble:
 
         # 40 unitaries span several C chunks of the stack at 1000 events
         ens = val.wrong_unitary_slope_histogram(events, u, kind, n, m, 40, rng_seed=13)
-        seeds = np.random.SeedSequence(13).spawn(40)
+        # only the input modes' columns are drawn: 3 for the Fock input, 4 for SPDC
+        modes = sorted({mode for ev in events for mode in ev.input_modes})
+        assert len(modes) == n
+        members = []
+        for cols in _haar_columns(32, n, 13, 40):
+            v = np.zeros((32, 32), dtype=complex)
+            v[:, modes] = cols
+            members.append(slope(v))
         assert ens.true_slope == slope(u)
-        assert np.array_equal(ens.slopes, [slope(haar_unitary(32, s).entries) for s in seeds])
+        assert np.array_equal(ens.slopes, members)
 
     def test_nonsquare_u_rejected(self, streams):
         u = haar_unitary(8, rng_seed=1).entries[:, :5]
@@ -255,17 +270,54 @@ class TestWrongUnitaryEnsemble:
                                               "bayes", 3, 31, 10, rng_seed=0)
 
     def test_ensemble_too_large_rejected_before_drawing(self, device_unitary, streams):
-        # 16,384 unitaries of 32 modes: the QR's four stacks would hold 1 GB
+        # 131,072 draws of 3 columns of 32 modes: the QR's four stacks would hold 805 MB
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError):
+            with pytest.raises(CapacityError, match="table limit"):
                 val.wrong_unitary_slope_histogram(streams["bs"][:50], device_unitary,
-                                                  "distinguishable", 3, 31, 16384,
+                                                  "distinguishable", 3, 31, 131072,
                                                   rng_seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("kind", ["uniform", "distinguishable"])
+    def test_scoring_arrays_over_table_limit_rejected_before_drawing(
+            self, device_unitary, streams, kind):
+        # a million events under 4,096 members: the draw is 25 MB, but the
+        # steps alone would be 32.8 GB
+        events = streams["bs"][:50] * 20000
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="scoring 1000000 events"):
+                val.wrong_unitary_slope_histogram(events, device_unitary, kind, 3, 31,
+                                                  4096, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("kind", ["uniform", "distinguishable"])
+    def test_counted_bytes_cover_the_peak(self, device_unitary, streams, kind, monkeypatch):
+        args = (streams["bs"] * 4, device_unitary, kind, 3, 31, 400, 0)
+        tracemalloc.start()
+        try:
+            val.wrong_unitary_slope_histogram(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a limit just under the peak rejects the call: it counts at least the peak
+        monkeypatch.setattr(errors, "MAX_TABLE_BYTES", peak - 1)
+        with pytest.raises(CapacityError, match="scoring 4000 events"):
+            val.wrong_unitary_slope_histogram(*args)
+
+    @pytest.mark.parametrize("events", [[], [itf.SampleEvent(0, "fock", (), (), False)]],
+                             ids=["no-events", "no-input-modes"])
+    def test_nothing_to_score_rejected(self, device_unitary, events):
+        with pytest.raises(ConfigurationError, match="no input modes"):
+            val.wrong_unitary_slope_histogram(events, device_unitary, "distinguishable",
+                                              3, 31, 10, rng_seed=0)
 
 
 class TestNormalization:
