@@ -94,18 +94,23 @@ def similarity(p, q) -> float:
     return float(np.sqrt(p * q).sum() ** 2)
 
 
+def _check_pair_bytes(n: int, size: int) -> None:
+    """Raise ``CapacityError`` when the pair similarities of n columns of
+    ``size`` entries in all would hold more than ``MAX_TABLE_BYTES`` at once:
+    the columns and their roots, the Gram matrix, its two pair-index arrays
+    and the pair values before and after squaring."""
+    check_table_bytes(8 * (2 * size + n * n + 2 * n * (n - 1)),
+                      f"the pair similarities of {n} columns")
+
+
 def pairwise_similarities(columns) -> np.ndarray:
     """Similarities of all unordered pairs of probability vectors.
 
-    Raises ``CapacityError`` before it allocates when what it holds at once
-    would exceed ``MAX_TABLE_BYTES``: the columns and their roots, the Gram
-    matrix, its two pair-index arrays and the pair values before and after
-    squaring.
+    Raises ``CapacityError`` before it allocates, by :func:`_check_pair_bytes`.
     """
     cols = np.asarray(columns, dtype=float)
     n = len(cols)
-    check_table_bytes(8 * (2 * cols.size + n * n + 2 * n * (n - 1)),
-                      f"the pair similarities of {n} columns")
+    _check_pair_bytes(n, cols.size)
     root = np.sqrt(cols)
     gram = root @ root.T
     iu, ju = np.triu_indices(n, k=1)
@@ -125,10 +130,13 @@ def column_similarity_distribution(m: int, ensemble_size: int, rng_seed,
 
     ``ensemble_size`` columns are drawn, :func:`_haar_columns` at k = 1 over
     as many children of ``rng_seed``, and all unordered pairs compared,
-    binned uniformly on [0, 1].
+    binned uniformly on [0, 1]. ``CapacityError`` is raised before the draw
+    when the pairs would exceed ``MAX_TABLE_BYTES``.
     """
+    check_whole(m, "m", 1)
     check_whole(ensemble_size, "ensemble_size", 2)
     check_whole(n_bins, "n_bins", 1)
+    _check_pair_bytes(ensemble_size, ensemble_size * m)
     columns = _haar_columns(m, 1, rng_seed, ensemble_size)[:, :, 0]
     return similarity_histogram(np.abs(columns) ** 2, np.linspace(0.0, 1.0, n_bins + 1))
 

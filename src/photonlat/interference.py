@@ -17,6 +17,9 @@ size. It supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns
 are counted before they are enumerated, and a table whose own arrays would
 exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises :class:`CapacityError`, as does
 any other stack over that limit, and a draw of more events than fit in it.
+They are enumerated by numpy array operations, one photon more per level
+(:func:`_mode_lists`), and a draw reads its events' outputs from the drawn
+rows at once.
 
 The four-photon source is a two-pair SPDC mixture over the branches
 |1111>, |2002> and |0220> in the occupation order (n4, n1, n2, n3) with
@@ -26,7 +29,6 @@ branch weights (alpha, beta, gamma) = (R, R^2, 1).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -227,18 +229,36 @@ def _probabilities(us, rows, cols, statistics: str, s_facts, t_fact) -> np.ndarr
 
 
 def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
-    """(K, n) sorted mode index lists over ``outputs``, in lexicographic order.
+    """(K, n) sorted mode index lists over the sorted ``outputs``, in
+    lexicographic order.
 
     K is counted before anything is enumerated, and a table whose mode
     lists, probabilities and factorials would exceed ``MAX_TABLE_BYTES``
-    raises :class:`CapacityError`.
+    raises :class:`CapacityError`. The lists are built level by level:
+    the (j+1)-lists are each first mode followed by the j-lists that may
+    come after it, which are a tail of the j-list table, so each level is
+    one ``np.repeat`` of the first modes and one ``np.take`` of the tails.
+    The table is built as its (n, K) transpose, whose rows a level fills
+    in place, and returned as a view of it.
     """
     k = math.comb(len(outputs) + (0 if collision_free else n - 1), n)
     check_table_bytes(k * (n + 2) * 8, f"{k} output patterns of {n} photons")
-    combos = itertools.combinations if collision_free else itertools.combinations_with_replacement
-    flat = np.fromiter(itertools.chain.from_iterable(combos(outputs, n)),
-                       dtype=np.intp, count=k * n)
-    return flat.reshape(k, n)
+    outs = np.asarray(outputs, dtype=np.intp)
+    size, after = len(outs), 1 if collision_free else 0
+    lists, starts = outs[None], np.arange(size + 1)   # starts[p]: first list led by outs[p]
+    for _ in range(n - 1):
+        tails = starts[after:size + after]
+        counts = lists.shape[1] - tails
+        starts = np.zeros(size + 1, dtype=np.intp)
+        np.cumsum(counts, out=starts[1:])
+        longer = np.empty((len(lists) + 1, starts[-1]), dtype=np.intp)
+        longer[0] = np.repeat(outs, counts)
+        rows = np.repeat(tails - starts[:-1], counts)
+        rows += np.arange(starts[-1])
+        # the rows are in range by construction; "clip" writes into out unbuffered
+        np.take(lists, rows, axis=1, out=longer[1:], mode="clip")
+        lists = longer
+    return lists.T
 
 
 @dataclass
@@ -312,9 +332,11 @@ def _draw_events(table: ProbabilityTable, uniforms, indices):
     """Events of the given indices, drawn from ``table`` at ``uniforms``."""
     in_modes = table.input.modes()
     flag = table.statistics == "distinguishable"
-    return [SampleEvent(int(i), table.branch_label, in_modes,
-                        tuple(int(x) for x in table.mode_lists[k]), flag)
-            for i, k in zip(indices, _invert(table.probs, uniforms))]
+    events = table.mode_lists[_invert(table.probs, uniforms)].tolist()
+    # each output list gives way to its event, so the lists add nothing to the peak
+    for j, (i, out) in enumerate(zip(indices, events)):
+        events[j] = SampleEvent(int(i), table.branch_label, in_modes, tuple(out), flag)
+    return events
 
 
 def check_event_count(count, n: int) -> None:

@@ -34,6 +34,8 @@ entries of the submatrix, and one helper, ``_dip_jacobian``, places its
 four derivatives in their columns. Both stop at ``least_squares``'
 default tolerances (1e-8), far below the statistical errors of the fitted
 values, and log what they did at DEBUG on ``photonlat.reconstruction.fits``.
+SciPy is imported by the first fit, not with this module, so the commands
+that never fit do not load it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (ConfigurationError, FitError, InconsistentDataError,
                      UndefinedVisibilityError, UnderdeterminedError, check_modes, check_seed,
@@ -636,6 +637,13 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
         return dataset, {(input_pairs[p], (int(iu[d]), int(ju[d]))): (SCAN_POSITIONS, row)
                          for (p, d), row in zip(dips, counts)}
     return dataset
+
+
+def least_squares(fun, x0, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first fit: only
+    ``reconstruct`` fits, and no other command pays for loading it."""
+    from scipy.optimize import least_squares as scipy_least_squares
+    return scipy_least_squares(fun, x0, **kwargs)
 
 
 def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:

@@ -18,10 +18,12 @@ faithful stream scores several standard deviations above it.
 
 Both tests and the ensemble share one kernel, :func:`_counter_steps`. It
 builds the event index once and scores an (E, m, k) stack of unitary
-columns: all of U, or the ensemble's draws of the input modes. Arguments
-are checked by the checkers of :mod:`errors`; an ensemble whose draw and
-scoring arrays would exceed the table limit raises :class:`CapacityError`
-before it is drawn.
+columns: all of U, or the ensemble's draws of the input modes. One
+closed-form fit, :func:`_slopes`, takes the slopes of the whole (E, K)
+stack of counter steps. Arguments are checked by the checkers of
+:mod:`errors`, every recorded input mode before events are grouped by
+their inputs; an ensemble whose draw and scoring arrays would exceed the
+table limit raises :class:`CapacityError` before it is drawn.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, check_modes, check_square, check_table_bytes,
-                     check_whole)
+                     check_whole, is_whole)
 from .haarstats import DEFAULT_BINS, Histogram, _haar_columns
 from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
@@ -54,17 +56,45 @@ class ValidationTrace:
         return len(self.counters)
 
 
+def _slopes(steps) -> np.ndarray:
+    """(E,) least-squares slopes of an (E, K) stack of counter steps: each
+    row's counter against the rank k = 1..K_e of its nonzero steps, in
+    closed form, zeros not counted; a row with one nonzero step gives
+    slope = its counter, one with none 0.
+
+    The counters are integers and the centred ranks half-integers, so every
+    product and sum is exact below 2^53: each slope is one rounding, in
+    whatever order it is summed.
+    """
+    kept = steps != 0
+    centred = np.cumsum(kept, axis=1, dtype=float)
+    centred -= (kept.sum(axis=1, keepdims=True) + 1) / 2
+    centred *= kept
+    num = np.einsum("ek,ek->e", centred, np.cumsum(steps, axis=1))
+    den = np.einsum("ek,ek->e", centred, centred)
+    return np.divide(num, den, out=steps.sum(axis=1, dtype=float), where=den > 0)
+
+
 def _trace_from_steps(steps, test_kind, n_rejected) -> ValidationTrace:
-    """Counter trajectory with the least-squares line of counter k against
-    k = 1..K in closed form; a lone counter gives slope = counter."""
-    counters = np.cumsum(np.asarray(steps, dtype=int))
-    if len(counters) >= 2:
-        k = np.arange(1, len(counters) + 1) - (len(counters) + 1) / 2
-        slope = float(k @ counters / (k @ k))
-        intercept = float(counters.mean() - slope * (len(counters) + 1) / 2)
-    else:
-        slope, intercept = float(counters.sum()), 0.0
+    """Counter trajectory of nonzero steps with the least-squares line of
+    counter k against k = 1..K: :func:`_slopes` of the one row."""
+    steps = np.asarray(steps, dtype=int)
+    counters = np.cumsum(steps)
+    slope = float(_slopes(steps[None])[0])
+    intercept = (float(counters.mean() - slope * (len(counters) + 1) / 2)
+                 if len(counters) >= 2 else 0.0)
     return ValidationTrace(counters, test_kind, slope, intercept, n_rejected)
+
+
+def _check_input_modes(events, m: int) -> None:
+    """Raise :class:`ConfigurationError` unless every recorded input mode of
+    ``events`` is a whole number in [0, m). Each mode is checked before any
+    dict or set merges them, where ``True`` would pass as the mode 1."""
+    # only the bad modes are listed, so a stream of any length holds none
+    bad = [mode for ev in events for mode in ev.input_modes
+           if not (is_whole(mode) and 0 <= mode < m)]
+    if bad:
+        check_modes(bad, m, "input modes")
 
 
 def _counter_steps(events, us, test_kind: str, n: int | None = None,
@@ -84,6 +114,8 @@ def _counter_steps(events, us, test_kind: str, n: int | None = None,
     m_u = us.shape[1]
     modes = np.arange(m_u) if modes is None else modes
     steps = np.zeros((len(us), len(events)), dtype=int)
+    if inputs is None:
+        _check_input_modes(events, m_u)
     by_input = {}
     for i, ev in enumerate(events):
         by_input.setdefault(tuple(ev.input_modes) if inputs is None else None, []).append(i)
@@ -205,9 +237,9 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
         check_whole(m, "m", 1)
     true_u = check_square(true_u, "U")
     m_u = len(true_u)
+    _check_input_modes(events, m_u)
     # a set, so a stream of any length holds only its few modes
-    modes = sorted(check_modes({mode for ev in events for mode in ev.input_modes},
-                               m_u, "input modes"))
+    modes = sorted({mode for ev in events for mode in ev.input_modes})
     if not modes:
         raise ConfigurationError("the events name no input modes to score")
     check_table_bytes(64 * ensemble_size * m_u * len(modes) + (ensemble_size + 1) * len(events)
@@ -215,10 +247,10 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
                       f"{ensemble_size} Haar draws scoring {len(events)} events")
     us = np.concatenate([true_u[None, :, modes],
                          _haar_columns(m_u, len(modes), rng_seed, ensemble_size)])
-    true_slope, *slopes = (_trace(row, test_kind).slope
-                           for row in _counter_steps(events, us, test_kind, n, m, modes=modes))
+    slopes = _slopes(_counter_steps(events, us, test_kind, n, m, modes=modes))
+    true_slope = float(slopes[0])
     scale = abs(reference_slope) if reference_slope else 1.0
-    norm_slopes = np.array(slopes) / scale
+    norm_slopes = slopes[1:] / scale
     mean = float(norm_slopes.mean())
     std = float(norm_slopes.std(ddof=1))
     if std == 0:

@@ -2,6 +2,8 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonlat
 from photonlat.cli import DEFAULT_CONFIG, SCHEMA, config_hash, load_config, main, read_unitary
 
 from conftest import evolution_log
@@ -761,3 +764,32 @@ def test_config_hash_is_pinned(tmp_path, config, digest):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert config_hash(load_config(path)) == digest
+
+
+# after the import and after each command: (exit code, scipy.optimize loaded)
+_LOADS_IN_CHILD = """
+import json, sys
+import photonlat.cli
+loaded = [[None, "scipy.optimize" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    loaded.append([photonlat.cli.main(argv), "scipy.optimize" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_reconstruct_loads_scipy_optimize(tmp_path):
+    cfg = write_config(tmp_path)
+    commands = [["simulate", "--config", cfg, "--out", tmp_path / "sim"],
+                ["footprint", "--config", cfg, "--out", tmp_path / "fp"],
+                ["reconstruct", "--config", cfg, "--unitary", tmp_path / "sim" / "unitary.json",
+                 "--out", tmp_path / "rec"]]
+    src = str(Path(photonlat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _LOADS_IN_CHILD,
+         json.dumps([[str(a) for a in argv] for argv in commands])],
+        env=env, capture_output=True, text=True, timeout=600, check=True)
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    assert loaded == [[None, False], [0, False], [0, False], [0, True]]
+    assert (tmp_path / "rec" / "reconstructed.json").exists()

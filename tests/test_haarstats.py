@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest
 
-from photonlat.errors import ConfigurationError
+from photonlat.errors import CapacityError, ConfigurationError
 from photonlat.evolution import propagate
 from photonlat.haarstats import (Histogram, _haar_columns, column_similarity_distribution,
                                  device_submatrix_ensemble,
@@ -123,6 +124,17 @@ class TestColumnSimilarity:
     def test_single_mode_all_ones(self):
         h = column_similarity_distribution(1, ensemble_size=10, rng_seed=0)
         assert h.masses[-1] == pytest.approx(1.0)
+
+    def test_too_many_pairs_rejected_before_drawing(self):
+        # 40,000 columns: 800 million pairs, but not one column drawn
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="pair similarities of 40000 columns"):
+                column_similarity_distribution(32, 40000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_single_column_draws_normalized(self):
         cols = np.abs(_haar_columns(32, 1, 1, 50)[:, :, 0]) ** 2

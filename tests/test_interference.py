@@ -492,6 +492,25 @@ class TestEnumerate:
         assert modes == sorted(modes)
         assert modes == [list(c) for c in itertools.combinations(range(4), 2)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), collision_free=st.booleans(), outputs=st.one_of(
+        st.sets(st.integers(0, 40), min_size=1, max_size=12).map(sorted).map(tuple),
+        st.tuples(st.integers(0, 20), st.integers(1, 12)).map(lambda t: range(t[0], sum(t)))))
+    @example(n=3, collision_free=True, outputs=(7,))
+    @example(n=3, collision_free=False, outputs=(7,))
+    @example(n=5, collision_free=True, outputs=range(3, 8))
+    @example(n=4, collision_free=False, outputs=(0, 9, 17, 31))
+    def test_lists_equal_itertools(self, n, collision_free, outputs):
+        """In order, shape and dtype, over sorted distinct outputs given as a
+        tuple or a range."""
+        combos = (itertools.combinations if collision_free
+                  else itertools.combinations_with_replacement)
+        want = np.array(list(combos(outputs, n)), dtype=np.intp).reshape(-1, n)
+        got = _mode_lists(n, outputs, collision_free)
+        assert got.dtype == np.intp
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
 
 class TestDistribution:
     def test_single_photon_row(self):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from photonlat import errors
@@ -187,6 +189,20 @@ class TestInputChecks:
         with pytest.raises(ConfigurationError):
             score(test, [itf.SampleEvent(0, "fock", (0, 1, 2), (0, 1, 2), False)], u)
 
+    @pytest.mark.parametrize("boolean_first", [False, True])
+    def test_boolean_input_mode_rejected_in_either_order(self, test, boolean_first):
+        # (True, 2, 3) == (1, 2, 3), so grouping by input would merge them
+        u = haar_unitary(6, rng_seed=1).entries
+        events = [itf.SampleEvent(0, "fock", (1, 2, 3), (3, 4, 5), False),
+                  itf.SampleEvent(1, "fock", (True, 2, 3), (3, 4, 5), False)]
+        if boolean_first:
+            events.reverse()
+        with pytest.raises(ConfigurationError, match="input modes"):
+            val.run_uniform_test(events, u, 3, 6) if test == "uniform" \
+                else val.run_distinguishable_test(events, u)
+        with pytest.raises(ConfigurationError, match="input modes"):
+            val.wrong_unitary_slope_histogram(events, u, test, 3, 6, 10, rng_seed=0)
+
     def test_wrong_photon_number_rejected(self, test, device_unitary, streams):
         events = streams["bs"][:50] + [
             itf.SampleEvent(9998, "fock", INPUTS3, (1, 2), False),
@@ -318,6 +334,34 @@ class TestWrongUnitaryEnsemble:
         with pytest.raises(ConfigurationError, match="no input modes"):
             val.wrong_unitary_slope_histogram(events, device_unitary, "distinguishable",
                                               3, 31, 10, rng_seed=0)
+
+
+def _reference_slope(row):
+    """Least-squares slope of the counter over a row's nonzero steps, by the
+    textbook closed form k @ counters / (k @ k) on centred ranks k."""
+    counters = np.cumsum(row[row != 0])
+    if len(counters) < 2:
+        return float(counters.sum())
+    k = np.arange(1, len(counters) + 1) - (len(counters) + 1) / 2
+    return float(k @ counters / (k @ k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 8), k=st.integers(0, 60), data=st.data())
+@example(rows=3, k=5, data=None)
+def test_stack_slopes_equal_per_row_fits(rows, k, data):
+    """Rows with zeros, with one kept step and with none fit exactly as each
+    row does alone."""
+    if data is None:
+        steps = np.array([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [-1, 0, 1, 1, -1]])
+    else:
+        steps = np.array(data.draw(st.lists(st.lists(st.sampled_from([-1, 0, 0, 1]),
+                                                     min_size=k, max_size=k),
+                                            min_size=rows, max_size=rows)),
+                         dtype=int).reshape(rows, k)
+    slopes = val._slopes(steps)
+    assert np.array_equal(slopes, [val._trace(row, "uniform").slope for row in steps])
+    assert np.array_equal(slopes, [_reference_slope(row) for row in steps])
 
 
 class TestNormalization:
