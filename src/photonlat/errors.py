@@ -39,7 +39,7 @@ class NumericalError(RuntimeError):
 
 
 class FitError(NumericalError):
-    """Curve fit did not converge within the iteration budget."""
+    """A fit gave no usable result, such as a plateau that is not > 0."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -8,8 +8,12 @@ coincidence probability) and dips with visibility
       = -(2 rho_ih rho_jk rho_jh rho_ik / a) cos(th_ih + th_jk - th_jh - th_ik)
 
 so the plateaus pin the moduli and the visibilities the phase quadruples.
-All dips of a campaign are fitted as one stack: one vectorised
-Levenberg-Marquardt over the (n_dips, n_points) scans.
+The dips of one input pair share one delay line and one photon pair, so
+one centre x0 and one width sigma; given those, each dip's profile is
+linear in (a, aV). The campaign is therefore fitted by variable
+projection: one batched 2x2 solve per trial (x0, sigma) gives every
+dip's (a, aV), and ``least_squares`` fits the two shared parameters of
+each input pair.
 Reconstruction proceeds in three stages: a weighted least-squares fit of
 the squared moduli to the plateaus, an analytic phase extraction, and a
 final chi-square polish over the phases. Per input pair the visibilities
@@ -33,7 +37,8 @@ moduli and of the phases, take analytic Jacobians: a dip depends on four
 entries of the submatrix, and one helper, ``_dip_jacobian``, places its
 four derivatives in their columns. Both stop at ``least_squares``'
 default tolerances (1e-8), far below the statistical errors of the fitted
-values, and log what they did at DEBUG on ``photonlat.reconstruction.fits``.
+values, and log what they did at DEBUG on ``photonlat.reconstruction.fits``,
+as the dip fit of each input pair does.
 SciPy is imported by the first fit, not with this module, so the commands
 that never fit do not load it.
 """
@@ -41,7 +46,6 @@ that never fit do not load it.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,10 +61,6 @@ SCAN_POSITIONS.flags.writeable = False
 INTENSITY_COUNTS = 1e5       # counts per unit intensity of the noisy single-photon rows
 NORM_TOLERANCE = 1e-4        # weight 1/tolerance of the unit-row-norm residuals
 ERROR_FLOOR = 1e-6           # relative floor on plateau-scale uncertainties
-FTOL = XTOL = 1.49012e-8     # MINPACK's (and curve_fit's) default tolerances
-MAX_LM_ITERATIONS = 100      # a dip fit still moving after this falls back
-_EPS = np.finfo(float).eps
-_DWARF = np.finfo(float).tiny
 
 log = logging.getLogger(__name__)
 fit_log = logging.getLogger(__name__ + ".fits")   # the least-squares fits
@@ -116,7 +116,8 @@ def dip_profile(x, a, v, x0, sigma):
 
 @dataclass(frozen=True)
 class DipFit:
-    """Gaussian dip fit result in the units of the scanned counts."""
+    """Gaussian dip fit result in the units of the scanned counts; ``cov``
+    is the 2x2 covariance of (a, V)."""
 
     a: float
     v: float
@@ -124,246 +125,78 @@ class DipFit:
     sigma: float
     a_err: float
     v_err: float
-    x0_err: float
-    sigma_err: float
     cov: np.ndarray
 
 
-def _dip_p0(x, y) -> np.ndarray:
-    """Initial (a, V, x0, sigma) per row of the (D, n) scans ``y`` at the
-    shared positions ``x``: the outer-quarter plateau, the extremum, and
-    the half-maximum width, with fallbacks for flat or empty scans."""
-    span = x.max() - x.min()
-    outer = np.argsort(-np.abs(x - 0.5 * (x.min() + x.max())))[:max(2, len(x) // 4)]
-    a0 = y[:, outer].mean(axis=1)
-    a0 = np.where(a0 > 0, a0, np.maximum(y.mean(axis=1), 1e-12))
-    dev = y - a0[:, None]
-    ext = np.abs(dev).argmax(axis=1)
-    peak = np.take_along_axis(dev, ext[:, None], axis=1)[:, 0]
-    half = np.abs(dev) >= 0.5 * np.abs(peak)[:, None]
-    width = np.where(half, x, -np.inf).max(axis=1) - np.where(half, x, np.inf).min(axis=1)
-    s0 = np.where((np.abs(peak) > 0) & (half.sum(axis=1) >= 2),
-                  np.maximum(width / 2.355, span / 50.0), span / 6.0)
-    return np.stack([a0, peak / a0, x[ext], s0], axis=1)
-
-
-def _dip_model(x, p):
-    """Profiles (D, n) of :func:`dip_profile` for parameter rows ``p`` (D, 4)
-    and their analytic Jacobian (D, n, 4) in (a, V, x0, sigma)."""
-    a, v, x0, s = (p[:, c, None] for c in range(4))
-    u = (x - x0) / s
-    g = np.exp(-0.5 * u * u)
-    avg = a * v * g
-    return a * (1.0 + v * g), np.stack([1.0 + v * g, a * g, avg * u / s, avg * u * u / s],
-                                       axis=-1)
-
-
-def _covariance(jtj) -> np.ndarray:
-    """(J^T J)^-1 per entry of a (D, k, k) stack; all-inf where J^T J is
-    singular (a zero column, or rank-deficient to working precision).
-
-    The inverse goes through the eigendecomposition of the unit-diagonal
-    scaled matrix, so a singular entry cannot raise for the whole stack.
-    """
-    d = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
-    singular = (d == 0).any(axis=1)
-    d = np.where(d == 0, 1.0, d)
-    lam, vec = np.linalg.eigh(jtj / (d[:, :, None] * d[:, None, :]))
-    singular |= lam[:, 0] <= jtj.shape[-1] * _EPS * lam[:, -1]
-    lam = np.where(singular[:, None], 1.0, lam)
-    cov = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1) / (d[:, :, None] * d[:, None, :])
-    cov[singular] = np.inf
-    return cov
-
-
-def _trust_region_step(mu, c, delta, par):
-    """MINPACK's ``lmpar`` on a stack, in the eigenbasis of the scaled J^T J.
-
-    ``mu`` (k, 4) are the eigenvalues (ascending) and ``c`` (k, 4) the
-    scaled gradient in that basis; returns the damping ``par`` and the
-    scaled step q = -c / (mu + par) whose norm is within 10% of the trust
-    radius ``delta``, or the Gauss-Newton step (par = 0) when that fits.
-    Rank-deficient directions take no Gauss-Newton step, as in MINPACK.
-    """
-    singular = mu <= 4.0 * _EPS * mu[:, -1:]
-    safe = np.where(singular, 1.0, mu)
-    q = np.where(singular, 0.0, -c / safe)
-    norm = np.sqrt((q * q).sum(axis=1))
-    fp = norm - delta
-    newton = fp <= 0.1 * delta
-    # bounds on par, then Newton iterations on ||q(par)|| = delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lower = np.where(singular.any(axis=1), 0.0,
-                         fp / delta * norm ** 2 / (q * q / safe).sum(axis=1))
-        gnorm = np.sqrt((c * c).sum(axis=1))
-        upper = gnorm / delta
-        upper = np.where(upper == 0, _DWARF / np.minimum(delta, 0.1), upper)
-        par = np.minimum(np.maximum(par, lower), upper)
-        par = np.where(par == 0, gnorm / norm, par)
-    searching = ~newton
-    for it in range(10):
-        if not searching.any():
-            break
-        par = np.where(searching & (par == 0), np.maximum(_DWARF, 1e-3 * upper), par)
-        qs = -c / (mu + par[:, None])
-        norm_s = np.sqrt((qs * qs).sum(axis=1))
-        prev, fp_s = fp, norm_s - delta
-        q = np.where(searching[:, None], qs, q)
-        fp = np.where(searching, fp_s, fp)
-        searching &= ~((np.abs(fp_s) <= 0.1 * delta)
-                       | ((lower == 0) & (fp_s <= prev) & (prev < 0)) | (it == 9))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            correction = fp_s / delta * norm_s ** 2 / (qs * qs / (mu + par[:, None])).sum(axis=1)
-        lower = np.where(searching & (fp_s > 0), np.maximum(lower, par), lower)
-        upper = np.where(searching & (fp_s < 0), np.minimum(upper, par), upper)
-        par = np.where(searching, np.maximum(lower, par + correction), par)
-    return np.where(newton, 0.0, par), q
-
-
-def _fit_dips(positions, counts):
+def _fit_dips(positions, counts, groups):
     """Fit every row of the (D, n) scans ``counts`` at the shared
-    ``positions``; returns params (D, 4) in (a, V, x0, sigma) with sigma
-    >= 0, and covariances (D, 4, 4).
+    ``positions``, the dips of one label in ``groups`` sharing one centre
+    x0 and one width sigma; returns (a, aV) per dip (D, 2), (x0, sigma)
+    per label in sorted order (G, 2), and the (D, 2, 2) covariance of
+    (a, aV) at the fitted (x0, sigma).
 
-    One Levenberg-Marquardt (More 1978, the trust-region form MINPACK and
-    so ``curve_fit`` implement) runs on the whole stack: Poisson weights
-    1/sqrt(max(counts, 1)), the analytic Jacobian of :func:`dip_profile`,
-    the 4x4 normal equations scaled by the running maximum of diag(J^T J)
-    (1 for a zero column, so flat dips stay solvable), per-dip damping
-    and trust radius, and MINPACK's default ftol and xtol stopping rules.
-    Each iteration works only on the dips still moving. A dip that does
-    not converge within ``MAX_LM_ITERATIONS``, or puts its centre outside
-    the scan or its width below the point spacing or above half the
-    scanned range, falls back to the fit of (a, V) with x0 and sigma
-    frozen at their initial estimates: linear in (a, aV), so one batched
-    weighted 2x2 solve. A fallback's x0 and sigma rows and columns of the
-    covariance are NaN; a singular J^T J gives an infinite covariance.
+    Variable projection (Golub & Pereyra 1973): given (x0, sigma) the
+    profile a + aV g is linear in (a, aV), so one batched 2x2 solve with
+    Poisson weights 1/sqrt(max(counts, 1)) eliminates them, and
+    ``least_squares`` fits each label's two shared parameters alone, so
+    that no label's stopping point depends on the others. Each fit starts
+    at the scan centre and a sixth of the range, keeps x0 in the scan and
+    sigma in [point spacing, half the range], and stops on MINPACK's ftol
+    and xtol rules alone (``gtol=None``). A plateau that is not > 0 or a
+    non-finite (a, aV) raises :class:`FitError`.
     """
     x, y = positions, counts
-    n_dips, n_points = y.shape
-    w = 1.0 / np.sqrt(np.maximum(y, 1.0))
-    p0 = _dip_p0(x, y)
+    labels, group = np.unique(groups, return_inverse=True)
+    w2 = 1.0 / np.maximum(y, 1.0)
 
-    def evaluate(rows, p):
-        f, jac = _dip_model(x, p)
-        r = (f - y[rows]) * w[rows]
-        jac *= w[rows, :, None]
-        return (r * r).sum(axis=1), jac.transpose(0, 2, 1) @ jac, \
-            np.einsum("dni,dn->di", jac, r)
+    def solve(x0, sigma, rows=slice(None)):
+        g = np.exp(-0.5 * ((x - x0) / sigma) ** 2)
+        w, wy = w2[rows], w2[rows] * y[rows]
+        m00, m01, m11 = w.sum(axis=1), (w * g).sum(axis=1), (w * g * g).sum(axis=1)
+        r0, r1 = wy.sum(axis=1), (wy * g).sum(axis=1)
+        det = m00 * m11 - m01 * m01
+        return (m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det, g, \
+            np.stack([m11, -m01, -m01, m00], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
 
-    p = p0.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cost, jtj, grad = evaluate(np.arange(n_dips), p)
-        scale = np.diagonal(jtj, axis1=1, axis2=2).copy()
-        scale[scale == 0] = 1.0
-        delta = 100.0 * np.sqrt((scale * p * p).sum(axis=1))
-        delta[delta == 0] = 100.0
-        par = np.zeros(n_dips)
-        first = np.ones(n_dips, dtype=bool)        # no step accepted yet
-        iterations = np.zeros(n_dips, dtype=int)
-        converged = cost == 0
-        active = np.flatnonzero(~converged)
-        stale = active                             # dips whose point moved
-        mu, vec = np.zeros((n_dips, 4)), np.zeros((n_dips, 4, 4))
-        for _ in range(MAX_LM_ITERATIONS):
-            if not active.size:
-                break
-            d = np.sqrt(scale[stale])
-            mu[stale], vec[stale] = np.linalg.eigh(jtj[stale] / (d[:, :, None] * d[:, None, :]))
-            k = active
-            d = np.sqrt(scale[k])
-            c = np.einsum("dji,dj->di", vec[k], grad[k] / d)
-            par[k], qe = _trust_region_step(mu[k], c, delta[k], par[k])
-            q = np.einsum("dij,dj->di", vec[k], qe)
-            qnorm = np.sqrt((q * q).sum(axis=1))
-            delta[k] = np.where(first[k], np.minimum(delta[k], qnorm), delta[k])
-            step = q / d
-            cost_t, jtj_t, grad_t = evaluate(k, p[k] + step)
-            # MINPACK's actual and predicted relative reductions
-            actual = np.where(0.1 * np.sqrt(cost_t) < np.sqrt(cost[k]),
-                              1.0 - cost_t / cost[k], -1.0)
-            gauss = (mu[k] * qe * qe).sum(axis=1) / cost[k]
-            damped = par[k] * qnorm ** 2 / cost[k]
-            predicted = gauss + 2.0 * damped
-            ratio = np.where(predicted != 0, actual / predicted, 0.0)
-            dirder = -(gauss + damped)
-            shrink = np.where(actual >= 0, 0.5, 0.5 * dirder / (dirder + 0.5 * actual))
-            shrink = np.where((0.1 * np.sqrt(cost_t) >= np.sqrt(cost[k])) | (shrink < 0.1),
-                              0.1, shrink)
-            poor = ratio <= 0.25
-            grow = ~poor & ((par[k] == 0) | (ratio >= 0.75))
-            delta[k] = np.where(poor, shrink * np.minimum(delta[k], qnorm / 0.1),
-                                np.where(grow, qnorm / 0.5, delta[k]))
-            par[k] = np.where(poor, par[k] / shrink, np.where(grow, 0.5 * par[k], par[k]))
-            # a step that leaves the finite model (sigma -> 0) is not taken
-            ok = (ratio >= 1e-4) & np.isfinite(jtj_t).all(axis=(1, 2))
-            moved = k[ok]
-            p[moved] += step[ok]
-            cost[moved], jtj[moved], grad[moved] = cost_t[ok], jtj_t[ok], grad_t[ok]
-            scale[moved] = np.maximum(scale[moved], np.diagonal(jtj_t[ok], axis1=1, axis2=2))
-            first[moved] = False
-            iterations[k] += 1
-            done = ((np.abs(actual) <= FTOL) & (predicted <= FTOL) & (ratio <= 2.0)) \
-                | (delta[k] <= XTOL * np.sqrt((scale[k] * p[k] ** 2).sum(axis=1))) \
-                | (cost[k] == 0)
-            converged[k[done]] = True
-            active, stale = k[~done], k[ok & ~done]
-    cov = _covariance(jtj)
+    def residuals(p, rows):
+        a, b, g, _ = solve(*p, rows)
+        return (np.sqrt(w2[rows]) * (a[:, None] + b[:, None] * g - y[rows])).ravel()
 
     lo, hi = x.min(), x.max()
-    spacing = (hi - lo) / (n_points - 1)
-    width = np.abs(p[:, 3])
-    triggers = {"not converged": ~converged,
-                "x0 outside the scan": converged & ~((lo <= p[:, 2]) & (p[:, 2] <= hi)),
-                "sigma below the spacing": converged & (width < spacing),
-                "sigma above half the range": converged & (width > (hi - lo) / 2)}
-    fb = np.flatnonzero(np.logical_or.reduce(list(triggers.values())))
-    if fb.size:
-        x0, s = p0[fb, 2:3], p0[fb, 3:4]
-        g = np.exp(-((x - x0) ** 2) / (2.0 * s ** 2))
-        wf = w[fb]
-        basis = np.stack([wf, wf * g], axis=-1)              # columns for a and a V
-        m = basis.transpose(0, 2, 1) @ basis
-        rhs = np.einsum("fni,fn->fi", basis, wf * y[fb])
+    p0 = np.array([0.5 * (lo + hi), (hi - lo) / 6.0])
+    bounds = ([lo, (hi - lo) / (len(x) - 1)], [hi, (hi - lo) / 2.0])
+    shape = np.empty((len(labels), 2))
+    for n, label in enumerate(labels.tolist()):
+        rows = group == n
+        # flat scans leave (x0, sigma) free, and trf divides by the norm
+        # of their zero gradient
         with np.errstate(divide="ignore", invalid="ignore"):
-            det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
-            a = (m[:, 1, 1] * rhs[:, 0] - m[:, 0, 1] * rhs[:, 1]) / det
-            v = (m[:, 0, 0] * rhs[:, 1] - m[:, 0, 1] * rhs[:, 0]) / det / a
-        bad = ~(np.isfinite(a) & np.isfinite(v))
-        if bad.any():
-            raise FitError("dip fit with frozen x0 and sigma has no finite solution",
-                           diagnostics={"p0": tuple(p0[fb[bad][0]]), "n_points": n_points,
-                                        "n_failed": int(bad.sum())})
-        p[fb] = np.column_stack([a, v, p0[fb, 2], p0[fb, 3]])
-        jac2 = np.stack([wf * (1.0 + v[:, None] * g), wf * a[:, None] * g], axis=-1)
-        cov[fb] = np.nan
-        cov[fb, :2, :2] = _covariance(jac2.transpose(0, 2, 1) @ jac2)
-    p[:, 3] = np.abs(p[:, 3])
-
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("%d dip fits, up to %d LM iterations, %d at the cap of %d; %d "
-                  "fallbacks (%s); %d non-finite covariances", n_dips,
-                  iterations.max(initial=0), (iterations == MAX_LM_ITERATIONS).sum(),
-                  MAX_LM_ITERATIONS, fb.size,
-                  ", ".join(f"{name} {mask.sum()}" for name, mask in triggers.items()),
-                  (~np.isfinite(cov[:, :2, :2]).all(axis=(1, 2))).sum())
-    return p, cov
+            result = least_squares(residuals, p0, bounds=bounds, gtol=None, args=(rows,))
+        shape[n] = result.x
+        start = residuals(p0, rows)
+        _log_fit(f"dip group {label}", result, start @ start,
+                 f", x0 {result.x[0]:.6g}, sigma {result.x[1]:.6g}")
+    a, b, _, cov = solve(*shape[group].T[:, :, None])
+    bad = ~((a > 0) & np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        raise FitError(f"{bad.sum()} dip fit(s) with a plateau that is not > 0 "
+                       "or a non-finite (a, aV)",
+                       diagnostics={"n_failed": int(bad.sum()), "n_points": len(x)})
+    return np.column_stack([a, b]), shape, cov
 
 
 def fit_dip(positions, counts) -> DipFit:
     """Weighted least-squares fit of one dip scan to the Gaussian profile.
 
-    A one-row stack of :func:`_fit_dips`, the fitter that
-    :func:`simulate_hom_dataset` runs once on a whole campaign: a
-    Levenberg-Marquardt fit of (a, V, x0, sigma) with Poisson weights
-    sqrt(max(counts, 1)), uncertainties from the covariance (J^T J)^-1 at
-    the solution, infinite where that is singular. A scan that cannot pin
-    the dip position and width falls back to fitting (a, V) with those two
-    frozen at their initial estimates, and NaN uncertainties for them: the
-    full fit did not converge, or put the centre outside the scan, or the
-    width below the mean point spacing or above half the scanned range.
-    Positions and counts must be 1-D, finite and of equal length (at
-    least 8), counts >= 0, and the positions must span a positive range.
+    A group of one dip for :func:`_fit_dips`, the fitter that
+    :func:`simulate_hom_dataset` runs once on a whole campaign: (a, V, x0,
+    sigma) with Poisson weights sqrt(max(counts, 1)), x0 within the scan
+    and sigma between the mean point spacing and half the scanned range.
+    The (a, V) uncertainties come from the covariance of the linear fit
+    of (a, aV), conditional on the fitted x0 and sigma. Positions and
+    counts must be 1-D, finite and of equal length (at least 8), counts
+    >= 0, and the positions must span a positive range; a scan with no
+    counts raises :class:`FitError`.
     """
     try:
         x = np.asarray(positions, dtype=float)
@@ -379,10 +212,12 @@ def fit_dip(positions, counts) -> DipFit:
         raise ConfigurationError("scan positions and counts must be finite, counts >= 0")
     if not x.max() > x.min():
         raise ConfigurationError("scan positions must span a positive range")
-    (a, v, x0, sig), cov = (arr[0] for arr in _fit_dips(x, y[None, :]))
-    errs = np.sqrt(np.abs(np.diag(cov)))
-    return DipFit(float(a), float(v), float(x0), float(sig),
-                  float(errs[0]), float(errs[1]), float(errs[2]), float(errs[3]), cov)
+    ((a, b),), ((x0, sigma),), (cov,) = _fit_dips(x, y[None, :], [0])
+    jac = np.array([[1.0, 0.0], [-b / a ** 2, 1.0 / a]])     # d(a, V) / d(a, aV)
+    cov = jac @ cov @ jac.T
+    a_err, v_err = np.sqrt(np.diag(cov))
+    return DipFit(float(a), float(b / a), float(x0), float(sigma),
+                  float(a_err), float(v_err), cov)
 
 
 def _pair_row_indices(rows, input_pairs) -> np.ndarray:
@@ -582,40 +417,24 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
         float(mean_plateau_counts) * valid.sum() / a_true[valid].sum()
     rng = np.random.default_rng(rng_seed)
 
-    # one profile stack; each dip draws its Poisson counts from its own
-    # generator, seeded by one draw of ``rng`` per dip in dip order
-    dips = list(zip(*np.nonzero(valid)))
-    a_dip, v_dip = a_true[valid], v_true[valid]
-    seeds = rng.integers(2 ** 63, size=len(dips))
-    counts = dip_profile(SCAN_POSITIONS, (a_dip if noiseless else np.ones_like(a_dip))[:, None],
-                         v_dip[:, None], 0.0, DEFAULT_DIP_SIGMA)
+    # one profile stack, one Poisson draw; the dips of an input pair share
+    # one delay line and one photon pair, so one centre and one width
+    dip_pair, dip_out = np.nonzero(valid)
+    counts = dip_profile(SCAN_POSITIONS, scale * a_true[valid][:, None],
+                         v_true[valid][:, None], 0.0, DEFAULT_DIP_SIGMA)
     if not noiseless:
-        counts = np.array([np.random.default_rng(seed).poisson(row) for seed, row in
-                           zip(seeds, (scale * a_dip)[:, None] * counts)],
-                          dtype=float).reshape(counts.shape)
-    params, cov = _fit_dips(SCAN_POSITIONS, counts)
-    a_fit, v_fit = params[:, 0], params[:, 1]
-    cov = cov[:, :2, :2]
+        counts = rng.poisson(counts).astype(float)
+    coef, _, cov = _fit_dips(SCAN_POSITIONS, counts, dip_pair)
+    a_fit, v_fit = coef[:, 0], coef[:, 1] / coef[:, 0]
     c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
-
-    def std_of_a_times(w):
-        # float_power is libm pow, as Python's float ** is; w ** 2 squares
-        # exactly and would move the last bits of the written errors
-        with np.errstate(invalid="ignore"):
-            var = (c00 * np.float_power(w, 2) + np.float_power(a_fit, 2) * c11
-                   + 2 * a_fit * w * c01) / scale ** 2
-        return np.sqrt(np.maximum(var, 0.0))
-
-    # uncertainties of a, of the dip minimum a (1 + V) and of a V: none for
-    # a singular (flat-dip) fit, zero without noise
-    errs = np.stack([np.sqrt(np.abs(c00)) / scale, std_of_a_times(1 + v_fit),
-                     std_of_a_times(v_fit)])
-    errs[:, ~np.isfinite(cov).all(axis=(1, 2))] = math.inf
+    # uncertainties of a, of the dip minimum a (1 + V) and of a V; zero
+    # without noise
+    errs = np.sqrt(np.stack([c00, c00 + c11 + 2 * c01, c11])) / scale
     if noiseless:
         errs[:] = 0.0
     # floor them at a fraction of the typical plateau: the absolute
     # measurement noise does not shrink with the dip size
-    if dips:
+    if len(dip_pair):
         floor = max(ERROR_FLOOR * (a_fit / scale).mean(), 1e-15)
         log.debug("%d of %d dip uncertainties raised to the floor %.3g",
                   (errs < floor).sum(), errs.size, floor)
@@ -635,7 +454,7 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
                          va_errors)
     if keep_scans:
         return dataset, {(input_pairs[p], (int(iu[d]), int(ju[d]))): (SCAN_POSITIONS, row)
-                         for (p, d), row in zip(dips, counts)}
+                         for p, d, row in zip(dip_pair, dip_out, counts)}
     return dataset
 
 
@@ -705,11 +524,11 @@ def _dip_jacobian(dataset: HomDataset, columns, d_hi, d_kj, d_hj, d_ki) -> np.nd
     return jac[:, :n_cols]
 
 
-def _log_fit(name: str, result, chi2_start: float) -> None:
-    """One DEBUG line on what a ``least_squares`` fit did."""
-    fit_log.debug("%s fit: %d evaluations, %d Jacobians, status %d, chi2 %.6g -> %.6g",
+def _log_fit(name: str, result, chi2_start: float, detail: str = "") -> None:
+    """One DEBUG line on what a ``least_squares`` fit did, ``detail`` appended."""
+    fit_log.debug("%s fit: %d evaluations, %d Jacobians, status %d, chi2 %.6g -> %.6g%s",
                   name, result.nfev, result.njev, result.status, chi2_start,
-                  2.0 * result.cost)
+                  2.0 * result.cost, detail)
 
 
 @dataclass

@@ -6,17 +6,18 @@ first-quantized state-vector evolution (symmetric tensors, no
 permanents), distinguishable statistics from per-photon convolution,
 circuit propagation from dense matrix exponentials of an H(z) assembled
 entry by entry from the lattice primitives, HOM dip fits from
-one MINPACK ``curve_fit`` per scan, and Jacobians from central
+one finite-difference ``least_squares`` over every parameter of a
+campaign (no elimination of the linear ones), and Jacobians from central
 differences.
 """
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import OptimizeWarning, curve_fit
+from scipy.optimize import least_squares
+from scipy.sparse import csr_matrix
 
 from photonlat.lattice import coupling_coefficient
 
@@ -121,68 +122,54 @@ def ordered_exponential(hamiltonians, steps):
     return u
 
 
-def _gaussian_dip(x, a, v, x0, sigma):
-    return a * (1.0 + v * np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2)))
-
-
-def _dip_guess(x, y):
-    mid = 0.5 * (x.min() + x.max())
-    n_outer = max(2, len(x) // 4)
-    outer = np.argsort(-np.abs(x - mid))[:n_outer]
-    a0 = float(np.mean(y[outer]))
-    if a0 <= 0:
-        a0 = max(float(np.mean(y)), 1e-12)
-    dev = y - a0
-    ext = int(np.argmax(np.abs(dev)))
-    v0 = float(dev[ext] / a0)
-    x00 = float(x[ext])
-    half = np.abs(dev) >= 0.5 * abs(dev[ext])
-    if abs(dev[ext]) > 0 and half.sum() >= 2:
-        s0 = max((x[half].max() - x[half].min()) / 2.355, (x.max() - x.min()) / 50.0)
-    else:
-        s0 = (x.max() - x.min()) / 6.0
-    return a0, v0, x00, float(s0)
-
-
-def curve_fit_dip(positions, counts, max_nfev=20000):
-    """One dip scan fitted by ``curve_fit`` (MINPACK, finite-difference
-    Jacobian), Poisson weights sqrt(max(counts, 1)): params (a, V, x0,
-    |sigma|) and the 4x4 covariance.
-
-    A fit that does not converge, puts x0 outside the scan, or its width
-    below the point spacing or above half the range is redone for (a, V)
-    alone with x0 and sigma frozen at the initial guess; the covariance is
-    then NaN outside its (a, V) block. Returns None when that fails too.
+def stacked_dip_fit(positions, counts, groups):
+    """Every dip scan of a campaign in one ``least_squares`` fit of the full
+    problem: (a, V) per dip and (x0, sigma) per label of ``groups``, with no
+    elimination of the linear parameters and a finite-difference Jacobian
+    (its columns grouped by their sparsity), Poisson weights
+    sqrt(max(counts, 1)), x0 in the scan and sigma in [point spacing, half
+    the range]. Returns (a, V) per dip (D, 2), (x0, sigma) per label in
+    sorted order (G, 2), and each dip's (a, V) covariance from that
+    Jacobian with (x0, sigma) held at the solution (D, 2, 2).
     """
     x = np.asarray(positions, dtype=float)
     y = np.asarray(counts, dtype=float)
-    sigma = np.sqrt(np.maximum(y, 1.0))
-    p0 = _dip_guess(x, y)
+    labels, group = np.unique(groups, return_inverse=True)
+    n_dips, n_points = y.shape
+    n_groups = len(labels)
+    sigma_y = np.sqrt(np.maximum(y, 1.0))
+
+    def residuals(p):
+        a, v = p[:2 * n_dips].reshape(n_dips, 2, 1).transpose(1, 0, 2)
+        x0, s = p[2 * n_dips:].reshape(n_groups, 2)[group].T[:, :, None]
+        model = a * (1.0 + v * np.exp(-((x - x0) ** 2) / (2.0 * s ** 2)))
+        return ((model - y) / sigma_y).ravel()
+
+    row = np.arange(n_dips * n_points)
+    dip = row // n_points
+    cols = np.stack([2 * dip, 2 * dip + 1, 2 * (n_dips + group[dip]),
+                     2 * (n_dips + group[dip]) + 1])
+    n_params = 2 * (n_dips + n_groups)
+    sparsity = csr_matrix((np.ones(cols.size), (np.tile(row, 4), cols.ravel())),
+                          shape=(len(row), n_params))
     lo, hi = x.min(), x.max()
-    spacing = (hi - lo) / (len(x) - 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        try:
-            popt, pcov = curve_fit(_gaussian_dip, x, y, p0=p0, sigma=sigma,
-                                   absolute_sigma=True, maxfev=max_nfev)
-        except RuntimeError:
-            popt = None
-        if popt is None or not (lo <= popt[2] <= hi
-                                and spacing <= abs(popt[3]) <= (hi - lo) / 2):
-            x00, s0 = p0[2], p0[3]
-            try:
-                popt2, pcov2 = curve_fit(
-                    lambda xx, a, v: _gaussian_dip(xx, a, v, x00, s0),
-                    x, y, p0=p0[:2], sigma=sigma, absolute_sigma=True,
-                    maxfev=max_nfev)
-            except RuntimeError:
-                return None
-            popt = np.array([popt2[0], popt2[1], x00, s0])
-            pcov = np.full((4, 4), np.nan)
-            pcov[:2, :2] = pcov2
-    popt = np.array(popt, dtype=float)
-    popt[3] = abs(popt[3])
-    return popt, pcov
+    outer = np.abs(x - 0.5 * (lo + hi)) >= 0.25 * (hi - lo)
+    a0 = np.maximum(y[:, outer].mean(axis=1), 1e-12)
+    v0 = y[:, np.abs(x - 0.5 * (lo + hi)).argmin()] / a0 - 1.0
+    p0 = np.concatenate([np.column_stack([a0, v0]).ravel(),
+                         np.tile([0.5 * (lo + hi), (hi - lo) / 6.0], n_groups)])
+    lower = np.full(n_params, -np.inf)
+    upper = np.full(n_params, np.inf)
+    lower[2 * n_dips:], upper[2 * n_dips:] = \
+        np.tile([lo, (hi - lo) / (n_points - 1)], n_groups), np.tile([hi, (hi - lo) / 2], n_groups)
+    result = least_squares(residuals, p0, jac_sparsity=sparsity, bounds=(lower, upper),
+                           x_scale="jac", ftol=1e-12, xtol=1e-12, gtol=None)
+    jac = result.jac.tocsr()
+    ja, jv = (np.asarray(jac[row, cols[c]]).reshape(n_dips, n_points) for c in (0, 1))
+    jtj = np.stack([(ja * ja).sum(axis=1), (ja * jv).sum(axis=1),
+                    (ja * jv).sum(axis=1), (jv * jv).sum(axis=1)], axis=-1)
+    return (result.x[:2 * n_dips].reshape(n_dips, 2), result.x[2 * n_dips:].reshape(n_groups, 2),
+            np.linalg.inv(jtj.reshape(n_dips, 2, 2)))
 
 
 def finite_difference_jacobian(fun, x, step=1e-6):

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlat import reconstruction
-from photonlat.errors import (ConfigurationError, UndefinedVisibilityError,
+from photonlat.errors import (ConfigurationError, FitError, UndefinedVisibilityError,
                               UnderdeterminedError)
 from photonlat.haarstats import haar_unitary
 from photonlat.interference import FockPattern, output_probability
-from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, MAX_LM_ITERATIONS, SCAN_POSITIONS,
+from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, SCAN_POSITIONS,
                                       HomDataset, ReconstructedSubmatrix, _fit_dips,
                                       _phase_jacobian, dip_profile, dip_residuals,
                                       fit_dip, gauge_distance, hom_plateau,
@@ -21,7 +21,7 @@ from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, MAX_LM_ITERATIONS, SCAN
                                       reconstruct_phases, refine_chi2,
                                       simulate_hom_dataset, submatrix_rows)
 
-from oracles import curve_fit_dip, finite_difference_jacobian
+from oracles import finite_difference_jacobian, stacked_dip_fit
 
 BS = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
 
@@ -155,8 +155,8 @@ class TestFitDip:
         assert fit.v == pytest.approx(0.0, abs=1e-6)
 
     def test_flat_noisy_scan_keeps_dip_inside_scan(self):
-        # a full fit of this scan collapses to a width below the point
-        # spacing; the frozen fallback must take over
+        # an unbounded fit of this scan collapses to a width below the
+        # point spacing; the bounds must hold it inside the scan
         x = SCAN_POSITIONS
         counts = np.array([1684, 1666, 1580, 1702, 1629, 1655, 1674, 1616, 1573,
                            1627, 1562, 1655, 1602, 1651, 1692, 1637, 1703, 1676,
@@ -165,7 +165,18 @@ class TestFitDip:
         assert x.min() <= fit.x0 <= x.max()
         assert fit.sigma >= (x.max() - x.min()) / (len(x) - 1)
         assert fit.sigma <= (x.max() - x.min()) / 2
-        assert not np.isfinite(fit.cov[2:, 2:]).any()
+
+    def test_scan_without_counts_is_a_fit_error(self):
+        with pytest.raises(FitError, match="plateau that is not > 0"):
+            fit_dip(SCAN_POSITIONS, np.zeros(len(SCAN_POSITIONS)))
+
+    @pytest.mark.parametrize("mean_counts", [1, 0.01])
+    def test_campaign_with_empty_scans_is_a_fit_error(self, mean_counts):
+        # the plateau a = 0 of an empty scan leaves V = aV / a undefined;
+        # that is a failed fit (exit 3), not a malformed dataset (exit 2)
+        with pytest.raises(FitError):
+            simulate_hom_dataset(haar_unitary(8, 0).entries, (0, 1, 2),
+                                 mean_plateau_counts=mean_counts)
 
     def test_too_few_positions_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -221,83 +232,89 @@ class TestFitDip:
                                         x, 1e4, rng_seed=rng.integers(2 ** 63))
                            for rng in rngs])
         pick %= len(seeds)
-        params, cov = _fit_dips(x, counts)
+        coef, shape, cov = _fit_dips(x, counts, np.arange(len(seeds)))
         alone = fit_dip(x, counts[pick])
-        errors = np.sqrt(np.abs(np.diag(cov[pick])))
-        np.testing.assert_allclose([alone.a, alone.v, alone.x0, alone.sigma], params[pick],
+        (a, b), (c00, c01), (_, c11) = coef[pick], *cov[pick]
+        v_var = (b / a) ** 2 * c00 / a ** 2 - 2 * b * c01 / a ** 3 + c11 / a ** 2
+        np.testing.assert_allclose([alone.a, alone.v, alone.x0, alone.sigma],
+                                   [a, b / a, *shape[pick]], rtol=1e-12, atol=0)
+        np.testing.assert_allclose([alone.a_err, alone.v_err], np.sqrt([c00, v_var]),
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose([alone.a_err, alone.v_err, alone.x0_err, alone.sigma_err],
-                                   errors, rtol=1e-12, atol=0)
 
     def test_campaign_agrees_with_curve_fit(self, device_unitary):
-        _, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+        ds, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
                                         mean_plateau_counts=1e4, keep_scans=True)
         x = SCAN_POSITIONS
         counts = np.array([c for _, c in scans.values()])
+        groups = np.repeat(np.arange(ds.n_pairs), ds.valid.sum(axis=1))
         assert counts.shape == (992, len(x))
-        params, cov = _fit_dips(x, counts)
-        oracle = [curve_fit_dip(x, c) for c in counts]
-        assert all(fit is not None for fit in oracle)
-        want = np.array([p for p, _ in oracle])
-        want_err = np.sqrt(np.abs(np.diagonal(np.array([c for _, c in oracle]),
-                                              axis1=1, axis2=2)))
-        err = np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))
-        full, want_full = np.isfinite(err[:, 2]), np.isfinite(want_err[:, 2])
-        assert (full == want_full).mean() >= 0.99
-        both = full & want_full
-        shift = (np.abs(params - want) / want_err)[both].max(axis=1)
+        coef, shape, cov = _fit_dips(x, counts, groups)
+        want, want_shape, want_cov = stacked_dip_fit(x, counts, groups)
+        # the (a, aV) covariance carried to (a, V)
+        a, b = coef.T
+        jac = np.zeros((len(a), 2, 2))
+        jac[:, 0, 0], jac[:, 1, 0], jac[:, 1, 1] = 1.0, -b / a ** 2, 1.0 / a
+        err = np.sqrt(np.diagonal(jac @ cov @ jac.transpose(0, 2, 1), axis1=1, axis2=2))
+        want_err = np.sqrt(np.diagonal(want_cov, axis1=1, axis2=2))
+        shift = (np.abs(np.column_stack([a, b / a]) - want) / want_err).max(axis=1)
         assert (shift <= 1e-2).mean() >= 0.99
-        with np.errstate(invalid="ignore"):
-            rel = np.abs(err - want_err) / want_err
-        agree = (np.isnan(err) == np.isnan(want_err)).all(axis=1) & \
-            (np.nan_to_num(rel) <= 1e-3).all(axis=1)
-        assert agree.mean() >= 0.99
+        assert (np.abs(err - want_err) / want_err <= 1e-3).all(axis=1).mean() >= 0.99
+        np.testing.assert_allclose(shape, want_shape, rtol=1e-3)
+
+    def test_noiseless_campaign_recovers_shared_centre_and_width(self, device_unitary):
+        ds, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), keep_scans=True)
+        x = SCAN_POSITIONS
+        groups = np.repeat(np.arange(ds.n_pairs), ds.valid.sum(axis=1))
+        coef, shape, _ = _fit_dips(x, np.array([c for _, c in scans.values()]), groups)
+        np.testing.assert_allclose(shape, [[0.0, DEFAULT_DIP_SIGMA]] * ds.n_pairs,
+                                   rtol=0, atol=1e-9)
+        v_true = [-hom_visibility(device_unitary, h, k, i, j) for (h, k), (i, j) in scans]
+        np.testing.assert_allclose(coef[:, 1] / coef[:, 0], v_true, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ds.visibilities[ds.valid], v_true, rtol=0, atol=1e-9)
 
     def test_dip_fits_log_what_they_did(self, device_unitary, caplog):
         inputs = (11, 12, 19)
         with caplog.at_level(logging.DEBUG, logger="photonlat.reconstruction"):
-            _, scans = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
-                                            mean_plateau_counts=1e4, keep_scans=True)
+            ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
+                                      mean_plateau_counts=1e4)
             simulate_hom_dataset(device_unitary, inputs)
+        fits = [re.fullmatch(r"dip group (\d+) fit: (\d+) evaluations, (\d+) Jacobians, "
+                             r"status (-?\d+), chi2 (\S+) -> (\S+), x0 (\S+), sigma (\S+)",
+                             r.getMessage()).groups()
+                for r in caplog.records if r.name == "photonlat.reconstruction.fits"]
+        # one fit per input pair in each campaign, labelled by pair index
+        assert [int(fit[0]) for fit in fits] == [0, 1, 0, 1]
+        for _, nfev, njev, status, before, after, x0, sigma in fits:
+            assert 1 <= int(njev) <= int(nfev) and 1 <= int(status) <= 4
+            assert float(after) <= float(before)
+            assert abs(float(x0)) < 0.1 and abs(float(sigma) - DEFAULT_DIP_SIGMA) < 0.1
+        # noisy chi2 near its n_points - 2 degrees of freedom per dip
+        for (*_, after, _, _), n_dips in zip(fits[:2], ds.valid.sum(axis=1)):
+            assert abs(float(after) / (n_dips * (len(SCAN_POSITIONS) - 2)) - 1.0) < 0.1
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "photonlat.reconstruction"]
-        assert len(messages) == 4
-        fits, most, capped, cap, fallbacks, *triggers, singular = map(int, re.search(
-            r"(\d+) dip fits, up to (\d+) LM iterations, (\d+) at the cap of (\d+); "
-            r"(\d+) fallbacks \(not converged (\d+), x0 outside the scan (\d+), "
-            r"sigma below the spacing (\d+), sigma above half the range (\d+)\); "
-            r"(\d+) non-finite covariances", messages[0]).groups())
-        x = SCAN_POSITIONS
-        _, cov = _fit_dips(x, np.array([c for _, c in scans.values()]))
-        assert fits == 992 and cap == MAX_LM_ITERATIONS and 1 <= most <= cap
-        assert triggers[0] <= capped
-        assert fallbacks == np.isnan(cov[:, 2, 2]).sum()
-        assert 0 < fallbacks <= sum(triggers) and fallbacks < 0.05 * fits
-        assert singular == 0
+        assert len(messages) == 2
+        fits = 3 * ds.valid.sum()
         floored, total = map(int, re.search(r"(\d+) of (\d+) dip uncertainties raised "
-                                            r"to the floor", messages[1]).groups())
-        assert total == 3 * fits and floored < total
+                                            r"to the floor", messages[0]).groups())
+        assert total == fits and floored < total
         # the noiseless campaign: 1e-6 of the mean plateau for every uncertainty
-        assert re.search(rf"{3 * fits} of {3 * fits} dip uncertainties raised",
-                         messages[3])
+        assert re.search(rf"{fits} of {fits} dip uncertainties raised", messages[1])
 
-
-    def test_campaign_scans_are_per_dip_seeded_scans(self, device_unitary):
-        # each dip draws its Poisson counts from its own seed, taken in dip
-        # order from the campaign seed
+    def test_campaign_scans_are_one_poisson_draw(self, device_unitary):
+        # the scans of a campaign are one Poisson draw over the whole
+        # (dips, positions) profile stack, in dip order, from the campaign seed
         ds, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
                                          mean_plateau_counts=1e4, keep_scans=True)
         assert len(scans) == ds.valid.sum()
-        seeds = np.random.default_rng(3).integers(2 ** 63, size=len(scans))
         plateaus = np.array([hom_plateau(device_unitary, h, k, i, j)
                              for (h, k), (i, j) in scans])
+        v = np.array([-hom_visibility(device_unitary, h, k, i, j) for (h, k), (i, j) in scans])
         exposure = 1e4 * len(plateaus) / plateaus.sum()
-        for seed, a, ((h, k), (i, j)), (x, row) in zip(seeds, plateaus, scans,
-                                                        scans.values()):
-            v = -hom_visibility(device_unitary, h, k, i, j)
-            want = np.random.default_rng(seed).poisson(
-                exposure * a * dip_profile(x, 1.0, v, 0.0, DEFAULT_DIP_SIGMA))
-            assert np.array_equal(row, want)
+        want = np.random.default_rng(3).poisson(
+            dip_profile(SCAN_POSITIONS, exposure * plateaus[:, None], v[:, None], 0.0,
+                        DEFAULT_DIP_SIGMA))
+        assert np.array_equal(np.array([row for _, row in scans.values()]), want)
 
 
 class TestDipIndex:
@@ -557,6 +574,11 @@ class TestRefine:
         monkeypatch.setattr(reconstruction, "least_squares", spy)
         ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
                                   mean_plateau_counts=1e4)
+        # one dip fit per input pair, stopped by the ftol and xtol rules alone
+        assert len(calls) == ds.n_pairs
+        for kwargs in calls:
+            assert kwargs["gtol"] is None and not {"xtol", "ftol"} & kwargs.keys()
+        calls.clear()
         refine_chi2(reconstruct_phases(ds, reconstruct_moduli(ds)), ds)
         assert len(calls) == 2
         for kwargs in calls:
