@@ -18,10 +18,12 @@ the command returns, so a command that fails leaves no ``--out`` behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -310,6 +312,11 @@ def cmd_simulate(config, args):
     return {"unitary.json": _json_text(doc)}, f"unitarity defect {defect:.3e}"
 
 
+EVENT_KEYS = frozenset(("branch", "distinguishable", "index", "output"))
+_WRITE_EVENTS = 4096        # the event lines sample formats at once
+_READ_BYTES = 2 ** 20       # the event lines read_samples parses at once
+
+
 def cmd_sample(config, args):
     if args.events is not None:
         config["sampling"]["count"] = args.events
@@ -322,46 +329,109 @@ def cmd_sample(config, args):
     header = {"record": "header", "config_sha256": config_hash(config),
               "seed": config["seed"], "events": count,
               "photons": n, "statistics": statistics}
-    records = itertools.chain([header], (
-        {"index": ev.index, "branch": ev.branch, "output": list(ev.output),
-         "distinguishable": ev.distinguishable} for ev in events))
-    lines = (json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    lines = itertools.chain([json.dumps(header, sort_keys=True) + "\n"], _event_lines(events))
     return {"samples.jsonl": lines}, f"{len(events)} events"
 
 
-EVENT_KEYS = frozenset(("branch", "distinguishable", "index", "output"))
-EVENT_BRANCHES = interference.SPDC_BRANCHES + ("fock",)
+def _event_lines(events: interference.EventStream):
+    """The JSONL lines of a stream, each the bytes of ``json.dumps(record,
+    sort_keys=True)`` from one format string (the branch labels need no
+    escapes), made ``_WRITE_EVENTS`` events at a time so that the Python
+    values they are formatted from stay few."""
+    line = ('{"branch": "%s", "distinguishable": %s, "index": %d, "output": ['
+            + ", ".join(["%d"] * events.n) + ']}\n')
+    for lo in range(0, len(events), _WRITE_EVENTS):
+        rows = slice(lo, lo + _WRITE_EVENTS)
+        yield from map(line.__mod__, zip(
+            map(events.branches.__getitem__, events.branch[rows].tolist()),
+            map(("false", "true").__getitem__, events.distinguishable[rows].tolist()),
+            events.index[rows].tolist(), *events.outputs[rows].T.tolist()))
 
 
-def _check_event(rec, n: int, m: int, where: str) -> None:
+
+
+def _source_branches(config):
+    """(labels, input-mode rows) of the branches the configured source
+    emits: the SPDC branches for n = 4, the fixed Fock input otherwise."""
+    m = _lattice_m(config)
+    if config["photons"]["n"] == 4:
+        labels = interference.SPDC_BRANCHES
+        return labels, [interference.spdc_branch_pattern(label, config["inputs"], m).modes()
+                        for label in labels]
+    return ("fock",), [_fixed_input_pattern(config).modes()]
+
+
+def _check_event(rec, labels, n: int, m: int, where: str) -> None:
     """Raise unless ``rec`` is an event record ``sample`` could have written:
-    an int index, a known branch, n int output modes in [0, m) and a bool
-    distinguishable flag. ``type(...) is int`` also rejects booleans."""
+    an int index, a branch in ``labels``, n int output modes in [0, m) and a
+    bool distinguishable flag. ``type(...) is int`` also rejects booleans."""
     if not isinstance(rec, dict) or not EVENT_KEYS <= rec.keys():
         raise ConfigurationError(
             f"{where}: malformed event record {rec!r}: needs the keys {sorted(EVENT_KEYS)}")
     output = rec["output"]
-    if type(rec["index"]) is not int or rec["branch"] not in EVENT_BRANCHES or \
+    if type(rec["index"]) is not int or rec["branch"] not in labels or \
             type(rec["distinguishable"]) is not bool or type(output) is not list or \
             len(output) != n or not all(type(k) is int and 0 <= k < m for k in output):
         raise ConfigurationError(
             f"{where}: malformed event record {rec!r}: needs an int index, a branch "
-            f"in {EVENT_BRANCHES}, {n} int output modes in [0, {m}) and a bool "
+            f"in {labels}, {n} int output modes in [0, {m}) and a bool "
             "distinguishable")
 
 
-def read_samples(path, config):
-    """Events from a JSONL file, input modes rebuilt from branch labels.
+def _records_stream(recs, labels, inputs, n: int) -> interference.EventStream:
+    """The stream of parsed event records, checked as the stream checks its
+    columns; an unknown branch label becomes no branch code."""
+    codes = {label: code for code, label in enumerate(labels)}
+    field = {key: list(map(operator.itemgetter(key), recs)) for key in EVENT_KEYS}
+    return interference.EventStream(
+        field["index"], list(map(codes.get, field["branch"])),
+        field["output"] or np.empty((0, n), dtype=np.intp), field["distinguishable"],
+        labels, inputs)
+
+
+def _event_block(lines, first: int, where, labels, inputs, n: int, m: int):
+    """The stream of a block of event lines, the first of them line ``first``
+    of the file ``where``: parsed by one ``json.loads`` over them all and
+    checked as columns or, where that cannot show each line to be one
+    well-formed record, parsed and checked line by line, which names the
+    first malformed one.
+
+    Each line but the last ends in a newline, which no JSON string holds,
+    and each starts with "{", which neither a key nor an output mode may
+    be; so once every record holds exactly the four keys with values of
+    their kinds, each joining comma separates two records: one per line.
+    """
+    try:
+        recs = json.loads("[" + ",".join(lines) + "]")
+        if len(recs) == len(lines) and all(map(str.startswith, lines, itertools.repeat("{"))) \
+                and set(map(type, recs)) <= {dict} and all(map(
+                    operator.eq, map(dict.keys, recs), itertools.repeat(EVENT_KEYS))):
+            stream = _records_stream(recs, labels, inputs, n)
+            if not (len(stream) and stream.outputs.max() >= m):
+                return stream
+    # TypeError: a branch label no dict can hold
+    except (json.JSONDecodeError, ConfigurationError, TypeError):
+        pass
+    recs = []
+    for line_no, line in enumerate(lines, start=first):
+        recs.append(json.loads(line))
+        _check_event(recs[-1], labels, n, m, f"{where} line {line_no}")
+    return _records_stream(recs, labels, inputs, n)
+
+
+def read_samples(path, config) -> interference.EventStream:
+    """The event stream of a JSONL file, input modes rebuilt from branch labels.
 
     The file must start with the header ``sample`` writes, and its
     ``config_sha256`` must be the hash of ``config`` with ``sampling.count``
     set to the header's event count, which is what ``sample --events`` hashes.
     Every event record is checked, and the file must hold exactly the
-    header's count of them.
+    header's count of them. The records are read in blocks of whole lines,
+    about ``_READ_BYTES`` each, so that few parsed records are held at once,
+    and each block is checked as columns (:func:`_event_block`).
     """
     m = _lattice_m(config)
     n = config["photons"]["n"]
-    events, input_modes = [], {}        # input modes per branch label
     with open(path) as fh:
         header = json.loads(fh.readline() or "{}")
         if not isinstance(header, dict) or header.get("record") != "header":
@@ -371,17 +441,14 @@ def read_samples(path, config):
         if header.get("config_sha256") != config_hash(written):
             raise ConfigurationError(
                 f"{path} was sampled under a different config or seed")
-        for line_no, line in enumerate(fh, start=2):
-            rec = json.loads(line)
-            _check_event(rec, n, m, f"{path} line {line_no}")
-            branch = rec["branch"]
-            if branch not in input_modes:
-                pattern = interference.spdc_branch_pattern(branch, config["inputs"], m) \
-                    if branch in interference.SPDC_BRANCHES else _fixed_input_pattern(config)
-                input_modes[branch] = pattern.modes()
-            events.append(interference.SampleEvent(
-                rec["index"], branch, input_modes[branch], tuple(rec["output"]),
-                rec["distinguishable"]))
+        labels, inputs = _source_branches(config)
+        blocks, first = [_records_stream([], labels, inputs, n)], 2
+        for lines in iter(functools.partial(fh.readlines, _READ_BYTES), []):
+            blocks.append(_event_block(lines, first, path, labels, inputs, n, m))
+            first += len(lines)
+    events = interference.EventStream(
+        *(np.concatenate([getattr(block, name) for block in blocks])
+          for name in ("index", "branch", "outputs", "distinguishable")), labels, inputs)
     if len(events) != header.get("events"):
         raise ConfigurationError(
             f"{path} holds {len(events)} events, its header says {header.get('events')}")

@@ -19,7 +19,8 @@ exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises :class:`CapacityError`, as doe
 any other stack over that limit, and a draw of more events than fit in it.
 They are enumerated by numpy array operations, one photon more per level
 (:func:`_mode_lists`), and a draw reads its events' outputs from the drawn
-rows at once.
+rows at once, as one :class:`EventStream`: columns of indices, branch
+codes, outputs and flags, checked once when the stream is built.
 
 The four-photon source is a two-pair SPDC mixture over the branches
 |1111>, |2002> and |0220> in the occupation order (n4, n1, n2, n3) with
@@ -29,8 +30,12 @@ branch weights (alpha, beta, gamma) = (R, R^2, 1).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,15 +93,115 @@ class SourceWeights:
     normalized: tuple
 
 
-@dataclass(frozen=True)
-class SampleEvent:
-    """One detected multi-photon outcome."""
+class SampleEvent(NamedTuple):
+    """One row of an :class:`EventStream`: a detected multi-photon outcome."""
 
     index: int
     branch: str
     input_modes: tuple
     output: tuple
     distinguishable: bool
+
+
+def _column(value, what: str, dims: tuple, dtype=np.intp, lo=None) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype`` (``np.intp`` or ``bool``)
+    whose dimensions ``dims`` names, unless an entry is of another kind or
+    below ``lo``. An array is judged by its dtype, anything else by the
+    types of its entries: numpy would cast a boolean among integers into
+    an integer."""
+    try:
+        if isinstance(value, np.ndarray):
+            ok = value.dtype.kind in ("b" if dtype is bool else "iu") and \
+                np.can_cast(value.dtype, dtype)
+        else:
+            entries = value
+            for _ in dims[1:]:
+                entries = itertools.chain.from_iterable(entries)
+            types = set(map(type, entries))
+            # np.bool_ is no numbers.Integral
+            ok = types <= {bool, np.bool_} if dtype is bool else all(
+                issubclass(t, numbers.Integral) and t is not bool for t in types)
+        arr = np.asarray(value, dtype=dtype).view() if ok else None
+    except (TypeError, ValueError, OverflowError):   # ragged, not iterable, too large
+        ok = False
+    if not (ok and arr.ndim == len(dims) and (lo is None or not arr.size or arr.min() >= lo)):
+        kind = "booleans" if dtype is bool else "whole numbers" + (
+            "" if lo is None else f" >= {lo}")
+        shape = str(dims).replace("'", "")
+        raise ConfigurationError(f"{what} must form a {shape} array of {kind}, "
+                                 f"got {reprlib.repr(value)}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class EventStream:
+    """K detected events of one photon number n, as columns.
+
+    ``index`` (K,) numbers the events and ``branch`` (K,) codes each into
+    the branch table: ``branches`` (B labels) and ``input_modes`` (B, n),
+    the source's input modes in each branch. ``outputs`` (K, n) holds each
+    event's output modes and ``distinguishable`` (K,) its flag. Every
+    column is checked once, here, by its dtype and range (a list by the
+    types of its entries, so no boolean passes as a mode), and events and
+    input rows must carry the same n; anything else raises
+    :class:`ConfigurationError`. A scoring U checks the modes against its
+    m. ``len`` counts the events, iterating yields one :class:`SampleEvent`
+    per event, and a slice or index array selects a sub-stream.
+    """
+
+    index: np.ndarray
+    branch: np.ndarray
+    outputs: np.ndarray
+    distinguishable: np.ndarray
+    branches: tuple
+    input_modes: np.ndarray
+
+    def __post_init__(self):
+        branches = tuple(self.branches)
+        inputs = _column(self.input_modes, "input modes", ("B", "n"), lo=0)
+        columns = {"branches": branches, "input_modes": inputs,
+                   "index": _column(self.index, "event indices", ("K",)),
+                   "branch": _column(self.branch, "branch codes", ("K",), lo=0),
+                   "outputs": _column(self.outputs, "output modes", ("K", "n"), lo=0),
+                   "distinguishable": _column(self.distinguishable,
+                                              "distinguishable flags", ("K",), bool)}
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+        k = len(self.index)
+        if not len(self.branch) == len(self.outputs) == len(self.distinguishable) == k:
+            raise ConfigurationError(f"event columns of unequal lengths: {k} indices, "
+                                     f"{len(self.branch)} branch codes, "
+                                     f"{len(self.outputs)} outputs and "
+                                     f"{len(self.distinguishable)} flags")
+        if len(inputs) != len(branches):
+            raise ConfigurationError(f"{len(branches)} branches need as many input rows, "
+                                     f"got {len(inputs)}")
+        if k and self.branch.max() >= len(branches):
+            raise ConfigurationError(f"branch codes must index the {len(branches)} "
+                                     f"branches, got {self.branch.max()}")
+        if inputs.shape[1] != self.n:
+            raise ConfigurationError(
+                f"a stream holds one photon number: events of {self.n} photons, "
+                f"input modes of {inputs.shape[1]}")
+
+    @property
+    def n(self) -> int:
+        return self.outputs.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self):
+        inputs = list(map(tuple, self.input_modes.tolist()))
+        for i, b, out, flag in zip(self.index.tolist(), self.branch.tolist(),
+                                   map(tuple, self.outputs.tolist()),
+                                   self.distinguishable.tolist()):
+            yield SampleEvent(i, self.branches[b], inputs[b], out, flag)
+
+    def __getitem__(self, rows) -> "EventStream":
+        return EventStream(self.index[rows], self.branch[rows], self.outputs[rows],
+                           self.distinguishable[rows], self.branches, self.input_modes)
 
 
 def spdc_weights(r: float) -> SourceWeights:
@@ -261,6 +366,19 @@ def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
     return lists.T
 
 
+def _output_factorials(lists) -> np.ndarray:
+    """(K,) products prod_i s_i! of the occupations of (K, n) sorted mode
+    lists: the running product of each list's equal-run lengths, one
+    column at a time, in int64 (exact up to n = 20)."""
+    facts = np.ones(len(lists), dtype=np.int64)
+    run = np.ones(len(lists), dtype=np.int64)
+    for j in range(1, lists.shape[1]):
+        run *= lists[:, j] == lists[:, j - 1]
+        run += 1
+        facts *= run
+    return facts
+
+
 @dataclass
 class ProbabilityTable:
     """Output-pattern probabilities for one input state and statistics.
@@ -305,12 +423,7 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
         raise ConfigurationError(
             f"{n} photons do not fit collision-free into {len(modes)} outputs")
     lists = _mode_lists(n, modes, collision_free)
-    if collision_free:
-        s_facts = np.ones(len(lists))
-    else:
-        s_facts = np.array([
-            math.prod(math.factorial(c) for c in np.bincount(row).tolist())
-            for row in lists])
+    s_facts = np.ones(len(lists)) if collision_free else _output_factorials(lists)
     probs = np.maximum(_probabilities(u[None], lists, input_pattern.modes(), statistics,
                                       s_facts, _occupation_factorial(input_pattern))[0], 0.0)
     return ProbabilityTable(m, n, input_pattern, statistics, collision_free,
@@ -328,38 +441,32 @@ def _invert(probs, uniforms) -> np.ndarray:
     return np.searchsorted(cdf, uniforms, side="right")
 
 
-def _draw_events(table: ProbabilityTable, uniforms, indices):
-    """Events of the given indices, drawn from ``table`` at ``uniforms``."""
-    in_modes = table.input.modes()
-    flag = table.statistics == "distinguishable"
-    events = table.mode_lists[_invert(table.probs, uniforms)].tolist()
-    # each output list gives way to its event, so the lists add nothing to the peak
-    for j, (i, out) in enumerate(zip(indices, events)):
-        events[j] = SampleEvent(int(i), table.branch_label, in_modes, tuple(out), flag)
-    return events
-
-
 def check_event_count(count, n: int) -> None:
     """Raise :class:`ConfigurationError` for a ``count`` that is no whole
     number >= 0, and :class:`CapacityError` when ``count`` events of n
-    photons would exceed ``MAX_TABLE_BYTES``: each holds a uniform, an index
-    and a :class:`SampleEvent`, 224 + 8 n bytes at their peak (measured with
-    tracemalloc at n = 3 and 4)."""
+    photons would exceed ``MAX_TABLE_BYTES``: a draw holds 40 + 8 n bytes
+    per event at its peak, its stream's columns and the uniforms and rows
+    drawn (tracemalloc measured 41 for :func:`sample` at n = 3 and 64 for
+    :func:`spdc_sample` at n = 4)."""
     check_whole(count, "count", 0)
-    check_table_bytes(count * (224 + 8 * n), f"{count} events of {n} photons")
+    check_table_bytes(count * (40 + 8 * n), f"{count} events of {n} photons")
 
 
-def sample(table: ProbabilityTable, rng_seed, count: int):
+def sample(table: ProbabilityTable, rng_seed, count: int) -> EventStream:
     """Draw ``count`` i.i.d. outcomes from a table by exact inversion.
 
     Deterministic per seed, a whole number >= 0. Collision-free tables are
     sampled conditionally on their enumerated support. A table whose mass
     is zero or not finite raises :class:`NumericalError`; ``count`` is
-    checked by :func:`check_event_count`.
+    checked by :func:`check_event_count`. The stream's one branch is the
+    table's input.
     """
     check_event_count(count, table.n)
     rng = np.random.default_rng([check_whole(rng_seed, "rng_seed", 0), 1])
-    return _draw_events(table, rng.random(count), range(count))
+    outputs = table.mode_lists[_invert(table.probs, rng.random(count))]
+    return EventStream(np.arange(count), np.zeros(count, dtype=np.intp), outputs,
+                       np.full(count, table.statistics == "distinguishable"),
+                       (table.branch_label,), np.array([table.input.modes()], dtype=np.intp))
 
 
 def spdc_branch_tables(u, input_modes, statistics: str = "indistinguishable",
@@ -376,7 +483,7 @@ def spdc_branch_tables(u, input_modes, statistics: str = "indistinguishable",
 
 
 def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int,
-                input_modes, outputs=None):
+                input_modes, outputs=None) -> EventStream:
     """Sample the SPDC mixture: draw a branch, then that branch's output.
 
     The output stream consumes its own named substream of ``rng_seed``, so
@@ -389,14 +496,18 @@ def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int
     tables = spdc_branch_tables(u, input_modes, statistics, outputs)
     rng_branch = np.random.default_rng([rng_seed, 0])
     rng_out = np.random.default_rng([rng_seed, 1])
-    branch_ids = _invert(weights.normalized, rng_branch.random(count))
+    branch = _invert(weights.normalized, rng_branch.random(count))
     uniforms = rng_out.random(count)
-    events = []
-    for bid, branch in enumerate(SPDC_BRANCHES):
-        drawn = np.flatnonzero(branch_ids == bid)
+    # each branch's outputs land in its events' rows, so the stream is in index order
+    outputs = np.empty((count, 4), dtype=np.intp)
+    for code, label in enumerate(SPDC_BRANCHES):
+        drawn = np.flatnonzero(branch == code)
         if len(drawn):
-            events += _draw_events(tables[branch], uniforms[drawn], drawn)
-    return sorted(events, key=lambda ev: ev.index)
+            table = tables[label]
+            outputs[drawn] = table.mode_lists[_invert(table.probs, uniforms[drawn])]
+    return EventStream(np.arange(count), branch, outputs,
+                       np.full(count, statistics == "distinguishable"), SPDC_BRANCHES,
+                       np.array([tables[label].input.modes() for label in SPDC_BRANCHES]))
 
 
 def spdc_mixture_table(u, weights: SourceWeights, input_modes,

@@ -16,14 +16,16 @@ Haar-random unitaries that do not match the circuit yields the
 wrong-unitary slope histogram used to benchmark the reconstruction: a
 faithful stream scores several standard deviations above it.
 
-Both tests and the ensemble share one kernel, :func:`_counter_steps`. It
-builds the event index once and scores an (E, m, k) stack of unitary
-columns: all of U, or the ensemble's draws of the input modes. One
-closed-form fit, :func:`_slopes`, takes the slopes of the whole (E, K)
-stack of counter steps. Arguments are checked by the checkers of
-:mod:`errors`, every recorded input mode before events are grouped by
-their inputs; an ensemble whose draw and scoring arrays would exceed the
-table limit raises :class:`CapacityError` before it is drawn.
+Every function takes the events as one :class:`interference.EventStream`,
+whose columns were checked when it was built. Both tests and the
+ensemble share one kernel, :func:`_counter_steps`. It groups the events
+by branch code and scores an (E, m, k) stack of unitary columns: all of
+U, or the ensemble's draws of the input modes. One closed-form fit,
+:func:`_slopes`, takes the slopes of the whole (E, K) stack of counter
+steps. The stream's modes are checked against U's m by their range, and
+other arguments by the checkers of :mod:`errors`; an ensemble whose draw
+and scoring arrays would exceed the table limit raises
+:class:`CapacityError` before it is drawn.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, check_modes, check_square, check_table_bytes,
-                     check_whole, is_whole)
+                     check_whole)
 from .haarstats import DEFAULT_BINS, Histogram, _haar_columns
-from .interference import (SPDC_BRANCHES, FockPattern, SourceWeights,
+from .interference import (SPDC_BRANCHES, EventStream, FockPattern, SourceWeights,
                            _occupation_factorial, _probabilities,
                            spdc_branch_pattern)
 
@@ -86,50 +88,38 @@ def _trace_from_steps(steps, test_kind, n_rejected) -> ValidationTrace:
     return ValidationTrace(counters, test_kind, slope, intercept, n_rejected)
 
 
-def _check_input_modes(events, m: int) -> None:
-    """Raise :class:`ConfigurationError` unless every recorded input mode of
-    ``events`` is a whole number in [0, m). Each mode is checked before any
-    dict or set merges them, where ``True`` would pass as the mode 1."""
-    # only the bad modes are listed, so a stream of any length holds none
-    bad = [mode for ev in events for mode in ev.input_modes
-           if not (is_whole(mode) and 0 <= mode < m)]
-    if bad:
-        check_modes(bad, m, "input modes")
-
-
-def _counter_steps(events, us, test_kind: str, n: int | None = None,
+def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None,
                    m: int | None = None, inputs=None, modes=None) -> np.ndarray:
-    """(E, K) counter steps of K events against an (E, m, k) stack of the
-    columns ``modes`` (sorted, all m by default) of E unitaries.
+    """(E, K) counter steps of the K events of a stream against an (E, m, k)
+    stack of the columns ``modes`` (sorted, all m by default) of E unitaries.
 
-    The event index is built once: events are grouped by the inputs that
-    score them, ``inputs`` as (weight, input modes) pairs for every event
-    or by default each event's own recorded input, and an event whose
-    output does not carry as many photons as those inputs (and, in the W
-    test, n) is rejected. W steps +1 where P >= (n/m)^n, C steps +1 where
-    L = q/d >= 1, both -1 otherwise; 0 marks an event that does not count,
-    a rejected one or, in the C test, one with d <= 0. Each scored input
-    is one kernel call over the whole stack.
+    Events are grouped by the inputs that score them: ``inputs`` as
+    (weight, input modes) pairs for every event or by default each branch's
+    input modes, its events found by one argsort of the branch codes. Where
+    those inputs (and, in the W test, n) need another photon number than
+    the stream's, every event is rejected. W steps +1 where P >= (n/m)^n,
+    C steps +1 where L = q/d >= 1, both -1 otherwise; 0 marks an event that
+    does not count, a rejected one or, in the C test, one with d <= 0. Each
+    scored input is one kernel call over the whole stack.
     """
     m_u = us.shape[1]
     modes = np.arange(m_u) if modes is None else modes
     steps = np.zeros((len(us), len(events)), dtype=int)
+    outputs = check_modes(events.outputs, m_u, "output modes")
     if inputs is None:
-        _check_input_modes(events, m_u)
-    by_input = {}
-    for i, ev in enumerate(events):
-        by_input.setdefault(tuple(ev.input_modes) if inputs is None else None, []).append(i)
-    for key, idxs in by_input.items():
-        scored = [(w, check_modes(c, m_u, "input modes"))
-                  for w, c in ([(1.0, key)] if inputs is None else inputs)]
-        n_in = len(scored[0][1])
-        idx = np.array([i for i in idxs if len(events[i].output) == n_in
-                        and (test_kind != "uniform" or n == n_in)], dtype=np.intp)
-        if n_in == 0 or len(idx) == 0:
+        check_modes(events.input_modes, m_u, "input modes")
+        order = np.argsort(events.branch, kind="stable")
+        ends = np.cumsum(np.bincount(events.branch, minlength=len(events.branches)))
+        groups = [([(1.0, row)], idx) for row, idx in
+                  zip(events.input_modes, np.split(order, ends[:-1]))]
+    else:
+        groups = [(inputs, np.arange(len(events)))]
+    if events.n == 0 or (test_kind == "uniform" and n != events.n):
+        return steps
+    for scored, idx in groups:
+        if len(idx) == 0 or len(scored[0][1]) != events.n:
             continue
-        # mode by mode, so that no boolean passes as a mode
-        outs = np.array(check_modes([k for i in idx for k in events[i].output], m_u,
-                                    "output modes"), dtype=np.intp).reshape(len(idx), n_in)
+        outs = outputs[idx]
         if test_kind == "uniform":
             cols = np.searchsorted(modes, scored[0][1])
             p = (np.abs(us[:, :, cols]) ** 2).sum(axis=2)[:, outs].prod(axis=2)
@@ -149,11 +139,11 @@ def _trace(steps, test_kind) -> ValidationTrace:
     return _trace_from_steps(steps[steps != 0], test_kind, int((steps == 0).sum()))
 
 
-def run_uniform_test(events, u, n: int, m: int) -> ValidationTrace:
+def run_uniform_test(events: EventStream, u, n: int, m: int) -> ValidationTrace:
     """Counter W of the uniform-sampler likelihood test.
 
-    Events whose output or recorded input does not carry exactly n
-    photons are rejected and tallied. ``m`` is the number of modes
+    A stream whose photon number is not n is rejected: every event is
+    tallied in ``n_rejected``. ``m`` is the number of modes
     entering the benchmark (n/m)^n, i.e. the detected modes of the run
     (31 when one output is sacrificed as the trigger). Both must be whole
     numbers >= 1.
@@ -164,7 +154,7 @@ def run_uniform_test(events, u, n: int, m: int) -> ValidationTrace:
     return _trace(_counter_steps(events, u[None], "uniform", n, m)[0], "uniform")
 
 
-def run_distinguishable_test(events, u, weights: SourceWeights | None = None,
+def run_distinguishable_test(events: EventStream, u, weights: SourceWeights | None = None,
                              input_modes=None) -> ValidationTrace:
     """Counter C of the distinguishable-sampler likelihood test.
 
@@ -173,9 +163,9 @@ def run_distinguishable_test(events, u, weights: SourceWeights | None = None,
     scores each event against the branch-weighted SPDC mixture instead,
     which is what an experiment without per-event branch knowledge has
     to do.
-    Events whose output does not carry the photon number of the inputs
-    scoring them are rejected, and events with d = 0 skipped; both are
-    tallied in ``n_rejected``.
+    A stream whose photon number is not that of the inputs scoring it is
+    rejected whole, and events with d = 0 skipped; both are tallied in
+    ``n_rejected``.
     """
     u = check_square(u, "U")
     mixture = None
@@ -211,7 +201,7 @@ class WrongUnitaryEnsemble:
     z_score: float
 
 
-def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int,
+def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n: int, m: int,
                                   ensemble_size: int, rng_seed,
                                   reference_slope: float | None = None) -> WrongUnitaryEnsemble:
     """Rescore one stream against an ensemble of Haar-random unitaries.
@@ -220,14 +210,16 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
     ``reference_slope`` when given, as in a distinguishable-data
     normalization), the ensemble mean and standard deviation, and the
     z-score of the true-unitary slope against the ensemble. Only the
-    columns scored are drawn, the sorted union of the events' input modes
-    from the spawned seeds of ``rng_seed`` (:func:`haarstats._haar_columns`),
-    and rescored with those of the true unitary in one call of the scoring
-    kernel. ``ensemble_size`` must be a whole number >= 2; the uniform test
-    checks n and m as :func:`run_uniform_test` does. ``CapacityError`` is
-    raised before the draw when it and the scoring arrays would exceed
-    ``MAX_TABLE_BYTES``; these hold 32 + 8 n bytes per (member, event) for
-    the longest output's n (tracemalloc measured at most 48 at n = 3 and 4).
+    columns scored are drawn, the sorted union of the input modes of the
+    branches the events use, from the spawned seeds of ``rng_seed``
+    (:func:`haarstats._haar_columns`), and rescored with those of the true
+    unitary in one call of the scoring kernel. ``ensemble_size`` must be a
+    whole number >= 2; the uniform test checks n and m as
+    :func:`run_uniform_test` does. ``CapacityError`` is raised before the
+    draw when it and the scoring arrays would exceed ``MAX_TABLE_BYTES``;
+    these hold 32 + 8 n bytes per (member, event) for the stream's n
+    (tracemalloc measured at most 48 beyond the draw at n = 3, where one
+    group holds every event, and 30 at n = 4, split into three branches).
     """
     check_whole(ensemble_size, "ensemble_size", 2)
     if test_kind not in ("uniform", "distinguishable"):
@@ -237,14 +229,15 @@ def wrong_unitary_slope_histogram(events, true_u, test_kind: str, n: int, m: int
         check_whole(m, "m", 1)
     true_u = check_square(true_u, "U")
     m_u = len(true_u)
-    _check_input_modes(events, m_u)
-    # a set, so a stream of any length holds only its few modes
-    modes = sorted({mode for ev in events for mode in ev.input_modes})
-    if not modes:
-        raise ConfigurationError("the events name no input modes to score")
-    check_table_bytes(64 * ensemble_size * m_u * len(modes) + (ensemble_size + 1) * len(events)
-                      * (32 + 8 * max(len(ev.output) for ev in events)),
+    # charged for every branch's modes: the used branches are found by an event-sized pass
+    check_table_bytes(64 * ensemble_size * m_u * len(np.unique(events.input_modes))
+                      + (ensemble_size + 1) * len(events) * (32 + 8 * events.n),
                       f"{ensemble_size} Haar draws scoring {len(events)} events")
+    check_modes(events.input_modes, m_u, "input modes")
+    used = np.bincount(events.branch, minlength=len(events.branches)) > 0
+    modes = np.unique(events.input_modes[used])
+    if not len(modes):
+        raise ConfigurationError("the events name no input modes to score")
     us = np.concatenate([true_u[None, :, modes],
                          _haar_columns(m_u, len(modes), rng_seed, ensemble_size)])
     slopes = _slopes(_counter_steps(events, us, test_kind, n, m, modes=modes))

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -550,8 +551,13 @@ def _validate(simulated, samples, tmp_path):
     ("branch", None), ("index", None), ("output", None), ("distinguishable", None),
     ("index", "4"), ("branch", "1234"), ("distinguishable", 0),
     ("output", [1, 3]), ("output", [1, 3, True]), ("output", [1, 3, 5.0]),
+    ("index", True), ("branch", "1111"), ("branch", ["fock"]), ("distinguishable", "false"),
+    ("output", [1, 3, 5, 7]), ("output", [1, 3, 40]), ("output", [1, 3, -1]),
+    ("output", [1, 3, 2 ** 70]),
 ], ids=["no_branch", "no_index", "no_output", "no_distinguishable", "str_index",
-        "unknown_branch", "int_flag", "short_output", "bool_mode", "float_mode"])
+        "unknown_branch", "int_flag", "short_output", "bool_mode", "float_mode",
+        "bool_index", "spdc_branch_in_fock_stream", "list_branch", "str_flag",
+        "long_output", "mode_beyond_m", "negative_mode", "huge_mode"])
 def test_malformed_event_record_exits_2(simulated, tmp_path, capsys, key, value):
     samples = _sampled_stream(simulated, tmp_path, 30)
     lines = samples.read_text().splitlines()
@@ -564,6 +570,86 @@ def test_malformed_event_record_exits_2(simulated, tmp_path, capsys, key, value)
     samples.write_text("\n".join(lines) + "\n")
     assert _validate(simulated, samples, tmp_path) == 2
     assert "line 6: malformed event record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head, tail", [
+    ('{"branch": "fock", "distinguishable": false', '"index": 4, "output": [0, 1, 2]}'),
+    ('{"branch": "fock", "distinguishable": false, "index": 4, "output": [0, 1', '{"k": 2}]}'),
+], ids=["between-keys", "in-output"])
+def test_records_split_across_lines_exit_2(simulated, tmp_path, capsys, head, tail):
+    # line 6's record split over two lines and lines 7 and 8 joined: as many
+    # lines as records, which one json.loads over the joined lines accepts
+    samples = _sampled_stream(simulated, tmp_path, 30)
+    lines = samples.read_text().splitlines()
+    lines[5:8] = [head, tail, lines[6] + ", " + lines[7]]
+    samples.write_text("\n".join(lines) + "\n")
+    assert _validate(simulated, samples, tmp_path) == 2
+    assert "configuration error: Expecting" in capsys.readouterr().err
+
+
+def test_records_with_extra_keys_or_padding_still_read(simulated, tmp_path):
+    samples = _sampled_stream(simulated, tmp_path, 30)
+    config = load_config(simulated[1])
+    want = photonlat.cli.read_samples(samples, config)
+    lines = samples.read_text().splitlines()
+    rec = json.loads(lines[5])
+    rec["note"] = [{"x": 1}]
+    lines[5] = json.dumps(rec, sort_keys=True)
+    lines[6] = "  " + lines[6]
+    samples.write_text("\n".join(lines) + "\n")
+    got = photonlat.cli.read_samples(samples, config)
+    assert np.array_equal(got.outputs, want.outputs)
+    assert np.array_equal(got.index, want.index)
+    assert _validate(simulated, samples, tmp_path) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4]), data=st.data())
+def test_stream_round_trips_through_the_samples_file(simulated, n, data):
+    """Any stream ``sample`` writes reads back as equal columns, and each of
+    its lines is the bytes of json.dumps(record, sort_keys=True)."""
+    tmp, _, upath = simulated
+    cfg = write_config(tmp, {"photons": {"n": n}}, name=f"round_trip_{n}.json")
+    config = load_config(cfg)
+    labels, inputs = photonlat.cli._source_branches(config)
+    k = data.draw(st.integers(0, 25))
+
+    def column(values):
+        return data.draw(st.lists(values, min_size=k, max_size=k))
+    events = photonlat.interference.EventStream(
+        column(st.integers(-2 ** 63, 2 ** 63 - 1)), column(st.integers(0, len(labels) - 1)),
+        np.array(column(st.lists(st.integers(0, 31), min_size=n, max_size=n)),
+                 dtype=np.intp).reshape(k, n), column(st.booleans()), labels, inputs)
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(photonlat.cli, "_draw_stream", return_value=events):
+        assert run("sample", "--config", cfg, "--unitary", upath, "--out", out,
+                   "--events", k) == 0
+        path = Path(out) / "samples.jsonl"
+        lines = path.read_text().splitlines(True)[1:]
+        read = photonlat.cli.read_samples(path, config)
+    assert lines == [json.dumps({"index": ev.index, "branch": ev.branch,
+                                 "output": list(ev.output),
+                                 "distinguishable": ev.distinguishable}, sort_keys=True) + "\n"
+                     for ev in events]
+    for name in ("index", "branch", "outputs", "distinguishable", "input_modes"):
+        assert np.array_equal(getattr(read, name), getattr(events, name))
+    assert read.branches == events.branches
+
+
+def test_long_stream_crosses_write_and_read_blocks(simulated, tmp_path, capsys):
+    # 20,000 events: five blocks of formatted lines, two blocks of parsed ones
+    samples = _sampled_stream(simulated, tmp_path, 20000)
+    assert samples.stat().st_size > 2 ** 20
+    events = photonlat.cli.read_samples(samples, load_config(simulated[1]))
+    lines = samples.read_text().splitlines()
+    assert events.index.tolist() == list(range(20000))
+    assert events.outputs.tolist() == [json.loads(line)["output"] for line in lines[1:]]
+    rec = json.loads(lines[18000])
+    rec["index"] = True
+    lines[18000] = json.dumps(rec, sort_keys=True)
+    samples.write_text("\n".join(lines) + "\n")
+    assert _validate(simulated, samples, tmp_path) == 2
+    assert "line 18001: malformed event record" in capsys.readouterr().err
 
 
 def test_truncated_sample_stream_exits_2(simulated, tmp_path):

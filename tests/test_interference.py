@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -11,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from photonlat import evolution, footprint, haarstats, lattice, reconstruction, validation
+from photonlat import (errors, evolution, footprint, haarstats, lattice, reconstruction,
+                       validation)
 from photonlat import interference as itf
 from photonlat.errors import CapacityError, ConfigurationError, NumericalError
 from photonlat.haarstats import haar_unitary
-from photonlat.interference import (FockPattern, _mode_lists, _permanent_batch,
+from photonlat.interference import (EventStream, FockPattern, _mode_lists,
+                                    _output_factorials, _permanent_batch,
                                     _permanents, distribution, output_probability,
                                     permanent, sample, spdc_branch_pattern,
                                     spdc_mixture_table, spdc_sample, spdc_weights)
@@ -210,9 +211,13 @@ def _non_square():
 
 
 def _with_event(field):
+    """Score a one-event stream whose output or input modes are ``v``."""
     def call(c, v):
-        event = dataclasses.replace(c["events"][0], **{field: tuple(v)})
-        return validation.run_distinguishable_test([event], c["u"])
+        columns = {"outputs": [c["events"].outputs[0].tolist()],
+                   "input_modes": c["events"].input_modes.tolist(), field: [v]}
+        return validation.run_distinguishable_test(
+            EventStream([0], [0], distinguishable=[False], branches=("fock",), **columns),
+            c["u"])
     return call
 
 
@@ -233,8 +238,8 @@ ARGUMENT_CHECKS = {
     "device_submatrix_ensemble/inputs": (
         _bad_modes(2, True), lambda c, v: haarstats.device_submatrix_ensemble(
             c["layout"], c["model"], c["bank"], [v], c["bank"].powers[None])),
-    "SampleEvent/input_modes": (_bad_modes(3, False), _with_event("input_modes")),
-    "SampleEvent/output": (_bad_modes(3, False), _with_event("output")),
+    "EventStream/input_modes": (_bad_modes(3, False), _with_event("input_modes")),
+    "EventStream/outputs": (_bad_modes(3, False), _with_event("outputs")),
     "haar_unitary/m": (_bad_whole(1), lambda c, v: haar_unitary(v, 1)),
     "haar_unitary/rng_seed": (_bad_whole(0), lambda c, v: haar_unitary(M, v)),
     "column_similarity_distribution/rng_seed": (
@@ -301,7 +306,8 @@ ARGUMENT_CHECKS = {
 @example(drawn=("FockPattern.from_modes/modes", 3))
 @example(drawn=("distribution/outputs", [0.5, 1, 2, 3]))
 @example(drawn=("distribution/outputs", [True, 2, 3, 4]))
-@example(drawn=("SampleEvent/output", [True, 2, 3]))
+@example(drawn=("EventStream/outputs", [True, 2, 3]))
+@example(drawn=("EventStream/input_modes", [True, 2, 3]))
 @example(drawn=("spdc_branch_pattern/input_modes", (0.5, 1, 2, 3)))
 @example(drawn=("spdc_branch_pattern/input_modes", (1, 1, 2, 3)))
 @example(drawn=("spdc_branch_pattern/input_modes", (True, 2, 3, 4)))
@@ -512,6 +518,24 @@ class TestEnumerate:
         assert np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 20), data=st.data())
+@example(n=20, data=None)
+def test_output_factorials_equal_math_factorials(n, data):
+    """prod_i s_i! of sorted mode lists, exact up to 20 photons in one mode."""
+    if data is None:
+        lists = np.zeros((1, 20), dtype=np.intp)
+    else:
+        lists = np.sort(np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=20)),
+            dtype=np.intp), axis=1)
+    want = [math.prod(math.factorial(c) for c in np.bincount(row).tolist())
+            for row in lists]
+    got = _output_factorials(lists)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 class TestDistribution:
     def test_single_photon_row(self):
         u = haar_unitary(6, 3).entries
@@ -682,6 +706,82 @@ class TestSample:
         f_exp = np.append(p[mask] * 1e5, p[~mask].sum() * 1e5)
         stat = chisquare(f_obs, f_exp)
         assert stat.pvalue > 0.001
+
+
+def _stream(**columns):
+    """A two-event 3-photon stream, with any column replaced."""
+    base = dict(index=[0, 1], branch=[0, 0], outputs=[(0, 1, 2), (1, 2, 3)],
+                distinguishable=[False, True], branches=("fock",), input_modes=[(0, 1, 2)])
+    return EventStream(**{**base, **columns})
+
+
+class TestEventStream:
+    def test_rows_and_sub_streams(self):
+        events = _stream()
+        assert len(events) == 2 and events.n == 3
+        assert list(events) == [itf.SampleEvent(0, "fock", (0, 1, 2), (0, 1, 2), False),
+                                itf.SampleEvent(1, "fock", (0, 1, 2), (1, 2, 3), True)]
+        tail = events[1:]
+        assert np.array_equal(tail.outputs, [[1, 2, 3]]) and tail.index.tolist() == [1]
+        assert np.array_equal(events[[1, 1, 0]].index, [1, 1, 0])
+
+    def test_columns_are_read_only(self):
+        events = _stream()
+        with pytest.raises(ValueError):
+            events.outputs[0, 0] = -1
+
+    @pytest.mark.parametrize("column, value, match", [
+        ("index", [True, 1], "event indices"),
+        ("index", [0.0, 1], "event indices"),
+        ("branch", [0, 1], "branch codes must index"),
+        ("branch", [0, -1], "branch codes"),
+        ("outputs", [(0, 1, 2), (1, 2, True)], "output modes"),
+        ("outputs", [(0, 1, 2), (1, 2, 3.0)], "output modes"),
+        ("outputs", [(0, 1, 2), (1, 2, -1)], "output modes"),
+        ("outputs", np.array([[0, 1, 2], [1, 2, 3]], dtype=float), "output modes"),
+        ("outputs", np.ones((2, 3), dtype=bool), "output modes"),
+        ("outputs", [(0, 1, 2), (1, 2)], "output modes"),
+        ("outputs", [(0, 1), (1, 2)], "one photon number"),
+        ("outputs", [(0, 1, 2)], "unequal lengths"),
+        ("input_modes", [(True, 1, 2)], "input modes"),
+        ("input_modes", [(0, 1, 2), (0, 1, 3)], "input rows"),
+        ("distinguishable", [0, 1], "distinguishable flags"),
+        ("distinguishable", np.array([0, 1]), "distinguishable flags"),
+    ], ids=["bool-index", "float-index", "unknown-branch", "negative-branch", "bool-mode",
+            "float-mode", "negative-mode", "float-array", "bool-array", "ragged-outputs",
+            "mixed-photon-numbers", "short-column", "bool-input-mode", "extra-input-row",
+            "int-flags", "int-flag-array"])
+    def test_bad_column_rejected_when_built(self, column, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            _stream(**{column: value})
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_event_bytes_cover_the_draw_peak(self, n, monkeypatch):
+        u, count = haar_unitary(32, 3).entries, 100000
+        if n == 3:
+            table = distribution(u, FockPattern.from_modes((12, 19, 20), 32),
+                                 outputs=range(31))
+
+            def draw():
+                return sample(table, 1, count)
+        else:
+            # the branch tables have their own limit: the draw alone is measured
+            tables = itf.spdc_branch_tables(u, (11, 12, 19, 20))
+            monkeypatch.setattr(itf, "spdc_branch_tables", lambda *args: tables)
+
+            def draw():
+                return spdc_sample(u, spdc_weights(1.0), "indistinguishable", 1, count,
+                                   (11, 12, 19, 20))
+        tracemalloc.start()
+        try:
+            assert len(draw()) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a limit just under the peak rejects the draw: it counts at least the peak
+        monkeypatch.setattr(errors, "MAX_TABLE_BYTES", peak - 1)
+        with pytest.raises(CapacityError, match=f"{count} events of {n} photons"):
+            draw()
 
 
 class TestSpdc:

@@ -17,6 +17,12 @@ INPUTS3 = INPUTS4[1:]
 OUTPUTS31 = tuple(i for i in range(32) if i != 31)
 
 
+def fock_stream(outputs, inputs):
+    """A stream of the given output mode lists from one Fock input."""
+    return itf.EventStream(range(len(outputs)), [0] * len(outputs), outputs,
+                           [False] * len(outputs), ("fock",), [inputs])
+
+
 @pytest.fixture(scope="module")
 def streams(device_unitary):
     u = device_unitary
@@ -35,8 +41,7 @@ class TestUniformTest:
         # P = 1e-3 above the 3-photon benchmark (3/32)^3 = 8.24e-4 steps up
         u = np.zeros((32, 32), dtype=complex)
         u[:3, :3] = np.eye(3) * np.sqrt(0.1)   # row sums 0.1 over inputs
-        ev = [itf.SampleEvent(0, "fock", (0, 1, 2), (0, 1, 2), False)]
-        trace = val.run_uniform_test(ev, u, 3, 32)
+        trace = val.run_uniform_test(fock_stream([(0, 1, 2)], (0, 1, 2)), u, 3, 32)
         assert (3 / 32) ** 3 == pytest.approx(8.24e-4, abs=1e-6)
         assert trace.counters[0] == 1          # P = 1e-3 >= threshold
 
@@ -51,19 +56,23 @@ class TestUniformTest:
 
     def test_uniform_random_events_nonpositive_slope(self, device_unitary):
         rng = np.random.default_rng(3)
-        events = [itf.SampleEvent(i, "fock", INPUTS3,
-                                  tuple(sorted(rng.choice(OUTPUTS31, 3, replace=False))),
-                                  False)
-                  for i in range(10000)]
+        events = fock_stream([sorted(rng.choice(OUTPUTS31, 3, replace=False))
+                              for _ in range(10000)], INPUTS3)
         trace = val.run_uniform_test(events, device_unitary, 3, 31)
         assert trace.slope <= 0
 
     def test_wrong_photon_number_rejected(self, device_unitary, streams):
-        stray = itf.SampleEvent(9999, "fock", INPUTS3, (1, 2), False)
-        trace = val.run_uniform_test(streams["bs"][:50] + [stray],
+        # a stream holds one photon number: a 2-photon event joins no 3-photon stream
+        outputs = streams["bs"][:50].outputs.tolist()
+        with pytest.raises(ConfigurationError, match="output modes"):
+            fock_stream(outputs + [(1, 2)], INPUTS3)
+        with pytest.raises(ConfigurationError, match="one photon number"):
+            fock_stream([(1, 2)], INPUTS3)
+        # a W test of another n rejects the whole stream, every event tallied
+        trace = val.run_uniform_test(fock_stream([(1, 2)] * 50, INPUTS3[:2]),
                                      device_unitary, 3, 31)
-        assert trace.n_rejected == 1
-        assert trace.n_events == 50
+        assert trace.n_rejected == 50
+        assert trace.n_events == 0
 
     @pytest.mark.parametrize("n, m", [(3, 0), (3, -6), (0, 31), (3, 2.5), (True, 31),
                                       (3, float("nan"))],
@@ -82,8 +91,7 @@ class TestUniformTest:
         # numpy would cast (True, 2, 3) into the integer array (1, 2, 3)
         u = haar_unitary(6, rng_seed=0).entries
         with pytest.raises(ConfigurationError, match="output modes"):
-            val.run_uniform_test([itf.SampleEvent(0, "fock", (0, 1, 2), (True, 2, 3), False)],
-                                 u, 3, 6)
+            val.run_uniform_test(fock_stream([(True, 2, 3)], (0, 1, 2)), u, 3, 6)
 
     def test_determinism(self, device_unitary, streams):
         t1 = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
@@ -94,15 +102,12 @@ class TestUniformTest:
 class TestDistinguishableTest:
     def test_single_photon_ties_step_up(self):
         u = haar_unitary(6, rng_seed=0).entries
-        events = [itf.SampleEvent(i, "fock", (2,), (i % 6,), False)
-                  for i in range(20)]
-        trace = val.run_distinguishable_test(events, u)
+        trace = val.run_distinguishable_test(fock_stream([(i % 6,) for i in range(20)], (2,)), u)
         assert np.array_equal(trace.counters, np.arange(1, 21))
 
     def test_hom_suppressed_outcome_steps_down(self):
         bs = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
-        ev = [itf.SampleEvent(0, "fock", (0, 1), (0, 1), False)]
-        trace = val.run_distinguishable_test(ev, bs)
+        trace = val.run_distinguishable_test(fock_stream([(0, 1)], (0, 1)), bs)
         assert trace.counters[0] == -1         # q = 0 < d
 
     def test_sign_separation(self, device_unitary, streams):
@@ -117,9 +122,7 @@ class TestDistinguishableTest:
 
     def test_zero_d_event_skipped(self):
         u = np.eye(4, dtype=complex)
-        ev = [itf.SampleEvent(0, "fock", (0, 1), (2, 3), False),
-              itf.SampleEvent(1, "fock", (0, 1), (0, 1), False)]
-        trace = val.run_distinguishable_test(ev, u)
+        trace = val.run_distinguishable_test(fock_stream([(2, 3), (0, 1)], (0, 1)), u)
         assert trace.n_rejected == 1
         assert trace.n_events == 1
 
@@ -162,6 +165,12 @@ class TestDistinguishableTest:
         assert np.array_equal(trace.counters, np.cumsum(want))
 
 
+def two_branches(first, second, outputs):
+    """A stream of two events, one from each of two Fock inputs."""
+    return itf.EventStream([0, 1], [0, 1], outputs, [False, False], ("fock", "fock"),
+                           [first, second])
+
+
 def score(test, events, u):
     if test == "uniform":
         return val.run_uniform_test(events, u, 3, 32)
@@ -179,37 +188,38 @@ class TestInputChecks:
     ])
     def test_out_of_range_modes_rejected(self, test, inp, out):
         u = haar_unitary(32, rng_seed=1).entries
-        events = [itf.SampleEvent(0, "fock", (0, 1, 2), (3, 4, 5), False),
-                  itf.SampleEvent(1, "fock", inp, out, False)]
         with pytest.raises(ConfigurationError):
-            score(test, events, u)
+            score(test, two_branches((0, 1, 2), inp, [(3, 4, 5), out]), u)
 
     def test_nonsquare_u_rejected(self, test):
         u = haar_unitary(8, rng_seed=1).entries[:, :5]
         with pytest.raises(ConfigurationError):
-            score(test, [itf.SampleEvent(0, "fock", (0, 1, 2), (0, 1, 2), False)], u)
+            score(test, fock_stream([(0, 1, 2)], (0, 1, 2)), u)
 
     @pytest.mark.parametrize("boolean_first", [False, True])
     def test_boolean_input_mode_rejected_in_either_order(self, test, boolean_first):
         # (True, 2, 3) == (1, 2, 3), so grouping by input would merge them
-        u = haar_unitary(6, rng_seed=1).entries
-        events = [itf.SampleEvent(0, "fock", (1, 2, 3), (3, 4, 5), False),
-                  itf.SampleEvent(1, "fock", (True, 2, 3), (3, 4, 5), False)]
+        # the stream that would carry them to a test is never built
+        inputs = [(1, 2, 3), (True, 2, 3)]
         if boolean_first:
-            events.reverse()
+            inputs.reverse()
         with pytest.raises(ConfigurationError, match="input modes"):
-            val.run_uniform_test(events, u, 3, 6) if test == "uniform" \
-                else val.run_distinguishable_test(events, u)
-        with pytest.raises(ConfigurationError, match="input modes"):
-            val.wrong_unitary_slope_histogram(events, u, test, 3, 6, 10, rng_seed=0)
+            two_branches(*inputs, [(3, 4, 5)] * 2)
 
     def test_wrong_photon_number_rejected(self, test, device_unitary, streams):
-        events = streams["bs"][:50] + [
-            itf.SampleEvent(9998, "fock", INPUTS3, (1, 2), False),
-            itf.SampleEvent(9999, "fock", INPUTS3, (1, 2, 3, 4), False)]
-        trace = score(test, events, device_unitary)
-        assert trace.n_rejected - score(test, streams["bs"][:50], device_unitary).n_rejected == 2
-        assert trace.n_events + trace.n_rejected == 52
+        # a stream holds one n: events of 2 and of 4 photons join no 3-photon stream
+        outputs = streams["bs"][:50].outputs.tolist()
+        for stray in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ConfigurationError, match="output modes"):
+                fock_stream(outputs + [stray], INPUTS3)
+        # inputs of another n reject the whole stream, every event tallied:
+        # the W test's n = 4, or the 4-photon SPDC mixture of the C test
+        events = streams["bs"][:50]
+        trace = val.run_uniform_test(events, device_unitary, 4, 31) if test == "uniform" \
+            else val.run_distinguishable_test(events, device_unitary, itf.spdc_weights(1.0),
+                                              INPUTS4)
+        assert trace.n_rejected == 50
+        assert trace.n_events == 0
 
 
 class TestWrongUnitaryEnsemble:
@@ -274,6 +284,17 @@ class TestWrongUnitaryEnsemble:
         assert ens.true_slope == slope(u)
         assert np.array_equal(ens.slopes, members)
 
+    def test_branches_without_events_draw_no_columns(self, device_unitary):
+        # at R = 0 every event is |0220>, whose two source modes alone are drawn
+        events = itf.spdc_sample(device_unitary, itf.spdc_weights(0.0), "indistinguishable",
+                                 3, 200, INPUTS4)
+        alone = itf.EventStream(events.index, np.zeros(200, dtype=np.intp), events.outputs,
+                                events.distinguishable, ("0220",), events.input_modes[2:])
+        got, want = (val.wrong_unitary_slope_histogram(ev, device_unitary, "distinguishable",
+                                                       4, 32, 20, rng_seed=1)
+                     for ev in (events, alone))
+        assert np.array_equal(got.slopes, want.slopes)
+
     def test_nonsquare_u_rejected(self, streams):
         u = haar_unitary(8, rng_seed=1).entries[:, :5]
         with pytest.raises(ConfigurationError):
@@ -303,7 +324,7 @@ class TestWrongUnitaryEnsemble:
             self, device_unitary, streams, kind):
         # a million events under 4,096 members: the draw is 25 MB, but the
         # steps alone would be 32.8 GB
-        events = streams["bs"][:50] * 20000
+        events = streams["bs"][np.arange(10 ** 6) % 50]
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="scoring 1000000 events"):
@@ -316,7 +337,7 @@ class TestWrongUnitaryEnsemble:
 
     @pytest.mark.parametrize("kind", ["uniform", "distinguishable"])
     def test_counted_bytes_cover_the_peak(self, device_unitary, streams, kind, monkeypatch):
-        args = (streams["bs"] * 4, device_unitary, kind, 3, 31, 400, 0)
+        args = (streams["bs"][np.arange(4000) % 1000], device_unitary, kind, 3, 31, 400, 0)
         tracemalloc.start()
         try:
             val.wrong_unitary_slope_histogram(*args)
@@ -328,7 +349,8 @@ class TestWrongUnitaryEnsemble:
         with pytest.raises(CapacityError, match="scoring 4000 events"):
             val.wrong_unitary_slope_histogram(*args)
 
-    @pytest.mark.parametrize("events", [[], [itf.SampleEvent(0, "fock", (), (), False)]],
+    @pytest.mark.parametrize("events", [fock_stream(np.empty((0, 3), dtype=np.intp), INPUTS3),
+                                        fock_stream([()], ())],
                              ids=["no-events", "no-input-modes"])
     def test_nothing_to_score_rejected(self, device_unitary, events):
         with pytest.raises(ConfigurationError, match="no input modes"):
