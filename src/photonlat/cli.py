@@ -32,32 +32,11 @@ import numpy as np
 
 from . import footprint as fp
 from . import haarstats, interference, reconstruction, validation
-from .errors import ConfigurationError, NumericalError, is_finite, is_whole
+from .errors import ConfigurationError, NumericalError, check_column, is_finite, is_whole
 from .evolution import MAX_UNITARITY_DEFECT, propagate, unitarity_defect
 from .lattice import CouplingModel, LatticeSpec, build_lattice, default_heater_bank
 
 STREAM_NAMES = ("lattice", "powers", "sampling", "noise", "ensemble")
-
-DEFAULT_CONFIG = {
-    "lattice": {"rows": 4, "cols": 8, "pitch_um": 11.0, "max_shift_um": 2.0,
-                "coupling_length_mm": 36.0, "n_modulation_knots": 8},
-    "coupling": {"c0_per_mm": 0.2, "d0_um": 11.0, "kappa_um": 3.0,
-                 "max_distance_um": 15.0},
-    "heaters": {"powers_mw": None, "power_range_mw": [0.0, 500.0],
-                "kernel_width_um": 50.0},
-    "inputs": [11, 12, 19, 20],
-    "dropped_output": 31,
-    "photons": {"n": 3, "statistics": "indistinguishable", "spdc_ratio": 1.0},
-    "evolution": {"n_steps": 1024},
-    "sampling": {"count": 1000},
-    "reconstruction": {"n_rows": 3, "noise": "none", "mean_plateau_counts": 1e4,
-                       "input_pairs": None},
-    "haar": {"m": 32, "rows": 3, "n_matrices": 15, "columns": 200,
-             "similarity_pairs_bins": 25},
-    "footprint": {"r_min_mm": 30.0, "p_mm": 0.06, "p_f_mm": 0.127, "c_per_mm": 1.0,
-                  "b": 2.0, "fan_arrangement": "linear",
-                  "m_values": [8, 16, 32, 64, 128, 256, 512, 1024]},
-}
 
 
 class Kind(NamedTuple):
@@ -90,34 +69,46 @@ _POSITIVE = Kind(lambda v: is_finite(v) and v > 0, "a finite number > 0")
 _NONNEGATIVE = Kind(lambda v: is_finite(v) and v >= 0, "a finite number >= 0")
 _COUNT, _MODE = _whole(1), _whole(0)
 
-# the kind of every key of DEFAULT_CONFIG, plus the top-level seed
+# every config key as (default, kind); the top-level seed has no default
 SCHEMA = {
-    "seed": _whole(0, 2 ** 64 - 1),
-    "lattice": {"rows": _COUNT, "cols": _COUNT, "pitch_um": _POSITIVE,
-                "max_shift_um": _NONNEGATIVE, "coupling_length_mm": _POSITIVE,
-                "n_modulation_knots": _whole(2)},
-    "coupling": {"c0_per_mm": _POSITIVE, "d0_um": _POSITIVE, "kappa_um": _POSITIVE,
-                 "max_distance_um": _POSITIVE},
-    "heaters": {"powers_mw": _nullable(_list(_NONNEGATIVE, 16)),
-                "power_range_mw": _list(_NONNEGATIVE, 2), "kernel_width_um": _POSITIVE},
-    "inputs": _list(_MODE),
-    "dropped_output": _nullable(_MODE),
-    "photons": {"n": _choice(3, 4),
-                "statistics": _choice("indistinguishable", "distinguishable"),
-                "spdc_ratio": _NONNEGATIVE},
-    "evolution": {"n_steps": _COUNT},
-    "sampling": {"count": _whole(0)},
-    "reconstruction": {"n_rows": _whole(2), "noise": _choice("none", "poisson"),
-                       "mean_plateau_counts": _POSITIVE,
-                       "input_pairs": _nullable(_list(_list(_MODE, 2)))},
+    "seed": (None, _whole(0, 2 ** 64 - 1)),
+    "lattice": {"rows": (4, _COUNT), "cols": (8, _COUNT), "pitch_um": (11.0, _POSITIVE),
+                "max_shift_um": (2.0, _NONNEGATIVE),
+                "coupling_length_mm": (36.0, _POSITIVE),
+                "n_modulation_knots": (8, _whole(2))},
+    "coupling": {"c0_per_mm": (0.2, _POSITIVE), "d0_um": (11.0, _POSITIVE),
+                 "kappa_um": (3.0, _POSITIVE), "max_distance_um": (15.0, _POSITIVE)},
+    "heaters": {"powers_mw": (None, _nullable(_list(_NONNEGATIVE, 16))),
+                "power_range_mw": ([0.0, 500.0], _list(_NONNEGATIVE, 2)),
+                "kernel_width_um": (50.0, _POSITIVE)},
+    "inputs": ([11, 12, 19, 20], _list(_MODE)),
+    "dropped_output": (31, _nullable(_MODE)),
+    "photons": {"n": (3, _choice(3, 4)),
+                "statistics": ("indistinguishable",
+                               _choice("indistinguishable", "distinguishable")),
+                "spdc_ratio": (1.0, _NONNEGATIVE)},
+    "evolution": {"n_steps": (1024, _COUNT)},
+    "sampling": {"count": (1000, _whole(0))},
+    "reconstruction": {"n_rows": (3, _whole(2)), "noise": ("none", _choice("none", "poisson")),
+                       "mean_plateau_counts": (1e4, _POSITIVE),
+                       "input_pairs": (None, _nullable(_list(_list(_MODE, 2))))},
     # the phase histograms need a gauge-free block, so at least 2 rows
-    "haar": {"m": _whole(2), "rows": _whole(2), "n_matrices": _COUNT,
-             "columns": _whole(2), "similarity_pairs_bins": _COUNT},
-    "footprint": {"r_min_mm": _POSITIVE, "p_mm": _POSITIVE, "p_f_mm": _POSITIVE,
-                  "c_per_mm": _POSITIVE, "b": _POSITIVE,
-                  "fan_arrangement": _choice(*fp.FAN_ARRANGEMENTS),
-                  "m_values": _list(_whole(2))},
+    "haar": {"m": (32, _whole(2)), "rows": (3, _whole(2)), "n_matrices": (15, _COUNT),
+             "columns": (200, _whole(2)), "similarity_pairs_bins": (25, _COUNT)},
+    "footprint": {"r_min_mm": (30.0, _POSITIVE), "p_mm": (0.06, _POSITIVE),
+                  "p_f_mm": (0.127, _POSITIVE), "c_per_mm": (1.0, _POSITIVE),
+                  "b": (2.0, _POSITIVE),
+                  "fan_arrangement": ("linear", _choice(*fp.FAN_ARRANGEMENTS)),
+                  "m_values": ([8, 16, 32, 64, 128, 256, 512, 1024], _list(_whole(2)))},
 }
+
+
+def _defaults(schema) -> dict:
+    return {key: _defaults(leaf) if isinstance(leaf, dict) else leaf[0]
+            for key, leaf in schema.items()}
+
+
+DEFAULT_CONFIG = {key: value for key, value in _defaults(SCHEMA).items() if key != "seed"}
 
 
 def _lattice_m(config) -> int:
@@ -136,35 +127,36 @@ CROSS_KEY_RULES = (
 )
 
 
-def _merge(schema, defaults, override, where=""):
-    """``defaults`` overridden by ``override``, every section a new dict and
-    every leaf of its ``schema`` kind. A key ``schema`` lacks, or a section
-    that is not an object, raises: the schema is closed."""
+def _merge(schema, override, where=""):
+    """The ``schema`` defaults overridden by ``override``, every section a new
+    dict and every leaf of its ``schema`` kind. A key ``schema`` lacks, or a
+    section that is not an object, raises: the schema is closed."""
     if not isinstance(override, dict):
         raise ConfigurationError(f"{where.rstrip('.') or 'config'} must be a JSON object")
     for key in override:
         if key not in schema:
             raise ConfigurationError(f"unknown config key {where}{key}")
     merged = {}
-    for key, kind in schema.items():
-        value = override.get(key, defaults[key])
-        if isinstance(kind, dict):
-            value = _merge(kind, defaults[key], value, f"{where}{key}.")
-        elif not kind.accepts(value):
+    for key, leaf in schema.items():
+        if isinstance(leaf, dict):
+            merged[key] = _merge(leaf, override.get(key, {}), f"{where}{key}.")
+            continue
+        value, kind = override.get(key, leaf[0]), leaf[1]
+        if not kind.accepts(value):
             raise ConfigurationError(f"{where}{key} = {value!r} must be {kind.text}")
         merged[key] = value
     return merged
 
 
 def load_config(path, seed_override=None) -> dict:
-    """The config file merged over ``DEFAULT_CONFIG``, whose keys, plus the
-    top-level ``seed``, are the only ones accepted, each of the kind
-    ``SCHEMA`` gives it and all of them within ``CROSS_KEY_RULES``."""
+    """The config file merged over the defaults of ``SCHEMA``, whose keys are
+    the only ones accepted, each of the kind ``SCHEMA`` gives it and all of
+    them within ``CROSS_KEY_RULES``."""
     with open(path) as fh:
         user = json.load(fh)
     if seed_override is not None and isinstance(user, dict):
         user = {**user, "seed": seed_override}
-    config = _merge(SCHEMA, {**DEFAULT_CONFIG, "seed": None}, user)
+    config = _merge(SCHEMA, user)
     for key, holds, text in CROSS_KEY_RULES:
         section, _, leaf = key.rpartition(".")
         value = (config[section] if section else config)[leaf]
@@ -361,62 +353,56 @@ def _source_branches(config):
     return ("fock",), [_fixed_input_pattern(config).modes()]
 
 
-def _check_event(rec, labels, n: int, m: int, where: str) -> None:
-    """Raise unless ``rec`` is an event record ``sample`` could have written:
-    an int index, a branch in ``labels``, n int output modes in [0, m) and a
-    bool distinguishable flag. ``type(...) is int`` also rejects booleans."""
-    if not isinstance(rec, dict) or not EVENT_KEYS <= rec.keys():
-        raise ConfigurationError(
-            f"{where}: malformed event record {rec!r}: needs the keys {sorted(EVENT_KEYS)}")
-    output = rec["output"]
-    if type(rec["index"]) is not int or rec["branch"] not in labels or \
-            type(rec["distinguishable"]) is not bool or type(output) is not list or \
-            len(output) != n or not all(type(k) is int and 0 <= k < m for k in output):
-        raise ConfigurationError(
-            f"{where}: malformed event record {rec!r}: needs an int index, a branch "
-            f"in {labels}, {n} int output modes in [0, {m}) and a bool "
-            "distinguishable")
-
-
-def _records_stream(recs, labels, inputs, n: int) -> interference.EventStream:
-    """The stream of parsed event records, checked as the stream checks its
-    columns; an unknown branch label becomes no branch code."""
+def _records_stream(recs, labels, inputs, n: int, m: int) -> interference.EventStream:
+    """The stream of parsed event records, its columns checked by
+    :func:`errors.check_column` and its output modes against m; an unknown
+    branch label becomes no branch code. A record that is no object raises
+    ``TypeError``, one without a key ``KeyError``."""
     codes = {label: code for code, label in enumerate(labels)}
     field = {key: list(map(operator.itemgetter(key), recs)) for key in EVENT_KEYS}
-    return interference.EventStream(
+    stream = interference.EventStream(
         field["index"], list(map(codes.get, field["branch"])),
         field["output"] or np.empty((0, n), dtype=np.intp), field["distinguishable"],
         labels, inputs)
+    check_column(stream.outputs, "output modes", ("K", "n"), lo=0, hi=m)
+    return stream
 
 
 def _event_block(lines, first: int, where, labels, inputs, n: int, m: int):
     """The stream of a block of event lines, the first of them line ``first``
-    of the file ``where``: parsed by one ``json.loads`` over them all and
-    checked as columns or, where that cannot show each line to be one
-    well-formed record, parsed and checked line by line, which names the
-    first malformed one.
+    of the file ``where``. The block is parsed by one ``json.loads`` over
+    all its lines where that shows each line to hold one record, and line by
+    line otherwise; either way its stream is built once. Only when that
+    fails are the records checked one at a time, to name the first line
+    whose record ``sample`` could not have written.
 
     Each line but the last ends in a newline, which no JSON string holds,
     and each starts with "{", which neither a key nor an output mode may
-    be; so once every record holds exactly the four keys with values of
-    their kinds, each joining comma separates two records: one per line.
+    be; so once every record holds exactly the four keys, each joining
+    comma separates two records: one per line.
     """
+    bad = (ConfigurationError, KeyError, TypeError)    # TypeError: no object, or a list label
     try:
         recs = json.loads("[" + ",".join(lines) + "]")
         if len(recs) == len(lines) and all(map(str.startswith, lines, itertools.repeat("{"))) \
                 and set(map(type, recs)) <= {dict} and all(map(
                     operator.eq, map(dict.keys, recs), itertools.repeat(EVENT_KEYS))):
-            stream = _records_stream(recs, labels, inputs, n)
-            if not (len(stream) and stream.outputs.max() >= m):
-                return stream
-    # TypeError: a branch label no dict can hold
-    except (json.JSONDecodeError, ConfigurationError, TypeError):
+            return _records_stream(recs, labels, inputs, n, m)
+    except (json.JSONDecodeError, *bad):
         pass
-    recs = []
-    for line_no, line in enumerate(lines, start=first):
-        recs.append(json.loads(line))
-        _check_event(recs[-1], labels, n, m, f"{where} line {line_no}")
-    return _records_stream(recs, labels, inputs, n)
+    recs = list(map(json.loads, lines))
+    try:
+        return _records_stream(recs, labels, inputs, n, m)
+    except bad:
+        for line_no, rec in enumerate(recs, start=first):
+            try:
+                _records_stream([rec], labels, inputs, n, m)
+            except bad as exc:
+                raise ConfigurationError(
+                    f"{where} line {line_no}: malformed event record {rec!r}: needs the "
+                    f"keys {sorted(EVENT_KEYS)}, an int index, a branch in {labels}, {n} "
+                    f"int output modes in [0, {m}) and a bool distinguishable") from exc
+        raise
 
 
 def read_samples(path, config) -> interference.EventStream:
@@ -442,7 +428,7 @@ def read_samples(path, config) -> interference.EventStream:
             raise ConfigurationError(
                 f"{path} was sampled under a different config or seed")
         labels, inputs = _source_branches(config)
-        blocks, first = [_records_stream([], labels, inputs, n)], 2
+        blocks, first = [_records_stream([], labels, inputs, n, m)], 2
         for lines in iter(functools.partial(fh.readlines, _READ_BYTES), []):
             blocks.append(_event_block(lines, first, path, labels, inputs, n, m))
             first += len(lines)
@@ -458,6 +444,8 @@ def read_samples(path, config) -> interference.EventStream:
 def cmd_validate(config, args):
     u = read_unitary(args.unitary)
     events = read_samples(args.samples, config)
+    # the ensemble's memory is known from the stream: check it before any scoring
+    validation.check_ensemble_bytes(events, len(u), args.ensemble)
     n = config["photons"]["n"]
     m_eff = len(_kept_outputs(config))
     score = {"uniform": lambda evs: validation.run_uniform_test(evs, u, n, m_eff),
@@ -538,7 +526,7 @@ def cmd_reconstruct(config, args):
 
     files["reconstructed.json"] = _json_text({
         "rows": list(refined.rows),
-        "gauge": refined.gauge,
+        "gauge": reconstruction.GAUGE,
         "moduli": [list(map(float, row)) for row in refined.moduli],
         "phases": [list(map(float, row)) for row in refined.phases],
         "chi2": refined.chi2,

@@ -5,17 +5,22 @@ dimension mismatches, under-determined inputs) and numerical failures
 (fit non-convergence, inconsistent interference data). The CLI maps the
 former to exit code 2 and the latter to exit code 3. The value
 predicates and ``check_fields`` below serve the config schema and the
-library's parameter dataclasses alike; ``check_whole``, ``check_seed``,
-``check_modes`` and ``check_square`` are the one rule for a count, a seed,
-a mode list and a matrix U, each naming the argument it rejects.
-``MAX_TABLE_BYTES`` is the one memory budget: :func:`check_table_bytes`
-raises :class:`CapacityError` before a call allocates arrays beyond it.
+library's parameter dataclasses alike; ``check_whole``, ``check_seed``
+and ``check_square`` are the one rule for a count, a seed and a matrix U,
+each naming the argument it rejects. :func:`check_column` is the one rule
+for a column of whole numbers or flags: a mode list (:func:`check_modes`
+calls it), an :class:`~photonlat.interference.EventStream` column and the
+records of a samples file are all judged by it, an array by its dtype and
+anything else by the types of its entries. ``MAX_TABLE_BYTES`` is the one
+memory budget: :func:`check_table_bytes` raises :class:`CapacityError`
+before a call allocates arrays beyond it.
 """
 
 import dataclasses
+import itertools
 import math
 import numbers
-from collections.abc import Iterable
+import reprlib
 
 import numpy as np
 
@@ -104,28 +109,55 @@ def check_seed(seed):
     return check_whole(seed, "rng_seed", 0)
 
 
-def check_modes(modes, m: int, what: str, distinct: bool = False):
-    """``modes``, unless a mode is no whole number in [0, m) or, with
-    ``distinct``, one repeats. An integer array is checked by its range,
-    so a boolean that numpy cast into it passes as an integer, and is
-    returned as it is; an array of any other dtype is rejected. Any other
-    iterable is checked element by element with :func:`is_whole` and
-    returned as a tuple."""
-    if isinstance(modes, np.ndarray):
-        ok = modes.dtype.kind in "iu" and (
-            not modes.size or (modes.min() >= 0 and modes.max() < m))
-        ok = ok and not (distinct and len(np.unique(modes)) != modes.size)
-    elif isinstance(modes, Iterable):
-        modes = tuple(modes)
-        ok = all(is_whole(mode) and 0 <= mode < m for mode in modes)
-        ok = ok and not (distinct and len(set(modes)) != len(modes))
-    else:
+def check_column(value, what: str, dims=None, dtype=np.intp, lo=None, hi=None,
+                 distinct: bool = False) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype`` (``np.intp`` or ``bool``),
+    unless an entry is of another kind, below ``lo``, at or above ``hi`` or,
+    with ``distinct``, repeated. ``dims`` names the array's dimensions;
+    without them it is one flat list.
+
+    An array is judged by its dtype. Any other iterable is read once, so a
+    generator is consumed here, and judged by the types of its entries:
+    numpy would cast a boolean among integers into an integer, so only
+    ``bool`` and ``np.bool_`` are flags and only a ``numbers.Integral``
+    other than ``bool`` is a whole number. Then one min and max against
+    [lo, hi) and, with ``distinct``, one ``np.unique``.
+    """
+    depth = len(dims) if dims else 1
+    try:
+        if isinstance(value, np.ndarray):
+            ok = value.dtype.kind in ("b" if dtype is bool else "iu") and \
+                np.can_cast(value.dtype, dtype)
+        else:
+            value = entries = list(value)
+            for _ in range(depth - 1):
+                entries = itertools.chain.from_iterable(entries)
+            types = set(map(type, entries))
+            # np.bool_ is no numbers.Integral
+            ok = types <= {bool, np.bool_} if dtype is bool else all(
+                issubclass(t, numbers.Integral) and t is not bool for t in types)
+        arr = np.asarray(value, dtype=dtype).view() if ok else None
+    except (TypeError, ValueError, OverflowError):   # not iterable, ragged, too large
         ok = False
+    ok = ok and arr.ndim == depth
+    if ok and arr.size:
+        ok = (lo is None or arr.min() >= lo) and (hi is None or arr.max() < hi) and \
+            not (distinct and len(np.unique(arr)) != arr.size)
     if not ok:
-        # an array stays an array, whose repr numpy summarises when long
-        raise ConfigurationError(f"{what} must be {'distinct ' if distinct else ''}whole "
-                                 f"numbers in [0, {m}), got {modes!r}")
-    return modes
+        bounds = f" in [{lo}, {hi})" if hi is not None else "" if lo is None else f" >= {lo}"
+        kind = "booleans" if dtype is bool else f"whole numbers{bounds}"
+        shape = "be" if dims is None else f"form a ({', '.join(dims)}) array of"
+        raise ConfigurationError(f"{what} must {shape} {'distinct ' * distinct}{kind}, "
+                                 f"got {reprlib.repr(value)}")
+    arr.flags.writeable = False
+    return arr
+
+
+def check_modes(modes, m: int, what: str, distinct: bool = False) -> np.ndarray:
+    """``modes``, a flat list, as a read-only ``np.intp`` array by
+    :func:`check_column`, unless a mode is no whole number in [0, m) or,
+    with ``distinct``, one repeats."""
+    return check_column(modes, what, lo=0, hi=m, distinct=distinct)
 
 
 def check_square(u, what: str) -> np.ndarray:

@@ -23,8 +23,8 @@ z_j = exp(i psi_j), rank 2, so one eigendecomposition recovers psi up to
 a sign (two-photon data cannot tell a row from its conjugate), and the
 signs are searched exhaustively.
 
-Reconstructed submatrices use the gauge where the first input row and
-first output column carry zero phase; only the phase quadruples above
+Reconstructed submatrices use the gauge ``GAUGE``, where the first input
+row and first output column carry zero phase; only the phase quadruples above
 are physical, and comparisons go through them.
 
 Every stage works on the dip index that :class:`HomDataset` builds once:
@@ -61,6 +61,7 @@ SCAN_POSITIONS.flags.writeable = False
 INTENSITY_COUNTS = 1e5       # counts per unit intensity of the noisy single-photon rows
 NORM_TOLERANCE = 1e-4        # weight 1/tolerance of the unit-row-norm residuals
 ERROR_FLOOR = 1e-6           # relative floor on plateau-scale uncertainties
+GAUGE = "first-row-and-first-column-zero"   # the phase gauge of every reconstruction
 
 log = logging.getLogger(__name__)
 fit_log = logging.getLogger(__name__ + ".fits")   # the least-squares fits
@@ -72,8 +73,7 @@ def submatrix_rows(u, inputs) -> np.ndarray:
     ``inputs`` must be distinct whole numbers in [0, m) for U's m columns.
     """
     u = np.asarray(u, dtype=complex)
-    inputs = list(check_modes(inputs, u.shape[-1], "inputs", distinct=True))
-    return u[:, inputs].T.copy()
+    return u[:, check_modes(inputs, u.shape[-1], "inputs", distinct=True)].T.copy()
 
 
 def _pair_sums(x, h, k, i, j):
@@ -533,12 +533,11 @@ def _log_fit(name: str, result, chi2_start: float, detail: str = "") -> None:
 
 @dataclass
 class ReconstructedSubmatrix:
-    """Moduli and gauge-fixed phases of the reconstructed input rows."""
+    """Moduli and phases, in the gauge ``GAUGE``, of the reconstructed input rows."""
 
     rows: tuple
     moduli: np.ndarray
     phases: np.ndarray
-    gauge: str = "first-row-and-first-column-zero"
     converged: bool = True
     chi2: float = float("nan")
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, check_modes, check_square, check_table_bytes,
+from .errors import (ConfigurationError, check_column, check_square, check_table_bytes,
                      check_whole)
 from .haarstats import DEFAULT_BINS, Histogram, _haar_columns
 from .interference import (SPDC_BRANCHES, EventStream, FockPattern, SourceWeights,
@@ -105,9 +105,9 @@ def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None
     m_u = us.shape[1]
     modes = np.arange(m_u) if modes is None else modes
     steps = np.zeros((len(us), len(events)), dtype=int)
-    outputs = check_modes(events.outputs, m_u, "output modes")
+    outputs = check_column(events.outputs, "output modes", ("K", "n"), lo=0, hi=m_u)
     if inputs is None:
-        check_modes(events.input_modes, m_u, "input modes")
+        check_column(events.input_modes, "input modes", ("B", "n"), lo=0, hi=m_u)
         order = np.argsort(events.branch, kind="stable")
         ends = np.cumsum(np.bincount(events.branch, minlength=len(events.branches)))
         groups = [([(1.0, row)], idx) for row, idx in
@@ -201,6 +201,22 @@ class WrongUnitaryEnsemble:
     z_score: float
 
 
+def check_ensemble_bytes(events: EventStream, m: int, ensemble_size) -> None:
+    """Raise :class:`ConfigurationError` for an ``ensemble_size`` that is no
+    whole number >= 2, and :class:`CapacityError` when rescoring ``events``
+    against that many Haar draws of m modes would exceed ``MAX_TABLE_BYTES``:
+    the draws hold 64 bytes per (member, mode, input mode) and the scoring
+    arrays 32 + 8 n per (member, event) for the stream's n (tracemalloc
+    measured at most 48 beyond the draw at n = 3, where one group holds
+    every event, and 30 at n = 4, split into three branches). Every
+    branch's input modes are charged, used by an event or not, so the check
+    needs no pass over the events."""
+    check_whole(ensemble_size, "ensemble_size", 2)
+    check_table_bytes(64 * ensemble_size * m * len(np.unique(events.input_modes))
+                      + (ensemble_size + 1) * len(events) * (32 + 8 * events.n),
+                      f"{ensemble_size} Haar draws scoring {len(events)} events")
+
+
 def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n: int, m: int,
                                   ensemble_size: int, rng_seed,
                                   reference_slope: float | None = None) -> WrongUnitaryEnsemble:
@@ -213,27 +229,19 @@ def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n
     columns scored are drawn, the sorted union of the input modes of the
     branches the events use, from the spawned seeds of ``rng_seed``
     (:func:`haarstats._haar_columns`), and rescored with those of the true
-    unitary in one call of the scoring kernel. ``ensemble_size`` must be a
-    whole number >= 2; the uniform test checks n and m as
-    :func:`run_uniform_test` does. ``CapacityError`` is raised before the
-    draw when it and the scoring arrays would exceed ``MAX_TABLE_BYTES``;
-    these hold 32 + 8 n bytes per (member, event) for the stream's n
-    (tracemalloc measured at most 48 beyond the draw at n = 3, where one
-    group holds every event, and 30 at n = 4, split into three branches).
+    unitary in one call of the scoring kernel. ``ensemble_size`` and the
+    memory are checked first, by :func:`check_ensemble_bytes`; the uniform
+    test checks n and m as :func:`run_uniform_test` does.
     """
-    check_whole(ensemble_size, "ensemble_size", 2)
+    true_u = check_square(true_u, "U")
+    m_u = len(true_u)
+    check_ensemble_bytes(events, m_u, ensemble_size)
     if test_kind not in ("uniform", "distinguishable"):
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
     if test_kind == "uniform":
         check_whole(n, "n", 1)
         check_whole(m, "m", 1)
-    true_u = check_square(true_u, "U")
-    m_u = len(true_u)
-    # charged for every branch's modes: the used branches are found by an event-sized pass
-    check_table_bytes(64 * ensemble_size * m_u * len(np.unique(events.input_modes))
-                      + (ensemble_size + 1) * len(events) * (32 + 8 * events.n),
-                      f"{ensemble_size} Haar draws scoring {len(events)} events")
-    check_modes(events.input_modes, m_u, "input modes")
+    check_column(events.input_modes, "input modes", ("B", "n"), lo=0, hi=m_u)
     used = np.bincount(events.branch, minlength=len(events.branches)) > 0
     modes = np.unique(events.input_modes[used])
     if not len(modes):

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonlat
-from photonlat.cli import DEFAULT_CONFIG, SCHEMA, config_hash, load_config, main, read_unitary
+from photonlat.cli import SCHEMA, config_hash, load_config, main, read_unitary
+from photonlat.errors import ConfigurationError
 
 from conftest import evolution_log
 
@@ -547,17 +549,21 @@ def _validate(simulated, samples, tmp_path):
                "--out", tmp_path / "v", "--ensemble", 10)
 
 
-@pytest.mark.parametrize("key, value", [
+# (key, value) of an event record that sample never writes; None deletes the key
+MALFORMED_RECORDS = dict(zip([
+    "no_branch", "no_index", "no_output", "no_distinguishable", "str_index",
+    "unknown_branch", "int_flag", "short_output", "bool_mode", "float_mode",
+    "bool_index", "spdc_branch_in_fock_stream", "list_branch", "str_flag",
+    "long_output", "mode_beyond_m", "negative_mode", "huge_mode"], [
     ("branch", None), ("index", None), ("output", None), ("distinguishable", None),
     ("index", "4"), ("branch", "1234"), ("distinguishable", 0),
     ("output", [1, 3]), ("output", [1, 3, True]), ("output", [1, 3, 5.0]),
     ("index", True), ("branch", "1111"), ("branch", ["fock"]), ("distinguishable", "false"),
     ("output", [1, 3, 5, 7]), ("output", [1, 3, 40]), ("output", [1, 3, -1]),
-    ("output", [1, 3, 2 ** 70]),
-], ids=["no_branch", "no_index", "no_output", "no_distinguishable", "str_index",
-        "unknown_branch", "int_flag", "short_output", "bool_mode", "float_mode",
-        "bool_index", "spdc_branch_in_fock_stream", "list_branch", "str_flag",
-        "long_output", "mode_beyond_m", "negative_mode", "huge_mode"])
+    ("output", [1, 3, 2 ** 70])]))
+
+
+@pytest.mark.parametrize("key, value", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
 def test_malformed_event_record_exits_2(simulated, tmp_path, capsys, key, value):
     samples = _sampled_stream(simulated, tmp_path, 30)
     lines = samples.read_text().splitlines()
@@ -601,6 +607,67 @@ def test_records_with_extra_keys_or_padding_still_read(simulated, tmp_path):
     assert np.array_equal(got.outputs, want.outputs)
     assert np.array_equal(got.index, want.index)
     assert _validate(simulated, samples, tmp_path) == 0
+
+
+def _with_record(line, key, value):
+    rec = json.loads(line)
+    if value is None:
+        del rec[key]
+    else:
+        rec[key] = value
+    return json.dumps(rec, sort_keys=True)
+
+
+# a line as it is, or made malformed, or changed in a way the reader accepts
+LINE_EDITS = {"as_written": lambda line: line, "padding": lambda line: "  " + line,
+              "extra_key": lambda line: _with_record(line, "note", [{"x": 1}]),
+              **{name: lambda line, kv=kv: _with_record(line, *kv)
+                 for name, kv in MALFORMED_RECORDS.items()}}
+
+
+def _verdict(samples, config):
+    """The columns read from a samples file, or the line its error names."""
+    try:
+        events = photonlat.cli.read_samples(samples, config)
+    except ConfigurationError as exc:
+        found = re.search(r" line (\d+): malformed event record", str(exc))
+        return int(found.group(1)) if found else str(exc)
+    return [getattr(events, name).tolist()
+            for name in ("index", "branch", "outputs", "distinguishable")]
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+def test_both_reader_paths_give_one_verdict(simulated, tmp_path, edit):
+    """Line 6 edited, then an extra key added to line 21 of the same block:
+    the first file's block is parsed at once where it can be, the second's
+    line by line, and both read the same columns or name the same line."""
+    samples = _sampled_stream(simulated, tmp_path, 30)
+    config = load_config(simulated[1])
+    written = _verdict(samples, config)
+    lines = samples.read_text().splitlines()
+    lines[5] = LINE_EDITS[edit](lines[5])
+    verdicts = []
+    for line in (lines[20], LINE_EDITS["extra_key"](lines[20])):
+        lines[20] = line
+        samples.write_text("\n".join(lines) + "\n")
+        verdicts.append(_verdict(samples, config))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0] == (6 if edit in MALFORMED_RECORDS else written)
+
+
+def test_validate_checks_the_ensemble_budget_before_scoring(simulated, tmp_path, capsys,
+                                                           monkeypatch):
+    _, cfg, upath = simulated
+    samples = _sampled_stream(simulated, tmp_path, 600)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("the paired reference stream was drawn")
+    monkeypatch.setattr(photonlat.cli, "_draw_stream", draw)
+    # 64 * 10000 * 32 * 3 + 10001 * 600 * (32 + 8 * 3) bytes: about 397 MB, over 256 MB
+    assert run("validate", "--config", cfg, "--unitary", upath, "--samples", samples,
+               "--out", tmp_path / "v", "--ensemble", 10000) == 2
+    assert "table limit" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 @settings(max_examples=40, deadline=None)
@@ -817,12 +884,6 @@ def _leaves(tree, prefix=()):
             yield from _leaves(val, prefix + (key,))
         else:
             yield prefix + (key,)
-
-
-def test_schema_mirrors_the_defaults():
-    def shape(tree):
-        return {k: shape(v) if isinstance(v, dict) else None for k, v in tree.items()}
-    assert shape(SCHEMA) == shape({**DEFAULT_CONFIG, "seed": None})
 
 
 @settings(max_examples=120, deadline=None)
