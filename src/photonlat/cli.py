@@ -34,7 +34,7 @@ from . import footprint as fp
 from . import haarstats, interference, reconstruction, validation
 from .errors import ConfigurationError, NumericalError, check_column, is_finite, is_whole
 from .evolution import MAX_UNITARITY_DEFECT, propagate, unitarity_defect
-from .lattice import CouplingModel, LatticeSpec, build_lattice, default_heater_bank
+from .lattice import N_HEATERS, CouplingModel, LatticeSpec, build_lattice, default_heater_bank
 
 STREAM_NAMES = ("lattice", "powers", "sampling", "noise", "ensemble")
 
@@ -78,7 +78,7 @@ SCHEMA = {
                 "n_modulation_knots": (8, _whole(2))},
     "coupling": {"c0_per_mm": (0.2, _POSITIVE), "d0_um": (11.0, _POSITIVE),
                  "kappa_um": (3.0, _POSITIVE), "max_distance_um": (15.0, _POSITIVE)},
-    "heaters": {"powers_mw": (None, _nullable(_list(_NONNEGATIVE, 16))),
+    "heaters": {"powers_mw": (None, _nullable(_list(_NONNEGATIVE, N_HEATERS))),
                 "power_range_mw": ([0.0, 500.0], _list(_NONNEGATIVE, 2)),
                 "kernel_width_um": (50.0, _POSITIVE)},
     "inputs": ([11, 12, 19, 20], _list(_MODE)),
@@ -202,7 +202,7 @@ def build_device(config):
     else:
         lo, hi = heat["power_range_mw"]
         rng = np.random.default_rng(stream_seed(config["seed"], "powers"))
-        powers = rng.uniform(lo, hi, size=16)
+        powers = rng.uniform(lo, hi, size=N_HEATERS)
     bank = default_heater_bank(layout, powers,
                                kernel_width=heat["kernel_width_um"])
     return layout, model, bank
@@ -246,32 +246,39 @@ def _histogram_csv(hist: haarstats.Histogram):
                       zip(edges[:-1], edges[1:], hist.masses.tolist()))
 
 
-def _kept_outputs(config):
-    m = _lattice_m(config)
-    dropped = config["dropped_output"]
-    if config["photons"]["n"] == 3 and dropped is not None:
-        return [i for i in range(m) if i != dropped]
-    return list(range(m))
+def _source(config):
+    """(branch labels, input-mode rows, detected outputs) of the configured
+    photon source, the one place that reads it.
 
-
-def _fixed_input_pattern(config) -> interference.FockPattern:
-    inputs, n = config["inputs"], config["photons"]["n"]
-    # for n = 3 the first source mode is the heralding trigger and never enters
-    modes = inputs[1:4] if n == 3 else inputs
-    if len(modes) != n:
+    For ``photons.n`` = 4 it is the two-pair SPDC mixture on exactly four
+    ``inputs``, the source modes (n4, n1, n2, n3) in that order: the rows
+    of |1111>, |2002> and |0220>, seen on every output. For n = 3 it is a
+    heralded Fock input: ``inputs[0]`` triggers, one photon enters each of
+    ``inputs[1:4]``, and every output but ``dropped_output`` is kept.
+    Any other count of inputs raises :class:`ConfigurationError`.
+    """
+    inputs, n, m = config["inputs"], config["photons"]["n"], _lattice_m(config)
+    if len(inputs) < 4 or (n == 4 and len(inputs) > 4):
         raise ConfigurationError(
-            f"inputs = {inputs} must hold {'at least' if n == 3 else 'exactly'} 4 "
+            f"inputs = {inputs} must hold {'exactly' if n == 4 else 'at least'} 4 "
             f"modes for photons.n = {n}")
-    return interference.FockPattern.from_modes(modes, _lattice_m(config))
+    if n == 4:
+        return (interference.SPDC_BRANCHES,
+                [interference.spdc_branch_pattern(label, inputs, m).modes()
+                 for label in interference.SPDC_BRANCHES], list(range(m)))
+    return (("fock",), [tuple(sorted(inputs[1:4]))],
+            [k for k in range(m) if k != config["dropped_output"]])
 
 
 def _draw_stream(config, u, statistics, seed, count, collision_free=True):
-    """``count`` events of the configured source through ``u``: the SPDC
-    two-pair mixture for n = 4, the fixed Fock input otherwise. ``count``
-    is checked before any table is built."""
+    """``count`` events of the configured source (:func:`_source`) through
+    ``u``, detected on its outputs: for n = 4 a branch of the SPDC mixture
+    drawn per event, with ``photons.spdc_ratio`` setting the branch
+    weights, for n = 3 the heralded Fock input. ``count`` is checked
+    before any table is built."""
     interference.check_event_count(count, config["photons"]["n"])
-    outputs = _kept_outputs(config)
-    if config["photons"]["n"] == 4:
+    labels, rows, outputs = _source(config)
+    if labels == interference.SPDC_BRANCHES:
         if not collision_free:
             raise ConfigurationError(
                 "the SPDC mixture sampler is defined on the collision-free "
@@ -279,9 +286,9 @@ def _draw_stream(config, u, statistics, seed, count, collision_free=True):
         weights = interference.spdc_weights(config["photons"]["spdc_ratio"])
         return interference.spdc_sample(u, weights, statistics, seed, count,
                                         config["inputs"], outputs=outputs)
-    table = interference.distribution(u, _fixed_input_pattern(config),
-                                      statistics=statistics,
-                                      collision_free=collision_free, outputs=outputs)
+    table = interference.distribution(
+        u, interference.FockPattern.from_modes(rows[0], _lattice_m(config)),
+        statistics=statistics, collision_free=collision_free, outputs=outputs)
     return interference.sample(table, seed, count)
 
 
@@ -340,19 +347,6 @@ def _event_lines(events: interference.EventStream):
             events.index[rows].tolist(), *events.outputs[rows].T.tolist()))
 
 
-
-
-def _source_branches(config):
-    """(labels, input-mode rows) of the branches the configured source
-    emits: the SPDC branches for n = 4, the fixed Fock input otherwise."""
-    m = _lattice_m(config)
-    if config["photons"]["n"] == 4:
-        labels = interference.SPDC_BRANCHES
-        return labels, [interference.spdc_branch_pattern(label, config["inputs"], m).modes()
-                        for label in labels]
-    return ("fock",), [_fixed_input_pattern(config).modes()]
-
-
 def _records_stream(recs, labels, inputs, n: int, m: int) -> interference.EventStream:
     """The stream of parsed event records, its columns checked by
     :func:`errors.check_column` and its output modes against m; an unknown
@@ -406,7 +400,8 @@ def _event_block(lines, first: int, where, labels, inputs, n: int, m: int):
 
 
 def read_samples(path, config) -> interference.EventStream:
-    """The event stream of a JSONL file, input modes rebuilt from branch labels.
+    """The event stream of a JSONL file, input modes rebuilt from branch
+    labels by the configured source (:func:`_source`), checked first.
 
     The file must start with the header ``sample`` writes, and its
     ``config_sha256`` must be the hash of ``config`` with ``sampling.count``
@@ -416,6 +411,7 @@ def read_samples(path, config) -> interference.EventStream:
     about ``_READ_BYTES`` each, so that few parsed records are held at once,
     and each block is checked as columns (:func:`_event_block`).
     """
+    labels, inputs, _ = _source(config)
     m = _lattice_m(config)
     n = config["photons"]["n"]
     with open(path) as fh:
@@ -427,7 +423,6 @@ def read_samples(path, config) -> interference.EventStream:
         if header.get("config_sha256") != config_hash(written):
             raise ConfigurationError(
                 f"{path} was sampled under a different config or seed")
-        labels, inputs = _source_branches(config)
         blocks, first = [_records_stream([], labels, inputs, n, m)], 2
         for lines in iter(functools.partial(fh.readlines, _READ_BYTES), []):
             blocks.append(_event_block(lines, first, path, labels, inputs, n, m))
@@ -447,7 +442,7 @@ def cmd_validate(config, args):
     # the ensemble's memory is known from the stream: check it before any scoring
     validation.check_ensemble_bytes(events, len(u), args.ensemble)
     n = config["photons"]["n"]
-    m_eff = len(_kept_outputs(config))
+    m_eff = len(_source(config)[2])
     score = {"uniform": lambda evs: validation.run_uniform_test(evs, u, n, m_eff),
              "distinguishable": lambda evs: validation.run_distinguishable_test(evs, u),
              }[args.test]

@@ -46,10 +46,6 @@ class NumericalError(RuntimeError):
 class FitError(NumericalError):
     """A fit gave no usable result, such as a plateau that is not > 0."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class InconsistentDataError(NumericalError):
     """Measured interference data violate the model beyond tolerance."""

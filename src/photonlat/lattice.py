@@ -24,6 +24,7 @@ _SQRT3 = math.sqrt(3.0)
 
 # geometry and calibration of the device's heater bank (default_heater_bank)
 HEATERS_PER_SIDE = 8
+N_HEATERS = 2 * HEATERS_PER_SIDE
 HEATER_LENGTH = 3.0          # mm
 HEATER_STANDOFF = 30.0       # um
 SURFACE_HEIGHT = 30.0        # um
@@ -203,6 +204,7 @@ class HeaterBank:
             raise ConfigurationError("heater powers must be nonnegative")
         if self.kernel_width <= 0 or self.alpha_t <= 0:
             raise ConfigurationError("kernel width and alpha_t must be positive")
+        _kernel_spread(self.kernel_width)
 
     @property
     def n_heaters(self) -> int:
@@ -227,20 +229,35 @@ class HeaterBank:
         dy = pos[k, :, 1] - self.positions[r, None, 1]
         kern = np.zeros((len(z), layout.m, self.n_heaters))
         kern[k, :, r] = self.alpha_t * np.exp(-(dx * dx + dy * dy) /
-                                              (2.0 * self.kernel_width ** 2))
+                                              _kernel_spread(self.kernel_width))
         return kern
+
+
+def _kernel_spread(kernel_width) -> float:
+    """2 width^2 of the Gaussian heater kernel, which must be a finite number
+    > 0: a width whose square underflows or overflows raises
+    :class:`ConfigurationError`."""
+    try:
+        spread = 2.0 * kernel_width ** 2
+    except OverflowError:
+        spread = math.inf
+    if not (kernel_width > 0 and 0 < spread < math.inf):
+        raise ConfigurationError(f"heater kernel width {kernel_width!r} um must be > 0 with "
+                                 "2 width^2 a finite number > 0")
+    return spread
 
 
 def default_heater_bank(layout: WaveguideLayout, powers=None,
                         kernel_width: float = 50.0) -> HeaterBank:
-    """16 heaters in two rows at the sides of the coupling region.
+    """``N_HEATERS`` heaters in two rows at the sides of the coupling region.
 
     Each side carries ``HEATERS_PER_SIDE`` resistors of ``HEATER_LENGTH`` mm
     whose windows tile [0, L] with even gaps. Heaters sit ``HEATER_STANDOFF``
     um outside the lattice in x and ``SURFACE_HEIGHT`` um above it in y (the
     chip surface). ``alpha_t`` is calibrated so a single heater driven at
     ``CALIBRATION_POWER`` mW imprints a phase of 2*pi on its nearest
-    waveguide over one window.
+    waveguide over one window; a kernel too narrow for that phase to be a
+    finite calibration raises :class:`ConfigurationError`.
     """
     base = layout.base_positions
     x_left = base[:, 0].min() - HEATER_STANDOFF
@@ -259,41 +276,18 @@ def default_heater_bank(layout: WaveguideLayout, powers=None,
             spans.append((z0, z0 + HEATER_LENGTH))
     pos = np.array(pos)
     spans = np.array(spans)
-    n = 2 * HEATERS_PER_SIDE
     if powers is None:
-        powers = np.zeros(n)
+        powers = np.zeros(N_HEATERS)
     # nearest approach of any ideal waveguide to a heater fixes the calibration
     d2 = ((base[:, None, 0] - pos[None, :, 0]) ** 2
           + (base[:, None, 1] - pos[None, :, 1]) ** 2)
-    kernel_max = float(np.exp(-d2.min() / (2.0 * kernel_width ** 2)))
-    alpha_t = 2.0 * math.pi / (CALIBRATION_POWER * kernel_max * HEATER_LENGTH)
+    # a Python float quotient: one that overflows is inf, with no numpy warning
+    kernel_max = float(np.exp(-float(d2.min()) / _kernel_spread(kernel_width)))
+    scale = CALIBRATION_POWER * kernel_max * HEATER_LENGTH
+    alpha_t = 2.0 * math.pi / scale if scale > 0 else math.inf
+    if not math.isfinite(alpha_t):
+        raise ConfigurationError(
+            f"heater kernel width {kernel_width!r} um is too narrow to calibrate: the "
+            f"kernel vanishes at the nearest waveguide, {math.sqrt(d2.min()):.4g} um away")
     return HeaterBank(pos, spans, np.asarray(powers, dtype=float),
                       kernel_width, alpha_t)
-
-
-def symmetry_permutations(spec: LatticeSpec):
-    """Site permutations induced by isometries of the ideal finite lattice.
-
-    Candidate isometries are the left-right mirror, the up-down mirror and
-    their composition (the 180-degree rotation); an isometry qualifies only
-    if it maps every ideal site onto an ideal site. For the zigzag 8x4
-    triangular strip only the rotation survives, which is the geometric
-    mirror symmetry the strip actually possesses.
-    """
-    base = _ideal_positions(spec)
-    cx = (base[:, 0].min() + base[:, 0].max()) / 2.0
-    cy = (base[:, 1].min() + base[:, 1].max()) / 2.0
-    candidates = {
-        "mirror_x": np.column_stack([2 * cx - base[:, 0], base[:, 1]]),
-        "mirror_y": np.column_stack([base[:, 0], 2 * cy - base[:, 1]]),
-        "rotate_180": np.column_stack([2 * cx - base[:, 0], 2 * cy - base[:, 1]]),
-    }
-    found = {}
-    for name, mapped in candidates.items():
-        d = np.hypot(mapped[:, None, 0] - base[None, :, 0],
-                     mapped[:, None, 1] - base[None, :, 1])
-        perm = d.argmin(axis=1)
-        if np.all(d[np.arange(spec.m), perm] < 1e-9 * max(spec.pitch, 1.0)) \
-                and len(set(perm)) == spec.m:
-            found[name] = perm
-    return found

@@ -180,8 +180,7 @@ def _fit_dips(positions, counts, groups):
     bad = ~((a > 0) & np.isfinite(a) & np.isfinite(b))
     if bad.any():
         raise FitError(f"{bad.sum()} dip fit(s) with a plateau that is not > 0 "
-                       "or a non-finite (a, aV)",
-                       diagnostics={"n_failed": int(bad.sum()), "n_points": len(x)})
+                       "or a non-finite (a, aV)")
     return np.column_stack([a, b]), shape, cov
 
 
@@ -544,13 +543,6 @@ class ReconstructedSubmatrix:
     @property
     def n_rows(self) -> int:
         return self.moduli.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.moduli.shape[1]
-
-    def matrix(self) -> np.ndarray:
-        return self.moduli * np.exp(1j * self.phases)
 
 
 def dip_residuals(theta, moduli, dataset: HomDataset) -> np.ndarray:

@@ -8,7 +8,8 @@ circuit propagation from dense matrix exponentials of an H(z) assembled
 entry by entry from the lattice primitives, HOM dip fits from
 one finite-difference ``least_squares`` over every parameter of a
 campaign (no elimination of the linear ones), and Jacobians from central
-differences.
+differences. The site symmetries of the ideal lattice, which tests
+of the propagator use, are found by brute force over its isometries.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from scipy.linalg import expm
 from scipy.optimize import least_squares
 from scipy.sparse import csr_matrix
 
-from photonlat.lattice import coupling_coefficient
+from photonlat.lattice import LatticeSpec, _ideal_positions, coupling_coefficient
 
 
 def naive_permanent(a):
@@ -182,3 +183,31 @@ def finite_difference_jacobian(fun, x, step=1e-6):
         e[c] = step
         columns.append((np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * step))
     return np.column_stack(columns)
+
+
+def symmetry_permutations(spec: LatticeSpec):
+    """Site permutations induced by isometries of the ideal finite lattice.
+
+    Candidate isometries are the left-right mirror, the up-down mirror and
+    their composition (the 180-degree rotation); an isometry qualifies only
+    if it maps every ideal site onto an ideal site. For the zigzag 8x4
+    triangular strip only the rotation survives, which is the geometric
+    mirror symmetry the strip actually possesses.
+    """
+    base = _ideal_positions(spec)
+    cx = (base[:, 0].min() + base[:, 0].max()) / 2.0
+    cy = (base[:, 1].min() + base[:, 1].max()) / 2.0
+    candidates = {
+        "mirror_x": np.column_stack([2 * cx - base[:, 0], base[:, 1]]),
+        "mirror_y": np.column_stack([base[:, 0], 2 * cy - base[:, 1]]),
+        "rotate_180": np.column_stack([2 * cx - base[:, 0], 2 * cy - base[:, 1]]),
+    }
+    found = {}
+    for name, mapped in candidates.items():
+        d = np.hypot(mapped[:, None, 0] - base[None, :, 0],
+                     mapped[:, None, 1] - base[None, :, 1])
+        perm = d.argmin(axis=1)
+        if np.all(d[np.arange(spec.m), perm] < 1e-9 * max(spec.pitch, 1.0)) \
+                and len(set(perm)) == spec.m:
+            found[name] = perm
+    return found

@@ -678,7 +678,7 @@ def test_stream_round_trips_through_the_samples_file(simulated, n, data):
     tmp, _, upath = simulated
     cfg = write_config(tmp, {"photons": {"n": n}}, name=f"round_trip_{n}.json")
     config = load_config(cfg)
-    labels, inputs = photonlat.cli._source_branches(config)
+    labels, inputs, _ = photonlat.cli._source(config)
     k = data.draw(st.integers(0, 25))
 
     def column(values):
@@ -757,6 +757,87 @@ def test_haar_over_table_limit_exits_2(tmp_path, capsys, key, value):
     assert run("haar", "--config", cfg, "--out", out) == 2
     assert "table limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a child capped at 3 GiB of address space runs the CLI, so that an
+# allocation no bound caught fails the test and leaves the machine alone
+_CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+import photonlat.cli
+sys.exit(photonlat.cli.main(sys.argv[1:]))
+"""
+
+
+def _child_env():
+    """The environment of a child Python that imports this photonlat."""
+    src = str(Path(photonlat.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_capped(*argv):
+    return subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *map(str, argv)],
+                          env=_child_env(), capture_output=True, text=True, timeout=600)
+
+
+def test_similarity_bins_over_table_limit_exit_2_before_allocating(tmp_path):
+    # 10^9 bins: 7.45 GiB of bin edges alone
+    cfg = write_config(tmp_path, {"haar": {"similarity_pairs_bins": 10 ** 9}})
+    out = tmp_path / "out"
+    child = _run_capped("haar", "--config", cfg, "--out", out)
+    assert child.returncode == 2, child.stderr
+    assert "similarity bins exceed" in child.stderr and "table limit" in child.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [1e-300, 1.0, 1e300])
+def test_kernel_width_without_a_finite_calibration_exits_2(tmp_path, capsys, width):
+    # 1e-300 and 1.0 um once divided by a kernel peak of 0, 1e300 overflowed width^2
+    cfg = write_config(tmp_path, {"heaters": {"kernel_width_um": width}})
+    out = tmp_path / "sim"
+    assert run("simulate", "--config", cfg, "--out", out) == 2
+    assert f"heater kernel width {width!r} um" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_source_of_each_photon_number(tmp_path):
+    config = load_config(write_config(tmp_path))
+    assert photonlat.cli._source(config) == (
+        ("fock",), [(12, 19, 20)], [k for k in range(32) if k != 31])
+    config = load_config(write_config(tmp_path, {"photons": {"n": 4}}))
+    assert photonlat.cli._source(config) == (
+        ("1111", "2002", "0220"), [(11, 12, 19, 20), (11, 11, 20, 20), (12, 12, 19, 19)],
+        list(range(32)))
+
+
+SOURCE_INPUTS = {"n=3, three inputs": {"inputs": [11, 12, 19]},
+                 "n=4, five inputs": {"inputs": [11, 12, 19, 20, 21], "photons": {"n": 4}}}
+
+
+@pytest.mark.parametrize("extra", SOURCE_INPUTS.values(), ids=SOURCE_INPUTS.keys())
+@pytest.mark.parametrize("command", ["sample", "validate"])
+def test_inputs_the_source_cannot_use_exit_2_naming_inputs(simulated, tmp_path, capsys,
+                                                           command, extra):
+    _, _, upath = simulated
+    samples = _sampled_stream(simulated, tmp_path, 10)
+    cfg = write_config(tmp_path, extra, name="source.json")
+    flags = ["--samples", samples] if command == "validate" else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--config", cfg, "--unitary", upath, "--out", out, *flags) == 2
+    assert f"configuration error: inputs = {extra['inputs']} must hold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", SOURCE_INPUTS.values(), ids=SOURCE_INPUTS.keys())
+def test_commands_that_read_no_source_run_on_any_inputs(tmp_path, extra):
+    cfg = write_config(tmp_path, {**extra, "evolution": {"n_steps": 32},
+                                  "haar": {"n_matrices": 2, "columns": 3}})
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 0
+    assert run("reconstruct", "--config", cfg, "--unitary", tmp_path / "sim" / "unitary.json",
+               "--out", tmp_path / "rec") == 0
+    assert run("haar", "--config", cfg, "--out", tmp_path / "haar", "--device") == 0
 
 
 @pytest.mark.parametrize("value", [2.5, True, 0])
@@ -930,13 +1011,10 @@ def test_only_reconstruct_loads_scipy_optimize(tmp_path):
                 ["footprint", "--config", cfg, "--out", tmp_path / "fp"],
                 ["reconstruct", "--config", cfg, "--unitary", tmp_path / "sim" / "unitary.json",
                  "--out", tmp_path / "rec"]]
-    src = str(Path(photonlat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run(
         [sys.executable, "-c", _LOADS_IN_CHILD,
          json.dumps([[str(a) for a in argv] for argv in commands])],
-        env=env, capture_output=True, text=True, timeout=600, check=True)
+        env=_child_env(), capture_output=True, text=True, timeout=600, check=True)
     loaded = json.loads(child.stdout.splitlines()[-1])
     assert loaded == [[None, False], [0, False], [0, False], [0, True]]
     assert (tmp_path / "rec" / "reconstructed.json").exists()

@@ -13,10 +13,10 @@ from photonlat.evolution import _coupling_stack, _Propagator, propagate, unitari
 from photonlat.haarstats import (device_submatrix_ensemble, haar_unitary,
                                  random_heater_powers)
 from photonlat.lattice import (CouplingModel, LatticeSpec, build_lattice,
-                               default_heater_bank, symmetry_permutations)
+                               default_heater_bank)
 
 from conftest import evolution_log, make_device
-from oracles import hamiltonian, ordered_exponential
+from oracles import hamiltonian, ordered_exponential, symmetry_permutations
 
 
 def two_mode_device(pitch=11.0, length=36.0):

@@ -136,6 +136,27 @@ class TestColumnSimilarity:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_too_many_bins_rejected_before_drawing(self):
+        # 10^9 bins: 7.45 GiB of bin edges
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="1000000000 similarity bins"):
+                column_similarity_distribution(32, 2, 1, n_bins=10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_bins_charge_covers_the_histogram_peak(self):
+        n_bins = 10 ** 6
+        tracemalloc.start()
+        try:
+            column_similarity_distribution(32, 2, 1, n_bins=n_bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * (n_bins + 1)
+
     def test_single_column_draws_normalized(self):
         cols = np.abs(_haar_columns(32, 1, 1, 50)[:, :, 0]) ** 2
         assert np.abs(cols.sum(axis=1) - 1.0).max() < 1e-12

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from photonlat.errors import ConfigurationError
-from photonlat.lattice import (CouplingModel, HeaterBank, LatticeSpec,
-                               build_lattice, coupling_coefficient,
-                               default_heater_bank, symmetry_permutations)
+from photonlat.lattice import (N_HEATERS, CouplingModel, HeaterBank, LatticeSpec,
+                               build_lattice, coupling_coefficient, default_heater_bank)
+
+from oracles import symmetry_permutations
 
 
 def pairwise_distances(layout, z):
@@ -176,6 +177,23 @@ def test_heater_bank_rejects_non_finite(field, value):
     args[field] = value
     with pytest.raises(ConfigurationError):
         HeaterBank(**args)
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-300, 1.0, 1e154, 1e300])
+def test_kernel_width_without_a_finite_calibration_is_rejected(width):
+    # 2 width^2 underflows or overflows, or the kernel vanishes at the
+    # nearest waveguide, 42 um from the nearest heater
+    layout = build_lattice(LatticeSpec(seed=0))
+    with pytest.raises(ConfigurationError, match="kernel width"):
+        default_heater_bank(layout, kernel_width=width)
+    if width != 1.0:     # a bank built directly needs no calibration
+        with pytest.raises(ConfigurationError, match="kernel width"):
+            HeaterBank([[0.0, 0.0]], [[0.0, 1.0]], [1.0], kernel_width=width)
+
+
+def test_heater_count_is_one_constant():
+    bank = default_heater_bank(build_lattice(LatticeSpec(seed=0)))
+    assert bank.n_heaters == N_HEATERS
 
 
 def test_heater_bank_arrangement():
