@@ -123,15 +123,18 @@ _ORDER_BOUNDS = np.array([(1e-16 * math.factorial(p)) ** (1.0 / p) for p in rang
 _BLOCK_BYTES = 4 * 2**20
 
 
+def _substep_error(theta, cause) -> CapacityError:
+    return CapacityError(f"a slice with ||H dz||_1 = {theta:.3g} needs {math.ceil(theta)} "
+                         f"Taylor substeps, more than {MAX_SUBSTEPS}: {cause}")
+
+
 def _orders(theta):
     """Substeps s = max(1, ceil(theta)) and Taylor orders p, the least with
     (theta/s)^p / p! <= 1e-16, of slices with norms ``theta``. More than
     ``MAX_SUBSTEPS`` substeps in any slice raise ``CapacityError``."""
     worst = theta.max(initial=0.0)
     if worst > MAX_SUBSTEPS:
-        raise CapacityError(
-            f"a slice with ||H dz||_1 = {worst:.3g} needs {math.ceil(worst)} Taylor "
-            f"substeps, more than {MAX_SUBSTEPS}: use more steps or lower heater powers")
+        raise _substep_error(worst, "use more steps")
     s = np.maximum(1.0, np.ceil(theta))
     return s.astype(int), np.searchsorted(_ORDER_BOUNDS, theta / s) + 1
 
@@ -224,6 +227,7 @@ class _Propagator:
                 _taylor(gdz[k], None, *next(orders), x, term, y)
             self.runs.append(x.copy())
         self.m = m
+        self.calibration = bank.alpha_t, bank.kernel_width
         self.gdz, self.kern = gdz[heated], kern[heated]
         self.gnorm, self.dz = gnorm[heated], dz[heated]
 
@@ -244,11 +248,22 @@ class _Propagator:
         (S, n_heaters): theta = ||(G + diag d) dz||_1, maximised over the
         settings, s = max(1, ceil(theta)) substeps and p the least Taylor
         order with (theta/s)^p / p! <= 1e-16. Raises ``CapacityError``
-        when a slice needs more than ``MAX_SUBSTEPS`` substeps."""
-        theta = np.empty(len(self.dz))
+        when a slice needs more than ``MAX_SUBSTEPS`` substeps; when the
+        heater detunings are most of that slice's norm, the message names
+        the heater calibration, alpha_t and the kernel width, and the
+        largest power."""
+        theta, heat = np.empty(len(self.dz)), np.empty(len(self.dz))
         for block in self._blocks(len(powers)):
             dmax = np.abs(self._detunings(block, powers)).max(axis=2)
             theta[block] = self.dz[block] * (self.gnorm[block] + dmax).max(axis=1)
+            heat[block] = self.dz[block] * dmax.max(axis=1)
+        worst = int(np.argmax(theta)) if len(theta) else 0
+        if len(theta) and theta[worst] > MAX_SUBSTEPS and 2 * heat[worst] > theta[worst]:
+            alpha_t, width = self.calibration
+            raise _substep_error(theta[worst], (
+                f"{heat[worst]:.3g} of it are heater detunings, from the calibration "
+                f"alpha_t = {alpha_t:.3g} mm^-1 per mW of a {width:g} um heater kernel "
+                f"at powers up to {powers.max():.3g} mW"))
         return (theta, *_orders(theta))
 
     def columns(self, powers, pairs) -> np.ndarray:

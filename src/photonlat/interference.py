@@ -9,12 +9,20 @@ photons give Per(|M|^2) / prod_i s_i! (input factorials must not divide
 the distinguishable law or the full distribution would no longer sum
 to one for inputs with multiply occupied modes).
 
-Every permanent comes from one kernel, :func:`_permanents`: Glynn's
-formula as dense matrix products over the submatrices that output mode
-lists gather from a stack of unitaries, gathered one block at a time
-with each step's temporaries held to ``_STEP_BYTES`` (4 MB) for any table
-size. It supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns
-are counted before they are enumerated, and a table whose own arrays would
+Every permanent comes from one row-signed Glynn kernel. Since
+Per A = Per A^T, Glynn's formula needs the signed row sums of U's input
+columns, formed once per unitary and block of sign vectors
+(:func:`_row_sums`), and a list's permanent is the signed sum over the
+vectors of the products of its n rows of them. Lists that come alone
+(:func:`_permanents`: the validation stacks, :func:`output_probability`
+and :func:`permanent`) multiply their gathered rows. A table
+(:func:`_table_permanents`) shares its products between lists along the
+level recurrence :func:`_levels` by which :func:`_mode_lists` enumerates
+it. Each step's temporaries are held to ``_STEP_BYTES`` (4 MB) for any
+table size, and :func:`distribution` logs each table's levels and sign
+blocks at DEBUG level on the ``photonlat.interference`` logger. The
+kernel supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns are
+counted before they are enumerated, and a table whose own arrays would
 exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises :class:`CapacityError`, as does
 any other stack over that limit, and a draw of more events than fit in it.
 They are enumerated by numpy array operations, one photon more per level
@@ -30,6 +38,7 @@ branch weights (alpha, beta, gamma) = (R, R^2, 1).
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +48,8 @@ import numpy as np
 from .errors import (CapacityError, ConfigurationError, NumericalError, check_column,
                      check_modes, check_square, check_table_bytes, check_whole, is_finite)
 from .evolution import MAX_UNITARITY_DEFECT, unitarity_defect
+
+log = logging.getLogger(__name__)
 
 MAX_PERMANENT_SIZE = 20
 _STEP_BYTES = 4 * 2**20     # complex temporaries of one kernel step
@@ -197,7 +208,7 @@ def spdc_branch_pattern(branch: str, input_modes, m: int) -> FockPattern:
 def permanent(a) -> complex:
     """Exact permanent of a square complex matrix via Glynn's formula.
 
-    The cost is O(2^n n^2); matrices up to 20 x 20 are supported.
+    The cost is O(2^n n); matrices up to 20 x 20 are supported.
     """
     a = check_square(a, "permanent argument")
     if a.shape[0] < 1:
@@ -205,46 +216,150 @@ def permanent(a) -> complex:
     return complex(_permanent_batch(a[None])[0])
 
 
-@functools.lru_cache(maxsize=None)
-def _glynn_signs(n: int):
-    """The 2^(n-1) sign vectors with delta_0 = +1, and their products."""
-    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
-    delta = np.ones((1 << (n - 1), n), dtype=np.int8)
-    delta[:, 1:] -= 2 * bits.astype(np.int8)
+def _signs(n: int, count: int):
+    """Glynn's first ``count`` sign vectors of length n, as floats
+    (count, n), and their products: delta_0 = +1, and delta_j = -1 where
+    bit j-1 of the vector's number is set."""
+    bits = (np.arange(count)[:, None] >> np.arange(n - 1)) & 1
+    delta = np.ones((count, n))
+    delta[:, 1:] -= 2 * bits
     return delta, delta.prod(axis=1)
+
+
+def _sign_step(budget: int, n: int) -> int:
+    """The sign vectors of one step: the largest power of two <= ``budget``
+    (at least 1), at most all 2^(n-1)."""
+    return 1 << min(n - 1, max(1, budget).bit_length() - 1)
+
+
+def _row_sums(taken, step: int):
+    """Glynn's signed row sums of an (..., m, n) stack, ``step`` sign
+    vectors at a time (a power of two <= 2^(n-1)): yields (sums, parity),
+    sums[..., r, s] = sum_j delta_j taken[..., r, j] over the block's sign
+    vectors delta and parity their products.
+
+    A block's vectors share their signs beyond the first log2(step) + 1, so
+    its sums are the sums over those first columns, formed once, plus one
+    vector of the block.
+    """
+    n = taken.shape[-1]
+    low = step.bit_length()                 # the columns a block varies, 0 fixed at +1
+    delta, parity = _signs(low, step)
+    sums = taken[..., :low] @ delta.T                               # (..., m, step)
+    high, high_parity = _signs(n - low + 1, 1 << (n - low))
+    for signs, sign in zip(high[:, 1:], high_parity):
+        yield sums + (taken[..., low:] @ signs)[..., None], parity * sign
+
+
+def _check_size(n: int) -> int:
+    if n > MAX_PERMANENT_SIZE:
+        raise CapacityError(f"permanent limited to n <= {MAX_PERMANENT_SIZE}, got {n}")
+    return n
 
 
 def _permanents(us, rows, cols) -> np.ndarray:
     """(E, P) permanents of ``us[e][rows[p]][:, cols]`` for an (E, m, k)
     stack ``us`` and (P, n) output mode lists ``rows``, by Glynn's formula
-    Per(A) = 2^(1-n) sum_delta (prod_i delta_i) prod_j sum_i delta_i A_ij.
+    over rows, Per A = Per A^T = 2^(1-n) sum_delta (prod_j delta_j)
+    prod_i sum_j delta_j A_ij.
 
-    For each column j the sums over all sign vectors are one matrix
-    product. The input columns are taken once; each step gathers the rows
-    of one block of unitaries x patterns and takes one block of signs, its
-    (n, signs, submatrices) sums held to ``_STEP_BYTES``.
+    The signed row sums R[e, delta, r] = sum_j delta_j us[e, r, cols[j]]
+    (:func:`_row_sums`) are formed once per unitary, shared by all its
+    lists; a list's permanent multiplies its n gathered rows of R. Each
+    step takes one block of unitaries x signs, whose row sums and the
+    products of one block of lists are each held to ``_STEP_BYTES``, the
+    products in buffers that every step reuses. The callers check the rows
+    against m.
     """
-    n = len(cols)
-    if n > MAX_PERMANENT_SIZE:
-        raise CapacityError(f"permanent limited to n <= {MAX_PERMANENT_SIZE}, got {n}")
-    taken = np.asarray(us)[:, :, cols]                              # (E, m, n)
-    delta, parity = _glynn_signs(n)
-    pairs = max(1, _STEP_BYTES // (16 * n))     # (sign, submatrix) pairs per step
-    s_step = min(len(delta), pairs)
-    p_step = max(1, min(len(rows), pairs // s_step))
-    e_step = max(1, pairs // (s_step * p_step))
-    out = np.zeros((len(taken), len(rows)), dtype=complex)
-    for e0 in range(0, len(taken), e_step):
-        for p0 in range(0, len(rows), p_step):
-            acc = out[e0:e0 + e_step, p0:p0 + p_step]              # a view into out
-            subs = np.take(taken[e0:e0 + e_step], rows[p0:p0 + p_step], axis=1)
-            subs = subs.reshape(-1, n, n).transpose(2, 1, 0)        # (n, n, Kc)
-            for s0 in range(0, len(delta), s_step):
-                sums = delta[s0:s0 + s_step] @ subs                 # (n, Sc, Kc)
-                prod = sums[0]
-                for col in sums[1:]:
-                    prod *= col
-                acc += (parity[s0:s0 + s_step] @ prod).reshape(acc.shape)
+    n = _check_size(len(cols))
+    taken = np.asarray(us)[:, :, cols].transpose(1, 0, 2)           # (m, E, n)
+    rows = np.asarray(rows)
+    m, n_us = taken.shape[:2]
+    pairs = _STEP_BYTES // 16                   # complex entries per step
+    s_step = _sign_step(pairs // m, n)
+    e_step = max(1, pairs // (s_step * m))
+    p_step = max(1, min(len(rows), pairs // (min(e_step, n_us) * s_step)))
+    out = np.zeros((n_us, len(rows)), dtype=np.result_type(taken, float))
+    prod, factor = (np.empty((p_step, min(e_step, n_us), s_step), dtype=out.dtype)
+                    for _ in range(2))
+    for e0 in range(0, n_us, e_step):
+        for sums, parity in _row_sums(taken[:, e0:e0 + e_step], s_step):  # (m, Eb, Sc)
+            for p0 in range(0, len(rows), p_step):
+                block = rows[p0:p0 + p_step]
+                held = prod[:len(block), :sums.shape[1]]
+                np.take(sums, block[:, 0], axis=0, out=held, mode="clip")
+                for i in range(1, n):
+                    gathered = factor[:len(block), :sums.shape[1]]
+                    np.take(sums, block[:, i], axis=0, out=gathered, mode="clip")
+                    held *= gathered
+                out[e0:e0 + e_step, p0:p0 + p_step] += (held @ parity).T
+    return out / (1 << (n - 1))
+
+
+def _levels(n: int, size: int, collision_free: bool):
+    """The recurrence of the lexicographic tables of sorted j-lists over
+    ``size`` positions, j = 1..n, each level holding only the lists that
+    some n-list ends with: collision-free, those led by a position >= n - j.
+
+    Returns the first position that level 1 holds and, for each further
+    level, (tails, counts, starts): its lists led by position p are p
+    followed by the ``counts[p]`` lists of the level before from
+    ``tails[p]`` on, to its end, and sit at ``starts[p]:starts[p + 1]``.
+    """
+    first = min(n - 1, size) if collision_free else 0
+    starts = np.maximum(np.arange(size + 1) - first, 0)
+    after = 1 if collision_free else 0
+    levels = []
+    for j in range(1, n):
+        tails = starts[after:size + after]
+        counts = starts[-1] - tails
+        if collision_free:
+            counts[:n - j - 1] = 0
+        starts = np.zeros(size + 1, dtype=np.intp)
+        np.cumsum(counts, out=starts[1:])
+        levels.append((tails, counts, starts))
+    return first, levels
+
+
+def _table_permanents(a, cols, collision_free: bool) -> np.ndarray:
+    """(K,) permanents of ``a[rows][:, cols]`` for the K sorted n-lists
+    ``rows`` of positions of the output rows ``a``, n = len(cols), in the
+    order :func:`_mode_lists` enumerates them.
+
+    Glynn's formula over rows as in :func:`_permanents`, with the row
+    products shared: the (j+1)-lists led by position p are p followed by
+    one contiguous block of j-lists (:func:`_levels`), so their products
+    are R[p] times that block's, one broadcast multiply, and the last level
+    is one matrix-vector product per block against R[p] times the sign
+    products. Each step takes one block of signs, its row sums and the
+    products of every level but the last held to ``_STEP_BYTES``.
+    """
+    n = _check_size(len(cols))
+    taken = np.asarray(a)[:, cols]                                  # (size, n)
+    size = len(taken)
+    first, levels = _levels(n, size, collision_free)
+    lengths = [size - first] + [int(starts[-1]) for _, _, starts in levels]
+    s_step = _sign_step(_STEP_BYTES // (16 * (size + sum(lengths[:-1]))), n)
+    out = np.zeros(lengths[-1], dtype=np.result_type(taken, float))
+    log.debug("%d patterns of %d photons over %d outputs: lists per level %s, "
+              "%d sign blocks of %d signs, largest level held %d bytes",
+              lengths[-1], n, size, lengths, (1 << (n - 1)) // s_step, s_step,
+              max(lengths[:-1], default=0) * s_step * out.itemsize)
+    for sums, parity in _row_sums(taken, s_step):                  # (size, Sc)
+        prods = sums[first:].T
+        for tails, counts, starts in levels[:-1]:
+            longer = np.empty((s_step, starts[-1]), dtype=out.dtype)
+            for p in np.flatnonzero(counts):
+                np.multiply(prods[:, tails[p]:], sums[p, :, None],
+                            out=longer[:, starts[p]:starts[p + 1]])
+            prods = longer
+        if not levels:
+            out += parity @ prods
+            continue
+        tails, counts, starts = levels[-1]
+        signed = sums * parity
+        for p in np.flatnonzero(counts):
+            out[starts[p]:starts[p + 1]] += signed[p] @ prods[:, tails[p]:]
     return out / (1 << (n - 1))
 
 
@@ -282,17 +397,20 @@ def output_probability(u, input_pattern: FockPattern, output_pattern: FockPatter
     u = _checked_unitary(u, input_pattern, output_pattern)
     if input_pattern.n != output_pattern.n or input_pattern.n == 0:
         raise ConfigurationError("input and output must carry the same nonzero photon number")
-    return float(_probabilities(u[None], [output_pattern.modes()], input_pattern.modes(),
-                                statistics, _occupation_factorial(output_pattern),
+    permanents = functools.partial(_permanents, rows=[output_pattern.modes()],
+                                   cols=input_pattern.modes())
+    return float(_probabilities(permanents, u[None], statistics,
+                                _occupation_factorial(output_pattern),
                                 _occupation_factorial(input_pattern))[0, 0])
 
 
-def _probabilities(us, rows, cols, statistics: str, s_facts, t_fact) -> np.ndarray:
-    """(E, P) probabilities of the submatrices :func:`_permanents` gathers."""
+def _probabilities(permanents, us, statistics: str, s_facts, t_fact) -> np.ndarray:
+    """Probabilities from the ``permanents`` of the amplitudes ``us`` for
+    indistinguishable photons, or of |us|^2 for distinguishable ones."""
     if statistics == "indistinguishable":
-        return np.abs(_permanents(us, rows, cols)) ** 2 / (s_facts * t_fact)
+        return np.abs(permanents(us)) ** 2 / (s_facts * t_fact)
     if statistics == "distinguishable":
-        return _permanents(np.abs(us) ** 2, rows, cols).real / s_facts
+        return permanents(np.abs(us) ** 2).real / s_facts
     raise ConfigurationError(f"unknown statistics {statistics!r}")
 
 
@@ -302,7 +420,8 @@ def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
 
     K is counted before anything is enumerated, and a table whose mode
     lists, probabilities and factorials would exceed ``MAX_TABLE_BYTES``
-    raises :class:`CapacityError`. The lists are built level by level:
+    raises :class:`CapacityError`. The lists are built level by level, by
+    the recurrence :func:`_levels` that :func:`_table_permanents` follows:
     the (j+1)-lists are each first mode followed by the j-lists that may
     come after it, which are a tail of the j-list table, so each level is
     one ``np.repeat`` of the first modes and one ``np.take`` of the tails.
@@ -311,18 +430,14 @@ def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
     """
     k = math.comb(len(outputs) + (0 if collision_free else n - 1), n)
     # tracemalloc peak of a whole table over 31 outputs, over this charge:
-    # 10.0x, 8.1x and 2.16x at n = 3, 4, 5 collision-free, 10.0x, 5.9x and
-    # 1.68x collision-allowed; the excess, at most 12 MB at these n, is the
-    # kernel's 4 MB steps
+    # 1.91x, 1.87x and 1.80x at n = 3, 4, 5 collision-free, 1.87x, 1.83x and
+    # 1.59x collision-allowed; the excess, at most 11 MB at these n, is the
+    # complex permanents, their squares and the kernel's 4 MB step
     check_table_bytes(k * (n + 2) * 8, f"{k} output patterns of {n} photons")
     outs = np.asarray(outputs, dtype=np.intp)
-    size, after = len(outs), 1 if collision_free else 0
-    lists, starts = outs[None], np.arange(size + 1)   # starts[p]: first list led by outs[p]
-    for _ in range(n - 1):
-        tails = starts[after:size + after]
-        counts = lists.shape[1] - tails
-        starts = np.zeros(size + 1, dtype=np.intp)
-        np.cumsum(counts, out=starts[1:])
+    first, levels = _levels(n, len(outs), collision_free)
+    lists = outs[None, first:]
+    for tails, counts, starts in levels:
         longer = np.empty((len(lists) + 1, starts[-1]), dtype=np.intp)
         longer[0] = np.repeat(outs, counts)
         rows = np.repeat(tails - starts[:-1], counts)
@@ -391,8 +506,10 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
             f"{n} photons do not fit collision-free into {len(modes)} outputs")
     lists = _mode_lists(n, modes, collision_free)
     s_facts = np.ones(len(lists)) if collision_free else _output_factorials(lists)
-    probs = np.maximum(_probabilities(u[None], lists, input_pattern.modes(), statistics,
-                                      s_facts, _occupation_factorial(input_pattern))[0], 0.0)
+    permanents = functools.partial(_table_permanents, cols=input_pattern.modes(),
+                                   collision_free=collision_free)
+    probs = np.maximum(_probabilities(permanents, u[list(modes)], statistics, s_facts,
+                                      _occupation_factorial(input_pattern)), 0.0)
     return ProbabilityTable(m, n, input_pattern, statistics, collision_free,
                             modes, lists, probs, float(probs.sum()), branch_label)
 
@@ -479,7 +596,15 @@ def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int
 
 def spdc_mixture_table(u, weights: SourceWeights, input_modes,
                        statistics: str = "indistinguishable", outputs=None) -> ProbabilityTable:
-    """Branch-weighted mixture distribution over collision-free outputs."""
+    """Branch-weighted mixture distribution over collision-free outputs.
+
+    The table sums the raw collision-free tables, sum_b w_b p_b, so branch
+    b's share of it is w_b M_b / sum_b' w_b' M_b', where M_b is that
+    branch's collision-free mass. That is not the law :func:`spdc_sample`
+    draws, which gives branch b the share w_b: on the default chip (config
+    seed 12345, R = 1) the masses are 0.687, 0.697 and 0.732, and the two
+    normalized laws lie 0.0075 apart in total variation.
+    """
     tables = spdc_branch_tables(u, input_modes, statistics, outputs)
     w = dict(zip(SPDC_BRANCHES, weights.normalized))
     ref = tables["1111"]

@@ -22,7 +22,10 @@ ensemble share one kernel, :func:`_counter_steps`. It groups the events
 by branch code and scores an (E, m, k) stack of unitary columns: all of
 U, or the ensemble's draws of the input modes. One closed-form fit,
 :func:`_slopes`, takes the slopes of the whole (E, K) stack of counter
-steps. The stream's modes are checked against U's m by their range, and
+steps. The C test's permanents come from the row-signed kernel
+:func:`interference._permanents`: each unitary's signed row sums are
+formed once, and each event multiplies its n gathered rows of them.
+The stream's modes are checked against U's m by their range, and
 other arguments by the checkers of :mod:`errors`; an ensemble whose draw
 and scoring arrays would exceed the table limit raises
 :class:`CapacityError` before it is drawn.
@@ -30,6 +33,7 @@ and scoring arrays would exceed the table limit raises
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +42,7 @@ from .errors import (ConfigurationError, check_column, check_square, check_table
                      check_whole)
 from .haarstats import DEFAULT_BINS, Histogram, _haar_columns
 from .interference import (SPDC_BRANCHES, EventStream, FockPattern, SourceWeights,
-                           _occupation_factorial, _probabilities,
+                           _occupation_factorial, _permanents, _probabilities,
                            spdc_branch_pattern)
 
 
@@ -125,8 +129,9 @@ def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None
             p = (np.abs(us[:, :, cols]) ** 2).sum(axis=2)[:, outs].prod(axis=2)
             steps[:, idx] = np.where(p >= (n / m) ** n, 1, -1)
             continue
-        q, d = (sum(w * _probabilities(us, outs, np.searchsorted(modes, c), stats, 1.0,
-                                       _occupation_factorial(FockPattern.from_modes(c, m_u)))
+        q, d = (sum(w * _probabilities(
+                        functools.partial(_permanents, rows=outs, cols=np.searchsorted(modes, c)),
+                        us, stats, 1.0, _occupation_factorial(FockPattern.from_modes(c, m_u)))
                     for w, c in scored)
                 for stats in ("indistinguishable", "distinguishable"))
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -801,6 +801,21 @@ def test_kernel_width_without_a_finite_calibration_exits_2(tmp_path, capsys, wid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("width", [1.15, 2.0])
+def test_substep_cap_names_the_heater_calibration(tmp_path, width):
+    # a narrow kernel inflates the calibration alpha_t: the heater detunings,
+    # not the step count, drive the slice norm
+    cfg = write_config(tmp_path, {"seed": 5, "evolution": {"n_steps": 64},
+                                  "heaters": {"kernel_width_um": width}})
+    out = tmp_path / "sim"
+    child = _run_capped("simulate", "--config", cfg, "--out", out)
+    assert child.returncode == 2, child.stderr
+    assert "Taylor substeps, more than 100" in child.stderr
+    assert "alpha_t = " in child.stderr and f"of a {width:g} um heater kernel" in child.stderr
+    assert "use more steps" not in child.stderr
+    assert not out.exists()
+
+
 def test_source_of_each_photon_number(tmp_path):
     config = load_config(write_config(tmp_path))
     assert photonlat.cli._source(config) == (

@@ -248,8 +248,16 @@ def test_integrator_logs_what_it_did(device, caplog):
 
 def test_slice_beyond_the_substep_budget_raises(device):
     layout, model, bank, _ = device
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"heater detunings.* at powers up to 1e\+07 mW"):
         propagate(layout, model, replace(bank, powers=np.full(16, 1e7)), n_steps=1024)
+
+
+def test_slice_driven_by_its_couplings_asks_for_more_steps():
+    # one step over a 6 m chip: ||G dz||_1 of about 1500 with the heaters off
+    layout = build_lattice(LatticeSpec(rows=4, cols=8, pitch=8.0,
+                                       coupling_length=6000.0, seed=3))
+    with pytest.raises(CapacityError, match=r"substeps, more than 100: use more steps$"):
+        propagate(layout, CouplingModel(), default_heater_bank(layout), n_steps=1)
 
 
 def small_chip(seed, n_steps):

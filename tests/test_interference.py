@@ -1,6 +1,8 @@
 import functools
 import itertools
+import logging
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -124,6 +126,9 @@ class TestGatheredPermanents:
            seed=st.integers(0, 2**32 - 1))
     @example(e=1, p=6, n=4, extra_modes=2, step_bytes=200, seed=0)
     @example(e=6, p=1, n=6, extra_modes=0, step_bytes=1, seed=1)
+    @example(e=5, p=3, n=6, extra_modes=3, step_bytes=16 * 9 * 4, seed=2)  # 4 signs a step
+    @example(e=6, p=6, n=5, extra_modes=3, step_bytes=2**12, seed=3)       # all 16 signs
+    @example(e=2, p=6, n=1, extra_modes=3, step_bytes=1, seed=4)
     def test_equal_permanents_of_the_gathered_stack(self, e, p, n, extra_modes,
                                                     step_bytes, seed):
         # small steps end blocks of unitaries, patterns and signs mid-stack
@@ -138,6 +143,27 @@ class TestGatheredPermanents:
             got = _permanents(us, rows, cols)
         assert got.shape == (e, p)
         assert np.all(np.abs(got - want) <= 1e-12 * _stack_scale(stack).reshape(e, p))
+
+
+def test_twenty_by_twenty_permanent_in_sign_blocks():
+    """Per of a block-diagonal matrix, rows and columns shuffled, is the
+    product of its blocks' permanents; the 2^19 sign vectors run in steps
+    of the step budget, which also bounds the peak."""
+    rng = np.random.default_rng(20)
+    blocks = rng.normal(size=(4, 5, 5)) + 1j * rng.normal(size=(4, 5, 5))
+    a = np.zeros((20, 20), dtype=complex)
+    for k, block in enumerate(blocks):
+        a[5 * k:5 * k + 5, 5 * k:5 * k + 5] = block
+    a = a[rng.permutation(20)][:, rng.permutation(20)]
+    want = math.prod(naive_permanent(block) for block in blocks)
+    tracemalloc.start()
+    try:
+        got = permanent(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) <= 1e-10 * abs(want)
+    assert peak <= 4 * itf._STEP_BYTES
 
 
 class TestTypedErrors:
@@ -373,6 +399,73 @@ def gathered_permanent(u, input_pattern, output_pattern):
     and columns from the input occupations of U."""
     return _permanents(u[None], np.array([output_pattern.modes()]),
                        list(input_pattern.modes()))[0, 0]
+
+
+@st.composite
+def table_cases(draw):
+    """A Haar U of m <= 6 modes, an input of n <= 6 photons with repeated
+    modes allowed, and a sorted output subset that holds n photons
+    collision-free, n = len(outputs) included."""
+    m = draw(st.integers(1, 6))
+    collision_free = draw(st.booleans())
+    n = draw(st.integers(1, m if collision_free else 6))
+    outputs = sorted(draw(st.sets(st.integers(0, m - 1),
+                                  min_size=n if collision_free else 1)))
+    modes = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    u = haar_unitary(m, draw(st.integers(0, 2**32 - 1))).entries
+    return u, FockPattern.from_modes(modes, m), collision_free, outputs
+
+
+class TestTable:
+    """A table's shared row products give what each list gives alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=table_cases(), step_bytes=st.integers(1, 2**12),
+           statistics=st.sampled_from(["indistinguishable", "distinguishable"]))
+    @example(case=(haar_unitary(6, 1).entries, FockPattern.from_modes((0, 0, 2, 5), 6),
+                   True, [1, 2, 3, 5]), step_bytes=1, statistics="indistinguishable")
+    @example(case=(haar_unitary(6, 2).entries, FockPattern.from_modes((1, 1, 1, 3, 4, 4), 6),
+                   False, [0, 2, 3, 5]), step_bytes=2**12, statistics="distinguishable")
+    def test_table_equals_per_list_kernel_and_oracle(self, case, step_bytes, statistics):
+        u, inp, collision_free, outputs = case
+        with mock.patch.object(itf, "_STEP_BYTES", step_bytes):
+            table = distribution(u, inp, statistics, collision_free, outputs)
+        n, lists = inp.n, table.mode_lists
+        combos = itertools.combinations if collision_free else \
+            itertools.combinations_with_replacement
+        assert lists.tolist() == [list(c) for c in combos(outputs, n)]
+        amplitudes = u if statistics == "indistinguishable" else np.abs(u) ** 2
+        per = _permanents(amplitudes[None], lists, list(inp.modes()))[0]
+        patterns = [table.pattern(k).occupations for k in range(len(lists))]
+        s_facts = np.array([math.prod(map(math.factorial, occ)) for occ in patterns])
+        t_fact = math.prod(map(math.factorial, inp.occupations))
+        each = (np.abs(per) ** 2 / (s_facts * t_fact) if statistics == "indistinguishable"
+                else per.real / s_facts)
+        oracle = (statevector_distribution if statistics == "indistinguishable"
+                  else distinguishable_distribution)(u, inp.occupations)
+        assert np.abs(table.probs - np.maximum(each, 0.0)).max() <= 1e-12
+        assert np.abs(table.probs - [oracle[occ] for occ in patterns]).max() <= 1e-12
+
+    @pytest.mark.parametrize("collision_free", [True, False])
+    def test_distribution_logs_its_levels(self, caplog, collision_free):
+        u = haar_unitary(32, 15).entries
+        with caplog.at_level(logging.DEBUG, logger="photonlat.interference"):
+            table = distribution(u, FockPattern.from_modes((10, 11, 12, 19, 20), 32),
+                                 collision_free=collision_free, outputs=range(31))
+        [message] = [r.getMessage() for r in caplog.records
+                     if r.name == "photonlat.interference"]
+        found = re.fullmatch(r"(\d+) patterns of 5 photons over 31 outputs: lists per "
+                             r"level \[([\d, ]+)\], (\d+) sign blocks of (\d+) signs, "
+                             r"largest level held (\d+) bytes", message)
+        assert found, message
+        patterns, blocks, signs, held = map(int, found.group(1, 3, 4, 5))
+        levels = [int(k) for k in found.group(2).split(", ")]
+        # collision-free, level j keeps the j-lists led by output n - j or later
+        assert levels == [math.comb(31 - 5 + j, j) if collision_free else
+                          math.comb(31 + j - 1, j) for j in range(1, 6)]
+        assert patterns == levels[-1] == len(table.probs) == max(levels)
+        assert blocks * signs == 2 ** 4
+        assert held == max(levels[:-1]) * signs * 16 <= itf._STEP_BYTES
 
 
 class TestScatteringSubmatrix:
