@@ -13,6 +13,9 @@ text, one string for a JSON document and an iterable of lines for a CSV
 or JSONL file, built from results already computed; ``summary`` is one
 line for stdout. ``main`` makes ``--out`` and writes the files only after
 the command returns, so a command that fails leaves no ``--out`` behind.
+
+``sample`` writes one JSONL record per event, numbered by its position, and
+``validate`` reads back only what ``sample`` can write (:func:`read_samples`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from . import footprint as fp
 from . import haarstats, interference, reconstruction, validation
 from .errors import ConfigurationError, NumericalError, check_column, is_finite, is_whole
-from .evolution import MAX_UNITARITY_DEFECT, propagate, unitarity_defect
+from .evolution import MAX_UNITARITY_DEFECT, propagate
 from .lattice import N_HEATERS, CouplingModel, LatticeSpec, build_lattice, default_heater_bank
 
 STREAM_NAMES = ("lattice", "powers", "sampling", "noise", "ensemble")
@@ -208,11 +211,6 @@ def build_device(config):
     return layout, model, bank
 
 
-def device_unitary(config) -> np.ndarray:
-    layout, model, bank = build_device(config)
-    return propagate(layout, model, bank, n_steps=config["evolution"]["n_steps"]).entries
-
-
 def read_unitary(path) -> np.ndarray:
     """The matrix of a ``unitary.json`` that ``simulate`` wrote: a whole ``m`` and an
     (m, m) list of finite [re, im] entries."""
@@ -293,8 +291,8 @@ def _draw_stream(config, u, statistics, seed, count, collision_free=True):
 
 
 def cmd_simulate(config, args):
-    u = device_unitary(config)
-    defect = unitarity_defect(u)
+    unitary = propagate(*build_device(config), n_steps=config["evolution"]["n_steps"])
+    u, defect = unitary.entries, unitary.unitarity_defect
     if defect > MAX_UNITARITY_DEFECT:
         raise NumericalError(
             f"unitarity defect {defect:.3e} exceeds {MAX_UNITARITY_DEFECT:g}")
@@ -335,40 +333,51 @@ def cmd_sample(config, args):
 def _event_lines(events: interference.EventStream):
     """The JSONL lines of a stream, each the bytes of ``json.dumps(record,
     sort_keys=True)`` from one format string (the branch labels need no
-    escapes), made ``_WRITE_EVENTS`` events at a time so that the Python
+    escapes): an event's index is its position and its flag the stream's.
+    They are made ``_WRITE_EVENTS`` events at a time so that the Python
     values they are formatted from stay few."""
-    line = ('{"branch": "%s", "distinguishable": %s, "index": %d, "output": ['
-            + ", ".join(["%d"] * events.n) + ']}\n')
+    line = ('{"branch": "%s", "distinguishable": ' + json.dumps(events.distinguishable)
+            + ', "index": %d, "output": [' + ", ".join(["%d"] * events.n) + ']}\n')
     for lo in range(0, len(events), _WRITE_EVENTS):
         rows = slice(lo, lo + _WRITE_EVENTS)
         yield from map(line.__mod__, zip(
             map(events.branches.__getitem__, events.branch[rows].tolist()),
-            map(("false", "true").__getitem__, events.distinguishable[rows].tolist()),
-            events.index[rows].tolist(), *events.outputs[rows].T.tolist()))
+            itertools.count(lo), *events.outputs[rows].T.tolist()))
 
 
-def _records_stream(recs, labels, inputs, n: int, m: int) -> interference.EventStream:
-    """The stream of parsed event records, its columns checked by
-    :func:`errors.check_column` and its output modes against m; an unknown
-    branch label becomes no branch code. A record that is no object raises
-    ``TypeError``, one without a key ``KeyError``."""
+def _records_stream(recs, start: int, expect) -> interference.EventStream:
+    """The stream of parsed event records, the first of them event ``start``,
+    each as ``sample`` writes it under the config of ``expect``: (branch
+    labels, input rows, mask of the detected outputs among the m modes,
+    statistics flag). Its index is its position, its flag the config's, its
+    branch a label and its output modes detected, in non-decreasing order;
+    any other raises :class:`ConfigurationError`. A record that is no object
+    raises ``TypeError``, one without a key ``KeyError``."""
+    labels, inputs, detected, flag = expect
     codes = {label: code for code, label in enumerate(labels)}
     field = {key: list(map(operator.itemgetter(key), recs)) for key in EVENT_KEYS}
+    index = check_column(field["index"], "event indices")
+    if not np.array_equal(index, np.arange(start, start + len(recs))):
+        raise ConfigurationError("event indices must be the events' positions")
+    if not all(map(operator.is_, field["distinguishable"], itertools.repeat(flag))):
+        raise ConfigurationError(f"every distinguishable flag must be {json.dumps(flag)}")
     stream = interference.EventStream(
-        field["index"], list(map(codes.get, field["branch"])),
-        field["output"] or np.empty((0, n), dtype=np.intp), field["distinguishable"],
-        labels, inputs)
-    check_column(stream.outputs, "output modes", ("K", "n"), lo=0, hi=m)
+        list(map(codes.get, field["branch"])),
+        field["output"] or np.empty((0, len(inputs[0])), dtype=np.intp), labels, inputs, flag)
+    outputs = check_column(stream.outputs, "output modes", ("K", "n"), lo=0, hi=len(detected))
+    if not detected[outputs].all() or (np.diff(outputs, axis=1) < 0).any():
+        raise ConfigurationError("output modes must be detected and in non-decreasing order")
     return stream
 
 
-def _event_block(lines, first: int, where, labels, inputs, n: int, m: int):
+def _event_block(lines, first: int, where, expect):
     """The stream of a block of event lines, the first of them line ``first``
-    of the file ``where``. The block is parsed by one ``json.loads`` over
-    all its lines where that shows each line to hold one record, and line by
-    line otherwise; either way its stream is built once. Only when that
-    fails are the records checked one at a time, to name the first line
-    whose record ``sample`` could not have written.
+    of the file ``where`` and event ``first - 2``. The block is parsed by
+    one ``json.loads`` over all its lines where that shows each line to hold
+    one record, and line by line otherwise; either way its stream is built
+    once (:func:`_records_stream`, which ``expect`` is passed to). Only
+    when that fails are the records checked one at a time, to name the
+    first line whose record ``sample`` could not have written.
 
     Each line but the last ends in a newline, which no JSON string holds,
     and each starts with "{", which neither a key nor an output mode may
@@ -381,21 +390,24 @@ def _event_block(lines, first: int, where, labels, inputs, n: int, m: int):
         if len(recs) == len(lines) and all(map(str.startswith, lines, itertools.repeat("{"))) \
                 and set(map(type, recs)) <= {dict} and all(map(
                     operator.eq, map(dict.keys, recs), itertools.repeat(EVENT_KEYS))):
-            return _records_stream(recs, labels, inputs, n, m)
+            return _records_stream(recs, first - 2, expect)
     except (json.JSONDecodeError, *bad):
         pass
     recs = list(map(json.loads, lines))
     try:
-        return _records_stream(recs, labels, inputs, n, m)
+        return _records_stream(recs, first - 2, expect)
     except bad:
+        labels, inputs, detected, flag = expect
         for line_no, rec in enumerate(recs, start=first):
             try:
-                _records_stream([rec], labels, inputs, n, m)
+                _records_stream([rec], line_no - 2, expect)
             except bad as exc:
                 raise ConfigurationError(
                     f"{where} line {line_no}: malformed event record {rec!r}: needs the "
-                    f"keys {sorted(EVENT_KEYS)}, an int index, a branch in {labels}, {n} "
-                    f"int output modes in [0, {m}) and a bool distinguishable") from exc
+                    f"keys {sorted(EVENT_KEYS)}, index {line_no - 2}, a branch in {labels}, "
+                    f"{len(inputs[0])} int output modes in non-decreasing order, in [0, "
+                    f"{len(detected)}) and not in {np.flatnonzero(~detected).tolist()}, and "
+                    f"distinguishable {json.dumps(flag)}") from exc
         raise
 
 
@@ -406,14 +418,16 @@ def read_samples(path, config) -> interference.EventStream:
     The file must start with the header ``sample`` writes, and its
     ``config_sha256`` must be the hash of ``config`` with ``sampling.count``
     set to the header's event count, which is what ``sample --events`` hashes.
-    Every event record is checked, and the file must hold exactly the
-    header's count of them. The records are read in blocks of whole lines,
-    about ``_READ_BYTES`` each, so that few parsed records are held at once,
-    and each block is checked as columns (:func:`_event_block`).
+    Every event record is checked against what ``sample`` writes under
+    ``config``, its index its position and its flag ``photons.statistics``,
+    and the file must hold exactly the header's count of them. The records
+    are read in blocks of whole lines, about ``_READ_BYTES`` each, so that
+    few parsed records are held at once, and each block is checked as
+    columns (:func:`_event_block`).
     """
-    labels, inputs, _ = _source(config)
-    m = _lattice_m(config)
-    n = config["photons"]["n"]
+    labels, inputs, outputs = _source(config)
+    flag = config["photons"]["statistics"] == "distinguishable"
+    expect = (labels, inputs, np.isin(np.arange(_lattice_m(config)), outputs), flag)
     with open(path) as fh:
         header = json.loads(fh.readline() or "{}")
         if not isinstance(header, dict) or header.get("record") != "header":
@@ -423,13 +437,13 @@ def read_samples(path, config) -> interference.EventStream:
         if header.get("config_sha256") != config_hash(written):
             raise ConfigurationError(
                 f"{path} was sampled under a different config or seed")
-        blocks, first = [_records_stream([], labels, inputs, n, m)], 2
+        blocks, first = [_records_stream([], 0, expect)], 2
         for lines in iter(functools.partial(fh.readlines, _READ_BYTES), []):
-            blocks.append(_event_block(lines, first, path, labels, inputs, n, m))
+            blocks.append(_event_block(lines, first, path, expect))
             first += len(lines)
     events = interference.EventStream(
         *(np.concatenate([getattr(block, name) for block in blocks])
-          for name in ("index", "branch", "outputs", "distinguishable")), labels, inputs)
+          for name in ("branch", "outputs")), labels, inputs, flag)
     if len(events) != header.get("events"):
         raise ConfigurationError(
             f"{path} holds {len(events)} events, its header says {header.get('events')}")

@@ -8,8 +8,8 @@ predicates and ``check_fields`` below serve the config schema and the
 library's parameter dataclasses alike; ``check_whole``, ``check_seed``
 and ``check_square`` are the one rule for a count, a seed and a matrix U,
 each naming the argument it rejects. :func:`check_column` is the one rule
-for a column of whole numbers or flags: a mode list (:func:`check_modes`
-calls it), an :class:`~photonlat.interference.EventStream` column and the
+for a column of whole numbers: a mode list (:func:`check_modes` calls
+it), an :class:`~photonlat.interference.EventStream` column and the
 records of a samples file are all judged by it, an array by its dtype and
 anything else by the types of its entries. ``MAX_TABLE_BYTES`` is the one
 memory budget: :func:`check_table_bytes` raises :class:`CapacityError`
@@ -105,34 +105,30 @@ def check_seed(seed):
     return check_whole(seed, "rng_seed", 0)
 
 
-def check_column(value, what: str, dims=None, dtype=np.intp, lo=None, hi=None,
+def check_column(value, what: str, dims=None, lo=None, hi=None,
                  distinct: bool = False) -> np.ndarray:
-    """``value`` as a read-only array of ``dtype`` (``np.intp`` or ``bool``),
-    unless an entry is of another kind, below ``lo``, at or above ``hi`` or,
-    with ``distinct``, repeated. ``dims`` names the array's dimensions;
-    without them it is one flat list.
+    """``value`` as a read-only ``np.intp`` array, unless an entry is no
+    whole number, below ``lo``, at or above ``hi`` or, with ``distinct``,
+    repeated. ``dims`` names the array's dimensions; without them it is one
+    flat list.
 
     An array is judged by its dtype. Any other iterable is read once, so a
     generator is consumed here, and judged by the types of its entries:
-    numpy would cast a boolean among integers into an integer, so only
-    ``bool`` and ``np.bool_`` are flags and only a ``numbers.Integral``
-    other than ``bool`` is a whole number. Then one min and max against
-    [lo, hi) and, with ``distinct``, one ``np.unique``.
+    numpy would cast a boolean among integers into an integer, so only a
+    ``numbers.Integral`` other than ``bool`` is a whole number. Then one
+    min and max against [lo, hi) and, with ``distinct``, one ``np.unique``.
     """
     depth = len(dims) if dims else 1
     try:
         if isinstance(value, np.ndarray):
-            ok = value.dtype.kind in ("b" if dtype is bool else "iu") and \
-                np.can_cast(value.dtype, dtype)
+            ok = value.dtype.kind in "iu" and np.can_cast(value.dtype, np.intp)
         else:
             value = entries = list(value)
             for _ in range(depth - 1):
                 entries = itertools.chain.from_iterable(entries)
-            types = set(map(type, entries))
-            # np.bool_ is no numbers.Integral
-            ok = types <= {bool, np.bool_} if dtype is bool else all(
-                issubclass(t, numbers.Integral) and t is not bool for t in types)
-        arr = np.asarray(value, dtype=dtype).view() if ok else None
+            ok = all(issubclass(t, numbers.Integral) and t is not bool
+                     for t in set(map(type, entries)))
+        arr = np.asarray(value, dtype=np.intp).view() if ok else None
     except (TypeError, ValueError, OverflowError):   # not iterable, ragged, too large
         ok = False
     ok = ok and arr.ndim == depth
@@ -141,10 +137,9 @@ def check_column(value, what: str, dims=None, dtype=np.intp, lo=None, hi=None,
             not (distinct and len(np.unique(arr)) != arr.size)
     if not ok:
         bounds = f" in [{lo}, {hi})" if hi is not None else "" if lo is None else f" >= {lo}"
-        kind = "booleans" if dtype is bool else f"whole numbers{bounds}"
         shape = "be" if dims is None else f"form a ({', '.join(dims)}) array of"
-        raise ConfigurationError(f"{what} must {shape} {'distinct ' * distinct}{kind}, "
-                                 f"got {reprlib.repr(value)}")
+        raise ConfigurationError(f"{what} must {shape} {'distinct ' * distinct}"
+                                 f"whole numbers{bounds}, got {reprlib.repr(value)}")
     arr.flags.writeable = False
     return arr
 

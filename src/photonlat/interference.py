@@ -22,13 +22,15 @@ it. Each step's temporaries are held to ``_STEP_BYTES`` (4 MB) for any
 table size, and :func:`distribution` logs each table's levels and sign
 blocks at DEBUG level on the ``photonlat.interference`` logger. The
 kernel supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns are
-counted before they are enumerated, and a table whose own arrays would
-exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises :class:`CapacityError`, as does
-any other stack over that limit, and a draw of more events than fit in it.
+counted before they are enumerated, and a table whose own arrays would at
+their peak exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises
+:class:`CapacityError`, as does any other stack over that limit, and a
+draw of more events than fit in it.
 They are enumerated by numpy array operations, one photon more per level
 (:func:`_mode_lists`), and a draw reads its events' outputs from the drawn
-rows at once, as one :class:`EventStream`: columns of indices, branch
-codes, outputs and flags, checked once when the stream is built.
+rows at once, as one :class:`EventStream`: columns of branch codes and
+outputs and one flag for the statistics, checked once when the stream is
+built. An event's number is its position in the stream.
 
 The four-photon source is a two-pair SPDC mixture over the branches
 |1111>, |2002> and |0220> in the occupation order (n4, n1, n2, n3) with
@@ -92,7 +94,6 @@ class FockPattern:
 class SourceWeights:
     """Branch weights of the post-selected two-pair SPDC state."""
 
-    r: float
     alpha: float
     beta: float
     gamma: float
@@ -100,7 +101,8 @@ class SourceWeights:
 
 
 class SampleEvent(NamedTuple):
-    """One row of an :class:`EventStream`: a detected multi-photon outcome."""
+    """One row of an :class:`EventStream`: a detected multi-photon outcome,
+    numbered by its position in the stream."""
 
     index: int
     branch: str
@@ -111,47 +113,46 @@ class SampleEvent(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class EventStream:
-    """K detected events of one photon number n, as columns.
+    """K detected events of one photon number n and one statistics, as columns.
 
-    ``index`` (K,) numbers the events and ``branch`` (K,) codes each into
-    the branch table: ``branches`` (B labels) and ``input_modes`` (B, n),
-    the source's input modes in each branch. ``outputs`` (K, n) holds each
-    event's output modes and ``distinguishable`` (K,) its flag. Every
-    column is checked once, here, by :func:`errors.check_column`, and
-    events and input rows must carry the same n; anything else raises
+    ``branch`` (K,) codes each event into the branch table: ``branches`` (B
+    labels) and ``input_modes`` (B, n), the source's input modes in each
+    branch. ``outputs`` (K, n) holds each event's output modes, and the one
+    ``distinguishable`` flag the statistics that drew every event. An event
+    is numbered by its position. Every column is checked once, here, by
+    :func:`errors.check_column`, the flag must be a boolean, and events and
+    input rows must carry the same n; anything else raises
     :class:`ConfigurationError`. A scoring U checks the modes against its
     m. ``len`` counts the events, iterating yields one :class:`SampleEvent`
     per event, and a slice or index array selects a sub-stream.
     """
 
-    index: np.ndarray
     branch: np.ndarray
     outputs: np.ndarray
-    distinguishable: np.ndarray
     branches: tuple
     input_modes: np.ndarray
+    distinguishable: bool
 
     def __post_init__(self):
+        if not isinstance(self.distinguishable, (bool, np.bool_)):
+            raise ConfigurationError(f"the distinguishable flag must be a boolean, "
+                                     f"got {self.distinguishable!r}")
         branches = tuple(self.branches)
         inputs = check_column(self.input_modes, "input modes", ("B", "n"), lo=0)
         columns = {"branches": branches, "input_modes": inputs,
-                   "index": check_column(self.index, "event indices", ("K",)),
                    "branch": check_column(self.branch, "branch codes", ("K",), lo=0),
                    "outputs": check_column(self.outputs, "output modes", ("K", "n"), lo=0),
-                   "distinguishable": check_column(self.distinguishable,
-                                                   "distinguishable flags", ("K",), bool)}
+                   "distinguishable": bool(self.distinguishable)}
         for name, value in columns.items():
             object.__setattr__(self, name, value)
-        k = len(self.index)
-        if not len(self.branch) == len(self.outputs) == len(self.distinguishable) == k:
-            raise ConfigurationError(f"event columns of unequal lengths: {k} indices, "
-                                     f"{len(self.branch)} branch codes, "
-                                     f"{len(self.outputs)} outputs and "
-                                     f"{len(self.distinguishable)} flags")
+        if len(self.branch) != len(self.outputs):
+            raise ConfigurationError(f"event columns of unequal lengths: "
+                                     f"{len(self.branch)} branch codes and "
+                                     f"{len(self.outputs)} outputs")
         if len(inputs) != len(branches):
             raise ConfigurationError(f"{len(branches)} branches need as many input rows, "
                                      f"got {len(inputs)}")
-        if k and self.branch.max() >= len(branches):
+        if len(self) and self.branch.max() >= len(branches):
             raise ConfigurationError(f"branch codes must index the {len(branches)} "
                                      f"branches, got {self.branch.max()}")
         if inputs.shape[1] != self.n:
@@ -164,18 +165,17 @@ class EventStream:
         return self.outputs.shape[1]
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.branch)
 
     def __iter__(self):
         inputs = list(map(tuple, self.input_modes.tolist()))
-        for i, b, out, flag in zip(self.index.tolist(), self.branch.tolist(),
-                                   map(tuple, self.outputs.tolist()),
-                                   self.distinguishable.tolist()):
-            yield SampleEvent(i, self.branches[b], inputs[b], out, flag)
+        for i, (b, out) in enumerate(zip(self.branch.tolist(),
+                                         map(tuple, self.outputs.tolist()))):
+            yield SampleEvent(i, self.branches[b], inputs[b], out, self.distinguishable)
 
     def __getitem__(self, rows) -> "EventStream":
-        return EventStream(self.index[rows], self.branch[rows], self.outputs[rows],
-                           self.distinguishable[rows], self.branches, self.input_modes)
+        return EventStream(self.branch[rows], self.outputs[rows], self.branches,
+                           self.input_modes, self.distinguishable)
 
 
 def spdc_weights(r: float) -> SourceWeights:
@@ -185,7 +185,7 @@ def spdc_weights(r: float) -> SourceWeights:
         raise ConfigurationError(f"pair-rate ratio R = {r!r} must be a finite number >= 0")
     alpha, beta, gamma = r, r * r, 1.0
     total = alpha + beta + gamma
-    return SourceWeights(r, alpha, beta, gamma, (alpha / total, beta / total, gamma / total))
+    return SourceWeights(alpha, beta, gamma, (alpha / total, beta / total, gamma / total))
 
 
 def spdc_branch_pattern(branch: str, input_modes, m: int) -> FockPattern:
@@ -293,7 +293,8 @@ def _permanents(us, rows, cols) -> np.ndarray:
                     np.take(sums, block[:, i], axis=0, out=gathered, mode="clip")
                     held *= gathered
                 out[e0:e0 + e_step, p0:p0 + p_step] += (held @ parity).T
-    return out / (1 << (n - 1))
+    out /= 1 << (n - 1)
+    return out
 
 
 def _levels(n: int, size: int, collision_free: bool):
@@ -360,7 +361,8 @@ def _table_permanents(a, cols, collision_free: bool) -> np.ndarray:
         signed = sums * parity
         for p in np.flatnonzero(counts):
             out[starts[p]:starts[p + 1]] += signed[p] @ prods[:, tails[p]:]
-    return out / (1 << (n - 1))
+    out /= 1 << (n - 1)
+    return out
 
 
 def _permanent_batch(mats) -> np.ndarray:
@@ -418,32 +420,30 @@ def _mode_lists(n: int, outputs, collision_free: bool) -> np.ndarray:
     """(K, n) sorted mode index lists over the sorted ``outputs``, in
     lexicographic order.
 
-    K is counted before anything is enumerated, and a table whose mode
-    lists, probabilities and factorials would exceed ``MAX_TABLE_BYTES``
-    raises :class:`CapacityError`. The lists are built level by level, by
+    K is counted before anything is enumerated, and a table whose own
+    arrays would exceed ``MAX_TABLE_BYTES`` at their peak raises
+    :class:`CapacityError`: per pattern its n modes, its complex
+    permanents and its probabilities and, with collisions, the output
+    factorials and their product with the input's. The kernel's step,
+    ``_STEP_BYTES``, comes on top. The lists are built level by level, by
     the recurrence :func:`_levels` that :func:`_table_permanents` follows:
-    the (j+1)-lists are each first mode followed by the j-lists that may
-    come after it, which are a tail of the j-list table, so each level is
-    one ``np.repeat`` of the first modes and one ``np.take`` of the tails.
-    The table is built as its (n, K) transpose, whose rows a level fills
-    in place, and returned as a view of it.
+    the (j+1)-lists led by a mode are that mode followed by a tail of the
+    j-list table, one slice copy each. The table is built as its (n, K)
+    transpose, whose rows a level fills in place, and returned as a view of
+    it.
     """
     k = math.comb(len(outputs) + (0 if collision_free else n - 1), n)
-    # tracemalloc peak of a whole table over 31 outputs, over this charge:
-    # 1.91x, 1.87x and 1.80x at n = 3, 4, 5 collision-free, 1.87x, 1.83x and
-    # 1.59x collision-allowed; the excess, at most 11 MB at these n, is the
-    # complex permanents, their squares and the kernel's 4 MB step
-    check_table_bytes(k * (n + 2) * 8, f"{k} output patterns of {n} photons")
+    check_table_bytes(k * (8 * n + (24 if collision_free else 32)),
+                      f"{k} output patterns of {n} photons")
     outs = np.asarray(outputs, dtype=np.intp)
     first, levels = _levels(n, len(outs), collision_free)
     lists = outs[None, first:]
     for tails, counts, starts in levels:
         longer = np.empty((len(lists) + 1, starts[-1]), dtype=np.intp)
-        longer[0] = np.repeat(outs, counts)
-        rows = np.repeat(tails - starts[:-1], counts)
-        rows += np.arange(starts[-1])
-        # the rows are in range by construction; "clip" writes into out unbuffered
-        np.take(lists, rows, axis=1, out=longer[1:], mode="clip")
+        for p in np.flatnonzero(counts):
+            block = longer[:, starts[p]:starts[p + 1]]
+            block[0] = outs[p]
+            block[1:] = lists[:, tails[p]:]
         lists = longer
     return lists.T
 
@@ -478,15 +478,13 @@ class ProbabilityTable:
     mode_lists: np.ndarray
     probs: np.ndarray
     total_mass: float
-    branch_label: str = "fock"
 
     def pattern(self, k: int) -> FockPattern:
         return FockPattern.from_modes(self.mode_lists[k], self.m)
 
 
 def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguishable",
-                 collision_free: bool = True, outputs=None,
-                 branch_label: str = "fock") -> ProbabilityTable:
+                 collision_free: bool = True, outputs=None) -> ProbabilityTable:
     """Exact probability table over enumerated output patterns.
 
     With collisions included the table sums to one; collision-free tables
@@ -505,13 +503,14 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
         raise ConfigurationError(
             f"{n} photons do not fit collision-free into {len(modes)} outputs")
     lists = _mode_lists(n, modes, collision_free)
-    s_facts = np.ones(len(lists)) if collision_free else _output_factorials(lists)
+    s_facts = 1 if collision_free else _output_factorials(lists)
     permanents = functools.partial(_table_permanents, cols=input_pattern.modes(),
                                    collision_free=collision_free)
-    probs = np.maximum(_probabilities(permanents, u[list(modes)], statistics, s_facts,
-                                      _occupation_factorial(input_pattern)), 0.0)
+    probs = _probabilities(permanents, u[list(modes)], statistics, s_facts,
+                           _occupation_factorial(input_pattern))
+    np.maximum(probs, 0.0, out=probs)
     return ProbabilityTable(m, n, input_pattern, statistics, collision_free,
-                            modes, lists, probs, float(probs.sum()), branch_label)
+                            modes, lists, probs, float(probs.sum()))
 
 
 def _invert(probs, uniforms) -> np.ndarray:
@@ -530,8 +529,9 @@ def check_event_count(count, n: int) -> None:
     number >= 0, and :class:`CapacityError` when ``count`` events of n
     photons would exceed ``MAX_TABLE_BYTES``: a draw holds 40 + 8 n bytes
     per event at its peak, its stream's columns and the uniforms and rows
-    drawn (tracemalloc measured 41 for :func:`sample` at n = 3 and 64 for
-    :func:`spdc_sample` at n = 4)."""
+    drawn (tracemalloc measured 32 for :func:`sample` at n = 3 and 64 for
+    :func:`spdc_sample` at n = 4, whose peak comes before the stream is
+    built)."""
     check_whole(count, "count", 0)
     check_table_bytes(count * (40 + 8 * n), f"{count} events of {n} photons")
 
@@ -542,15 +542,15 @@ def sample(table: ProbabilityTable, rng_seed, count: int) -> EventStream:
     Deterministic per seed, a whole number >= 0. Collision-free tables are
     sampled conditionally on their enumerated support. A table whose mass
     is zero or not finite raises :class:`NumericalError`; ``count`` is
-    checked by :func:`check_event_count`. The stream's one branch is the
-    table's input.
+    checked by :func:`check_event_count`. The stream's one branch,
+    labelled "fock", is the table's input.
     """
     check_event_count(count, table.n)
     rng = np.random.default_rng([check_whole(rng_seed, "rng_seed", 0), 1])
     outputs = table.mode_lists[_invert(table.probs, rng.random(count))]
-    return EventStream(np.arange(count), np.zeros(count, dtype=np.intp), outputs,
-                       np.full(count, table.statistics == "distinguishable"),
-                       (table.branch_label,), np.array([table.input.modes()], dtype=np.intp))
+    return EventStream(np.zeros(count, dtype=np.intp), outputs, ("fock",),
+                       np.array([table.input.modes()], dtype=np.intp),
+                       table.statistics == "distinguishable")
 
 
 def spdc_branch_tables(u, input_modes, statistics: str = "indistinguishable",
@@ -561,8 +561,7 @@ def spdc_branch_tables(u, input_modes, statistics: str = "indistinguishable",
     for branch in SPDC_BRANCHES:
         pattern = spdc_branch_pattern(branch, input_modes, m)
         tables[branch] = distribution(u, pattern, statistics=statistics,
-                                      collision_free=True, outputs=outputs,
-                                      branch_label=branch)
+                                      collision_free=True, outputs=outputs)
     return tables
 
 
@@ -582,16 +581,16 @@ def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int
     rng_out = np.random.default_rng([rng_seed, 1])
     branch = _invert(weights.normalized, rng_branch.random(count))
     uniforms = rng_out.random(count)
-    # each branch's outputs land in its events' rows, so the stream is in index order
+    # each branch's outputs land in its events' rows, so the stream is in draw order
     outputs = np.empty((count, 4), dtype=np.intp)
     for code, label in enumerate(SPDC_BRANCHES):
         drawn = np.flatnonzero(branch == code)
         if len(drawn):
             table = tables[label]
             outputs[drawn] = table.mode_lists[_invert(table.probs, uniforms[drawn])]
-    return EventStream(np.arange(count), branch, outputs,
-                       np.full(count, statistics == "distinguishable"), SPDC_BRANCHES,
-                       np.array([tables[label].input.modes() for label in SPDC_BRANCHES]))
+    return EventStream(branch, outputs, SPDC_BRANCHES,
+                       np.array([tables[label].input.modes() for label in SPDC_BRANCHES]),
+                       statistics == "distinguishable")
 
 
 def spdc_mixture_table(u, weights: SourceWeights, input_modes,
@@ -611,4 +610,4 @@ def spdc_mixture_table(u, weights: SourceWeights, input_modes,
     probs = sum(w[b] * tables[b].probs for b in SPDC_BRANCHES)
     return ProbabilityTable(ref.m, ref.n, ref.input, statistics, True,
                             ref.outputs, ref.mode_lists, probs,
-                            float(probs.sum()), "mixture")
+                            float(probs.sum()))

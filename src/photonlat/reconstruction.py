@@ -255,12 +255,10 @@ class HomDataset:
     errors: np.ndarray
     plateau_errors: np.ndarray
     valid: np.ndarray
-    intensities: np.ndarray | None = None
-    va_errors: np.ndarray | None = None   # uncertainty of the product a V
+    intensities: np.ndarray | None
+    va_errors: np.ndarray   # uncertainty of the product a V
 
     def __post_init__(self):
-        if self.va_errors is None:
-            self.va_errors = self.errors
         self.valid = np.asarray(self.valid, dtype=bool)
         self._pair_rows = _pair_row_indices(self.rows, self.input_pairs)
         # shapes first: the output-pair index is as large as n_outputs says
@@ -377,8 +375,7 @@ def default_input_pairs(inputs):
 
 
 def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
-                         mean_plateau_counts=None, visibility_scale: float = 1.0,
-                         keep_scans: bool = False):
+                         mean_plateau_counts=None, keep_scans: bool = False):
     """Simulate and fit the full dip-scan campaign for ``inputs``.
 
     ``mean_plateau_counts = None`` runs noiselessly (exact profiles, exact
@@ -410,7 +407,6 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     valid = a_true > 0
     v_true = np.zeros_like(a_true)
     v_true[valid] = (np.abs(amp[valid]) ** 2 - a_true[valid]) / a_true[valid]
-    v_true *= visibility_scale
 
     scale = 1.0 if noiseless else \
         float(mean_plateau_counts) * valid.sum() / a_true[valid].sum()

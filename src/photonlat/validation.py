@@ -34,7 +34,7 @@ and scoring arrays would exceed the table limit raises
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,9 +51,7 @@ class ValidationTrace:
     """Counter trajectory of a likelihood-ratio test."""
 
     counters: np.ndarray
-    test_kind: str
     slope: float
-    intercept: float
     n_rejected: int = 0
     normalized_slope: float | None = None
 
@@ -79,17 +77,6 @@ def _slopes(steps) -> np.ndarray:
     num = np.einsum("ek,ek->e", centred, np.cumsum(steps, axis=1))
     den = np.einsum("ek,ek->e", centred, centred)
     return np.divide(num, den, out=steps.sum(axis=1, dtype=float), where=den > 0)
-
-
-def _trace_from_steps(steps, test_kind, n_rejected) -> ValidationTrace:
-    """Counter trajectory of nonzero steps with the least-squares line of
-    counter k against k = 1..K: :func:`_slopes` of the one row."""
-    steps = np.asarray(steps, dtype=int)
-    counters = np.cumsum(steps)
-    slope = float(_slopes(steps[None])[0])
-    intercept = (float(counters.mean() - slope * (len(counters) + 1) / 2)
-                 if len(counters) >= 2 else 0.0)
-    return ValidationTrace(counters, test_kind, slope, intercept, n_rejected)
 
 
 def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None,
@@ -140,8 +127,13 @@ def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None
     return steps
 
 
-def _trace(steps, test_kind) -> ValidationTrace:
-    return _trace_from_steps(steps[steps != 0], test_kind, int((steps == 0).sum()))
+def _trace(steps) -> ValidationTrace:
+    """Counter trajectory of a row of counter steps, its zeros tallied as
+    rejected, with the least-squares slope of counter k against k = 1..K
+    over the nonzero steps: :func:`_slopes` of the one row."""
+    kept = steps[steps != 0]
+    return ValidationTrace(np.cumsum(kept), float(_slopes(kept[None])[0]),
+                           len(steps) - len(kept))
 
 
 def run_uniform_test(events: EventStream, u, n: int, m: int) -> ValidationTrace:
@@ -156,7 +148,7 @@ def run_uniform_test(events: EventStream, u, n: int, m: int) -> ValidationTrace:
     check_whole(n, "n", 1)
     check_whole(m, "m", 1)
     u = check_square(u, "U")
-    return _trace(_counter_steps(events, u[None], "uniform", n, m)[0], "uniform")
+    return _trace(_counter_steps(events, u[None], "uniform", n, m)[0])
 
 
 def run_distinguishable_test(events: EventStream, u, weights: SourceWeights | None = None,
@@ -180,24 +172,20 @@ def run_distinguishable_test(events: EventStream, u, weights: SourceWeights | No
                 "mixture scoring needs the 4 designated input modes")
         mixture = [(w, spdc_branch_pattern(b, input_modes, u.shape[0]).modes())
                    for w, b in zip(weights.normalized, SPDC_BRANCHES)]
-    return _trace(_counter_steps(events, u[None], "distinguishable", inputs=mixture)[0],
-                  "distinguishable")
+    return _trace(_counter_steps(events, u[None], "distinguishable", inputs=mixture)[0])
 
 
 def normalize_trace(trace: ValidationTrace, reference: ValidationTrace) -> ValidationTrace:
     """Attach the slope normalized to a distinguishable-data reference."""
     if reference.slope == 0:
         raise ConfigurationError("reference trace has zero slope")
-    return ValidationTrace(trace.counters, trace.test_kind, trace.slope,
-                           trace.intercept, trace.n_rejected,
-                           trace.slope / abs(reference.slope))
+    return replace(trace, normalized_slope=trace.slope / abs(reference.slope))
 
 
 @dataclass
 class WrongUnitaryEnsemble:
     """Slopes of one event stream rescored against Haar-random unitaries."""
 
-    test_kind: str
     true_slope: float
     slopes: np.ndarray
     histogram: Histogram
@@ -266,5 +254,4 @@ def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n
     pad = max((hi - lo) * 0.05, 1e-9)
     edges = np.linspace(lo - pad, hi + pad, DEFAULT_BINS + 1)
     hist = Histogram.from_samples(norm_slopes, edges)
-    return WrongUnitaryEnsemble(test_kind, true_slope / scale, norm_slopes,
-                                hist, mean, std, z)
+    return WrongUnitaryEnsemble(true_slope / scale, norm_slopes, hist, mean, std, z)

@@ -41,14 +41,11 @@ def test_bad_modes_rejected_naming_the_rule(modes):
         check_modes(modes, 5, "modes", distinct=True)
 
 
-def test_dimensions_and_flags():
+def test_dimensions():
     assert check_column([[1, 2]], "rows", ("K", "n")).shape == (1, 2)
-    assert check_column([True, np.bool_(False)], "flags", ("K",), bool).tolist() == [True, False]
     with pytest.raises(ConfigurationError, match=r"rows must form a \(K, n\) array of "
                                                  r"whole numbers >= 0"):
         check_column([1, 2], "rows", ("K", "n"), lo=0)
-    with pytest.raises(ConfigurationError, match=r"flags must form a \(K\) array of booleans"):
-        check_column([0, 1], "flags", ("K",), bool)
 
 
 def _imported(path):

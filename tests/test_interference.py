@@ -242,7 +242,7 @@ def _with_event(field):
         columns = {"outputs": [c["events"].outputs[0].tolist()],
                    "input_modes": c["events"].input_modes.tolist(), field: [v]}
         return validation.run_distinguishable_test(
-            EventStream([0], [0], distinguishable=[False], branches=("fock",), **columns),
+            EventStream([0], distinguishable=False, branches=("fock",), **columns),
             c["u"])
     return call
 
@@ -732,6 +732,27 @@ class TestDistribution:
         assert len(table.probs) == math.comb(31, 5)
         assert peak <= 4 * (table.mode_lists.nbytes + table.probs.nbytes)
 
+    @pytest.mark.parametrize("statistics", ["indistinguishable", "distinguishable"])
+    @pytest.mark.parametrize("collision_free", [True, False])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_charge_bounds_its_peak(self, n, collision_free, statistics, monkeypatch):
+        u = haar_unitary(32, 15).entries
+
+        def table():
+            return distribution(u, FockPattern.from_modes(range(10, 10 + n), 32), statistics,
+                                collision_free, outputs=range(31))
+        tracemalloc.start()
+        try:
+            table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a limit one kernel step and a byte under the peak rejects the table:
+        # its charge counts all of the peak but that step
+        monkeypatch.setattr(errors, "MAX_TABLE_BYTES", peak - itf._STEP_BYTES - 1)
+        with pytest.raises(CapacityError, match="output patterns"):
+            table()
+
     def test_reduced_outputs(self):
         u = haar_unitary(6, 7).entries
         table = distribution(u, FockPattern((1, 1, 1, 0, 0, 0)),
@@ -803,8 +824,8 @@ class TestSample:
 
 def _stream(**columns):
     """A two-event 3-photon stream, with any column replaced."""
-    base = dict(index=[0, 1], branch=[0, 0], outputs=[(0, 1, 2), (1, 2, 3)],
-                distinguishable=[False, True], branches=("fock",), input_modes=[(0, 1, 2)])
+    base = dict(branch=[0, 0], outputs=[(0, 1, 2), (1, 2, 3)], branches=("fock",),
+                input_modes=[(0, 1, 2)], distinguishable=True)
     return EventStream(**{**base, **columns})
 
 
@@ -812,11 +833,11 @@ class TestEventStream:
     def test_rows_and_sub_streams(self):
         events = _stream()
         assert len(events) == 2 and events.n == 3
-        assert list(events) == [itf.SampleEvent(0, "fock", (0, 1, 2), (0, 1, 2), False),
+        assert list(events) == [itf.SampleEvent(0, "fock", (0, 1, 2), (0, 1, 2), True),
                                 itf.SampleEvent(1, "fock", (0, 1, 2), (1, 2, 3), True)]
         tail = events[1:]
-        assert np.array_equal(tail.outputs, [[1, 2, 3]]) and tail.index.tolist() == [1]
-        assert np.array_equal(events[[1, 1, 0]].index, [1, 1, 0])
+        assert np.array_equal(tail.outputs, [[1, 2, 3]]) and tail.distinguishable
+        assert np.array_equal(events[[1, 1, 0]].outputs, [(1, 2, 3), (1, 2, 3), (0, 1, 2)])
 
     def test_columns_are_read_only(self):
         events = _stream()
@@ -824,8 +845,6 @@ class TestEventStream:
             events.outputs[0, 0] = -1
 
     @pytest.mark.parametrize("column, value, match", [
-        ("index", [True, 1], "event indices"),
-        ("index", [0.0, 1], "event indices"),
         ("branch", [0, 1], "branch codes must index"),
         ("branch", [0, -1], "branch codes"),
         ("outputs", [(0, 1, 2), (1, 2, True)], "output modes"),
@@ -838,9 +857,9 @@ class TestEventStream:
         ("outputs", [(0, 1, 2)], "unequal lengths"),
         ("input_modes", [(True, 1, 2)], "input modes"),
         ("input_modes", [(0, 1, 2), (0, 1, 3)], "input rows"),
-        ("distinguishable", [0, 1], "distinguishable flags"),
-        ("distinguishable", np.array([0, 1]), "distinguishable flags"),
-    ], ids=["bool-index", "float-index", "unknown-branch", "negative-branch", "bool-mode",
+        ("distinguishable", 1, "distinguishable flag"),
+        ("distinguishable", np.array([0, 1]), "distinguishable flag"),
+    ], ids=["unknown-branch", "negative-branch", "bool-mode",
             "float-mode", "negative-mode", "float-array", "bool-array", "ragged-outputs",
             "mixed-photon-numbers", "short-column", "bool-input-mode", "extra-input-row",
             "int-flags", "int-flag-array"])

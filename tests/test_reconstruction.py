@@ -394,7 +394,8 @@ class TestModuli:
         q_true = np.abs(submatrix_rows(device_unitary, inputs)) ** 2
         ds = HomDataset(32, clean.rows, clean.input_pairs, noisy_a,
                         clean.visibilities, clean.errors, eps, clean.valid,
-                        intensities=q_true * (1 + 0.01 * rng.standard_normal(q_true.shape)))
+                        intensities=q_true * (1 + 0.01 * rng.standard_normal(q_true.shape)),
+                        va_errors=clean.errors)
         moduli = reconstruct_moduli(ds)
         truth = np.abs(submatrix_rows(device_unitary, inputs))
         rel = np.abs(moduli - truth) / truth
@@ -683,11 +684,3 @@ class TestFullPipeline:
         m1 = reconstruct_moduli(ds)
         m2 = reconstruct_moduli(back)
         assert np.allclose(m1, m2)
-
-    def test_visibility_scale_damps_dips(self, device_unitary):
-        inputs = (11, 12)
-        full = simulate_hom_dataset(device_unitary, inputs)
-        damped = simulate_hom_dataset(device_unitary, inputs, visibility_scale=0.5)
-        sel = full.valid[0]
-        assert np.allclose(damped.visibilities[0][sel],
-                           0.5 * full.visibilities[0][sel], atol=1e-6)

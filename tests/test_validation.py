@@ -19,8 +19,7 @@ OUTPUTS31 = tuple(i for i in range(32) if i != 31)
 
 def fock_stream(outputs, inputs):
     """A stream of the given output mode lists from one Fock input."""
-    return itf.EventStream(range(len(outputs)), [0] * len(outputs), outputs,
-                           [False] * len(outputs), ("fock",), [inputs])
+    return itf.EventStream([0] * len(outputs), outputs, ("fock",), [inputs], False)
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +166,7 @@ class TestDistinguishableTest:
 
 def two_branches(first, second, outputs):
     """A stream of two events, one from each of two Fock inputs."""
-    return itf.EventStream([0, 1], [0, 1], outputs, [False, False], ("fock", "fock"),
-                           [first, second])
+    return itf.EventStream([0, 1], outputs, ("fock", "fock"), [first, second], False)
 
 
 def score(test, events, u):
@@ -288,8 +286,8 @@ class TestWrongUnitaryEnsemble:
         # at R = 0 every event is |0220>, whose two source modes alone are drawn
         events = itf.spdc_sample(device_unitary, itf.spdc_weights(0.0), "indistinguishable",
                                  3, 200, INPUTS4)
-        alone = itf.EventStream(events.index, np.zeros(200, dtype=np.intp), events.outputs,
-                                events.distinguishable, ("0220",), events.input_modes[2:])
+        alone = itf.EventStream(np.zeros(200, dtype=np.intp), events.outputs, ("0220",),
+                                events.input_modes[2:], events.distinguishable)
         got, want = (val.wrong_unitary_slope_histogram(ev, device_unitary, "distinguishable",
                                                        4, 32, 20, rng_seed=1)
                      for ev in (events, alone))
@@ -382,18 +380,17 @@ def test_stack_slopes_equal_per_row_fits(rows, k, data):
                                             min_size=rows, max_size=rows)),
                          dtype=int).reshape(rows, k)
     slopes = val._slopes(steps)
-    assert np.array_equal(slopes, [val._trace(row, "uniform").slope for row in steps])
+    assert np.array_equal(slopes, [val._trace(row).slope for row in steps])
     assert np.array_equal(slopes, [_reference_slope(row) for row in steps])
 
 
 class TestNormalization:
     def test_trace_line_matches_polyfit(self):
         steps = np.random.default_rng(4).choice([-1, 1], size=777)
-        trace = val._trace_from_steps(steps, "uniform", 0)
-        slope, intercept = np.polyfit(np.arange(1, 778), np.cumsum(steps), 1)
+        trace = val._trace(steps)
+        slope, _ = np.polyfit(np.arange(1, 778), np.cumsum(steps), 1)
         assert trace.slope == pytest.approx(slope, rel=1e-12)
-        assert trace.intercept == pytest.approx(intercept, rel=1e-12)
-        assert val._trace_from_steps([-1], "uniform", 0).slope == -1.0
+        assert val._trace(np.array([-1])).slope == -1.0
 
     def test_normalize_trace(self, device_unitary, streams):
         bs = val.run_distinguishable_test(streams["bs"], device_unitary)
@@ -403,6 +400,6 @@ class TestNormalization:
 
     def test_zero_reference_rejected(self, device_unitary, streams):
         bs = val.run_distinguishable_test(streams["bs"], device_unitary)
-        flat = val.ValidationTrace(np.array([1]), "distinguishable", 0.0, 0.0)
+        flat = val.ValidationTrace(np.array([1]), 0.0)
         with pytest.raises(ConfigurationError):
             val.normalize_trace(bs, flat)
