@@ -54,6 +54,8 @@ def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
 
     They are the Q of one stacked QR of m x k complex Ginibre matrices with
     the R-diagonal phases divided out (Mezzadri, Notices AMS 54, 592 (2007)).
+    Each member's matrix comes from one ``standard_normal`` call, its real
+    parts first, and the complex stack is formed once in place.
     ``CapacityError`` is raised before a seed is spawned when the QR's four
     stacks (Ginibre, its copy, Q and R) would exceed ``MAX_TABLE_BYTES``.
     """
@@ -66,13 +68,17 @@ def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
     if count is not None:
         seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = [seed] if count is None else seed.spawn(count)
-    z = np.empty((n_draws, m, k), dtype=complex)
+    parts = np.empty((n_draws, 2, m, k))
     for e, child in enumerate(seeds):
-        rng = np.random.default_rng(child)
-        z[e] = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2.0)
+        np.random.default_rng(child).standard_normal(out=parts[e])
+    z = 1j * parts[:, 1]
+    z += parts[:, 0]
+    z /= np.sqrt(2.0)
+    del parts, seeds    # before the QR, whose four stacks are the charge
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 def haar_unitary(m: int, rng_seed) -> UnitaryMatrix:

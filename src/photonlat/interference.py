@@ -18,9 +18,17 @@ vectors of the products of its n rows of them. Lists that come alone
 and :func:`permanent`) multiply their gathered rows. A table
 (:func:`_table_permanents`) shares its products between lists along the
 level recurrence :func:`_levels` by which :func:`_mode_lists` enumerates
-it. Each step's temporaries are held to ``_STEP_BYTES`` (4 MB) for any
-table size, and :func:`distribution` logs each table's levels and sign
-blocks at DEBUG level on the ``photonlat.interference`` logger. The
+it. Each step takes the largest block of signs whose row sums and level
+products fit in ``_STEP_BYTES`` (4 MB), but at least one sign, and its
+last level adds one matrix-vector product. So a step holds at most the
+larger of ``_STEP_BYTES`` and one sign's share (16 bytes per output and
+per list of every level but the last), plus 16 bytes per list of the
+largest such level. A table whose levels outgrow the budget takes more
+than 4 MB a step: a 6-photon collision-allowed table over 31 outputs
+holds its 324,632-list level, 5,194,112 bytes, in steps bounded by
+11,226,464 bytes (traced, 10.4 MB above its permanents).
+:func:`distribution` logs each table's levels, sign blocks and that step
+bound at DEBUG level on the ``photonlat.interference`` logger. The
 kernel supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns are
 counted before they are enumerated, and a table whose own arrays would at
 their peak exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises
@@ -332,20 +340,22 @@ def _table_permanents(a, cols, collision_free: bool) -> np.ndarray:
     one contiguous block of j-lists (:func:`_levels`), so their products
     are R[p] times that block's, one broadcast multiply, and the last level
     is one matrix-vector product per block against R[p] times the sign
-    products. Each step takes one block of signs, its row sums and the
-    products of every level but the last held to ``_STEP_BYTES``.
+    products. Each step is bounded as the module docstring states.
     """
     n = _check_size(len(cols))
     taken = np.asarray(a)[:, cols]                                  # (size, n)
     size = len(taken)
     first, levels = _levels(n, size, collision_free)
     lengths = [size - first] + [int(starts[-1]) for _, _, starts in levels]
-    s_step = _sign_step(_STEP_BYTES // (16 * (size + sum(lengths[:-1]))), n)
+    one_sign = 16 * (size + sum(lengths[:-1]))      # row sums and level products
+    s_step = _sign_step(_STEP_BYTES // one_sign, n)
     out = np.zeros(lengths[-1], dtype=np.result_type(taken, float))
+    largest = max(lengths[:-1], default=0) * out.itemsize
     log.debug("%d patterns of %d photons over %d outputs: lists per level %s, "
-              "%d sign blocks of %d signs, largest level held %d bytes",
-              lengths[-1], n, size, lengths, (1 << (n - 1)) // s_step, s_step,
-              max(lengths[:-1], default=0) * s_step * out.itemsize)
+              "%d sign blocks of %d signs, largest level held %d bytes, "
+              "each step at most %d bytes", lengths[-1], n, size, lengths,
+              (1 << (n - 1)) // s_step, s_step, largest * s_step,
+              max(_STEP_BYTES, one_sign) + largest)
     for sums, parity in _row_sums(taken, s_step):                  # (size, Sc)
         prods = sums[first:].T
         for tails, counts, starts in levels[:-1]:

@@ -214,6 +214,12 @@ class HeaterBank:
         """Sorted unique z values where the active heater set changes."""
         return np.unique(self.z_spans.ravel())
 
+    def active(self, z_values) -> np.ndarray:
+        """(nz, n_heaters) bool: entry [k, r] tells whether heater r's window
+        covers z_k."""
+        z = np.asarray(z_values, dtype=float)[:, None]
+        return (self.z_spans[:, 0] <= z) & (z < self.z_spans[:, 1])
+
     def kernels(self, layout: "WaveguideLayout", z_values) -> np.ndarray:
         """Detuning per unit power, shape (nz, m, n_heaters), in mm^-1 per mW.
 
@@ -223,8 +229,7 @@ class HeaterBank:
         """
         z = np.asarray(z_values, dtype=float)
         pos = layout.positions_at(z)                                 # (nz, m, 2)
-        active = (self.z_spans[:, 0] <= z[:, None]) & (z[:, None] < self.z_spans[:, 1])
-        k, r = np.nonzero(active)     # the exponential only where a window is on
+        k, r = np.nonzero(self.active(z))   # the exponential only where a window is on
         dx = pos[k, :, 0] - self.positions[r, None, 0]               # (n_active, m)
         dy = pos[k, :, 1] - self.positions[r, None, 1]
         kern = np.zeros((len(z), layout.m, self.n_heaters))

@@ -28,13 +28,32 @@ def device_unitary(device):
     return device[3].entries
 
 
+_PASS_RECORD = re.compile(r"(\d+) columns carried under (\d+) settings: (\d+) heated and "
+                          r"(\d+) fixed slices, max theta (\S+), Taylor order p (\d+)\.\.(\d+), "
+                          r"(\d+) substeps, (\d+) real G products, column-norm defect (\S+)")
+_BUILD_RECORD = re.compile(r"chip built from (\d+) CF4 steps: (\d+) heated and (\d+) fixed "
+                           r"slices, (\d+) runs, (\d+) bytes kept \(heated G and K\), "
+                           r"largest block (\d+) steps holding (\d+) bytes")
+
+
+def _one_record(caplog, pattern):
+    """The numbers of the one integrator record that ``pattern`` matches."""
+    found = [pattern.fullmatch(r.getMessage()) for r in caplog.records
+             if r.name == "photonlat.evolution"]
+    [found] = [f for f in found if f]
+    return tuple(float(v) for v in found.groups())
+
+
 def evolution_log(caplog):
     """(columns, settings, heated, fixed, max theta, p min, p max, substeps,
-    G products, defect) of the one record the integrator logged."""
-    [record] = [r for r in caplog.records if r.name == "photonlat.evolution"]
+    G products, defect) of the one pass the integrator logged; clears the
+    records."""
+    found = _one_record(caplog, _PASS_RECORD)
     caplog.clear()
-    found = re.fullmatch(r"(\d+) columns carried under (\d+) settings: (\d+) heated and "
-                         r"(\d+) fixed slices, max theta (\S+), Taylor order p (\d+)\.\.(\d+), "
-                         r"(\d+) substeps, (\d+) real G products, column-norm defect (\S+)",
-                         record.getMessage())
-    return tuple(float(v) for v in found.groups())
+    return found
+
+
+def build_log(caplog):
+    """(steps, heated, fixed, runs, bytes kept, block steps, block bytes) of
+    the one chip build the integrator logged."""
+    return _one_record(caplog, _BUILD_RECORD)

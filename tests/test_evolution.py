@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from photonlat.haarstats import (device_submatrix_ensemble, haar_unitary,
 from photonlat.lattice import (CouplingModel, LatticeSpec, build_lattice,
                                default_heater_bank)
 
-from conftest import evolution_log, make_device
+from conftest import build_log, evolution_log, make_device
 from oracles import hamiltonian, ordered_exponential, symmetry_permutations
 
 
@@ -232,6 +233,7 @@ def test_integrator_logs_what_it_did(device, caplog):
     layout, model, bank, u = device
     with caplog.at_level(logging.DEBUG, logger="photonlat.evolution"):
         propagate(layout, model, bank, n_steps=512)
+        steps, built_heated, built_fixed, runs, kept, block_steps, held = build_log(caplog)
         (columns, n_settings, heated, fixed, theta, p_min, p_max, substeps, products,
          defect) = evolution_log(caplog)
         device_submatrix_ensemble(layout, model, bank, [[11, 12], [11], [12, 11]],
@@ -244,6 +246,66 @@ def test_integrator_logs_what_it_did(device, caplog):
     # one real G product per Taylor term of every heated slice
     assert heated * p_min <= products <= heated * p_max
     assert defect <= 1e-12
+    # the build keeps G and K of the heated slices, and forms no block
+    # beyond the budget
+    assert (built_heated, built_fixed) == (heated, fixed) and heated + fixed == 2 * steps
+    assert 2 <= runs <= fixed
+    assert kept == 8 * heated * layout.m * (layout.m + bank.n_heaters)
+    assert 1 <= block_steps < steps and 0 < held <= evolution._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n_steps", [512, 1024, 4096])
+def test_build_peak_is_within_its_charge_plus_one_block(n_steps):
+    layout = build_lattice(LatticeSpec())
+    model, bank = CouplingModel(), default_heater_bank(layout)
+    tracemalloc.start()
+    try:
+        chip = _Propagator(layout, model, bank, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slices = len(chip.dz) + len(chip.fixed_plan[0])
+    charge = 8 * slices * layout.m * (layout.m + bank.n_heaters)     # check_table_bytes's
+    assert peak <= charge + evolution._BLOCK_BYTES
+
+
+def one_step_bytes(layout, bank):
+    """The _BLOCK_BYTES of a build block of one CF4 step."""
+    return 32 * layout.m * (layout.m + bank.n_heaters)
+
+
+@pytest.mark.parametrize("block_steps", [1, 3])
+def test_block_size_changes_nothing(device, monkeypatch, block_steps):
+    layout, model, bank, _ = device
+    chip = _Propagator(layout, model, bank, 128)
+    want = propagate(layout, model, bank, 128).entries
+    # heated runs longer than a block: some run is split over two blocks
+    assert max(run.stop - run.start for run in chip.runs if isinstance(run, slice)) \
+        > 2 * block_steps
+    monkeypatch.setattr(evolution, "_BLOCK_BYTES", block_steps * one_step_bytes(layout, bank))
+    got = _Propagator(layout, model, bank, 128)
+    assert np.array_equal(propagate(layout, model, bank, 128).entries, want)
+    for a, b in zip(got.fixed_plan, chip.fixed_plan):
+        assert np.array_equal(a, b)
+    for name in ("gdz", "gnorm", "kern", "dz"):
+        assert np.array_equal(getattr(got, name), getattr(chip, name))
+
+
+def test_fixed_slice_beyond_the_budget_raises_before_any_run_product(monkeypatch):
+    # one step over a 6 m chip: ||G dz||_1 of about 1500 in every slice
+    layout = build_lattice(LatticeSpec(rows=4, cols=8, pitch=8.0,
+                                       coupling_length=6000.0, seed=3))
+    model, bank = CouplingModel(), default_heater_bank(layout)
+    calls = []
+    monkeypatch.setattr(evolution, "_taylor", lambda *args: calls.append(args))
+    messages = []
+    for block in (evolution._BLOCK_BYTES, one_step_bytes(layout, bank)):
+        monkeypatch.setattr(evolution, "_BLOCK_BYTES", block)
+        with pytest.raises(CapacityError, match="use more steps$") as err:
+            _Propagator(layout, model, bank, 1)
+        messages.append(str(err.value))
+    assert calls == []
+    assert messages[0] == messages[1]
 
 
 def test_slice_beyond_the_substep_budget_raises(device):

@@ -62,6 +62,27 @@ class TestHaarUnitary:
         gram = np.conj(cols.transpose(0, 2, 1)) @ cols
         assert np.abs(gram - np.eye(k)).max() < 1e-12
 
+    def test_one_call_draw_matches_two_calls_per_member(self):
+        # the draw as two calls per member, real parts then imaginary parts
+        z = []
+        for child in np.random.SeedSequence(21).spawn(40):
+            rng = np.random.default_rng(child)
+            z.append((rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)))
+                     / np.sqrt(2.0))
+        q, r = np.linalg.qr(np.array(z))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        assert np.array_equal(_haar_columns(32, 3, 21, 40), q * (d / np.abs(d))[:, None, :])
+
+    @pytest.mark.parametrize("k, count", [(3, 200), (4, 50), (3, 2000)])
+    def test_charge_covers_the_draw_peak(self, k, count):
+        tracemalloc.start()
+        try:
+            _haar_columns(32, k, 5, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * count * 32 * k
+
     def test_integer_seed_spawns_like_its_sequence(self):
         assert np.array_equal(_haar_columns(8, 2, 9, 5),
                               _haar_columns(8, 2, np.random.SeedSequence(9), 5))

@@ -452,20 +452,49 @@ class TestTable:
         with caplog.at_level(logging.DEBUG, logger="photonlat.interference"):
             table = distribution(u, FockPattern.from_modes((10, 11, 12, 19, 20), 32),
                                  collision_free=collision_free, outputs=range(31))
-        [message] = [r.getMessage() for r in caplog.records
-                     if r.name == "photonlat.interference"]
-        found = re.fullmatch(r"(\d+) patterns of 5 photons over 31 outputs: lists per "
-                             r"level \[([\d, ]+)\], (\d+) sign blocks of (\d+) signs, "
-                             r"largest level held (\d+) bytes", message)
-        assert found, message
-        patterns, blocks, signs, held = map(int, found.group(1, 3, 4, 5))
-        levels = [int(k) for k in found.group(2).split(", ")]
+        patterns, levels, blocks, signs, held, bound = table_log(caplog, 5)
         # collision-free, level j keeps the j-lists led by output n - j or later
         assert levels == [math.comb(31 - 5 + j, j) if collision_free else
                           math.comb(31 + j - 1, j) for j in range(1, 6)]
         assert patterns == levels[-1] == len(table.probs) == max(levels)
         assert blocks * signs == 2 ** 4
         assert held == max(levels[:-1]) * signs * 16 <= itf._STEP_BYTES
+        assert bound == itf._STEP_BYTES + max(levels[:-1]) * 16
+
+    @pytest.mark.parametrize("n, collision_free", [(5, True), (5, False), (6, True)])
+    def test_step_bound_when_one_sign_outgrows_the_budget(self, caplog, monkeypatch,
+                                                          n, collision_free):
+        # one sign's level products exceed the budget, and a sign block
+        # cannot shrink below one sign: each step holds more than the budget
+        monkeypatch.setattr(itf, "_STEP_BYTES", 2**16)
+        u = haar_unitary(32, 15).entries
+        with caplog.at_level(logging.DEBUG, logger="photonlat.interference"):
+            tracemalloc.start()
+            try:
+                per = itf._table_permanents(u[:31], list(range(10, 10 + n)), collision_free)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        patterns, levels, blocks, signs, held, bound = table_log(caplog, n)
+        assert (patterns, blocks, signs) == (len(per), 2 ** (n - 1), 1)
+        assert held == 16 * max(levels[:-1]) > itf._STEP_BYTES
+        assert bound == 16 * (31 + sum(levels[:-1])) + held
+        assert peak - per.nbytes <= bound
+
+
+def table_log(caplog, n):
+    """(patterns, lists per level, sign blocks, signs per block, bytes of the
+    largest level held, step bound) of the one n-photon table over 31
+    outputs that the kernel logged."""
+    [message] = [r.getMessage() for r in caplog.records
+                 if r.name == "photonlat.interference"]
+    found = re.fullmatch(rf"(\d+) patterns of {n} photons over 31 outputs: lists per "
+                         r"level \[([\d, ]+)\], (\d+) sign blocks of (\d+) signs, "
+                         r"largest level held (\d+) bytes, each step at most (\d+) bytes",
+                         message)
+    assert found, message
+    patterns, blocks, signs, held, bound = map(int, found.group(1, 3, 4, 5, 6))
+    return patterns, [int(k) for k in found.group(2).split(", ")], blocks, signs, held, bound
 
 
 class TestScatteringSubmatrix:
