@@ -57,14 +57,19 @@ def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
     Each member's matrix comes from one ``standard_normal`` call, its real
     parts first, and the complex stack is formed once in place.
     ``CapacityError`` is raised before a seed is spawned when the QR's four
-    stacks (Ginibre, its copy, Q and R) would exceed ``MAX_TABLE_BYTES``.
+    stacks (Ginibre, its copy, Q and R) and numpy's ufunc buffers would
+    exceed ``MAX_TABLE_BYTES``. The buffers are two complex operands of
+    ``np.getbufsize()`` elements: ``triu`` reads R through a strided view
+    of the QR's working copy when k < m, and the phase scaling of Q comes
+    after it. They are what takes the peak past the four stacks at k near m.
     """
     check_whole(m, "m", 1)
     if not check_whole(k, "k", 1) <= m:
         raise ConfigurationError(f"k = {k} must be at most m = {m}")
     seed = check_seed(seed)
     n_draws = 1 if count is None else check_whole(count, "count", 1)
-    check_table_bytes(64 * n_draws * m * k, f"{n_draws} Haar draws of {k} columns of {m} modes")
+    check_table_bytes(64 * n_draws * m * k + 32 * np.getbufsize(),
+                      f"{n_draws} Haar draws of {k} columns of {m} modes")
     if count is not None:
         seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = [seed] if count is None else seed.spawn(count)

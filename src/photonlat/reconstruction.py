@@ -15,13 +15,13 @@ projection: one batched 2x2 solve per trial (x0, sigma) gives every
 dip's (a, aV), and ``least_squares`` fits the two shared parameters of
 each input pair.
 Reconstruction proceeds in three stages: a weighted least-squares fit of
-the squared moduli to the plateaus, an analytic phase extraction, and a
-final chi-square polish over the phases. Per input pair the visibilities
-give cos(psi_i - psi_j) for every output pair, with psi the phase
-difference of the pair's two rows; that matrix is Re(z z^H) with
-z_j = exp(i psi_j), rank 2, so one eigendecomposition recovers psi up to
-a sign (two-photon data cannot tell a row from its conjugate), and the
-signs are searched exhaustively.
+the moduli to the plateaus (which read their squares), an analytic phase
+extraction, and a final chi-square polish over the phases. Per input
+pair the visibilities give cos(psi_i - psi_j) for every output pair,
+with psi the phase difference of the pair's two rows; that matrix is
+Re(z z^H) with z_j = exp(i psi_j), rank 2, so one eigendecomposition
+recovers psi up to a sign (two-photon data cannot tell a row from its
+conjugate), and the signs are searched exhaustively.
 
 Reconstructed submatrices use the gauge ``GAUGE``, where the first input
 row and first output column carry zero phase; only the phase quadruples above
@@ -35,18 +35,21 @@ truth, the moduli fit, and the chi-square residuals of
 :func:`dip_residuals` all go through it. Both least-squares fits, of the
 moduli and of the phases, take analytic Jacobians: a dip depends on four
 entries of the submatrix, and one helper, ``_dip_jacobian``, places its
-four derivatives in their columns. Both stop at ``least_squares``'
-default tolerances (1e-8), far below the statistical errors of the fitted
-values, and log what they did at DEBUG on ``photonlat.reconstruction.fits``,
-as the dip fit of each input pair does.
-SciPy is imported by the first fit, not with this module, so the commands
-that never fit do not load it.
+four derivatives in their columns. Both are damped Gauss-Newton on the
+normal equations (``_gauss_newton``), one small linear solve per step and
+no SVD, stopped by ``least_squares``' rules at its default tolerances
+(1e-8), far below the statistical errors of the fitted values. They log
+what they did at DEBUG on ``photonlat.reconstruction.fits``, as the dip
+fit of each input pair does.
+SciPy is imported by the first dip fit, not with this module, so the
+commands that never fit do not load it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,6 +243,7 @@ class HomDataset:
     unordered output pairs in upper-triangle order; ``valid`` masks dips
     whose plateau vanished (visibility undefined there). ``errors`` is the
     uncertainty of the dip minimum a (1 + V), ``plateau_errors`` that of a.
+    ``intensities``, when given, are finite and >= 0, one row per input row.
 
     The dip index lists every valid dip once, pair-major (the order of
     ``np.nonzero(valid)`` and of ``array[valid]``): ``dip_pair`` is its
@@ -270,9 +274,11 @@ class HomDataset:
                     f"{name} has shape {np.shape(getattr(self, name))}, expected "
                     f"{shape} for {self.n_pairs} pair(s) and {self.n_outputs} outputs")
         self.out_i, self.out_j = np.triu_indices(self.n_outputs, k=1)
-        if self.intensities is not None and \
-                np.shape(self.intensities) != (self.n_rows, self.n_outputs):
-            raise ConfigurationError("intensities must have one row per input row")
+        if self.intensities is not None:
+            if np.shape(self.intensities) != (self.n_rows, self.n_outputs):
+                raise ConfigurationError("intensities must have one row per input row")
+            if not (np.isfinite(self.intensities).all() and (self.intensities >= 0).all()):
+                raise ConfigurationError("intensities must be finite and >= 0")
         self.dip_pair, dip = np.nonzero(self.valid)
         self.dip_h, self.dip_k = self._pair_rows[self.dip_pair].T
         self.dip_i, self.dip_j = self.out_i[dip], self.out_j[dip]
@@ -454,27 +460,97 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
 
 
 def least_squares(fun, x0, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first fit: only
+    """``scipy.optimize.least_squares``, imported on the first dip fit: only
     ``reconstruct`` fits, and no other command pays for loading it."""
     from scipy.optimize import least_squares as scipy_least_squares
     return scipy_least_squares(fun, x0, **kwargs)
 
 
+class _Fit(NamedTuple):
+    """What :func:`_gauss_newton` did, named as ``least_squares`` names it."""
+
+    x: np.ndarray
+    cost: float      # half the sum of squared residuals at x
+    nfev: int
+    njev: int
+    status: int      # 1-4 as least_squares' gtol, ftol, xtol and ftol + xtol; 0 at max_nfev
+
+
+def _gauss_newton(fun, jac, x0, max_nfev: int, ftol: float = 1e-8, xtol: float = 1e-8,
+                  gtol: float = 1e-8) -> _Fit:
+    """Minimize half the sum of squares of ``fun(x)`` from ``x0`` by damped
+    Gauss-Newton, given the Jacobian ``jac(x)``.
+
+    Levenberg-Marquardt on the normal equations: each step solves
+    (J^T J + lam D) dx = -J^T r, with D the diagonal of J^T J floored at
+    1e-10 of its largest entry, so that the damped matrix stays regular
+    when a parameter moves no residual (a modulus at r = 0, a phase whose
+    dips are all invalid). lam starts at 1e-6 and follows the gain ratio rho
+    of the actual to the predicted reduction (Nielsen 1999): a step that
+    lowers the cost is taken and scales lam by max(1/3, 1 - (2 rho - 1)^3)
+    (lam kept >= 1e-16), and each rejected one (a non-finite residual
+    included) by 2, 4, 8, ... Forming J^T J squares the condition number of J, which stays near 10
+    for the moduli and 50 for the phases of this module's fits, so the
+    steps lose about 4 of 16 digits. The stopping rules and their status
+    are those of ``least_squares``: |J^T r|_inf < gtol (1), a step with
+    rho > 0.25 that lowers the cost by less than ftol of it (2), a step
+    shorter than xtol (xtol + |x|) (3), both of the last two (4), and 0
+    when ``max_nfev`` evaluations of ``fun`` did not stop.
+    """
+    x = np.asarray(x0, dtype=float)
+    r = fun(x)
+    cost, nfev, njev, status = 0.5 * (r @ r), 1, 0, 0
+    lam = 1e-6
+    while not status and nfev < max_nfev:
+        j = jac(x)
+        njev += 1
+        normal, g = j.T @ j, j.T @ r
+        if np.abs(g).max(initial=0.0) < gtol:
+            status = 1
+            break
+        d = np.diag(normal)
+        d = np.maximum(d, 1e-10 * d.max())
+        grow = 2.0
+        while nfev < max_nfev:
+            step = np.linalg.solve(normal + np.diag(lam * d), -g)
+            r_new = fun(x + step)
+            nfev += 1
+            cost_new = 0.5 * (r_new @ r_new) if np.isfinite(r_new).all() else np.inf
+            ratio = (cost - cost_new) / (0.5 * step @ (lam * d * step - g))
+            ftol_met = cost - cost_new < ftol * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x))
+            status = (4 if xtol_met else 2) if ftol_met else (3 if xtol_met else 0)
+            if cost_new < cost:
+                x, r, cost = x + step, r_new, cost_new
+                # 1/3 for any rho >= 1; the clip keeps a huge rho finite
+                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * min(ratio, 1.0) - 1.0) ** 3),
+                          1e-16)
+                break
+            if status:
+                break
+            lam *= grow
+            grow *= 2.0
+    return _Fit(x, cost, nfev, njev, status)
+
+
 def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
-    """Moduli minimizing the plateau chi-square, via squared moduli q >= 0.
+    """Moduli minimizing the plateau chi-square, fitted as the moduli r
+    themselves (q = r^2 enters the model; |r| is returned).
 
     The model a = q_ih q_jk + q_jh q_ik is fitted to all valid plateaus,
     weighted by their uncertainties. Because each pair's plateaus are
     invariant under q_h -> s q_h, q_k -> q_k / s, the physical unit row
     norm (each row spans all outputs of a unitary) is imposed as an extra
-    residual. Intensity rows, when present, supply the starting point.
-    The fit takes the analytic Jacobian and ``least_squares``' default
-    tolerances.
+    residual. Intensity rows, when present, supply the starting point,
+    each r at least sqrt(1e-6 / n_outputs): at r = 0 the gradient in r
+    vanishes, and a zero intensity would pin its entry there. The fit is
+    :func:`_gauss_newton` with the analytic Jacobian; fitting r rather than
+    q needs no bound q >= 0.
     """
     _spanning_tree(dataset)   # raises when the pairs leave a row unconnected
     n_rows, n_out = dataset.n_rows, dataset.n_outputs
     if dataset.intensities is not None:
-        q0 = np.clip(np.asarray(dataset.intensities, dtype=float), 0.0, None)
+        q0 = np.asarray(dataset.intensities, dtype=float)
     else:
         q0 = np.full((n_rows, n_out), 1.0 / n_out)
     h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
@@ -484,21 +560,21 @@ def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
     norm_jac = np.kron(np.eye(n_rows), np.ones(n_out)) / NORM_TOLERANCE
 
     def residuals(x):
-        q = x.reshape(n_rows, n_out)
+        q = (x * x).reshape(n_rows, n_out)
         return np.concatenate([(_pair_sums(q, h, k, i, j) - a_meas) / eps,
                                (q.sum(axis=1) - 1.0) / NORM_TOLERANCE])
 
     def jacobian(x):
-        q = x.reshape(n_rows, n_out)
+        q = (x * x).reshape(n_rows, n_out)
         jac = _dip_jacobian(dataset, columns, q[k, j] / eps, q[h, i] / eps,
                             q[k, i] / eps, q[h, j] / eps)
-        return np.vstack([jac, norm_jac])
+        return np.vstack([jac, norm_jac]) * (2.0 * x)    # dq/dr = 2 r, column by column
 
-    result = least_squares(residuals, q0.ravel(), jac=jacobian,
-                           bounds=(0.0, np.inf), method="trf")
-    start = residuals(q0.ravel())
+    r0 = np.sqrt(np.maximum(q0, 1e-6 / n_out)).ravel()
+    result = _gauss_newton(residuals, jacobian, r0, max_nfev=100 * r0.size)
+    start = residuals(r0)
     _log_fit("moduli", result, start @ start)
-    return np.sqrt(result.x.reshape(n_rows, n_out))
+    return np.abs(result.x.reshape(n_rows, n_out))
 
 
 def _dip_jacobian(dataset: HomDataset, columns, d_hi, d_kj, d_hj, d_ki) -> np.ndarray:
@@ -520,7 +596,7 @@ def _dip_jacobian(dataset: HomDataset, columns, d_hi, d_kj, d_hj, d_ki) -> np.nd
 
 
 def _log_fit(name: str, result, chi2_start: float, detail: str = "") -> None:
-    """One DEBUG line on what a ``least_squares`` fit did, ``detail`` appended."""
+    """One DEBUG line on what a fit did, ``detail`` appended."""
     fit_log.debug("%s fit: %d evaluations, %d Jacobians, status %d, chi2 %.6g -> %.6g%s",
                   name, result.nfev, result.njev, result.status, chi2_start,
                   2.0 * result.cost, detail)
@@ -672,10 +748,11 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
     The objective sums [a (1 + V) - |U_ih U_jk + U_jh U_ik|^2]^2 / eps^2
     over all valid dips; the reported chi-square never exceeds the
     candidate's. The free phases are those outside the gauge row and
-    column; the fit takes their analytic Jacobian (:func:`_phase_jacobian`)
-    and stops at ``least_squares``' default tolerances, which the chi-square
-    resolves; roundoff does not decide when it stops. A stagnating
-    optimizer returns its best iterate with ``converged=False``.
+    column; the fit is :func:`_gauss_newton` with their analytic Jacobian
+    (:func:`_phase_jacobian`), stopped at ``least_squares``' default
+    tolerances, which the chi-square resolves; roundoff does not decide
+    when it stops. A fit that has not stopped after 2000 evaluations
+    returns its best iterate with ``converged=False``.
     """
     moduli = candidate.moduli
     n_rows, n_out = moduli.shape
@@ -696,7 +773,7 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
 
     x0 = candidate.phases[free].ravel()
     cost0 = _chi2_cost(candidate.phases, moduli, dataset)
-    result = least_squares(fun, x0, jac=jacobian, method="trf", max_nfev=2000)
+    result = _gauss_newton(fun, jacobian, x0, max_nfev=2000)
     _log_fit("phase", result, cost0)
     theta = np.angle(np.exp(1j * unpack(result.x)))
     cost = _chi2_cost(theta, moduli, dataset)

@@ -7,9 +7,11 @@ permanents), distinguishable statistics from per-photon convolution,
 circuit propagation from dense matrix exponentials of an H(z) assembled
 entry by entry from the lattice primitives, HOM dip fits from
 one finite-difference ``least_squares`` over every parameter of a
-campaign (no elimination of the linear ones), and Jacobians from central
-differences. The site symmetries of the ideal lattice, which tests
-of the propagator use, are found by brute force over its isometries.
+campaign (no elimination of the linear ones), the moduli and phase fits
+from SciPy's trf on finite-difference Jacobians (the moduli as squared
+moduli q >= 0 under a bound), and Jacobians from central differences.
+The site symmetries of the ideal lattice, which tests of the propagator
+use, are found by brute force over its isometries.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from scipy.optimize import least_squares
 from scipy.sparse import csr_matrix
 
 from photonlat.lattice import LatticeSpec, _ideal_positions, coupling_coefficient
+from photonlat.reconstruction import NORM_TOLERANCE
 
 
 def naive_permanent(a):
@@ -171,6 +174,49 @@ def stacked_dip_fit(positions, counts, groups):
                     (ja * jv).sum(axis=1), (jv * jv).sum(axis=1)], axis=-1)
     return (result.x[:2 * n_dips].reshape(n_dips, 2), result.x[2 * n_dips:].reshape(n_groups, 2),
             np.linalg.inv(jtj.reshape(n_dips, 2, 2)))
+
+
+def trf_moduli(dataset):
+    """Moduli of the plateau chi-square fit of ``dataset``: squared moduli
+    q >= 0 fitted by SciPy's bounded trf with a three-point Jacobian at its
+    default tolerances, starting from the clipped intensity rows, each
+    row's sum of q held near 1 by a residual of weight 1 / NORM_TOLERANCE."""
+    n_rows, n_out = dataset.n_rows, dataset.n_outputs
+    h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
+    a, eps = dataset.plateaus[dataset.valid], dataset.plateau_errors[dataset.valid]
+
+    def residuals(x):
+        q = x.reshape(n_rows, n_out)
+        model = q[h, i] * q[k, j] + q[h, j] * q[k, i]
+        return np.concatenate([(model - a) / eps, (q.sum(axis=1) - 1.0) / NORM_TOLERANCE])
+
+    q0 = np.clip(dataset.intensities, 0.0, None).ravel()
+    result = least_squares(residuals, q0, jac="3-point", bounds=(0.0, np.inf), method="trf")
+    return np.sqrt(result.x.reshape(n_rows, n_out))
+
+
+def trf_phases(moduli, theta0, dataset):
+    """Phases of the dip chi-square fit of ``dataset`` at fixed ``moduli``:
+    every phase outside the first row and column fitted by SciPy's trf from
+    ``theta0`` with a three-point Jacobian at its default tolerances; the
+    first row and column stay 0."""
+    h, k, i, j = dataset.dip_h, dataset.dip_k, dataset.dip_i, dataset.dip_j
+    v = dataset.valid
+    target = dataset.plateaus[v] * (1.0 + dataset.visibilities[v])
+
+    def unpack(x):
+        theta = np.zeros(moduli.shape)
+        theta[1:, 1:] = x.reshape(theta[1:, 1:].shape)
+        return theta
+
+    def residuals(x):
+        t = moduli * np.exp(1j * unpack(x))
+        amp = t[h, i] * t[k, j] + t[h, j] * t[k, i]
+        return (target - np.abs(amp) ** 2) / dataset.errors[v]
+
+    result = least_squares(residuals, np.asarray(theta0)[1:, 1:].ravel(), jac="3-point",
+                           method="trf")
+    return unpack(result.x)
 
 
 def finite_difference_jacobian(fun, x, step=1e-6):

@@ -273,7 +273,8 @@ def dataset_doc(simulated):
                                   "too_many_outputs", "nan_plateau",
                                   "inf_visibility", "zero_error", "missing_key",
                                   "flat_pairs", "list_doc", "float_n_outputs", "valid_2",
-                                  "huge_n_outputs"])
+                                  "huge_n_outputs", "nan_intensity", "inf_intensity",
+                                  "negative_intensity"])
 def test_reconstruct_malformed_dataset_exits_2(simulated, dataset_doc, tmp_path, case):
     _, cfg, _ = simulated
     doc = json.loads(json.dumps(dataset_doc))
@@ -305,6 +306,10 @@ def test_reconstruct_malformed_dataset_exits_2(simulated, dataset_doc, tmp_path,
         # so large that an output-pair index built before the shape check
         # fails to allocate at once rather than filling memory
         doc["n_outputs"] = 2 ** 40
+    elif case.endswith("_intensity"):
+        # json.load reads NaN and Infinity; an intensity < 0 is no count
+        doc["intensities"][0][0] = {"nan": float("nan"), "inf": float("inf"),
+                                    "negative": -1.0}[case.split("_")[0]]
     else:
         doc["input_pairs"] = [h, doc["rows"][1]]
     path = tmp_path / "bad.json"

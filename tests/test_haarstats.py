@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest
 
+from photonlat import errors
 from photonlat.errors import CapacityError, ConfigurationError
 from photonlat.evolution import propagate
 from photonlat.haarstats import (Histogram, _haar_columns, column_similarity_distribution,
@@ -73,15 +74,22 @@ class TestHaarUnitary:
         d = np.diagonal(r, axis1=1, axis2=2)
         assert np.array_equal(_haar_columns(32, 3, 21, 40), q * (d / np.abs(d))[:, None, :])
 
-    @pytest.mark.parametrize("k, count", [(3, 200), (4, 50), (3, 2000)])
-    def test_charge_covers_the_draw_peak(self, k, count):
+    @pytest.mark.parametrize("k, count", [(3, 200), (4, 50), (3, 2000), (32, 100),
+                                          (32, None), (31, 20), (31, 100)])
+    def test_charge_covers_the_draw_peak(self, k, count, monkeypatch):
+        _haar_columns(4, 4, 5, 2)     # numpy's lazy set-up is not the draw's
         tracemalloc.start()
         try:
             _haar_columns(32, k, 5, count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * count * 32 * k
+        # four (E, m, k) complex stacks and two ufunc buffers of complex numbers
+        charge = 64 * (count or 1) * 32 * k + 32 * np.getbufsize()
+        assert peak <= charge
+        monkeypatch.setattr(errors, "MAX_TABLE_BYTES", charge - 1)
+        with pytest.raises(CapacityError):
+            _haar_columns(32, k, 5, count)
 
     def test_integer_seed_spawns_like_its_sequence(self):
         assert np.array_equal(_haar_columns(8, 2, 9, 5),

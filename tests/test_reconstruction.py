@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 import re
@@ -21,7 +22,7 @@ from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, SCAN_POSITIONS,
                                       reconstruct_phases, refine_chi2,
                                       simulate_hom_dataset, submatrix_rows)
 
-from oracles import finite_difference_jacobian, stacked_dip_fit
+from oracles import finite_difference_jacobian, stacked_dip_fit, trf_moduli, trf_phases
 
 BS = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
 
@@ -375,7 +376,9 @@ class TestModuli:
         with pytest.raises(UnderdeterminedError):
             reconstruct_moduli(ds)
 
+    @pytest.mark.filterwarnings("error")
     def test_identity_like_unitary(self):
+        # the cost reaches 0 here, where no damping update may overflow
         u = np.eye(8, dtype=complex)
         ds = simulate_hom_dataset(u, (0, 1, 2))
         assert ds.valid.sum() < ds.valid.size   # most dips undefined
@@ -384,6 +387,19 @@ class TestModuli:
         # zero moduli are only pinned to sqrt(solver tolerance)
         assert np.abs(moduli - truth).max() < 1e-3
         assert np.array_equal(np.round(moduli), truth)
+
+    def test_zero_intensity_does_not_pin_its_modulus(self, device_unitary):
+        # a Poisson zero: at r = 0 the gradient in r vanishes, so the start
+        # must lift the entry off 0 for the plateaus to move it
+        inputs = (11, 12, 19)
+        ds = simulate_hom_dataset(device_unitary, inputs)
+        truth = np.abs(submatrix_rows(device_unitary, inputs))
+        row, col = np.unravel_index(truth.argmax(), truth.shape)
+        intensities = ds.intensities.copy()
+        intensities[row, col] = 0.0
+        moduli = reconstruct_moduli(replace(ds, intensities=intensities))
+        assert truth[row, col] > 0.3
+        assert np.abs(moduli - truth).max() < 1e-6
 
     def test_multiplicative_noise_study(self, device_unitary):
         inputs = (11, 12, 19)
@@ -565,26 +581,60 @@ class TestRefine:
 
     def test_fits_take_analytic_jacobians_and_default_tolerances(self, device_unitary,
                                                                  monkeypatch):
-        calls = []
-        least_squares = reconstruction.least_squares
+        calls, solves = [], []
+        least_squares, gauss_newton = reconstruction.least_squares, reconstruction._gauss_newton
 
         def spy(fun, x0, **kwargs):
             calls.append(kwargs)
             return least_squares(fun, x0, **kwargs)
 
+        def solver_spy(fun, jac, x0, max_nfev, **kwargs):
+            solves.append((jac, kwargs))
+            return gauss_newton(fun, jac, x0, max_nfev, **kwargs)
+
         monkeypatch.setattr(reconstruction, "least_squares", spy)
+        monkeypatch.setattr(reconstruction, "_gauss_newton", solver_spy)
         ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
                                   mean_plateau_counts=1e4)
         # one dip fit per input pair, stopped by the ftol and xtol rules alone
-        assert len(calls) == ds.n_pairs
+        assert len(calls) == ds.n_pairs and not solves
         for kwargs in calls:
             assert kwargs["gtol"] is None and not {"xtol", "ftol"} & kwargs.keys()
         calls.clear()
         refine_chi2(reconstruct_phases(ds, reconstruct_moduli(ds)), ds)
-        assert len(calls) == 2
-        for kwargs in calls:
-            assert callable(kwargs["jac"])
-            assert not {"xtol", "ftol", "gtol"} & kwargs.keys()
+        # the moduli and the phases: the solver's own analytic Jacobian and
+        # least_squares' default tolerances of 1e-8, not SciPy
+        assert not calls and len(solves) == 2
+        for jac, kwargs in solves:
+            assert callable(jac) and not kwargs
+        defaults = inspect.signature(gauss_newton).parameters
+        assert [defaults[name].default for name in ("ftol", "xtol", "gtol")] == [1e-8] * 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_fits_agree_with_the_scipy_trf_oracle(self, device_unitary, seed):
+        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=seed,
+                                  mean_plateau_counts=1e4)
+        moduli = reconstruct_moduli(ds)
+        want = trf_moduli(ds)
+        assert (np.abs(moduli - want) / want).max() <= 1e-6
+        candidate = reconstruct_phases(ds, moduli)
+        refined = refine_chi2(candidate, ds)
+        want = trf_phases(moduli, candidate.phases, ds)
+        assert np.abs(np.angle(np.exp(1j * (refined.phases - want)))).max() <= 1e-6
+
+    def test_evaluation_cap_reports_no_convergence(self, device_unitary, monkeypatch):
+        gauss_newton = reconstruction._gauss_newton
+
+        def capped(fun, jac, x0, max_nfev, **kwargs):
+            return gauss_newton(fun, jac, x0, 2, **kwargs)
+
+        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
+                                  mean_plateau_counts=1e4)
+        candidate = reconstruct_phases(ds, reconstruct_moduli(ds))
+        monkeypatch.setattr(reconstruction, "_gauss_newton", capped)
+        refined = refine_chi2(candidate, ds)
+        assert not refined.converged
+        assert refined.chi2 <= candidate.chi2
 
     def test_fits_log_what_they_did(self, device_unitary, caplog):
         ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
