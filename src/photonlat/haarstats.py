@@ -47,6 +47,13 @@ class Histogram:
         return cls(edges, counts / total)
 
 
+def _draw_bytes(count: int, m: int, k: int) -> int:
+    """Bytes charged for ``count`` Haar draws of k columns of m modes by
+    :func:`_haar_columns`: the QR's four (E, m, k) complex stacks and two
+    complex ufunc buffers of ``np.getbufsize()`` elements."""
+    return 64 * count * m * k + 32 * np.getbufsize()
+
+
 def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
     """(E, m, k): the first k columns of one Haar unitary per seed, ``seed``
     itself (E = 1) or, given ``count``, each of ``count`` children spawned
@@ -68,7 +75,7 @@ def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
         raise ConfigurationError(f"k = {k} must be at most m = {m}")
     seed = check_seed(seed)
     n_draws = 1 if count is None else check_whole(count, "count", 1)
-    check_table_bytes(64 * n_draws * m * k + 32 * np.getbufsize(),
+    check_table_bytes(_draw_bytes(n_draws, m, k),
                       f"{n_draws} Haar draws of {k} columns of {m} modes")
     if count is not None:
         seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

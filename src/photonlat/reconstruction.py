@@ -466,6 +466,9 @@ def least_squares(fun, x0, **kwargs):
     return scipy_least_squares(fun, x0, **kwargs)
 
 
+_TOL = 1e-8    # least_squares' default ftol, xtol and gtol, at which _gauss_newton stops
+
+
 class _Fit(NamedTuple):
     """What :func:`_gauss_newton` did, named as ``least_squares`` names it."""
 
@@ -476,8 +479,7 @@ class _Fit(NamedTuple):
     status: int      # 1-4 as least_squares' gtol, ftol, xtol and ftol + xtol; 0 at max_nfev
 
 
-def _gauss_newton(fun, jac, x0, max_nfev: int, ftol: float = 1e-8, xtol: float = 1e-8,
-                  gtol: float = 1e-8) -> _Fit:
+def _gauss_newton(fun, jac, x0, max_nfev: int) -> _Fit:
     """Minimize half the sum of squares of ``fun(x)`` from ``x0`` by damped
     Gauss-Newton, given the Jacobian ``jac(x)``.
 
@@ -489,13 +491,15 @@ def _gauss_newton(fun, jac, x0, max_nfev: int, ftol: float = 1e-8, xtol: float =
     of the actual to the predicted reduction (Nielsen 1999): a step that
     lowers the cost is taken and scales lam by max(1/3, 1 - (2 rho - 1)^3)
     (lam kept >= 1e-16), and each rejected one (a non-finite residual
-    included) by 2, 4, 8, ... Forming J^T J squares the condition number of J, which stays near 10
-    for the moduli and 50 for the phases of this module's fits, so the
-    steps lose about 4 of 16 digits. The stopping rules and their status
-    are those of ``least_squares``: |J^T r|_inf < gtol (1), a step with
-    rho > 0.25 that lowers the cost by less than ftol of it (2), a step
-    shorter than xtol (xtol + |x|) (3), both of the last two (4), and 0
-    when ``max_nfev`` evaluations of ``fun`` did not stop.
+    included) by 2, 4, 8, ... Forming J^T J squares the condition number
+    of J, which stays near 10 for the moduli and 50 for the phases of this
+    module's fits, so the steps lose about 4 of 16 digits. The stopping
+    rules and their status
+    are those of ``least_squares`` at its default tolerances, all ``_TOL``:
+    |J^T r|_inf < _TOL (1), a step with rho > 0.25 that lowers the cost by
+    less than _TOL of it (2), a step shorter than _TOL (_TOL + |x|) (3),
+    both of the last two (4), and 0 when ``max_nfev`` evaluations of
+    ``fun`` did not stop.
     """
     x = np.asarray(x0, dtype=float)
     r = fun(x)
@@ -505,7 +509,7 @@ def _gauss_newton(fun, jac, x0, max_nfev: int, ftol: float = 1e-8, xtol: float =
         j = jac(x)
         njev += 1
         normal, g = j.T @ j, j.T @ r
-        if np.abs(g).max(initial=0.0) < gtol:
+        if np.abs(g).max(initial=0.0) < _TOL:
             status = 1
             break
         d = np.diag(normal)
@@ -517,8 +521,8 @@ def _gauss_newton(fun, jac, x0, max_nfev: int, ftol: float = 1e-8, xtol: float =
             nfev += 1
             cost_new = 0.5 * (r_new @ r_new) if np.isfinite(r_new).all() else np.inf
             ratio = (cost - cost_new) / (0.5 * step @ (lam * d * step - g))
-            ftol_met = cost - cost_new < ftol * cost and ratio > 0.25
-            xtol_met = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x))
+            ftol_met = cost - cost_new < _TOL * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < _TOL * (_TOL + np.linalg.norm(x))
             status = (4 if xtol_met else 2) if ftol_met else (3 if xtol_met else 0)
             if cost_new < cost:
                 x, r, cost = x + step, r_new, cost_new

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, check_column, check_square, check_table_bytes,
                      check_whole)
-from .haarstats import DEFAULT_BINS, Histogram, _haar_columns
+from .haarstats import DEFAULT_BINS, Histogram, _draw_bytes, _haar_columns
 from .interference import (SPDC_BRANCHES, EventStream, FockPattern, SourceWeights,
                            _occupation_factorial, _permanents, _probabilities,
                            spdc_branch_pattern)
@@ -198,14 +198,15 @@ def check_ensemble_bytes(events: EventStream, m: int, ensemble_size) -> None:
     """Raise :class:`ConfigurationError` for an ``ensemble_size`` that is no
     whole number >= 2, and :class:`CapacityError` when rescoring ``events``
     against that many Haar draws of m modes would exceed ``MAX_TABLE_BYTES``:
-    the draws hold 64 bytes per (member, mode, input mode) and the scoring
+    the draws take what :func:`haarstats._draw_bytes` charges them, about
+    64 bytes per (member, mode, input mode), and the scoring
     arrays 32 + 8 n per (member, event) for the stream's n (tracemalloc
     measured at most 48 beyond the draw at n = 3, where one group holds
     every event, and 30 at n = 4, split into three branches). Every
     branch's input modes are charged, used by an event or not, so the check
     needs no pass over the events."""
     check_whole(ensemble_size, "ensemble_size", 2)
-    check_table_bytes(64 * ensemble_size * m * len(np.unique(events.input_modes))
+    check_table_bytes(_draw_bytes(ensemble_size, m, len(np.unique(events.input_modes)))
                       + (ensemble_size + 1) * len(events) * (32 + 8 * events.n),
                       f"{ensemble_size} Haar draws scoring {len(events)} events")
 

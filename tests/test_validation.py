@@ -333,6 +333,18 @@ class TestWrongUnitaryEnsemble:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_ensemble_check_covers_the_draws_own_check(self, device_unitary, streams,
+                                                       monkeypatch):
+        # a limit at the draw's stacks plus the scoring arrays, short of the
+        # draw's ufunc buffers: the ensemble check, not the draw, rejects it
+        events = streams["bs"][:5]
+        size, k = 40, len(np.unique(events.input_modes))
+        monkeypatch.setattr(errors, "MAX_TABLE_BYTES",
+                            64 * size * 32 * k + (size + 1) * len(events) * (32 + 8 * 3))
+        with pytest.raises(CapacityError, match="scoring 5 events"):
+            val.wrong_unitary_slope_histogram(events, device_unitary, "distinguishable",
+                                              3, 31, size, rng_seed=0)
+
     @pytest.mark.parametrize("kind", ["uniform", "distinguishable"])
     def test_counted_bytes_cover_the_peak(self, device_unitary, streams, kind, monkeypatch):
         args = (streams["bs"][np.arange(4000) % 1000], device_unitary, kind, 3, 31, 400, 0)
