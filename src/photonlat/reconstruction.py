@@ -12,8 +12,7 @@ The dips of one input pair share one delay line and one photon pair, so
 one centre x0 and one width sigma; given those, each dip's profile is
 linear in (a, aV). The campaign is therefore fitted by variable
 projection: one batched 2x2 solve per trial (x0, sigma) gives every
-dip's (a, aV), and ``least_squares`` fits the two shared parameters of
-each input pair.
+dip's (a, aV), and ``_gauss_newton`` fits (x0, sigma) per input pair.
 Reconstruction proceeds in three stages: a weighted least-squares fit of
 the moduli to the plateaus (which read their squares), an analytic phase
 extraction, and a final chi-square polish over the phases. Per input
@@ -32,17 +31,13 @@ flat arrays of (pair, rows h k, outputs i j) over all valid dips. One
 kernel, ``_pair_sums``, evaluates x_hi x_kj + x_hj x_ki over it, with
 x = |T|^2 for the plateaus and x = T for the amplitudes; the simulated
 truth, the moduli fit, and the chi-square residuals of
-:func:`dip_residuals` all go through it. Both least-squares fits, of the
-moduli and of the phases, take analytic Jacobians: a dip depends on four
-entries of the submatrix, and one helper, ``_dip_jacobian``, places its
-four derivatives in their columns. Both are damped Gauss-Newton on the
-normal equations (``_gauss_newton``), one small linear solve per step and
-no SVD, stopped by ``least_squares``' rules at its default tolerances
-(1e-8), far below the statistical errors of the fitted values. They log
-what they did at DEBUG on ``photonlat.reconstruction.fits``, as the dip
-fit of each input pair does.
-SciPy is imported by the first dip fit, not with this module, so the
-commands that never fit do not load it.
+:func:`dip_residuals` all go through it. Every fit, of the dips, the
+moduli and the phases, is one damped Gauss-Newton (``_gauss_newton``) on
+an analytic Jacobian, stopped at ``least_squares``' default ftol and xtol
+(1e-8), far below the statistical errors of the fitted values, and logs
+what it did at DEBUG on ``photonlat.reconstruction.fits``. A dip depends
+on four entries of the submatrix, and ``_dip_jacobian`` places its four
+derivatives in the columns of the moduli's and the phases' Jacobians.
 """
 
 from __future__ import annotations
@@ -141,12 +136,12 @@ def _fit_dips(positions, counts, groups):
     Variable projection (Golub & Pereyra 1973): given (x0, sigma) the
     profile a + aV g is linear in (a, aV), so one batched 2x2 solve with
     Poisson weights 1/sqrt(max(counts, 1)) eliminates them, and
-    ``least_squares`` fits each label's two shared parameters alone, so
-    that no label's stopping point depends on the others. Each fit starts
-    at the scan centre and a sixth of the range, keeps x0 in the scan and
-    sigma in [point spacing, half the range], and stops on MINPACK's ftol
-    and xtol rules alone (``gtol=None``). A plateau that is not > 0 or a
-    non-finite (a, aV) raises :class:`FitError`.
+    :func:`_gauss_newton` fits each label's (x0, sigma) alone, so that no
+    label's stopping point depends on the others, on the analytic Jacobian
+    of that projected residual. Each fit starts at the scan centre and a
+    sixth of the range, in the box of x0 in the scan and sigma in [point
+    spacing, half the range]. A plateau that is not > 0 or a non-finite
+    (a, aV) raises :class:`FitError`.
     """
     x, y = positions, counts
     labels, group = np.unique(groups, return_inverse=True)
@@ -165,16 +160,24 @@ def _fit_dips(positions, counts, groups):
         a, b, g, _ = solve(*p, rows)
         return (np.sqrt(w2[rows]) * (a[:, None] + b[:, None] * g - y[rows])).ravel()
 
+    def jacobian(p, rows):
+        a, b, g, inverse = solve(*p, rows)
+        u = (x - p[0]) / p[1]
+        dg = g * np.stack([u, u * u])[:, None] / p[1]     # by x0 and by sigma: (2, D, n)
+        wdg, e = w2[rows] * dg, y[rows] - a[:, None] - 2.0 * b[:, None] * g
+        da, db = np.einsum("dij,kdj->ikd", inverse,
+                           np.stack([-b * wdg.sum(axis=-1), (wdg * e).sum(axis=-1)], axis=-1))
+        d_fit = da[..., None] + db[..., None] * g + b[:, None] * dg
+        return (np.sqrt(w2[rows]) * d_fit).reshape(2, -1).T
+
     lo, hi = x.min(), x.max()
     p0 = np.array([0.5 * (lo + hi), (hi - lo) / 6.0])
-    bounds = ([lo, (hi - lo) / (len(x) - 1)], [hi, (hi - lo) / 2.0])
+    box = np.array([lo, (hi - lo) / (len(x) - 1)]), np.array([hi, (hi - lo) / 2.0])
     shape = np.empty((len(labels), 2))
     for n, label in enumerate(labels.tolist()):
         rows = group == n
-        # flat scans leave (x0, sigma) free, and trf divides by the norm
-        # of their zero gradient
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = least_squares(residuals, p0, bounds=bounds, gtol=None, args=(rows,))
+        result = _gauss_newton(lambda p: residuals(p, rows), lambda p: jacobian(p, rows),
+                               p0, 100 * p0.size, *box)
         shape[n] = result.x
         start = residuals(p0, rows)
         _log_fit(f"dip group {label}", result, start @ start,
@@ -459,14 +462,7 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     return dataset
 
 
-def least_squares(fun, x0, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first dip fit: only
-    ``reconstruct`` fits, and no other command pays for loading it."""
-    from scipy.optimize import least_squares as scipy_least_squares
-    return scipy_least_squares(fun, x0, **kwargs)
-
-
-_TOL = 1e-8    # least_squares' default ftol, xtol and gtol, at which _gauss_newton stops
+_TOL = 1e-8    # least_squares' default ftol and xtol, at which _gauss_newton stops
 
 
 class _Fit(NamedTuple):
@@ -476,30 +472,30 @@ class _Fit(NamedTuple):
     cost: float      # half the sum of squared residuals at x
     nfev: int
     njev: int
-    status: int      # 1-4 as least_squares' gtol, ftol, xtol and ftol + xtol; 0 at max_nfev
+    status: int      # 1 zero gradient, 2 ftol, 3 xtol, 4 ftol + xtol; 0 at max_nfev
 
 
-def _gauss_newton(fun, jac, x0, max_nfev: int) -> _Fit:
+def _gauss_newton(fun, jac, x0, max_nfev: int, lo=-np.inf, hi=np.inf) -> _Fit:
     """Minimize half the sum of squares of ``fun(x)`` from ``x0`` by damped
-    Gauss-Newton, given the Jacobian ``jac(x)``.
+    Gauss-Newton, given the Jacobian ``jac(x)``, within the box [lo, hi].
 
     Levenberg-Marquardt on the normal equations: each step solves
     (J^T J + lam D) dx = -J^T r, with D the diagonal of J^T J floored at
     1e-10 of its largest entry, so that the damped matrix stays regular
     when a parameter moves no residual (a modulus at r = 0, a phase whose
-    dips are all invalid). lam starts at 1e-6 and follows the gain ratio rho
-    of the actual to the predicted reduction (Nielsen 1999): a step that
-    lowers the cost is taken and scales lam by max(1/3, 1 - (2 rho - 1)^3)
-    (lam kept >= 1e-16), and each rejected one (a non-finite residual
-    included) by 2, 4, 8, ... Forming J^T J squares the condition number
-    of J, which stays near 10 for the moduli and 50 for the phases of this
-    module's fits, so the steps lose about 4 of 16 digits. The stopping
-    rules and their status
-    are those of ``least_squares`` at its default tolerances, all ``_TOL``:
-    |J^T r|_inf < _TOL (1), a step with rho > 0.25 that lowers the cost by
-    less than _TOL of it (2), a step shorter than _TOL (_TOL + |x|) (3),
-    both of the last two (4), and 0 when ``max_nfev`` evaluations of
-    ``fun`` did not stop.
+    dips are all invalid), and is projected as clip(x + dx, lo, hi) - x.
+    lam starts at 1e-6 and follows the gain ratio rho of the actual to the
+    predicted reduction (Nielsen 1999): a step that lowers the cost is
+    taken and scales lam by max(1/3, 1 - (2 rho - 1)^3) (lam kept >= 1e-16),
+    and each rejected one (a non-finite residual included) by 2, 4, 8, ...
+    Forming J^T J squares the condition number of J, which stays near 10
+    for the moduli and 50 for the phases of this module's fits, so the
+    steps lose about 4 of 16 digits. It stops, with ``least_squares``'
+    status, on an exactly zero J^T r (1: a flat noiseless dip scan has
+    J = 0, and |J^T r| < _TOL stopped noiseless dip fits short of their
+    optimum), a step with rho > 0.25 that lowers the cost by less than _TOL
+    of it (2), a step shorter than _TOL (_TOL + |x|) or cut to zero by the
+    box (3), both (4), and at ``max_nfev`` evaluations of ``fun`` (0).
     """
     x = np.asarray(x0, dtype=float)
     r = fun(x)
@@ -509,18 +505,21 @@ def _gauss_newton(fun, jac, x0, max_nfev: int) -> _Fit:
         j = jac(x)
         njev += 1
         normal, g = j.T @ j, j.T @ r
-        if np.abs(g).max(initial=0.0) < _TOL:
+        if not g.any():
             status = 1
             break
         d = np.diag(normal)
         d = np.maximum(d, 1e-10 * d.max())
         grow = 2.0
         while nfev < max_nfev:
-            step = np.linalg.solve(normal + np.diag(lam * d), -g)
+            step = np.clip(x + np.linalg.solve(normal + np.diag(lam * d), -g), lo, hi) - x
+            if not step.any():
+                status = 3
+                break
             r_new = fun(x + step)
             nfev += 1
             cost_new = 0.5 * (r_new @ r_new) if np.isfinite(r_new).all() else np.inf
-            ratio = (cost - cost_new) / (0.5 * step @ (lam * d * step - g))
+            ratio = (cost - cost_new) / -(step @ g + 0.5 * (step @ normal @ step))
             ftol_met = cost - cost_new < _TOL * cost and ratio > 0.25
             xtol_met = np.linalg.norm(step) < _TOL * (_TOL + np.linalg.norm(x))
             status = (4 if xtol_met else 2) if ftol_met else (3 if xtol_met else 0)

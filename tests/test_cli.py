@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import math
@@ -1048,18 +1049,18 @@ def test_config_hash_is_pinned(tmp_path, config, digest):
     assert config_hash(load_config(path)) == digest
 
 
-# after the import and after each command: (exit code, scipy.optimize loaded)
+# after the import and after each command: (exit code, scipy loaded)
 _LOADS_IN_CHILD = """
 import json, sys
 import photonlat.cli
-loaded = [[None, "scipy.optimize" in sys.modules]]
+loaded = [[None, "scipy" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
-    loaded.append([photonlat.cli.main(argv), "scipy.optimize" in sys.modules])
+    loaded.append([photonlat.cli.main(argv), "scipy" in sys.modules])
 print(json.dumps(loaded))
 """
 
 
-def test_only_reconstruct_loads_scipy_optimize(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     cfg = write_config(tmp_path)
     commands = [["simulate", "--config", cfg, "--out", tmp_path / "sim"],
                 ["footprint", "--config", cfg, "--out", tmp_path / "fp"],
@@ -1070,5 +1071,25 @@ def test_only_reconstruct_loads_scipy_optimize(tmp_path):
          json.dumps([[str(a) for a in argv] for argv in commands])],
         env=_child_env(), capture_output=True, text=True, timeout=600, check=True)
     loaded = json.loads(child.stdout.splitlines()[-1])
-    assert loaded == [[None, False], [0, False], [0, False], [0, True]]
+    assert loaded == [[None, False], [0, False], [0, False], [0, False]]
     assert (tmp_path / "rec" / "reconstructed.json").exists()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_every_import_is_stdlib_or_a_declared_dependency():
+    # a runtime import of a package that pyproject.toml does not declare
+    # fails here, whether at the top of a module or inside a function
+    import tomllib
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[\w.-]+", dep).group().lower()
+                    for dep in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in (root / "src" / "photonlat").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - set(sys.stdlib_module_names) - {"photonlat"} <= declared

@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 import re
@@ -165,6 +166,43 @@ class TestFitDip:
         assert x.min() <= fit.x0 <= x.max()
         assert fit.sigma >= (x.max() - x.min()) / (len(x) - 1)
         assert fit.sigma <= (x.max() - x.min()) / 2
+
+    @pytest.mark.parametrize("x0", [SCAN_POSITIONS[0], SCAN_POSITIONS[0] - 5.0])
+    def test_dip_at_or_beyond_the_scan_edge_ends_in_the_box(self, x0):
+        # started at the scan centre, the fit ends at a wide bump on the far
+        # side, not at this centre; only the box is pinned here
+        x = SCAN_POSITIONS
+        fit = fit_dip(x, dip_profile(x, 0.5, -0.3, x0, 30.0))
+        assert x.min() <= fit.x0 <= x.max()
+        assert (x.max() - x.min()) / (len(x) - 1) <= fit.sigma <= (x.max() - x.min()) / 2
+
+    def test_dip_jacobian_matches_finite_differences(self, monkeypatch):
+        fits, gauss_newton = [], reconstruction._gauss_newton
+
+        def spy(fun, jac, x0, max_nfev, lo=-np.inf, hi=np.inf):
+            fits.append((fun, jac))
+            return gauss_newton(fun, jac, x0, max_nfev, lo, hi)
+
+        monkeypatch.setattr(reconstruction, "_gauss_newton", spy)
+        x = SCAN_POSITIONS
+        counts = np.array([poisson_scan(a, v, 3.0, 25.0, x, 1e4, rng_seed=n)
+                           for n, (a, v) in enumerate([(0.9, -0.8), (0.4, -0.2), (0.6, 0.3)])])
+        _fit_dips(x, counts, [0, 0, 1])
+        assert len(fits) == 2
+        for fun, jac in fits:
+            for p in ([5.0, 28.0], [-60.0, 12.0], [80.0, 85.0]):
+                want = finite_difference_jacobian(fun, p)
+                got = jac(np.array(p))
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_step_the_box_cuts_to_zero_stops_with_status_3(self):
+        # the minimum of |p - 5|^2 lies beyond the box's corner (1, 1): the
+        # first step reaches the corner, and the box cuts the next to zero
+        fit = reconstruction._gauss_newton(lambda p: p - 5.0, lambda p: np.eye(2), np.zeros(2),
+                                           100, -np.ones(2), np.ones(2))
+        assert fit.status == 3 and (fit.nfev, fit.njev) == (2, 2)
+        assert np.array_equal(fit.x, [1.0, 1.0]) and fit.cost == 16.0
 
     def test_scan_without_counts_is_a_fit_error(self):
         with pytest.raises(FitError, match="plateau that is not > 0"):
@@ -578,34 +616,27 @@ class TestRefine:
             assert got.shape == want.shape == (ds.valid.sum(), mask.sum())
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
-    def test_fits_take_analytic_jacobians_and_default_tolerances(self, device_unitary,
+    def test_every_fit_runs_the_one_solver_at_default_tolerances(self, device_unitary,
                                                                  monkeypatch):
-        calls, solves = [], []
-        least_squares, gauss_newton = reconstruction.least_squares, reconstruction._gauss_newton
+        gauss_newton = reconstruction._gauss_newton
+        # no tolerance can be passed: every fit stops at least_squares'
+        # default ftol and xtol of 1e-8
+        assert list(inspect.signature(gauss_newton).parameters) == [
+            "fun", "jac", "x0", "max_nfev", "lo", "hi"]
+        assert reconstruction._TOL == 1e-8
+        calls = []
 
-        def spy(fun, x0, **kwargs):
-            calls.append(kwargs)
-            return least_squares(fun, x0, **kwargs)
+        def spy(fun, jac, x0, max_nfev, lo=-np.inf, hi=np.inf):
+            calls.append(jac)
+            return gauss_newton(fun, jac, x0, max_nfev, lo, hi)
 
-        def solver_spy(fun, jac, x0, max_nfev):
-            solves.append(jac)
-            return gauss_newton(fun, jac, x0, max_nfev)
-
-        monkeypatch.setattr(reconstruction, "least_squares", spy)
-        monkeypatch.setattr(reconstruction, "_gauss_newton", solver_spy)
+        monkeypatch.setattr(reconstruction, "_gauss_newton", spy)
         ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
                                   mean_plateau_counts=1e4)
-        # one dip fit per input pair, stopped by the ftol and xtol rules alone
-        assert len(calls) == ds.n_pairs and not solves
-        for kwargs in calls:
-            assert kwargs["gtol"] is None and not {"xtol", "ftol"} & kwargs.keys()
-        calls.clear()
         refine_chi2(reconstruct_phases(ds, reconstruct_moduli(ds)), ds)
-        # the moduli and the phases: the solver with an analytic Jacobian,
-        # stopped at least_squares' default tolerances of 1e-8, not SciPy
-        assert not calls and len(solves) == 2
-        assert all(callable(jac) for jac in solves)
-        assert reconstruction._TOL == 1e-8
+        # one dip fit per input pair, then the moduli and the phases
+        assert len(calls) == ds.n_pairs + 2
+        assert all(callable(jac) for jac in calls)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_fits_agree_with_the_scipy_trf_oracle(self, device_unitary, seed):
