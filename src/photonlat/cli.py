@@ -231,17 +231,19 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_lines(header, rows):
-    """The lines of a CSV output; floats by ``repr``, so they read back exactly."""
+def _csv_lines(header, columns):
+    """The lines of a CSV output from its columns of Python ints and
+    floats, each column formatted by one ``map(repr, ...)``: an int's repr
+    is its str, and a float's reads back exactly."""
     yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+    for row in zip(*(map(repr, column) for column in columns)):
+        yield ",".join(row) + "\n"
 
 
 def _histogram_csv(hist: haarstats.Histogram):
     edges = hist.bin_edges.tolist()
     return _csv_lines(("edge_low", "edge_high", "mass"),
-                      zip(edges[:-1], edges[1:], hist.masses.tolist()))
+                      (edges[:-1], edges[1:], hist.masses.tolist()))
 
 
 def _source(config):
@@ -484,7 +486,7 @@ def cmd_validate(config, args):
     }
     files = {
         "trace.csv": _csv_lines(("k", "counter"),
-                                enumerate(trace.counters.tolist(), start=1)),
+                                (range(1, trace.n_events + 1), trace.counters.tolist())),
         "slope_histogram.csv": _histogram_csv(ensemble.histogram),
         "zscore.json": _json_text(summary),
     }
@@ -520,9 +522,9 @@ def cmd_reconstruct(config, args):
             dataset, scans = result
             files["dip_scans.csv"] = _csv_lines(
                 ("input_h", "input_k", "output_i", "output_j", "position", "counts"),
-                ((h, k, i, j, float(x), float(c))
-                 for ((h, k), (i, j)), (positions, counts) in scans.items()
-                 for x, c in zip(positions, counts)))
+                zip(*((int(h), int(k), i, j, float(x), float(c))
+                      for ((h, k), (i, j)), (positions, counts) in scans.items()
+                      for x, c in zip(positions, counts))))
         else:
             dataset = result
         truth = reconstruction.submatrix_rows(u, inputs)
@@ -556,12 +558,9 @@ def cmd_reconstruct(config, args):
     residuals = reconstruction.dip_residuals(refined.phases, refined.moduli, dataset)
     files["residuals.csv"] = _csv_lines(
         ("input_h", "input_k", "output_i", "output_j", "a", "V", "eps", "residual"),
-        ((*dataset.input_pairs[p], i, j, a, vis, eps, r)
-         for p, i, j, a, vis, eps, r in zip(
-             dataset.dip_pair.tolist(), dataset.dip_i.tolist(),
-             dataset.dip_j.tolist(), dataset.plateaus[v].tolist(),
-             dataset.visibilities[v].tolist(), dataset.errors[v].tolist(),
-             residuals.tolist())))
+        (*np.array(dataset.input_pairs)[dataset.dip_pair].T.tolist(),
+         dataset.dip_i.tolist(), dataset.dip_j.tolist(), dataset.plateaus[v].tolist(),
+         dataset.visibilities[v].tolist(), dataset.errors[v].tolist(), residuals.tolist()))
     return files, f"reconstructed {len(inputs)}x{dataset.n_outputs} rows{gauge_note}"
 
 
@@ -619,8 +618,8 @@ def cmd_footprint(config, args):
     rows = fp.compare_layouts(fcfg["m_values"], params)
     lines = _csv_lines(("m", "L_clements_mm", "L_spread_planar_mm",
                         "L_spread_triangular_mm", "L_fan_mm"),
-                       [(m, float(a), float(b_), float(c), float(d))
-                        for (m, a, b_, c, d) in rows])
+                       zip(*[(m, float(a), float(b_), float(c), float(d))
+                             for (m, a, b_, c, d) in rows]))
     return {"footprint.csv": lines}, f"{len(rows)} mode counts"
 
 

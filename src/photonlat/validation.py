@@ -20,11 +20,15 @@ Every function takes the events as one :class:`interference.EventStream`,
 whose columns were checked when it was built. Both tests and the
 ensemble share one kernel, :func:`_counter_steps`. It groups the events
 by branch code and scores an (E, m, k) stack of unitary columns: all of
-U, or the ensemble's draws of the input modes. One closed-form fit,
-:func:`_slopes`, takes the slopes of the whole (E, K) stack of counter
-steps. The C test's permanents come from the row-signed kernel
-:func:`interference._permanents`: each unitary's signed row sums are
-formed once, and each event multiplies its n gathered rows of them.
+U, or the ensemble's draws of the input modes. The C test steps up
+where q >= d, which for d > 0 is exactly where q / d >= 1, so no step
+divides. One closed-form fit, :func:`_slopes`, takes the slopes of the
+whole (E, K) stack of counter steps: one matrix-vector product when no
+step is zero. The C test's permanents come from the row-signed kernel
+:func:`interference._permanents`: each unitary's row sums over the
+distinct input columns are formed once, and each event multiplies its n
+gathered rows of them, 4 vectors for a 3-photon Fock input and for the
+doubled SPDC branches, 8 for |1111>.
 The stream's modes are checked against U's m by their range, and
 other arguments by the checkers of :mod:`errors`; an ensemble whose draw
 and scoring arrays would exceed the table limit raises
@@ -62,20 +66,29 @@ class ValidationTrace:
 
 def _slopes(steps) -> np.ndarray:
     """(E,) least-squares slopes of an (E, K) stack of counter steps: each
-    row's counter against the rank k = 1..K_e of its nonzero steps, in
-    closed form, zeros not counted; a row with one nonzero step gives
-    slope = its counter, one with none 0.
+    row's counter against the rank r = 1..K_e of its nonzero steps, zeros
+    not counted; a row with one nonzero step gives slope = its counter,
+    one with none 0.
 
-    The counters are integers and the centred ranks half-integers, so every
-    product and sum is exact below 2^53: each slope is one rounding, in
-    whatever order it is summed.
+    In closed form: the slope is num / den with num = sum_j s_j (r_j - 1)
+    (K_e + 1 - r_j) / 2 over the steps s_j, which sums the centred ranks
+    r - (K_e + 1)/2 from r_j to K_e, and den = K_e (K_e^2 - 1) / 12. Both
+    are formed doubled, so every term is an integer: while K^3 < 2^53 each
+    sum is exact and each slope one rounding. A stack with no zero step
+    shares its weights: one matrix-vector product.
     """
     kept = steps != 0
-    centred = np.cumsum(kept, axis=1, dtype=float)
-    centred -= (kept.sum(axis=1, keepdims=True) + 1) / 2
-    centred *= kept
-    num = np.einsum("ek,ek->e", centred, np.cumsum(steps, axis=1))
-    den = np.einsum("ek,ek->e", centred, centred)
+    k = kept.sum(axis=1, dtype=float)
+    if kept.all():
+        before = np.arange(float(steps.shape[1]))                  # r - 1
+        num = steps @ (before * (steps.shape[1] - before))
+    else:
+        before = np.cumsum(kept, axis=1, dtype=float)
+        before -= 1
+        weights = k[:, None] - before
+        weights *= before
+        num = np.einsum("ek,ek->e", steps, weights)
+    den = k * (k * k - 1) / 6
     return np.divide(num, den, out=steps.sum(axis=1, dtype=float), where=den > 0)
 
 
@@ -89,9 +102,10 @@ def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None
     input modes, its events found by one argsort of the branch codes. Where
     those inputs (and, in the W test, n) need another photon number than
     the stream's, every event is rejected. W steps +1 where P >= (n/m)^n,
-    C steps +1 where L = q/d >= 1, both -1 otherwise; 0 marks an event that
-    does not count, a rejected one or, in the C test, one with d <= 0. Each
-    scored input is one kernel call over the whole stack.
+    C steps +1 where q >= d (for d > 0, exactly where the correctly rounded
+    L = q/d >= 1), both -1 otherwise; 0 marks an event that does not
+    count, a rejected one or, in the C test, one with d <= 0 or q or d NaN.
+    Each scored input is one kernel call over the whole stack.
     """
     m_u = us.shape[1]
     modes = np.arange(m_u) if modes is None else modes
@@ -121,9 +135,7 @@ def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None
                         us, stats, 1.0, _occupation_factorial(FockPattern.from_modes(c, m_u)))
                     for w, c in scored)
                 for stats in ("indistinguishable", "distinguishable"))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
-        steps[:, idx] = np.where(np.isnan(ratio), 0, np.where(ratio >= 1.0, 1, -1))
+        steps[:, idx] = np.where(q >= d, 1, -1) * ((d > 0) & ~np.isnan(q))
     return steps
 
 
@@ -201,8 +213,9 @@ def check_ensemble_bytes(events: EventStream, m: int, ensemble_size) -> None:
     the draws take what :func:`haarstats._draw_bytes` charges them, about
     64 bytes per (member, mode, input mode), and the scoring
     arrays 32 + 8 n per (member, event) for the stream's n (tracemalloc
-    measured at most 48 beyond the draw at n = 3, where one group holds
-    every event, and 30 at n = 4, split into three branches). Every
+    measured at most 40 beyond the draw at n = 3, where one group holds
+    every event: the W test's gathered column sums, the C test 34; and 24
+    at n = 4, split into three branches). Every
     branch's input modes are charged, used by an event or not, so the check
     needs no pass over the events."""
     check_whole(ensemble_size, "ensemble_size", 2)

@@ -145,6 +145,42 @@ def test_validate_pipeline(simulated, tmp_path):
         assert sum(masses) == pytest.approx(1.0)
 
 
+def _per_value_csv(header, rows):
+    """A CSV text with each value formatted on its own, floats by repr and
+    anything else by str: the form the whole-column writer replaced."""
+    lines = [",".join(header)] + [",".join(repr(x) if isinstance(x, float) else str(x)
+                                           for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_csv_columns_give_the_per_value_text(simulated, tmp_path, monkeypatch):
+    tmp, cfg, upath = simulated
+    written = {}
+    csv_lines = photonlat.cli._csv_lines
+
+    def recorded(header, columns):
+        columns = [list(column) for column in columns]
+        written[header[-1]] = header, columns
+        return csv_lines(header, columns)
+
+    monkeypatch.setattr(photonlat.cli, "_csv_lines", recorded)
+    sdir = tmp_path / "samples"
+    assert run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
+               "--events", 100) == 0
+    assert run("validate", "--config", cfg, "--unitary", upath, "--samples",
+               sdir / "samples.jsonl", "--out", tmp_path / "val",
+               "--test", "distinguishable", "--ensemble", 20) == 0
+    noisy = write_config(tmp_path, {"reconstruction": {"noise": "poisson"}})
+    assert run("reconstruct", "--config", noisy, "--unitary", upath,
+               "--out", tmp_path / "rec") == 0
+    for path, last in (("val/trace.csv", "counter"), ("val/slope_histogram.csv", "mass"),
+                       ("rec/residuals.csv", "residual")):
+        header, columns = written[last]
+        assert all(type(x) in (int, float) for column in columns for x in column)
+        assert (tmp_path / path).read_bytes() == _per_value_csv(
+            header, zip(*columns)).encode()
+
+
 def test_validate_byte_identical(simulated, tmp_path):
     tmp, cfg, upath = simulated
     sdir = tmp_path / "samples"

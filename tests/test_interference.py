@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from photonlat import (errors, evolution, footprint, haarstats, lattice, reconstruction,
-                       validation)
+from photonlat import (cli, errors, evolution, footprint, haarstats, lattice,
+                       reconstruction, validation)
 from photonlat import interference as itf
 from photonlat.errors import CapacityError, ConfigurationError, NumericalError
 from photonlat.haarstats import haar_unitary
@@ -139,7 +139,7 @@ class TestGatheredPermanents:
         cols = rng.integers(0, m, size=n)
         stack = us[:, rows[:, :, None], cols].reshape(e * p, n, n)
         want = _permanent_batch(stack).reshape(e, p)
-        with mock.patch.object(itf, "_STEP_BYTES", step_bytes):
+        with mock.patch.object(itf, "_LIST_STEP_BYTES", step_bytes):
             got = _permanents(us, rows, cols)
         assert got.shape == (e, p)
         assert np.all(np.abs(got - want) <= 1e-12 * _stack_scale(stack).reshape(e, p))
@@ -164,6 +164,191 @@ def test_twenty_by_twenty_permanent_in_sign_blocks():
         tracemalloc.stop()
     assert abs(got - want) <= 1e-10 * abs(want)
     assert peak <= 4 * itf._STEP_BYTES
+
+
+def _glynn_signs(n):
+    """Glynn's 2^(n-1) sign vectors of length n, as floats, delta_0 = +1
+    and delta_j = -1 where bit j-1 of the vector's number is set, and
+    their products."""
+    count = 1 << (n - 1)
+    bits = (np.arange(count)[:, None] >> np.arange(n - 1)) & 1
+    delta = np.ones((count, n))
+    delta[:, 1:] -= 2 * bits
+    return delta, delta.prod(axis=1)
+
+
+def _sign_row_sums(taken, step):
+    """Row sums of distinct columns in blocks of ``step`` (a power of two)
+    sign vectors, formed as before the kernel took multiplicities: the
+    first log2(step) + 1 columns once, plus one vector of the rest."""
+    n = taken.shape[-1]
+    low = step.bit_length()
+    delta, parity = _glynn_signs(low)
+    sums = taken[..., :low] @ delta.T
+    high, high_parity = _glynn_signs(n - low + 1)
+    for signs, sign in zip(high[:, 1:], high_parity):
+        yield sums + (taken[..., low:] @ signs)[..., None], parity * sign
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_distinct_columns_keep_glynns_signs_bit_for_bit(self, n):
+        mult = (1,) * n
+        coefs, weights = itf._coefficients(mult)
+        delta, parity = _glynn_signs(n)
+        assert np.array_equal(coefs, delta) and np.array_equal(weights, parity)
+        rng = np.random.default_rng(n)
+        taken = rng.normal(size=(7, 3, n)) + 1j * rng.normal(size=(7, 3, n))
+        for b in range(n):
+            got = list(itf._row_sums(taken, mult, itf._blocks(mult, 1 << b)))
+            want = list(_sign_row_sums(taken, 1 << b))
+            assert len(got) == len(want) == 1 << (n - 1 - b)
+            for (sums, w), (want_sums, want_w) in zip(got, want):
+                assert np.array_equal(sums, want_sums) and np.array_equal(w, want_w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mult=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    def test_one_vector_of_each_nonzero_pair_with_its_weight(self, mult):
+        full = {}
+        for ks in itertools.product(*(range(t + 1) for t in mult)):
+            s = tuple(float(t - 2 * k) for t, k in zip(mult, ks))
+            full[s] = float(math.prod((-1) ** k * math.comb(t, k) for t, k in zip(mult, ks)))
+        coefs, weights = itf._coefficients(tuple(mult))
+        kept = dict(zip(map(tuple, coefs.tolist()), weights.tolist()))
+        assert len(kept) == len(coefs) == itf._count(mult)
+        for s, w in kept.items():
+            assert next(x for x in s if x) > 0 and full[s] == w
+        assert set(kept) | {tuple(-x for x in s) for s in kept} == set(full) - {(0.0,) * len(mult)}
+
+
+@st.composite
+def repeated_columns(draw, max_n=6):
+    """n <= ``max_n`` input columns, in any order, over at most n - 1 modes,
+    so that some column repeats."""
+    n = draw(st.integers(2, max_n))
+    return draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+
+
+class TestRepeatedColumns:
+    """Inputs with repeated columns against the permutation sum, with steps
+    small enough to split the coefficient blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cols=repeated_columns(), e=st.integers(1, 3), p=st.integers(1, 4),
+           extra_modes=st.integers(0, 2), step_bytes=st.integers(1, 2**12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(cols=[1, 0, 2, 1, 0, 2], e=2, p=3, extra_modes=0, step_bytes=1, seed=0)
+    @example(cols=[0, 0, 0, 1, 2, 2], e=1, p=2, extra_modes=1, step_bytes=1, seed=1)
+    @example(cols=[3, 3, 1, 1], e=3, p=4, extra_modes=2, step_bytes=2**12, seed=2)
+    def test_permanents_match_the_oracle(self, cols, e, p, extra_modes, step_bytes, seed):
+        n, m = len(cols), len(cols) + extra_modes
+        rng = np.random.default_rng(seed)
+        us = rng.normal(size=(e, m, m)) + 1j * rng.normal(size=(e, m, m))
+        rows = rng.integers(0, m, size=(p, n))
+        with mock.patch.object(itf, "_LIST_STEP_BYTES", step_bytes):
+            got = _permanents(us, rows, cols)
+        subs = us[:, rows[:, :, None], cols]
+        want = np.array([[naive_permanent(sub) for sub in row] for row in subs])
+        scale = np.array([[naive_permanent(np.abs(sub)).real for sub in row] for row in subs])
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cols=repeated_columns(), size=st.integers(1, 6), collision_free=st.booleans(),
+           step_bytes=st.integers(1, 2**14), seed=st.integers(0, 2**32 - 1))
+    @example(cols=[0, 0, 1, 1, 2, 2], size=6, collision_free=False, step_bytes=1, seed=0)
+    @example(cols=[2, 0, 0, 0], size=5, collision_free=True, step_bytes=1, seed=1)
+    def test_table_permanents_match_the_oracle(self, cols, size, collision_free,
+                                               step_bytes, seed):
+        n = len(cols)
+        size = max(size, n) if collision_free else size
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(size, n)) + 1j * rng.normal(size=(size, n))
+        with mock.patch.object(itf, "_STEP_BYTES", step_bytes):
+            got = itf._table_permanents(a, cols, collision_free)
+        subs = [a[rows][:, cols] for rows in _mode_lists(n, tuple(range(size)), collision_free)]
+        want = np.array([naive_permanent(sub) for sub in subs])
+        scale = np.array([naive_permanent(np.abs(sub)).real for sub in subs])
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cols=repeated_columns(), extra_modes=st.integers(0, 2),
+           statistics=st.sampled_from(["indistinguishable", "distinguishable"]),
+           step_bytes=st.integers(1, 2**12), seed=st.integers(0, 2**32 - 1))
+    def test_output_probability_matches_the_oracle(self, cols, extra_modes, statistics,
+                                                   step_bytes, seed):
+        n, m = len(cols), len(cols) + extra_modes
+        u = haar_unitary(m, seed).entries
+        inp = FockPattern.from_modes(cols, m)
+        out = FockPattern.from_modes(np.random.default_rng(seed).integers(0, m, size=n), m)
+        with mock.patch.object(itf, "_LIST_STEP_BYTES", step_bytes):
+            got = output_probability(u, inp, out, statistics)
+        sub = scattering_submatrix(u, inp, out)
+        s_fact = math.prod(map(math.factorial, out.occupations))
+        t_fact = math.prod(map(math.factorial, inp.occupations))
+        if statistics == "indistinguishable":
+            want = abs(naive_permanent(sub)) ** 2 / (s_fact * t_fact)
+            scale = naive_permanent(np.abs(sub)).real ** 2 / (s_fact * t_fact)
+        else:
+            want = scale = naive_permanent(np.abs(sub) ** 2).real / s_fact
+        assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("block_cols, vectors", [
+    ((0, 0, 1, 1, 2), 18 ** 4 // 2),       # 4 blocks of 5 rows: columns t = 2, 2, 1
+    ((0, 0, 1, 1), (3 ** 10 - 1) // 2),     # 5 blocks of 4 rows: every t = 2
+], ids=["odd-multiplicity", "every-multiplicity-even"])
+def test_twenty_photons_on_repeated_columns_in_coefficient_blocks(block_cols, vectors):
+    """Per of a block-diagonal matrix whose blocks repeat their columns,
+    rows and columns shuffled, is the product of its blocks' permanents;
+    its coefficient vectors run in steps of the per-list budget, which also
+    bounds the peak."""
+    rng = np.random.default_rng(21)
+    size, width = len(block_cols), max(block_cols) + 1
+    shape = (20 // size, size, width)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u = np.zeros((20, width * len(blocks)), dtype=complex)
+    for k, block in enumerate(blocks):
+        u[size * k:size * k + size, width * k:width * k + width] = block
+    cols = [width * k + c for k in range(len(blocks)) for c in block_cols]
+    cols = [cols[i] for i in rng.permutation(20)]
+    u = u[rng.permutation(20)]
+    want = math.prod(naive_permanent(block[:, list(block_cols)]) for block in blocks)
+    assert itf._count(itf._columns(cols)[1]) == vectors
+    tracemalloc.start()
+    try:
+        got = _permanents(u[None], np.arange(20)[None], cols)[0, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) <= 1e-10 * abs(want)
+    assert peak <= 4 * itf._LIST_STEP_BYTES
+
+
+@pytest.mark.parametrize("source, vectors", [("fock", 4), ("1111", 8), ("2002", 4), ("0220", 4)])
+def test_kernels_form_the_counted_coefficient_vectors(source, vectors, monkeypatch, caplog):
+    """The inputs the default config scores: its 3-photon Fock input and
+    the three SPDC branches. A return to Glynn's 2^(n-1) signs for the
+    doubled branches fails here."""
+    inputs = cli.DEFAULT_CONFIG["inputs"]
+    modes = (sorted(inputs[1:4]) if source == "fock"
+             else spdc_branch_pattern(source, inputs, 32).modes())
+    formed = []
+    row_sums = itf._row_sums
+
+    def counted(*args):
+        for sums, weights in row_sums(*args):
+            formed.append(len(weights))
+            yield sums, weights
+
+    monkeypatch.setattr(itf, "_row_sums", counted)
+    u = haar_unitary(32, 15).entries
+    pattern = FockPattern.from_modes(modes, 32)
+    output_probability(u, pattern, FockPattern.from_modes(range(len(modes)), 32))
+    assert sum(formed) == vectors
+    formed.clear()
+    with caplog.at_level(logging.DEBUG, logger="photonlat.interference"):
+        distribution(u, pattern, outputs=range(31))
+    assert sum(formed) == vectors == table_log(caplog, len(modes))[2]
 
 
 class TestTypedErrors:
@@ -452,13 +637,13 @@ class TestTable:
         with caplog.at_level(logging.DEBUG, logger="photonlat.interference"):
             table = distribution(u, FockPattern.from_modes((10, 11, 12, 19, 20), 32),
                                  collision_free=collision_free, outputs=range(31))
-        patterns, levels, blocks, signs, held, bound = table_log(caplog, 5)
+        patterns, levels, vectors, block, held, bound = table_log(caplog, 5)
         # collision-free, level j keeps the j-lists led by output n - j or later
         assert levels == [math.comb(31 - 5 + j, j) if collision_free else
                           math.comb(31 + j - 1, j) for j in range(1, 6)]
         assert patterns == levels[-1] == len(table.probs) == max(levels)
-        assert blocks * signs == 2 ** 4
-        assert held == max(levels[:-1]) * signs * 16 <= itf._STEP_BYTES
+        assert vectors == 2 ** 4
+        assert held == max(levels[:-1]) * block * 16 <= itf._STEP_BYTES
         assert bound == itf._STEP_BYTES + max(levels[:-1]) * 16
 
     @pytest.mark.parametrize("n, collision_free", [(5, True), (5, False), (6, True)])
@@ -475,26 +660,27 @@ class TestTable:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        patterns, levels, blocks, signs, held, bound = table_log(caplog, n)
-        assert (patterns, blocks, signs) == (len(per), 2 ** (n - 1), 1)
+        patterns, levels, vectors, block, held, bound = table_log(caplog, n)
+        assert (patterns, vectors, block) == (len(per), 2 ** (n - 1), 1)
         assert held == 16 * max(levels[:-1]) > itf._STEP_BYTES
         assert bound == 16 * (31 + sum(levels[:-1])) + held
         assert peak - per.nbytes <= bound
 
 
 def table_log(caplog, n):
-    """(patterns, lists per level, sign blocks, signs per block, bytes of the
-    largest level held, step bound) of the one n-photon table over 31
-    outputs that the kernel logged."""
+    """(patterns, lists per level, coefficient vectors, vectors per block,
+    bytes of the largest level held, step bound) of the one n-photon table
+    over 31 outputs that the kernel logged."""
     [message] = [r.getMessage() for r in caplog.records
                  if r.name == "photonlat.interference"]
     found = re.fullmatch(rf"(\d+) patterns of {n} photons over 31 outputs: lists per "
-                         r"level \[([\d, ]+)\], (\d+) sign blocks of (\d+) signs, "
-                         r"largest level held (\d+) bytes, each step at most (\d+) bytes",
+                         r"level \[([\d, ]+)\], (\d+) coefficient vectors in blocks of at "
+                         r"most (\d+), largest level held (\d+) bytes, each step at most "
+                         r"(\d+) bytes",
                          message)
     assert found, message
-    patterns, blocks, signs, held, bound = map(int, found.group(1, 3, 4, 5, 6))
-    return patterns, [int(k) for k in found.group(2).split(", ")], blocks, signs, held, bound
+    patterns, vectors, block, held, bound = map(int, found.group(1, 3, 4, 5, 6))
+    return patterns, [int(k) for k in found.group(2).split(", ")], vectors, block, held, bound
 
 
 class TestScatteringSubmatrix:

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -394,6 +395,53 @@ def test_stack_slopes_equal_per_row_fits(rows, k, data):
     slopes = val._slopes(steps)
     assert np.array_equal(slopes, [val._trace(row).slope for row in steps])
     assert np.array_equal(slopes, [_reference_slope(row) for row in steps])
+
+
+def _two_cumsum_slopes(steps):
+    """The slopes as the centred ranks against the counters, two cumulative
+    sums per stack: the form the closed form replaced."""
+    kept = steps != 0
+    centred = np.cumsum(kept, axis=1, dtype=float)
+    centred -= (kept.sum(axis=1, keepdims=True) + 1) / 2
+    centred *= kept
+    num = np.einsum("ek,ek->e", centred, np.cumsum(steps, axis=1))
+    den = np.einsum("ek,ek->e", centred, centred)
+    return np.divide(num, den, out=steps.sum(axis=1, dtype=float), where=den > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([0, 1, 2, 1000]), rows=st.integers(1, 6), zeros=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(k=1000, rows=201, zeros=False, seed=0)
+@example(k=1000, rows=201, zeros=True, seed=1)
+def test_closed_form_slopes_equal_the_two_cumsum_form(k, rows, zeros, seed):
+    steps = np.random.default_rng(seed).choice([-1, 0, 1] if zeros else [-1, 1], size=(rows, k))
+    assert np.array_equal(val._slopes(steps), _two_cumsum_slopes(steps))
+
+
+_TIES = st.floats(1e-300, 1.0).flatmap(
+    lambda d: st.sampled_from([d, np.nextafter(d, 0.0), np.nextafter(d, 1.0)]).map(
+        lambda q: (q, d)))
+_ANY = st.tuples(st.floats(allow_infinity=False), st.floats(allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qd=st.lists(st.one_of(_TIES, _ANY), min_size=1, max_size=20))
+@example(qd=[(np.nan, 0.5), (0.5, np.nan), (1.0, 1.0), (np.nextafter(1.0, 0.0), 1.0),
+             (1.0, 0.0), (0.0, 0.0), (-1.0, -2.0), (1e308, 1e-308)])
+def test_c_step_is_the_ratio_rule_without_a_division(qd):
+    """+1 where the correctly rounded q / d >= 1, -1 below it, 0 where
+    d <= 0 or either is NaN: at near-ties, zeros, signs and NaNs alike."""
+    q, d = np.array(qd).T[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(d > 0, q / np.where(d > 0, d, 1.0), np.nan)
+    want = np.where(np.isnan(ratio), 0, np.where(ratio >= 1.0, 1, -1))
+    events = fock_stream([(0, 1, 2)] * len(qd), INPUTS3)
+    laws = {"indistinguishable": q, "distinguishable": d}
+    with mock.patch.object(val, "_probabilities",
+                           lambda permanents, us, stats, *_: laws[stats]):
+        got = val._counter_steps(events, np.zeros((1, 32, 32)), "distinguishable")
+    assert np.array_equal(got, want)
 
 
 class TestNormalization:
