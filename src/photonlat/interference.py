@@ -11,37 +11,28 @@ to one for inputs with multiply occupied modes).
 
 Every permanent comes from one row-signed Glynn kernel. Since
 Per A = Per A^T, Glynn's formula needs the signed row sums of U's input
-columns. They run over the distinct columns c_u with their
-multiplicities t_u (Chin & Huh, Sci. Rep. 8, 6101 (2018)): column u takes
-the coefficients s_u = t_u - 2k, weighted (-1)^k C(t_u, k), and of each
-+-pair of coefficient vectors only the one whose first nonzero entry is
-positive is kept (:func:`_coefficients`). Distinct columns keep Glynn's
-2^(n-1) sign vectors, and the doubled SPDC inputs |2002> and |0220> take
-4 vectors in place of 8. The row sums are formed once per unitary and
-block of vectors (:func:`_row_sums`), and a list's permanent is the
-weighted sum over the vectors of the products of its n rows of them.
-Lists that come alone (:func:`_permanents`: the validation stacks,
-:func:`output_probability` and :func:`permanent`) multiply their gathered
-rows, in steps whose row sums and product buffers fit
-``_LIST_STEP_BYTES`` (1 MB). A table (:func:`_table_permanents`) shares
-its products between lists along the level recurrence :func:`_levels` by
-which :func:`_mode_lists` enumerates it. Each table step takes the
-largest block of vectors whose row sums and level products fit in
-``_STEP_BYTES`` (4 MB), but at least the first column's positive
-coefficients (one, for a column of one photon), and its last level adds
-one matrix-vector product. So a step holds at most the larger of
-``_STEP_BYTES`` and its block's share (16 bytes per vector, output and
-list of every level but the last), plus 16 bytes per list of the
+columns, formed once per unitary and block of sign vectors
+(:func:`_row_sums`), and a list's permanent is the signed sum over the
+vectors of the products of its n rows of them. Lists that come alone
+(:func:`_permanents`: the validation stacks, :func:`output_probability`
+and :func:`permanent`) multiply their gathered rows, in steps whose row
+sums and product buffers fit ``_LIST_STEP_BYTES`` (1 MB). A table
+(:func:`_table_permanents`) shares its products between lists along the
+level recurrence :func:`_levels` by which :func:`_mode_lists` enumerates
+it. Each table step takes the largest block of signs whose row sums and
+level products fit in ``_STEP_BYTES`` (4 MB), but at least one sign, and
+its last level adds one matrix-vector product. So a step holds at most
+the larger of ``_STEP_BYTES`` and one sign's share (16 bytes per output and
+per list of every level but the last), plus 16 bytes per list of the
 largest such level. A table whose levels outgrow the budget takes more
 than 4 MB a step: a 6-photon collision-allowed table over 31 outputs
 holds its 324,632-list level, 5,194,112 bytes, in steps bounded by
 11,226,464 bytes (traced, 10.4 MB above its permanents).
-:func:`distribution` logs each table's levels, its count of coefficient
-vectors, their largest block and that step bound at DEBUG level on the
-``photonlat.interference`` logger. The kernel supports
-n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns are counted before
-they are enumerated, and a table whose own arrays would at their peak
-exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises
+:func:`distribution` logs each table's levels, sign blocks and that step
+bound at DEBUG level on the ``photonlat.interference`` logger. The
+kernel supports n <= ``MAX_PERMANENT_SIZE`` = 20. Output patterns are
+counted before they are enumerated, and a table whose own arrays would at
+their peak exceed ``errors.MAX_TABLE_BYTES`` (256 MB) raises
 :class:`CapacityError`, as does any other stack over that limit, and a
 draw of more events than fit in it.
 They are enumerated by numpy array operations, one photon more per level
@@ -235,95 +226,39 @@ def permanent(a) -> complex:
     return complex(_permanent_batch(a[None])[0])
 
 
-def _columns(cols):
-    """The distinct columns of ``cols`` in order of first appearance, with
-    the first of odd multiplicity moved to the front when one exists, and
-    their multiplicities."""
-    values, first, counts = np.unique(np.asarray(cols), return_index=True,
-                                      return_counts=True)
-    order = np.argsort(first)
-    odd = np.flatnonzero(counts[order] % 2)[:1]
-    order = np.concatenate([order[odd], np.delete(order, odd)])
-    return values[order], tuple(counts[order].tolist())
+def _signs(n: int, count: int):
+    """Glynn's first ``count`` sign vectors of length n, as floats
+    (count, n), and their products: delta_0 = +1, and delta_j = -1 where
+    bit j-1 of the vector's number is set."""
+    bits = (np.arange(count)[:, None] >> np.arange(n - 1)) & 1
+    delta = np.ones((count, n))
+    delta[:, 1:] -= 2 * bits
+    return delta, delta.prod(axis=1)
 
 
-def _count(mult) -> int:
-    """The number of vectors :func:`_coefficients` keeps for ``mult``."""
-    return (math.prod(t + 1 for t in mult) - all(t % 2 == 0 for t in mult)) // 2
+def _sign_step(budget: int, n: int) -> int:
+    """The sign vectors of one step: the largest power of two <= ``budget``
+    (at least 1), at most all 2^(n-1)."""
+    return 1 << min(n - 1, max(1, budget).bit_length() - 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _coefficients(mult: tuple, kept: bool = True):
-    """Glynn's coefficient vectors over distinct columns of multiplicities
-    ``mult``, as floats (count, len(mult)), and their weights: column u
-    takes s_u = t_u - 2k, k = 0..t_u, weighted (-1)^k C(t_u, k), and the
-    first column varies fastest. With ``kept``, only the vectors whose
-    first nonzero entry is positive, one of each +-pair (the zero vector
-    adds nothing): the first column's positive values with the rest free,
-    then, if its t is even, 0 followed by the kept vectors of the rest.
+def _row_sums(taken, step: int):
+    """Glynn's signed row sums of an (..., m, n) stack, ``step`` sign
+    vectors at a time (a power of two <= 2^(n-1)): yields (sums, parity),
+    sums[..., r, s] = sum_j delta_j taken[..., r, j] over the block's sign
+    vectors delta and parity their products.
 
-    For distinct columns these are Glynn's 2^(n-1) sign vectors delta,
-    delta_0 = +1 and delta_j = -1 where bit j-1 of the vector's number is
-    set, weighted by their products. The arrays are cached, read-only.
+    A block's vectors share their signs beyond the first log2(step) + 1, so
+    its sums are the sums over those first columns, formed once, plus one
+    vector of the block.
     """
-    coefs, weights = np.ones((1, 0)), np.ones(1)
-    for u, t in enumerate(mult):
-        k = range((t + 1) // 2 if kept and u == 0 else t + 1)
-        coefs = np.hstack([np.tile(coefs, (len(k), 1)),
-                           np.repeat([t - 2.0 * j for j in k], len(coefs))[:, None]])
-        weights = np.repeat([(-1.0) ** j * math.comb(t, j) for j in k],
-                            len(weights)) * np.tile(weights, len(k))
-    if kept and len(mult) > 1 and mult[0] % 2 == 0:
-        rest, rest_weights = _coefficients(mult[1:])
-        coefs = np.vstack([coefs, np.hstack([np.zeros((len(rest), 1)), rest])])
-        weights = np.concatenate([weights, _zero_weight(mult[:1]) * rest_weights])
-    coefs.flags.writeable = weights.flags.writeable = False
-    return coefs, weights
-
-
-def _zero_weight(mult) -> float:
-    """The weight of the coefficients s_u = 0 of columns of even
-    multiplicities t_u: prod_u (-1)^(t_u/2) C(t_u, t_u/2)."""
-    return float(math.prod((-1) ** (t // 2) * math.comb(t, t // 2) for t in mult))
-
-
-def _blocks(mult, budget: int) -> list:
-    """Where :func:`_row_sums` splits the columns: (p, low) for each part
-    of the kept vectors, those nonzero on the columns p..low-1 and zero
-    before them, in blocks of the :func:`_count` of ``mult[p:low]`` vectors,
-    the most within ``budget`` (at least column p's positive values). A
-    next part, zero up to low, exists only while every column so far has
-    an even multiplicity."""
-    p, blocks = 0, []
-    while p < len(mult):
-        low = p + 1
-        while low < len(mult) and _count(mult[p:low + 1]) <= budget:
-            low += 1
-        blocks.append((p, low))
-        if any(t % 2 for t in mult[p:low]):
-            break
-        p = low
-    return blocks
-
-
-def _row_sums(taken, mult, blocks):
-    """Glynn's row sums of an (..., m, D) stack of distinct columns of
-    multiplicities ``mult`` (:func:`_columns`), split as ``blocks``
-    (:func:`_blocks`): yields (sums, weights), sums[..., r, s] =
-    sum_u s_u taken[..., r, u] over the block's coefficient vectors s and
-    weights theirs.
-
-    A part's vectors are zero on the columns before p, its kept vectors on
-    its columns p..low-1 (:func:`_coefficients`) and any vector on the
-    columns after, one block each, so a block's sums are the sums over the
-    part's own columns, formed once, plus one vector.
-    """
-    for p, low in blocks:
-        coefs, weights = _coefficients(mult[p:low])
-        weights = weights * _zero_weight(mult[:p])
-        sums = taken[..., p:low] @ coefs.T                          # (..., m, S)
-        for high, weight in zip(*_coefficients(mult[low:], kept=False)):
-            yield sums + (taken[..., low:] @ high)[..., None], weights * weight
+    n = taken.shape[-1]
+    low = step.bit_length()                 # the columns a block varies, 0 fixed at +1
+    delta, parity = _signs(low, step)
+    sums = taken[..., :low] @ delta.T                               # (..., m, step)
+    high, high_parity = _signs(n - low + 1, 1 << (n - low))
+    for signs, sign in zip(high[:, 1:], high_parity):
+        yield sums + (taken[..., low:] @ signs)[..., None], parity * sign
 
 
 def _check_size(n: int) -> int:
@@ -335,45 +270,42 @@ def _check_size(n: int) -> int:
 def _permanents(us, rows, cols) -> np.ndarray:
     """(E, P) permanents of ``us[e][rows[p]][:, cols]`` for an (E, m, k)
     stack ``us`` and (P, n) output mode lists ``rows``, by Glynn's formula
-    over rows and the distinct columns c_u of ``cols``, of multiplicities
-    t_u: Per A = Per A^T = 2^(1-n) sum_s w_s prod_i sum_u s_u A[i, c_u]
-    over the coefficient vectors s and weights w of :func:`_coefficients`.
+    over rows, Per A = Per A^T = 2^(1-n) sum_delta (prod_j delta_j)
+    prod_i sum_j delta_j A_ij.
 
-    The row sums R[e, s, r] = sum_u s_u us[e, r, c_u] (:func:`_row_sums`)
-    are formed once per unitary, shared by all its lists; a list's
-    permanent multiplies its n gathered rows of R. Each step takes one
-    block of Eb unitaries x S coefficient vectors and one of Pb lists. It
-    holds two (m, Eb, S) arrays of row sums, the block's and its part's
-    own, and two (Pb, Eb, S) product buffers that every step reuses, at
-    the result's itemsize: together within ``_LIST_STEP_BYTES`` (1 MB, in
-    a core's L2 cache), with room for Pb >= min(P, m), unless one vector
-    of one unitary alone outgrows it. The callers check the rows against
-    m.
+    The signed row sums R[e, delta, r] = sum_j delta_j us[e, r, cols[j]]
+    (:func:`_row_sums`) are formed once per unitary, shared by all its
+    lists; a list's permanent multiplies its n gathered rows of R. Each
+    step takes one block of Eb unitaries x S signs and one of Pb lists. It
+    holds two (m, Eb, S) arrays of row sums, the block's and its first
+    columns' own, and two (Pb, Eb, S) product buffers that every step
+    reuses, at the result's itemsize: together within ``_LIST_STEP_BYTES``
+    (1 MB, in a core's L2 cache), with room for Pb >= min(P, m), unless one
+    sign of one unitary alone outgrows it. The callers check the rows
+    against m.
     """
     n = _check_size(len(cols))
-    cols, mult = _columns(cols)
-    taken = np.asarray(us)[:, :, cols].transpose(1, 0, 2)           # (m, E, D)
+    taken = np.asarray(us)[:, :, cols].transpose(1, 0, 2)           # (m, E, n)
     rows = np.asarray(rows)
     m, n_us = taken.shape[:2]
     out = np.zeros((n_us, len(rows)), dtype=np.result_type(taken, float))
     entries = _LIST_STEP_BYTES // out.itemsize
-    share = 2 * (m + min(len(rows), m))     # entries per unitary and vector
-    blocks = _blocks(mult, entries // share)
-    s_step = max(_count(mult[p:low]) for p, low in blocks)
+    share = 2 * (m + min(len(rows), m))     # entries per unitary and sign
+    s_step = _sign_step(entries // share, n)
     e_step = max(1, min(n_us, entries // (share * s_step)))
     p_step = max(1, min(len(rows), entries // (2 * e_step * s_step) - m))
     prod, factor = (np.empty((p_step, e_step, s_step), dtype=out.dtype) for _ in range(2))
     for e0 in range(0, n_us, e_step):
-        for sums, weights in _row_sums(taken[:, e0:e0 + e_step], mult, blocks):  # (m, Eb, S)
+        for sums, parity in _row_sums(taken[:, e0:e0 + e_step], s_step):  # (m, Eb, Sc)
             for p0 in range(0, len(rows), p_step):
                 block = rows[p0:p0 + p_step]
-                held = prod[:len(block), :sums.shape[1], :sums.shape[2]]
+                held = prod[:len(block), :sums.shape[1]]
                 np.take(sums, block[:, 0], axis=0, out=held, mode="clip")
                 for i in range(1, n):
-                    gathered = factor[:len(block), :sums.shape[1], :sums.shape[2]]
+                    gathered = factor[:len(block), :sums.shape[1]]
                     np.take(sums, block[:, i], axis=0, out=gathered, mode="clip")
                     held *= gathered
-                out[e0:e0 + e_step, p0:p0 + p_step] += (held @ weights).T
+                out[e0:e0 + e_step, p0:p0 + p_step] += (held @ parity).T
     out /= 1 << (n - 1)
     return out
 
@@ -412,38 +344,36 @@ def _table_permanents(a, cols, collision_free: bool) -> np.ndarray:
     products shared: the (j+1)-lists led by position p are p followed by
     one contiguous block of j-lists (:func:`_levels`), so their products
     are R[p] times that block's, one broadcast multiply, and the last level
-    is one matrix-vector product per block against R[p] times the
-    vectors' weights. Each step is bounded as the module docstring states.
+    is one matrix-vector product per block against R[p] times the sign
+    products. Each step is bounded as the module docstring states.
     """
     n = _check_size(len(cols))
-    cols, mult = _columns(cols)
-    taken = np.asarray(a)[:, cols]                                  # (size, D)
+    taken = np.asarray(a)[:, cols]                                  # (size, n)
     size = len(taken)
     first, levels = _levels(n, size, collision_free)
     lengths = [size - first] + [int(starts[-1]) for _, _, starts in levels]
-    one_vector = 16 * (size + sum(lengths[:-1]))    # row sums and level products
-    blocks = _blocks(mult, _STEP_BYTES // one_vector)
-    s_step = max(_count(mult[p:low]) for p, low in blocks)
+    one_sign = 16 * (size + sum(lengths[:-1]))      # row sums and level products
+    s_step = _sign_step(_STEP_BYTES // one_sign, n)
     out = np.zeros(lengths[-1], dtype=np.result_type(taken, float))
     largest = max(lengths[:-1], default=0) * out.itemsize
     log.debug("%d patterns of %d photons over %d outputs: lists per level %s, "
-              "%d coefficient vectors in blocks of at most %d, largest level held "
-              "%d bytes, each step at most %d bytes", lengths[-1], n, size, lengths,
-              _count(mult), s_step, largest * s_step,
-              max(_STEP_BYTES, one_vector * s_step) + largest)
-    for sums, weights in _row_sums(taken, mult, blocks):           # (size, S)
+              "%d sign blocks of %d signs, largest level held %d bytes, "
+              "each step at most %d bytes", lengths[-1], n, size, lengths,
+              (1 << (n - 1)) // s_step, s_step, largest * s_step,
+              max(_STEP_BYTES, one_sign) + largest)
+    for sums, parity in _row_sums(taken, s_step):                  # (size, Sc)
         prods = sums[first:].T
         for tails, counts, starts in levels[:-1]:
-            longer = np.empty((sums.shape[1], starts[-1]), dtype=out.dtype)
+            longer = np.empty((s_step, starts[-1]), dtype=out.dtype)
             for p in np.flatnonzero(counts):
                 np.multiply(prods[:, tails[p]:], sums[p, :, None],
                             out=longer[:, starts[p]:starts[p + 1]])
             prods = longer
         if not levels:
-            out += weights @ prods
+            out += parity @ prods
             continue
         tails, counts, starts = levels[-1]
-        signed = sums * weights
+        signed = sums * parity
         for p in np.flatnonzero(counts):
             out[starts[p]:starts[p + 1]] += signed[p] @ prods[:, tails[p]:]
     out /= 1 << (n - 1)

@@ -25,10 +25,8 @@ where q >= d, which for d > 0 is exactly where q / d >= 1, so no step
 divides. One closed-form fit, :func:`_slopes`, takes the slopes of the
 whole (E, K) stack of counter steps: one matrix-vector product when no
 step is zero. The C test's permanents come from the row-signed kernel
-:func:`interference._permanents`: each unitary's row sums over the
-distinct input columns are formed once, and each event multiplies its n
-gathered rows of them, 4 vectors for a 3-photon Fock input and for the
-doubled SPDC branches, 8 for |1111>.
+:func:`interference._permanents`: each unitary's signed row sums are
+formed once, and each event multiplies its n gathered rows of them.
 The stream's modes are checked against U's m by their range, and
 other arguments by the checkers of :mod:`errors`; an ensemble whose draw
 and scoring arrays would exceed the table limit raises

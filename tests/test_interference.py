@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from photonlat import (cli, errors, evolution, footprint, haarstats, lattice,
-                       reconstruction, validation)
+from photonlat import (errors, evolution, footprint, haarstats, lattice, reconstruction,
+                       validation)
 from photonlat import interference as itf
 from photonlat.errors import CapacityError, ConfigurationError, NumericalError
 from photonlat.haarstats import haar_unitary
@@ -126,8 +126,10 @@ class TestGatheredPermanents:
            seed=st.integers(0, 2**32 - 1))
     @example(e=1, p=6, n=4, extra_modes=2, step_bytes=200, seed=0)
     @example(e=6, p=1, n=6, extra_modes=0, step_bytes=1, seed=1)
-    @example(e=5, p=3, n=6, extra_modes=3, step_bytes=16 * 9 * 4, seed=2)  # 4 signs a step
-    @example(e=6, p=6, n=5, extra_modes=3, step_bytes=2**12, seed=3)       # all 16 signs
+    # a step holds 2 (m + min(P, m)) complex entries per unitary and sign
+    @example(e=5, p=3, n=6, extra_modes=3, step_bytes=16 * 24 * 4, seed=2)  # 4 of 32 signs
+    @example(e=6, p=6, n=5, extra_modes=3, step_bytes=16 * 28 * 16 * 2,
+             seed=3)                                          # all 16 signs, 2 unitaries
     @example(e=2, p=6, n=1, extra_modes=3, step_bytes=1, seed=4)
     def test_equal_permanents_of_the_gathered_stack(self, e, p, n, extra_modes,
                                                     step_bytes, seed):
@@ -163,62 +165,34 @@ def test_twenty_by_twenty_permanent_in_sign_blocks():
     finally:
         tracemalloc.stop()
     assert abs(got - want) <= 1e-10 * abs(want)
-    assert peak <= 4 * itf._STEP_BYTES
+    assert peak <= 4 * itf._LIST_STEP_BYTES
 
 
-def _glynn_signs(n):
-    """Glynn's 2^(n-1) sign vectors of length n, as floats, delta_0 = +1
-    and delta_j = -1 where bit j-1 of the vector's number is set, and
-    their products."""
-    count = 1 << (n - 1)
-    bits = (np.arange(count)[:, None] >> np.arange(n - 1)) & 1
-    delta = np.ones((count, n))
-    delta[:, 1:] -= 2 * bits
-    return delta, delta.prod(axis=1)
-
-
-def _sign_row_sums(taken, step):
-    """Row sums of distinct columns in blocks of ``step`` (a power of two)
-    sign vectors, formed as before the kernel took multiplicities: the
-    first log2(step) + 1 columns once, plus one vector of the rest."""
-    n = taken.shape[-1]
-    low = step.bit_length()
-    delta, parity = _glynn_signs(low)
-    sums = taken[..., :low] @ delta.T
-    high, high_parity = _glynn_signs(n - low + 1)
-    for signs, sign in zip(high[:, 1:], high_parity):
-        yield sums + (taken[..., low:] @ signs)[..., None], parity * sign
-
-
-class TestCoefficients:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_distinct_columns_keep_glynns_signs_bit_for_bit(self, n):
-        mult = (1,) * n
-        coefs, weights = itf._coefficients(mult)
-        delta, parity = _glynn_signs(n)
-        assert np.array_equal(coefs, delta) and np.array_equal(weights, parity)
-        rng = np.random.default_rng(n)
-        taken = rng.normal(size=(7, 3, n)) + 1j * rng.normal(size=(7, 3, n))
-        for b in range(n):
-            got = list(itf._row_sums(taken, mult, itf._blocks(mult, 1 << b)))
-            want = list(_sign_row_sums(taken, 1 << b))
-            assert len(got) == len(want) == 1 << (n - 1 - b)
-            for (sums, w), (want_sums, want_w) in zip(got, want):
-                assert np.array_equal(sums, want_sums) and np.array_equal(w, want_w)
-
-    @settings(max_examples=60, deadline=None)
-    @given(mult=st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    def test_one_vector_of_each_nonzero_pair_with_its_weight(self, mult):
-        full = {}
-        for ks in itertools.product(*(range(t + 1) for t in mult)):
-            s = tuple(float(t - 2 * k) for t, k in zip(mult, ks))
-            full[s] = float(math.prod((-1) ** k * math.comb(t, k) for t, k in zip(mult, ks)))
-        coefs, weights = itf._coefficients(tuple(mult))
-        kept = dict(zip(map(tuple, coefs.tolist()), weights.tolist()))
-        assert len(kept) == len(coefs) == itf._count(mult)
-        for s, w in kept.items():
-            assert next(x for x in s if x) > 0 and full[s] == w
-        assert set(kept) | {tuple(-x for x in s) for s in kept} == set(full) - {(0.0,) * len(mult)}
+@pytest.mark.parametrize("block_cols", [(0, 0, 1, 1, 2), (0, 0, 1, 1)],
+                         ids=["odd-multiplicity", "every-multiplicity-even"])
+def test_twenty_photons_on_repeated_columns_in_sign_blocks(block_cols):
+    """Per of a block-diagonal matrix whose blocks repeat their columns,
+    rows and columns shuffled, is the product of its blocks' permanents;
+    the per-list step budget bounds the peak."""
+    rng = np.random.default_rng(21)
+    size, width = len(block_cols), max(block_cols) + 1
+    shape = (20 // size, size, width)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u = np.zeros((20, width * len(blocks)), dtype=complex)
+    for k, block in enumerate(blocks):
+        u[size * k:size * k + size, width * k:width * k + width] = block
+    cols = [width * k + c for k in range(len(blocks)) for c in block_cols]
+    cols = [cols[i] for i in rng.permutation(20)]
+    u = u[rng.permutation(20)]
+    want = math.prod(naive_permanent(block[:, list(block_cols)]) for block in blocks)
+    tracemalloc.start()
+    try:
+        got = _permanents(u[None], np.arange(20)[None], cols)[0, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) <= 1e-10 * abs(want)
+    assert peak <= 4 * itf._LIST_STEP_BYTES
 
 
 def _oracle_scale(sub):
@@ -227,7 +201,9 @@ def _oracle_scale(sub):
     2^(n-1) terms plus Per |sub|. Glynn's terms cancel, so Per |sub| alone
     does not bound its error: a rank-one submatrix (every output on one
     mode) has terms of (sum_j |a_j|)^n against Per |sub| = n! prod_j |a_j|."""
-    delta, _ = _glynn_signs(sub.shape[0])
+    n = sub.shape[0]
+    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    delta = np.hstack([np.ones((len(bits), 1)), 1 - 2 * bits])
     terms = np.prod(sub @ delta.T, axis=0)
     return np.abs(terms).mean() + naive_permanent(np.abs(sub)).real
 
@@ -242,7 +218,7 @@ def repeated_columns(draw, max_n=6):
 
 class TestRepeatedColumns:
     """Inputs with repeated columns against the permutation sum, with steps
-    small enough to split the coefficient blocks."""
+    small enough to split the sign blocks."""
 
     @settings(max_examples=60, deadline=None)
     @given(cols=repeated_columns(), e=st.integers(1, 3), p=st.integers(1, 4),
@@ -305,64 +281,6 @@ class TestRepeatedColumns:
             want = naive_permanent(np.abs(sub) ** 2).real / s_fact
             scale = _oracle_scale(np.abs(sub) ** 2) / s_fact
         assert abs(got - want) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("block_cols, vectors", [
-    ((0, 0, 1, 1, 2), 18 ** 4 // 2),       # 4 blocks of 5 rows: columns t = 2, 2, 1
-    ((0, 0, 1, 1), (3 ** 10 - 1) // 2),     # 5 blocks of 4 rows: every t = 2
-], ids=["odd-multiplicity", "every-multiplicity-even"])
-def test_twenty_photons_on_repeated_columns_in_coefficient_blocks(block_cols, vectors):
-    """Per of a block-diagonal matrix whose blocks repeat their columns,
-    rows and columns shuffled, is the product of its blocks' permanents;
-    its coefficient vectors run in steps of the per-list budget, which also
-    bounds the peak."""
-    rng = np.random.default_rng(21)
-    size, width = len(block_cols), max(block_cols) + 1
-    shape = (20 // size, size, width)
-    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    u = np.zeros((20, width * len(blocks)), dtype=complex)
-    for k, block in enumerate(blocks):
-        u[size * k:size * k + size, width * k:width * k + width] = block
-    cols = [width * k + c for k in range(len(blocks)) for c in block_cols]
-    cols = [cols[i] for i in rng.permutation(20)]
-    u = u[rng.permutation(20)]
-    want = math.prod(naive_permanent(block[:, list(block_cols)]) for block in blocks)
-    assert itf._count(itf._columns(cols)[1]) == vectors
-    tracemalloc.start()
-    try:
-        got = _permanents(u[None], np.arange(20)[None], cols)[0, 0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert abs(got - want) <= 1e-10 * abs(want)
-    assert peak <= 4 * itf._LIST_STEP_BYTES
-
-
-@pytest.mark.parametrize("source, vectors", [("fock", 4), ("1111", 8), ("2002", 4), ("0220", 4)])
-def test_kernels_form_the_counted_coefficient_vectors(source, vectors, monkeypatch, caplog):
-    """The inputs the default config scores: its 3-photon Fock input and
-    the three SPDC branches. A return to Glynn's 2^(n-1) signs for the
-    doubled branches fails here."""
-    inputs = cli.DEFAULT_CONFIG["inputs"]
-    modes = (sorted(inputs[1:4]) if source == "fock"
-             else spdc_branch_pattern(source, inputs, 32).modes())
-    formed = []
-    row_sums = itf._row_sums
-
-    def counted(*args):
-        for sums, weights in row_sums(*args):
-            formed.append(len(weights))
-            yield sums, weights
-
-    monkeypatch.setattr(itf, "_row_sums", counted)
-    u = haar_unitary(32, 15).entries
-    pattern = FockPattern.from_modes(modes, 32)
-    output_probability(u, pattern, FockPattern.from_modes(range(len(modes)), 32))
-    assert sum(formed) == vectors
-    formed.clear()
-    with caplog.at_level(logging.DEBUG, logger="photonlat.interference"):
-        distribution(u, pattern, outputs=range(31))
-    assert sum(formed) == vectors == table_log(caplog, len(modes))[2]
 
 
 class TestTypedErrors:
@@ -651,13 +569,13 @@ class TestTable:
         with caplog.at_level(logging.DEBUG, logger="photonlat.interference"):
             table = distribution(u, FockPattern.from_modes((10, 11, 12, 19, 20), 32),
                                  collision_free=collision_free, outputs=range(31))
-        patterns, levels, vectors, block, held, bound = table_log(caplog, 5)
+        patterns, levels, blocks, signs, held, bound = table_log(caplog, 5)
         # collision-free, level j keeps the j-lists led by output n - j or later
         assert levels == [math.comb(31 - 5 + j, j) if collision_free else
                           math.comb(31 + j - 1, j) for j in range(1, 6)]
         assert patterns == levels[-1] == len(table.probs) == max(levels)
-        assert vectors == 2 ** 4
-        assert held == max(levels[:-1]) * block * 16 <= itf._STEP_BYTES
+        assert blocks * signs == 2 ** 4
+        assert held == max(levels[:-1]) * signs * 16 <= itf._STEP_BYTES
         assert bound == itf._STEP_BYTES + max(levels[:-1]) * 16
 
     @pytest.mark.parametrize("n, collision_free", [(5, True), (5, False), (6, True)])
@@ -674,27 +592,26 @@ class TestTable:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        patterns, levels, vectors, block, held, bound = table_log(caplog, n)
-        assert (patterns, vectors, block) == (len(per), 2 ** (n - 1), 1)
+        patterns, levels, blocks, signs, held, bound = table_log(caplog, n)
+        assert (patterns, blocks, signs) == (len(per), 2 ** (n - 1), 1)
         assert held == 16 * max(levels[:-1]) > itf._STEP_BYTES
         assert bound == 16 * (31 + sum(levels[:-1])) + held
         assert peak - per.nbytes <= bound
 
 
 def table_log(caplog, n):
-    """(patterns, lists per level, coefficient vectors, vectors per block,
-    bytes of the largest level held, step bound) of the one n-photon table
-    over 31 outputs that the kernel logged."""
+    """(patterns, lists per level, sign blocks, signs per block, bytes of the
+    largest level held, step bound) of the one n-photon table over 31
+    outputs that the kernel logged."""
     [message] = [r.getMessage() for r in caplog.records
                  if r.name == "photonlat.interference"]
     found = re.fullmatch(rf"(\d+) patterns of {n} photons over 31 outputs: lists per "
-                         r"level \[([\d, ]+)\], (\d+) coefficient vectors in blocks of at "
-                         r"most (\d+), largest level held (\d+) bytes, each step at most "
-                         r"(\d+) bytes",
+                         r"level \[([\d, ]+)\], (\d+) sign blocks of (\d+) signs, "
+                         r"largest level held (\d+) bytes, each step at most (\d+) bytes",
                          message)
     assert found, message
-    patterns, vectors, block, held, bound = map(int, found.group(1, 3, 4, 5, 6))
-    return patterns, [int(k) for k in found.group(2).split(", ")], vectors, block, held, bound
+    patterns, blocks, signs, held, bound = map(int, found.group(1, 3, 4, 5, 6))
+    return patterns, [int(k) for k in found.group(2).split(", ")], blocks, signs, held, bound
 
 
 class TestScatteringSubmatrix:
