@@ -457,9 +457,8 @@ def cmd_validate(config, args):
     events = read_samples(args.samples, config)
     # the ensemble's memory is known from the stream: check it before any scoring
     validation.check_ensemble_bytes(events, len(u), args.ensemble)
-    n = config["photons"]["n"]
     m_eff = len(_source(config)[2])
-    score = {"uniform": lambda evs: validation.run_uniform_test(evs, u, n, m_eff),
+    score = {"uniform": lambda evs: validation.run_uniform_test(evs, u, m_eff),
              "distinguishable": lambda evs: validation.run_distinguishable_test(evs, u),
              }[args.test]
     trace = score(events)
@@ -470,7 +469,7 @@ def cmd_validate(config, args):
         trace = validation.normalize_trace(trace, ref_trace)
 
     ensemble = validation.wrong_unitary_slope_histogram(
-        events, u, args.test, n, m_eff, args.ensemble,
+        events, u, args.test, m_eff, args.ensemble,
         stream_seed(config["seed"], "ensemble"),
         reference_slope=ref_trace.slope if ref_trace.slope != 0 else None)
 
@@ -512,22 +511,20 @@ def cmd_reconstruct(config, args):
                                      f"most the {len(config['inputs'])} configured inputs")
         inputs = config["inputs"][:n_rows]
         pairs = rec_cfg["input_pairs"]
-        result = reconstruction.simulate_hom_dataset(
+        dataset, counts = reconstruction.simulate_hom_dataset(
             u, inputs, input_pairs=None if pairs is None else tuple(map(tuple, pairs)),
             rng_seed=_stream_int(config["seed"], "noise"),
             mean_plateau_counts=None if rec_cfg["noise"] == "none"
-            else rec_cfg["mean_plateau_counts"],
-            keep_scans=args.scans)
-        if args.scans:
-            dataset, scans = result
-            files["dip_scans.csv"] = _csv_lines(
-                ("input_h", "input_k", "output_i", "output_j", "position", "counts"),
-                zip(*((int(h), int(k), i, j, float(x), float(c))
-                      for ((h, k), (i, j)), (positions, counts) in scans.items()
-                      for x, c in zip(positions, counts))))
-        else:
-            dataset = result
+            else rec_cfg["mean_plateau_counts"])
         truth = reconstruction.submatrix_rows(u, inputs)
+    # the (input h, input k, output i, output j) columns of the dataset's dip index
+    dips = (*np.array(dataset.input_pairs)[dataset.dip_pair].T, dataset.dip_i, dataset.dip_j)
+    if args.scans:    # each dip's scan, one row per scan position
+        files["dip_scans.csv"] = _csv_lines(
+            ("input_h", "input_k", "output_i", "output_j", "position", "counts"),
+            (*(np.repeat(column, counts.shape[1]).tolist() for column in dips),
+             np.tile(reconstruction.SCAN_POSITIONS, len(counts)).tolist(),
+             counts.ravel().tolist()))
 
     moduli = reconstruction.reconstruct_moduli(dataset)
     candidate = reconstruction.reconstruct_phases(dataset, moduli)
@@ -558,8 +555,7 @@ def cmd_reconstruct(config, args):
     residuals = reconstruction.dip_residuals(refined.phases, refined.moduli, dataset)
     files["residuals.csv"] = _csv_lines(
         ("input_h", "input_k", "output_i", "output_j", "a", "V", "eps", "residual"),
-        (*np.array(dataset.input_pairs)[dataset.dip_pair].T.tolist(),
-         dataset.dip_i.tolist(), dataset.dip_j.tolist(), dataset.plateaus[v].tolist(),
+        (*(column.tolist() for column in dips), dataset.plateaus[v].tolist(),
          dataset.visibilities[v].tolist(), dataset.errors[v].tolist(), residuals.tolist()))
     return files, f"reconstructed {len(inputs)}x{dataset.n_outputs} rows{gauge_note}"
 
@@ -617,9 +613,7 @@ def cmd_footprint(config, args):
                                 fan_arrangement=fcfg["fan_arrangement"])
     rows = fp.compare_layouts(fcfg["m_values"], params)
     lines = _csv_lines(("m", "L_clements_mm", "L_spread_planar_mm",
-                        "L_spread_triangular_mm", "L_fan_mm"),
-                       zip(*[(m, float(a), float(b_), float(c), float(d))
-                             for (m, a, b_, c, d) in rows]))
+                        "L_spread_triangular_mm", "L_fan_mm"), zip(*rows))
     return {"footprint.csv": lines}, f"{len(rows)} mode counts"
 
 

@@ -60,6 +60,8 @@ INTENSITY_COUNTS = 1e5       # counts per unit intensity of the noisy single-pho
 NORM_TOLERANCE = 1e-4        # weight 1/tolerance of the unit-row-norm residuals
 ERROR_FLOOR = 1e-6           # relative floor on plateau-scale uncertainties
 GAUGE = "first-row-and-first-column-zero"   # the phase gauge of every reconstruction
+# the largest mean numpy's Poisson draw takes: the largest int64 less 10 of its square roots
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 log = logging.getLogger(__name__)
 fit_log = logging.getLogger(__name__ + ".fits")   # the least-squares fits
@@ -179,8 +181,7 @@ def _fit_dips(positions, counts, groups):
         result = _gauss_newton(lambda p: residuals(p, rows), lambda p: jacobian(p, rows),
                                p0, 100 * p0.size, *box)
         shape[n] = result.x
-        start = residuals(p0, rows)
-        _log_fit(f"dip group {label}", result, start @ start,
+        _log_fit(f"dip group {label}", result,
                  f", x0 {result.x[0]:.6g}, sigma {result.x[1]:.6g}")
     a, b, _, cov = solve(*shape[group].T[:, :, None])
     bad = ~((a > 0) & np.isfinite(a) & np.isfinite(b))
@@ -384,15 +385,16 @@ def default_input_pairs(inputs):
 
 
 def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
-                         mean_plateau_counts=None, keep_scans: bool = False):
+                         mean_plateau_counts=None):
     """Simulate and fit the full dip-scan campaign for ``inputs``.
 
     ``mean_plateau_counts = None`` runs noiselessly (exact profiles, exact
     intensities); otherwise it must be finite and > 0, and the exposure is
     set so an average dip plateaus near that many counts per point and
-    every scan is Poisson noisy. ``inputs`` are checked as in
-    :func:`submatrix_rows`. Returns the fitted :class:`HomDataset` (plus
-    the raw scans at :data:`SCAN_POSITIONS` when ``keep_scans`` is set).
+    every scan is Poisson noisy, up to ``POISSON_LAM_MAX`` counts per point.
+    ``inputs`` are checked as in :func:`submatrix_rows`. Returns the fitted
+    :class:`HomDataset` and its (D, 21) scans at :data:`SCAN_POSITIONS`,
+    one row per dip of its dip index.
     """
     if not (mean_plateau_counts is None
             or (is_finite(mean_plateau_counts) and mean_plateau_counts > 0)):
@@ -417,16 +419,20 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     v_true = np.zeros_like(a_true)
     v_true[valid] = (np.abs(amp[valid]) ** 2 - a_true[valid]) / a_true[valid]
 
-    scale = 1.0 if noiseless else \
-        float(mean_plateau_counts) * valid.sum() / a_true[valid].sum()
     rng = np.random.default_rng(rng_seed)
-
     # one profile stack, one Poisson draw; the dips of an input pair share
     # one delay line and one photon pair, so one centre and one width
-    dip_pair, dip_out = np.nonzero(valid)
-    counts = dip_profile(SCAN_POSITIONS, scale * a_true[valid][:, None],
-                         v_true[valid][:, None], 0.0, DEFAULT_DIP_SIGMA)
+    dip_pair = np.nonzero(valid)[0]
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is rejected below
+        scale = 1.0 if noiseless else \
+            float(mean_plateau_counts) * valid.sum() / a_true[valid].sum()
+        counts = dip_profile(SCAN_POSITIONS, scale * a_true[valid][:, None],
+                             v_true[valid][:, None], 0.0, DEFAULT_DIP_SIGMA)
     if not noiseless:
+        if not counts.max(initial=0.0) <= POISSON_LAM_MAX:
+            raise ConfigurationError(f"mean_plateau_counts = {mean_plateau_counts!r} puts "
+                                     f"{counts.max():.4g} counts on a scan point, over the "
+                                     f"{POISSON_LAM_MAX:.4g} a Poisson draw takes")
         counts = rng.poisson(counts).astype(float)
     coef, _, cov = _fit_dips(SCAN_POSITIONS, counts, dip_pair)
     a_fit, v_fit = coef[:, 0], coef[:, 1] / coef[:, 0]
@@ -456,10 +462,7 @@ def simulate_hom_dataset(u, inputs, input_pairs=None, rng_seed: int = 0,
     dataset = HomDataset(n_out, tuple(inputs), tuple(input_pairs), plateaus,
                          visibilities, errors, plateau_errors, valid, intensities,
                          va_errors)
-    if keep_scans:
-        return dataset, {(input_pairs[p], (int(iu[d]), int(ju[d]))): (SCAN_POSITIONS, row)
-                         for p, d, row in zip(dip_pair, dip_out, counts)}
-    return dataset
+    return dataset, counts
 
 
 _TOL = 1e-8    # least_squares' default ftol and xtol, at which _gauss_newton stops
@@ -470,6 +473,7 @@ class _Fit(NamedTuple):
 
     x: np.ndarray
     cost: float      # half the sum of squared residuals at x
+    start_cost: float    # the same at the start point
     nfev: int
     njev: int
     status: int      # 1 zero gradient, 2 ftol, 3 xtol, 4 ftol + xtol; 0 at max_nfev
@@ -500,6 +504,7 @@ def _gauss_newton(fun, jac, x0, max_nfev: int, lo=-np.inf, hi=np.inf) -> _Fit:
     x = np.asarray(x0, dtype=float)
     r = fun(x)
     cost, nfev, njev, status = 0.5 * (r @ r), 1, 0, 0
+    start_cost = cost
     lam = 1e-6
     while not status and nfev < max_nfev:
         j = jac(x)
@@ -533,7 +538,7 @@ def _gauss_newton(fun, jac, x0, max_nfev: int, lo=-np.inf, hi=np.inf) -> _Fit:
                 break
             lam *= grow
             grow *= 2.0
-    return _Fit(x, cost, nfev, njev, status)
+    return _Fit(x, cost, start_cost, nfev, njev, status)
 
 
 def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
@@ -575,8 +580,7 @@ def reconstruct_moduli(dataset: HomDataset) -> np.ndarray:
 
     r0 = np.sqrt(np.maximum(q0, 1e-6 / n_out)).ravel()
     result = _gauss_newton(residuals, jacobian, r0, max_nfev=100 * r0.size)
-    start = residuals(r0)
-    _log_fit("moduli", result, start @ start)
+    _log_fit("moduli", result)
     return np.abs(result.x.reshape(n_rows, n_out))
 
 
@@ -598,10 +602,10 @@ def _dip_jacobian(dataset: HomDataset, columns, d_hi, d_kj, d_hj, d_ki) -> np.nd
     return jac[:, :n_cols]
 
 
-def _log_fit(name: str, result, chi2_start: float, detail: str = "") -> None:
+def _log_fit(name: str, result: _Fit, detail: str = "") -> None:
     """One DEBUG line on what a fit did, ``detail`` appended."""
     fit_log.debug("%s fit: %d evaluations, %d Jacobians, status %d, chi2 %.6g -> %.6g%s",
-                  name, result.nfev, result.njev, result.status, chi2_start,
+                  name, result.nfev, result.njev, result.status, 2.0 * result.start_cost,
                   2.0 * result.cost, detail)
 
 
@@ -777,7 +781,7 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
     x0 = candidate.phases[free].ravel()
     cost0 = _chi2_cost(candidate.phases, moduli, dataset)
     result = _gauss_newton(fun, jacobian, x0, max_nfev=2000)
-    _log_fit("phase", result, cost0)
+    _log_fit("phase", result)
     theta = np.angle(np.exp(1j * unpack(result.x)))
     cost = _chi2_cost(theta, moduli, dataset)
     if cost > cost0:

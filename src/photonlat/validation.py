@@ -90,17 +90,17 @@ def _slopes(steps) -> np.ndarray:
     return np.divide(num, den, out=steps.sum(axis=1, dtype=float), where=den > 0)
 
 
-def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None,
-                   m: int | None = None, inputs=None, modes=None) -> np.ndarray:
+def _counter_steps(events: EventStream, us, test_kind: str, m: int | None = None,
+                   inputs=None, modes=None) -> np.ndarray:
     """(E, K) counter steps of the K events of a stream against an (E, m, k)
     stack of the columns ``modes`` (sorted, all m by default) of E unitaries.
 
     Events are grouped by the inputs that score them: ``inputs`` as
     (weight, input modes) pairs for every event or by default each branch's
     input modes, its events found by one argsort of the branch codes. Where
-    those inputs (and, in the W test, n) need another photon number than
-    the stream's, every event is rejected. W steps +1 where P >= (n/m)^n,
-    C steps +1 where q >= d (for d > 0, exactly where the correctly rounded
+    those inputs need another photon number than the stream's n, every
+    event is rejected. W steps +1 where P >= (n/m)^n, C steps +1 where
+    q >= d (for d > 0, exactly where the correctly rounded
     L = q/d >= 1), both -1 otherwise; 0 marks an event that does not
     count, a rejected one or, in the C test, one with d <= 0 or q or d NaN.
     Each scored input is one kernel call over the whole stack.
@@ -117,10 +117,11 @@ def _counter_steps(events: EventStream, us, test_kind: str, n: int | None = None
                   zip(events.input_modes, np.split(order, ends[:-1]))]
     else:
         groups = [(inputs, np.arange(len(events)))]
-    if events.n == 0 or (test_kind == "uniform" and n != events.n):
+    n = events.n
+    if n == 0:
         return steps
     for scored, idx in groups:
-        if len(idx) == 0 or len(scored[0][1]) != events.n:
+        if len(idx) == 0 or len(scored[0][1]) != n:
             continue
         outs = outputs[idx]
         if test_kind == "uniform":
@@ -146,19 +147,16 @@ def _trace(steps) -> ValidationTrace:
                            len(steps) - len(kept))
 
 
-def run_uniform_test(events: EventStream, u, n: int, m: int) -> ValidationTrace:
+def run_uniform_test(events: EventStream, u, m: int) -> ValidationTrace:
     """Counter W of the uniform-sampler likelihood test.
 
-    A stream whose photon number is not n is rejected: every event is
-    tallied in ``n_rejected``. ``m`` is the number of modes
+    n is the stream's photon number. ``m`` is the number of modes
     entering the benchmark (n/m)^n, i.e. the detected modes of the run
-    (31 when one output is sacrificed as the trigger). Both must be whole
-    numbers >= 1.
+    (31 when one output is sacrificed as the trigger), a whole number >= 1.
     """
-    check_whole(n, "n", 1)
     check_whole(m, "m", 1)
     u = check_square(u, "U")
-    return _trace(_counter_steps(events, u[None], "uniform", n, m)[0])
+    return _trace(_counter_steps(events, u[None], "uniform", m)[0])
 
 
 def run_distinguishable_test(events: EventStream, u, weights: SourceWeights | None = None,
@@ -222,7 +220,7 @@ def check_ensemble_bytes(events: EventStream, m: int, ensemble_size) -> None:
                       f"{ensemble_size} Haar draws scoring {len(events)} events")
 
 
-def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n: int, m: int,
+def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, m: int,
                                   ensemble_size: int, rng_seed,
                                   reference_slope: float | None = None) -> WrongUnitaryEnsemble:
     """Rescore one stream against an ensemble of Haar-random unitaries.
@@ -236,7 +234,7 @@ def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n
     (:func:`haarstats._haar_columns`), and rescored with those of the true
     unitary in one call of the scoring kernel. ``ensemble_size`` and the
     memory are checked first, by :func:`check_ensemble_bytes`; the uniform
-    test checks n and m as :func:`run_uniform_test` does.
+    test checks m as :func:`run_uniform_test` does.
     """
     true_u = check_square(true_u, "U")
     m_u = len(true_u)
@@ -244,7 +242,6 @@ def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n
     if test_kind not in ("uniform", "distinguishable"):
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
     if test_kind == "uniform":
-        check_whole(n, "n", 1)
         check_whole(m, "m", 1)
     check_column(events.input_modes, "input modes", ("B", "n"), lo=0, hi=m_u)
     used = np.bincount(events.branch, minlength=len(events.branches)) > 0
@@ -253,7 +250,7 @@ def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, n
         raise ConfigurationError("the events name no input modes to score")
     us = np.concatenate([true_u[None, :, modes],
                          _haar_columns(m_u, len(modes), rng_seed, ensemble_size)])
-    slopes = _slopes(_counter_steps(events, us, test_kind, n, m, modes=modes))
+    slopes = _slopes(_counter_steps(events, us, test_kind, m, modes=modes))
     true_slope = float(slopes[0])
     scale = abs(reference_slope) if reference_slope else 1.0
     norm_slopes = slopes[1:] / scale

@@ -135,14 +135,14 @@ def test_criterion_05_reconstruction_round_trip():
         u = um.entries
         truth = submatrix_rows(u, INPUTS3)
 
-        ds = simulate_hom_dataset(u, INPUTS3)
+        ds, _ = simulate_hom_dataset(u, INPUTS3)
         moduli = reconstruct_moduli(ds)
         refined = refine_chi2(reconstruct_phases(ds, moduli), ds)
         mr, pr = gauge_distance(refined, truth)
         worst_mod, worst_phase = max(worst_mod, mr), max(worst_phase, pr)
 
-        ds = simulate_hom_dataset(u, INPUTS3, rng_seed=rep,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(u, INPUTS3, rng_seed=rep,
+                                     mean_plateau_counts=1e4)
         moduli = reconstruct_moduli(ds)
         refined = refine_chi2(reconstruct_phases(ds, moduli), ds)
         rel = np.median(np.abs(moduli - np.abs(truth)) / np.abs(truth))
@@ -172,13 +172,13 @@ def test_criterion_06_validation_separation():
         pattern = itf.FockPattern.from_modes(INPUTS3, 32)
         table = itf.distribution(u, pattern, outputs=OUTPUTS31)
         events = itf.sample(table, int(s_bs.generate_state(1, dtype=np.uint64)[0]), 300)
-        w = val.run_uniform_test(events, u, 3, 31)
+        w = val.run_uniform_test(events, u, 31)
         c = val.run_distinguishable_test(events, u)
         slopes_ok &= w.slope > 0 and c.slope > 0
-        ens_w = val.wrong_unitary_slope_histogram(events, u, "uniform", 3, 31,
+        ens_w = val.wrong_unitary_slope_histogram(events, u, "uniform", 31,
                                                   200, s_ens)
         ens_c = val.wrong_unitary_slope_histogram(events, u, "distinguishable",
-                                                  3, 31, 200, s_ens)
+                                                  31, 200, s_ens)
         if ens_w.z_score > 3 and ens_c.z_score > 3:
             z_pass += 1
         # the p < 1e-3 bound on distinguishable streams is a >= 1e3-event

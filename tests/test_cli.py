@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import logging
 import math
@@ -17,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonlat
-from photonlat.cli import SCHEMA, config_hash, load_config, main, read_unitary
+from photonlat import footprint as fp
+from photonlat import reconstruction
+from photonlat.cli import DEFAULT_CONFIG, SCHEMA, config_hash, load_config, main, read_unitary
 from photonlat.errors import ConfigurationError
 
 from conftest import evolution_log
@@ -379,6 +382,38 @@ def test_reconstruct_row_count_beyond_inputs_exits_2(simulated, tmp_path, n_rows
                "--out", tmp_path / "rec") == 2
 
 
+def test_reconstruct_scans_follow_the_dip_index_with_a_repeated_pair(simulated, tmp_path):
+    # a repeated pair once wrote its scans over the first one's: 992 rows of 21
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, {
+        "reconstruction": {"input_pairs": [[11, 12], [11, 19], [11, 12]]}})
+    out = tmp_path / "rec"
+    assert run("reconstruct", "--config", cfg, "--unitary", upath, "--out", out,
+               "--scans") == 0
+    dips = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
+    scans = np.loadtxt(out / "dip_scans.csv", delimiter=",", skiprows=1)
+    x = reconstruction.SCAN_POSITIONS
+    assert dips.shape[0] == 3 * 496 and scans.shape == (len(dips) * len(x), 6)
+    scans = scans.reshape(len(dips), len(x), 6)
+    assert (scans[..., :4] == dips[:, None, :4]).all()
+    assert (scans[..., 4] == x).all()
+    # noiseless scans: each the profile of its dip's fitted plateau and visibility
+    np.testing.assert_allclose(scans[..., 5], reconstruction.dip_profile(
+        x, dips[:, 4:5], dips[:, 5:6], 0.0, reconstruction.DEFAULT_DIP_SIGMA), rtol=1e-6)
+
+
+def test_reconstruct_exposure_beyond_the_poisson_draw_exits_2(simulated, tmp_path, capsys):
+    # numpy's Poisson draw takes a mean up to about 9.2e18: 1e19 ended in its ValueError
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, {
+        "reconstruction": {"noise": "poisson", "mean_plateau_counts": 1e19}})
+    out = tmp_path / "rec"
+    assert run("reconstruct", "--config", cfg, "--unitary", upath, "--out", out,
+               "--scans") == 2
+    assert "configuration error: mean_plateau_counts = 1e+19" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_missing_pair_exits_2(simulated, tmp_path):
     _, _, upath = simulated
     cfg = write_config(tmp_path, {
@@ -414,6 +449,50 @@ def test_footprint_command_and_rerun_identical(tmp_path):
 def test_footprint_bad_arrangement_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"footprint": {"fan_arrangement": "spiral"}})
     assert run("footprint", "--config", cfg, "--out", tmp_path / "f") == 2
+
+
+def _footprint_lines(fcfg):
+    """The data lines footprint writes for a footprint section, from the
+    closed forms, or None where a length is not finite."""
+    r, p, p_f, c, b = (fcfg[key] for key in ("r_min_mm", "p_mm", "p_f_mm", "c_per_mm", "b"))
+    rows = [(m, fp.clements_length(m, r, p, c), fp.min_spread_length("linear", m, c),
+             fp.min_spread_length("triangular", m, c, b),
+             fp.fan_length(m, r, p_f, fcfg["fan_arrangement"])) for m in fcfg["m_values"]]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        return None
+    return [",".join(map(repr, (m, *map(float, lengths)))) for m, *lengths in rows]
+
+
+@pytest.mark.parametrize("leaf, value", [("c_per_mm", 10.0), ("r_min_mm", 1e8), ("p_mm", 1e8)])
+def test_footprint_runs_where_the_scaling_exponents_leave_their_band(tmp_path, leaf, value):
+    # a footprint run once fitted these exponents and exited 2 outside 1.00 +- 0.02
+    fcfg = {**DEFAULT_CONFIG["footprint"], leaf: value}
+    params = fp.FootprintParams(r_min=fcfg["r_min_mm"], p=fcfg["p_mm"], c=fcfg["c_per_mm"])
+    assert abs(fp.scaling_exponents(params)[0] - 1.0) > 0.02
+    cfg = write_config(tmp_path, {"footprint": {leaf: value}})
+    assert run("footprint", "--config", cfg, "--out", tmp_path / "f") == 0
+    lines = (tmp_path / "f" / "footprint.csv").read_text().splitlines()
+    assert lines[1:] == _footprint_lines(fcfg)
+
+
+@pytest.mark.parametrize("arrangement", fp.FAN_ARRANGEMENTS)
+@pytest.mark.parametrize("leaf", ["r_min_mm", "p_mm", "p_f_mm", "c_per_mm", "b"])
+def test_footprint_leaf_at_its_boundary_values_runs_or_exits_3(tmp_path, capsys, leaf,
+                                                                arrangement):
+    # the lengths are closed forms: each runs, or overflows and exits 3
+    for n, value in enumerate((5e-324, 1e-300, 1, 1e8, 1e300, sys.float_info.max)):
+        extra = {"fan_arrangement": arrangement, leaf: value}
+        cfg = write_config(tmp_path, {"footprint": extra}, name=f"config{n}.json")
+        out = tmp_path / f"f{n}"
+        code = run("footprint", "--config", cfg, "--out", out)
+        want = _footprint_lines({**DEFAULT_CONFIG["footprint"], **extra})
+        if want is None:
+            assert code == 3, value
+            assert "numerical failure: L_" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0, value
+            assert (out / "footprint.csv").read_text().splitlines()[1:] == want
 
 
 def test_seed_override_changes_samples(simulated, tmp_path):

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from photonlat.errors import ConfigurationError
+from photonlat.errors import ConfigurationError, NumericalError
 from photonlat.footprint import (FootprintParams, clements_increment,
                                  clements_length, compare_layouts,
                                  coupler_length, coupler_reflectivity,
@@ -160,7 +161,7 @@ class TestCompareLayouts:
 
     def test_triangular_beats_clements_at_device_scale(self):
         params = FootprintParams(c=0.2, fan_arrangement="grid", p_f=0.25)
-        (row,) = compare_layouts([32], params, check_scaling=False)
+        (row,) = compare_layouts([32], params)
         m, l_clem, _, l_tri, l_fan = row
         assert l_tri + 2 * l_fan < l_clem
 
@@ -171,9 +172,17 @@ class TestCompareLayouts:
         scaled = FootprintParams(r_min=base.r_min * s, p=base.p * s,
                                  p_f=base.p_f * s, c=base.c / s, b=base.b)
         for m in (8, 32, 128):
-            r0 = compare_layouts([m], base, check_scaling=False)[0]
-            r1 = compare_layouts([m], scaled, check_scaling=False)[0]
+            r0 = compare_layouts([m], base)[0]
+            r1 = compare_layouts([m], scaled)[0]
             assert np.allclose(np.array(r1[1:]), s * np.array(r0[1:]), rtol=1e-12)
+
+    @pytest.mark.parametrize("field, value, length", [
+        ("r_min", sys.float_info.max, "L_clements"), ("p", sys.float_info.max, "L_clements"),
+        ("p_f", sys.float_info.max, "L_fan"), ("b", sys.float_info.max, "L_spread_triangular"),
+        ("c", 5e-324, "L_clements")])
+    def test_overflowing_length_raises_numerical_error(self, field, value, length):
+        with pytest.raises(NumericalError, match=rf"^{length} at m = 8 overflows to inf$"):
+            compare_layouts([8, 16], FootprintParams(**{field: value}))
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):

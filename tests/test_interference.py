@@ -318,7 +318,7 @@ def _context():
     layout = lattice.build_lattice(lattice.LatticeSpec(rows=2, cols=3, seed=1))
     return dict(u=u, table=table, events=sample(table, 1, 20), layout=layout,
                 model=lattice.CouplingModel(), bank=lattice.default_heater_bank(layout),
-                hom=reconstruction.simulate_hom_dataset(u, (0, 1, 2)).to_dict())
+                hom=reconstruction.simulate_hom_dataset(u, (0, 1, 2))[0].to_dict())
 
 
 def _bad_whole(lo):
@@ -365,8 +365,8 @@ def _with_event(field):
 
 
 # (argument, its bad values, the call taking the bad value in its place). The
-# inputs of submatrix_rows and simulate_hom_dataset and the uniform test's n
-# and m have their own tests in test_reconstruction.py and test_validation.py.
+# inputs of submatrix_rows and simulate_hom_dataset and the uniform test's m
+# have their own tests in test_reconstruction.py and test_validation.py.
 ARGUMENT_CHECKS = {
     "FockPattern.from_modes/modes": (_bad_modes(3, False),
                                      lambda c, v: FockPattern.from_modes(v, M)),
@@ -394,7 +394,7 @@ ARGUMENT_CHECKS = {
                                                                         rng_seed=v)),
     "wrong_unitary_slope_histogram/rng_seed": (
         _bad_whole(0), lambda c, v: validation.wrong_unitary_slope_histogram(
-            c["events"], c["u"], "distinguishable", 3, M, 5, v)),
+            c["events"], c["u"], "distinguishable", M, 5, v)),
     "column_similarity_distribution/m": (
         _bad_whole(1), lambda c, v: haarstats.column_similarity_distribution(v, 5, 1)),
     "_haar_columns/k": (_bad_whole(1) | st.integers(min_value=M + 1),
@@ -415,14 +415,14 @@ ARGUMENT_CHECKS = {
         c["u"], spdc_weights(1.0), "indistinguishable", v, 5, (0, 1, 2, 3))),
     "wrong_unitary_slope_histogram/ensemble_size": (
         _bad_whole(2), lambda c, v: validation.wrong_unitary_slope_histogram(
-            c["events"], c["u"], "distinguishable", 3, M, v, 0)),
+            c["events"], c["u"], "distinguishable", M, v, 0)),
     "clements_length/m": (_bad_whole(2),
                           lambda c, v: footprint.clements_length(v, 30.0, 0.06, 1.0)),
     "min_spread_length/m": (_bad_whole(2),
                             lambda c, v: footprint.min_spread_length("square", v, 1.0)),
     "fan_length/m": (_bad_whole(2), lambda c, v: footprint.fan_length(v, 30.0, 0.127)),
     "compare_layouts/m_values": (_bad_whole(2), lambda c, v: footprint.compare_layouts(
-        [v], footprint.FootprintParams(), check_scaling=False)),
+        [v], footprint.FootprintParams())),
     "HomDataset.from_dict/n_outputs": (_bad_whole(2), lambda c, v:
                                        reconstruction.HomDataset.from_dict(
                                            {**c["hom"], "n_outputs": v})),
@@ -434,12 +434,12 @@ ARGUMENT_CHECKS = {
     "spdc_sample/u": (_non_square(), lambda c, v: spdc_sample(
         v, spdc_weights(1.0), "indistinguishable", 1, 5, (0, 1, 2, 3))),
     "run_uniform_test/u": (_non_square(), lambda c, v: validation.run_uniform_test(
-        c["events"], v, 3, M)),
+        c["events"], v, M)),
     "run_distinguishable_test/u": (_non_square(), lambda c, v:
                                    validation.run_distinguishable_test(c["events"], v)),
     "wrong_unitary_slope_histogram/true_u": (
         _non_square(), lambda c, v: validation.wrong_unitary_slope_histogram(
-            c["events"], v, "distinguishable", 3, M, 5, 0)),
+            c["events"], v, "distinguishable", M, 5, 0)),
 }
 
 

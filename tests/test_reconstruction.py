@@ -2,6 +2,7 @@ import inspect
 import logging
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,12 @@ def poisson_scan(a, v, x0, sigma, positions, mean_counts, rng_seed):
     """Counts per delay position, Poisson around mean_counts * dip_profile."""
     f = dip_profile(positions, a, v, x0, sigma)
     return np.random.default_rng(rng_seed).poisson(mean_counts * f).astype(float)
+
+
+def dip_labels(ds):
+    """(input h, input k, output i, output j) lists over a dataset's dip index."""
+    h, k = np.array(ds.input_pairs)[ds.dip_pair].T
+    return h.tolist(), k.tolist(), ds.dip_i.tolist(), ds.dip_j.tolist()
 
 
 def gauge_fixed_truth(u, inputs):
@@ -96,22 +103,21 @@ class TestDipScan:
         # plateau and visibility is exact in binary and rounds alike however
         # it is evaluated
         u = np.array([[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]) / 2
-        _, scans = simulate_hom_dataset(u, (0, 1, 2), keep_scans=True)
-        assert len(scans) == 2 * 6
-        for ((h, k), (i, j)), (x, f) in scans.items():
+        ds, counts = simulate_hom_dataset(u, (0, 1, 2))
+        assert counts.shape == (2 * 6, len(SCAN_POSITIONS))
+        for f, h, k, i, j in zip(counts, *dip_labels(ds)):
             a = hom_plateau(u, h, k, i, j)
             v = -hom_visibility(u, h, k, i, j)
-            assert x is SCAN_POSITIONS
-            assert np.array_equal(f, dip_profile(x, a, v, 0.0, DEFAULT_DIP_SIGMA))
+            assert np.array_equal(f, dip_profile(SCAN_POSITIONS, a, v, 0.0, DEFAULT_DIP_SIGMA))
 
     def test_poisson_scan_deterministic_per_seed(self, device_unitary):
         def scans(seed):
             return simulate_hom_dataset(device_unitary, (11, 12), rng_seed=seed,
-                                        mean_plateau_counts=1e4, keep_scans=True)[1]
+                                        mean_plateau_counts=1e4)[1]
         a, b, c = scans(3), scans(3), scans(4)
-        assert a.keys() == b.keys() == c.keys()
-        assert all(np.array_equal(a[key][1], b[key][1]) for key in a)
-        assert not all(np.array_equal(a[key][1], c[key][1]) for key in a)
+        assert a.shape == b.shape == c.shape
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestCampaignInputs:
@@ -139,6 +145,20 @@ class TestCampaignInputs:
         with pytest.raises(ConfigurationError, match="mean_plateau_counts"):
             simulate_hom_dataset(haar_unitary(6, 0).entries, (0, 1),
                                  mean_plateau_counts=counts)
+
+    @pytest.mark.parametrize("counts", [1e19, 1e300, sys.float_info.max])
+    def test_exposure_beyond_the_poisson_draw_rejected(self, counts):
+        # numpy's Poisson draw raised its raw ValueError above a mean of 9.2e18
+        with pytest.raises(ConfigurationError, match="mean_plateau_counts"):
+            simulate_hom_dataset(haar_unitary(6, 0).entries, (0, 1),
+                                 mean_plateau_counts=counts)
+
+    def test_poisson_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(reconstruction.POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(reconstruction.POISSON_LAM_MAX, np.inf))
+        simulate_hom_dataset(haar_unitary(6, 0).entries, (0, 1), mean_plateau_counts=1e18)
 
 
 class TestFitDip:
@@ -280,10 +300,9 @@ class TestFitDip:
                                    rtol=1e-12, atol=0)
 
     def test_campaign_agrees_with_curve_fit(self, device_unitary):
-        ds, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
-                                        mean_plateau_counts=1e4, keep_scans=True)
+        ds, counts = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                          mean_plateau_counts=1e4)
         x = SCAN_POSITIONS
-        counts = np.array([c for _, c in scans.values()])
         groups = np.repeat(np.arange(ds.n_pairs), ds.valid.sum(axis=1))
         assert counts.shape == (992, len(x))
         coef, shape, cov = _fit_dips(x, counts, groups)
@@ -300,21 +319,21 @@ class TestFitDip:
         np.testing.assert_allclose(shape, want_shape, rtol=1e-3)
 
     def test_noiseless_campaign_recovers_shared_centre_and_width(self, device_unitary):
-        ds, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), keep_scans=True)
+        ds, counts = simulate_hom_dataset(device_unitary, (11, 12, 19))
         x = SCAN_POSITIONS
         groups = np.repeat(np.arange(ds.n_pairs), ds.valid.sum(axis=1))
-        coef, shape, _ = _fit_dips(x, np.array([c for _, c in scans.values()]), groups)
+        coef, shape, _ = _fit_dips(x, counts, groups)
         np.testing.assert_allclose(shape, [[0.0, DEFAULT_DIP_SIGMA]] * ds.n_pairs,
                                    rtol=0, atol=1e-9)
-        v_true = [-hom_visibility(device_unitary, h, k, i, j) for (h, k), (i, j) in scans]
+        v_true = [-hom_visibility(device_unitary, *dip) for dip in zip(*dip_labels(ds))]
         np.testing.assert_allclose(coef[:, 1] / coef[:, 0], v_true, rtol=0, atol=1e-9)
         np.testing.assert_allclose(ds.visibilities[ds.valid], v_true, rtol=0, atol=1e-9)
 
     def test_dip_fits_log_what_they_did(self, device_unitary, caplog):
         inputs = (11, 12, 19)
         with caplog.at_level(logging.DEBUG, logger="photonlat.reconstruction"):
-            ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
-                                      mean_plateau_counts=1e4)
+            ds, _ = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
+                                         mean_plateau_counts=1e4)
             simulate_hom_dataset(device_unitary, inputs)
         fits = [re.fullmatch(r"dip group (\d+) fit: (\d+) evaluations, (\d+) Jacobians, "
                              r"status (-?\d+), chi2 (\S+) -> (\S+), x0 (\S+), sigma (\S+)",
@@ -342,24 +361,24 @@ class TestFitDip:
     def test_campaign_scans_are_one_poisson_draw(self, device_unitary):
         # the scans of a campaign are one Poisson draw over the whole
         # (dips, positions) profile stack, in dip order, from the campaign seed
-        ds, scans = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
-                                         mean_plateau_counts=1e4, keep_scans=True)
-        assert len(scans) == ds.valid.sum()
-        plateaus = np.array([hom_plateau(device_unitary, h, k, i, j)
-                             for (h, k), (i, j) in scans])
-        v = np.array([-hom_visibility(device_unitary, h, k, i, j) for (h, k), (i, j) in scans])
+        ds, counts = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                          mean_plateau_counts=1e4)
+        assert len(counts) == ds.valid.sum()
+        dips = list(zip(*dip_labels(ds)))
+        plateaus = np.array([hom_plateau(device_unitary, *dip) for dip in dips])
+        v = np.array([-hom_visibility(device_unitary, *dip) for dip in dips])
         exposure = 1e4 * len(plateaus) / plateaus.sum()
         want = np.random.default_rng(3).poisson(
             dip_profile(SCAN_POSITIONS, exposure * plateaus[:, None], v[:, None], 0.0,
                         DEFAULT_DIP_SIGMA))
-        assert np.array_equal(np.array([row for _, row in scans.values()]), want)
+        assert np.array_equal(counts, want)
 
 
 class TestDipIndex:
     def test_index_and_residuals_match_per_dip_loop(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs,
-                                  input_pairs=((11, 12), (19, 11), (12, 19)))
+        ds, _ = simulate_hom_dataset(device_unitary, inputs,
+                                     input_pairs=((11, 12), (19, 11), (12, 19)))
         truth = submatrix_rows(device_unitary, inputs)
         dips, expected = [], []
         for p, (h, k) in enumerate(ds.input_pairs):
@@ -385,7 +404,7 @@ class TestDipIndex:
         {"intensities": "short"},
     ])
     def test_malformed_dataset_rejected(self, device_unitary, change):
-        doc = simulate_hom_dataset(device_unitary, (11, 12)).to_dict()
+        doc = simulate_hom_dataset(device_unitary, (11, 12))[0].to_dict()
         d = doc["valid"][0].index(1)
         for key, val in change.items():
             if val == "short":
@@ -401,15 +420,15 @@ class TestDipIndex:
 class TestModuli:
     def test_noiseless_round_trip(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs)
         moduli = reconstruct_moduli(ds)
         truth = np.abs(submatrix_rows(device_unitary, inputs))
         assert np.abs(moduli - truth).max() < 1e-6
 
     def test_underdetermined_dataset_rejected(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs,
-                                  input_pairs=((11, 12),))
+        ds, _ = simulate_hom_dataset(device_unitary, inputs,
+                                     input_pairs=((11, 12),))
         with pytest.raises(UnderdeterminedError):
             reconstruct_moduli(ds)
 
@@ -417,7 +436,7 @@ class TestModuli:
     def test_identity_like_unitary(self):
         # the cost reaches 0 here, where no damping update may overflow
         u = np.eye(8, dtype=complex)
-        ds = simulate_hom_dataset(u, (0, 1, 2))
+        ds, _ = simulate_hom_dataset(u, (0, 1, 2))
         assert ds.valid.sum() < ds.valid.size   # most dips undefined
         moduli = reconstruct_moduli(ds)
         truth = np.abs(submatrix_rows(u, (0, 1, 2)))
@@ -429,7 +448,7 @@ class TestModuli:
         # a Poisson zero: at r = 0 the gradient in r vanishes, so the start
         # must lift the entry off 0 for the plateaus to move it
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs)
         truth = np.abs(submatrix_rows(device_unitary, inputs))
         row, col = np.unravel_index(truth.argmax(), truth.shape)
         intensities = ds.intensities.copy()
@@ -440,7 +459,7 @@ class TestModuli:
 
     def test_multiplicative_noise_study(self, device_unitary):
         inputs = (11, 12, 19)
-        clean = simulate_hom_dataset(device_unitary, inputs)
+        clean, _ = simulate_hom_dataset(device_unitary, inputs)
         rng = np.random.default_rng(5)
         noisy_a = clean.plateaus * (1 + 0.01 * rng.standard_normal(clean.plateaus.shape))
         eps = 0.01 * np.maximum(clean.plateaus, clean.plateaus[clean.valid].mean())
@@ -458,7 +477,7 @@ class TestModuli:
 class TestPhases:
     def test_noiseless_round_trip_quadruples(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs)
         moduli = reconstruct_moduli(ds)
         candidate = reconstruct_phases(ds, moduli)
         truth = submatrix_rows(device_unitary, inputs)
@@ -473,7 +492,7 @@ class TestPhases:
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         u = q.astype(complex)
         inputs = (0, 1, 2)
-        ds = simulate_hom_dataset(u, inputs)
+        ds, _ = simulate_hom_dataset(u, inputs)
         moduli = reconstruct_moduli(ds)
         candidate = reconstruct_phases(ds, moduli)
         assert np.abs(np.sin(candidate.phases)).max() < 1e-3
@@ -486,7 +505,7 @@ class TestPhases:
     @pytest.mark.parametrize("missing", ["outputs_0_5", "random_30_percent"])
     def test_missing_dips_still_refine_to_truth(self, device_unitary, missing):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs)
         valid = ds.valid.copy()
         if missing == "outputs_0_5":
             valid[:, (ds.out_i == 0) & (ds.out_j == 5)] = False
@@ -504,8 +523,8 @@ class TestPhases:
                                                        monkeypatch):
         # negating one eigenvector reflects the recovered phases; the
         # orientation rule must undo it bit for bit
-        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                     mean_plateau_counts=1e4)
         moduli = reconstruct_moduli(ds)
         want = reconstruct_phases(ds, moduli).phases
         eigh = np.linalg.eigh
@@ -520,8 +539,8 @@ class TestPhases:
 
     def test_phase_recovery_logs_what_it_did(self, device_unitary, caplog):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs, rng_seed=3,
+                                     mean_plateau_counts=1e4)
         with caplog.at_level(logging.DEBUG, logger="photonlat.reconstruction"):
             candidate = reconstruct_phases(ds, reconstruct_moduli(ds))
         messages = [r.getMessage() for r in caplog.records
@@ -542,8 +561,8 @@ class TestPhases:
         assert float(chi2) == pytest.approx(candidate.chi2, rel=1e-5)
 
     def test_single_pair_for_three_rows_underdetermined(self, device_unitary):
-        ds = simulate_hom_dataset(device_unitary, (11, 12, 19),
-                                  input_pairs=((11, 12),))
+        ds, _ = simulate_hom_dataset(device_unitary, (11, 12, 19),
+                                     input_pairs=((11, 12),))
         moduli = np.abs(submatrix_rows(device_unitary, (11, 12, 19)))
         with pytest.raises(UnderdeterminedError):
             reconstruct_phases(ds, moduli)
@@ -552,7 +571,7 @@ class TestPhases:
 class TestRefine:
     def test_refine_from_truth_returns_unchanged(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs)
         moduli, phases = gauge_fixed_truth(device_unitary, inputs)
         start = ReconstructedSubmatrix(inputs, moduli, phases)
         refined = refine_chi2(start, ds)
@@ -561,8 +580,8 @@ class TestRefine:
 
     def test_refine_never_increases_chi2(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=4,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs, rng_seed=4,
+                                     mean_plateau_counts=1e4)
         moduli = reconstruct_moduli(ds)
         candidate = reconstruct_phases(ds, moduli)
         refined = refine_chi2(candidate, ds)
@@ -572,7 +591,7 @@ class TestRefine:
         # a per-row conjugation is invisible to the dip data; the refined
         # result must match the truth under the gauge-invariant comparison
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs)
         moduli = reconstruct_moduli(ds)
         candidate = reconstruct_phases(ds, moduli)
         flipped = ReconstructedSubmatrix(
@@ -586,8 +605,8 @@ class TestRefine:
     @pytest.mark.parametrize("n_invalid", [0, 60])
     def test_phase_jacobian_matches_finite_differences(self, device_unitary, n_invalid):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=5, mean_plateau_counts=1e4,
-                                  input_pairs=((11, 12), (11, 19), (12, 19)))
+        ds, _ = simulate_hom_dataset(device_unitary, inputs, rng_seed=5, mean_plateau_counts=1e4,
+                                     input_pairs=((11, 12), (11, 19), (12, 19)))
         rng = np.random.default_rng(n_invalid)
         if n_invalid:
             doc = ds.to_dict()
@@ -631,8 +650,8 @@ class TestRefine:
             return gauss_newton(fun, jac, x0, max_nfev, lo, hi)
 
         monkeypatch.setattr(reconstruction, "_gauss_newton", spy)
-        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
+                                     mean_plateau_counts=1e4)
         refine_chi2(reconstruct_phases(ds, reconstruct_moduli(ds)), ds)
         # one dip fit per input pair, then the moduli and the phases
         assert len(calls) == ds.n_pairs + 2
@@ -640,8 +659,8 @@ class TestRefine:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_fits_agree_with_the_scipy_trf_oracle(self, device_unitary, seed):
-        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=seed,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=seed,
+                                     mean_plateau_counts=1e4)
         moduli = reconstruct_moduli(ds)
         want = trf_moduli(ds)
         assert (np.abs(moduli - want) / want).max() <= 1e-6
@@ -656,8 +675,8 @@ class TestRefine:
         def capped(fun, jac, x0, max_nfev):
             return gauss_newton(fun, jac, x0, 2)
 
-        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=4,
+                                     mean_plateau_counts=1e4)
         candidate = reconstruct_phases(ds, reconstruct_moduli(ds))
         monkeypatch.setattr(reconstruction, "_gauss_newton", capped)
         refined = refine_chi2(candidate, ds)
@@ -665,8 +684,8 @@ class TestRefine:
         assert refined.chi2 <= candidate.chi2
 
     def test_fits_log_what_they_did(self, device_unitary, caplog):
-        ds = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
+                                     mean_plateau_counts=1e4)
         with caplog.at_level(logging.DEBUG, logger="photonlat.reconstruction"):
             candidate = reconstruct_phases(ds, reconstruct_moduli(ds))
             refined = refine_chi2(candidate, ds)
@@ -730,7 +749,7 @@ class TestGaugeDistance:
 class TestFullPipeline:
     def test_four_row_noiseless(self, device_unitary):
         inputs = (11, 12, 19, 20)
-        ds = simulate_hom_dataset(device_unitary, inputs)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs)
         moduli = reconstruct_moduli(ds)
         refined = refine_chi2(reconstruct_phases(ds, moduli), ds)
         mr, pr = gauge_distance(refined, submatrix_rows(device_unitary, inputs))
@@ -739,8 +758,8 @@ class TestFullPipeline:
 
     def test_three_row_noisy(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=21,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs, rng_seed=21,
+                                     mean_plateau_counts=1e4)
         moduli = reconstruct_moduli(ds)
         refined = refine_chi2(reconstruct_phases(ds, moduli), ds)
         truth = submatrix_rows(device_unitary, inputs)
@@ -751,8 +770,8 @@ class TestFullPipeline:
 
     def test_dataset_json_round_trip(self, device_unitary):
         inputs = (11, 12, 19)
-        ds = simulate_hom_dataset(device_unitary, inputs, rng_seed=8,
-                                  mean_plateau_counts=1e4)
+        ds, _ = simulate_hom_dataset(device_unitary, inputs, rng_seed=8,
+                                     mean_plateau_counts=1e4)
         back = HomDataset.from_dict(ds.to_dict())
         assert back.rows == ds.rows
         assert back.input_pairs == ds.input_pairs

@@ -41,24 +41,24 @@ class TestUniformTest:
         # P = 1e-3 above the 3-photon benchmark (3/32)^3 = 8.24e-4 steps up
         u = np.zeros((32, 32), dtype=complex)
         u[:3, :3] = np.eye(3) * np.sqrt(0.1)   # row sums 0.1 over inputs
-        trace = val.run_uniform_test(fock_stream([(0, 1, 2)], (0, 1, 2)), u, 3, 32)
+        trace = val.run_uniform_test(fock_stream([(0, 1, 2)], (0, 1, 2)), u, 32)
         assert (3 / 32) ** 3 == pytest.approx(8.24e-4, abs=1e-6)
         assert trace.counters[0] == 1          # P = 1e-3 >= threshold
 
     def test_counter_steps_are_unit(self, device_unitary, streams):
-        trace = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
+        trace = val.run_uniform_test(streams["bs"], device_unitary, 31)
         steps = np.diff(np.concatenate([[0], trace.counters]))
         assert set(steps.tolist()) <= {-1, 1}
 
     def test_bs_stream_positive_slope(self, device_unitary, streams):
-        trace = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
+        trace = val.run_uniform_test(streams["bs"], device_unitary, 31)
         assert trace.slope > 0
 
     def test_uniform_random_events_nonpositive_slope(self, device_unitary):
         rng = np.random.default_rng(3)
         events = fock_stream([sorted(rng.choice(OUTPUTS31, 3, replace=False))
                               for _ in range(10000)], INPUTS3)
-        trace = val.run_uniform_test(events, device_unitary, 3, 31)
+        trace = val.run_uniform_test(events, device_unitary, 31)
         assert trace.slope <= 0
 
     def test_wrong_photon_number_rejected(self, device_unitary, streams):
@@ -68,34 +68,27 @@ class TestUniformTest:
             fock_stream(outputs + [(1, 2)], INPUTS3)
         with pytest.raises(ConfigurationError, match="one photon number"):
             fock_stream([(1, 2)], INPUTS3)
-        # a W test of another n rejects the whole stream, every event tallied
-        trace = val.run_uniform_test(fock_stream([(1, 2)] * 50, INPUTS3[:2]),
-                                     device_unitary, 3, 31)
-        assert trace.n_rejected == 50
-        assert trace.n_events == 0
 
-    @pytest.mark.parametrize("n, m", [(3, 0), (3, -6), (0, 31), (3, 2.5), (True, 31),
-                                      (3, float("nan"))],
-                             ids=["m_zero", "m_negative", "n_zero", "m_fraction", "n_bool",
-                                  "m_nan"])
-    def test_sizes_must_be_whole_numbers_from_1(self, device_unitary, streams, n, m):
+    @pytest.mark.parametrize("m", [0, -6, 2.5, float("nan")],
+                             ids=["m_zero", "m_negative", "m_fraction", "m_nan"])
+    def test_sizes_must_be_whole_numbers_from_1(self, device_unitary, streams, m):
         # unchecked, m = 0 divided by zero and m = -6 gave slope 1.0
         events = streams["bs"][:20]
         with pytest.raises(ConfigurationError, match="must be a whole number >= 1"):
-            val.run_uniform_test(events, device_unitary, n, m)
+            val.run_uniform_test(events, device_unitary, m)
         with pytest.raises(ConfigurationError, match="must be a whole number >= 1"):
-            val.wrong_unitary_slope_histogram(events, device_unitary, "uniform", n, m,
+            val.wrong_unitary_slope_histogram(events, device_unitary, "uniform", m,
                                               ensemble_size=5, rng_seed=0)
 
     def test_boolean_output_rejected(self):
         # numpy would cast (True, 2, 3) into the integer array (1, 2, 3)
         u = haar_unitary(6, rng_seed=0).entries
         with pytest.raises(ConfigurationError, match="output modes"):
-            val.run_uniform_test(fock_stream([(True, 2, 3)], (0, 1, 2)), u, 3, 6)
+            val.run_uniform_test(fock_stream([(True, 2, 3)], (0, 1, 2)), u, 6)
 
     def test_determinism(self, device_unitary, streams):
-        t1 = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
-        t2 = val.run_uniform_test(streams["bs"], device_unitary, 3, 31)
+        t1 = val.run_uniform_test(streams["bs"], device_unitary, 31)
+        t2 = val.run_uniform_test(streams["bs"], device_unitary, 31)
         assert np.array_equal(t1.counters, t2.counters)
 
 
@@ -172,7 +165,7 @@ def two_branches(first, second, outputs):
 
 def score(test, events, u):
     if test == "uniform":
-        return val.run_uniform_test(events, u, 3, 32)
+        return val.run_uniform_test(events, u, 32)
     return val.run_distinguishable_test(events, u)
 
 
@@ -211,14 +204,13 @@ class TestInputChecks:
         for stray in ((1, 2), (1, 2, 3, 4)):
             with pytest.raises(ConfigurationError, match="output modes"):
                 fock_stream(outputs + [stray], INPUTS3)
-        # inputs of another n reject the whole stream, every event tallied:
-        # the W test's n = 4, or the 4-photon SPDC mixture of the C test
-        events = streams["bs"][:50]
-        trace = val.run_uniform_test(events, device_unitary, 4, 31) if test == "uniform" \
-            else val.run_distinguishable_test(events, device_unitary, itf.spdc_weights(1.0),
-                                              INPUTS4)
-        assert trace.n_rejected == 50
-        assert trace.n_events == 0
+        if test == "distinguishable":
+            # the 4-photon SPDC mixture scoring a 3-photon stream rejects it
+            # whole, every event tallied
+            trace = val.run_distinguishable_test(streams["bs"][:50], device_unitary,
+                                                 itf.spdc_weights(1.0), INPUTS4)
+            assert trace.n_rejected == 50
+            assert trace.n_events == 0
 
 
 class TestWrongUnitaryEnsemble:
@@ -226,18 +218,18 @@ class TestWrongUnitaryEnsemble:
         events = streams["bs"][:300]
         for kind in ("uniform", "distinguishable"):
             ens = val.wrong_unitary_slope_histogram(events, device_unitary,
-                                                    kind, 3, 31, 200, rng_seed=5)
+                                                    kind, 31, 200, rng_seed=5)
             assert ens.z_score > 3
             assert ens.mean < 0      # wrong unitaries reject the data
 
     def test_normalized_slopes(self, device_unitary, streams):
         ref = val.run_distinguishable_test(streams["dist"], device_unitary)
         ens = val.wrong_unitary_slope_histogram(streams["bs"][:300], device_unitary,
-                                                "distinguishable", 3, 31, 50,
+                                                "distinguishable", 31, 50,
                                                 rng_seed=6,
                                                 reference_slope=ref.slope)
         raw = val.wrong_unitary_slope_histogram(streams["bs"][:300], device_unitary,
-                                                "distinguishable", 3, 31, 50,
+                                                "distinguishable", 31, 50,
                                                 rng_seed=6)
         assert ens.true_slope == pytest.approx(raw.true_slope / abs(ref.slope))
         # z-score is scale invariant
@@ -245,13 +237,13 @@ class TestWrongUnitaryEnsemble:
 
     def test_histogram_masses_sum_to_one(self, device_unitary, streams):
         ens = val.wrong_unitary_slope_histogram(streams["bs"][:200], device_unitary,
-                                                "uniform", 3, 31, 60, rng_seed=8)
+                                                "uniform", 31, 60, rng_seed=8)
         assert ens.histogram.masses.sum() == pytest.approx(1.0)
 
     def test_degenerate_ensemble_rejected(self, device_unitary, streams):
         with pytest.raises(ConfigurationError):
             val.wrong_unitary_slope_histogram(streams["bs"][:50], device_unitary,
-                                              "uniform", 3, 31, 1, rng_seed=0)
+                                              "uniform", 31, 1, rng_seed=0)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("kind", ["uniform", "distinguishable"])
@@ -267,11 +259,11 @@ class TestWrongUnitaryEnsemble:
 
         def slope(v):
             if kind == "uniform":
-                return val.run_uniform_test(events, v, n, m).slope
+                return val.run_uniform_test(events, v, m).slope
             return val.run_distinguishable_test(events, v).slope
 
         # 40 unitaries span several C chunks of the stack at 1000 events
-        ens = val.wrong_unitary_slope_histogram(events, u, kind, n, m, 40, rng_seed=13)
+        ens = val.wrong_unitary_slope_histogram(events, u, kind, m, 40, rng_seed=13)
         # only the input modes' columns are drawn: 3 for the Fock input, 4 for SPDC
         modes = sorted({mode for ev in events for mode in ev.input_modes})
         assert len(modes) == n
@@ -290,7 +282,7 @@ class TestWrongUnitaryEnsemble:
         alone = itf.EventStream(np.zeros(200, dtype=np.intp), events.outputs, ("0220",),
                                 events.input_modes[2:], events.distinguishable)
         got, want = (val.wrong_unitary_slope_histogram(ev, device_unitary, "distinguishable",
-                                                       4, 32, 20, rng_seed=1)
+                                                       32, 20, rng_seed=1)
                      for ev in (events, alone))
         assert np.array_equal(got.slopes, want.slopes)
 
@@ -298,12 +290,12 @@ class TestWrongUnitaryEnsemble:
         u = haar_unitary(8, rng_seed=1).entries[:, :5]
         with pytest.raises(ConfigurationError):
             val.wrong_unitary_slope_histogram(streams["bs"][:50], u, "uniform",
-                                              3, 31, 10, rng_seed=0)
+                                              31, 10, rng_seed=0)
 
     def test_unknown_kind_rejected(self, device_unitary, streams):
         with pytest.raises(ConfigurationError):
             val.wrong_unitary_slope_histogram(streams["bs"][:50], device_unitary,
-                                              "bayes", 3, 31, 10, rng_seed=0)
+                                              "bayes", 31, 10, rng_seed=0)
 
     def test_ensemble_too_large_rejected_before_drawing(self, device_unitary, streams):
         # 131,072 draws of 3 columns of 32 modes: the QR's four stacks would hold 805 MB
@@ -311,7 +303,7 @@ class TestWrongUnitaryEnsemble:
         try:
             with pytest.raises(CapacityError, match="table limit"):
                 val.wrong_unitary_slope_histogram(streams["bs"][:50], device_unitary,
-                                                  "distinguishable", 3, 31, 131072,
+                                                  "distinguishable", 31, 131072,
                                                   rng_seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -327,7 +319,7 @@ class TestWrongUnitaryEnsemble:
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="scoring 1000000 events"):
-                val.wrong_unitary_slope_histogram(events, device_unitary, kind, 3, 31,
+                val.wrong_unitary_slope_histogram(events, device_unitary, kind, 31,
                                                   4096, rng_seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -344,11 +336,11 @@ class TestWrongUnitaryEnsemble:
                             64 * size * 32 * k + (size + 1) * len(events) * (32 + 8 * 3))
         with pytest.raises(CapacityError, match="scoring 5 events"):
             val.wrong_unitary_slope_histogram(events, device_unitary, "distinguishable",
-                                              3, 31, size, rng_seed=0)
+                                              31, size, rng_seed=0)
 
     @pytest.mark.parametrize("kind", ["uniform", "distinguishable"])
     def test_counted_bytes_cover_the_peak(self, device_unitary, streams, kind, monkeypatch):
-        args = (streams["bs"][np.arange(4000) % 1000], device_unitary, kind, 3, 31, 400, 0)
+        args = (streams["bs"][np.arange(4000) % 1000], device_unitary, kind, 31, 400, 0)
         tracemalloc.start()
         try:
             val.wrong_unitary_slope_histogram(*args)
@@ -366,7 +358,7 @@ class TestWrongUnitaryEnsemble:
     def test_nothing_to_score_rejected(self, device_unitary, events):
         with pytest.raises(ConfigurationError, match="no input modes"):
             val.wrong_unitary_slope_histogram(events, device_unitary, "distinguishable",
-                                              3, 31, 10, rng_seed=0)
+                                              31, 10, rng_seed=0)
 
 
 def _reference_slope(row):
