@@ -617,6 +617,7 @@ def cmd_footprint(config, args):
     return {"footprint.csv": lines}, f"{len(rows)} mode counts"
 
 
+@functools.cache    # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photonlat",

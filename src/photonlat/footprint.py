@@ -21,6 +21,7 @@ valid parameters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,14 +170,17 @@ def compare_layouts(m_values, params: FootprintParams):
     """Scaling table (m, L_Clem, L_m planar, L_m triangular, L_F) in mm.
 
     A length that overflows to infinity, at extreme parameters, raises
-    :class:`NumericalError` naming it and its m.
+    :class:`NumericalError` naming it and its m, and so does an m too large
+    to convert to a float.
     """
-    rows = [(int(check_whole(m, "m", 2)),
-             clements_length(m, params.r_min, params.p, params.c),
-             min_spread_length("linear", m, params.c),
-             min_spread_length("triangular", m, params.c, params.b),
-             fan_length(m, params.r_min, params.p_f, params.fan_arrangement))
-            for m in m_values]
+    rows = []
+    for m in m_values:
+        if check_whole(m, "m", 2) > sys.float_info.max:
+            raise NumericalError(f"m = 10**{math.log10(m):.2f} overflows a float")
+        rows.append((int(m), clements_length(m, params.r_min, params.p, params.c),
+                     min_spread_length("linear", m, params.c),
+                     min_spread_length("triangular", m, params.c, params.b),
+                     fan_length(m, params.r_min, params.p_f, params.fan_arrangement)))
     for m, *lengths in rows:
         for name, length in zip(("L_clements", "L_spread_planar", "L_spread_triangular",
                                  "L_fan"), lengths):

@@ -54,6 +54,80 @@ def _draw_bytes(count: int, m: int, k: int) -> int:
     return 64 * count * m * k + 32 * np.getbufsize()
 
 
+# the constants of numpy's SeedSequence hash and PCG64's 128-bit LCG multiplier
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(values, const: int, mult: int):
+    """numpy's SeedSequence hash of uint32 ``values`` under the running
+    constant ``const``, which steps by ``mult``: the hashed words, and the
+    constant for the next hash."""
+    hashed = values ^ np.uint32(const)
+    const = const * mult & _MASK32
+    hashed *= np.uint32(const)
+    hashed ^= hashed >> 16
+    return hashed, const
+
+
+def _spawned_pools(seed: np.random.SeedSequence, count: int) -> np.ndarray:
+    """(pool_size, count) uint32 entropy pools of the ``count`` children that
+    ``seed.spawn(count)`` makes, with ``seed``'s spawn counter moved on by
+    ``count`` as that call moves it, but no SeedSequence built per child.
+
+    A child's entropy words are its parent's entropy zero-padded to the pool
+    size, the parent's spawn key, then the child's index: one word, since
+    numpy's spawn counter holds 32 bits. All words but the index give every
+    child the same pool, that of a sequence seeded with those words alone,
+    after pool_size hashes per word. The index is then mixed in as numpy's
+    ``mix_entropy`` mixes a word past the pool, by :func:`_hashmix` over
+    all children at once: uint32 array arithmetic, which wraps silently
+    where numpy's scalars would warn.
+    """
+    start, size = seed.n_children_spawned, seed.pool_size
+    if start + count > _MASK32:
+        raise ConfigurationError(f"{count} more children overflow the 32-bit spawn "
+                                 f"counter of a sequence that spawned {start}")
+    coerce = np.random.bit_generator._coerce_to_uint32_array    # numpy's own word split
+    entropy = coerce(seed.entropy)
+    head = np.concatenate([entropy, np.zeros(max(size - len(entropy), 0), np.uint32),
+                           coerce(seed.spawn_key)])
+    pools = np.repeat(np.random.SeedSequence(head, pool_size=size).pool[:, None], count, 1)
+    const = _INIT_A * pow(_MULT_A, size * len(head), 2**32) & _MASK32
+    index = np.arange(start, start + count, dtype=np.uint32)
+    for pool in pools:
+        word, const = _hashmix(index, const, _MULT_A)
+        pool *= _MIX_L
+        pool -= word * _MIX_R
+        pool ^= pool >> 16
+    # the pickled state: (entropy, n_children_spawned, pool, pool_size, spawn_key)
+    state = seed.__reduce__()[2]
+    seed.__setstate__((state[0], start + count, *state[2:]))
+    return pools
+
+
+def _pcg64_seeds(pools) -> np.ndarray:
+    """(E, 4) uint64 words that ``generate_state(4, np.uint64)`` gives each
+    column of (pool_size, E) pools: PCG64's 128-bit seed and stream, high
+    word first, each word two of numpy's uint32 output words, low one first."""
+    const, words = _INIT_B, np.empty((pools.shape[1], 8), np.uint32)
+    for i in range(8):
+        words[:, i], const = _hashmix(pools[i % len(pools)], const, _MULT_B)
+    return words.astype("<u4", copy=False).view("<u8")
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    """The state ``PCG64`` takes from one row of :func:`_pcg64_seeds`: an
+    odd increment from the stream, then from state 0 one LCG step, the seed
+    added and another step."""
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
     """(E, m, k): the first k columns of one Haar unitary per seed, ``seed``
     itself (E = 1) or, given ``count``, each of ``count`` children spawned
@@ -62,7 +136,12 @@ def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
     They are the Q of one stacked QR of m x k complex Ginibre matrices with
     the R-diagonal phases divided out (Mezzadri, Notices AMS 54, 592 (2007)).
     Each member's matrix comes from one ``standard_normal`` call, its real
-    parts first, and the complex stack is formed once in place.
+    parts first, and the complex stack is formed once in place. The members
+    draw the bits ``np.random.default_rng`` of their seed would draw, from
+    one reused generator: :func:`_spawned_pools` hashes the children's
+    entropy pools in one pass and moves ``seed``'s spawn counter on by
+    ``count``, as ``seed.spawn(count)`` would, and :func:`_pcg64_seeds` and
+    :func:`_pcg64_state` give each member's PCG64 state from its pool.
     ``CapacityError`` is raised before a seed is spawned when the QR's four
     stacks (Ginibre, its copy, Q and R) and numpy's ufunc buffers would
     exceed ``MAX_TABLE_BYTES``. The buffers are two complex operands of
@@ -77,12 +156,15 @@ def _haar_columns(m: int, k: int, seed, count: int | None = None) -> np.ndarray:
     n_draws = 1 if count is None else check_whole(count, "count", 1)
     check_table_bytes(_draw_bytes(n_draws, m, k),
                       f"{n_draws} Haar draws of {k} columns of {m} modes")
-    if count is not None:
-        seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = [seed] if count is None else seed.spawn(count)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    seeds = _pcg64_seeds(seed.pool[:, None] if count is None else _spawned_pools(seed, count))
+    bits = np.random.PCG64(0)    # each member sets its own state
+    rng = np.random.Generator(bits)
     parts = np.empty((n_draws, 2, m, k))
-    for e, child in enumerate(seeds):
-        np.random.default_rng(child).standard_normal(out=parts[e])
+    for e in range(n_draws):    # one row's Python ints at a time, not E lists
+        bits.state = _pcg64_state(*seeds[e].tolist())
+        rng.standard_normal(out=parts[e])
     z = 1j * parts[:, 1]
     z += parts[:, 0]
     z /= np.sqrt(2.0)

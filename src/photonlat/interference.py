@@ -43,7 +43,9 @@ built. An event's number is its position in the stream.
 
 The four-photon source is a two-pair SPDC mixture over the branches
 |1111>, |2002> and |0220> in the occupation order (n4, n1, n2, n3) with
-branch weights (alpha, beta, gamma) = (R, R^2, 1).
+branch weights (alpha, beta, gamma) = (R, R^2, 1). Its three branch
+tables (:func:`spdc_branch_tables`) share one check of U and one array of
+output mode lists.
 """
 
 from __future__ import annotations
@@ -498,6 +500,33 @@ class ProbabilityTable:
         return FockPattern.from_modes(self.mode_lists[k], self.m)
 
 
+def _tables(u, patterns, statistics: str, collision_free: bool, outputs) -> list:
+    """The tables of input ``patterns`` of one photon number on the
+    checked unitary ``u``, as :func:`distribution` builds each, over one
+    enumeration of the output mode lists, which the tables share."""
+    n = patterns[0].n
+    if n == 0:
+        raise ConfigurationError("input pattern carries no photons")
+    modes = tuple(range(len(u))) if outputs is None else tuple(
+        sorted(check_modes(outputs, len(u), "outputs", distinct=True).tolist()))
+    if not modes or (collision_free and n > len(modes)):
+        raise ConfigurationError(
+            f"{n} photons do not fit collision-free into {len(modes)} outputs")
+    lists = _mode_lists(n, modes, collision_free)
+    s_facts = 1 if collision_free else _output_factorials(lists)
+    rows = u[list(modes)]
+    tables = []
+    for pattern in patterns:
+        permanents = functools.partial(_table_permanents, cols=pattern.modes(),
+                                       collision_free=collision_free)
+        probs = _probabilities(permanents, rows, statistics, s_facts,
+                               _occupation_factorial(pattern))
+        np.maximum(probs, 0.0, out=probs)
+        tables.append(ProbabilityTable(len(u), n, pattern, statistics, collision_free,
+                                       modes, lists, probs, float(probs.sum())))
+    return tables
+
+
 def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguishable",
                  collision_free: bool = True, outputs=None) -> ProbabilityTable:
     """Exact probability table over enumerated output patterns.
@@ -507,25 +536,8 @@ def distribution(u, input_pattern: FockPattern, statistics: str = "indistinguish
     is not unitary to ``MAX_UNITARITY_DEFECT`` (1e-9), or not finite, raises
     :class:`ConfigurationError`.
     """
-    u = _checked_unitary(u, input_pattern)
-    m = u.shape[0]
-    n = input_pattern.n
-    if n == 0:
-        raise ConfigurationError("input pattern carries no photons")
-    modes = tuple(range(m)) if outputs is None else tuple(
-        sorted(check_modes(outputs, m, "outputs", distinct=True).tolist()))
-    if not modes or (collision_free and n > len(modes)):
-        raise ConfigurationError(
-            f"{n} photons do not fit collision-free into {len(modes)} outputs")
-    lists = _mode_lists(n, modes, collision_free)
-    s_facts = 1 if collision_free else _output_factorials(lists)
-    permanents = functools.partial(_table_permanents, cols=input_pattern.modes(),
-                                   collision_free=collision_free)
-    probs = _probabilities(permanents, u[list(modes)], statistics, s_facts,
-                           _occupation_factorial(input_pattern))
-    np.maximum(probs, 0.0, out=probs)
-    return ProbabilityTable(m, n, input_pattern, statistics, collision_free,
-                            modes, lists, probs, float(probs.sum()))
+    return _tables(_checked_unitary(u, input_pattern), (input_pattern,), statistics,
+                   collision_free, outputs)[0]
 
 
 def _invert(probs, uniforms) -> np.ndarray:
@@ -570,14 +582,12 @@ def sample(table: ProbabilityTable, rng_seed, count: int) -> EventStream:
 
 def spdc_branch_tables(u, input_modes, statistics: str = "indistinguishable",
                        outputs=None):
-    """Collision-free output tables of the three SPDC branches."""
-    m = len(check_square(u, "U"))
-    tables = {}
-    for branch in SPDC_BRANCHES:
-        pattern = spdc_branch_pattern(branch, input_modes, m)
-        tables[branch] = distribution(u, pattern, statistics=statistics,
-                                      collision_free=True, outputs=outputs)
-    return tables
+    """Collision-free output tables of the three SPDC branches, as
+    :func:`distribution` builds each; they share one check of U and one
+    array of mode lists."""
+    u = _checked_unitary(u)
+    patterns = [spdc_branch_pattern(branch, input_modes, len(u)) for branch in SPDC_BRANCHES]
+    return dict(zip(SPDC_BRANCHES, _tables(u, patterns, statistics, True, outputs)))
 
 
 def spdc_sample(u, weights: SourceWeights, statistics: str, rng_seed, count: int,

@@ -200,6 +200,26 @@ def test_validate_byte_identical(simulated, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_one_parser_serves_every_call(simulated, tmp_path):
+    tmp, cfg, upath = simulated
+    sdir = tmp_path / "samples"
+    assert run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
+               "--events", 60) == 0
+    argv = ("validate", "--unitary", upath, "--samples", sdir / "samples.jsonl",
+            "--ensemble", 25)
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "a") == 0
+    with pytest.raises(SystemExit) as exc:    # argparse rejects the choice
+        run(*argv, "--config", cfg, "--test", "bogus", "--out", tmp_path / "bad")
+    assert exc.value.code == 2
+    bad_cfg = write_config(tmp_path, {"nonsense": 1}, name="bad.json")
+    assert run(*argv, "--config", bad_cfg, "--out", tmp_path / "bad") == 2
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "b") == 0
+    for name in ("trace.csv", "slope_histogram.csv", "zscore.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert not (tmp_path / "bad").exists()
+    assert photonlat.cli.build_parser() is photonlat.cli.build_parser()
+
+
 def test_validate_photon_mismatch_exits_2(simulated, tmp_path):
     tmp, cfg, upath = simulated
     sdir = tmp_path / "samples"
@@ -493,6 +513,24 @@ def test_footprint_leaf_at_its_boundary_values_runs_or_exits_3(tmp_path, capsys,
         else:
             assert code == 0, value
             assert (out / "footprint.csv").read_text().splitlines()[1:] == want
+
+
+@pytest.mark.parametrize("m, failure", [(2, None), (10 ** 300, None),
+                                        (10 ** 308, "L_clements at m = 1000"),
+                                        (10 ** 400, "m = 10**400.00 overflows a float")])
+def test_footprint_m_at_its_boundary_values_runs_or_exits_3(tmp_path, capsys, m, failure):
+    # 10**400 once ended in an OverflowError traceback
+    fcfg = {**DEFAULT_CONFIG["footprint"], "m_values": [m]}
+    cfg = write_config(tmp_path, {"footprint": {"m_values": [m]}})
+    out = tmp_path / "f"
+    code = run("footprint", "--config", cfg, "--out", out)
+    if failure is None:
+        assert code == 0
+        assert (out / "footprint.csv").read_text().splitlines()[1:] == _footprint_lines(fcfg)
+    else:
+        assert code == 3
+        assert f"numerical failure: {failure}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_seed_override_changes_samples(simulated, tmp_path):
@@ -934,6 +972,27 @@ def _child_env():
 def _run_capped(*argv):
     return subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *map(str, argv)],
                           env=_child_env(), capture_output=True, text=True, timeout=600)
+
+
+@pytest.mark.parametrize("command, extra, flags", [
+    ("validate", {}, ("--ensemble", 2 ** 63 - 1)),
+    ("haar", {"haar": {"n_matrices": 2 ** 63 - 1}}, ()),
+    ("haar", {"haar": {"columns": 2 ** 63 - 1}}, ())])
+def test_largest_ensemble_exits_2_before_a_seed_is_spawned(simulated, tmp_path, command,
+                                                          extra, flags):
+    # a seed array of the ensemble's size, built before its charge, fails the capped child
+    _, _, upath = simulated
+    cfg = write_config(tmp_path, extra)
+    if command == "validate":
+        sdir = tmp_path / "samples"
+        assert run("sample", "--config", cfg, "--unitary", upath, "--out", sdir,
+                   "--events", 30) == 0
+        flags = ("--unitary", upath, "--samples", sdir / "samples.jsonl", *flags)
+    out = tmp_path / "out"
+    child = _run_capped(command, "--config", cfg, *flags, "--out", out)
+    assert child.returncode == 2, child.stderr
+    assert "table limit" in child.stderr and "Traceback" not in child.stderr
+    assert not out.exists()
 
 
 def test_similarity_bins_over_table_limit_exit_2_before_allocating(tmp_path):

@@ -184,6 +184,12 @@ class TestCompareLayouts:
         with pytest.raises(NumericalError, match=rf"^{length} at m = 8 overflows to inf$"):
             compare_layouts([8, 16], FootprintParams(**{field: value}))
 
+    @pytest.mark.parametrize("power", [400, 5000])
+    def test_m_beyond_a_float_raises_numerical_error(self, power):
+        # once an OverflowError from (m - 1) * sbend_length; 10**5000 has no str
+        with pytest.raises(NumericalError, match=rf"^m = 10\*\*{power}\.00 overflows a float$"):
+            compare_layouts([8, 10 ** power], FootprintParams())
+
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             FootprintParams(r_min=-1.0)

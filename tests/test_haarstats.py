@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest
 
@@ -94,6 +94,37 @@ class TestHaarUnitary:
     def test_integer_seed_spawns_like_its_sequence(self):
         assert np.array_equal(_haar_columns(8, 2, 9, 5),
                               _haar_columns(8, 2, np.random.SeedSequence(9), 5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(entropy=st.one_of(st.integers(0, 2**200), st.lists(st.integers(0, 2**70),
+                                                               max_size=5)),
+           spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+           pool_size=st.sampled_from([4, 8]), spawned=st.integers(0, 1000),
+           count=st.sampled_from([1, 2, 200]))
+    @example(entropy=2**64, spawn_key=[2**32], pool_size=4, spawned=0, count=200)
+    @example(entropy=[2**64 + 5, 7], spawn_key=[3, 2**32 + 1], pool_size=8, spawned=9, count=2)
+    def test_draw_matches_a_generator_per_spawned_child(self, entropy, spawn_key, pool_size,
+                                                        spawned, count):
+        def sequence():
+            return np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size,
+                                          n_children_spawned=spawned)
+        seed, reference = sequence(), sequence()
+        # the oracle: numpy's own children, one generator each
+        parts = np.empty((count, 2, 3, 2))
+        for part, child in zip(parts, reference.spawn(count)):
+            np.random.default_rng(child).standard_normal(out=part)
+        z = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        assert np.array_equal(_haar_columns(3, 2, seed, count), q * (d / np.abs(d))[:, None, :])
+        assert seed.n_children_spawned == spawned + count
+        assert [s.spawn_key for s in seed.spawn(2)] == [s.spawn_key for s in reference.spawn(2)]
+
+    def test_spawn_counter_beyond_32_bits_rejected_before_the_draw(self):
+        seed = np.random.SeedSequence(3, n_children_spawned=2**32 - 3)
+        with pytest.raises(ConfigurationError, match="32-bit spawn counter"):
+            _haar_columns(4, 2, seed, 3)
+        assert seed.n_children_spawned == 2**32 - 3
 
     def test_mean_squared_modulus(self):
         m, n_samples = 32, 1000

@@ -1080,6 +1080,29 @@ class TestSpdc:
         assert [e.output for e in events] == [e.output for e in direct]
         assert all(e.branch == "0220" for e in events)
 
+    @pytest.mark.parametrize("outputs", [None, range(31)])
+    @pytest.mark.parametrize("statistics", ["indistinguishable", "distinguishable"])
+    def test_branch_tables_share_one_enumeration(self, device_unitary, statistics, outputs,
+                                                 monkeypatch):
+        inputs, w = (11, 12, 19, 20), spdc_weights(1.3)
+        tables = itf.spdc_branch_tables(device_unitary, inputs, statistics, outputs)
+        # one distribution per branch, each enumerating its own mode lists
+        separate = {b: distribution(device_unitary, spdc_branch_pattern(b, inputs, 32),
+                                    statistics, True, outputs) for b in itf.SPDC_BRANCHES}
+        assert list(tables) == list(itf.SPDC_BRANCHES)
+        for b, table in tables.items():
+            assert table.mode_lists is tables["1111"].mode_lists
+            assert np.array_equal(table.mode_lists, separate[b].mode_lists)
+            assert np.array_equal(table.probs, separate[b].probs)
+            assert table.total_mass == separate[b].total_mass
+            assert (table.input, table.outputs) == (separate[b].input, separate[b].outputs)
+        shared = spdc_sample(device_unitary, w, statistics, 7, 500, inputs, outputs)
+        monkeypatch.setattr(itf, "spdc_branch_tables", lambda *args: separate)
+        alone = spdc_sample(device_unitary, w, statistics, 7, 500, inputs, outputs)
+        assert np.array_equal(shared.branch, alone.branch)
+        assert np.array_equal(shared.outputs, alone.outputs)
+        assert np.array_equal(shared.input_modes, alone.input_modes)
+
     def test_branch_frequencies(self, device_unitary):
         inputs = (11, 12, 19, 20)
         w = spdc_weights(1.0)
