@@ -6,8 +6,7 @@ its submodule.
 """
 
 from .errors import (CapacityError, ConfigurationError, FitError,
-                     InconsistentDataError, NumericalError,
-                     UndefinedVisibilityError, UnderdeterminedError)
+                     InconsistentDataError, NumericalError, UnderdeterminedError)
 from .evolution import propagate
 from .interference import FockPattern, distribution, sample, spdc_weights
 from .lattice import CouplingModel, LatticeSpec, build_lattice, default_heater_bank

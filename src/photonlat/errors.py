@@ -51,10 +51,6 @@ class InconsistentDataError(NumericalError):
     """Measured interference data violate the model beyond tolerance."""
 
 
-class UndefinedVisibilityError(ValueError):
-    """HOM visibility is undefined because the dip plateau vanishes."""
-
-
 def check_table_bytes(nbytes: int, what: str) -> None:
     """Raise :class:`CapacityError` for arrays over ``MAX_TABLE_BYTES``."""
     if nbytes > MAX_TABLE_BYTES:

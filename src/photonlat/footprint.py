@@ -1,16 +1,9 @@
 """Footprint scaling laws for integrated-optics interferometer layouts.
 
 All formulas are closed-form: sinusoidal S-bend lengths, directional
-coupler dimensioning, the Clements-mesh length, coupled-mode dispersion
-relations with their transverse group velocities, minimum spreading
+coupler dimensioning, the Clements-mesh length, minimum spreading
 lengths for planar / square / triangular arrays, and fan-in/out bounds
 for linear and grid fiber arrays. Lengths in mm, coupling rates in mm^-1.
-
-The triangular-lattice group velocity is implemented exactly as the
-closed form -4 c sin(beta) with maximum 4c, twice the linear/square
-maximum; note this is not the literal partial derivative of the
-triangular dispersion relation, so the finite-difference identity
-holds for the linear and square lattices only.
 
 :func:`compare_layouts` raises :class:`NumericalError` where a length
 overflows. Its tables are not checked against :func:`scaling_exponents`:
@@ -61,13 +54,6 @@ def sbend_length(r_min: float, h: float) -> float:
     return (math.pi / 2.0) * math.sqrt(2.0 * r_min * h)
 
 
-def coupler_reflectivity(c: float, l_c: float, phi0: float = 0.0) -> float:
-    """Directional-coupler reflectivity sin^2(c L_C + phi0)."""
-    if c <= 0 or l_c < 0:
-        raise ConfigurationError("need c > 0 and L_C >= 0")
-    return math.sin(c * l_c + phi0) ** 2
-
-
 def coupler_length(c: float) -> float:
     """Interaction length pi / (2c) of a full-transfer coupler (phi0 = 0)."""
     if c <= 0:
@@ -84,42 +70,6 @@ def clements_length(m: int, r_min: float, p: float, c: float) -> float:
 def clements_increment(r_min: float, p: float, c: float) -> float:
     """Added length per extra mode, (pi/2)(sqrt(2 r_min p) + 1/c)."""
     return sbend_length(r_min, p) + coupler_length(c)
-
-
-def dispersion(lattice_kind: str, c: float, beta_x, beta_y=0.0):
-    """Longitudinal wavevector beta_z(beta_x, beta_y) of the infinite array."""
-    beta_x = np.asarray(beta_x, dtype=float)
-    beta_y = np.asarray(beta_y, dtype=float)
-    if lattice_kind == "linear":
-        out = 2.0 * c * np.cos(beta_x)
-    elif lattice_kind == "square":
-        out = 2.0 * c * (np.cos(beta_x) + np.cos(beta_y))
-    elif lattice_kind == "triangular":
-        out = 2.0 * c * (np.cos(beta_x) + np.cos(beta_y) + np.cos(beta_x + beta_y))
-    else:
-        raise ConfigurationError(f"unknown lattice kind {lattice_kind!r}")
-    return float(out) if out.ndim == 0 else out
-
-
-def group_velocity(lattice_kind: str, c: float, beta_x, beta_y=0.0):
-    """Transverse group velocity (v_x, v_y) in waveguide indices per mm.
-
-    Linear and square arrays: v = -2 c sin(beta), maximum 2c. Triangular
-    arrays: v = -4 c sin(beta) along either Bravais direction, maximum 4c.
-    """
-    beta_x = np.asarray(beta_x, dtype=float)
-    beta_y = np.asarray(beta_y, dtype=float)
-    if lattice_kind == "linear":
-        vx, vy = -2.0 * c * np.sin(beta_x), np.zeros_like(beta_y)
-    elif lattice_kind == "square":
-        vx, vy = -2.0 * c * np.sin(beta_x), -2.0 * c * np.sin(beta_y)
-    elif lattice_kind == "triangular":
-        vx, vy = -4.0 * c * np.sin(beta_x), -4.0 * c * np.sin(beta_y)
-    else:
-        raise ConfigurationError(f"unknown lattice kind {lattice_kind!r}")
-    if vx.ndim == 0:
-        return float(vx), float(vy)
-    return vx, vy
 
 
 def min_spread_length(lattice_kind: str, m: int, c: float, b: float = 2.0) -> float:

@@ -2,8 +2,9 @@
 
 Covers the comparisons used to judge how Haar-like a reconfigurable
 device is: pooled squared-moduli and phase histograms of submatrix
-ensembles, column-similarity distributions, histogram overlap, and the
-similarity measure used to quantify reproducibility.
+ensembles, column-similarity distributions and histogram overlap, with
+one similarity measure, :func:`pairwise_similarities`, over a stack of
+probability vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, NumericalError, check_modes, check_seed,
-                     check_table_bytes, check_whole)
+                     check_table_bytes, check_whole, is_finite)
 from .evolution import MAX_UNITARITY_DEFECT, UnitaryMatrix, _Propagator, unitarity_defect
 
 DEFAULT_BINS = 25
@@ -31,9 +32,10 @@ class Histogram:
         masses = np.asarray(self.masses, dtype=float)
         if len(edges) != len(masses) + 1:
             raise ConfigurationError("need len(edges) == len(masses) + 1")
-        if np.any(np.diff(edges) <= 0):
+        # written so that a NaN edge or mass fails them
+        if not np.all(np.diff(edges) > 0):
             raise ConfigurationError("bin edges must be strictly increasing")
-        if np.any(masses < 0) or abs(masses.sum() - 1.0) > 1e-12:
+        if not (np.all(masses >= 0) and abs(masses.sum() - 1.0) <= 1e-12):
             raise ConfigurationError("masses must be nonnegative and sum to 1")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "masses", masses)
@@ -181,19 +183,6 @@ def haar_unitary(m: int, rng_seed) -> UnitaryMatrix:
     return UnitaryMatrix(m, q, unitarity_defect(q))
 
 
-def similarity(p, q) -> float:
-    """Squared Bhattacharyya coefficient (sum_i sqrt(p_i q_i))^2 in [0, 1].
-
-    Symmetric, equals 1 exactly when the distributions coincide, 0 on
-    disjoint supports.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ConfigurationError("distributions must have the same length")
-    return float(np.sqrt(p * q).sum() ** 2)
-
-
 def _check_pair_bytes(n: int, size: int) -> None:
     """Raise ``CapacityError`` when the pair similarities of n columns of
     ``size`` entries in all would hold more than ``MAX_TABLE_BYTES`` at once:
@@ -204,11 +193,22 @@ def _check_pair_bytes(n: int, size: int) -> None:
 
 
 def pairwise_similarities(columns) -> np.ndarray:
-    """Similarities of all unordered pairs of probability vectors.
+    """Squared Bhattacharyya coefficients (sum_i sqrt(p_i q_i))^2 of all
+    unordered pairs (p, q) of the rows of ``columns``, probability vectors.
 
-    Raises ``CapacityError`` before it allocates, by :func:`_check_pair_bytes`.
+    Each lies in [0, 1] up to roundoff, is symmetric, and is 1 exactly
+    when p = q and 0 on disjoint supports. ``columns`` must be a 2-D stack
+    of finite numbers >= 0, else ``ConfigurationError``; ``CapacityError``
+    is raised before it allocates, by :func:`_check_pair_bytes`.
     """
-    cols = np.asarray(columns, dtype=float)
+    try:
+        cols = np.asarray(columns)
+    except ValueError:    # a ragged stack
+        cols = np.array(None)
+    if cols.ndim != 2 or cols.dtype.kind not in "iuf" or \
+            not (np.isfinite(cols) & (cols >= 0)).all():
+        raise ConfigurationError("columns must form a 2-D stack of finite numbers >= 0")
+    cols = cols.astype(float, copy=False)
     n = len(cols)
     _check_pair_bytes(n, cols.size)
     root = np.sqrt(cols)
@@ -269,10 +269,18 @@ def gauge_fix_phases(sub) -> np.ndarray:
 def random_heater_powers(bank, n: int, rng_seed,
                          power_range=(0.0, 500.0)) -> np.ndarray:
     """(n, n_heaters) heater settings drawn uniformly over ``power_range``,
-    setting after setting from one generator seeded with ``rng_seed``."""
+    setting after setting from one generator seeded with ``rng_seed``;
+    ``power_range`` is (lo, hi) with lo and hi finite and 0 <= lo <= hi."""
     check_whole(n, "n", 1)
+    try:
+        lo, hi = power_range
+    except (TypeError, ValueError):    # no pair
+        lo = hi = None
+    if not (is_finite(lo) and is_finite(hi) and 0 <= lo <= hi):
+        raise ConfigurationError(f"power_range must be finite (lo, hi) with 0 <= lo <= hi, "
+                                 f"not {power_range!r}")
     rng = np.random.default_rng(check_seed(rng_seed))
-    return rng.uniform(power_range[0], power_range[1], (n, bank.n_heaters))
+    return rng.uniform(lo, hi, (n, bank.n_heaters))
 
 
 def device_submatrix_ensemble(layout, model, bank, inputs, powers,

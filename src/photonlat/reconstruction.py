@@ -49,8 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, FitError, InconsistentDataError,
-                     UndefinedVisibilityError, UnderdeterminedError, check_modes, check_seed,
-                     check_whole, is_finite)
+                     UnderdeterminedError, check_modes, check_seed, check_whole, is_finite)
 
 DEFAULT_DIP_SIGMA = 30.0     # delay-line sigma, um
 # the delay positions of every simulated dip scan: 21 points over +-3 sigma
@@ -83,29 +82,6 @@ def _pair_sums(x, h, k, i, j):
     amplitude; the indices broadcast, so one call covers every dip.
     """
     return x[h, i] * x[k, j] + x[h, j] * x[k, i]
-
-
-def hom_plateau(u, h: int, k: int, i: int, j: int) -> float:
-    """Distinguishable two-photon coincidence probability a_ij^hk."""
-    u = np.asarray(u, dtype=complex)
-    return float(_pair_sums(np.abs(u.T) ** 2, h, k, i, j))
-
-
-def hom_visibility(u, h: int, k: int, i: int, j: int) -> float:
-    """HOM dip visibility V_ij^hk; undefined when the plateau vanishes.
-
-    Sign convention: V = (a - Q)/a with Q the indistinguishable
-    coincidence probability, so full HOM suppression gives V = +1. The
-    Gaussian scan parameter of :func:`dip_profile` carries the opposite
-    sign (a dip bottoms out at a (1 + V_scan) = Q, so V_scan = -V);
-    datasets store the scan convention.
-    """
-    u = np.asarray(u, dtype=complex)
-    a = hom_plateau(u, h, k, i, j)
-    if a == 0.0:
-        raise UndefinedVisibilityError(
-            f"plateau vanishes for inputs ({h},{k}) outputs ({i},{j})")
-    return float((a - abs(_pair_sums(u.T, h, k, i, j)) ** 2) / a)
 
 
 def dip_profile(x, a, v, x0, sigma):
@@ -245,8 +221,12 @@ class HomDataset:
     ``rows`` are the input labels being reconstructed; ``input_pairs``
     index into them by label. Per pair, arrays run over the C(n_outputs, 2)
     unordered output pairs in upper-triangle order; ``valid`` masks dips
-    whose plateau vanished (visibility undefined there). ``errors`` is the
-    uncertainty of the dip minimum a (1 + V), ``plateau_errors`` that of a.
+    whose plateau vanished (visibility undefined there). ``visibilities``
+    carry the sign of the scan parameter V of :func:`dip_profile`, opposite
+    to the module's V = (a - Q)/a with Q the indistinguishable coincidence
+    probability: a dip bottoms out at a (1 + V) = Q, so full HOM
+    suppression gives V = -1. ``errors`` is the uncertainty of the dip
+    minimum a (1 + V), ``plateau_errors`` that of a.
     ``intensities``, when given, are finite and >= 0, one row per input row.
 
     The dip index lists every valid dip once, pair-major (the order of
@@ -759,7 +739,8 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
     (:func:`_phase_jacobian`), stopped at ``least_squares``' default
     tolerances, which the chi-square resolves; roundoff does not decide
     when it stops. A fit that has not stopped after 2000 evaluations
-    returns its best iterate with ``converged=False``.
+    returns its best iterate with ``converged=False``, and one that
+    returns ``converged=False`` logs a WARNING on ``photonlat.reconstruction``.
     """
     moduli = candidate.moduli
     n_rows, n_out = moduli.shape
@@ -785,9 +766,14 @@ def refine_chi2(candidate: ReconstructedSubmatrix, dataset: HomDataset) -> Recon
     theta = np.angle(np.exp(1j * unpack(result.x)))
     cost = _chi2_cost(theta, moduli, dataset)
     if cost > cost0:
-        return replace(candidate, converged=False, chi2=cost0)
-    return ReconstructedSubmatrix(candidate.rows, moduli, theta,
-                                  converged=result.status > 0, chi2=cost)
+        refined = replace(candidate, converged=False, chi2=cost0)
+    else:
+        refined = ReconstructedSubmatrix(candidate.rows, moduli, theta,
+                                         converged=result.status > 0, chi2=cost)
+    if not refined.converged:
+        log.warning("chi-square refinement stagnated: %d evaluations, status %d, "
+                    "chi2 %.6g -> %.6g", result.nfev, result.status, cost0, cost)
+    return refined
 
 
 def _phase_quadruples(theta) -> np.ndarray:

@@ -36,7 +36,7 @@ and scoring arrays would exceed the table limit raises
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,18 +183,12 @@ def run_distinguishable_test(events: EventStream, u, weights: SourceWeights | No
     return _trace(_counter_steps(events, u[None], "distinguishable", inputs=mixture)[0])
 
 
-def normalize_trace(trace: ValidationTrace, reference: ValidationTrace) -> ValidationTrace:
-    """Attach the slope normalized to a distinguishable-data reference."""
-    if reference.slope == 0:
-        raise ConfigurationError("reference trace has zero slope")
-    return replace(trace, normalized_slope=trace.slope / abs(reference.slope))
-
-
 @dataclass
 class WrongUnitaryEnsemble:
-    """Slopes of one event stream rescored against Haar-random unitaries."""
+    """One event stream's trace against the true unitary, and its slopes
+    rescored against Haar-random unitaries."""
 
-    true_slope: float
+    trace: ValidationTrace
     slopes: np.ndarray
     histogram: Histogram
     mean: float
@@ -223,18 +217,22 @@ def check_ensemble_bytes(events: EventStream, m: int, ensemble_size) -> None:
 def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, m: int,
                                   ensemble_size: int, rng_seed,
                                   reference_slope: float | None = None) -> WrongUnitaryEnsemble:
-    """Rescore one stream against an ensemble of Haar-random unitaries.
+    """Score one stream against its true unitary and rescore it against an
+    ensemble of Haar-random unitaries.
 
-    Returns the slope histogram in ``DEFAULT_BINS`` bins (normalized to
-    ``reference_slope`` when given, as in a distinguishable-data
-    normalization), the ensemble mean and standard deviation, and the
-    z-score of the true-unitary slope against the ensemble. Only the
-    columns scored are drawn, the sorted union of the input modes of the
-    branches the events use, from the spawned seeds of ``rng_seed``
+    Returns the stream's trace under ``true_u``, the slope histogram in
+    ``DEFAULT_BINS`` bins, the ensemble mean and standard deviation, and
+    the z-score of the trace's slope against the ensemble. A
+    ``reference_slope``, as from distinguishable data, divides every
+    ensemble slope by its magnitude and sets the trace's
+    ``normalized_slope``; a zero one raises ``ConfigurationError``. Only
+    the columns scored are drawn, the sorted union of the input modes of
+    the branches the events use, from the spawned seeds of ``rng_seed``
     (:func:`haarstats._haar_columns`), and rescored with those of the true
-    unitary in one call of the scoring kernel. ``ensemble_size`` and the
-    memory are checked first, by :func:`check_ensemble_bytes`; the uniform
-    test checks m as :func:`run_uniform_test` does.
+    unitary in one call of the scoring kernel, whose row 0 is the trace.
+    ``ensemble_size`` and the memory are checked first, by
+    :func:`check_ensemble_bytes`; the uniform test checks m as
+    :func:`run_uniform_test` does.
     """
     true_u = check_square(true_u, "U")
     m_u = len(true_u)
@@ -243,6 +241,8 @@ def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, m
         raise ConfigurationError(f"unknown test kind {test_kind!r}")
     if test_kind == "uniform":
         check_whole(m, "m", 1)
+    if reference_slope == 0:
+        raise ConfigurationError("a zero reference slope has no scale to normalize to")
     check_column(events.input_modes, "input modes", ("B", "n"), lo=0, hi=m_u)
     used = np.bincount(events.branch, minlength=len(events.branches)) > 0
     modes = np.unique(events.input_modes[used])
@@ -250,17 +250,19 @@ def wrong_unitary_slope_histogram(events: EventStream, true_u, test_kind: str, m
         raise ConfigurationError("the events name no input modes to score")
     us = np.concatenate([true_u[None, :, modes],
                          _haar_columns(m_u, len(modes), rng_seed, ensemble_size)])
-    slopes = _slopes(_counter_steps(events, us, test_kind, m, modes=modes))
-    true_slope = float(slopes[0])
-    scale = abs(reference_slope) if reference_slope else 1.0
-    norm_slopes = slopes[1:] / scale
-    mean = float(norm_slopes.mean())
-    std = float(norm_slopes.std(ddof=1))
+    steps = _counter_steps(events, us, test_kind, m, modes=modes)
+    trace = _trace(steps[0])
+    scale = 1.0 if reference_slope is None else abs(reference_slope)
+    if reference_slope is not None:
+        trace.normalized_slope = trace.slope / scale
+    slopes = _slopes(steps[1:]) / scale
+    mean = float(slopes.mean())
+    std = float(slopes.std(ddof=1))
     if std == 0:
         raise ConfigurationError("degenerate ensemble: zero slope spread")
-    z = float((true_slope / scale - mean) / std)
-    lo, hi = norm_slopes.min(), norm_slopes.max()
+    z = float((trace.slope / scale - mean) / std)
+    lo, hi = slopes.min(), slopes.max()
     pad = max((hi - lo) * 0.05, 1e-9)
     edges = np.linspace(lo - pad, hi + pad, DEFAULT_BINS + 1)
-    hist = Histogram.from_samples(norm_slopes, edges)
-    return WrongUnitaryEnsemble(true_slope / scale, norm_slopes, hist, mean, std, z)
+    hist = Histogram.from_samples(slopes, edges)
+    return WrongUnitaryEnsemble(trace, slopes, hist, mean, std, z)

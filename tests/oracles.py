@@ -5,7 +5,8 @@ plain n! permutation sum, multi-photon statistics come from
 first-quantized state-vector evolution (symmetric tensors, no
 permanents), distinguishable statistics from per-photon convolution,
 circuit propagation from dense matrix exponentials of an H(z) assembled
-entry by entry from the lattice primitives, HOM dip fits from
+entry by entry from the lattice primitives, HOM plateaus and visibilities
+from the four entries of U they read, HOM dip fits from
 one finite-difference ``least_squares`` over every parameter of a
 campaign (no elimination of the linear ones), the moduli and phase fits
 from SciPy's trf on finite-difference Jacobians (the moduli as squared
@@ -124,6 +125,21 @@ def ordered_exponential(hamiltonians, steps):
     for h, dz in zip(hamiltonians, steps):
         u = expm(1j * dz * h) @ u
     return u
+
+
+def hom_plateau(u, h, k, i, j):
+    """Distinguishable two-photon coincidence probability of inputs h, k at
+    outputs i, j: |U_ih|^2 |U_jk|^2 + |U_jh|^2 |U_ik|^2."""
+    return abs(u[i, h]) ** 2 * abs(u[j, k]) ** 2 + abs(u[j, h]) ** 2 * abs(u[i, k]) ** 2
+
+
+def hom_visibility(u, h, k, i, j):
+    """HOM dip visibility V = (a - Q) / a of inputs h, k at outputs i, j, with
+    a their plateau and Q = |U_ih U_jk + U_jh U_ik|^2 the indistinguishable
+    coincidence probability: full suppression gives V = +1, the opposite
+    sign of the scan parameter that datasets store."""
+    a = hom_plateau(u, h, k, i, j)
+    return (a - abs(u[i, h] * u[j, k] + u[j, h] * u[i, k]) ** 2) / a
 
 
 def stacked_dip_fit(positions, counts, groups):

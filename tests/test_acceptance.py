@@ -22,8 +22,7 @@ from photonlat.footprint import (FootprintParams, clements_increment,
 from photonlat.haarstats import haar_unitary
 from photonlat.lattice import (CouplingModel, LatticeSpec, build_lattice,
                                coupling_coefficient, default_heater_bank)
-from photonlat.reconstruction import (gauge_distance, hom_plateau,
-                                      hom_visibility, reconstruct_moduli,
+from photonlat.reconstruction import (gauge_distance, reconstruct_moduli,
                                       reconstruct_phases, refine_chi2,
                                       simulate_hom_dataset, submatrix_rows)
 

@@ -200,6 +200,36 @@ def test_validate_byte_identical(simulated, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("test", ["uniform", "distinguishable"])
+def test_validate_scores_the_stream_once(simulated, tmp_path, monkeypatch, test):
+    # two stacks of counter steps: the paired reference stream's, then the
+    # stream's own in row 0 of its ensemble's, which gives the slope, the
+    # trace and the z-score alike
+    _, cfg, upath = simulated
+    stacks = []
+    counter_steps = photonlat.validation._counter_steps
+
+    def recorded(*args, **kwargs):
+        stacks.append(counter_steps(*args, **kwargs))
+        return stacks[-1]
+    monkeypatch.setattr(photonlat.validation, "_counter_steps", recorded)
+    samples = _sampled_stream(simulated, tmp_path, 100)
+    assert run("validate", "--config", cfg, "--unitary", upath, "--samples", samples,
+               "--out", tmp_path / "v", "--test", test, "--ensemble", 20) == 0
+    assert [len(stack) for stack in stacks] == [1, 21]
+    slopes = photonlat.validation._slopes(stacks[1])
+    scale = abs(photonlat.validation._slopes(stacks[0])[0])
+    wrong = slopes[1:] / scale
+    kept = stacks[1][0][stacks[1][0] != 0]
+    summary = json.loads((tmp_path / "v" / "zscore.json").read_text())
+    assert summary["slope"] == slopes[0]
+    assert summary["normalized_slope"] == slopes[0] / scale
+    assert summary["n_rejected"] == 100 - len(kept)
+    assert summary["z_score"] == (slopes[0] / scale - wrong.mean()) / wrong.std(ddof=1)
+    trace = (tmp_path / "v" / "trace.csv").read_text().splitlines()[1:]
+    assert [int(line.split(",")[1]) for line in trace] == np.cumsum(kept).tolist()
+
+
 def test_one_parser_serves_every_call(simulated, tmp_path):
     tmp, cfg, upath = simulated
     sdir = tmp_path / "samples"

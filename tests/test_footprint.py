@@ -7,8 +7,7 @@ import pytest
 from photonlat.errors import ConfigurationError, NumericalError
 from photonlat.footprint import (FootprintParams, clements_increment,
                                  clements_length, compare_layouts,
-                                 coupler_length, coupler_reflectivity,
-                                 dispersion, fan_length, group_velocity,
+                                 coupler_length, fan_length,
                                  min_spread_length, sbend_length,
                                  scaling_exponents)
 
@@ -26,17 +25,12 @@ class TestSbend:
 
 class TestCoupler:
     def test_full_transfer_length(self):
-        assert coupler_reflectivity(1.0, coupler_length(1.0)) == pytest.approx(1.0)
-
-    def test_zero_length(self):
-        assert coupler_reflectivity(0.7, 0.0) == 0.0
+        # the coupled-mode reflectivity sin^2(c L_C) reaches 1 at L_C
+        for c in (0.2, 1.0, 3.7):
+            assert math.sin(c * coupler_length(c)) ** 2 == pytest.approx(1.0)
 
     def test_length_value(self):
         assert coupler_length(1.0) == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_reflectivity_in_range(self):
-        for lc in np.linspace(0, 5, 17):
-            assert 0.0 <= coupler_reflectivity(0.8, lc, 0.3) <= 1.0
 
 
 class TestClements:
@@ -60,52 +54,6 @@ class TestClements:
             clements_length(1, 30.0, 0.06, 1.0)
 
 
-class TestDispersion:
-    def test_linear_band_center(self):
-        assert dispersion("linear", 0.3, 0.0) == pytest.approx(0.6)
-        vx, vy = group_velocity("linear", 0.3, 0.0)
-        assert vx == 0.0 and vy == 0.0
-
-    def test_linear_max_velocity(self):
-        vx, _ = group_velocity("linear", 0.3, math.pi / 2)
-        assert abs(vx) == pytest.approx(2 * 0.3)
-
-    def test_square_dispersion(self):
-        assert dispersion("square", 0.5, 0.3, 0.8) == pytest.approx(
-            2 * 0.5 * (math.cos(0.3) + math.cos(0.8)))
-
-    def test_triangular_dispersion(self):
-        assert dispersion("triangular", 0.5, 0.3, 0.8) == pytest.approx(
-            2 * 0.5 * (math.cos(0.3) + math.cos(0.8) + math.cos(1.1)))
-
-    def test_triangular_max_velocity_doubles_linear(self):
-        c = 0.2
-        v_tri = max(abs(group_velocity("triangular", c, b)[0])
-                    for b in np.linspace(-math.pi, math.pi, 721))
-        v_lin = max(abs(group_velocity("linear", c, b)[0])
-                    for b in np.linspace(-math.pi, math.pi, 721))
-        assert v_tri == pytest.approx(4 * c, rel=1e-4)
-        assert v_tri == pytest.approx(2 * v_lin, rel=1e-4)
-
-    @pytest.mark.parametrize("kind", ["linear", "square"])
-    def test_group_velocity_is_dispersion_derivative(self, kind):
-        c, eps = 0.37, 1e-5
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            bx, by = rng.uniform(-math.pi, math.pi, 2)
-            vx, vy = group_velocity(kind, c, bx, by)
-            fd_x = (dispersion(kind, c, bx + eps, by)
-                    - dispersion(kind, c, bx - eps, by)) / (2 * eps)
-            assert abs(fd_x - vx) < 1e-6
-            fd_y = (dispersion(kind, c, bx, by + eps)
-                    - dispersion(kind, c, bx, by - eps)) / (2 * eps)
-            assert abs(fd_y - vy) < 1e-6
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            dispersion("hexagonal", 1.0, 0.0)
-
-
 class TestMinSpread:
     def test_planar_device_value(self):
         assert min_spread_length("linear", 32, 0.2) == pytest.approx(80.0)
@@ -126,6 +74,10 @@ class TestMinSpread:
     def test_single_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             min_spread_length("linear", 1, 0.2)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown lattice kind 'hexagonal'"):
+            min_spread_length("hexagonal", 8, 1.0)
 
 
 class TestFanLength:

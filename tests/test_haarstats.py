@@ -14,8 +14,7 @@ from photonlat.haarstats import (Histogram, _haar_columns, column_similarity_dis
                                  device_submatrix_ensemble,
                                  ensemble_moduli_phase_histograms, gauge_fix_phases,
                                  haar_unitary, histogram_overlap,
-                                 pairwise_similarities, random_heater_powers,
-                                 similarity)
+                                 pairwise_similarities, random_heater_powers)
 from photonlat.lattice import (CouplingModel, HeaterBank, LatticeSpec,
                                build_lattice, default_heater_bank)
 
@@ -30,6 +29,13 @@ class TestHistogram:
             Histogram(np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.5]))
         with pytest.raises(ConfigurationError):
             Histogram(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("edges, masses", [([0.0, 1.0], [np.nan]),
+                                               ([0.0, np.nan, 1.0], [0.5, 0.5])],
+                             ids=["nan-mass", "nan-edge"])
+    def test_nan_rejected(self, edges, masses):
+        with pytest.raises(ConfigurationError):
+            Histogram(np.array(edges), np.array(masses))
 
     def test_from_samples(self):
         h = Histogram.from_samples([0.1, 0.2, 0.8], np.linspace(0, 1, 3))
@@ -156,6 +162,12 @@ class TestHaarUnitary:
         assert stat.pvalue > 0.01
 
 
+def similarity(p, q) -> float:
+    """The one pair similarity of the stack [p, q]."""
+    (sim,) = pairwise_similarities([p, q])
+    return sim
+
+
 class TestSimilarity:
     def test_identical_distributions(self):
         p = np.array([0.2, 0.3, 0.5])
@@ -177,7 +189,7 @@ class TestSimilarity:
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            similarity([1.0], [0.5, 0.5])
+            pairwise_similarities([[1.0], [0.5, 0.5]])
 
 
 class TestColumnSimilarity:

@@ -353,6 +353,31 @@ def _non_square():
     return shapes.map(np.ones)
 
 
+def _bad_stack():
+    """Stacks that are no 2-D stack of finite numbers >= 0: a 2 x 3 stack
+    of probabilities with one entry negative, infinite, NaN or a string,
+    a 1-D vector, a ragged stack and a 3-D one."""
+    def corrupt(iv):
+        flat = [0.5] * 6
+        flat[iv[0]] = iv[1]
+        return [flat[:3], flat[3:]]
+    entry = st.one_of(st.floats(max_value=-5e-324), st.sampled_from([math.inf, math.nan]),
+                      st.text(max_size=3))
+    return st.tuples(st.integers(0, 5), entry).map(corrupt) | st.sampled_from(
+        [[0.5, 0.5], [[1.0], [0.5, 0.5]], [[[0.5, 0.5]]]])
+
+
+def _bad_range():
+    """Power ranges that are no finite (lo, hi) with 0 <= lo <= hi:
+    reversed, a negative lo, an infinite or NaN bound, or no pair."""
+    finite = st.floats(0.0, 1e308)
+    return st.one_of(st.tuples(finite, finite).filter(lambda r: r[0] > r[1]),
+                     st.tuples(st.floats(max_value=-5e-324), finite),
+                     st.tuples(finite, st.sampled_from([math.inf, math.nan])),
+                     st.tuples(st.just(math.nan), finite),
+                     st.lists(finite).filter(lambda r: len(r) != 2), finite)
+
+
 def _with_event(field):
     """Score a one-event stream whose output or input modes are ``v``."""
     def call(c, v):
@@ -405,6 +430,10 @@ ARGUMENT_CHECKS = {
         _bad_whole(1), lambda c, v: haarstats.column_similarity_distribution(M, 5, 1, v)),
     "random_heater_powers/n": (_bad_whole(1),
                                lambda c, v: haarstats.random_heater_powers(c["bank"], v, 1)),
+    "random_heater_powers/power_range": (
+        _bad_range(), lambda c, v: haarstats.random_heater_powers(c["bank"], 2, 1, v)),
+    "pairwise_similarities/columns": (_bad_stack(),
+                                      lambda c, v: haarstats.pairwise_similarities(v)),
     "propagate/n_steps": (_bad_whole(1), lambda c, v: evolution.propagate(
         c["layout"], c["model"], c["bank"], n_steps=v)),
     "sample/count": (_bad_whole(0), lambda c, v: sample(c["table"], 1, v)),
@@ -484,9 +513,18 @@ ARGUMENT_CHECKS = {
 @example(drawn=("simulate_hom_dataset/rng_seed", 2.5))
 @example(drawn=("wrong_unitary_slope_histogram/rng_seed", -1))
 @example(drawn=("FockPattern.from_modes/m", 2.5))
+@example(drawn=("random_heater_powers/power_range", (500.0, 0.0)))
+@example(drawn=("random_heater_powers/power_range", (-1e308, 1e308)))
+@example(drawn=("random_heater_powers/power_range", (0.0, math.inf)))
+@example(drawn=("random_heater_powers/power_range", (math.nan, 1.0)))
+@example(drawn=("pairwise_similarities/columns", [0.5, 0.5]))
+@example(drawn=("pairwise_similarities/columns", [[1.0], [0.5, 0.5]]))
+@example(drawn=("pairwise_similarities/columns", [["a", "b"], ["c", "d"]]))
+@example(drawn=("pairwise_similarities/columns", [[0.5, -0.5], [0.5, 0.5]]))
 def test_bad_argument_raises_configuration_error(drawn):
-    """Every entry point rejects a bad mode list, whole count or square
-    matrix with ConfigurationError, never with another exception."""
+    """Every entry point rejects a bad mode list, whole count, square
+    matrix, stack of probability vectors or heater power range with
+    ConfigurationError, never with another exception."""
     key, bad = drawn
     with pytest.raises(ConfigurationError):
         ARGUMENT_CHECKS[key][1](_context(), bad)

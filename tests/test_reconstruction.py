@@ -11,19 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlat import reconstruction
-from photonlat.errors import (ConfigurationError, FitError, UndefinedVisibilityError,
-                              UnderdeterminedError)
+from photonlat.errors import ConfigurationError, FitError, UnderdeterminedError
 from photonlat.haarstats import haar_unitary
 from photonlat.interference import FockPattern, output_probability
 from photonlat.reconstruction import (DEFAULT_DIP_SIGMA, SCAN_POSITIONS,
                                       HomDataset, ReconstructedSubmatrix, _fit_dips,
                                       _phase_jacobian, dip_profile, dip_residuals,
-                                      fit_dip, gauge_distance, hom_plateau,
-                                      hom_visibility, reconstruct_moduli,
+                                      fit_dip, gauge_distance, reconstruct_moduli,
                                       reconstruct_phases, refine_chi2,
                                       simulate_hom_dataset, submatrix_rows)
 
-from oracles import finite_difference_jacobian, stacked_dip_fit, trf_moduli, trf_phases
+from oracles import (finite_difference_jacobian, hom_plateau, hom_visibility, stacked_dip_fit,
+                     trf_moduli, trf_phases)
 
 BS = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
 
@@ -81,9 +80,11 @@ class TestHomQuantities:
             assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_visibility_undefined_for_zero_plateau(self):
-        u = np.eye(4, dtype=complex)
-        with pytest.raises(UndefinedVisibilityError):
-            hom_visibility(u, 0, 1, 2, 3)
+        # through the identity only outputs (0, 1) see inputs 0 and 1: every
+        # other dip has no plateau, so no visibility, and is masked invalid
+        ds, counts = simulate_hom_dataset(np.eye(4, dtype=complex), (0, 1))
+        assert ds.valid.tolist() == [[True] + [False] * 5]
+        assert len(counts) == 1
 
 
 class TestDipScan:
@@ -669,7 +670,8 @@ class TestRefine:
         want = trf_phases(moduli, candidate.phases, ds)
         assert np.abs(np.angle(np.exp(1j * (refined.phases - want)))).max() <= 1e-6
 
-    def test_evaluation_cap_reports_no_convergence(self, device_unitary, monkeypatch):
+    def test_evaluation_cap_reports_no_convergence(self, device_unitary, monkeypatch,
+                                                   caplog):
         gauss_newton = reconstruction._gauss_newton
 
         def capped(fun, jac, x0, max_nfev):
@@ -679,9 +681,15 @@ class TestRefine:
                                      mean_plateau_counts=1e4)
         candidate = reconstruct_phases(ds, reconstruct_moduli(ds))
         monkeypatch.setattr(reconstruction, "_gauss_newton", capped)
-        refined = refine_chi2(candidate, ds)
+        with caplog.at_level(logging.WARNING, logger="photonlat.reconstruction"):
+            refined = refine_chi2(candidate, ds)
         assert not refined.converged
         assert refined.chi2 <= candidate.chi2
+        # the one record of the stagnation, at WARNING, where the fit ended
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("photonlat.reconstruction", logging.WARNING)
+        assert re.fullmatch(r"chi-square refinement stagnated: 2 evaluations, status 0, "
+                            r"chi2 \S+ -> \S+", record.getMessage())
 
     def test_fits_log_what_they_did(self, device_unitary, caplog):
         ds, _ = simulate_hom_dataset(device_unitary, (11, 12, 19), rng_seed=3,
@@ -700,6 +708,9 @@ class TestRefine:
             assert float(after) <= float(before)
         assert float(fits[1][4]) == pytest.approx(candidate.chi2, rel=1e-5)
         assert float(fits[1][5]) == pytest.approx(refined.chi2, rel=1e-5)
+        # a converged refinement warns of nothing
+        assert refined.converged
+        assert all(r.levelno < logging.WARNING for r in caplog.records)
 
 
 class TestGaugeDistance:

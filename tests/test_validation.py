@@ -231,7 +231,9 @@ class TestWrongUnitaryEnsemble:
         raw = val.wrong_unitary_slope_histogram(streams["bs"][:300], device_unitary,
                                                 "distinguishable", 31, 50,
                                                 rng_seed=6)
-        assert ens.true_slope == pytest.approx(raw.true_slope / abs(ref.slope))
+        assert raw.trace.normalized_slope is None
+        assert ens.trace.slope == raw.trace.slope
+        assert ens.trace.normalized_slope == raw.trace.slope / abs(ref.slope)
         # z-score is scale invariant
         assert ens.z_score == pytest.approx(raw.z_score, rel=1e-9)
 
@@ -257,10 +259,10 @@ class TestWrongUnitaryEnsemble:
             events, m = itf.spdc_sample(u, itf.spdc_weights(1.0), "indistinguishable",
                                         12, 1000, INPUTS4), 32
 
-        def slope(v):
+        def trace(v):
             if kind == "uniform":
-                return val.run_uniform_test(events, v, m).slope
-            return val.run_distinguishable_test(events, v).slope
+                return val.run_uniform_test(events, v, m)
+            return val.run_distinguishable_test(events, v)
 
         # 40 unitaries span several C chunks of the stack at 1000 events
         ens = val.wrong_unitary_slope_histogram(events, u, kind, m, 40, rng_seed=13)
@@ -271,8 +273,11 @@ class TestWrongUnitaryEnsemble:
         for cols in _haar_columns(32, n, 13, 40):
             v = np.zeros((32, 32), dtype=complex)
             v[:, modes] = cols
-            members.append(slope(v))
-        assert ens.true_slope == slope(u)
+            members.append(trace(v).slope)
+        # row 0 of the one stack scored is the stream's own trace under U
+        alone = trace(u)
+        assert np.array_equal(ens.trace.counters, alone.counters)
+        assert (ens.trace.slope, ens.trace.n_rejected) == (alone.slope, alone.n_rejected)
         assert np.array_equal(ens.slopes, members)
 
     def test_branches_without_events_draw_no_columns(self, device_unitary):
@@ -447,11 +452,14 @@ class TestNormalization:
     def test_normalize_trace(self, device_unitary, streams):
         bs = val.run_distinguishable_test(streams["bs"], device_unitary)
         ref = val.run_distinguishable_test(streams["dist"], device_unitary)
-        normed = val.normalize_trace(bs, ref)
+        normed = val.wrong_unitary_slope_histogram(
+            streams["bs"], device_unitary, "distinguishable", 31, 10, rng_seed=1,
+            reference_slope=ref.slope).trace
+        assert normed.slope == bs.slope
         assert normed.normalized_slope == pytest.approx(bs.slope / abs(ref.slope))
 
     def test_zero_reference_rejected(self, device_unitary, streams):
-        bs = val.run_distinguishable_test(streams["bs"], device_unitary)
-        flat = val.ValidationTrace(np.array([1]), 0.0)
-        with pytest.raises(ConfigurationError):
-            val.normalize_trace(bs, flat)
+        with pytest.raises(ConfigurationError, match="zero reference slope"):
+            val.wrong_unitary_slope_histogram(streams["bs"], device_unitary,
+                                              "distinguishable", 31, 10, rng_seed=1,
+                                              reference_slope=0.0)
