@@ -11,9 +11,11 @@ each naming the argument it rejects. :func:`check_column` is the one rule
 for a column of whole numbers: a mode list (:func:`check_modes` calls
 it), an :class:`~photonlat.interference.EventStream` column and the
 records of a samples file are all judged by it, an array by its dtype and
-anything else by the types of its entries. ``MAX_TABLE_BYTES`` is the one
-memory budget: :func:`check_table_bytes` raises :class:`CapacityError`
-before a call allocates arrays beyond it.
+anything else by the types of its entries (:func:`entries_are`). So are
+a matrix U and a stack of probability vectors: ``check_square`` and
+``haarstats.pairwise_similarities`` take no boolean or string.
+``MAX_TABLE_BYTES`` is the one memory budget: :func:`check_table_bytes`
+raises :class:`CapacityError` before a call allocates arrays beyond it.
 """
 
 import dataclasses
@@ -101,6 +103,22 @@ def check_seed(seed):
     return check_whole(seed, "rng_seed", 0)
 
 
+# the numbers an array of each set of dtype kinds holds
+_KIND_NUMBERS = {"iu": numbers.Integral, "iuf": numbers.Real, "iufc": numbers.Number}
+
+
+def entries_are(rows, depth: int, kinds: str) -> bool:
+    """Whether every entry of the nested iterables ``rows``, ``depth``
+    levels deep, is a number an array of the dtype ``kinds`` holds ("iu"
+    whole, "iuf" real, "iufc" any), other than ``bool``: numpy would cast a
+    boolean among numbers, or a string of digits, into a number. Raises
+    ``TypeError`` when a level above the entries is not iterable."""
+    for _ in range(depth - 1):
+        rows = itertools.chain.from_iterable(rows)
+    kind = _KIND_NUMBERS[kinds]
+    return all(issubclass(t, kind) and t is not bool for t in set(map(type, rows)))
+
+
 def check_column(value, what: str, dims=None, lo=None, hi=None,
                  distinct: bool = False) -> np.ndarray:
     """``value`` as a read-only ``np.intp`` array, unless an entry is no
@@ -119,11 +137,8 @@ def check_column(value, what: str, dims=None, lo=None, hi=None,
         if isinstance(value, np.ndarray):
             ok = value.dtype.kind in "iu" and np.can_cast(value.dtype, np.intp)
         else:
-            value = entries = list(value)
-            for _ in range(depth - 1):
-                entries = itertools.chain.from_iterable(entries)
-            ok = all(issubclass(t, numbers.Integral) and t is not bool
-                     for t in set(map(type, entries)))
+            value = list(value)
+            ok = entries_are(value, depth, "iu")
         arr = np.asarray(value, dtype=np.intp).view() if ok else None
     except (TypeError, ValueError, OverflowError):   # not iterable, ragged, too large
         ok = False
@@ -148,11 +163,25 @@ def check_modes(modes, m: int, what: str, distinct: bool = False) -> np.ndarray:
 
 
 def check_square(u, what: str) -> np.ndarray:
-    """``u`` as a complex array, unless it is no square matrix of numbers."""
+    """``u`` as a complex array, unless it is no square matrix of numbers.
+
+    :func:`check_column`'s rule: an array is judged by its dtype, any other
+    input by the types of its entries, each a ``numbers.Number`` other than
+    ``bool``, so that no boolean or string is cast into a number.
+    """
     try:
-        u = np.asarray(u, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} must be a square matrix of numbers: {exc}") from exc
+        if isinstance(u, np.ndarray):
+            ok = u.dtype.kind in "iufc"
+        else:
+            u = list(u)
+            ok = entries_are(u, 2, "iufc")
+        arr = np.asarray(u, dtype=complex) if ok else None
+    except (TypeError, ValueError):       # not iterable, ragged, no number
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"{what} must be a square matrix of numbers, "
+                                 f"got {reprlib.repr(u)}")
+    u = arr
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ConfigurationError(f"{what} must be a square matrix, got shape {u.shape}")
     return u

@@ -40,18 +40,24 @@ each setting is read for. Every pass pays the fixed cost of each heated
 slice once, so columns are never split over several passes.
 
 The build is charged first, before any array grows with the step count.
-It then walks the CF4 steps a block at a time: each block's node
-couplings, their CF4 sums and its heater kernels are formed once and held
-to ``_BLOCK_BYTES``. A step's two slices are heated when a heater window
-covers one of its nodes. Their G dz, column norms and K are written
-straight into arrays allocated at their final size before the first
-block; what the pass reads is kept and nothing else. The fixed slices' G
-dz go to one more such array, which only the run products read and which
-is freed with the build. Every fixed slice is planned before any run
-product is built, so a fixed slice beyond ``MAX_SUBSTEPS`` raises first.
-The build's peak is at most its charge plus one block: traced on the
-default chip, 14.7, 24.5 and 89.7 MiB at 512, 1024 and 4096 steps,
-against charges of 12.1, 24.0 and 95.9 MiB.
+It reads the layout's coupled pairs once, since G is zero off them (73
+pairs, 146 of its 1,024 entries on the default chip), and then walks the
+CF4 steps a block at a time: each block's node couplings of those pairs,
+their CF4 sums and its heater kernels are formed once and held to
+``_BLOCK_BYTES``. A step's two slices are heated when a heater window
+covers one of its nodes. Their G dz is scattered from the pair couplings
+into a zero-filled array allocated at its final size before the first
+block, and their column norms and K are written into two more such
+arrays. A column norm adds |G| over the column's partners in ascending
+row order, the order of a dense sum over rows, so every entry is the one
+dense arithmetic gives, to the bit. What the pass reads is kept and
+nothing else. The fixed slices' G dz go to one more such array, which
+only the run products read and which is freed with the build. Every
+fixed slice is planned before any run product is built, so a fixed slice
+beyond ``MAX_SUBSTEPS`` raises first. The build's peak is at most its
+charge plus one block: traced on the default chip, 13.2, 23.1 and 88.5
+MiB at 512, 1024 and 4096 steps, against charges of 12.1, 24.0 and 95.9
+MiB.
 
 Before any column moves, every heated slice is planned: the detunings of
 a block of slices under all settings in use come from one product, and
@@ -59,14 +65,17 @@ theta, s and p of the whole block follow in one vectorised step, so a
 slice beyond ``MAX_SUBSTEPS`` raises first. Each block's detunings are
 held to ``_BLOCK_BYTES`` (4 MB), so memory stays flat however many
 settings or columns a pass carries. Each Taylor term is one real product
-of G with the float view of the columns plus in-place elementwise passes
-over preallocated buffers; the unheated run products are built by the
-same kernel. The integrator logs, at DEBUG level on the
+of G with the float view of the columns plus four elementwise ufunc calls
+into preallocated buffers. At m = 32 each call takes 0.5 to 2 us, so the
+pass is bound by the cost per call; the unheated run products are built
+by the same kernel. The integrator logs, at DEBUG level on the
 ``photonlat.evolution`` logger, for each build the heated and fixed slice
-counts, the runs, the bytes kept and the largest block held, and for each
-pass the columns carried and settings used, the slice counts, the largest
-theta, the range of p, the substeps, the real G products of the pass (one
-per Taylor term of a heated slice) and the column-norm defect.
+counts, the runs, the bytes kept and the largest block held (its node
+heater kernels and its node and slice pair couplings: 763,808 bytes for
+85 steps on the default chip at 1024 steps), and for each pass the
+columns carried and settings used, the slice counts, the largest theta,
+the range of p, the substeps, the real G products of the pass (one per
+Taylor term of a heated slice) and the column-norm defect.
 """
 
 from __future__ import annotations
@@ -115,27 +124,40 @@ def _segment_edges(layout: WaveguideLayout, bank: HeaterBank):
     return edges[(edges >= 0.0) & (edges <= layout.length)]
 
 
-def _coupling_stack(layout, model, z_values) -> np.ndarray:
-    """Power-independent part G of H at each z: real (nz, m, m), the
-    couplings at the instantaneous pair distances off the diagonal."""
-    i_idx, j_idx = layout.coupled_pairs(model)
+def _coupling_stack(layout, model, pairs, z_values) -> np.ndarray:
+    """Power-independent part G of H at each z, as the real (nz, n_pairs)
+    couplings at the instantaneous distances of ``pairs``, the (i, j) of
+    ``layout.coupled_pairs(model)``: G_ij = G_ji is the coupling of pair
+    (i, j), and every other entry of G is 0."""
+    i_idx, j_idx = pairs
     pos = layout.positions_at(np.asarray(z_values, dtype=float))   # (nz, m, 2)
     d = np.hypot(pos[:, i_idx, 0] - pos[:, j_idx, 0],
                  pos[:, i_idx, 1] - pos[:, j_idx, 1])
-    c = coupling_coefficient(d, model)                            # (nz, npairs)
-    g = np.zeros((len(pos), layout.m, layout.m))
-    g[:, i_idx, j_idx] = c
-    g[:, j_idx, i_idx] = c
-    return g
+    return coupling_coefficient(d, model)
+
+
+def _partner_levels(pairs):
+    """For k = 0, 1, ...: the columns of G with a k-th coupled partner, in
+    ascending row order, and the pair coupling each to it. Adding |G|
+    level by level sums each column in the order of a dense sum over rows,
+    so the sums are the same to the bit."""
+    i_idx, j_idx = pairs
+    rows, cols = np.r_[i_idx, j_idx], np.r_[j_idx, i_idx]
+    pair = np.tile(np.arange(len(i_idx)), 2)
+    order = np.lexsort((rows, cols))
+    cols, pair = cols[order], pair[order]
+    rank = np.arange(len(cols)) - np.searchsorted(cols, cols)
+    return [(cols[rank == k], pair[rank == k]) for k in range(rank.max(initial=-1) + 1)]
 
 
 # t_p = (1e-16 p!)^(1/p) for p = 1, 2, ...: the largest theta with
 # theta^p / p! <= 1e-16, increasing in p (t_19 > 1)
 _ORDER_BOUNDS = np.array([(1e-16 * math.factorial(p)) ** (1.0 / p) for p in range(1, 31)])
 
-# what one block holds at once: in the build, a block of steps' node and
-# slice couplings and node heater kernels; in a pass, the detunings of a
-# block of heated slices and their copy for the float view
+# what one block holds at once: in the build, a block of steps' node
+# heater kernels and node and slice couplings (sized as dense G); in a
+# pass, the detunings of a block of heated slices and their copy for the
+# float view
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -164,19 +186,27 @@ def _taylor(gdz, dh, s, p, x, term, y):
     the columns (None where no heater is on), with h = dz / s.
     ``x``, ``term`` and ``y`` are complex (m, J) buffers; G is real, so its
     product runs as one real matrix product on their float views. A term
-    costs that product and four in-place elementwise passes.
+    costs that product and four elementwise ufunc calls into the buffers,
+    each with its output given positionally; the first term of a substep
+    reads x itself, so no call copies x. The product is ``ndarray.dot``,
+    the same dgemm as ``np.matmul`` on these C-contiguous 2-D float64
+    arrays with less cost per call where the columns are few: on a 2-core
+    Xeon, 1.9 against 2.7 us at 40 float columns, but 21.6 against 19.0 us
+    at 490.
     """
     gh = gdz if s == 1 else gdz / s
+    product, multiply, add = gh.dot, np.multiply, np.add
     xf, tf, yf = x.view(float), term.view(float), y.view(float)
     for _ in range(s):
-        np.copyto(term, x)
+        last = xf                       # the previous term: x itself at first
         for j in range(1, p + 1):
-            np.matmul(gh, tf, out=yf)
+            product(last, yf)
             if dh is not None:
-                tf *= dh
-                yf += tf
-            np.multiply(y, 1j / j, out=term)
-            xf += tf
+                multiply(last, dh, tf)
+                add(yf, tf, yf)
+            multiply(y, 1j / j, term)
+            add(xf, tf, xf)
+            last = tf
 
 
 class _Propagator:
@@ -218,17 +248,20 @@ class _Propagator:
         heated, dz = np.repeat(hot_steps, 2), np.repeat(step_dz, 2)
         hot = np.r_[0, np.cumsum(heated)]      # heated slices before each one
         # what the pass reads, at its final size before any block is formed:
-        # G dz, the column sums of |G|, K and dz of every heated slice
-        self.gdz = np.empty((hot[-1], m, m))
+        # G dz (zero off the coupled pairs), the column sums of |G|, K and dz
+        # of every heated slice
+        self.gdz = np.zeros((hot[-1], m, m))
         self.gnorm = np.empty((hot[-1], m))
         self.kern = np.empty((hot[-1], m, n_heaters))
         self.dz = dz[heated]
         # G dz and theta of every fixed slice, read once for the run products
-        fixed_gdz = np.empty((len(heated) - hot[-1], m, m))
+        fixed_gdz = np.zeros((len(heated) - hot[-1], m, m))
         fixed_theta = np.empty(len(fixed_gdz))
+        pairs = layout.coupled_pairs(model)
+        n_pairs, levels = len(pairs[0]), _partner_levels(pairs)
         # slice exponentials a block of steps at a time, each a weighted sum
-        # of node Hamiltonians: the node and slice G and the node K of a
-        # block fit in _BLOCK_BYTES
+        # of node Hamiltonians. A block is sized as if it held dense node and
+        # slice G besides its node K; it holds only their pair couplings.
         size = max(1, _BLOCK_BYTES // (32 * m * (m + n_heaters)))
         held = 0
         for a in range(0, steps, size):
@@ -236,20 +269,24 @@ class _Propagator:
             i, j = 2 * a, 2 * b                 # the block's slices
             on, block_dz = heated[i:j], dz[i:j]
             hot_part, fixed_part = slice(hot[i], hot[j]), slice(i - hot[i], j - hot[j])
-            g = np.einsum("en,snij->seij", _CF4_WEIGHTS,
-                          _coupling_stack(layout, model, z[a:b].ravel()).reshape(-1, 2, m, m))
-            g = g.reshape(-1, m, m)
-            gnorm = np.abs(g).sum(axis=1)
-            g *= block_dz[:, None, None]
-            np.compress(on, g, axis=0, out=self.gdz[hot_part])
-            np.compress(on, gnorm, axis=0, out=self.gnorm[hot_part])
-            np.compress(~on, g, axis=0, out=fixed_gdz[fixed_part])
+            nodes = _coupling_stack(layout, model, pairs, z[a:b].ravel())
+            c = np.einsum("en,snp->sep", _CF4_WEIGHTS, nodes.reshape(b - a, 2, n_pairs))
+            c = c.reshape(j - i, n_pairs)
+            gnorm, mag = np.zeros((len(c), m)), np.abs(c)
+            for cols, pair in levels:
+                gnorm[:, cols] += mag[:, pair]
+            self.gnorm[hot_part] = gnorm[on]
             fixed_theta[fixed_part] = block_dz[~on] * gnorm[~on].max(axis=1)
+            c *= block_dz[:, None]
+            hot_c, fixed_c = c[on], c[~on]
+            for rows, cols in (pairs, pairs[::-1]):
+                self.gdz[hot_part, rows, cols] = hot_c
+                fixed_gdz[fixed_part, rows, cols] = fixed_c
             nodes = bank.kernels(layout, z[a:b][hot_steps[a:b]].ravel())
             np.einsum("en,snij->seij", _CF4_WEIGHTS, nodes.reshape(-1, 2, m, n_heaters),
                       out=self.kern[hot_part].reshape(-1, 2, m, n_heaters))
-            held = max(held, 2 * g.nbytes + nodes.nbytes)
-            del g, nodes        # before the next block is formed
+            held = max(held, 2 * c.nbytes + nodes.nbytes)
+            del c, nodes        # before the next block is formed
         # every fixed slice is planned before any run product is built
         self.fixed_plan = (fixed_theta, *_orders(fixed_theta))
         orders = zip(*(a.tolist() for a in self.fixed_plan[1:]))   # (s, p) in z order

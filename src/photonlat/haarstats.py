@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, NumericalError, check_modes, check_seed,
-                     check_table_bytes, check_whole, is_finite)
+                     check_table_bytes, check_whole, entries_are, is_finite)
 from .evolution import MAX_UNITARITY_DEFECT, UnitaryMatrix, _Propagator, unitarity_defect
 
 DEFAULT_BINS = 25
@@ -198,12 +198,18 @@ def pairwise_similarities(columns) -> np.ndarray:
 
     Each lies in [0, 1] up to roundoff, is symmetric, and is 1 exactly
     when p = q and 0 on disjoint supports. ``columns`` must be a 2-D stack
-    of finite numbers >= 0, else ``ConfigurationError``; ``CapacityError``
-    is raised before it allocates, by :func:`_check_pair_bytes`.
+    of finite numbers >= 0, else ``ConfigurationError``: an array is
+    judged by its dtype, any other stack by the types of its entries, so a
+    boolean is no number (``errors.entries_are``). ``CapacityError`` is
+    raised before it allocates, by :func:`_check_pair_bytes`.
     """
     try:
+        if not isinstance(columns, np.ndarray):
+            columns = list(columns)
+            if not entries_are(columns, 2, "iuf"):
+                columns = None
         cols = np.asarray(columns)
-    except ValueError:    # a ragged stack
+    except (TypeError, ValueError):    # no stack of rows, or a ragged one
         cols = np.array(None)
     if cols.ndim != 2 or cols.dtype.kind not in "iuf" or \
             not (np.isfinite(cols) & (cols >= 0)).all():

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonlat
+from photonlat import evolution, reconstruction
 from photonlat import footprint as fp
-from photonlat import reconstruction
 from photonlat.cli import DEFAULT_CONFIG, SCHEMA, config_hash, load_config, main, read_unitary
 from photonlat.errors import ConfigurationError
 
-from conftest import evolution_log
+from conftest import build_log, evolution_log
 
 BASE_CONFIG = {
     "seed": 20240131,
@@ -625,6 +625,36 @@ def test_haar_device_ensemble(tmp_path, caplog):
     for key in ("moduli_overlap", "phase_overlap", "column_similarity_overlap"):
         assert 0.0 <= overlaps[key] <= 1.0
     assert (out / "device_moduli_hist.csv").exists()
+
+
+def test_haar_device_builds_one_chip_and_runs_one_pass(tmp_path, caplog, monkeypatch):
+    """One build and one pass per command, counted without a timer: the
+    pass's real G products are the s p of its one plan, and the Taylor
+    terms the kernel ran on heated slices."""
+    cfg = write_config(tmp_path, {"haar": {"n_matrices": 2, "columns": 3},
+                                  "evolution": {"n_steps": 32}})
+    plans, terms = [], []
+    plan, taylor = evolution._Propagator.plan, evolution._taylor
+
+    def spied_plan(chip, powers):
+        plans.append(plan(chip, powers))
+        return plans[-1]
+
+    def counted_taylor(gdz, dh, s, p, *buffers):
+        if dh is not None:
+            terms.append(s * p)
+        taylor(gdz, dh, s, p, *buffers)
+
+    monkeypatch.setattr(evolution._Propagator, "plan", spied_plan)
+    monkeypatch.setattr(evolution, "_taylor", counted_taylor)
+    with caplog.at_level(logging.DEBUG, logger="photonlat.evolution"):
+        assert run("haar", "--config", cfg, "--out", tmp_path / "haar", "--device") == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "photonlat.evolution"]
+    assert len(messages) == 2 and messages[0].startswith("chip built")
+    build_log(caplog)
+    products = evolution_log(caplog)[8]
+    [(_, s, p)] = plans
+    assert products == (s * p).sum() == sum(terms) > 0
 
 
 @pytest.mark.parametrize("rows, device", [(5, True), (0, False), (-1, False), (33, False)])

@@ -46,11 +46,21 @@ def test_unitarity_defect_rejects_nonsquare():
         unitarity_defect(np.ones((2, 3)))
 
 
+def dense_couplings(layout, model, z_values):
+    """(nz, m, m) G at each z, its coupled pairs' couplings scattered."""
+    i, j = pairs = layout.coupled_pairs(model)
+    c = _coupling_stack(layout, model, pairs, z_values)
+    g = np.zeros((len(c), layout.m, layout.m))
+    g[:, i, j] = c
+    g[:, j, i] = c
+    return g
+
+
 def slice_hamiltonian(layout, model, bank, z):
     """H(z) = G + diag(K @ P) from the two parts the integrator builds its
     slices from."""
     detunings = bank.kernels(layout, [z])[0] @ bank.powers
-    return _coupling_stack(layout, model, [z])[0] + np.diag(detunings)
+    return dense_couplings(layout, model, [z])[0] + np.diag(detunings)
 
 
 def test_hamiltonian_hermitian_and_sparse(device):
@@ -267,6 +277,48 @@ def test_build_peak_is_within_its_charge_plus_one_block(n_steps):
     slices = len(chip.dz) + len(chip.fixed_plan[0])
     charge = 8 * slices * layout.m * (layout.m + bank.n_heaters)     # check_table_bytes's
     assert peak <= charge + evolution._BLOCK_BYTES
+
+
+def dense_build(layout, model, bank, n_steps):
+    """G dz and the column sums of |G| of every CF4 slice, and which slices
+    are heated, by dense arithmetic: node G scattered from the pair
+    couplings, the CF4 sums as one dense einsum, times dz, and |G| summed
+    over rows."""
+    edges = evolution._segment_edges(layout, bank)
+    seg_steps = np.maximum(1, np.rint(n_steps * np.diff(edges) / layout.length).astype(int))
+    seg_dz = np.diff(edges) / seg_steps
+    starts = np.concatenate([z0 + dz * np.arange(n)
+                             for z0, dz, n in zip(edges[:-1], seg_dz, seg_steps)])
+    step_dz = np.repeat(seg_dz, seg_steps)
+    z = starts[:, None] + step_dz[:, None] * np.array(CF4_NODES)
+    nodes = dense_couplings(layout, model, z.ravel()).reshape(len(z), 2, layout.m, layout.m)
+    g = np.einsum("en,snij->seij", np.array(CF4_WEIGHTS), nodes).reshape(-1, layout.m, layout.m)
+    gnorm = np.abs(g).sum(axis=1)
+    dz = np.repeat(step_dz, 2)
+    heated = np.repeat(bank.active(z.ravel()).reshape(len(z), -1).any(axis=1), 2)
+    return g * dz[:, None, None], gnorm, dz, heated
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 128])
+def test_pair_build_matches_the_dense_build_to_the_bit(device, n_steps):
+    layout, model, bank, _ = device
+    chip = _Propagator(layout, model, bank, n_steps)
+    gdz, gnorm, dz, heated = dense_build(layout, model, bank, n_steps)
+    assert heated.any() and not heated.all()
+    assert np.array_equal(chip.gdz, gdz[heated])
+    assert np.array_equal(chip.gnorm, gnorm[heated])
+    assert np.array_equal(chip.fixed_plan[0], dz[~heated] * gnorm[~heated].max(axis=1))
+
+
+def test_chip_without_coupled_pairs_builds_zero_couplings():
+    layout = build_lattice(LatticeSpec(rows=1, cols=2, pitch=40.0, max_shift=0.0, seed=0))
+    model, bank = CouplingModel(), default_heater_bank(layout)
+    assert len(layout.coupled_pairs(model)[0]) == 0
+    chip = _Propagator(layout, model, bank, 16)
+    gdz, gnorm, dz, heated = dense_build(layout, model, bank, 16)
+    assert np.array_equal(chip.gdz, gdz[heated]) and not chip.gdz.any()
+    assert np.array_equal(chip.gnorm, gnorm[heated])
+    assert np.array_equal(chip.fixed_plan[0], np.zeros((~heated).sum()))
 
 
 def one_step_bytes(layout, bank):

@@ -353,16 +353,29 @@ def _non_square():
     return shapes.map(np.ones)
 
 
+def _bad_square():
+    """Matrices that are no square matrix of numbers: no square (above), a
+    2 x 2 list with one entry a boolean or a string, or an array of
+    booleans or strings."""
+    def corrupt(iv):
+        flat = [0.5, 0.0, 0.0, 0.5]
+        flat[iv[0]] = iv[1]
+        return [flat[:2], flat[2:]]
+    entry = st.one_of(st.booleans(), st.text(max_size=3))
+    return _non_square() | st.tuples(st.integers(0, 3), entry).map(corrupt) | st.sampled_from(
+        [np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]])])
+
+
 def _bad_stack():
     """Stacks that are no 2-D stack of finite numbers >= 0: a 2 x 3 stack
-    of probabilities with one entry negative, infinite, NaN or a string,
-    a 1-D vector, a ragged stack and a 3-D one."""
+    of probabilities with one entry negative, infinite, NaN, a string or a
+    boolean, a 1-D vector, a ragged stack and a 3-D one."""
     def corrupt(iv):
         flat = [0.5] * 6
         flat[iv[0]] = iv[1]
         return [flat[:3], flat[3:]]
     entry = st.one_of(st.floats(max_value=-5e-324), st.sampled_from([math.inf, math.nan]),
-                      st.text(max_size=3))
+                      st.text(max_size=3), st.booleans())
     return st.tuples(st.integers(0, 5), entry).map(corrupt) | st.sampled_from(
         [[0.5, 0.5], [[1.0], [0.5, 0.5]], [[[0.5, 0.5]]]])
 
@@ -455,19 +468,19 @@ ARGUMENT_CHECKS = {
     "HomDataset.from_dict/n_outputs": (_bad_whole(2), lambda c, v:
                                        reconstruction.HomDataset.from_dict(
                                            {**c["hom"], "n_outputs": v})),
-    "permanent/a": (_non_square(), lambda c, v: permanent(v)),
-    "unitarity_defect/u": (_non_square(), lambda c, v: evolution.unitarity_defect(v)),
-    "output_probability/u": (_non_square(), lambda c, v: output_probability(
+    "permanent/a": (_bad_square(), lambda c, v: permanent(v)),
+    "unitarity_defect/u": (_bad_square(), lambda c, v: evolution.unitarity_defect(v)),
+    "output_probability/u": (_bad_square(), lambda c, v: output_probability(
         v, c["table"].input, c["table"].input)),
-    "distribution/u": (_non_square(), lambda c, v: distribution(v, c["table"].input)),
-    "spdc_sample/u": (_non_square(), lambda c, v: spdc_sample(
+    "distribution/u": (_bad_square(), lambda c, v: distribution(v, c["table"].input)),
+    "spdc_sample/u": (_bad_square(), lambda c, v: spdc_sample(
         v, spdc_weights(1.0), "indistinguishable", 1, 5, (0, 1, 2, 3))),
-    "run_uniform_test/u": (_non_square(), lambda c, v: validation.run_uniform_test(
+    "run_uniform_test/u": (_bad_square(), lambda c, v: validation.run_uniform_test(
         c["events"], v, M)),
-    "run_distinguishable_test/u": (_non_square(), lambda c, v:
+    "run_distinguishable_test/u": (_bad_square(), lambda c, v:
                                    validation.run_distinguishable_test(c["events"], v)),
     "wrong_unitary_slope_histogram/true_u": (
-        _non_square(), lambda c, v: validation.wrong_unitary_slope_histogram(
+        _bad_square(), lambda c, v: validation.wrong_unitary_slope_histogram(
             c["events"], v, "distinguishable", M, 5, 0)),
 }
 
@@ -521,6 +534,10 @@ ARGUMENT_CHECKS = {
 @example(drawn=("pairwise_similarities/columns", [[1.0], [0.5, 0.5]]))
 @example(drawn=("pairwise_similarities/columns", [["a", "b"], ["c", "d"]]))
 @example(drawn=("pairwise_similarities/columns", [[0.5, -0.5], [0.5, 0.5]]))
+@example(drawn=("pairwise_similarities/columns", [[0.5, True, 0.5], [0.5, 0.5, 0.5]]))
+@example(drawn=("permanent/a", [["1", "0"], ["0", "1"]]))
+@example(drawn=("unitarity_defect/u", [[True]]))
+@example(drawn=("distribution/u", np.eye(2, dtype=bool)))
 def test_bad_argument_raises_configuration_error(drawn):
     """Every entry point rejects a bad mode list, whole count, square
     matrix, stack of probability vectors or heater power range with
